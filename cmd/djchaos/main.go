@@ -1,35 +1,31 @@
 // djchaos is the chaos-campaign soak runner: it expands seeds into fault
-// schedules, runs the supervised kvapp primary under each, and asserts the
+// schedules, runs the supervised kvapp members under each, and asserts the
 // robustness invariants end to end —
 //
-//   - every seeded run crashes and recovers via the supervisor;
-//   - the recovered replay's final store digest equals the undisturbed
-//     baseline replay's (convergence);
+//   - every plan-killed member crashes and is restarted by the supervisor
+//     from its anchor on the solved recovery line (a complete group epoch,
+//     not a fallback checkpoint) while the survivors keep running;
+//   - every member's recovered store digest equals its undisturbed baseline
+//     replay's, and so do the cluster digests folded over them (convergence);
 //   - re-expanding a seed yields the identical plan bytes, and the plan
-//     recorded into the salvaged trace round-trips identically;
-//   - checkpoint-anchored WAL truncation keeps the on-disk log bounded
-//     across the run's checkpoint cycles.
+//     recorded into every salvaged trace round-trips identically;
+//   - checkpoint-anchored WAL truncation keeps every member's on-disk log
+//     bounded across the run's checkpoint cycles, and no truncation fails.
 //
 // Usage:
 //
-//	djchaos -seed 1 -campaign 100 [-json] [-dir DIR] [-horizon N] [-keep N]
-//	djchaos -group [-members N] [-kills N] -seed 1 -campaign 100 [...]
+//	djchaos [-members N] [-kills N] -seed 1 -campaign 100 [-json] [-dir DIR] [-horizon N] [-keep N]
 //
-// The campaign runs seeds seed..seed+campaign-1. Exit status 0 means every
-// run satisfied every invariant.
-//
-// -group switches to the multi-VM campaign: each seed expands into a group
-// fault schedule fail-stopping a subset of N coordinated members, the group
-// supervisor restarts the crashed members from the solved recovery line while
-// survivors keep running, and the run asserts per-member and cluster-digest
-// convergence plus line-anchored restarts (every victim resumed from its
-// anchor on a complete group epoch, not a fallback checkpoint).
+// The campaign runs seeds seed..seed+campaign-1 over N coordinated members;
+// -members 1 is the lone supervised primary. Exit status 0 means every run
+// satisfied every invariant, 1 that some run did not, 2 a usage error.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -39,77 +35,83 @@ import (
 	"repro/internal/kvapp"
 )
 
+// memberReport is one member's share of a run: its kill point and the WAL
+// boundedness evidence.
+type memberReport struct {
+	Name        string `json:"name"`
+	KillAt      uint64 `json:"kill_at"` // 0: the plan spares this member
+	Rounds      int    `json:"rounds"`
+	Truncations int    `json:"truncations"`
+	WALMin      int64  `json:"wal_steady_min"`
+	WALMax      int64  `json:"wal_steady_max"`
+}
+
 type runReport struct {
-	Seed        uint64  `json:"seed"`
-	KillAt      uint64  `json:"kill_at"`
-	Rounds      int     `json:"rounds"`
-	Truncations int     `json:"truncations"`
-	Converged   bool    `json:"converged"`
-	Recovered   string  `json:"recovered_digest"`
-	Baseline    string  `json:"baseline_digest"`
-	WALBounded  bool    `json:"wal_bounded"`
-	WALMin      int64   `json:"wal_steady_min"`
-	WALMax      int64   `json:"wal_steady_max"`
-	PlanStable  bool    `json:"plan_stable"`
-	MTTRms      float64 `json:"mttr_ms"`
-	Err         string  `json:"err,omitempty"`
+	Seed          uint64         `json:"seed"`
+	Members       int            `json:"members"`
+	Kills         int            `json:"kills"`
+	Epochs        uint64         `json:"epochs"`
+	LineEpoch     uint64         `json:"line_epoch"`
+	OnLine        bool           `json:"on_line"`
+	Converged     bool           `json:"converged"`
+	Recovered     string         `json:"recovered_cluster_digest"`
+	Baseline      string         `json:"baseline_cluster_digest"`
+	WALBounded    bool           `json:"wal_bounded"`
+	PlanStable    bool           `json:"plan_stable"`
+	Recoveries    uint64         `json:"recoveries"`
+	MTTRms        float64        `json:"mttr_ms"`
+	MemberReports []memberReport `json:"member_reports"`
+	Err           string         `json:"err,omitempty"`
 }
 
 func (r runReport) ok() bool {
-	return r.Err == "" && r.Converged && r.WALBounded && r.PlanStable
-}
-
-type groupRunReport struct {
-	Seed       uint64   `json:"seed"`
-	Members    int      `json:"members"`
-	Kills      int      `json:"kills"`
-	KillAts    []uint64 `json:"kill_ats"`
-	Epochs     uint64   `json:"epochs"`
-	LineEpoch  uint64   `json:"line_epoch"`
-	OnLine     bool     `json:"on_line"`
-	Converged  bool     `json:"converged"`
-	Recovered  string   `json:"recovered_cluster_digest"`
-	Baseline   string   `json:"baseline_cluster_digest"`
-	PlanStable bool     `json:"plan_stable"`
-	Recoveries uint64   `json:"recoveries"`
-	MTTRms     float64  `json:"mttr_ms"`
-	Err        string   `json:"err,omitempty"`
-}
-
-func (r groupRunReport) ok() bool {
-	return r.Err == "" && r.Converged && r.OnLine && r.PlanStable &&
+	return r.Err == "" && r.Converged && r.OnLine && r.WALBounded && r.PlanStable &&
 		r.Recoveries == uint64(r.Kills)
 }
 
 type campaignReport struct {
-	Runs      []runReport      `json:"runs,omitempty"`
-	GroupRuns []groupRunReport `json:"group_runs,omitempty"`
-	Total     int              `json:"total"`
-	Passed    int              `json:"passed"`
-	Failed    int              `json:"failed"`
-	OK        bool             `json:"ok"`
-	ElapsedMS int64            `json:"elapsed_ms"`
+	Runs      []runReport `json:"runs"`
+	Total     int         `json:"total"`
+	Passed    int         `json:"passed"`
+	Failed    int         `json:"failed"`
+	OK        bool        `json:"ok"`
+	ElapsedMS int64       `json:"elapsed_ms"`
 }
 
 func main() {
-	seed := flag.Uint64("seed", 1, "first seed of the campaign")
-	campaign := flag.Int("campaign", 1, "number of consecutive seeds to run")
-	jsonOut := flag.Bool("json", false, "emit the campaign report as JSON")
-	dir := flag.String("dir", "", "working directory (default: a fresh temp dir)")
-	horizon := flag.Uint64("horizon", 0, "fault horizon in counter units (0 = default)")
-	keep := flag.Int("keep", 0, "checkpoint retention for WAL truncation (0 = default)")
-	group := flag.Bool("group", false, "run the multi-VM group-recovery campaign")
-	groupMembers := flag.Int("members", 3, "group size for -group runs")
-	groupKills := flag.Int("kills", 0, "members to fail-stop per -group run (0 = seeded choice)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("djchaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "first seed of the campaign")
+	campaign := fs.Int("campaign", 1, "number of consecutive seeds to run")
+	jsonOut := fs.Bool("json", false, "emit the campaign report as JSON")
+	dir := fs.String("dir", "", "working directory (default: a fresh temp dir)")
+	horizon := fs.Uint64("horizon", 0, "fault horizon in counter units (0 = default)")
+	keep := fs.Int("keep", 0, "checkpoint retention for WAL truncation (0 = default)")
+	members := fs.Int("members", 3, "supervised member VMs per run (1 = a lone primary)")
+	kills := fs.Int("kills", 0, "members to fail-stop per run (0 = seeded choice)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintf(stderr, "djchaos: unexpected arguments %v\n", fs.Args())
+		return 2
+	}
+	if *members <= 0 || *campaign <= 0 || *kills < 0 || *keep < 0 {
+		fmt.Fprintf(stderr, "djchaos: -members and -campaign must be positive, -kills and -keep non-negative\n")
+		return 2
+	}
 
 	base := *dir
 	if base == "" {
 		var err error
 		base, err = os.MkdirTemp("", "djchaos-")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "djchaos: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "djchaos: %v\n", err)
+			return 1
 		}
 		defer os.RemoveAll(base)
 	}
@@ -118,66 +120,55 @@ func main() {
 	rep := campaignReport{Total: *campaign}
 	for i := 0; i < *campaign; i++ {
 		s := *seed + uint64(i)
-		runDir := filepath.Join(base, fmt.Sprintf("seed-%d", s))
-		if *group {
-			r := runGroupOne(s, runDir, ids.GCount(*horizon), *keep, *groupMembers, *groupKills)
-			rep.GroupRuns = append(rep.GroupRuns, r)
-			if r.ok() {
-				rep.Passed++
-			} else {
-				rep.Failed++
-			}
-			if !*jsonOut {
-				status := "ok"
-				if !r.ok() {
-					status = "FAIL"
-				}
-				fmt.Printf("seed %-6d %-4s members %d kills %d @%v epochs %-3d line %-3d online %-5v mttr %.1fms%s\n",
-					r.Seed, status, r.Members, r.Kills, r.KillAts, r.Epochs, r.LineEpoch, r.OnLine, r.MTTRms, errSuffix(r.Err))
-			}
-			continue
-		}
-		r := runOne(s, runDir, ids.GCount(*horizon), *keep)
+		r := runOne(s, filepath.Join(base, fmt.Sprintf("seed-%d", s)), ids.GCount(*horizon), *keep, *members, *kills)
 		rep.Runs = append(rep.Runs, r)
+		status := "ok"
 		if r.ok() {
 			rep.Passed++
 		} else {
 			rep.Failed++
+			status = "FAIL"
 		}
 		if !*jsonOut {
-			status := "ok"
-			if !r.ok() {
-				status = "FAIL"
+			fmt.Fprintf(stdout, "seed %-6d %-4s members %d kills %d epochs %-3d line %-3d online %-5v mttr %.1fms",
+				r.Seed, status, r.Members, r.Kills, r.Epochs, r.LineEpoch, r.OnLine, r.MTTRms)
+			for _, m := range r.MemberReports {
+				fmt.Fprintf(stdout, "  %s kill@%d wal [%d,%d]", m.Name, m.KillAt, m.WALMin, m.WALMax)
 			}
-			fmt.Printf("seed %-6d %-4s kill@%-5d rounds %-3d truncations %-3d wal [%d,%d] mttr %.1fms%s\n",
-				r.Seed, status, r.KillAt, r.Rounds, r.Truncations, r.WALMin, r.WALMax, r.MTTRms, errSuffix(r.Err))
+			if r.Err != "" {
+				fmt.Fprintf(stdout, "  err: %s", r.Err)
+			}
+			fmt.Fprintln(stdout)
 		}
 	}
 	rep.OK = rep.Failed == 0
 	rep.ElapsedMS = time.Since(start).Milliseconds()
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		enc.Encode(rep)
+		if err := enc.Encode(rep); err != nil {
+			fmt.Fprintf(stderr, "djchaos: %v\n", err)
+			return 1
+		}
 	} else {
-		fmt.Printf("campaign: %d/%d passed in %v\n", rep.Passed, rep.Total, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "campaign: %d/%d passed in %v\n", rep.Passed, rep.Total, time.Since(start).Round(time.Millisecond))
 	}
 	if !rep.OK {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func errSuffix(e string) string {
-	if e == "" {
-		return ""
+func runOne(seed uint64, dir string, horizon ids.GCount, keep, members, kills int) runReport {
+	r := runReport{Seed: seed, Members: members}
+	names := make([]string, members)
+	for i := range names {
+		names[i] = fmt.Sprintf("m%d", i+1)
 	}
-	return "  err: " + e
-}
-
-func runOne(seed uint64, dir string, horizon ids.GCount, keep int) runReport {
-	r := runReport{Seed: seed}
-	opts := chaos.Options{Pilot: "prim", Hosts: []string{"p1", "p2"}, Horizon: horizon}
+	opts := chaos.Options{
+		Members: names, Hosts: []string{"p1", "p2"}, Horizon: horizon, Kills: kills,
+	}
 	if opts.Horizon <= 0 {
 		opts.Horizon = 2000
 	}
@@ -193,92 +184,10 @@ func runOne(seed uint64, dir string, horizon ids.GCount, keep int) runReport {
 		return r
 	}
 	r.PlanStable = string(p1.Encode()) == string(p2.Encode())
-	r.KillAt = uint64(p1.KillAt)
+	r.Kills = len(p1.Kills)
 
 	res, err := kvapp.RunSupervised(kvapp.SupervisedConfig{
-		Dir: dir, Seed: seed, Horizon: horizon, Keep: keep,
-	})
-	if err != nil {
-		r.Err = err.Error()
-		return r
-	}
-	r.Rounds = res.Rounds
-	r.Truncations = len(res.WALSizes)
-	r.Converged = res.Converged
-	r.Recovered = fmt.Sprintf("%016x", res.RecoveredDigest)
-	r.Baseline = fmt.Sprintf("%016x", res.BaselineDigest)
-	if res.Metrics.MTTR.Count > 0 {
-		r.MTTRms = float64(res.Metrics.MTTR.Mean()) / float64(time.Millisecond)
-	}
-	// The executed plan must be the seed's plan, and the copy recorded into
-	// the salvaged trace must round-trip identically.
-	if string(res.Plan.Encode()) != string(p1.Encode()) {
-		r.PlanStable = false
-	}
-	if res.Outcome != nil && res.Outcome.Recovery != nil {
-		rec, ok, err := chaos.PlanFromSet(res.Outcome.Recovery.Logs)
-		if err != nil || !ok || string(rec.Encode()) != string(p1.Encode()) {
-			r.PlanStable = false
-		}
-	}
-	// WAL boundedness: after the warmup (store filling, retention reaching
-	// its depth), the post-truncation size must oscillate in a narrow band,
-	// not trend upward. Require ≥3 truncation cycles so the claim is about
-	// repeated compaction, then bound the steady-state tail.
-	if len(res.WALSizes) >= 3 {
-		tail := res.WALSizes[len(res.WALSizes)/2:]
-		r.WALMin, r.WALMax = tail[0], tail[0]
-		for _, sz := range tail {
-			if sz < r.WALMin {
-				r.WALMin = sz
-			}
-			if sz > r.WALMax {
-				r.WALMax = sz
-			}
-		}
-		r.WALBounded = r.WALMax <= 3*r.WALMin
-	}
-	if r.ok() {
-		os.RemoveAll(dir)
-	}
-	return r
-}
-
-func runGroupOne(seed uint64, dir string, horizon ids.GCount, keep, members, kills int) groupRunReport {
-	r := groupRunReport{Seed: seed, Members: members}
-	if members <= 0 {
-		members = 3
-		r.Members = 3
-	}
-	names := make([]string, members)
-	for i := range names {
-		names[i] = fmt.Sprintf("m%d", i+1)
-	}
-	opts := chaos.GroupOptions{
-		Members: names, Hosts: []string{"p1", "p2"}, Horizon: horizon, Kills: kills,
-	}
-	if opts.Horizon <= 0 {
-		opts.Horizon = 2000
-	}
-	// Seed determinism: two independent expansions must agree byte-for-byte.
-	p1, err := chaos.GenerateGroup(seed, opts)
-	if err != nil {
-		r.Err = err.Error()
-		return r
-	}
-	p2, err := chaos.GenerateGroup(seed, opts)
-	if err != nil {
-		r.Err = err.Error()
-		return r
-	}
-	r.PlanStable = string(p1.Encode()) == string(p2.Encode())
-	r.Kills = len(p1.Kills)
-	for _, k := range p1.Kills {
-		r.KillAts = append(r.KillAts, uint64(k.At))
-	}
-
-	res, err := kvapp.RunGroupSupervised(kvapp.GroupConfig{
-		Dir: dir, Seed: seed, Members: members, Horizon: horizon, Keep: keep, Plan: &p1,
+		Dir: dir, Seed: seed, Horizon: horizon, Keep: keep, Plan: &p1,
 	})
 	if err != nil {
 		r.Err = err.Error()
@@ -301,15 +210,33 @@ func runGroupOne(seed uint64, dir string, horizon ids.GCount, keep, members, kil
 	if string(res.Plan.Encode()) != string(p1.Encode()) {
 		r.PlanStable = false
 	}
-	if res.Outcome != nil {
-		for _, ep := range res.Outcome.Episodes {
-			for _, rec := range ep.Recoveries {
-				got, ok, err := chaos.GroupPlanFromSet(rec.Logs)
-				if err != nil || !ok || string(got.Encode()) != string(p1.Encode()) {
-					r.PlanStable = false
-				}
+	for _, ep := range res.Outcome.Episodes {
+		for _, rec := range ep.Recoveries {
+			got, ok, err := chaos.PlanFromSet(rec.Logs)
+			if err != nil || !ok || string(got.Encode()) != string(p1.Encode()) {
+				r.PlanStable = false
 			}
 		}
+	}
+	// WAL boundedness, member by member: past the warmup the post-truncation
+	// size must oscillate in a narrow band, not trend upward. Require ≥3
+	// truncation cycles so the claim is about repeated compaction, then bound
+	// the steady-state tail. A truncation that failed outright fails the seed.
+	r.WALBounded = true
+	killAt := make(map[int]uint64, len(p1.Kills))
+	for _, k := range p1.Kills {
+		killAt[k.Member] = uint64(k.At)
+	}
+	for i, m := range res.Members {
+		mr := memberReport{Name: m.Name, KillAt: killAt[i], Rounds: m.Rounds, Truncations: len(m.WALSizes)}
+		mr.WALMin, mr.WALMax = m.SteadyWAL()
+		if mr.Truncations < 3 || mr.WALMax > 3*mr.WALMin {
+			r.WALBounded = false
+		}
+		if len(m.TruncateErrs) > 0 && r.Err == "" {
+			r.Err = fmt.Sprintf("member %s: %d WAL truncations failed, first: %v", m.Name, len(m.TruncateErrs), m.TruncateErrs[0])
+		}
+		r.MemberReports = append(r.MemberReports, mr)
 	}
 	if r.ok() {
 		os.RemoveAll(dir)

@@ -157,48 +157,42 @@ type (
 	// contended per-object acquisitions, access runs logged).
 	ShardCounts = obs.ShardCounts
 
-	// ChaosPlan is a seeded, declarative fault schedule: crash points,
-	// partition windows and link-loss epochs keyed to global-counter values,
-	// so the same seed perturbs a run at the same logical instants every
-	// time. See GenerateChaos.
+	// ChaosPlan is a seeded, declarative fault schedule for one or more
+	// coordinated nodes: per-member in-situ kill points on the members' own
+	// counters, plus shared partition windows, link-loss epochs and peer
+	// crashes keyed to the group's high-water counter, so the same seed
+	// perturbs a run at the same logical instants every time. A lone node is
+	// a plan with one member. See GenerateChaos.
 	ChaosPlan = chaos.Plan
-	// ChaosAction is one scheduled fault of a ChaosPlan.
+	// ChaosKill is one member's scheduled in-situ kill.
+	ChaosKill = chaos.Kill
+	// ChaosAction is one scheduled network fault of a ChaosPlan.
 	ChaosAction = chaos.Action
-	// ChaosOptions parameterizes plan generation (pilot host, peer hosts,
-	// fault horizon).
+	// ChaosOptions parameterizes plan generation (member hosts, peer hosts,
+	// fault horizon, kill count).
 	ChaosOptions = chaos.Options
-	// ChaosEngine fires a plan's faults at their counter values; install its
-	// Observer as Config.EventObserver on the node under test.
+	// ChaosEngine fires a plan's faults at their counter values; install
+	// Observer(i) as member i's Config.EventObserver.
 	ChaosEngine = chaos.Engine
-	// Supervisor watches a recording node for fail-stop and prepares a
-	// checkpoint-anchored restart. See Node.Supervise.
+	// Supervisor watches recording nodes for fail-stop, solves their
+	// recovery line, and restarts crashed members from checkpoint anchors
+	// while survivors keep running. See Supervise.
 	Supervisor = super.Supervisor
-	// SuperConfig tunes fail-stop detection and names the WAL recovery
-	// works on.
+	// SuperConfig tunes fail-stop detection and recovery.
 	SuperConfig = super.Config
-	// Recovery is a prepared restart: the salvaged log set and the
-	// checkpoint anchor to resume from.
+	// Recovery is one crashed member's prepared restart: the salvaged log set
+	// and the checkpoint anchor to resume from.
 	Recovery = super.Recovery
-	// SuperOutcome reports what one supervision episode observed.
+	// SuperEpisode is one detection episode: the members declared failed
+	// together, the solved line, and their prepared restarts.
+	SuperEpisode = super.Episode
+	// SuperOutcome aggregates a supervision run's episodes.
 	SuperOutcome = super.Outcome
 	// RecoveryCounts groups a snapshot's supervisor counters (recoveries,
 	// restarts, replay-from-zero fallbacks).
 	RecoveryCounts = obs.RecoveryCounts
 	// TruncateStats reports what one WAL truncation kept and dropped.
 	TruncateStats = tracelog.TruncateStats
-
-	// GroupChaosPlan is a seeded multi-VM fault schedule: per-member in-situ
-	// kill points plus shared partition windows and link-loss epochs, all
-	// keyed to the members' own counters. See GenerateGroupChaos.
-	GroupChaosPlan = chaos.GroupPlan
-	// GroupKill is one member's scheduled in-situ kill.
-	GroupKill = chaos.GroupKill
-	// GroupChaosOptions parameterizes group-plan generation (member names,
-	// peer hosts, horizon, kill count).
-	GroupChaosOptions = chaos.GroupOptions
-	// GroupChaosEngine fires a group plan across the members: install
-	// MemberObserver(i) as member i's Config.EventObserver.
-	GroupChaosEngine = chaos.GroupEngine
 
 	// GroupCoordinator runs the counter-barrier coordinated checkpoint
 	// protocol: each member's GroupCheckpoint arrives at the barrier inside
@@ -218,20 +212,6 @@ type (
 	// CrossMessage is one cross-VM message classified against a line
 	// (stable, in-flight, orphan, or post-line).
 	CrossMessage = recline.Message
-
-	// GroupSupervisor watches every member of a coordinated group for
-	// fail-stop, solves the recovery line, and restarts crashed members
-	// while survivors keep running. See SuperviseGroup.
-	GroupSupervisor = super.GroupSupervisor
-	// GroupSuperConfig tunes group fail-stop detection and recovery.
-	GroupSuperConfig = super.GroupConfig
-	// GroupOutcome aggregates a group supervision run.
-	GroupOutcome = super.GroupOutcome
-	// GroupEpisode is one group detection episode: the members declared
-	// failed together, the solved line, and their prepared restarts.
-	GroupEpisode = super.GroupEpisode
-	// MemberRecovery is one crashed member's prepared restart.
-	MemberRecovery = super.MemberRecovery
 
 	// CausalGraph is the reconstructed cross-VM happens-before graph of a
 	// recorded world. See Analyze.
@@ -587,37 +567,30 @@ func (n *Node) TruncateAt(keep int) (*TruncateStats, error) {
 	return n.vm.TruncateWAL(keep)
 }
 
-// Supervise starts a fail-stop supervisor over this recording node: it polls
-// the node's event-counter total and, after cfg.FailAfter with no progress,
-// salvages the WAL at cfg.WALPath, anchors a restart on the latest salvaged
-// checkpoint (falling back to replay-from-zero), and invokes cfg.Restart.
-// Call Stop when the node completes cleanly; Wait returns the episode's
-// outcome.
-func (n *Node) Supervise(cfg SuperConfig) *Supervisor {
-	return super.Watch(n.vm, cfg)
-}
-
-// GenerateChaos expands a seed into a validated fault schedule: a crash point
-// inside the horizon, optional partition windows and link-loss epochs, and
-// possibly a post-crash peer failure. The same seed and options always yield
+// GenerateChaos expands a seed into a validated fault schedule: in-situ kill
+// points for a seeded subset of opts.Members (a lone member is always the
+// victim), shared partition windows and link-loss epochs, and possibly a
+// post-kill peer failure. The same seed and options always yield
 // byte-identical plans (ChaosPlan.Encode).
 func GenerateChaos(seed uint64, opts ChaosOptions) (ChaosPlan, error) {
 	return chaos.Generate(seed, opts)
 }
 
-// NewChaosEngine compiles a plan against a network: the returned engine's
-// Observer, installed as Config.EventObserver on the pilot node, fires each
-// fault exactly at its counter value. kill is invoked at the plan's crash
-// point; nil means freeze the node in place (the supervisor's detection
-// path). Faults land at deterministic logical instants, so a recorded run
-// replays them implicitly — the engine is for the record phase only.
-func NewChaosEngine(p ChaosPlan, pilot string, net *Network, kill func()) (*ChaosEngine, error) {
-	return chaos.NewEngine(p, pilot, net, kill)
+// NewChaosEngine compiles a plan against a network. Each member installs
+// engine.Observer(i) as its Config.EventObserver; the plan's network faults
+// fire as the group's high-water counter advances, driven by whichever member
+// reaches each fire point first. kill is invoked at a member's kill point;
+// nil means freeze the node in place (the supervisor's detection path).
+// Faults land at deterministic logical instants, so a recorded run replays
+// them implicitly — the engine is for the record phase only.
+func NewChaosEngine(p ChaosPlan, net *Network, kill func()) (*ChaosEngine, error) {
+	return chaos.NewEngine(p, net, kill)
 }
 
 // RecordChaosPlan stamps the plan (seed and encoded schedule) into the node's
 // record-phase logs, so the fault schedule travels with the trace and
-// ChaosPlanFromLogs can round-trip it after recovery.
+// ChaosPlanFromLogs can round-trip it after recovery. Stamp it on every
+// member so any salvageable subset of the logs carries the schedule.
 func (n *Node) RecordChaosPlan(p ChaosPlan) error {
 	logs := n.vm.Logs()
 	if logs == nil {
@@ -631,40 +604,6 @@ func (n *Node) RecordChaosPlan(p ChaosPlan) error {
 // ok is false when the set carries no plan.
 func ChaosPlanFromLogs(logs *Logs) (ChaosPlan, bool, error) {
 	return chaos.PlanFromSet(logs)
-}
-
-// GenerateGroupChaos expands a seed into a validated multi-VM fault schedule:
-// in-situ kill points for a seeded subset of the members, plus shared
-// partition windows and link-loss epochs. The same seed and options always
-// yield byte-identical plans (GroupChaosPlan.Encode).
-func GenerateGroupChaos(seed uint64, opts GroupChaosOptions) (GroupChaosPlan, error) {
-	return chaos.GenerateGroup(seed, opts)
-}
-
-// NewGroupChaosEngine compiles a group plan against a network. Each member
-// installs engine.MemberObserver(i) as its Config.EventObserver; the plan's
-// network faults fire as the group's high-water counter advances, driven by
-// whichever member reaches each fire point first.
-func NewGroupChaosEngine(p GroupChaosPlan, net *Network) (*GroupChaosEngine, error) {
-	return chaos.NewGroupEngine(p, net)
-}
-
-// RecordGroupChaosPlan stamps the group plan into the node's record-phase
-// logs, so the fault schedule travels with the trace and
-// GroupChaosPlanFromLogs can round-trip it after recovery.
-func (n *Node) RecordGroupChaosPlan(p GroupChaosPlan) error {
-	logs := n.vm.Logs()
-	if logs == nil {
-		return fmt.Errorf("dejavu: node %d has no logs (mode %v)", n.ID(), n.Mode())
-	}
-	chaos.RecordGroup(logs, p)
-	return nil
-}
-
-// GroupChaosPlanFromLogs recovers the group fault schedule recorded into a
-// member's log set. ok is false when the set carries no group plan.
-func GroupChaosPlanFromLogs(logs *Logs) (GroupChaosPlan, bool, error) {
-	return chaos.GroupPlanFromSet(logs)
 }
 
 // NewGroupCoordinator creates the coordinated-checkpoint barrier for the
@@ -697,8 +636,8 @@ func SolveRecoveryLine(sets ...*Logs) (*LineSolution, error) {
 	return recline.Solve(sets)
 }
 
-// GroupNode names one supervised member of a coordinated group.
-type GroupNode struct {
+// SuperMember names one supervised node.
+type SuperMember struct {
 	// Name is the member's display name (its simulated host, typically).
 	Name string
 	// Node is the member's recording node, polled for progress.
@@ -707,18 +646,22 @@ type GroupNode struct {
 	WALPath string
 }
 
-// SuperviseGroup starts a fail-stop supervisor over a coordinated group: it
-// polls every member's progress counters, treats members parked in the
-// coordinator's barrier as alive, declares the frozen remainder failed,
-// salvages their WALs, solves the group's latest complete recovery line, and
-// invokes cfg.Restart once per crashed member with a line-anchored recovery —
-// while the surviving members keep running. cfg.Coordinator is required.
-func SuperviseGroup(members []GroupNode, cfg GroupSuperConfig) *GroupSupervisor {
-	ms := make([]super.GroupMember, len(members))
+// Supervise starts a fail-stop supervisor over one or more recording nodes
+// that checkpoint through cfg.Coordinator (required; a lone node uses a
+// coordinator of one): it polls every member's event-counter total, treats
+// members parked in the coordinator's barrier as alive, declares the
+// remainder failed after cfg.FailAfter with no progress, salvages their WALs,
+// solves the latest complete recovery line, and invokes cfg.Restart once per
+// crashed member with a line-anchored recovery (falling back to the member's
+// latest salvaged checkpoint, then to replay-from-zero) — while the surviving
+// members keep running. Call Stop when the nodes complete cleanly; Wait
+// returns the outcome.
+func Supervise(members []SuperMember, cfg SuperConfig) *Supervisor {
+	ms := make([]super.Member, len(members))
 	for i, m := range members {
-		ms[i] = super.GroupMember{Name: m.Name, VM: m.Node.vm, WALPath: m.WALPath}
+		ms[i] = super.Member{Name: m.Name, VM: m.Node.vm, WALPath: m.WALPath}
 	}
-	return super.WatchGroup(ms, cfg)
+	return super.Watch(ms, cfg)
 }
 
 // Recover reads a write-ahead log written by EnableWAL — including one left

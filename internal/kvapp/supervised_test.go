@@ -1,60 +1,181 @@
 package kvapp
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/chaos"
 )
 
-// One full supervised chaos episode: seeded faults, in-situ kill, supervisor
-// detection, WAL repair, checkpoint-anchored restart, digest convergence.
+// memberCounts are the rows of the supervised-run tables: the lone primary
+// and the three-member group run the same code.
+var memberCounts = []int{1, 3}
+
+// One full supervised chaos run: seeded faults, in-situ kills, coordinated
+// epochs, supervisor detection, WAL repair, recovery-line solve, anchored
+// restarts of the crashed members while survivors keep running, per-member
+// plus cluster digest convergence, and a WAL kept bounded by truncation.
 func TestSupervisedRun(t *testing.T) {
-	res, err := RunSupervised(SupervisedConfig{
-		Dir:  t.TempDir(),
-		Seed: 42,
-	})
-	if err != nil {
-		t.Fatalf("RunSupervised: %v", err)
-	}
-	if res.Outcome == nil || !res.Outcome.Detected {
-		t.Fatalf("supervisor never detected the kill")
-	}
-	if !res.Converged {
-		t.Fatalf("digest divergence: recovered %x, baseline %x", res.RecoveredDigest, res.BaselineDigest)
-	}
-	if res.Metrics.Recovery.Recoveries != 1 || res.Metrics.Recovery.Restarts != 1 {
-		t.Fatalf("recovery counters: %+v", res.Metrics.Recovery)
-	}
-	if res.Metrics.MTTR.Count != 1 {
-		t.Fatalf("MTTR observations: %d, want 1", res.Metrics.MTTR.Count)
+	for _, n := range memberCounts {
+		n := n
+		t.Run(fmt.Sprintf("members%d", n), func(t *testing.T) {
+			res, err := RunSupervised(SupervisedConfig{Dir: t.TempDir(), Seed: 42, Members: n})
+			if err != nil {
+				t.Fatalf("RunSupervised: %v", err)
+			}
+			if res.Outcome == nil || !res.Outcome.Detected {
+				t.Fatalf("supervisor never detected a kill (plan kills %d)", len(res.Plan.Kills))
+			}
+			if len(res.Members) != n {
+				t.Fatalf("%d member results, want %d", len(res.Members), n)
+			}
+			if res.Epochs == 0 {
+				t.Fatalf("no coordinated epochs completed")
+			}
+			if res.Line == nil {
+				t.Fatalf("no recovery line solved")
+			}
+			if !res.OnLine {
+				t.Fatalf("a killed member was not restarted from its line anchor: %+v", res.Members)
+			}
+			if !res.Converged {
+				t.Fatalf("cluster divergence: recovered %x, baseline %x, members %+v",
+					res.ClusterDigest, res.BaselineClusterDigest, res.Members)
+			}
+			kills := len(res.Plan.Kills)
+			if rc := res.Metrics.Recovery; rc.Recoveries != uint64(kills) || rc.Restarts != uint64(kills) {
+				t.Fatalf("recovery counters %+v, want one recovery and restart per killed member (%d)", rc, kills)
+			}
+			if got, want := res.Metrics.MTTR.Count, uint64(len(res.Outcome.Episodes)); got != want || got == 0 {
+				t.Fatalf("MTTR observations: %d, want one per episode (%d)", got, want)
+			}
+			crashed := 0
+			for _, m := range res.Members {
+				if m.Killed != m.Crashed {
+					t.Fatalf("member %s: killed=%v crashed=%v", m.Name, m.Killed, m.Crashed)
+				}
+				if m.Crashed {
+					crashed++
+				} else if m.Rounds == 0 {
+					t.Fatalf("survivor %s completed no rounds", m.Name)
+				}
+				if len(m.TruncateErrs) > 0 {
+					t.Fatalf("member %s: truncation failed: %v", m.Name, m.TruncateErrs)
+				}
+				if len(m.WALSizes) < 3 {
+					t.Fatalf("member %s: %d truncation cycles, want >= 3", m.Name, len(m.WALSizes))
+				}
+				if lo, hi := m.SteadyWAL(); hi > 3*lo {
+					t.Fatalf("member %s: steady-state WAL band [%d,%d] is not bounded", m.Name, lo, hi)
+				}
+			}
+			if crashed != kills {
+				t.Fatalf("crashed %d members, plan kills %d", crashed, kills)
+			}
+			if n == 1 && crashed != 1 {
+				t.Fatalf("the lone member was not the victim")
+			}
+			if n > 1 && crashed >= n {
+				t.Fatalf("no member survived (%d/%d crashed)", crashed, n)
+			}
+		})
 	}
 }
 
 // The same seed must expand to the identical plan bytes and a converged
 // outcome on a second run.
 func TestSupervisedSeedReproducible(t *testing.T) {
-	p1, err := chaos.Generate(7, chaos.Options{Pilot: "prim", Hosts: []string{"p1", "p2"}, Horizon: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := chaos.Generate(7, chaos.Options{Pilot: "prim", Hosts: []string{"p1", "p2"}, Horizon: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(p1.Encode()) != string(p2.Encode()) {
-		t.Fatalf("plan generation is not deterministic")
-	}
+	for _, n := range memberCounts {
+		n := n
+		t.Run(fmt.Sprintf("members%d", n), func(t *testing.T) {
+			names := make([]string, n)
+			for i := range names {
+				names[i] = fmt.Sprintf("m%d", i+1)
+			}
+			opts := chaos.Options{Members: names, Hosts: []string{"p1", "p2"}, Horizon: 2000}
+			p1, err := chaos.Generate(7, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p2, err := chaos.Generate(7, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(p1.Encode()) != string(p2.Encode()) {
+				t.Fatalf("plan generation is not deterministic")
+			}
+			rt, err := chaos.DecodePlan(p1.Encode())
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if string(rt.Encode()) != string(p1.Encode()) {
+				t.Fatalf("plan encode/decode does not round-trip")
+			}
 
-	for run := 0; run < 2; run++ {
-		res, err := RunSupervised(SupervisedConfig{Dir: t.TempDir(), Seed: 7})
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if !res.Converged {
-			t.Fatalf("run %d did not converge", run)
-		}
-		if string(res.Plan.Encode()) != string(p1.Encode()) {
-			t.Fatalf("run %d executed a different plan than the seed generates", run)
-		}
+			for run := 0; run < 2; run++ {
+				res, err := RunSupervised(SupervisedConfig{Dir: t.TempDir(), Seed: 7, Members: n})
+				if err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+				if !res.Converged {
+					t.Fatalf("run %d did not converge: %+v", run, res.Members)
+				}
+				if string(res.Plan.Encode()) != string(p1.Encode()) {
+					t.Fatalf("run %d executed a different plan than the seed generates", run)
+				}
+			}
+		})
+	}
+}
+
+// A two-kill plan: both victims recover from the same (or successive) lines
+// while the remaining member finishes on its own.
+func TestGroupTwoKills(t *testing.T) {
+	plan, err := chaos.Generate(99, chaos.Options{
+		Members: []string{"m1", "m2", "m3"}, Hosts: []string{"p1", "p2"},
+		Horizon: 2000, Kills: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Kills) != 2 {
+		t.Fatalf("plan kills %d members, want 2", len(plan.Kills))
+	}
+	res, err := RunSupervised(SupervisedConfig{Dir: t.TempDir(), Seed: 99, Plan: &plan})
+	if err != nil {
+		t.Fatalf("RunSupervised: %v", err)
+	}
+	if !res.Converged || !res.OnLine {
+		t.Fatalf("two-kill run: converged=%v online=%v members %+v", res.Converged, res.OnLine, res.Members)
+	}
+	if got := res.Metrics.Recovery.Recoveries; got != 2 {
+		t.Fatalf("recoveries = %d, want 2", got)
+	}
+}
+
+// A truncation that fails for any reason other than the expected
+// not-enough-anchors of the first rounds must surface in the member's result,
+// not vanish: here a directory squats on the compaction's temp-file name, so
+// every rewrite fails while recording — and recovery — carry on.
+func TestSupervisedRunSurfacesTruncateErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "m1.wal.compact"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSupervised(SupervisedConfig{Dir: dir, Seed: 42, Members: 1})
+	if err != nil {
+		t.Fatalf("RunSupervised: %v", err)
+	}
+	m := res.Members[0]
+	if len(m.TruncateErrs) == 0 {
+		t.Fatalf("failed truncations were swallowed (rounds %d, truncations %d)", m.Rounds, len(m.WALSizes))
+	}
+	if len(m.WALSizes) != 0 {
+		t.Fatalf("%d truncations reported success with the temp path blocked", len(m.WALSizes))
+	}
+	if !res.Converged {
+		t.Fatalf("degraded durability must not break recovery: %+v", m)
 	}
 }

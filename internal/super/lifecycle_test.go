@@ -25,13 +25,13 @@ func TestStopDuringInFlightRecover(t *testing.T) {
 	vm := startFrozenVM(t, path, 60, true)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	cfg := testConfig(path, nil)
+	cfg := testConfig(nil)
 	cfg.Restart = func(r *Recovery) error {
 		close(entered)
 		<-release
 		return nil
 	}
-	sup := Watch(vm, cfg)
+	sup := Watch(lone(vm, path), cfg)
 	<-entered
 	// Detection already fired; Stop must be a harmless no-op, not a hang.
 	sup.Stop()
@@ -46,7 +46,8 @@ func TestStopDuringInFlightRecover(t *testing.T) {
 	}
 }
 
-// Wait after a clean Stop returns (nil, nil) to every concurrent caller.
+// Wait after a clean Stop returns the empty outcome to every concurrent
+// caller.
 func TestConcurrentWaitAfterStop(t *testing.T) {
 	vm, err := core.NewVM(core.Config{ID: 1, Mode: ids.Record})
 	if err != nil {
@@ -56,16 +57,16 @@ func TestConcurrentWaitAfterStop(t *testing.T) {
 	if err := vm.EnableWAL(path, tracelog.WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(path, nil)
+	cfg := testConfig(nil)
 	cfg.FailAfter = 10 * time.Second // idle counters must not read as a crash
-	sup := Watch(vm, cfg)
+	sup := Watch(lone(vm, path), cfg)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if out, err := sup.Wait(); out != nil || err != nil {
-				t.Errorf("Wait = %+v, %v, want nil, nil", out, err)
+			if out, err := sup.Wait(); err != nil || out == nil || out.Detected || len(out.Episodes) != 0 {
+				t.Errorf("Wait = %+v, %v, want the empty outcome", out, err)
 			}
 		}()
 	}
@@ -118,7 +119,7 @@ func TestRecoverRacesLiveTruncation(t *testing.T) {
 			}
 		}
 	})
-	cfg := testConfig(path, nil)
+	cfg := testConfig(nil)
 	cfg.Heartbeat = time.Millisecond
 	cfg.FailAfter = 30 * time.Millisecond
 	var salvaged *Recovery
@@ -126,7 +127,7 @@ func TestRecoverRacesLiveTruncation(t *testing.T) {
 		salvaged = r
 		return nil
 	}
-	sup := Watch(vm, cfg)
+	sup := Watch(lone(vm, path), cfg)
 	out, err := sup.Wait()
 	vm.Wait()
 	vm.Close()
@@ -147,11 +148,11 @@ func TestRecoverRacesLiveTruncation(t *testing.T) {
 	}
 }
 
-// Group supervisor lifecycle: Stop before any episode returns the empty
-// outcome to every waiter, repeatedly and concurrently.
+// The same lifecycle with two members: Stop before any episode returns the
+// empty outcome to every waiter, repeatedly and concurrently.
 func TestGroupStopAndConcurrentWait(t *testing.T) {
 	dir := t.TempDir()
-	var members []GroupMember
+	var members []Member
 	var vms []*core.VM
 	for i := 0; i < 2; i++ {
 		vm, err := core.NewVM(core.Config{ID: ids.DJVMID(i + 1), Mode: ids.Record})
@@ -162,11 +163,11 @@ func TestGroupStopAndConcurrentWait(t *testing.T) {
 		if err := vm.EnableWAL(p, tracelog.WALOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		members = append(members, GroupMember{Name: "m", VM: vm, WALPath: p})
+		members = append(members, Member{Name: "m", VM: vm, WALPath: p})
 		vms = append(vms, vm)
 		dir = t.TempDir()
 	}
-	g := WatchGroup(members, GroupConfig{
+	g := Watch(members, Config{
 		FailAfter:   10 * time.Second,
 		Coordinator: recline.NewCoordinator(1, 2),
 	})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/obs"
+	"repro/internal/recline"
 	"repro/internal/tracelog"
 )
 
@@ -46,12 +47,44 @@ func startFrozenVM(t *testing.T, walPath string, freezeAt ids.GCount, withCkpt b
 	return vm
 }
 
-func testConfig(walPath string, m *obs.Metrics) Config {
+// lone is the one-member slice every single-VM case supervises.
+func lone(vm *core.VM, walPath string) []Member {
+	return []Member{{Name: "node", VM: vm, WALPath: walPath}}
+}
+
+// testConfig supervises VM 1 alone: a coordinator of one, whose barrier the
+// test VMs (plain checkpoint.Take) never enter.
+func testConfig(m *obs.Metrics) Config {
 	return Config{
-		WALPath:   walPath,
-		Heartbeat: time.Millisecond,
-		FailAfter: 40 * time.Millisecond,
-		Metrics:   m,
+		Heartbeat:   time.Millisecond,
+		FailAfter:   40 * time.Millisecond,
+		Metrics:     m,
+		Coordinator: recline.NewCoordinator(1),
+	}
+}
+
+// soleRecovery asserts the outcome is one detection episode of member 0 alone
+// and returns it with its prepared restart.
+func soleRecovery(t *testing.T, out *Outcome) (*Episode, *Recovery) {
+	t.Helper()
+	if out == nil || !out.Detected {
+		t.Fatalf("freeze not detected (outcome %+v)", out)
+	}
+	if len(out.Episodes) != 1 {
+		t.Fatalf("%d episodes, want 1", len(out.Episodes))
+	}
+	ep := out.Episodes[0]
+	if len(ep.Crashed) != 1 || ep.Crashed[0] != 0 || len(ep.Recoveries) != 1 {
+		t.Fatalf("episode crashed %v with %d recoveries, want member 0 alone", ep.Crashed, len(ep.Recoveries))
+	}
+	return ep, ep.Recoveries[0]
+}
+
+// cleanOutcome asserts a supervision run that ended by Stop saw nothing.
+func cleanOutcome(t *testing.T, out *Outcome, err error) {
+	t.Helper()
+	if err != nil || out == nil || out.Detected || len(out.Episodes) != 0 {
+		t.Fatalf("clean stop: outcome=%+v err=%v, want an empty outcome", out, err)
 	}
 }
 
@@ -71,14 +104,12 @@ func TestCleanStopReportsNothing(t *testing.T) {
 		}
 	})
 	m := &obs.Metrics{}
-	sup := Watch(vm, testConfig(path, m))
+	sup := Watch(lone(vm, path), testConfig(m))
 	vm.Wait()
 	sup.Stop()
 	sup.Stop() // idempotent
 	out, err := sup.Wait()
-	if out != nil || err != nil {
-		t.Fatalf("clean stop: outcome=%+v err=%v, want nil/nil", out, err)
-	}
+	cleanOutcome(t, out, err)
 	if s := m.Snapshot(); s.Recovery.Recoveries != 0 {
 		t.Fatalf("clean stop counted a recovery: %+v", s.Recovery)
 	}
@@ -89,32 +120,33 @@ func TestDetectsFreezeAndAnchorsOnCheckpoint(t *testing.T) {
 	vm := startFrozenVM(t, path, 60, true)
 	m := &obs.Metrics{}
 	var restarted *Recovery
-	cfg := testConfig(path, m)
+	cfg := testConfig(m)
 	cfg.Restart = func(r *Recovery) error {
 		restarted = r
 		return nil
 	}
-	sup := Watch(vm, cfg)
+	sup := Watch(lone(vm, path), cfg)
 	out, err := sup.Wait()
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if !out.Detected {
-		t.Fatal("freeze not detected")
+	ep, rec := soleRecovery(t, out)
+	if ep.DetectLatency < cfg.FailAfter {
+		t.Fatalf("DetectLatency %v below FailAfter %v", ep.DetectLatency, cfg.FailAfter)
 	}
-	if out.DetectLatency < cfg.FailAfter {
-		t.Fatalf("DetectLatency %v below FailAfter %v", out.DetectLatency, cfg.FailAfter)
-	}
-	if out.FallbackZero {
+	if rec.FallbackZero {
 		t.Fatal("fell back to zero despite recorded checkpoints")
 	}
-	if out.Recovery == nil || out.Recovery.Checkpoint == nil {
+	if rec.Checkpoint == nil {
 		t.Fatal("no checkpoint anchor prepared")
 	}
-	if restarted == nil || restarted != out.Recovery {
+	if rec.OnLine {
+		t.Fatal("anchor claims a recovery line, but the VM never stamped a group epoch")
+	}
+	if restarted == nil || restarted != rec {
 		t.Fatal("restart callback did not receive the prepared recovery")
 	}
-	if out.LastTotal == 0 {
+	if rec.LastTotal == 0 {
 		t.Fatal("LastTotal empty — detection saw no progress at all")
 	}
 	s := m.Snapshot()
@@ -128,8 +160,8 @@ func TestDetectsFreezeAndAnchorsOnCheckpoint(t *testing.T) {
 	// The salvaged set replays to the crash point.
 	rep, err := core.NewVM(core.Config{
 		ID: 1, Mode: ids.Replay,
-		ReplayLogs:   out.Recovery.Logs,
-		Resume:       &out.Recovery.Checkpoint.Resume,
+		ReplayLogs:   rec.Logs,
+		Resume:       &rec.Checkpoint.Resume,
 		StopAtLogEnd: true,
 		StallTimeout: 10 * time.Second,
 	})
@@ -152,15 +184,16 @@ func TestFallsBackToZeroWithoutCheckpoints(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node.wal")
 	vm := startFrozenVM(t, path, 30, false)
 	m := &obs.Metrics{}
-	sup := Watch(vm, testConfig(path, m))
+	sup := Watch(lone(vm, path), testConfig(m))
 	out, err := sup.Wait()
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if !out.Detected || !out.FallbackZero {
-		t.Fatalf("outcome %+v, want detected fallback-to-zero", out)
+	_, rec := soleRecovery(t, out)
+	if !rec.FallbackZero {
+		t.Fatalf("recovery %+v, want fallback-to-zero", rec)
 	}
-	if out.Recovery.Checkpoint != nil {
+	if rec.Checkpoint != nil {
 		t.Fatal("fallback outcome carries a checkpoint")
 	}
 	if s := m.Snapshot(); s.Recovery.Fallbacks != 1 {
@@ -190,8 +223,7 @@ func TestTruncatedLogWithoutAnchorIsUnrecoverable(t *testing.T) {
 	}
 
 	vm := startFrozenVM(t, filepath.Join(dir, "live.wal"), 30, false)
-	cfg := testConfig(orphan, &obs.Metrics{})
-	sup := Watch(vm, cfg)
+	sup := Watch(lone(vm, orphan), testConfig(&obs.Metrics{}))
 	out, err := sup.Wait()
 	if err == nil || !strings.Contains(err.Error(), "unrecoverable") {
 		t.Fatalf("Wait err = %v, want unrecoverable-truncation error", err)
@@ -204,12 +236,87 @@ func TestTruncatedLogWithoutAnchorIsUnrecoverable(t *testing.T) {
 func TestRestartErrorSurfaces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node.wal")
 	vm := startFrozenVM(t, path, 30, true)
-	cfg := testConfig(path, &obs.Metrics{})
+	cfg := testConfig(&obs.Metrics{})
 	cfg.Restart = func(*Recovery) error { return errRestart }
-	sup := Watch(vm, cfg)
+	sup := Watch(lone(vm, path), cfg)
 	_, err := sup.Wait()
 	if err == nil || !strings.Contains(err.Error(), "restart") {
 		t.Fatalf("Wait err = %v, want restart failure", err)
+	}
+}
+
+// An episode that fails before its restart — here the victim's WAL path is
+// unreadable — must still remove the victim from the coordinator: a survivor
+// parked in Checkpoint completes its round with the reduced membership, and
+// Wait surfaces the salvage error.
+func TestFailedEpisodeReleasesParkedSurvivors(t *testing.T) {
+	dir := t.TempDir()
+	coord := recline.NewCoordinator(1, 2)
+
+	survivor, err := core.NewVM(core.Config{ID: 1, Mode: ids.Record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivorWAL := filepath.Join(dir, "survivor.wal")
+	if err := survivor.EnableWAL(survivorWAL, tracelog.WALOptions{SyncEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	victim, err := core.NewVM(core.Config{
+		ID: 2, Mode: ids.Record,
+		EventObserver: func(_ ids.ThreadNum, gc ids.GCount) {
+			if gc >= 10 {
+				select {} // fail-stop before ever reaching the barrier
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.EnableWAL(filepath.Join(dir, "victim.wal"), tracelog.WALOptions{SyncEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := testConfig(&obs.Metrics{})
+	cfg.Coordinator = coord
+	sup := Watch([]Member{
+		{Name: "survivor", VM: survivor, WALPath: survivorWAL},
+		{Name: "victim", VM: victim, WALPath: filepath.Join(dir, "no-such-dir", "victim.wal")},
+	}, cfg)
+
+	work := func(main *core.Thread) {
+		var x core.SharedInt
+		for i := 0; i < 20; i++ {
+			x.Set(main, x.Get(main)+1)
+		}
+		coord.Checkpoint(main, func() []byte { return []byte("state") })
+	}
+	survivor.Start(work)
+	victim.Start(work)
+
+	released := make(chan struct{})
+	go func() {
+		survivor.Wait()
+		close(released)
+	}()
+	select {
+	case <-released:
+	case <-time.After(10 * time.Second):
+		t.Fatal("survivor still parked at the barrier after the episode failed")
+	}
+	survivor.Close()
+
+	out, err := sup.Wait()
+	if err == nil || !strings.Contains(err.Error(), "wal repair") {
+		t.Fatalf("Wait err = %v, want the victim's wal repair error", err)
+	}
+	if out == nil || !out.Detected || len(out.Episodes) != 1 {
+		t.Fatalf("outcome %+v, want the one failed episode", out)
+	}
+	if got := out.Episodes[0].Crashed; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("episode crashed %v, want the victim alone", got)
+	}
+	if coord.Epochs() != 1 {
+		t.Fatalf("completed epochs = %d, want the survivor's released round", coord.Epochs())
 	}
 }
 
