@@ -17,8 +17,8 @@ import (
 // This file implements the engine-core benchmark behind BENCH_core.json: the
 // committed perf trajectory of the record/replay hot paths. Each invocation
 // produces rows under one label (e.g. "baseline", "optimized"); djbench -core
-// merges rows into the JSON file, replacing rows of the same label, so the
-// file accumulates comparable points over time.
+// merges rows into the JSON file, replacing the same label's rows of the
+// workloads it measured, so the file accumulates comparable points over time.
 
 // CoreRow is one measurement of BENCH_core.json. Macro rows (workload
 // "table1-closed") time full Table 1 record/replay runs; micro rows (workload
@@ -235,7 +235,8 @@ func microRows(label string) []CoreRow {
 }
 
 // MergeCoreFile merges rows under label into the JSON report at path: rows
-// previously recorded under the same label are replaced, others are kept.
+// previously recorded under the same label for the workloads in rows are
+// replaced, others are kept.
 func MergeCoreFile(path, label string, rows []CoreRow, reps int) error {
 	report := CoreReport{Meta: map[string]CoreMeta{}}
 	if data, err := os.ReadFile(path); err == nil {
@@ -248,9 +249,16 @@ func MergeCoreFile(path, label string, rows []CoreRow, reps int) error {
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("bench: read %s: %w", path, err)
 	}
+	// A label's rows come from more than one invocation (the engine-core
+	// probes and the -order sweep), so a run replaces only the workloads it
+	// re-measured.
+	measured := map[string]bool{}
+	for _, r := range rows {
+		measured[r.Workload] = true
+	}
 	kept := report.Rows[:0]
 	for _, r := range report.Rows {
-		if r.Label != label {
+		if r.Label != label || !measured[r.Workload] {
 			kept = append(kept, r)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/ids"
@@ -31,6 +32,15 @@ const orderOpsPerThread = 2000
 // OrderThreadCounts is the disjoint-object sweep committed to BENCH_core.json.
 var OrderThreadCounts = []int{1, 4, 16}
 
+// paddedInt keeps each thread-private SharedInt on cache lines of its own
+// (two 64-byte lines, adjacent lines being prefetched in pairs). Packed in one
+// slice the 16-byte variables are neighbours on one line, and at GOMAXPROCS>1
+// the rows measure false sharing in this driver, not the order engine.
+type paddedInt struct {
+	v core.SharedInt
+	_ [128 - unsafe.Sizeof(core.SharedInt{})]byte
+}
+
 // orderRun is one execution of the disjoint-object workload.
 type orderRun struct {
 	events uint64
@@ -53,9 +63,9 @@ func runDisjointObjects(n int, mode ids.Mode, order ids.OrderMode, replayLogs *t
 	if err != nil {
 		return orderRun{}, err
 	}
-	vars := make([]core.SharedInt, n)
+	vars := make([]paddedInt, n)
 	for i := range vars {
-		vars[i].Register(vm)
+		vars[i].v.Register(vm)
 	}
 	start := time.Now()
 	vm.Start(func(main *core.Thread) {
@@ -63,7 +73,7 @@ func runDisjointObjects(n int, mode ids.Mode, order ids.OrderMode, replayLogs *t
 		for ti := 0; ti < n; ti++ {
 			ti := ti
 			main.Spawn(func(t *core.Thread) {
-				v := &vars[ti]
+				v := &vars[ti].v
 				for i := 0; i < orderOpsPerThread; i++ {
 					v.Set(t, v.Get(t)+1)
 				}
@@ -86,7 +96,7 @@ func runDisjointObjects(n int, mode ids.Mode, order ids.OrderMode, replayLogs *t
 		finals: make([]int64, n),
 	}
 	for i := range vars {
-		run.finals[i] = vars[i].Load()
+		run.finals[i] = vars[i].v.Load()
 		if run.finals[i] != orderOpsPerThread {
 			return orderRun{}, fmt.Errorf("bench: disjoint workload var %d ended at %d, want %d (%v/%v)",
 				i, run.finals[i], orderOpsPerThread, mode, order)

@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -89,6 +92,41 @@ func TestParamsConnectionDivisibility(t *testing.T) {
 		p := ClosedParams(n)
 		if p.totalConnections()%p.Threads != 0 {
 			t.Errorf("ClosedParams(%d): %d connections do not divide evenly", n, p.totalConnections())
+		}
+	}
+}
+
+// TestMergeCoreFileReplacesPerWorkload: one label is filled by two djbench
+// invocations (the engine-core probes and the -order sweep), so merging a
+// label replaces only the workloads the new rows measured.
+func TestMergeCoreFileReplacesPerWorkload(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "core.json")
+	merge := func(label string, rows ...CoreRow) {
+		t.Helper()
+		if err := MergeCoreFile(path, label, rows, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merge("a", CoreRow{Label: "a", Workload: "critical-event", Mode: "record", NsPerOp: 50})
+	merge("a", CoreRow{Label: "a", Workload: "disjoint-obj", Mode: "record", Threads: 4, Events: 1})
+	merge("b", CoreRow{Label: "b", Workload: "critical-event", Mode: "record", NsPerOp: 40})
+	merge("a", CoreRow{Label: "a", Workload: "critical-event", Mode: "record", NsPerOp: 30})
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got CoreReport
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"a/critical-event": 30, "a/disjoint-obj": 0, "b/critical-event": 40}
+	if len(got.Rows) != len(want) {
+		t.Fatalf("merged file has %d rows, want %d: %+v", len(got.Rows), len(want), got.Rows)
+	}
+	for _, r := range got.Rows {
+		if ns, ok := want[r.Label+"/"+r.Workload]; !ok || ns != r.NsPerOp {
+			t.Errorf("unexpected row %+v", r)
 		}
 	}
 }

@@ -180,7 +180,7 @@ func (t *Thread) criticalObj(o *objState, kind obs.EventKind, op func(seq ids.Ac
 		if !ok {
 			t.endOfScheduleObj(o, "critical event")
 		}
-		o.replayEvent(t, kind, seq, op)
+		o.replayEvent(t, cur, kind, seq, op)
 		cur.advance()
 	}
 }
@@ -191,6 +191,7 @@ func (t *Thread) criticalObj(o *objState, kind obs.EventKind, op func(seq ids.Ac
 func (t *Thread) blockingObj(o *objState, kind obs.EventKind, op func(), mark func(seq ids.AccessSeq)) {
 	switch t.vm.mode {
 	case ids.Record:
+		t.publishCounts()
 		op()
 		o.record(t, kind, mark)
 		t.maybeYield()
@@ -207,8 +208,9 @@ func (t *Thread) blockingObj(o *objState, kind obs.EventKind, op func(), mark fu
 		if ids.AccessSeq(o.next.Load()) != seq {
 			o.awaitSeq(t, seq)
 		}
+		t.publishCounts()
 		op()
-		o.replayEvent(t, kind, seq, mark)
+		o.replayEvent(t, cur, kind, seq, mark)
 		cur.advance()
 	}
 }
@@ -237,14 +239,26 @@ func (o *objState) record(t *Thread, kind obs.EventKind, op func(seq ids.AccessS
 	seq := o.seq
 	op(seq)
 	o.seq = seq + 1
+	t.progSeq++
+	t.countShardEvent(kind, fast)
 	if o.runOpen && o.runThread == t.num {
 		o.runLast = seq
 	} else {
 		o.flushRunLocked()
 		o.runThread, o.runFirst, o.runLast, o.runOpen = t.num, seq, seq, true
+		t.publishCounts()
 	}
-	t.progSeq++
-	o.vm.metrics.IncShardEvent(kind, fast)
+}
+
+// countShardEvent is countEvent for a sharded event, which also counts how
+// its object acquisition resolved.
+func (t *Thread) countShardEvent(kind obs.EventKind, fast bool) {
+	if fast {
+		t.pendingFast++
+	} else {
+		t.pendingContended++
+	}
+	t.countEvent(kind)
 }
 
 // flushRunLocked appends the open access run, if any, to the schedule log.
@@ -282,8 +296,10 @@ func (vm *VM) flushObjRuns() {
 // VM-global replayEvent fast path. The recorded order admits exactly one
 // thread per seq value, so op needs no lock: until the turnstile advances no
 // other thread may execute an event on this object, and threads replaying
-// *other* objects proceed concurrently — the point of the mode.
-func (o *objState) replayEvent(t *Thread, kind obs.EventKind, seq ids.AccessSeq, op func(seq ids.AccessSeq)) {
+// *other* objects proceed concurrently — the point of the mode. As in the
+// global path, a successor can only be parked on the value after the Last
+// access of the thread's current run (cur), so only that access looks for one.
+func (o *objState) replayEvent(t *Thread, cur *objCursor, kind obs.EventKind, seq ids.AccessSeq, op func(seq ids.AccessSeq)) {
 	fast := true
 	if ids.AccessSeq(o.next.Load()) != seq {
 		o.awaitSeq(t, seq)
@@ -292,6 +308,11 @@ func (o *objState) replayEvent(t *Thread, kind obs.EventKind, seq ids.AccessSeq,
 	op(seq)
 	after := uint64(seq) + 1
 	o.next.Store(after)
+	t.progSeq++
+	t.countShardEvent(kind, fast)
+	if seq != cur.runs[cur.ri].Last {
+		return
+	}
 	// Store-buffering pairing with awaitSeq, as in the global fast path: the
 	// turnstile store above is sequenced before this parked load, and a
 	// waiter publishes its parked count before re-checking the turnstile — so
@@ -307,8 +328,7 @@ func (o *objState) replayEvent(t *Thread, kind obs.EventKind, seq ids.AccessSeq,
 		}
 		o.mu.Unlock()
 	}
-	t.progSeq++
-	t.vm.metrics.IncShardEvent(kind, fast)
+	t.publishCounts()
 }
 
 // awaitSeq parks the thread until the object's turnstile admits seq,

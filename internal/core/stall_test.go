@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,11 @@ func TestStallWatchdogDetectsTruncatedReplay(t *testing.T) {
 		}
 		if !strings.Contains(de.Msg, "stalled") {
 			t.Errorf("divergence message %q does not mention the stall", de.Msg)
+		}
+		// The text and the structured field name the same parked threads,
+		// the failing one (main, waiting for counter 3) included.
+		if de.Waiting[0] != 3 || !strings.Contains(de.Msg, fmt.Sprintf("parked threads: %v", de.Waiting)) {
+			t.Errorf("divergence message %q disagrees with Waiting %v", de.Msg, de.Waiting)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("watchdog did not fire")

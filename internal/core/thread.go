@@ -62,6 +62,15 @@ type Thread struct {
 	// GCount locates a global one), surfaced in divergence diagnostics.
 	progSeq uint64
 
+	// Event accounting, local to the owning goroutine: executed events by
+	// kind (and, for sharded ones, how the object acquisition resolved) since
+	// the last publishCounts. The shared obs counters see one add per kind per
+	// batch instead of one per event.
+	pending          [obs.NumEventKinds]uint32
+	pendingN         uint32
+	pendingFast      uint32
+	pendingContended uint32
+
 	// done is closed when the thread's function returns (after its final
 	// interval is flushed); Join blocks on it.
 	done chan struct{}
@@ -85,6 +94,46 @@ func (t *Thread) maybeYield() {
 	if t.rng%vm.jitter == 0 {
 		runtime.Gosched()
 	}
+}
+
+// publishBatch bounds how many events a thread counts locally before it
+// publishes them, whatever else happens: the per-kind counters of a snapshot
+// lag the live total by less than this per running thread.
+const publishBatch = 1024
+
+// countEvent counts one executed critical event of the thread locally,
+// publishing when an unbroken run fills a batch. Callers tick the event's
+// counter (global clock or object sequence) first.
+func (t *Thread) countEvent(kind obs.EventKind) {
+	if int(kind) >= obs.NumEventKinds {
+		kind = obs.KindOther
+	}
+	t.pending[kind]++
+	t.pendingN++
+	if t.pendingN >= publishBatch {
+		t.publishCounts()
+	}
+}
+
+// publishCounts moves the thread's locally counted events into the VM's
+// metrics: at every interval or obj-run boundary the thread itself crosses,
+// before an operation that may block, when a batch fills, and when the thread
+// exits by any path. Owning goroutine only.
+func (t *Thread) publishCounts() {
+	if t.pendingN == 0 {
+		return
+	}
+	m := t.vm.metrics
+	// Sharded totals before kinds: a snapshot reads them in the opposite
+	// order, so its per-kind sum never exceeds its total.
+	m.AddShardEvents(uint64(t.pendingFast), uint64(t.pendingContended))
+	for k, n := range t.pending {
+		if n != 0 {
+			m.AddEvents(obs.EventKind(k), uint64(n))
+		}
+	}
+	t.pending = [obs.NumEventKinds]uint32{}
+	t.pendingN, t.pendingFast, t.pendingContended = 0, 0, 0
 }
 
 // Num reports the thread's creation-order number.
@@ -223,7 +272,7 @@ func (vm *VM) recordEvent(t *Thread, kind obs.EventKind, op func(gc ids.GCount))
 		vm.metrics.ObserveGCHold(time.Since(start))
 	}
 	vm.clock.Store(uint64(gc) + 1)
-	vm.metrics.IncEvent(kind, uint64(gc)+1)
+	t.countEvent(kind)
 	t.extendIntervalLocked(gc)
 	if vm.noteEvery != 0 && (uint64(gc)+1)%vm.noteEvery == 0 {
 		vm.noteOpenIntervalsLocked()
@@ -236,14 +285,18 @@ func (vm *VM) recordEvent(t *Thread, kind obs.EventKind, op func(gc ids.GCount))
 // replayEvent waits for the event's turn, executes it, and advances the
 // counter (§2.2).
 //
-// With no EventObserver installed the common path runs without vm.mu: the
-// recorded schedule admits exactly one thread per counter value, so until
-// this thread advances the clock no other thread may execute a critical
-// event — the schedule itself provides the mutual exclusion. mu is then
-// taken only to park (awaitTurn) and to hand the wake token to a parked
-// successor. With an observer the event keeps the GC-critical section
-// locked, preserving the documented contract that the stall watchdog's
-// progress probe serializes behind a blocking callback.
+// With no EventObserver installed the thread touches one shared word per
+// event, the counter: the recorded schedule admits exactly one thread per
+// counter value, so until this thread advances the clock no other thread may
+// execute a critical event — the schedule itself provides the mutual
+// exclusion. Everything else happens once per interval. A thread can only be
+// parked on the first value of one of its own intervals, and the value after
+// any event but the interval's Last is this thread's own; so only the Last
+// event looks for a parked successor (taking mu to hand it the wake token),
+// and that is also where the thread publishes its event counts. With an
+// observer the event keeps the GC-critical section locked, preserving the
+// documented contract that the stall watchdog's progress probe serializes
+// behind a blocking callback.
 func (vm *VM) replayEvent(t *Thread, kind obs.EventKind, next ids.GCount, op func(gc ids.GCount)) {
 	if vm.observer == nil {
 		if ids.GCount(vm.clock.Load()) != next {
@@ -260,7 +313,10 @@ func (vm *VM) replayEvent(t *Thread, kind obs.EventKind, next ids.GCount, op fun
 		}
 		after := uint64(next) + 1
 		vm.clock.Store(after)
-		vm.metrics.IncEvent(kind, after)
+		t.countEvent(kind)
+		if next != t.schedule[t.si].Last {
+			return
+		}
 		// Store-buffering pairing with waitTurnLocked: the clock store above
 		// is sequenced before this parked load, and a waiter publishes its
 		// parked count before re-checking the clock — so either the waiter is
@@ -270,6 +326,7 @@ func (vm *VM) replayEvent(t *Thread, kind obs.EventKind, next ids.GCount, op fun
 			vm.wakeTurnLocked(ids.GCount(after))
 			vm.mu.Unlock()
 		}
+		t.publishCounts()
 		return
 	}
 
@@ -288,8 +345,11 @@ func (vm *VM) replayEvent(t *Thread, kind obs.EventKind, next ids.GCount, op fun
 	}
 	after := uint64(next) + 1
 	vm.clock.Store(after)
-	vm.metrics.IncEvent(kind, after)
+	t.countEvent(kind)
 	vm.wakeTurnLocked(ids.GCount(after))
+	if next == t.schedule[t.si].Last {
+		t.publishCounts()
+	}
 }
 
 // wakeTurnLocked hands the turn to the thread whose recorded event is gc, if
@@ -341,12 +401,13 @@ func (vm *VM) waitTurnLocked(t *Thread, next ids.GCount) {
 				waiting = make(map[ids.ThreadNum]ids.GCount, 1)
 			}
 			waiting[t.num] = next // this thread is not in turnWaiters yet
+			gc := ids.GCount(vm.clock.Load())
 			panic(&DivergenceError{
 				VM:     vm.id,
 				Thread: t.num,
 				Msg: fmt.Sprintf("replay stalled at counter %d; this thread waits for counter %d (parked threads: %v)",
-					ids.GCount(vm.clock.Load()), next, vm.waitingLocked()),
-				GC:      ids.GCount(vm.clock.Load()),
+					gc, next, waiting),
+				GC:      gc,
 				Waiting: waiting,
 			})
 		}
@@ -397,6 +458,7 @@ func (t *Thread) BlockingKind(kind obs.EventKind, op func(), mark func(gc ids.GC
 		op()
 		t.maybeYield()
 	case ids.Record:
+		t.publishCounts()
 		op()
 		vm.recordEvent(t, kind, mark)
 		t.maybeYield()
@@ -405,7 +467,10 @@ func (t *Thread) BlockingKind(kind obs.EventKind, op func(), mark func(gc ids.GC
 		if !ok {
 			t.endOfSchedule("blocking critical event")
 		}
-		vm.awaitTurn(t, next)
+		if ids.GCount(vm.clock.Load()) != next {
+			vm.awaitTurn(t, next)
+		}
+		t.publishCounts()
 		op()
 		// Only this thread may advance the counter past next, so the inner
 		// turn check in replayEvent passes immediately; the shared path keeps
@@ -476,8 +541,9 @@ func (t *Thread) Spawn(fn func(t *Thread)) *Thread {
 }
 
 // extendIntervalLocked folds one critical event into the thread's current
-// logical schedule interval, flushing the previous interval when another
-// thread's event broke consecutiveness (§2.2). Caller holds vm.mu.
+// logical schedule interval, flushing the previous interval — and publishing
+// the thread's event counts — when another thread's event broke
+// consecutiveness (§2.2). Caller holds vm.mu and runs on t's goroutine.
 func (t *Thread) extendIntervalLocked(gc ids.GCount) {
 	if t.intOpen && gc == t.intLast+1 {
 		t.intLast = gc
@@ -485,6 +551,7 @@ func (t *Thread) extendIntervalLocked(gc ids.GCount) {
 	}
 	t.flushIntervalLocked()
 	t.intFirst, t.intLast, t.intOpen = gc, gc, true
+	t.publishCounts()
 }
 
 // flushIntervalLocked appends the open interval, if any, to the schedule log.

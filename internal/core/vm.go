@@ -172,9 +172,13 @@ type VM struct {
 	// EventObserver installed, scheduled threads advance the clock lock-free
 	// — the recorded schedule admits exactly one thread per counter value,
 	// so the schedule itself is the mutual exclusion — and mu guards only
-	// the park/wake bookkeeping (turnWaiters, stalled).
-	mu    sync.Mutex
-	clock atomic.Uint64 // the global counter (an ids.GCount)
+	// the park/wake bookkeeping (turnWaiters, stalled), taken when a thread
+	// parks and when one ends an interval with a successor parked.
+	mu sync.Mutex
+	// clock is the global counter (an ids.GCount). The word lives in metrics,
+	// alone on its cache line, where the clock gauge and the event total read
+	// it: there is no second copy to store per event.
+	clock *atomic.Uint64
 
 	jitter     uint64 // yield 1-in-jitter after record-mode critical events
 	sampleMask uint64 // counter values with gc&mask==0 get latency-timed
@@ -185,8 +189,8 @@ type VM struct {
 	// counter value to at most one thread, so advancing the clock wakes
 	// exactly the successor whose turn it is (the stall watchdog's broadcast
 	// is the only all-waiter wakeup). Guarded by mu. parked counts the
-	// registered threads and is the lock-free fast path's cue to take mu and
-	// hand over the turn (see replayEvent).
+	// registered threads and is the cue for a thread ending an interval to
+	// take mu and hand over the turn (see replayEvent).
 	turnWaiters  map[ids.GCount]*Thread
 	parked       atomic.Int64
 	stalled      atomic.Bool
@@ -239,9 +243,10 @@ type VM struct {
 	resume     *ResumePoint
 	activeWork sync.WaitGroup
 
-	// metrics is the VM's always-on observability layer (internal/obs):
-	// atomic per-kind event counters, log-volume counters, replay-progress
-	// gauges, and latency histograms. Never nil.
+	// metrics is the VM's always-on observability layer (internal/obs): the
+	// counter word, per-kind event counters (published by threads in batches),
+	// log-volume counters, replay-progress gauges, and latency histograms.
+	// Never nil.
 	metrics *obs.Metrics
 
 	closed bool
@@ -268,6 +273,7 @@ func NewVM(cfg Config) (*VM, error) {
 		peers:   cfg.DJVMPeers,
 		metrics: &obs.Metrics{},
 	}
+	vm.clock = vm.metrics.Clock()
 	if cfg.RecordJitter > 0 {
 		vm.jitter = uint64(cfg.RecordJitter)
 	}
@@ -345,9 +351,8 @@ func NewVM(cfg Config) (*VM, error) {
 		vm.metrics.SetFinalGC(uint64(sched.Meta.FinalGC))
 		if cfg.Resume != nil {
 			vm.resume = cfg.Resume
-			vm.clock.Store(uint64(cfg.Resume.GC))
+			vm.metrics.SetClockBase(uint64(cfg.Resume.GC))
 			vm.nextThread = cfg.Resume.NextThread
-			vm.metrics.SetClock(uint64(cfg.Resume.GC))
 		}
 		vm.turnWaiters = make(map[ids.GCount]*Thread)
 		if cfg.StallTimeout > 0 {
@@ -654,6 +659,9 @@ func (vm *VM) launch(t *Thread, fn func(t *Thread)) {
 	go func() {
 		defer close(t.done)
 		defer vm.activeWork.Done()
+		// Whatever way fn ends — return, divergence panic, end-of-log unwind —
+		// the thread's counted events are published before Wait can return.
+		defer t.publishCounts()
 		defer t.finish()
 		defer func() {
 			// Under StopAtLogEnd a thread abandons its function by panicking
@@ -685,10 +693,9 @@ func (vm *VM) Wait() {
 
 // watchdog monitors replay progress: if no critical event executes for the
 // timeout while threads are parked on their turns, it flips the stall flag
-// and wakes them to fail with diagnostics. Progress is witnessed by the total
-// event count, not just the global counter — in sharded mode most events
-// advance only per-object turnstiles, and a healthy sharded replay must not
-// trip the watchdog just because its global clock is idle.
+// and wakes them to fail with diagnostics. Progress is witnessed by the
+// counters the mechanism itself advances (see replayProgress), not by the
+// published event counts, which trail a running thread by up to a batch.
 func (vm *VM) watchdog(timeout time.Duration) {
 	defer vm.metrics.SetWatchdogArmed(false)
 	tick := time.NewTicker(timeout / 4)
@@ -703,7 +710,7 @@ func (vm *VM) watchdog(timeout time.Duration) {
 		}
 		vm.mu.Lock()
 		stall := false
-		switch now := vm.metrics.TotalEvents(); {
+		switch now := vm.replayProgress(); {
 		case now != lastEvents:
 			lastEvents = now
 			lastChange = time.Now()
@@ -730,6 +737,21 @@ func (vm *VM) watchdog(timeout time.Duration) {
 			return
 		}
 	}
+}
+
+// replayProgress sums the global counter and, in sharded mode, every object
+// turnstile: most sharded events advance only a turnstile, and a healthy
+// sharded replay must not trip the watchdog because its global clock is idle.
+func (vm *VM) replayProgress() uint64 {
+	p := vm.clock.Load()
+	if vm.orderMode == ids.OrderSharded {
+		vm.objsMu.Lock()
+		for _, o := range vm.objs {
+			p += o.next.Load()
+		}
+		vm.objsMu.Unlock()
+	}
+	return p
 }
 
 // WaitingThreads reports, for a replaying VM, which threads are parked

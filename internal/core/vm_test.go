@@ -12,7 +12,9 @@ import (
 // runRacyCounter runs nThreads threads each performing iters racy increments
 // (Get then Set — two critical events, so interleavings lose updates) while
 // recording the per-thread sequence of observed values. It returns the traces
-// and the final counter value.
+// and the final counter value. The counter is registered, so the program is
+// ordered by the global clock under OrderGlobal (where Register is a no-op)
+// and by the counter's own access sequence under OrderSharded.
 func runRacyCounter(t *testing.T, cfg Config, nThreads, iters int) ([][]int64, int64, *VM) {
 	t.Helper()
 	vm, err := NewVM(cfg)
@@ -20,6 +22,7 @@ func runRacyCounter(t *testing.T, cfg Config, nThreads, iters int) ([][]int64, i
 		t.Fatalf("NewVM: %v", err)
 	}
 	var counter SharedInt
+	counter.Register(vm)
 	traces := make([][]int64, nThreads)
 	var wg sync.WaitGroup
 	wg.Add(nThreads)

@@ -86,14 +86,18 @@ func (e *Env) Connect(t *core.Thread, addr netsim.Addr) (*Socket, error) {
 		)
 		t.BlockingKind(obs.KindSocket, func() {
 			s, err = e.dial(addr)
-			if err != nil || !closedSc {
-				return
-			}
-			// The connectionId is sent via a low-level write before the
-			// constructor returns, guaranteeing it is the first data on the
-			// connection (§4.1.3).
-			_, err = s.Write(encodeMeta(connID))
 		}, func(gc ids.GCount) {
+			if err == nil && closedSc {
+				// The connectionId is sent via a low-level write before the
+				// constructor returns, guaranteeing it is the first data on the
+				// connection (§4.1.3). Like every send it goes out inside the
+				// GC-critical section: the peer's accept completes on reading
+				// it, so nothing that depends on that accept can be marked
+				// with a smaller counter of this VM than the connect itself —
+				// sent from op, before the mark, it could, and the recording
+				// would deadlock every replay.
+				_, err = s.Write(encodeMeta(connID))
+			}
 			switch {
 			case err != nil:
 				e.logNetErr(eventID, "connect", err)

@@ -4,11 +4,13 @@
 // overhead, §6) and the ones replay operators need live (progress against the
 // recorded schedule, parked threads, turn-wait latency).
 //
-// The layer is designed for the GC-critical-section hot path: every update is
-// a single atomic RMW (plus, for histograms, one monotonic clock read at each
-// end of the measured region), so record-mode overhead stays in the noise of
-// the events being counted. Snapshot assembles a consistent view from atomic
-// loads without stopping writers.
+// The layer stays off the critical-event hot path: the global counter word
+// the VM advances anyway doubles as the clock gauge and the live event total;
+// threads count their events by kind locally and publish a batch per schedule
+// interval (one atomic add per kind); histograms are fed by 1-in-N sampling.
+// Everything else is a single atomic RMW on a path that runs once per
+// interval, log append or fault. Snapshot assembles a view from atomic loads
+// without stopping writers.
 //
 // One Metrics value belongs to one VM. It is exposed three ways: the typed
 // Snapshot struct (re-exported by the dejavu facade), an expvar-compatible

@@ -10,8 +10,22 @@ import (
 // to use (core.NewVM allocates one per VM unconditionally — the layer is
 // always on).
 type Metrics struct {
-	// events counts executed critical events by kind (record and replay; the
-	// passthrough baseline executes no critical events by definition).
+	// clock is the VM's global counter itself (core.VM advances it through
+	// Clock), not a copy: an event stores it once, and the clock gauge and the
+	// event total read the word the replay mechanism runs on. The padding
+	// keeps it alone on its cache line wherever the struct lands, so the one
+	// store every critical event makes invalidates nothing else a thread reads.
+	_     [cacheLine]byte
+	clock atomic.Uint64
+	_     [cacheLine - 8]byte
+	// clockBase is the counter value the run started at (a checkpoint
+	// resume's counter, else 0): clock-clockBase events ticked the clock.
+	clockBase atomic.Uint64
+
+	// events is the critical-event count by kind (record and replay; the
+	// passthrough baseline executes no critical events by definition). Threads
+	// count their events locally and publish here in batches (AddEvents), so
+	// while a thread runs the per-kind split lags the total by a bounded batch.
 	events [NumEventKinds]atomic.Uint64
 	// networkEvents counts network events — the paper's "#nw events" column.
 	// A network event is one socket/datagram operation; it usually costs one
@@ -28,7 +42,6 @@ type Metrics struct {
 	logBytes   [numLogFiles]atomic.Uint64
 
 	// Gauges.
-	clock    atomic.Uint64 // global counter after the latest critical event
 	finalGC  atomic.Uint64 // recorded schedule length (replay mode; else 0)
 	parked   atomic.Int64  // threads currently waiting for a replay turn
 	watchdog atomic.Uint32 // bit 0: armed, bit 1: stalled
@@ -95,19 +108,34 @@ type Metrics struct {
 const (
 	watchdogArmedBit   = 1 << 0
 	watchdogStalledBit = 1 << 1
+
+	// cacheLine is the padding unit around the counter word: two 64-byte
+	// lines, because adjacent lines are prefetched in pairs.
+	cacheLine = 128
 )
 
-// IncEvent counts one executed critical event of the given kind and moves the
-// clock gauge to the counter value after it.
-func (m *Metrics) IncEvent(kind EventKind, gcAfter uint64) {
+// Clock exposes the global counter word. The owning VM is its only writer.
+func (m *Metrics) Clock() *atomic.Uint64 { return &m.clock }
+
+// SetClockBase starts the counter at gc (a checkpoint resume): the events
+// below it were skipped, not executed, and stay out of the event total.
+func (m *Metrics) SetClockBase(gc uint64) {
+	m.clockBase.Store(gc)
+	m.clock.Store(gc)
+}
+
+// AddEvents publishes n executed critical events of the given kind: a
+// thread's locally counted batch. The events' clock ticks (or AddShardEvents
+// for sharded ones) come first, so the per-kind sum never runs ahead of the
+// total.
+func (m *Metrics) AddEvents(kind EventKind, n uint64) {
 	if int(kind) >= NumEventKinds {
 		kind = KindOther
 	}
-	m.events[kind].Add(1)
-	m.clock.Store(gcAfter)
+	m.events[kind].Add(n)
 }
 
-// EventCount reports the running count for one kind.
+// EventCount reports the published count for one kind.
 func (m *Metrics) EventCount(kind EventKind) uint64 {
 	if int(kind) >= NumEventKinds {
 		return 0
@@ -115,28 +143,24 @@ func (m *Metrics) EventCount(kind EventKind) uint64 {
 	return m.events[kind].Load()
 }
 
-// TotalEvents reports the running total across all kinds.
+// TotalEvents reports the running critical-event total: the events that
+// ticked the global counter — read from the counter word, so it is live even
+// while per-kind batches are pending — plus the published sharded events,
+// which advance per-object counters instead.
 func (m *Metrics) TotalEvents() uint64 {
-	var total uint64
-	for i := range m.events {
-		total += m.events[i].Load()
-	}
-	return total
+	shard := m.shardFast.Load() + m.shardContended.Load()
+	return m.clock.Load() - m.clockBase.Load() + shard
 }
 
-// IncShardEvent counts one sharded-mode critical event of the given kind,
-// classifying its per-object acquisition as fast-path or contended. Unlike
-// IncEvent it does not move the clock gauge: sharded events advance per-object
-// counters, not the global clock.
-func (m *Metrics) IncShardEvent(kind EventKind, fast bool) {
-	if int(kind) >= NumEventKinds {
-		kind = KindOther
+// AddShardEvents publishes a batch of sharded-mode critical events, split by
+// how their per-object acquisition resolved. Their kinds follow through
+// AddEvents.
+func (m *Metrics) AddShardEvents(fast, contended uint64) {
+	if fast != 0 {
+		m.shardFast.Add(fast)
 	}
-	m.events[kind].Add(1)
-	if fast {
-		m.shardFast.Add(1)
-	} else {
-		m.shardContended.Add(1)
+	if contended != 0 {
+		m.shardContended.Add(contended)
 	}
 }
 
@@ -213,9 +237,6 @@ func (m *Metrics) IncTimestamp() { m.timestamps.Add(1) }
 
 // IncNetSpan counts one causal-tracing net-span record.
 func (m *Metrics) IncNetSpan() { m.netSpans.Add(1) }
-
-// SetClock moves the clock gauge (used at VM construction and resume).
-func (m *Metrics) SetClock(gc uint64) { m.clock.Store(gc) }
 
 // SetHistSampleRate publishes the 1-in-N latency sampling rate the owning VM
 // applies to the TurnWait/GCHold histograms, so snapshot consumers can scale

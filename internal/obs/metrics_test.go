@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// tick stands for one critical event of a VM that publishes at once: the
+// counter word moves to gcAfter and the event's kind is counted.
+func tick(m *Metrics, kind EventKind, gcAfter uint64) {
+	m.Clock().Store(gcAfter)
+	m.AddEvents(kind, 1)
+}
+
 // TestConcurrentIncrements hammers every counter from many goroutines and
 // checks exact totals — run with -race this also proves the layer is
 // data-race-free.
@@ -26,7 +33,8 @@ func TestConcurrentIncrements(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perKind; i++ {
 				for k := EventKind(0); int(k) < NumEventKinds; k++ {
-					m.IncEvent(k, uint64(i))
+					m.Clock().Add(1)
+					m.AddEvents(k, 1)
 				}
 				m.IncNetworkEvent()
 				m.IncInterval()
@@ -77,36 +85,89 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 }
 
-// TestSnapshotConsistency verifies a snapshot taken mid-hammering is
-// internally consistent: TotalEvents always equals the sum of its own
-// per-kind fields (no torn read across the two).
+// TestSnapshotConsistency verifies a snapshot taken mid-hammering against
+// producers that publish the way VM threads do — tick the counter word (or
+// publish a sharded batch) first, count locally, publish kinds in batches:
+// the total is the counter word plus the sharded part, never decreases, is
+// never below the per-kind sum, and leads it by at most the pending batches;
+// once the producers have flushed, the two are equal.
 func TestSnapshotConsistency(t *testing.T) {
+	const (
+		producers = 4
+		batch     = 64
+	)
 	m := &Metrics{}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < producers; w++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
 			k := EventKind(seed % NumEventKinds)
-			for i := 0; ; i++ {
+			sharded := seed%2 == 1
+			pending := uint64(0)
+			flush := func() {
+				if sharded {
+					m.AddShardEvents(pending-pending/2, pending/2)
+				}
+				m.AddEvents(k, pending)
+				pending = 0
+			}
+			defer flush()
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				m.IncEvent(k, uint64(i))
+				if !sharded {
+					m.Clock().Add(1)
+				}
+				if pending++; pending == batch {
+					flush()
+				}
 			}
 		}(w)
 	}
+	var prev Snapshot
 	for i := 0; i < 200; i++ {
 		s := m.Snapshot()
-		if s.TotalEvents != s.Events.Total() {
-			t.Fatalf("torn snapshot: TotalEvents=%d, Events.Total()=%d", s.TotalEvents, s.Events.Total())
+		if want := s.Replay.CurrentGC + s.Shard.FastPath + s.Shard.Contended; s.TotalEvents != want {
+			t.Fatalf("TotalEvents=%d, counter word + sharded part = %d", s.TotalEvents, want)
 		}
+		if s.TotalEvents < prev.TotalEvents {
+			t.Fatalf("TotalEvents went back from %d to %d", prev.TotalEvents, s.TotalEvents)
+		}
+		if sum := s.Events.Total(); sum > s.TotalEvents {
+			t.Fatalf("per-kind sum %d ahead of total %d", sum, s.TotalEvents)
+		}
+		// A snapshot is not one instant, so the lag is bounded across two: what
+		// was unpublished when prev read its total was at most a batch per
+		// producer, and everything published by then is in s's kinds.
+		if sum := s.Events.Total(); sum+producers*batch < prev.TotalEvents {
+			t.Fatalf("per-kind sum %d lags the earlier total %d by more than %d", sum, prev.TotalEvents, producers*batch)
+		}
+		prev = s
 	}
 	close(stop)
 	wg.Wait()
+	if s := m.Snapshot(); s.TotalEvents != s.Events.Total() || s.TotalEvents != m.TotalEvents() {
+		t.Errorf("after the final flush: TotalEvents=%d, Events.Total()=%d, Metrics.TotalEvents()=%d",
+			s.TotalEvents, s.Events.Total(), m.TotalEvents())
+	}
+}
+
+// TestClockBaseKeepsSkippedEventsOutOfTotal: a resumed run starts its counter
+// at the checkpoint's value; the gauge shows it, the total does not count it.
+func TestClockBaseKeepsSkippedEventsOutOfTotal(t *testing.T) {
+	m := &Metrics{}
+	m.SetClockBase(1000)
+	tick(m, KindShared, 1001)
+	tick(m, KindShared, 1002)
+	s := m.Snapshot()
+	if s.Replay.CurrentGC != 1002 || s.TotalEvents != 2 || m.TotalEvents() != 2 {
+		t.Errorf("gc=%d total=%d/%d, want gc 1002 and 2 events", s.Replay.CurrentGC, s.TotalEvents, m.TotalEvents())
+	}
 }
 
 func TestWatchdogGauge(t *testing.T) {
@@ -152,8 +213,8 @@ func TestReplayProgressPercent(t *testing.T) {
 // identical Snapshot — djstat relies on this.
 func TestExpvarJSONRoundTrip(t *testing.T) {
 	m := &Metrics{}
-	m.IncEvent(KindShared, 1)
-	m.IncEvent(KindSocket, 2)
+	tick(m, KindShared, 1)
+	tick(m, KindSocket, 2)
 	m.IncNetworkEvent()
 	m.LogAppend(LogDatagram, 42)
 	m.SetFinalGC(10)
@@ -182,7 +243,7 @@ func TestExpvarJSONRoundTrip(t *testing.T) {
 // way djstat does.
 func TestServeEndpoint(t *testing.T) {
 	m := &Metrics{}
-	m.IncEvent(KindMonitorEnter, 1)
+	tick(m, KindMonitorEnter, 1)
 	addr, stop, err := Serve("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +281,7 @@ func TestPublishIdempotent(t *testing.T) {
 
 func TestWriteReportAndReporter(t *testing.T) {
 	m := &Metrics{}
-	m.IncEvent(KindShared, 7)
+	tick(m, KindShared, 7)
 	m.SetFinalGC(14)
 	m.ObserveTurnWait(time.Millisecond)
 

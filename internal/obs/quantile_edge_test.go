@@ -74,7 +74,7 @@ func TestQuantileOverflowBucket(t *testing.T) {
 // stopping twice does not write twice.
 func TestReporterFinalSnapshotOnStop(t *testing.T) {
 	var m Metrics
-	m.IncEvent(KindShared, 1)
+	tick(&m, KindShared, 1)
 	var buf strings.Builder
 	stop := StartReporter(&buf, time.Hour, &m)
 	stop()

@@ -143,12 +143,14 @@ type ShardCounts struct {
 	ObjRuns uint64 `json:"obj_runs"`
 }
 
-// Snapshot is a consistent point-in-time view of one VM's metrics. Totals are
-// derived from the same atomic loads as the per-kind fields, so a snapshot is
-// internally consistent (TotalEvents always equals Events.Total()) even when
-// taken mid-run.
+// Snapshot is a point-in-time view of one VM's metrics. TotalEvents and
+// Replay.CurrentGC are exact at the moment of the call (both come from the
+// counter word); Events is what the threads have published, so mid-run
+// Events.Total() trails TotalEvents by at most one pending batch per running
+// thread and never exceeds it, and once the VM's threads have returned the
+// two are equal.
 type Snapshot struct {
-	// Events is the critical-event count by kind.
+	// Events is the critical-event count by kind, as published.
 	Events EventCounts `json:"events"`
 	// TotalEvents is the critical-event total — the "#critical events"
 	// column.
@@ -191,6 +193,8 @@ type Snapshot struct {
 // every update path.
 func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot
+	// Load order mirrors publish order (clock tick or sharded batch first,
+	// kinds after): kinds are read first, so their sum cannot exceed the total.
 	s.Events = EventCounts{
 		Shared:       m.events[KindShared].Load(),
 		MonitorEnter: m.events[KindMonitorEnter].Load(),
@@ -204,7 +208,13 @@ func (m *Metrics) Snapshot() Snapshot {
 		Thread:       m.events[KindThread].Load(),
 		Other:        m.events[KindOther].Load(),
 	}
-	s.TotalEvents = s.Events.Total()
+	s.Shard = ShardCounts{
+		FastPath:  m.shardFast.Load(),
+		Contended: m.shardContended.Load(),
+		ObjRuns:   m.objRuns.Load(),
+	}
+	gc := m.clock.Load()
+	s.TotalEvents = gc - m.clockBase.Load() + s.Shard.FastPath + s.Shard.Contended
 	s.NetworkEvents = m.networkEvents.Load()
 	s.Intervals = m.intervals.Load()
 	s.FastForwardSkips = m.ffSkips.Load()
@@ -215,7 +225,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	wd := m.watchdog.Load()
 	s.Replay = ReplayProgress{
-		CurrentGC:     m.clock.Load(),
+		CurrentGC:     gc,
 		FinalGC:       m.finalGC.Load(),
 		ParkedThreads: m.parked.Load(),
 		WatchdogArmed: wd&watchdogArmedBit != 0,
@@ -240,11 +250,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.Causal = CausalCounts{
 		Timestamps: m.timestamps.Load(),
 		NetSpans:   m.netSpans.Load(),
-	}
-	s.Shard = ShardCounts{
-		FastPath:  m.shardFast.Load(),
-		Contended: m.shardContended.Load(),
-		ObjRuns:   m.objRuns.Load(),
 	}
 	s.HistSampleRate = m.histSampleRate.Load()
 	s.TurnWait = m.TurnWait.Snapshot()
