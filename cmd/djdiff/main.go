@@ -5,11 +5,12 @@
 // Use it on two recordings of the same program to locate the first
 // scheduling or network difference — the root of a divergent outcome —
 // instead of eyeballing djtrace dumps. Exits 0 when identical, 1 when
-// different.
+// different, 2 on a usage error or a log set that cannot be read.
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/logcheck"
@@ -17,33 +18,34 @@ import (
 )
 
 func main() {
-	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: djdiff <logdir-a> <logdir-b>")
-		os.Exit(2)
-	}
-	a, err := tracelog.LoadSet(os.Args[1])
-	if err != nil {
-		fatal(err)
-	}
-	b, err := tracelog.LoadSet(os.Args[2])
-	if err != nil {
-		fatal(err)
-	}
-	rep, err := logcheck.Diff(a, b)
-	if err != nil {
-		fatal(err)
-	}
-	if rep.Same() {
-		fmt.Println("identical: the two log sets describe the same execution")
-		return
-	}
-	for _, line := range rep.Lines {
-		fmt.Println(line)
-	}
-	os.Exit(1)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "djdiff:", err)
-	os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 2 {
+		fmt.Fprintln(stderr, "usage: djdiff <logdir-a> <logdir-b>")
+		return 2
+	}
+	var sets [2]*tracelog.Set
+	for i, dir := range args {
+		s, err := tracelog.LoadSet(dir)
+		if err != nil {
+			fmt.Fprintln(stderr, "djdiff:", err)
+			return 2
+		}
+		sets[i] = s
+	}
+	rep, err := logcheck.Diff(sets[0], sets[1])
+	if err != nil {
+		fmt.Fprintln(stderr, "djdiff:", err)
+		return 2
+	}
+	if rep.Same() {
+		fmt.Fprintln(stdout, "identical: the two log sets describe the same execution")
+		return 0
+	}
+	for _, line := range rep.Lines {
+		fmt.Fprintln(stdout, line)
+	}
+	return 1
 }

@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"repro/internal/ids"
+	"repro/internal/tracelog"
+)
+
+// saveSharded saves a sharded log set whose one object is accessed in the
+// given thread order, and returns its directory.
+func saveSharded(t *testing.T, objOrder []ids.ThreadNum) string {
+	t.Helper()
+	s := tracelog.NewSet()
+	s.Schedule = tracelog.ComposeSchedule(tracelog.VMMeta{VM: 1, Threads: 2}, ids.OrderSharded, 0,
+		[]ids.ThreadNum{0, 1}, map[ids.ObjectID][]ids.ThreadNum{0: objOrder}, nil)
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func TestExitCodes(t *testing.T) {
+	a := saveSharded(t, []ids.ThreadNum{0, 1, 0, 1})
+	b := saveSharded(t, []ids.ThreadNum{1, 1, 0, 0})
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stdout string
+		stderr string
+	}{
+		{"identical", []string{a, a}, 0, "identical", ""},
+		{"object order differs", []string{a, b}, 1, "obj0", ""},
+		{"one argument", []string{a}, 2, "", "usage"},
+		{"three arguments", []string{a, b, a}, 2, "", "usage"},
+		{"unreadable set", []string{a, t.TempDir()}, 2, "", "djdiff:"},
+	} {
+		var out, errOut bytes.Buffer
+		code := run(tc.args, &out, &errOut)
+		if code != tc.code || !strings.Contains(out.String(), tc.stdout) || !strings.Contains(errOut.String(), tc.stderr) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit %d, stdout containing %q, stderr containing %q",
+				tc.name, code, out.String(), errOut.String(), tc.code, tc.stdout, tc.stderr)
+		}
+		if tc.code == 2 && out.Len() != 0 {
+			t.Errorf("%s: wrote %q to stdout on an error", tc.name, out.String())
+		}
+	}
+}

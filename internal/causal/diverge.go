@@ -101,15 +101,10 @@ func WhyDiverged(g *Graph, vm ids.DJVMID, gc ids.GCount, k int) ([]Cause, error)
 func WriteWhyDiverged(w io.Writer, g *Graph, div *core.DivergenceError, k int) error {
 	fmt.Fprintf(w, "divergence: %v\n", div)
 	fmt.Fprintf(w, "at: vm %d thread %d counter %d\n", div.VM, div.Thread, div.GC)
-	if len(div.Waiting) > 0 {
-		threads := make([]ids.ThreadNum, 0, len(div.Waiting))
-		for t := range div.Waiting {
-			threads = append(threads, t)
-		}
-		sort.Slice(threads, func(i, j int) bool { return threads[i] < threads[j] })
+	if len(div.Parked) > 0 {
 		fmt.Fprintln(w, "parked threads at detection:")
-		for _, t := range threads {
-			fmt.Fprintf(w, "  thread %-3d waiting for counter %d\n", t, div.Waiting[t])
+		for _, p := range div.Parked {
+			fmt.Fprintf(w, "  thread %-3d waiting for %s\n", p.Thread, p.Awaited())
 		}
 	}
 	causes, err := WhyDiverged(g, div.VM, div.GC, k)

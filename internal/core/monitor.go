@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/obs"
-	"repro/internal/tracelog"
 )
 
 // Monitor is the DJVM's equivalent of a Java object monitor: it provides
@@ -32,7 +31,7 @@ type Monitor struct {
 	holder  ids.ThreadNum
 	queue   []*parked // threads blocked in Enter, FIFO
 	waiters []*parked // the wait set, FIFO
-	shard   *objState // non-nil after Register on a sharded VM
+	order   *stream   // see SharedInt.order
 }
 
 // parked is one thread blocked on the monitor, woken by closing ch.
@@ -66,30 +65,17 @@ func (m *Monitor) unlock() { m.lk <- struct{}{} }
 // critical events are then ordered by the monitor's own access counter
 // instead of the global clock. See SharedInt.Register for the determinism
 // contract. Unregistered monitors (including runtime-internal ones like a
-// Barrier's) fall back to the global mechanism even in sharded mode.
+// Barrier's) stay on the global stream even in sharded mode.
 func (m *Monitor) Register(vm *VM) {
-	if m.shard != nil {
+	if m.order != nil {
 		panic("core: Monitor registered twice")
 	}
-	m.shard = vm.registerObject()
-}
-
-// shardFor reports the object-order state when thread t's VM shards this
-// monitor, nil when its events must use the global mechanism.
-func (m *Monitor) shardFor(t *Thread) *objState {
-	if o := m.shard; o != nil && o.vm == t.vm {
-		return o
-	}
-	return nil
+	m.order = vm.registerObject()
 }
 
 // Enter acquires the monitor (monitorenter).
 func (m *Monitor) Enter(t *Thread) {
-	if o := m.shardFor(t); o != nil {
-		t.blockingObj(o, obs.KindMonitorEnter, func() { m.acquire(t.num) }, func(ids.AccessSeq) {})
-		return
-	}
-	t.BlockingKind(obs.KindMonitorEnter, func() { m.acquire(t.num) }, func(ids.GCount) {})
+	t.blocking(t.streamFor(m.order), obs.KindMonitorEnter, func() { m.acquire(t.num) }, func(ids.GCount) {})
 }
 
 // acquire blocks until the monitor is free and takes it. FIFO handoff keeps
@@ -112,11 +98,7 @@ func (m *Monitor) acquire(tn ids.ThreadNum) {
 
 // Exit releases the monitor (monitorexit).
 func (m *Monitor) Exit(t *Thread) {
-	if o := m.shardFor(t); o != nil {
-		t.criticalObj(o, obs.KindMonitorExit, func(ids.AccessSeq) { m.release(t, "monitorexit") })
-		return
-	}
-	t.CriticalKind(obs.KindMonitorExit, func(ids.GCount) { m.release(t, "monitorexit") })
+	t.critical(t.streamFor(m.order), obs.KindMonitorExit, func(ids.GCount) { m.release(t, "monitorexit") })
 }
 
 // release hands the monitor to the next queued enterer, or frees it.
@@ -160,22 +142,16 @@ func (m *Monitor) Wait(t *Thread) {
 		m.unlock()
 		m.release(t, "wait")
 	}
-	if o := m.shardFor(t); o != nil {
-		// Same two-event structure, ordered by the monitor's own counter.
-		t.criticalObj(o, obs.KindWait, func(ids.AccessSeq) { enterWait() })
-		<-p.ch
-		t.blockingObj(o, obs.KindWait, func() { m.acquire(t.num) }, func(ids.AccessSeq) {})
-		return
-	}
+	s := t.streamFor(m.order)
 	// First critical event: move self to the wait set and release the
 	// monitor, atomically with the counter tick.
-	t.CriticalKind(obs.KindWait, func(ids.GCount) { enterWait() })
+	t.critical(s, obs.KindWait, func(ids.GCount) { enterWait() })
 	// Block outside any critical section until a notify picks us.
 	<-p.ch
 	// Second critical event: re-acquire the monitor. Counter assigned at
 	// completion in record mode, so replay finds the monitor free at this
 	// event's turn.
-	t.BlockingKind(obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
+	t.blocking(s, obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
 }
 
 // TimedWait is Object.wait(timeout): it releases the monitor and blocks
@@ -186,8 +162,9 @@ func (m *Monitor) Wait(t *Thread) {
 // nondeterminism, so its resolution is part of the schedule: when the timer
 // fires, the waiter executes a *check* critical event that removes it from
 // the wait set if (and only if) no notify picked it first. The record phase
-// logs a TimedWaitEntry keyed by the wait-enter event's counter — whether
-// the check event happened and how it resolved — and the replay phase
+// logs a timed-wait record keyed by the wait-enter event's counter value on
+// the monitor's stream — whether the check event happened and how it
+// resolved — and the replay phase
 // re-drives exactly that path, with the real timer elided (like Sleep,
 // replay does not wait out the timeout).
 func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
@@ -195,16 +172,14 @@ func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
 	if vm.Mode() == ids.Passthrough {
 		return m.timedWaitPassthrough(t, d)
 	}
-	if o := m.shardFor(t); o != nil {
-		return m.timedWaitSharded(t, o, d)
-	}
+	s := t.streamFor(m.order)
 
 	var (
 		p  *parked
 		c0 ids.GCount
 	)
-	enter := func(gc ids.GCount) {
-		c0 = gc
+	enter := func(n ids.GCount) {
+		c0 = n
 		m.lock()
 		if !m.held || m.holder != t.num {
 			m.unlock()
@@ -217,7 +192,7 @@ func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
 	}
 
 	if vm.mode == ids.Record {
-		t.CriticalKind(obs.KindWait, enter)
+		t.critical(s, obs.KindWait, enter)
 		timer := time.NewTimer(d)
 		check := false
 		select {
@@ -225,7 +200,7 @@ func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
 			timer.Stop()
 		case <-timer.C:
 			check = true
-			t.CriticalKind(obs.KindWait, func(ids.GCount) {
+			t.critical(s, obs.KindWait, func(ids.GCount) {
 				m.lock()
 				timedOut = m.removeParked(p)
 				m.unlock()
@@ -235,24 +210,24 @@ func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
 				<-p.ch
 			}
 		}
-		vm.logs.Schedule.Append(&tracelog.TimedWaitEntry{GC: c0, Check: check, TimedOut: timedOut})
-		t.BlockingKind(obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
+		s.logTimedWait(c0, check, timedOut)
+		t.blocking(s, obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
 		return timedOut
 	}
 
 	// Replay.
-	t.CriticalKind(obs.KindWait, enter)
-	entry, ok := vm.schedIdx.TimedWaits[c0]
+	t.critical(s, obs.KindWait, enter)
+	check, timedOut, ok := s.timedWait(c0)
 	if !ok {
-		t.diverge("timed wait entered at counter %d has no recorded resolution", c0)
+		t.diverge("timed wait entered at %s has no recorded resolution", s.at(c0))
 	}
-	if entry.Check {
-		t.CriticalKind(obs.KindWait, func(ids.GCount) {
-			if entry.TimedOut {
+	if check {
+		t.critical(s, obs.KindWait, func(ids.GCount) {
+			if timedOut {
 				m.lock()
 				if !m.removeParked(p) {
 					m.unlock()
-					t.diverge("timed wait at counter %d recorded a timeout but the waiter was already woken", c0)
+					t.diverge("timed wait at %s recorded a timeout but the waiter was already woken", s.at(c0))
 				}
 				m.unlock()
 			}
@@ -260,84 +235,11 @@ func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
 			// the replayed notify (ordered by the schedule) signals p.ch.
 		})
 	}
-	if !entry.TimedOut {
+	if !timedOut {
 		<-p.ch
 	}
-	t.BlockingKind(obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
-	return entry.TimedOut
-}
-
-// timedWaitSharded is TimedWait ordered by the monitor's own access counter:
-// the same timer-vs-notify race resolution, with the ObjTimedWait record
-// keyed by ⟨object, wait-enter accessSeq⟩ instead of a global counter value.
-func (m *Monitor) timedWaitSharded(t *Thread, o *objState, d time.Duration) (timedOut bool) {
-	vm := t.vm
-	var (
-		p  *parked
-		c0 ids.AccessSeq
-	)
-	enter := func(seq ids.AccessSeq) {
-		c0 = seq
-		m.lock()
-		if !m.held || m.holder != t.num {
-			m.unlock()
-			panic(&MonitorStateError{Op: "timed-wait", Thread: t.num})
-		}
-		p = &parked{t: t.num, ch: make(chan struct{})}
-		m.waiters = append(m.waiters, p)
-		m.unlock()
-		m.release(t, "timed-wait")
-	}
-
-	if vm.mode == ids.Record {
-		t.criticalObj(o, obs.KindWait, enter)
-		timer := time.NewTimer(d)
-		check := false
-		select {
-		case <-p.ch:
-			timer.Stop()
-		case <-timer.C:
-			check = true
-			t.criticalObj(o, obs.KindWait, func(ids.AccessSeq) {
-				m.lock()
-				timedOut = m.removeParked(p)
-				m.unlock()
-			})
-			if !timedOut {
-				// A notify won the race and will signal (or already has).
-				<-p.ch
-			}
-		}
-		vm.logs.Schedule.Append(&tracelog.ObjTimedWait{Obj: o.id, Seq: c0, Check: check, TimedOut: timedOut})
-		t.blockingObj(o, obs.KindWait, func() { m.acquire(t.num) }, func(ids.AccessSeq) {})
-		return timedOut
-	}
-
-	// Replay.
-	t.criticalObj(o, obs.KindWait, enter)
-	entry, ok := vm.schedIdx.ObjTimedWaits[tracelog.ObjEvent{Obj: o.id, Seq: c0}]
-	if !ok {
-		t.diverge("timed wait entered at %v access %d has no recorded resolution", o.id, c0)
-	}
-	if entry.Check {
-		t.criticalObj(o, obs.KindWait, func(ids.AccessSeq) {
-			if entry.TimedOut {
-				m.lock()
-				if !m.removeParked(p) {
-					m.unlock()
-					t.diverge("timed wait at %v access %d recorded a timeout but the waiter was already woken", o.id, c0)
-				}
-				m.unlock()
-			}
-			// Recorded as notified-despite-timer: the check found nothing;
-			// the replayed notify (ordered by the object counter) signals p.ch.
-		})
-	}
-	if !entry.TimedOut {
-		<-p.ch
-	}
-	t.blockingObj(o, obs.KindWait, func() { m.acquire(t.num) }, func(ids.AccessSeq) {})
-	return entry.TimedOut
+	t.blocking(s, obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
+	return timedOut
 }
 
 // timedWaitPassthrough is the uninstrumented semantics.
@@ -383,7 +285,8 @@ func (m *Monitor) removeParked(p *parked) bool {
 
 // Notify wakes one thread from the wait set; NotifyAll wakes all of them.
 // Record mode logs which threads were woken (keyed by the event's counter
-// value); replay consults the log and wakes exactly those threads.
+// value on the monitor's stream); replay consults the log and wakes exactly
+// those threads.
 func (m *Monitor) Notify(t *Thread) { m.notify(t, false) }
 
 // NotifyAll wakes every thread currently in the wait set.
@@ -391,35 +294,8 @@ func (m *Monitor) NotifyAll(t *Thread) { m.notify(t, true) }
 
 func (m *Monitor) notify(t *Thread, all bool) {
 	vm := t.vm
-	if o := m.shardFor(t); o != nil {
-		t.criticalObj(o, obs.KindNotify, func(seq ids.AccessSeq) {
-			m.lock()
-			if !m.held || m.holder != t.num {
-				m.unlock()
-				panic(&MonitorStateError{Op: "notify", Thread: t.num})
-			}
-			var woken []ids.ThreadNum
-			if vm.mode == ids.Replay {
-				for _, tn := range vm.schedIdx.ObjNotifies[tracelog.ObjEvent{Obj: o.id, Seq: seq}] {
-					p := m.takeWaiter(tn)
-					if p == nil {
-						m.unlock()
-						t.diverge("notify at %v access %d expected thread %d in wait set", o.id, seq, tn)
-					}
-					close(p.ch)
-					woken = append(woken, tn)
-				}
-			} else {
-				woken = m.wakeFIFOLocked(all)
-			}
-			m.unlock()
-			if vm.mode == ids.Record && len(woken) > 0 {
-				vm.logs.Schedule.Append(&tracelog.ObjNotify{Obj: o.id, Seq: seq, Woken: woken})
-			}
-		})
-		return
-	}
-	t.CriticalKind(obs.KindNotify, func(gc ids.GCount) {
+	s := t.streamFor(m.order)
+	t.critical(s, obs.KindNotify, func(n ids.GCount) {
 		m.lock()
 		if !m.held || m.holder != t.num {
 			m.unlock()
@@ -427,11 +303,11 @@ func (m *Monitor) notify(t *Thread, all bool) {
 		}
 		var woken []ids.ThreadNum
 		if vm.mode == ids.Replay {
-			for _, tn := range vm.schedIdx.Notifies[gc] {
+			for _, tn := range s.notified(n) {
 				p := m.takeWaiter(tn)
 				if p == nil {
 					m.unlock()
-					t.diverge("notify at gc %d expected thread %d in wait set", gc, tn)
+					t.diverge("notify at %s expected thread %d in wait set", s.at(n), tn)
 				}
 				close(p.ch)
 				woken = append(woken, tn)
@@ -441,7 +317,7 @@ func (m *Monitor) notify(t *Thread, all bool) {
 		}
 		m.unlock()
 		if vm.mode == ids.Record && len(woken) > 0 {
-			vm.logs.Schedule.Append(&tracelog.Notify{GC: gc, Woken: woken})
+			s.logNotify(n, woken)
 		}
 	})
 }

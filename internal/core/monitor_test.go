@@ -299,31 +299,39 @@ func TestCountNetworkEventModes(t *testing.T) {
 	}
 }
 
+// TestRemainingScheduled counts a thread's unreplayed events on every order
+// stream: under OrderSharded the ten accesses are on x's own stream, where a
+// count of the global schedule alone reads 0.
 func TestRemainingScheduled(t *testing.T) {
-	vm := startVM(t, Config{ID: 12, Mode: ids.Record})
-	var x SharedInt
-	vm.Start(func(main *Thread) {
-		for i := 0; i < 10; i++ {
-			x.Set(main, int64(i))
-		}
-	})
-	vm.Wait()
-	vm.Close()
+	for _, order := range []ids.OrderMode{ids.OrderGlobal, ids.OrderSharded} {
+		vm := startVM(t, Config{ID: 12, Mode: ids.Record, OrderMode: order})
+		var x SharedInt
+		x.Register(vm)
+		vm.Start(func(main *Thread) {
+			for i := 0; i < 10; i++ {
+				x.Set(main, int64(i))
+			}
+		})
+		vm.Wait()
+		vm.Close()
 
-	rep := startVM(t, Config{ID: 12, Mode: ids.Replay, ReplayLogs: vm.Logs()})
-	var remaining []uint64
-	rep.Start(func(main *Thread) {
-		remaining = append(remaining, main.RemainingScheduled())
-		x.Set(main, 0)
-		remaining = append(remaining, main.RemainingScheduled())
-		for i := 1; i < 10; i++ {
-			x.Set(main, int64(i))
+		rep := startVM(t, Config{ID: 12, Mode: ids.Replay, OrderMode: order, ReplayLogs: vm.Logs()})
+		var y SharedInt
+		y.Register(rep)
+		var remaining []uint64
+		rep.Start(func(main *Thread) {
+			remaining = append(remaining, main.RemainingScheduled())
+			y.Set(main, 0)
+			remaining = append(remaining, main.RemainingScheduled())
+			for i := 1; i < 10; i++ {
+				y.Set(main, int64(i))
+			}
+			remaining = append(remaining, main.RemainingScheduled())
+		})
+		rep.Wait()
+		rep.Close()
+		if remaining[0] != 10 || remaining[1] != 9 || remaining[2] != 0 {
+			t.Errorf("%v: RemainingScheduled sequence %v, want [10 9 0]", order, remaining)
 		}
-		remaining = append(remaining, main.RemainingScheduled())
-	})
-	rep.Wait()
-	rep.Close()
-	if remaining[0] != 10 || remaining[1] != 9 || remaining[2] != 0 {
-		t.Errorf("RemainingScheduled sequence %v, want [10 9 0]", remaining)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -328,6 +329,15 @@ func TestShardedStallDiverges(t *testing.T) {
 		}
 		if !strings.Contains(de.Msg, "stalled") || !strings.Contains(de.Msg, "obj0") {
 			t.Errorf("divergence message %q should name the stall and the object", de.Msg)
+		}
+		// The structured diagnostic names main parked on access 2 of obj0,
+		// like a global-stream stall names the counter.
+		want := ParkedThread{Thread: 0, Object: 0, Next: 2}
+		if len(de.Parked) != 1 || de.Parked[0] != want || de.Waiting[0] != 2 {
+			t.Errorf("stall diagnostic Parked=%v Waiting=%v, want main parked on %v", de.Parked, de.Waiting, want)
+		}
+		if !strings.Contains(de.Msg, fmt.Sprintf("parked threads: %v", de.Waiting)) || !strings.Contains(de.Msg, want.Awaited()) {
+			t.Errorf("divergence message %q disagrees with Waiting %v / Parked %v", de.Msg, de.Waiting, de.Parked)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("watchdog did not fire for a sharded stall")

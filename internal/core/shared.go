@@ -16,7 +16,7 @@ import (
 // modeling the unmodified JVM.
 type SharedInt struct {
 	v     int64
-	shard *objState // non-nil after Register on a sharded VM
+	order *stream // the variable's own order stream after Register on a sharded VM; nil: the VM's global one
 }
 
 // Register enrolls the variable for sharded order recording on vm (see
@@ -27,19 +27,10 @@ type SharedInt struct {
 // object's identity across phases is its registration rank. Registering the
 // same object twice panics.
 func (s *SharedInt) Register(vm *VM) {
-	if s.shard != nil {
+	if s.order != nil {
 		panic("core: SharedInt registered twice")
 	}
-	s.shard = vm.registerObject()
-}
-
-// shardFor reports the object-order state when thread t's VM shards this
-// variable, nil when the access must use the global mechanism.
-func (s *SharedInt) shardFor(t *Thread) *objState {
-	if o := s.shard; o != nil && o.vm == t.vm {
-		return o
-	}
-	return nil
+	s.order = vm.registerObject()
 }
 
 // Get reads the variable as a critical event of thread t.
@@ -50,11 +41,7 @@ func (s *SharedInt) Get(t *Thread) int64 {
 		return v
 	}
 	var out int64
-	if o := s.shardFor(t); o != nil {
-		t.criticalObj(o, obs.KindShared, func(ids.AccessSeq) { out = s.v })
-		return out
-	}
-	t.CriticalKind(obs.KindShared, func(ids.GCount) { out = s.v })
+	t.critical(t.streamFor(s.order), obs.KindShared, func(ids.GCount) { out = s.v })
 	return out
 }
 
@@ -65,11 +52,7 @@ func (s *SharedInt) Set(t *Thread, v int64) {
 		t.maybeYield()
 		return
 	}
-	if o := s.shardFor(t); o != nil {
-		t.criticalObj(o, obs.KindShared, func(ids.AccessSeq) { s.v = v })
-		return
-	}
-	t.CriticalKind(obs.KindShared, func(ids.GCount) { s.v = v })
+	t.critical(t.streamFor(s.order), obs.KindShared, func(ids.GCount) { s.v = v })
 }
 
 // Add atomically adds delta as a single critical event and returns the new
@@ -83,14 +66,7 @@ func (s *SharedInt) Add(t *Thread, delta int64) int64 {
 		return v
 	}
 	var out int64
-	if o := s.shardFor(t); o != nil {
-		t.criticalObj(o, obs.KindShared, func(ids.AccessSeq) {
-			s.v += delta
-			out = s.v
-		})
-		return out
-	}
-	t.CriticalKind(obs.KindShared, func(ids.GCount) {
+	t.critical(t.streamFor(s.order), obs.KindShared, func(ids.GCount) {
 		s.v += delta
 		out = s.v
 	})
@@ -119,25 +95,16 @@ func (s *SharedInt) Load() int64 {
 type SharedVar[T any] struct {
 	mu    sync.Mutex // passthrough-mode atomicity only
 	v     T
-	shard *objState // non-nil after Register on a sharded VM
+	order *stream // see SharedInt.order
 }
 
 // Register enrolls the variable for sharded order recording on vm; see
 // SharedInt.Register for the determinism contract.
 func (s *SharedVar[T]) Register(vm *VM) {
-	if s.shard != nil {
+	if s.order != nil {
 		panic("core: SharedVar registered twice")
 	}
-	s.shard = vm.registerObject()
-}
-
-// shardFor reports the object-order state when thread t's VM shards this
-// variable, nil when the access must use the global mechanism.
-func (s *SharedVar[T]) shardFor(t *Thread) *objState {
-	if o := s.shard; o != nil && o.vm == t.vm {
-		return o
-	}
-	return nil
+	s.order = vm.registerObject()
 }
 
 // Get reads the variable as a critical event of thread t.
@@ -150,11 +117,7 @@ func (s *SharedVar[T]) Get(t *Thread) T {
 		return v
 	}
 	var out T
-	if o := s.shardFor(t); o != nil {
-		t.criticalObj(o, obs.KindShared, func(ids.AccessSeq) { out = s.v })
-		return out
-	}
-	t.CriticalKind(obs.KindShared, func(ids.GCount) { out = s.v })
+	t.critical(t.streamFor(s.order), obs.KindShared, func(ids.GCount) { out = s.v })
 	return out
 }
 
@@ -167,11 +130,7 @@ func (s *SharedVar[T]) Set(t *Thread, v T) {
 		t.maybeYield()
 		return
 	}
-	if o := s.shardFor(t); o != nil {
-		t.criticalObj(o, obs.KindShared, func(ids.AccessSeq) { s.v = v })
-		return
-	}
-	t.CriticalKind(obs.KindShared, func(ids.GCount) { s.v = v })
+	t.critical(t.streamFor(s.order), obs.KindShared, func(ids.GCount) { s.v = v })
 }
 
 // Restore writes the variable without generating a critical event; see
@@ -202,14 +161,7 @@ func (s *SharedVar[T]) Update(t *Thread, fn func(T) T) T {
 		return v
 	}
 	var out T
-	if o := s.shardFor(t); o != nil {
-		t.criticalObj(o, obs.KindShared, func(ids.AccessSeq) {
-			s.v = fn(s.v)
-			out = s.v
-		})
-		return out
-	}
-	t.CriticalKind(obs.KindShared, func(ids.GCount) {
+	t.critical(t.streamFor(s.order), obs.KindShared, func(ids.GCount) {
 		s.v = fn(s.v)
 		out = s.v
 	})

@@ -128,3 +128,91 @@ func TestWaitingThreadsDiagnostic(t *testing.T) {
 	rep.Wait()
 	rep.Close()
 }
+
+// TestWaitingThreadsDiagnosticAcrossStreams stalls a sharded replay with one
+// thread parked on each of two objects' streams and one on the global stream:
+// a skipper thread omits its recorded accesses to x, y and the unregistered z.
+// WaitingThreads must report all three while they are parked, and every stall
+// error must list all three with the stream each waits on.
+func TestWaitingThreadsDiagnosticAcrossStreams(t *testing.T) {
+	run := func(cfg Config, skip bool, errs chan<- any) *VM {
+		vm, err := NewVM(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var x, y, z SharedInt
+		x.Register(vm)
+		y.Register(vm)
+		done := make(chan struct{})
+		guard := func(fn func(*Thread)) func(*Thread) {
+			return func(th *Thread) {
+				defer func() { errs <- recover() }()
+				fn(th)
+			}
+		}
+		vm.Start(guard(func(main *Thread) {
+			main.Spawn(guard(func(a *Thread) { <-done; x.Set(a, 2) })) // counter 0; thread 1
+			main.Spawn(guard(func(b *Thread) { <-done; y.Set(b, 2) })) // counter 1; thread 2
+			main.Spawn(guard(func(k *Thread) {                         // counter 2; thread 3
+				if !skip {
+					x.Set(k, 1) // access 0 of obj0
+					y.Set(k, 1) // access 0 of obj1
+					z.Set(k, 1) // counter 3
+				}
+				close(done)
+			}))
+			<-done
+			z.Set(main, 2) // counter 4
+		}))
+		return vm
+	}
+	recErrs := make(chan any, 4)
+	rec := run(Config{ID: 73, Mode: ids.Record, OrderMode: ids.OrderSharded}, false, recErrs)
+	rec.Wait()
+	rec.Close()
+
+	repErrs := make(chan any, 4)
+	rep := run(Config{
+		ID: 73, Mode: ids.Replay, OrderMode: ids.OrderSharded, ReplayLogs: rec.Logs(),
+		StallTimeout: 400 * time.Millisecond,
+	}, true, repErrs)
+	want := []ParkedThread{
+		{Thread: 0, Global: true, Next: 4},
+		{Thread: 1, Object: 0, Next: 1},
+		{Thread: 2, Object: 1, Next: 1},
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		w := rep.WaitingThreads()
+		if len(w) == 3 && w[0] == 4 && w[1] == 1 && w[2] == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("WaitingThreads() = %v, want main on counter 4 and threads 1, 2 on access 1 of their objects", w)
+		}
+	}
+	rep.Wait()
+	rep.Close()
+	stalls := 0
+	for i := 0; i < 4; i++ {
+		r := <-repErrs
+		if r == nil {
+			continue // the skipper returned normally
+		}
+		de, ok := r.(*DivergenceError)
+		if !ok {
+			t.Fatalf("recovered %v (%T), want *DivergenceError", r, r)
+		}
+		stalls++
+		if len(de.Parked) != len(want) {
+			t.Fatalf("thread %d: Parked = %v, want %v", de.Thread, de.Parked, want)
+		}
+		for j, p := range de.Parked {
+			if p != want[j] || de.Waiting[p.Thread] != p.Next || !strings.Contains(de.Msg, p.String()) {
+				t.Errorf("thread %d: Parked[%d] = %v (Waiting %v, Msg %q), want %v", de.Thread, j, p, de.Waiting, de.Msg, want[j])
+			}
+		}
+	}
+	if stalls != 3 {
+		t.Errorf("%d threads failed with the stall diagnostic, want 3", stalls)
+	}
+}

@@ -1,0 +1,611 @@
+package core
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/ids"
+	"repro/internal/obs"
+	"repro/internal/tracelog"
+)
+
+// stream is one order stream: a counter that ticks once per critical event,
+// the lock that makes tick + event one atomic operation while recording, the
+// one open run ⟨thread, first, last⟩ of consecutive ticks by a single thread,
+// and the replay turnstile that admits each counter value to the thread that
+// recorded it. It is the paper's whole mechanism (§2.2) — one counter, one
+// interval list, one wait-for-your-turn rule — and the runtime has exactly one
+// implementation of it, instantiated
+//
+//   - once per VM for the global counter (VM.global): every network,
+//     environment, thread-lifecycle and checkpoint event, and every access to
+//     an unregistered object, is an access to this one distinguished stream;
+//   - once per registered object under OrderSharded (Fu et al.'s distributed
+//     order recording): the object's accesses are ordered by its own counter,
+//     so threads touching disjoint objects record and replay concurrently.
+//
+// The two mechanisms compose because a thread takes part in one stream at a
+// time and every stream assigns counter values at event completion: any two
+// conflicting events share a stream and are ordered by its counter, and all
+// cross-stream order is induced through per-thread program order.
+//
+// What is paid per event is one lock round trip (record) or one counter load
+// (replay), the event itself, and one counter store. Everything else is per
+// run: the log record, the parked-successor lookup, the count publication.
+//
+// At most one run is open per stream. A run ends when another thread takes
+// the counter over, and the taker flushes it — so a stream's runs reach the
+// schedule log in counter order, and a thread parked in a long blocking event
+// never holds an unflushed run hostage: the next event on the stream, whoever
+// executes it, flushes it.
+//
+// Counter values are typed ids.GCount on every stream; on an object's stream
+// they are its ids.AccessSeq values, converted where log records are built.
+type stream struct {
+	// Fixed once the stream is set up, so this cache line is only ever read.
+	vm *VM
+	// slot is the stream's rank among the VM's streams: 0 is the global
+	// stream, slot-1 the ObjectID of a registered object. It also indexes each
+	// thread's cursor table.
+	slot int
+	// clock is the counter: the next value to be assigned (record) or
+	// admitted (replay). The global stream's word lives in obs.Metrics, alone
+	// on its cache line, where the clock gauge and the event total read it;
+	// an object's is own, below.
+	clock *atomic.Uint64
+	// Cadences of the global stream; nil/0 (holdMask: all ones) on every other.
+	//
+	// holdMask selects the events whose execution time is sampled into the
+	// GC-hold histogram — those with n&holdMask == 0. The histogram describes
+	// the global critical section, so an object's stream contributes nothing
+	// past its first event, and threads on disjoint objects never meet on the
+	// histogram's words. observer is Config.EventObserver. noteEvery is the
+	// open-run durability note cadence (events between notes) while a WAL is
+	// attached: each note snapshots the still-open run into the WAL so crash
+	// recovery can credit events no flushed interval covers yet. tsEvery is
+	// the sampled wall-clock stamp cadence of EnableTimestamps; stamps carry
+	// no schedule semantics.
+	holdMask  uint64
+	observer  func(thread ids.ThreadNum, gc ids.GCount)
+	noteEvery uint64
+	tsEvery   uint64
+	// waiters is the replay turnstile's table: a parked thread registers under
+	// the counter value it awaits; each value belongs to at most one thread,
+	// so advancing the counter wakes exactly the successor (the stall
+	// watchdog's broadcast is the only all-waiter wakeup). Guarded by mu.
+	waiters map[ids.GCount]*Thread
+
+	// mu is the critical-section lock. Record: counter tick + event execution
+	// are atomic under it. Replay: the recorded order admits one thread per
+	// counter value, so the schedule itself is the mutual exclusion and mu
+	// guards only the park/wake bookkeeping — except with an observer, whose
+	// events keep the section locked. Never held across a blocking operation
+	// and never nested with another stream's. parked counts the threads
+	// registered in waiters and is the cue for a thread ending a run to take
+	// mu and hand over the turn. Recorders waiting for mu fight over this
+	// cache line, so it holds nothing the lock's holder touches per event: the
+	// fields above and below sit on lines of their own (the struct is three
+	// lines long and allocated line-aligned).
+	mu     sync.Mutex
+	parked atomic.Int64
+	_      [48]byte
+
+	// What the thread whose turn it is writes: an object stream's counter
+	// word, and while recording the open run (guarded by mu). runs holds an
+	// object stream's recorded runs by thread, read-only after registration;
+	// the global stream's are handed to each thread at creation
+	// (VM.newThreadLocked).
+	own       atomic.Uint64
+	open      bool
+	runThread ids.ThreadNum
+	first     ids.GCount
+	last      ids.GCount
+	runs      map[ids.ThreadNum][]tracelog.Interval
+	_         [24]byte
+}
+
+// newStream allocates the VM's next stream. Caller holds streamsMu (or is
+// NewVM).
+func (vm *VM) newStream() *stream {
+	s := &stream{vm: vm, slot: len(vm.streams), holdMask: ^uint64(0)}
+	s.clock = &s.own
+	if vm.mode == ids.Replay {
+		s.waiters = make(map[ids.GCount]*Thread)
+	}
+	vm.streams = append(vm.streams, s)
+	return s
+}
+
+// registerObject gives a shared object its own order stream. Outside sharded
+// record/replay it returns nil — the object stays on the global stream — and
+// consumes no ObjectID, so applications can register unconditionally and
+// select the mode in the config.
+//
+// Registration contract: objects must be registered in a deterministic order —
+// the same in the record and the replay run — and before the threads that
+// access them start. ObjectIDs are assigned sequentially, so registration
+// order is what makes an object's identity stable across phases (the way
+// creation order makes ThreadNum stable).
+func (vm *VM) registerObject() *stream {
+	if vm.orderMode != ids.OrderSharded || vm.mode == ids.Passthrough {
+		return nil
+	}
+	vm.streamsMu.Lock()
+	defer vm.streamsMu.Unlock()
+	s := vm.newStream()
+	if vm.mode == ids.Replay {
+		s.runs = make(map[ids.ThreadNum][]tracelog.Interval)
+		for _, r := range vm.schedIdx.ObjRuns[s.obj()] {
+			s.runs[r.Thread] = append(s.runs[r.Thread],
+				tracelog.Interval{Thread: r.Thread, First: ids.GCount(r.First), Last: ids.GCount(r.Last)})
+		}
+	}
+	return s
+}
+
+// allStreams snapshots the VM's streams, the global one first.
+func (vm *VM) allStreams() []*stream {
+	vm.streamsMu.Lock()
+	defer vm.streamsMu.Unlock()
+	return append([]*stream(nil), vm.streams...)
+}
+
+// ObjectCount reports how many objects have been registered for sharded
+// ordering (0 outside sharded mode).
+func (vm *VM) ObjectCount() int {
+	vm.streamsMu.Lock()
+	defer vm.streamsMu.Unlock()
+	return len(vm.streams) - 1
+}
+
+// streamFor resolves a primitive's stream: the object's own when it was
+// registered on this thread's VM, the VM's global stream otherwise.
+func (t *Thread) streamFor(s *stream) *stream {
+	if s != nil && s.vm == t.vm {
+		return s
+	}
+	return t.vm.global
+}
+
+// cursor walks one thread's recorded runs of one stream. Only the owning
+// thread touches it. While ri < len(runs), pos is the thread's next recorded
+// counter value on the stream and last the Last of the run it lies in.
+type cursor struct {
+	runs      []tracelog.Interval
+	ri        int
+	pos, last ids.GCount
+}
+
+func newCursor(runs []tracelog.Interval) *cursor {
+	c := &cursor{runs: runs}
+	if len(runs) > 0 {
+		c.pos, c.last = runs[0].First, runs[0].Last
+	}
+	return c
+}
+
+// advance moves past the event just executed.
+func (c *cursor) advance() {
+	c.pos++
+	if c.pos > c.last {
+		if c.ri++; c.ri < len(c.runs) {
+			c.pos, c.last = c.runs[c.ri].First, c.runs[c.ri].Last
+		}
+	}
+}
+
+// remaining counts the recorded events not yet replayed.
+func (c *cursor) remaining() uint64 {
+	var total uint64
+	for i := c.ri; i < len(c.runs); i++ {
+		first := c.runs[i].First
+		if i == c.ri {
+			first = c.pos
+		}
+		total += uint64(c.runs[i].Last-first) + 1
+	}
+	return total
+}
+
+// cursor returns the thread's cursor over s, built from the stream's recorded
+// runs on first use.
+func (t *Thread) cursor(s *stream) *cursor {
+	if s.slot < len(t.cursors) {
+		if c := t.cursors[s.slot]; c != nil {
+			return c
+		}
+	}
+	for len(t.cursors) <= s.slot {
+		t.cursors = append(t.cursors, nil)
+	}
+	c := newCursor(s.runs[t.num])
+	t.cursors[s.slot] = c
+	return c
+}
+
+// endOfSchedule resolves a replay attempt beyond the thread's recorded events
+// on s: a clean stop under StopAtLogEnd (crash-recovery replay reached the
+// crash point), a divergence otherwise. Never returns.
+func (t *Thread) endOfSchedule(s *stream, what string) {
+	if t.vm.stopAtLogEnd {
+		panic(replayLogEnd{})
+	}
+	t.diverge("%s attempted beyond the recorded schedule of the %s", what, s.name())
+}
+
+// critical executes op as one non-blocking critical event of stream s; see
+// Thread.Critical for the per-mode discipline.
+func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
+	switch t.vm.mode {
+	case ids.Passthrough:
+		op(0)
+		t.maybeYield()
+	case ids.Record:
+		t.recordEvent(s, kind, op)
+		t.maybeYield()
+	case ids.Replay:
+		c := t.cursor(s)
+		if c.ri == len(c.runs) {
+			t.endOfSchedule(s, "critical event")
+		}
+		t.replayEvent(s, c, kind, op)
+		c.advance()
+	}
+}
+
+// blocking executes a blocking critical event of stream s: op runs outside
+// the critical section and the event is marked, and its counter value
+// assigned, at completion; see Thread.Blocking.
+func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(ids.GCount)) {
+	switch t.vm.mode {
+	case ids.Passthrough:
+		op()
+		t.maybeYield()
+	case ids.Record:
+		t.publishCounts()
+		op()
+		t.recordEvent(s, kind, mark)
+		t.maybeYield()
+	case ids.Replay:
+		c := t.cursor(s)
+		if c.ri == len(c.runs) {
+			t.endOfSchedule(s, "blocking critical event")
+		}
+		// Wait for the turn first, without executing anything: every event op
+		// causally depends on carries a smaller counter value (values are
+		// assigned at completion), so once this one is admitted op cannot
+		// block indefinitely.
+		if ids.GCount(s.clock.Load()) != c.pos {
+			s.await(t, c.pos)
+		}
+		t.publishCounts()
+		op()
+		// Only this thread may advance the counter past c.pos, so the turn
+		// check in replayEvent passes immediately.
+		t.replayEvent(s, c, kind, mark)
+		c.advance()
+	}
+}
+
+// tick executes op as the event with counter value n and advances the
+// counter. Record calls it under mu; replay calls it on its turn, which is as
+// exclusive. If op panics (a MonitorStateError the application recovers from,
+// say) the counter has not ticked: it is as if the event never happened.
+func (s *stream) tick(t *Thread, n ids.GCount, op func(ids.GCount)) {
+	sampled := uint64(n)&s.holdMask == 0
+	var start time.Time
+	if sampled {
+		start = time.Now()
+	}
+	op(n)
+	if s.observer != nil {
+		s.observer(t.num, n)
+	}
+	if sampled {
+		s.vm.metrics.ObserveGCHold(time.Since(start))
+	}
+	s.clock.Store(uint64(n) + 1)
+}
+
+// lockedTick is tick inside the critical section — the replay of an observed
+// stream, preserving the EventObserver contract that callbacks are totally
+// ordered under the lock and that the stall watchdog's progress probe
+// serializes behind a blocking callback.
+func (s *stream) lockedTick(t *Thread, n ids.GCount, op func(ids.GCount)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tick(t, n, op)
+}
+
+// recordEvent is the critical section of the record phase: counter update and
+// event execution as one atomic operation (§2.2), then the run bookkeeping.
+// The deferred unlock keeps the stream consistent when op panics.
+func (t *Thread) recordEvent(s *stream, kind obs.EventKind, op func(ids.GCount)) {
+	fast := s.mu.TryLock()
+	if !fast {
+		s.mu.Lock()
+	}
+	defer s.mu.Unlock()
+	n := ids.GCount(s.clock.Load())
+	s.tick(t, n, op)
+	s.countAcquire(t, fast)
+	t.countEvent(kind)
+	if s.open && s.runThread == t.num {
+		s.last = n
+	} else {
+		// Another thread's event broke consecutiveness: its run is complete,
+		// and this thread's counts so far belong to a finished run of its own.
+		s.flushLocked()
+		s.open, s.runThread, s.first, s.last = true, t.num, n, n
+		t.publishCounts()
+	}
+	if s.noteEvery != 0 && (uint64(n)+1)%s.noteEvery == 0 {
+		// The open run contains n, so it has grown since any earlier note; the
+		// note claims only events whose records precede it in the WAL stream.
+		s.vm.logs.Schedule.Append(&tracelog.OpenInterval{Thread: s.runThread, First: s.first, Last: s.last})
+	}
+	if s.tsEvery != 0 && (uint64(n)+1)%s.tsEvery == 0 {
+		s.vm.appendTimestampLocked(n + 1)
+	}
+}
+
+// replayEvent waits for the event's turn, executes it, and advances the
+// counter (§2.2).
+//
+// The thread touches one shared word per event, the counter: until it
+// advances the counter no other thread may execute an event on this stream,
+// and threads replaying other streams proceed concurrently. Everything else
+// happens once per run. A thread can only be parked on the first value of one
+// of its own runs, and the value after any event but the run's Last is this
+// thread's own; so only the Last event looks for a parked successor, and that
+// is also where the thread publishes its event counts.
+func (t *Thread) replayEvent(s *stream, c *cursor, kind obs.EventKind, op func(ids.GCount)) {
+	next := c.pos
+	fast := ids.GCount(s.clock.Load()) == next
+	if !fast {
+		s.await(t, next)
+	}
+	if s.observer == nil {
+		s.tick(t, next, op)
+	} else {
+		s.lockedTick(t, next, op)
+	}
+	s.countAcquire(t, fast)
+	t.countEvent(kind)
+	if next != c.last {
+		return
+	}
+	// Store-buffering pairing with await: the counter store in tick is
+	// sequenced before this parked load, and a waiter publishes its parked
+	// count before re-checking the counter — so either the waiter is visible
+	// here, or it sees the advanced counter and never parks.
+	if s.parked.Load() != 0 {
+		s.mu.Lock()
+		s.wakeLocked(s.waiters[next+1])
+		s.mu.Unlock()
+	}
+	t.publishCounts()
+}
+
+// wakeLocked hands a parked thread its wake token. The registration stays in
+// place — the woken thread unregisters itself once it reacquires mu. Caller
+// holds mu.
+func (s *stream) wakeLocked(t *Thread) {
+	if t != nil {
+		select {
+		case t.turnCh <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// await parks the thread until the stream's counter reaches next, without
+// executing anything, registering it for successor-directed wakeup (and with
+// it the stall watchdog) and feeding the sampled turn-wait histogram. A
+// thread's turnCh serves every stream — it waits on at most one at a time and
+// the loop re-checks its condition, so a stale token costs one iteration.
+func (s *stream) await(t *Thread, next ids.GCount) {
+	vm := s.vm
+	s.mu.Lock()
+	if ids.GCount(s.clock.Load()) == next {
+		s.mu.Unlock()
+		return // its turn already: no wait to observe
+	}
+	sampled := uint64(next)&vm.sampleMask == 0
+	var start time.Time
+	if sampled {
+		start = time.Now()
+	}
+	// Publish the parked count before re-checking the counter: a lock-free
+	// advancer that misses it must have stored the new value first, which the
+	// loop's re-check then sees (pairing in replayEvent).
+	s.parked.Add(1)
+	vm.metrics.IncParked()
+	for ids.GCount(s.clock.Load()) != next {
+		if vm.stalled.Load() {
+			s.parked.Add(-1)
+			vm.metrics.DecParked()
+			s.mu.Unlock()
+			panic(vm.stallError(t, s, next))
+		}
+		s.waiters[next] = t
+		s.mu.Unlock()
+		<-t.turnCh
+		s.mu.Lock()
+		delete(s.waiters, next)
+	}
+	s.parked.Add(-1)
+	vm.metrics.DecParked()
+	s.mu.Unlock()
+	if sampled {
+		vm.metrics.ObserveTurnWait(time.Since(start))
+	}
+}
+
+// ParkedThread is one replaying thread parked on an order stream's turnstile.
+type ParkedThread struct {
+	Thread ids.ThreadNum
+	// Global is true when the thread waits on the VM's global counter;
+	// otherwise Object is the registered object whose access order it waits on.
+	Global bool
+	Object ids.ObjectID
+	// Next is the counter value the thread waits for: a global counter value,
+	// or an access sequence number of Object.
+	Next ids.GCount
+}
+
+// Awaited names what the thread waits for: "counter 7" on the global stream,
+// "access 7 of obj2" on an object's.
+func (p ParkedThread) Awaited() string {
+	if p.Global {
+		return fmt.Sprintf("counter %d", p.Next)
+	}
+	return fmt.Sprintf("access %d of %v", p.Next, p.Object)
+}
+
+func (p ParkedThread) String() string {
+	return fmt.Sprintf("thread %d: %s", p.Thread, p.Awaited())
+}
+
+// parkedThreads lists the threads parked on any stream, in no particular order.
+func (vm *VM) parkedThreads() []ParkedThread {
+	var out []ParkedThread
+	for _, s := range vm.allStreams() {
+		s.mu.Lock()
+		for n, t := range s.waiters {
+			out = append(out, s.parkedAt(t.num, n))
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
+// stallError builds the diagnostic a thread fails with when the watchdog has
+// declared the replay stalled while it waits for next on s: every thread that
+// was parked at detection, on whichever stream, and this one. It is the one
+// place stall errors are built; the caller holds no stream lock.
+func (vm *VM) stallError(t *Thread, s *stream, next ids.GCount) *DivergenceError {
+	self := s.parkedAt(t.num, next)
+	parked := []ParkedThread{self} // listed even if it parked after detection
+	for _, p := range vm.stallParked {
+		if p.Thread != t.num {
+			parked = append(parked, p)
+		}
+	}
+	sort.Slice(parked, func(i, j int) bool { return parked[i].Thread < parked[j].Thread })
+	waiting := make(map[ids.ThreadNum]ids.GCount, len(parked))
+	for _, p := range parked {
+		waiting[p.Thread] = p.Next
+	}
+	gc := vm.Clock()
+	return &DivergenceError{
+		VM:     vm.id,
+		Thread: t.num,
+		Msg: fmt.Sprintf("replay stalled at counter %d; this thread waits for %s (parked threads: %v; each waits for: %v)",
+			gc, self.Awaited(), waiting, parked),
+		GC:      gc,
+		Waiting: waiting,
+		Parked:  parked,
+	}
+}
+
+// The methods below are where the two record families meet the one engine:
+// which log records a stream writes or looks up (Interval/Notify/
+// TimedWaitEntry keyed by global counter, or ObjRun/ObjNotify/ObjTimedWait
+// keyed by ⟨object, accessSeq⟩) and which obs counters it bumps. Nothing on
+// the event path — record, replay, await, wake, cursor — asks.
+
+func (s *stream) isGlobal() bool    { return s.slot == 0 }
+func (s *stream) obj() ids.ObjectID { return ids.ObjectID(s.slot - 1) }
+
+func (s *stream) parkedAt(t ids.ThreadNum, n ids.GCount) ParkedThread {
+	if s.isGlobal() {
+		return ParkedThread{Thread: t, Global: true, Next: n}
+	}
+	return ParkedThread{Thread: t, Object: s.obj(), Next: n}
+}
+
+// at names counter value n of the stream in divergence messages.
+func (s *stream) at(n ids.GCount) string { return s.parkedAt(0, n).Awaited() }
+
+// name is the stream's name in divergence messages.
+func (s *stream) name() string {
+	if s.isGlobal() {
+		return "global counter"
+	}
+	return s.obj().String()
+}
+
+// countAcquire accounts one executed event to the sharded-order counters when
+// s is an object's stream: the thread's program-order count, and whether the
+// object was acquired without waiting. Global-stream events need neither —
+// their total is the counter word itself.
+func (s *stream) countAcquire(t *Thread, fast bool) {
+	if s.isGlobal() {
+		return
+	}
+	t.progSeq++
+	if fast {
+		t.pendingFast++
+	} else {
+		t.pendingContended++
+	}
+}
+
+// flushLocked appends the open run, if any, to the schedule log. Caller holds
+// mu; per-stream append order is counter order, which BuildScheduleIndex
+// validates per object (and, for intervals, per thread).
+func (s *stream) flushLocked() {
+	if !s.open {
+		return
+	}
+	s.open = false
+	if s.isGlobal() {
+		s.vm.logs.Schedule.Append(&tracelog.Interval{Thread: s.runThread, First: s.first, Last: s.last})
+		s.vm.metrics.IncInterval()
+		return
+	}
+	s.vm.logs.Schedule.Append(&tracelog.ObjRun{
+		Obj: s.obj(), Thread: s.runThread, First: ids.AccessSeq(s.first), Last: ids.AccessSeq(s.last),
+	})
+	s.vm.metrics.IncObjRun()
+}
+
+// logNotify records which threads the notify event at n woke.
+func (s *stream) logNotify(n ids.GCount, woken []ids.ThreadNum) {
+	if s.isGlobal() {
+		s.vm.logs.Schedule.Append(&tracelog.Notify{GC: n, Woken: woken})
+		return
+	}
+	s.vm.logs.Schedule.Append(&tracelog.ObjNotify{Obj: s.obj(), Seq: ids.AccessSeq(n), Woken: woken})
+}
+
+// notified reports which threads the recorded notify event at n woke.
+func (s *stream) notified(n ids.GCount) []ids.ThreadNum {
+	if s.isGlobal() {
+		return s.vm.schedIdx.Notifies[n]
+	}
+	return s.vm.schedIdx.ObjNotifies[tracelog.ObjEvent{Obj: s.obj(), Seq: ids.AccessSeq(n)}]
+}
+
+// logTimedWait records how the timed wait entered at n resolved.
+func (s *stream) logTimedWait(n ids.GCount, check, timedOut bool) {
+	if s.isGlobal() {
+		s.vm.logs.Schedule.Append(&tracelog.TimedWaitEntry{GC: n, Check: check, TimedOut: timedOut})
+		return
+	}
+	s.vm.logs.Schedule.Append(&tracelog.ObjTimedWait{Obj: s.obj(), Seq: ids.AccessSeq(n), Check: check, TimedOut: timedOut})
+}
+
+// timedWait looks up how the recorded timed wait entered at n resolved.
+func (s *stream) timedWait(n ids.GCount) (check, timedOut, ok bool) {
+	if s.isGlobal() {
+		e, ok := s.vm.schedIdx.TimedWaits[n]
+		return e.Check, e.TimedOut, ok
+	}
+	e, ok := s.vm.schedIdx.ObjTimedWaits[tracelog.ObjEvent{Obj: s.obj(), Seq: ids.AccessSeq(n)}]
+	return e.Check, e.TimedOut, ok
+}

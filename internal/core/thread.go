@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/obs"
-	"repro/internal/tracelog"
 )
 
 // Thread is one application thread of a DJVM. Threads are created in the
@@ -25,27 +24,13 @@ type Thread struct {
 	// goroutine touches it.
 	eventNum ids.EventNum
 
-	// Record-mode logical-schedule-interval state, guarded by vm.mu (every
-	// mutation happens inside the GC-critical section).
-	intFirst ids.GCount
-	intLast  ids.GCount
-	intOpen  bool
-	finished bool
-
-	// Last open-interval durability note written for this thread (WAL crash
-	// recovery; see VM.noteOpenIntervalsLocked). Guarded by vm.mu.
-	noted     bool
-	noteFirst ids.GCount
-	noteLast  ids.GCount
-
-	// Replay-mode schedule cursor. Only the owning goroutine touches it.
-	schedule []tracelog.Interval
-	si       int
-	pos      ids.GCount
-	posInit  bool
+	// Replay-mode schedule cursors, indexed by stream slot: the global
+	// stream's is built at thread creation, an object's on first access.
+	// Only the owning goroutine touches them.
+	cursors []*cursor
 
 	// turnCh delivers this thread's wake token when its awaited counter
-	// value is reached (successor-directed wakeup; see VM.turnWaiters).
+	// value is reached (successor-directed wakeup; see stream.waiters).
 	// Buffered so the waker never blocks; at most one token is ever
 	// outstanding because each counter value has a single waiter.
 	turnCh chan struct{}
@@ -71,8 +56,7 @@ type Thread struct {
 	pendingFast      uint32
 	pendingContended uint32
 
-	// done is closed when the thread's function returns (after its final
-	// interval is flushed); Join blocks on it.
+	// done is closed when the thread's function returns; Join blocks on it.
 	done chan struct{}
 }
 
@@ -103,7 +87,7 @@ const publishBatch = 1024
 
 // countEvent counts one executed critical event of the thread locally,
 // publishing when an unbroken run fills a batch. Callers tick the event's
-// counter (global clock or object sequence) first.
+// stream counter first.
 func (t *Thread) countEvent(kind obs.EventKind) {
 	if int(kind) >= obs.NumEventKinds {
 		kind = obs.KindOther
@@ -116,7 +100,7 @@ func (t *Thread) countEvent(kind obs.EventKind) {
 }
 
 // publishCounts moves the thread's locally counted events into the VM's
-// metrics: at every interval or obj-run boundary the thread itself crosses,
+// metrics: at every run boundary the thread itself crosses,
 // before an operation that may block, when a batch fills, and when the thread
 // exits by any path. Owning goroutine only.
 func (t *Thread) publishCounts() {
@@ -178,9 +162,12 @@ type DivergenceError struct {
 	// the anchor the causal analyzer's WhyDiverged walks backwards from.
 	GC ids.GCount
 	// Waiting maps each parked thread to the counter value it was waiting
-	// for when the divergence was detected (nil when no threads were parked
-	// or the failure was not a stall).
+	// for — on whichever order stream it was parked — when the divergence was
+	// detected (nil when the failure was not a stall).
 	Waiting map[ids.ThreadNum]ids.GCount
+	// Parked lists the same threads by thread number, each with the stream it
+	// was parked on: in sharded mode a bare counter value does not say whose.
+	Parked []ParkedThread
 }
 
 func (e *DivergenceError) Error() string {
@@ -192,7 +179,7 @@ func (t *Thread) diverge(format string, args ...any) {
 		VM:     t.vm.id,
 		Thread: t.num,
 		Msg:    fmt.Sprintf(format, args...),
-		GC:     ids.GCount(t.vm.clock.Load()),
+		GC:     t.vm.Clock(),
 	})
 }
 
@@ -200,16 +187,6 @@ func (t *Thread) diverge(format string, args ...any) {
 // function when it runs out of recorded schedule under Config.StopAtLogEnd;
 // VM.launch absorbs it and winds the thread down as a normal return.
 type replayLogEnd struct{}
-
-// endOfSchedule resolves a replay attempt beyond the recorded schedule:
-// a clean stop under StopAtLogEnd (crash-recovery replay reached the crash
-// point), a divergence otherwise. Never returns.
-func (t *Thread) endOfSchedule(what string) {
-	if t.vm.stopAtLogEnd {
-		panic(replayLogEnd{})
-	}
-	t.diverge("%s attempted beyond recorded schedule", what)
-}
 
 // Critical executes op as one non-blocking critical event.
 //
@@ -232,196 +209,7 @@ func (t *Thread) Critical(op func(gc ids.GCount)) {
 // CriticalKind is Critical with an explicit event-kind tag for the per-kind
 // counters of the observability layer.
 func (t *Thread) CriticalKind(kind obs.EventKind, op func(gc ids.GCount)) {
-	vm := t.vm
-	switch vm.mode {
-	case ids.Passthrough:
-		op(0)
-		t.maybeYield()
-	case ids.Record:
-		vm.recordEvent(t, kind, op)
-		t.maybeYield()
-	case ids.Replay:
-		next, ok := t.nextScheduled()
-		if !ok {
-			t.endOfSchedule("critical event")
-		}
-		vm.replayEvent(t, kind, next, op)
-		t.advanceCursor()
-	}
-}
-
-// recordEvent is the GC-critical section of the record phase: counter update
-// and event execution as one atomic operation (§2.2). The deferred unlock
-// keeps the VM consistent when op panics (e.g. a MonitorStateError the
-// application recovers from): the counter has not ticked and no interval was
-// extended, as if the event never happened.
-func (vm *VM) recordEvent(t *Thread, kind obs.EventKind, op func(gc ids.GCount)) {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	gc := ids.GCount(vm.clock.Load())
-	sampled := uint64(gc)&vm.sampleMask == 0
-	var start time.Time
-	if sampled {
-		start = time.Now()
-	}
-	op(gc)
-	if vm.observer != nil {
-		vm.observer(t.num, gc)
-	}
-	if sampled {
-		vm.metrics.ObserveGCHold(time.Since(start))
-	}
-	vm.clock.Store(uint64(gc) + 1)
-	t.countEvent(kind)
-	t.extendIntervalLocked(gc)
-	if vm.noteEvery != 0 && (uint64(gc)+1)%vm.noteEvery == 0 {
-		vm.noteOpenIntervalsLocked()
-	}
-	if vm.tsEvery != 0 && (uint64(gc)+1)%vm.tsEvery == 0 {
-		vm.appendTimestampLocked(gc + 1)
-	}
-}
-
-// replayEvent waits for the event's turn, executes it, and advances the
-// counter (§2.2).
-//
-// With no EventObserver installed the thread touches one shared word per
-// event, the counter: the recorded schedule admits exactly one thread per
-// counter value, so until this thread advances the clock no other thread may
-// execute a critical event — the schedule itself provides the mutual
-// exclusion. Everything else happens once per interval. A thread can only be
-// parked on the first value of one of its own intervals, and the value after
-// any event but the interval's Last is this thread's own; so only the Last
-// event looks for a parked successor (taking mu to hand it the wake token),
-// and that is also where the thread publishes its event counts. With an
-// observer the event keeps the GC-critical section locked, preserving the
-// documented contract that the stall watchdog's progress probe serializes
-// behind a blocking callback.
-func (vm *VM) replayEvent(t *Thread, kind obs.EventKind, next ids.GCount, op func(gc ids.GCount)) {
-	if vm.observer == nil {
-		if ids.GCount(vm.clock.Load()) != next {
-			vm.awaitTurn(t, next)
-		}
-		sampled := uint64(next)&vm.sampleMask == 0
-		var start time.Time
-		if sampled {
-			start = time.Now()
-		}
-		op(next)
-		if sampled {
-			vm.metrics.ObserveGCHold(time.Since(start))
-		}
-		after := uint64(next) + 1
-		vm.clock.Store(after)
-		t.countEvent(kind)
-		if next != t.schedule[t.si].Last {
-			return
-		}
-		// Store-buffering pairing with waitTurnLocked: the clock store above
-		// is sequenced before this parked load, and a waiter publishes its
-		// parked count before re-checking the clock — so either the waiter is
-		// visible here, or it sees the advanced clock and never parks.
-		if vm.parked.Load() != 0 {
-			vm.mu.Lock()
-			vm.wakeTurnLocked(ids.GCount(after))
-			vm.mu.Unlock()
-		}
-		t.publishCounts()
-		return
-	}
-
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	vm.waitTurnLocked(t, next)
-	sampled := uint64(next)&vm.sampleMask == 0
-	var start time.Time
-	if sampled {
-		start = time.Now()
-	}
-	op(next)
-	vm.observer(t.num, next)
-	if sampled {
-		vm.metrics.ObserveGCHold(time.Since(start))
-	}
-	after := uint64(next) + 1
-	vm.clock.Store(after)
-	t.countEvent(kind)
-	vm.wakeTurnLocked(ids.GCount(after))
-	if next == t.schedule[t.si].Last {
-		t.publishCounts()
-	}
-}
-
-// wakeTurnLocked hands the turn to the thread whose recorded event is gc, if
-// one is parked. At most one thread ever waits per counter value, so this
-// wakes exactly the successor; the watchdog's stall broadcast is the only
-// all-waiter wakeup. The registration stays in place — the woken thread
-// unregisters itself once it reacquires mu. Caller holds vm.mu.
-func (vm *VM) wakeTurnLocked(gc ids.GCount) {
-	if t := vm.turnWaiters[gc]; t != nil {
-		select {
-		case t.turnCh <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// awaitTurn blocks until the global counter reaches next without executing
-// anything — the first half of a replayed blocking event.
-func (vm *VM) awaitTurn(t *Thread, next ids.GCount) {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	vm.waitTurnLocked(t, next)
-}
-
-// waitTurnLocked parks the thread until the global counter reaches next,
-// registering it in the successor-directed wakeup table (and with it the
-// stall watchdog) and feeding the sampled turn-wait latency histogram.
-// Caller holds vm.mu.
-func (vm *VM) waitTurnLocked(t *Thread, next ids.GCount) {
-	if ids.GCount(vm.clock.Load()) == next {
-		return // its turn already: no wait to observe
-	}
-	sampled := uint64(next)&vm.sampleMask == 0
-	var start time.Time
-	if sampled {
-		start = time.Now()
-	}
-	// Publish the parked count before re-checking the clock: a lock-free
-	// advancer that misses it must have stored the new clock value first,
-	// which the loop's re-check then sees (pairing in replayEvent).
-	vm.parked.Add(1)
-	vm.metrics.IncParked()
-	for ids.GCount(vm.clock.Load()) != next {
-		if vm.stalled.Load() {
-			vm.parked.Add(-1)
-			vm.metrics.DecParked()
-			waiting := vm.waitingLocked()
-			if waiting == nil {
-				waiting = make(map[ids.ThreadNum]ids.GCount, 1)
-			}
-			waiting[t.num] = next // this thread is not in turnWaiters yet
-			gc := ids.GCount(vm.clock.Load())
-			panic(&DivergenceError{
-				VM:     vm.id,
-				Thread: t.num,
-				Msg: fmt.Sprintf("replay stalled at counter %d; this thread waits for counter %d (parked threads: %v)",
-					gc, next, waiting),
-				GC:      gc,
-				Waiting: waiting,
-			})
-		}
-		vm.turnWaiters[next] = t
-		vm.mu.Unlock()
-		<-t.turnCh
-		vm.mu.Lock()
-		delete(vm.turnWaiters, next)
-	}
-	vm.parked.Add(-1)
-	vm.metrics.DecParked()
-	if sampled {
-		vm.metrics.ObserveTurnWait(time.Since(start))
-	}
+	t.critical(t.vm.global, kind, op)
 }
 
 // Blocking executes a critical event with blocking semantics, following the
@@ -452,32 +240,7 @@ func (t *Thread) Blocking(op func(), mark func(gc ids.GCount)) {
 // BlockingKind is Blocking with an explicit event-kind tag for the per-kind
 // counters of the observability layer.
 func (t *Thread) BlockingKind(kind obs.EventKind, op func(), mark func(gc ids.GCount)) {
-	vm := t.vm
-	switch vm.mode {
-	case ids.Passthrough:
-		op()
-		t.maybeYield()
-	case ids.Record:
-		t.publishCounts()
-		op()
-		vm.recordEvent(t, kind, mark)
-		t.maybeYield()
-	case ids.Replay:
-		next, ok := t.nextScheduled()
-		if !ok {
-			t.endOfSchedule("blocking critical event")
-		}
-		if ids.GCount(vm.clock.Load()) != next {
-			vm.awaitTurn(t, next)
-		}
-		t.publishCounts()
-		op()
-		// Only this thread may advance the counter past next, so the inner
-		// turn check in replayEvent passes immediately; the shared path keeps
-		// the panic-safety discipline in one place.
-		vm.replayEvent(t, kind, next, mark)
-		t.advanceCursor()
-	}
+	t.blocking(t.vm.global, kind, op, mark)
 }
 
 // CountNetworkEvent bumps the VM's network-event counter (the "#nw events"
@@ -540,92 +303,15 @@ func (t *Thread) Spawn(fn func(t *Thread)) *Thread {
 	return child
 }
 
-// extendIntervalLocked folds one critical event into the thread's current
-// logical schedule interval, flushing the previous interval — and publishing
-// the thread's event counts — when another thread's event broke
-// consecutiveness (§2.2). Caller holds vm.mu and runs on t's goroutine.
-func (t *Thread) extendIntervalLocked(gc ids.GCount) {
-	if t.intOpen && gc == t.intLast+1 {
-		t.intLast = gc
-		return
-	}
-	t.flushIntervalLocked()
-	t.intFirst, t.intLast, t.intOpen = gc, gc, true
-	t.publishCounts()
-}
-
-// flushIntervalLocked appends the open interval, if any, to the schedule log.
-// Caller holds vm.mu.
-func (t *Thread) flushIntervalLocked() {
-	if !t.intOpen {
-		return
-	}
-	t.intOpen = false
-	if t.vm.logs != nil {
-		t.vm.logs.Schedule.Append(&tracelog.Interval{
-			Thread: t.num,
-			First:  t.intFirst,
-			Last:   t.intLast,
-		})
-		t.vm.metrics.IncInterval()
-	}
-}
-
-// finish closes the thread's record-mode interval state. Idempotent; called
-// when the thread function returns and again defensively from VM.Close.
-func (t *Thread) finish() {
-	vm := t.vm
-	if vm.mode != ids.Record {
-		return
-	}
-	vm.mu.Lock()
-	if !t.finished {
-		t.finished = true
-		t.flushIntervalLocked()
-	}
-	vm.mu.Unlock()
-}
-
-// nextScheduled reports the counter value of this thread's next recorded
-// critical event.
-func (t *Thread) nextScheduled() (ids.GCount, bool) {
-	for t.si < len(t.schedule) {
-		iv := t.schedule[t.si]
-		if !t.posInit {
-			t.pos = iv.First
-			t.posInit = true
-		}
-		if t.pos <= iv.Last {
-			return t.pos, true
-		}
-		t.si++
-		t.posInit = false
-	}
-	return 0, false
-}
-
-// advanceCursor moves past the critical event just executed.
-func (t *Thread) advanceCursor() {
-	t.pos++
-	if t.si < len(t.schedule) && t.pos > t.schedule[t.si].Last {
-		t.si++
-		t.posInit = false
-	}
-}
-
 // RemainingScheduled reports how many recorded critical events this thread
-// has not yet replayed. Zero for non-replay modes.
+// has not yet replayed, on every order stream. Zero for non-replay modes.
 func (t *Thread) RemainingScheduled() uint64 {
+	if t.vm.mode != ids.Replay {
+		return 0
+	}
 	var total uint64
-	for i := t.si; i < len(t.schedule); i++ {
-		iv := t.schedule[i]
-		first := iv.First
-		if i == t.si && t.posInit {
-			first = t.pos
-		}
-		if first <= iv.Last {
-			total += uint64(iv.Last-first) + 1
-		}
+	for _, s := range t.vm.allStreams() {
+		total += t.cursor(s).remaining()
 	}
 	return total
 }

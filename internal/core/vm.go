@@ -167,65 +167,34 @@ type VM struct {
 	world ids.World
 	peers map[string]bool
 
-	// mu is the GC-critical-section lock: in record mode it makes counter
-	// update + event execution one atomic operation. In replay mode with no
-	// EventObserver installed, scheduled threads advance the clock lock-free
-	// — the recorded schedule admits exactly one thread per counter value,
-	// so the schedule itself is the mutual exclusion — and mu guards only
-	// the park/wake bookkeeping (turnWaiters, stalled), taken when a thread
-	// parks and when one ends an interval with a successor parked.
-	mu sync.Mutex
-	// clock is the global counter (an ids.GCount). The word lives in metrics,
-	// alone on its cache line, where the clock gauge and the event total read
-	// it: there is no second copy to store per event.
-	clock *atomic.Uint64
+	// global is the VM's own order stream — the paper's global counter: its
+	// lock is the GC-critical-section lock and its counter word the global
+	// clock (see stream). streams lists every order stream of the VM, global
+	// first, then the registered objects' in ObjectID order; Close flushes
+	// their open runs and the stall watchdog probes and wakes them through it.
+	global    *stream
+	streamsMu sync.Mutex
+	streams   []*stream
 
 	jitter     uint64 // yield 1-in-jitter after record-mode critical events
-	sampleMask uint64 // counter values with gc&mask==0 get latency-timed
-	observer   func(thread ids.ThreadNum, gc ids.GCount)
+	sampleMask uint64 // counter values with n&mask==0 get their hold (global stream) and turn wait timed
 
-	// Replay gating: successor-directed wakeup. Each parked thread registers
-	// under the counter value it awaits; the recorded schedule gives every
-	// counter value to at most one thread, so advancing the clock wakes
-	// exactly the successor whose turn it is (the stall watchdog's broadcast
-	// is the only all-waiter wakeup). Guarded by mu. parked counts the
-	// registered threads and is the cue for a thread ending an interval to
-	// take mu and hand over the turn (see replayEvent).
-	turnWaiters  map[ids.GCount]*Thread
-	parked       atomic.Int64
+	// stalled is set by the watchdog when replay stops progressing; every
+	// parked thread then fails with the stall diagnostic, which names the
+	// threads parked at detection (stallParked, written before the flag).
 	stalled      atomic.Bool
+	stallParked  []ParkedThread
 	stopWatchdog chan struct{}
 
-	// Sharded order mode (Config.OrderMode == OrderSharded): the registered
-	// object registry. nextObjID assigns ObjectIDs in registration order;
-	// objs lets Close flush open access runs and lets the watchdog broadcast
-	// a stall to per-object waiters; objParked counts threads parked on
-	// object turnstiles (the watchdog's cue that replay is waiting even when
-	// the global clock is idle).
 	orderMode ids.OrderMode
-	nextObjID atomic.Uint64
-	objsMu    sync.Mutex
-	objs      []*objState
-	objParked atomic.Int64
 
 	logs *tracelog.Set // record mode
-
-	// noteEvery is the open-interval durability-note cadence (events between
-	// note rounds) when a WAL is attached; 0 disables notes. Each round
-	// snapshots every thread's still-open schedule interval into the WAL so
-	// crash recovery can credit coverage a parked thread has not flushed yet.
-	noteEvery uint64
-
-	// tsEvery is the sampled wall-clock timestamp cadence (critical events
-	// between stamps) when EnableTimestamps was called; 0 disables stamps.
-	// Stamps anchor counter values to wall time for post-mortem critical-path
-	// analysis; they carry no schedule semantics and replay skips them.
-	tsEvery uint64
 
 	// causalTrace enables net-span emission in the socket layer (record mode
 	// only): closed-world socket events additionally log the connection id,
 	// counter value, and stream byte offsets that the causal analyzer needs
-	// to reconstruct cross-VM message edges. Read only under vm.mu.
+	// to reconstruct cross-VM message edges. Read only under the global
+	// stream's lock.
 	causalTrace bool
 
 	// stopAtLogEnd makes threads that exhaust their recorded schedule stop
@@ -273,7 +242,9 @@ func NewVM(cfg Config) (*VM, error) {
 		peers:   cfg.DJVMPeers,
 		metrics: &obs.Metrics{},
 	}
-	vm.clock = vm.metrics.Clock()
+	vm.global = vm.newStream()
+	vm.global.clock = vm.metrics.Clock()
+	vm.global.observer = cfg.EventObserver
 	if cfg.RecordJitter > 0 {
 		vm.jitter = uint64(cfg.RecordJitter)
 	}
@@ -286,8 +257,8 @@ func NewVM(cfg Config) (*VM, error) {
 		pow <<= 1
 	}
 	vm.sampleMask = pow - 1
+	vm.global.holdMask = vm.sampleMask
 	vm.metrics.SetHistSampleRate(pow)
-	vm.observer = cfg.EventObserver
 	vm.orderMode = cfg.OrderMode
 	if cfg.OrderMode != ids.OrderGlobal && cfg.OrderMode != ids.OrderSharded {
 		return nil, fmt.Errorf("core: vm %d: unknown order mode %v", cfg.ID, cfg.OrderMode)
@@ -354,7 +325,6 @@ func NewVM(cfg Config) (*VM, error) {
 			vm.metrics.SetClockBase(uint64(cfg.Resume.GC))
 			vm.nextThread = cfg.Resume.NextThread
 		}
-		vm.turnWaiters = make(map[ids.GCount]*Thread)
 		if cfg.StallTimeout > 0 {
 			vm.stopWatchdog = make(chan struct{})
 			vm.metrics.SetWatchdogArmed(true)
@@ -435,9 +405,9 @@ func (vm *VM) EnableWAL(path string, opts tracelog.WALOptions) error {
 	// Match the note cadence to the fsync cadence: finer notes would hit
 	// disk no sooner, coarser ones would let a synced prefix go uncredited.
 	if opts.SyncEvery > 0 {
-		vm.noteEvery = uint64(opts.SyncEvery)
+		vm.global.noteEvery = uint64(opts.SyncEvery)
 	} else {
-		vm.noteEvery = tracelog.DefaultSyncEvery
+		vm.global.noteEvery = tracelog.DefaultSyncEvery
 	}
 	return nil
 }
@@ -459,10 +429,10 @@ func (vm *VM) EnableTimestamps(every int) error {
 	if every <= 0 {
 		return fmt.Errorf("core: vm %d: EnableTimestamps cadence %d, want > 0", vm.id, every)
 	}
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	vm.tsEvery = uint64(every)
-	vm.appendTimestampLocked(ids.GCount(vm.clock.Load()))
+	vm.global.mu.Lock()
+	defer vm.global.mu.Unlock()
+	vm.global.tsEvery = uint64(every)
+	vm.appendTimestampLocked(vm.Clock())
 	return nil
 }
 
@@ -479,47 +449,22 @@ func (vm *VM) EnableCausalTrace() error {
 	if vm.orderMode == ids.OrderSharded {
 		return fmt.Errorf("core: vm %d: EnableCausalTrace requires OrderGlobal — net spans are keyed by global counter values", vm.id)
 	}
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
+	vm.global.mu.Lock()
+	defer vm.global.mu.Unlock()
 	vm.causalTrace = true
 	return nil
 }
 
-// CausalTraceLocked reports whether net-span emission is on. Callers hold
-// vm.mu — every record-phase emission point runs inside the GC-critical
-// section, so the flag needs no atomics.
+// CausalTraceLocked reports whether net-span emission is on. Callers hold the
+// global stream's lock — every record-phase emission point runs inside the
+// GC-critical section, so the flag needs no atomics.
 func (vm *VM) CausalTraceLocked() bool { return vm.causalTrace }
 
 // appendTimestampLocked logs a wall-clock anchor for counter value gc.
-// Caller holds vm.mu.
+// Caller holds the global stream's lock.
 func (vm *VM) appendTimestampLocked(gc ids.GCount) {
 	vm.logs.Schedule.Append(&tracelog.TimestampEntry{GC: gc, Wall: time.Now().UnixNano()})
 	vm.metrics.IncTimestamp()
-}
-
-// noteOpenIntervalsLocked appends an OpenInterval durability note for every
-// thread whose schedule interval is still open and has grown since its last
-// note. Without these, a thread parked in a long blocking event (main in
-// Join, say) would never flush the interval covering the earliest counters,
-// and a crash would leave RecoverFile no evidence that those events were
-// scheduled — collapsing the replayable prefix to [0,0). Notes carry no
-// schedule semantics (the index and replay skip them); only repairSet reads
-// them. Caller holds vm.mu, so thread interval state is stable and the note
-// claims only events whose records already precede it in the WAL stream.
-func (vm *VM) noteOpenIntervalsLocked() {
-	vm.threadsMu.Lock()
-	threads := vm.threads
-	vm.threadsMu.Unlock()
-	for _, t := range threads {
-		if !t.intOpen || t.finished {
-			continue
-		}
-		if t.noted && t.noteFirst == t.intFirst && t.noteLast == t.intLast {
-			continue
-		}
-		vm.logs.Schedule.Append(&tracelog.OpenInterval{Thread: t.num, First: t.intFirst, Last: t.intLast})
-		t.noted, t.noteFirst, t.noteLast = true, t.intFirst, t.intLast
-	}
 }
 
 // TruncateWAL compacts the attached WAL so it starts at a retained
@@ -536,23 +481,16 @@ func (vm *VM) TruncateWAL(keep int) (*tracelog.TruncateStats, error) {
 	if vm.mode != ids.Record {
 		return nil, nil
 	}
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
+	vm.global.mu.Lock()
+	defer vm.global.mu.Unlock()
 	if vm.logs.WAL() == nil {
 		return nil, fmt.Errorf("core: vm %d: TruncateWAL without EnableWAL", vm.id)
 	}
-	// Flush every open schedule interval first: the compacted stream keeps no
+	// Flush the open schedule interval first: the compacted stream keeps no
 	// OpenInterval notes, so coverage of [base, now) must be carried entirely
 	// by flushed intervals. Splitting an interval is replay-safe — consecutive
 	// same-thread intervals replay identically to one merged interval.
-	vm.threadsMu.Lock()
-	threads := vm.threads
-	vm.threadsMu.Unlock()
-	for _, t := range threads {
-		if t.intOpen && !t.finished {
-			t.flushIntervalLocked()
-		}
-	}
+	vm.global.flushLocked()
 	st, err := vm.logs.TruncateWAL(keep)
 	if err != nil {
 		return nil, err
@@ -575,7 +513,7 @@ func (vm *VM) ScheduleIndex() *tracelog.ScheduleIndex { return vm.schedIdx }
 
 // Clock reports the current global counter value.
 func (vm *VM) Clock() ids.GCount {
-	return ids.GCount(vm.clock.Load())
+	return ids.GCount(vm.global.clock.Load())
 }
 
 // Stats returns a compact snapshot of the VM's event counters — the two
@@ -621,12 +559,13 @@ func (vm *VM) newThreadLocked() *Thread {
 	}
 	if vm.mode == ids.Replay {
 		t.turnCh = make(chan struct{}, 1)
-		t.schedule = vm.schedIdx.Intervals[t.num]
+		schedule := vm.schedIdx.Intervals[t.num]
 		if vm.resume != nil {
-			trimmed, skipped := fastForward(t.schedule, vm.resume.GC)
-			t.schedule = trimmed
+			var skipped uint64
+			schedule, skipped = fastForward(schedule, vm.resume.GC)
 			vm.metrics.AddFastForwardSkips(skipped)
 		}
+		t.cursors = []*cursor{newCursor(schedule)} // slot 0: the global stream
 	}
 	vm.threads = append(vm.threads, t)
 	return t
@@ -651,8 +590,7 @@ func fastForward(schedule []tracelog.Interval, at ids.GCount) ([]tracelog.Interv
 	return out, skipped
 }
 
-// launch runs fn on its own goroutine, closing the thread's final interval
-// when fn returns and signaling joiners.
+// launch runs fn on its own goroutine, signaling joiners when fn returns.
 func (vm *VM) launch(t *Thread, fn func(t *Thread)) {
 	t.done = make(chan struct{})
 	vm.activeWork.Add(1)
@@ -662,7 +600,6 @@ func (vm *VM) launch(t *Thread, fn func(t *Thread)) {
 		// Whatever way fn ends — return, divergence panic, end-of-log unwind —
 		// the thread's counted events are published before Wait can return.
 		defer t.publishCounts()
-		defer t.finish()
 		defer func() {
 			// Under StopAtLogEnd a thread abandons its function by panicking
 			// the private end-of-schedule signal; absorb it here so the
@@ -700,7 +637,7 @@ func (vm *VM) watchdog(timeout time.Duration) {
 	defer vm.metrics.SetWatchdogArmed(false)
 	tick := time.NewTicker(timeout / 4)
 	defer tick.Stop()
-	lastEvents := uint64(0)
+	lastProgress := uint64(0)
 	lastChange := time.Now()
 	for {
 		select {
@@ -708,72 +645,61 @@ func (vm *VM) watchdog(timeout time.Duration) {
 			return
 		case <-tick.C:
 		}
-		vm.mu.Lock()
-		stall := false
-		switch now := vm.replayProgress(); {
-		case now != lastEvents:
-			lastEvents = now
+		// Probe under the global stream's lock: an EventObserver callback
+		// blocks inside it, so a blocked callback delays the probe instead of
+		// reading as a stall.
+		vm.global.mu.Lock()
+		progress, parked := vm.replayProgress()
+		vm.global.mu.Unlock()
+		switch {
+		case progress != lastProgress:
+			lastProgress = progress
 			lastChange = time.Now()
-		case (len(vm.turnWaiters) > 0 || vm.objParked.Load() > 0) && time.Since(lastChange) >= timeout:
-			stall = true
+		case parked && time.Since(lastChange) >= timeout:
+			vm.stallParked = vm.parkedThreads()
 			vm.stalled.Store(true)
 			vm.metrics.SetStalled()
 			// The stall is the one case that must wake *every* parked thread,
-			// so each fails with its own diagnostics. Registrations are left
-			// in place: each thread unregisters itself on the way to its
-			// panic, so WaitingThreads stays accurate meanwhile.
-			for _, t := range vm.turnWaiters {
-				select {
-				case t.turnCh <- struct{}{}:
-				default:
+			// so each fails with its own diagnostics. A thread that has not
+			// registered yet sees the flag under the same lock hold as its
+			// re-check. Registrations are left in place: each thread
+			// unregisters itself on the way to its panic, so WaitingThreads
+			// stays accurate meanwhile.
+			for _, s := range vm.allStreams() {
+				s.mu.Lock()
+				for _, t := range s.waiters {
+					s.wakeLocked(t)
 				}
+				s.mu.Unlock()
 			}
-		}
-		vm.mu.Unlock()
-		if stall {
-			// Broadcast to per-object waiters outside vm.mu: object locks are
-			// never nested inside the VM lock.
-			vm.wakeAllObjWaiters()
 			return
 		}
 	}
 }
 
-// replayProgress sums the global counter and, in sharded mode, every object
-// turnstile: most sharded events advance only a turnstile, and a healthy
-// sharded replay must not trip the watchdog because its global clock is idle.
-func (vm *VM) replayProgress() uint64 {
-	p := vm.clock.Load()
-	if vm.orderMode == ids.OrderSharded {
-		vm.objsMu.Lock()
-		for _, o := range vm.objs {
-			p += o.next.Load()
-		}
-		vm.objsMu.Unlock()
+// replayProgress sums every stream's counter — most sharded events advance
+// only an object's, and a healthy sharded replay must not trip the watchdog
+// because its global clock is idle — and reports whether any thread is parked.
+func (vm *VM) replayProgress() (progress uint64, parked bool) {
+	for _, s := range vm.allStreams() {
+		progress += s.clock.Load()
+		parked = parked || s.parked.Load() > 0
 	}
-	return p
+	return progress, parked
 }
 
 // WaitingThreads reports, for a replaying VM, which threads are parked
-// waiting for their next scheduled counter value — the diagnostic a stalled
-// replay prints.
+// waiting for their next scheduled counter value, on the global stream or an
+// object's — the diagnostic a stalled replay prints. Nil when nothing is
+// parked, so idle probes allocate nothing.
 func (vm *VM) WaitingThreads() map[ids.ThreadNum]ids.GCount {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	return vm.waitingLocked()
-}
-
-// waitingLocked derives the parked-thread diagnostic map from the wakeup
-// table, returning nil when nothing is parked so idle probes (WaitingThreads
-// polling, stall diagnostics racing a wakeup) allocate nothing. Caller holds
-// vm.mu; callers that insert into the result must allocate on nil.
-func (vm *VM) waitingLocked() map[ids.ThreadNum]ids.GCount {
-	if len(vm.turnWaiters) == 0 {
+	parked := vm.parkedThreads()
+	if len(parked) == 0 {
 		return nil
 	}
-	out := make(map[ids.ThreadNum]ids.GCount, len(vm.turnWaiters))
-	for gc, t := range vm.turnWaiters {
-		out[t.num] = gc
+	out := make(map[ids.ThreadNum]ids.GCount, len(parked))
+	for _, p := range parked {
+		out[p.Thread] = p.Next
 	}
 	return out
 }
@@ -792,24 +718,19 @@ func (vm *VM) NextThreadNum() ids.ThreadNum {
 	return vm.nextThread
 }
 
-// Close finalizes the VM. In record mode it flushes any open schedule
-// intervals and appends the VMMeta record; the log set is then complete and
-// can be saved or handed to a replay VM. Close is idempotent.
+// Close finalizes the VM. In record mode it flushes every stream's open run
+// and appends the VMMeta record; the log set is then complete and can be
+// saved or handed to a replay VM. Close is idempotent.
 func (vm *VM) Close() {
-	vm.threadsMu.Lock()
-	threads := append([]*Thread(nil), vm.threads...)
-	vm.threadsMu.Unlock()
-	for _, t := range threads {
-		t.finish()
-	}
-	if vm.mode == ids.Record && vm.orderMode == ids.OrderSharded {
-		// Flush open per-object access runs before the final vm-meta. Outside
-		// vm.mu: object locks are never nested inside the VM lock.
-		vm.flushObjRuns()
+	// One stream lock at a time: they are never nested.
+	for _, s := range vm.allStreams() {
+		s.mu.Lock()
+		s.flushLocked()
+		s.mu.Unlock()
 	}
 
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
+	vm.global.mu.Lock()
+	defer vm.global.mu.Unlock()
 	if vm.closed {
 		return
 	}
@@ -818,16 +739,16 @@ func (vm *VM) Close() {
 		close(vm.stopWatchdog)
 	}
 	if vm.mode == ids.Record {
-		if vm.tsEvery != 0 {
+		if vm.global.tsEvery != 0 {
 			// Final anchor: ties FinalGC to wall time so interpolation covers
 			// the whole run even when the cadence never fired near the end.
-			vm.appendTimestampLocked(ids.GCount(vm.clock.Load()))
+			vm.appendTimestampLocked(vm.Clock())
 		}
 		vm.logs.Schedule.Append(&tracelog.VMMeta{
 			VM:      vm.id,
 			World:   vm.world,
-			Threads: uint32(len(threads)),
-			FinalGC: ids.GCount(vm.clock.Load()),
+			Threads: uint32(vm.ThreadCount()),
+			FinalGC: vm.Clock(),
 		})
 		// With a WAL attached the final meta above is the last durable
 		// record; syncing and closing here makes a graceful shutdown

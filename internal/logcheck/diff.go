@@ -1,8 +1,10 @@
 package logcheck
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/tracelog"
@@ -64,38 +66,54 @@ func Diff(a, b *tracelog.Set) (*DiffReport, error) {
 	return rep, nil
 }
 
-// diffSchedules reports, per thread, the first interval where the two
-// logical schedules depart.
+// diffSchedules reports where the two recorded orders depart: the order mode,
+// then, for every order stream — the global schedule thread by thread, each
+// registered object's access order — the first run that differs, then the
+// notify and timed-wait records keyed into those streams.
 func diffSchedules(rep *DiffReport, a, b *tracelog.ScheduleIndex) {
-	threads := map[ids.ThreadNum]bool{}
-	for tn := range a.Intervals {
-		threads[tn] = true
+	if a.OrderMode != b.OrderMode {
+		rep.addf("order mode: %v vs %v", a.OrderMode, b.OrderMode)
 	}
-	for tn := range b.Intervals {
-		threads[tn] = true
+	for _, tn := range unionKeys(a.Intervals, b.Intervals, cmp.Compare[ids.ThreadNum]) {
+		diffRuns(rep, fmt.Sprintf("thread %d: schedules", tn), "interval", a.Intervals[tn], b.Intervals[tn],
+			func(iv tracelog.Interval) string { return fmt.Sprintf("[%d,%d]", iv.First, iv.Last) })
 	}
-	ordered := make([]ids.ThreadNum, 0, len(threads))
-	for tn := range threads {
-		ordered = append(ordered, tn)
+	for _, obj := range unionKeys(a.ObjRuns, b.ObjRuns, cmp.Compare[ids.ObjectID]) {
+		diffRuns(rep, fmt.Sprintf("%v: access orders", obj), "run", a.ObjRuns[obj], b.ObjRuns[obj],
+			func(r tracelog.ObjRun) string { return fmt.Sprintf("thread %d [%d,%d]", r.Thread, r.First, r.Last) })
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
+	byObjEvent := func(x, y tracelog.ObjEvent) int {
+		return cmp.Or(cmp.Compare(x.Obj, y.Obj), cmp.Compare(x.Seq, y.Seq))
+	}
+	diffKeyed(rep, "notify at counter", a.Notifies, b.Notifies, cmp.Compare[ids.GCount], slices.Equal[[]ids.ThreadNum])
+	diffKeyed(rep, "timed-wait at counter", a.TimedWaits, b.TimedWaits, cmp.Compare[ids.GCount], same[tracelog.TimedWaitEntry])
+	diffKeyed(rep, "obj-notify at", a.ObjNotifies, b.ObjNotifies, byObjEvent, slices.Equal[[]ids.ThreadNum])
+	diffKeyed(rep, "obj-timed-wait at", a.ObjTimedWaits, b.ObjTimedWaits, byObjEvent, same[tracelog.ObjTimedWait])
+}
 
-	for _, tn := range ordered {
-		ia, ib := a.Intervals[tn], b.Intervals[tn]
-		n := min(len(ia), len(ib))
-		diverged := false
-		for i := 0; i < n; i++ {
-			if ia[i] != ib[i] {
-				rep.addf("thread %d: schedules depart at interval %d: [%d,%d] vs [%d,%d]",
-					tn, i, ia[i].First, ia[i].Last, ib[i].First, ib[i].Last)
-				diverged = true
-				break
-			}
+// unionKeys returns the keys of either map, sorted by order.
+func unionKeys[K comparable, V any](a, b map[K]V, order func(K, K) int) []K {
+	keys := slices.Collect(maps.Keys(a))
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
 		}
-		if !diverged && len(ia) != len(ib) {
-			rep.addf("thread %d: %d vs %d schedule intervals (common prefix identical)",
-				tn, len(ia), len(ib))
+	}
+	slices.SortFunc(keys, order)
+	return keys
+}
+
+// diffRuns reports the first run at which one stream's two recorded orders
+// depart, or that one is a proper prefix of the other.
+func diffRuns[R comparable](rep *DiffReport, who, what string, ra, rb []R, show func(R) string) {
+	for i := 0; i < min(len(ra), len(rb)); i++ {
+		if ra[i] != rb[i] {
+			rep.addf("%s depart at %s %d: %s vs %s", who, what, i, show(ra[i]), show(rb[i]))
+			return
 		}
+	}
+	if len(ra) != len(rb) {
+		rep.addf("%s: %d vs %d %ss (common prefix identical)", who, len(ra), len(rb), what)
 	}
 }
 
@@ -110,24 +128,12 @@ func diffNetwork(rep *DiffReport, a, b *tracelog.Set) error {
 		return fmt.Errorf("logcheck: diff: right network log: %w", err)
 	}
 
-	diffKeyed(rep, "accept", keysOf(na.ServerSockets), keysOf(nb.ServerSockets), func(ev ids.NetworkEventID) bool {
-		return na.ServerSockets[ev] == nb.ServerSockets[ev]
-	})
-	diffKeyed(rep, "read", keysOf(na.Reads), keysOf(nb.Reads), func(ev ids.NetworkEventID) bool {
-		return na.Reads[ev] == nb.Reads[ev]
-	})
-	diffKeyed(rep, "available", keysOf(na.Availables), keysOf(nb.Availables), func(ev ids.NetworkEventID) bool {
-		return na.Availables[ev] == nb.Availables[ev]
-	})
-	diffKeyed(rep, "bind", keysOf(na.Binds), keysOf(nb.Binds), func(ev ids.NetworkEventID) bool {
-		return na.Binds[ev] == nb.Binds[ev]
-	})
-	diffKeyed(rep, "net-err", keysOf(na.Errs), keysOf(nb.Errs), func(ev ids.NetworkEventID) bool {
-		return na.Errs[ev] == nb.Errs[ev]
-	})
-	diffKeyed(rep, "env", keysOf(na.Envs), keysOf(nb.Envs), func(ev ids.NetworkEventID) bool {
-		return na.Envs[ev] == nb.Envs[ev]
-	})
+	diffKeyed(rep, "accept", na.ServerSockets, nb.ServerSockets, byNetEvent, same[ids.ConnectionID])
+	diffKeyed(rep, "read", na.Reads, nb.Reads, byNetEvent, same[tracelog.ReadEntry])
+	diffKeyed(rep, "available", na.Availables, nb.Availables, byNetEvent, same[tracelog.AvailableEntry])
+	diffKeyed(rep, "bind", na.Binds, nb.Binds, byNetEvent, same[tracelog.BindEntry])
+	diffKeyed(rep, "net-err", na.Errs, nb.Errs, byNetEvent, same[tracelog.NetErrEntry])
+	diffKeyed(rep, "env", na.Envs, nb.Envs, byNetEvent, same[tracelog.EnvEntry])
 	return nil
 }
 
@@ -140,45 +146,30 @@ func diffDatagram(rep *DiffReport, a, b *tracelog.Set) error {
 	if err != nil {
 		return fmt.Errorf("logcheck: diff: right datagram log: %w", err)
 	}
-	diffKeyed(rep, "datagram-recv", keysOf(da.ByEvent), keysOf(db.ByEvent), func(ev ids.NetworkEventID) bool {
-		return da.ByEvent[ev].Datagram == db.ByEvent[ev].Datagram
+	diffKeyed(rep, "datagram-recv", da.ByEvent, db.ByEvent, byNetEvent, func(x, y tracelog.DatagramRecvEntry) bool {
+		return x.Datagram == y.Datagram
 	})
 	return nil
 }
 
-func keysOf[V any](m map[ids.NetworkEventID]V) map[ids.NetworkEventID]bool {
-	out := make(map[ids.NetworkEventID]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
+func byNetEvent(x, y ids.NetworkEventID) int {
+	return cmp.Or(cmp.Compare(x.Thread, y.Thread), cmp.Compare(x.Event, y.Event))
 }
+
+func same[V comparable](x, y V) bool { return x == y }
 
 // diffKeyed compares two keyed record families: keys only on one side, and
 // shared keys whose values differ.
-func diffKeyed(rep *DiffReport, what string, ka, kb map[ids.NetworkEventID]bool, equal func(ids.NetworkEventID) bool) {
-	var union []ids.NetworkEventID
-	for k := range ka {
-		union = append(union, k)
-	}
-	for k := range kb {
-		if !ka[k] {
-			union = append(union, k)
-		}
-	}
-	sort.Slice(union, func(i, j int) bool {
-		if union[i].Thread != union[j].Thread {
-			return union[i].Thread < union[j].Thread
-		}
-		return union[i].Event < union[j].Event
-	})
-	for _, k := range union {
+func diffKeyed[K comparable, V any](rep *DiffReport, what string, a, b map[K]V, order func(K, K) int, equal func(V, V) bool) {
+	for _, k := range unionKeys(a, b, order) {
+		va, inA := a[k]
+		vb, inB := b[k]
 		switch {
-		case !ka[k]:
+		case !inA:
 			rep.addf("%s %v: only in right log", what, k)
-		case !kb[k]:
+		case !inB:
 			rep.addf("%s %v: only in left log", what, k)
-		case !equal(k):
+		case !equal(va, vb):
 			rep.addf("%s %v: values differ", what, k)
 		}
 	}

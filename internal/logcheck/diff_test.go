@@ -126,3 +126,73 @@ func TestDiffTwoRealRecordings(t *testing.T) {
 	}
 	// Schedules usually differ, but equality is possible; no assertion.
 }
+
+// shardedSet composes a sharded log set in which two threads take one global
+// event each and access obj0 in the given order.
+func shardedSet(objOrder []ids.ThreadNum, extras ...tracelog.Entry) *tracelog.Set {
+	s := tracelog.NewSet()
+	s.Schedule = tracelog.ComposeSchedule(tracelog.VMMeta{VM: 1, Threads: 2}, ids.OrderSharded, 0,
+		[]ids.ThreadNum{0, 1}, map[ids.ObjectID][]ids.ThreadNum{0: objOrder}, extras)
+	return s
+}
+
+// TestDiffObjectOrders: two sharded sets that differ only in one object's
+// access order are different executions. Diff used to compare per-thread
+// intervals alone and call them identical.
+func TestDiffObjectOrders(t *testing.T) {
+	a := shardedSet([]ids.ThreadNum{0, 1, 0, 1})
+	b := shardedSet([]ids.ThreadNum{1, 1, 0, 0})
+	rep, err := Diff(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !diffContains(rep, "obj0: access orders depart at run 0: thread 0 [0,0] vs thread 1 [0,1]") {
+		t.Errorf("object-order departure not reported: %v", rep.Lines)
+	}
+	if rep, _ := Diff(a, shardedSet([]ids.ThreadNum{0, 1, 0, 1})); !rep.Same() {
+		t.Errorf("equal object orders reported different: %v", rep.Lines)
+	}
+	if rep, _ := Diff(a, shardedSet([]ids.ThreadNum{0, 1, 0, 1, 0})); !diffContains(rep, "obj0: access orders: 4 vs 5 runs (common prefix identical)") {
+		t.Errorf("longer object order not reported: %v", rep.Lines)
+	}
+}
+
+// TestDiffOrderModeAndKeyedScheduleRecords: the order mode, and the notify and
+// timed-wait records of either record family, are part of the execution.
+func TestDiffOrderModeAndKeyedScheduleRecords(t *testing.T) {
+	order := []ids.ThreadNum{0, 1, 0, 1}
+	a := shardedSet(order,
+		&tracelog.ObjNotify{Obj: 0, Seq: 2, Woken: []ids.ThreadNum{1}},
+		&tracelog.ObjTimedWait{Obj: 0, Seq: 1, Check: true, TimedOut: true},
+		&tracelog.Notify{GC: 1, Woken: []ids.ThreadNum{0}},
+		&tracelog.TimedWaitEntry{GC: 0, Check: true})
+	b := shardedSet(order,
+		&tracelog.ObjNotify{Obj: 0, Seq: 2, Woken: []ids.ThreadNum{0}},
+		&tracelog.ObjTimedWait{Obj: 0, Seq: 3, Check: true, TimedOut: true},
+		&tracelog.TimedWaitEntry{GC: 0, Check: true, TimedOut: true})
+	rep, err := Diff(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"obj-notify at {obj0 2}: values differ",
+		"obj-timed-wait at {obj0 1}: only in left log",
+		"obj-timed-wait at {obj0 3}: only in right log",
+		"notify at counter 1: only in left log",
+		"timed-wait at counter 0: values differ",
+	} {
+		if !diffContains(rep, want) {
+			t.Errorf("missing %q in %v", want, rep.Lines)
+		}
+	}
+
+	global := tracelog.NewSet()
+	global.Schedule = tracelog.ComposeSchedule(tracelog.VMMeta{VM: 1, Threads: 2}, ids.OrderGlobal, 0, []ids.ThreadNum{0, 1}, nil, nil)
+	rep, err = Diff(global, shardedSet(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !diffContains(rep, "order mode: global vs sharded") {
+		t.Errorf("order-mode mismatch not reported: %v", rep.Lines)
+	}
+}
