@@ -23,9 +23,29 @@ func saveSharded(t *testing.T, objOrder []ids.ThreadNum) string {
 	return dir
 }
 
+// saveOpenWorld saves an open-world log set of one connect to peer, one
+// request read and one reply write, and returns its directory.
+func saveOpenWorld(t *testing.T, peer, request string, replySum uint64) string {
+	t.Helper()
+	s := tracelog.NewSet()
+	s.Schedule = tracelog.ComposeSchedule(tracelog.VMMeta{VM: 1, World: ids.OpenWorld, Threads: 1}, ids.OrderGlobal, 0,
+		[]ids.ThreadNum{0, 0, 0}, nil, nil)
+	ev := func(e int) ids.NetworkEventID { return ids.NetworkEventID{Thread: 0, Event: ids.EventNum(e)} }
+	s.Network.Append(&tracelog.OpenConnectEntry{EventID: ev(0), LocalPort: 4000, RemoteHost: peer, RemotePort: 80})
+	s.Network.Append(&tracelog.OpenReadEntry{EventID: ev(1), Data: []byte(request)})
+	s.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(2), Len: 2, Sum: replySum})
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 func TestExitCodes(t *testing.T) {
 	a := saveSharded(t, []ids.ThreadNum{0, 1, 0, 1})
 	b := saveSharded(t, []ids.ThreadNum{1, 1, 0, 0})
+	oa := saveOpenWorld(t, "alpha", "GET /a", 1)
+	ob := saveOpenWorld(t, "beta", "GET /b", 2)
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -35,6 +55,8 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"identical", []string{a, a}, 0, "identical", ""},
 		{"object order differs", []string{a, b}, 1, "obj0", ""},
+		{"open-world identical", []string{oa, oa}, 0, "identical", ""},
+		{"open-world peer, request and reply differ", []string{oa, ob}, 1, "open-connect nev⟨t0,e0⟩: values differ", ""},
 		{"one argument", []string{a}, 2, "", "usage"},
 		{"three arguments", []string{a, b, a}, 2, "", "usage"},
 		{"unreadable set", []string{a, t.TempDir()}, 2, "", "djdiff:"},

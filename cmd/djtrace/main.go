@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -36,122 +37,143 @@ import (
 )
 
 func main() {
-	summaryOnly := flag.Bool("summary", false, "print only per-log summaries")
-	asJSON := flag.Bool("json", false, "emit per-log summaries as JSON")
-	entries := flag.Bool("entries", false, "stream every record as NDJSON")
-	check := flag.Bool("check", false, "validate the log set(s) instead of dumping")
-	perfetto := flag.String("perfetto", "", "write the causal graph as Chrome trace-event JSON to `file`")
-	critpath := flag.Bool("critpath", false, "print the replay critical-path / stall report")
-	whyDiverged := flag.String("why-diverged", "", "print the causal history of divergence point `vm:gc`")
-	k := flag.Int("k", 10, "how many causally-preceding event ranges -why-diverged prints")
-	mkfixture := flag.String("mkfixture", "", "record a small traced kvapp run into `dir` (one subdir per VM)")
-	verifyPerfetto := flag.String("verify-perfetto", "", "validate a -perfetto export `file`")
-	flag.Parse()
-
-	switch {
-	case *mkfixture != "":
-		if err := makeFixture(*mkfixture); err != nil {
-			fatal(err)
-		}
-		return
-	case *verifyPerfetto != "":
-		if err := verifyExport(*verifyPerfetto); err != nil {
-			fatal(err)
-		}
-		return
-	case *perfetto != "" || *critpath || *whyDiverged != "":
-		if flag.NArg() < 1 {
-			usage()
-		}
-		g, err := causal.Build(loadSets(flag.Args()))
-		if err != nil {
-			fatal(err)
-		}
-		switch {
-		case *perfetto != "":
-			if err := exportPerfetto(*perfetto, g); err != nil {
-				fatal(err)
-			}
-		case *critpath:
-			causal.CriticalPath(g).WriteReport(os.Stdout)
-		default:
-			var vm ids.DJVMID
-			var gc ids.GCount
-			if _, err := fmt.Sscanf(*whyDiverged, "%d:%d", &vm, &gc); err != nil {
-				fatal(fmt.Errorf("-why-diverged wants vm:gc, got %q", *whyDiverged))
-			}
-			causes, err := causal.WhyDiverged(g, vm, gc, *k)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("last %d causally-preceding recorded event ranges before vm %d counter %d (most recent first):\n",
-				len(causes), vm, gc)
-			for _, c := range causes {
-				fmt.Printf("  vm %-3d thread %-3d gc [%d,%d]  %d hop(s) away via %v\n",
-					c.VM, c.Thread, c.First, c.Last, c.Dist, c.Via)
-			}
-		}
-		return
-	}
-
-	if flag.NArg() < 1 || (!*check && flag.NArg() != 1) {
-		usage()
-	}
-
-	if *check {
-		sets := loadSets(flag.Args())
-		rep := logcheck.CheckWorld(sets)
-		if rep.OK() {
-			fmt.Printf("ok: %d log set(s) consistent\n", len(sets))
-			return
-		}
-		for _, f := range rep.Findings {
-			fmt.Println(f)
-		}
-		os.Exit(1)
-	}
-
-	set, err := tracelog.LoadSet(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	switch {
-	case *asJSON:
-		if err := emitJSON(os.Stdout, set); err != nil {
-			fatal(err)
-		}
-	case *entries:
-		if err := emitEntries(os.Stdout, set); err != nil {
-			fatal(err)
-		}
-	default:
-		dump("schedule.log", set.Schedule, *summaryOnly)
-		dump("network.log", set.Network, *summaryOnly)
-		dump("datagram.log", set.Datagram, *summaryOnly)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: djtrace [-summary|-json|-entries] <logdir>
+const usageText = `usage: djtrace [-summary|-json|-entries] <logdir>
        djtrace -check <logdir>...
        djtrace -perfetto out.json <logdir>...
        djtrace -critpath <logdir>...
        djtrace -why-diverged vm:gc [-k n] <logdir>...
        djtrace -mkfixture <outdir>
-       djtrace -verify-perfetto <file>`)
-	os.Exit(2)
+       djtrace -verify-perfetto <file>`
+
+// run is the whole command: exit 0 on success, 1 on a failure (unreadable or
+// inconsistent logs, a failed export), 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("djtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	summaryOnly := fs.Bool("summary", false, "print only per-log summaries")
+	asJSON := fs.Bool("json", false, "emit per-log summaries as JSON")
+	entries := fs.Bool("entries", false, "stream every record as NDJSON")
+	check := fs.Bool("check", false, "validate the log set(s) instead of dumping")
+	perfetto := fs.String("perfetto", "", "write the causal graph as Chrome trace-event JSON to `file`")
+	critpath := fs.Bool("critpath", false, "print the replay critical-path / stall report")
+	whyDiverged := fs.String("why-diverged", "", "print the causal history of divergence point `vm:gc`")
+	k := fs.Int("k", 10, "how many causally-preceding event ranges -why-diverged prints")
+	mkfixture := fs.String("mkfixture", "", "record a small traced kvapp run into `dir` (one subdir per VM)")
+	verifyPerfetto := fs.String("verify-perfetto", "", "validate a -perfetto export `file`")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func() int {
+		fmt.Fprintln(stderr, usageText)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "djtrace:", err)
+		return 1
+	}
+
+	causalMode := *perfetto != "" || *critpath || *whyDiverged != ""
+	switch {
+	case *mkfixture != "":
+		if err := makeFixture(stdout, *mkfixture); err != nil {
+			return fail(err)
+		}
+		return 0
+	case *verifyPerfetto != "":
+		if err := verifyExport(stdout, *verifyPerfetto); err != nil {
+			return fail(err)
+		}
+		return 0
+	case fs.NArg() < 1 || (!causalMode && !*check && fs.NArg() != 1):
+		return usage()
+	}
+
+	sets, err := loadSets(fs.Args())
+	if err != nil {
+		return fail(err)
+	}
+	switch {
+	case causalMode:
+		g, err := causal.Build(sets)
+		if err != nil {
+			return fail(err)
+		}
+		switch {
+		case *perfetto != "":
+			err = exportPerfetto(stdout, stderr, *perfetto, g)
+		case *critpath:
+			causal.CriticalPath(g).WriteReport(stdout)
+		default:
+			err = whyDivergedReport(stdout, g, *whyDiverged, *k)
+		}
+	case *check:
+		rep := logcheck.CheckWorld(sets)
+		if !rep.OK() {
+			for _, f := range rep.Findings {
+				fmt.Fprintln(stdout, f)
+			}
+			return 1
+		}
+		fmt.Fprintf(stdout, "ok: %d log set(s) consistent\n", len(sets))
+	case *asJSON:
+		err = emitJSON(stdout, sets[0])
+	case *entries:
+		err = emitEntries(stdout, sets[0])
+	default:
+		for _, f := range logFiles(sets[0]) {
+			if err = dump(stdout, f.name+".log", f.log, *summaryOnly); err != nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		return fail(err)
+	}
+	return 0
 }
 
-func loadSets(dirs []string) []*tracelog.Set {
+func whyDivergedReport(w io.Writer, g *causal.Graph, point string, k int) error {
+	var vm ids.DJVMID
+	var gc ids.GCount
+	if _, err := fmt.Sscanf(point, "%d:%d", &vm, &gc); err != nil {
+		return fmt.Errorf("-why-diverged wants vm:gc, got %q", point)
+	}
+	causes, err := causal.WhyDiverged(g, vm, gc, k)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "last %d causally-preceding recorded event ranges before vm %d counter %d (most recent first):\n",
+		len(causes), vm, gc)
+	for _, c := range causes {
+		fmt.Fprintf(w, "  vm %-3d thread %-3d gc [%d,%d]  %d hop(s) away via %v\n",
+			c.VM, c.Thread, c.First, c.Last, c.Dist, c.Via)
+	}
+	return nil
+}
+
+func loadSets(dirs []string) ([]*tracelog.Set, error) {
 	var sets []*tracelog.Set
 	for _, dir := range dirs {
 		set, err := tracelog.LoadSet(dir)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		sets = append(sets, set)
 	}
-	return sets
+	return sets, nil
+}
+
+// namedLog is one of a set's three logs with the name the output calls it.
+type namedLog struct {
+	name string
+	log  *tracelog.Log
+}
+
+func logFiles(set *tracelog.Set) []namedLog {
+	return []namedLog{{"schedule", set.Schedule}, {"network", set.Network}, {"datagram", set.Datagram}}
 }
 
 // logSummary is the -json shape for one log file.
@@ -175,26 +197,21 @@ type setSummary struct {
 	TotalBytes int        `json:"total_bytes"`
 }
 
-func emitJSON(w *os.File, set *tracelog.Set) error {
+func emitJSON(w io.Writer, set *tracelog.Set) error {
 	var out setSummary
-	for _, f := range []struct {
-		log *tracelog.Log
-		dst *logSummary
-	}{
-		{set.Schedule, &out.Schedule},
-		{set.Network, &out.Network},
-		{set.Datagram, &out.Datagram},
-	} {
-		f.dst.Bytes = f.log.Size()
-		f.dst.Kinds = map[string]int{}
+	summaries := [...]*logSummary{&out.Schedule, &out.Network, &out.Datagram}
+	for i, f := range logFiles(set) {
+		dst := summaries[i]
+		dst.Bytes = f.log.Size()
+		dst.Kinds = map[string]int{}
 		// Stream the walk: the counters need one record at a time, never the
 		// whole decoded slice.
 		err := f.log.Each(func(e tracelog.Entry) error {
-			f.dst.Records++
-			f.dst.Kinds[e.Kind().String()]++
+			dst.Records++
+			dst.Kinds[e.Kind().String()]++
 			if iv, ok := e.(*tracelog.Interval); ok {
-				f.dst.Intervals++
-				f.dst.IntervalEvents += uint64(iv.Last-iv.First) + 1
+				dst.Intervals++
+				dst.IntervalEvents += uint64(iv.Last-iv.First) + 1
 			}
 			return nil
 		})
@@ -217,17 +234,10 @@ type entryLine struct {
 	Desc  string `json:"desc"`
 }
 
-func emitEntries(w *os.File, set *tracelog.Set) error {
+func emitEntries(w io.Writer, set *tracelog.Set) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, f := range []struct {
-		name string
-		log  *tracelog.Log
-	}{
-		{"schedule", set.Schedule},
-		{"network", set.Network},
-		{"datagram", set.Datagram},
-	} {
+	for _, f := range logFiles(set) {
 		i := 0
 		err := f.log.Each(func(e tracelog.Entry) error {
 			line := entryLine{Log: f.name, Index: i, Kind: e.Kind().String(), Desc: render(e)}
@@ -241,7 +251,7 @@ func emitEntries(w *os.File, set *tracelog.Set) error {
 	return bw.Flush()
 }
 
-func dump(name string, l *tracelog.Log, summaryOnly bool) {
+func dump(out io.Writer, name string, l *tracelog.Log, summaryOnly bool) error {
 	byKind := map[tracelog.Kind]int{}
 	records := 0
 	if err := l.Each(func(e tracelog.Entry) error {
@@ -249,31 +259,27 @@ func dump(name string, l *tracelog.Log, summaryOnly bool) {
 		records++
 		return nil
 	}); err != nil {
-		fatal(fmt.Errorf("%s: %w", name, err))
+		return fmt.Errorf("%s: %w", name, err)
 	}
-	fmt.Printf("== %s: %d bytes, %d records ==\n", name, l.Size(), records)
+	w := bufio.NewWriter(out)
+	fmt.Fprintf(w, "== %s: %d bytes, %d records ==\n", name, l.Size(), records)
 	for k := tracelog.Kind(1); k < tracelog.Kind(32); k++ {
 		if n := byKind[k]; n > 0 {
-			fmt.Printf("   %-14v %6d\n", k, n)
+			fmt.Fprintf(w, "   %-14v %6d\n", k, n)
 		}
 	}
-	if summaryOnly {
-		fmt.Println()
-		return
+	if !summaryOnly {
+		i := 0
+		if err := l.Each(func(e tracelog.Entry) error {
+			_, err := fmt.Fprintf(w, "  %6d  %s\n", i, render(e))
+			i++
+			return err
+		}); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
 	}
-	w := bufio.NewWriter(os.Stdout)
-	i := 0
-	if err := l.Each(func(e tracelog.Entry) error {
-		_, err := fmt.Fprintf(w, "  %6d  %s\n", i, render(e))
-		i++
-		return err
-	}); err != nil {
-		fatal(fmt.Errorf("%s: %w", name, err))
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return w.Flush()
 }
 
 func render(e tracelog.Entry) string {
@@ -332,6 +338,19 @@ func render(e tracelog.Entry) string {
 	case *tracelog.ObjTimedWait:
 		return fmt.Sprintf("obj-timed-wait %v seq=%d check=%v timedOut=%v",
 			v.Obj, v.Seq, v.Check, v.TimedOut)
+	case *tracelog.OpenInterval:
+		return fmt.Sprintf("open-interval thread=%d [%d,%d] (%d events so far)",
+			v.Thread, v.First, v.Last, uint64(v.Last-v.First)+1)
+	case *tracelog.TruncationEntry:
+		return fmt.Sprintf("truncation    baseGC=%d", v.BaseGC)
+	case *tracelog.ChaosPlanEntry:
+		return fmt.Sprintf("chaos-plan    seed=%d spec=%dB", v.Seed, len(v.Spec))
+	case *tracelog.GroupEpochEntry:
+		members := make([]string, len(v.Members))
+		for i, m := range v.Members {
+			members[i] = fmt.Sprintf("vm%d@%d", m.VM, m.AnchorGC)
+		}
+		return fmt.Sprintf("group-epoch   epoch=%d gc=%d members=%v", v.Epoch, v.GC, members)
 	default:
 		return fmt.Sprintf("%v", e.Kind())
 	}
@@ -339,7 +358,7 @@ func render(e tracelog.Entry) string {
 
 // exportPerfetto writes the graph to path and enforces the correlation
 // invariant: one message flow arrow per recorded cross-VM message.
-func exportPerfetto(path string, g *causal.Graph) error {
+func exportPerfetto(stdout, stderr io.Writer, path string, g *causal.Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -353,10 +372,10 @@ func exportPerfetto(path string, g *causal.Graph) error {
 	}
 	msgFlows := stats.FlowsByKind[causal.EdgeHandshake] +
 		stats.FlowsByKind[causal.EdgeStream] + stats.FlowsByKind[causal.EdgeDatagram]
-	fmt.Printf("wrote %s: %d slices, %d flows (%d message, %d notify) for %d cross-VM messages\n",
+	fmt.Fprintf(stdout, "wrote %s: %d slices, %d flows (%d message, %d notify) for %d cross-VM messages\n",
 		path, stats.Slices, stats.Flows, msgFlows, stats.FlowsByKind[causal.EdgeNotify], stats.Messages)
 	if s := g.Stats; s.UnmatchedHandshakes+s.UnmatchedWrites+s.DanglingDatagrams > 0 {
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"warning: uncorrelated traffic: %d handshakes, %d writes, %d datagrams (recorded without -causal tracing?)\n",
 			s.UnmatchedHandshakes, s.UnmatchedWrites, s.DanglingDatagrams)
 	}
@@ -369,7 +388,7 @@ func exportPerfetto(path string, g *causal.Graph) error {
 // makeFixture records a small two-client kvapp run with causal tracing and
 // timestamp sampling on, and saves one log directory per VM — the input the
 // CI trace-smoke job feeds to -perfetto.
-func makeFixture(dir string) error {
+func makeFixture(stdout io.Writer, dir string) error {
 	_, logs, err := kvapp.Run(kvapp.Config{
 		Replicas: 1, Clients: 2, OpsPerClient: 5,
 		Mode: ids.Record, Seed: 42, Chaos: kvapp.DefaultChaos(),
@@ -390,7 +409,7 @@ func makeFixture(dir string) error {
 		if err := set.Save(sub); err != nil {
 			return err
 		}
-		fmt.Println(sub)
+		fmt.Fprintln(stdout, sub)
 	}
 	return nil
 }
@@ -398,7 +417,7 @@ func makeFixture(dir string) error {
 // verifyExport re-parses a -perfetto export and checks the structural
 // invariants a viewer depends on: valid JSON, every flow start paired with a
 // finish of the same category, and at least one cross-VM message flow.
-func verifyExport(path string) error {
+func verifyExport(stdout io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -453,12 +472,7 @@ func verifyExport(path string) error {
 	if msgFlows == 0 {
 		return fmt.Errorf("%s: no cross-VM message flows", path)
 	}
-	fmt.Printf("ok: %s: %d slices, %d flows (%d cross-VM message flows)\n",
+	fmt.Fprintf(stdout, "ok: %s: %d slices, %d flows (%d cross-VM message flows)\n",
 		path, slices, len(starts), msgFlows)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "djtrace:", err)
-	os.Exit(1)
 }

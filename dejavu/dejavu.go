@@ -458,8 +458,11 @@ func (n *Node) Start(fn func(t *Thread)) { n.vm.Start(fn) }
 // Wait blocks until every thread of the node has returned.
 func (n *Node) Wait() { n.vm.Wait() }
 
-// Close finalizes the node; in record mode it completes the logs.
-func (n *Node) Close() { n.vm.Close() }
+// Close finalizes the node; in record mode it completes the logs. The error
+// is nil unless a write-ahead log was enabled and failed along the way: the
+// in-memory logs are complete and replayable regardless, but the WAL file is
+// not the durable copy EnableWAL promised.
+func (n *Node) Close() error { return n.vm.Close() }
 
 // Logs returns the record-phase logs (nil unless recording).
 func (n *Node) Logs() *Logs { return n.vm.Logs() }
@@ -537,7 +540,8 @@ func (n *Node) NewRPCClient(addr Addr) *RPCClient { return djrpc.NewClient(n.soc
 // path, fsynced every WALOptions.SyncEvery records. Call it on a record-mode
 // node before Start. If the process dies mid-run, Recover salvages the
 // consistent prefix of the file and the run replays deterministically up to
-// the crash point.
+// the crash point. If writing the file fails mid-run, recording continues in
+// memory and Close, SyncWAL and TruncateAt report the first failure.
 func (n *Node) EnableWAL(path string, opts WALOptions) error {
 	return n.vm.EnableWAL(path, opts)
 }

@@ -318,13 +318,23 @@ func TestSnapshotMidRunInvariants(t *testing.T) {
 			own[i].Register(vm)
 		}
 		stop := make(chan struct{})
+		// The threads pause half-way until the sampler has had its three
+		// looks (or has given up), so "mid-run" does not depend on how the
+		// machine schedules the sampler against a ten-millisecond run.
+		sampled := make(chan struct{})
+		var sampledOnce sync.Once
+		markSampled := func() { sampledOnce.Do(func() { close(sampled) }) }
 		var sampler sync.WaitGroup
 		sampler.Add(1)
 		go func() {
 			defer sampler.Done()
+			defer markSampled()
 			const lag = publishBatch * (nThreads + 1)
 			var prev obs.Snapshot
 			for n := 0; ; n++ {
+				if n == 3 {
+					markSampled()
+				}
 				select {
 				case <-stop:
 					if n < 3 {
@@ -364,6 +374,9 @@ func TestSnapshotMidRunInvariants(t *testing.T) {
 				i := i
 				kids[i] = main.Spawn(func(th *Thread) {
 					for j := 0; j < iters; j++ {
+						if j == iters/2 {
+							<-sampled
+						}
 						own[i].Set(th, own[i].Get(th)+1)
 						if j%16 == 0 {
 							shared.Add(th, 1)

@@ -1,8 +1,11 @@
 package core_test
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -122,5 +125,76 @@ func TestTruncateWALRequiresWAL(t *testing.T) {
 	st, err := rvm.TruncateWAL(1)
 	if st != nil || err != nil {
 		t.Fatalf("passthrough TruncateWAL = %v/%v, want nil/nil", st, err)
+	}
+}
+
+// A WAL whose device fills up must not fail silently. Recording goes on in
+// memory and the run ends normally, but whichever of TruncateWAL and Close
+// sees the failure first reports it, Close keeps reporting it, the snapshot
+// counts it once, and the in-memory logs still replay.
+func TestWALFailureSurfaces(t *testing.T) {
+	if f, err := os.OpenFile("/dev/full", os.O_WRONLY, 0); err != nil {
+		t.Skipf("no /dev/full to inject a write failure with: %v", err)
+	} else {
+		f.Close()
+	}
+	for _, truncate := range []bool{false, true} {
+		vm, err := core.NewVM(core.Config{ID: 4, Mode: ids.Record})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.EnableWAL("/dev/full", tracelog.WALOptions{SyncEvery: 8}); err != nil {
+			t.Fatalf("EnableWAL: %v", err)
+		}
+		walErrors := func() uint64 { return vm.Metrics().Snapshot().Faults.WALErrors }
+		run := func(vm *core.VM) (final int64) {
+			var counter core.SharedInt
+			vm.Start(func(main *core.Thread) {
+				child := main.Spawn(func(th *core.Thread) {
+					for i := 0; i < 500; i++ {
+						counter.Add(th, 1)
+					}
+				})
+				for i := 0; i < 500; i++ {
+					counter.Add(main, 2)
+				}
+				main.Join(child)
+				final = counter.Get(main)
+				checkpoint.Take(main, func() []byte { return []byte("state") })
+				if truncate {
+					if _, err := vm.TruncateWAL(1); vm.Mode() == ids.Record && !errors.Is(err, syscall.ENOSPC) {
+						t.Errorf("TruncateWAL = %v, want an error wrapping ENOSPC", err)
+					}
+				}
+			})
+			vm.Wait()
+			return final
+		}
+		recorded := run(vm)
+		if got := walErrors(); truncate && got != 1 {
+			t.Fatalf("Faults.WALErrors = %d after the failed truncation, want 1", got)
+		}
+
+		err = vm.Close()
+		if !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("truncate=%v: Close = %v, want an error wrapping ENOSPC", truncate, err)
+		}
+		if again := vm.Close(); again != err {
+			t.Fatalf("second Close = %v, want the same error", again)
+		}
+		if got := walErrors(); got != 1 {
+			t.Fatalf("truncate=%v: Faults.WALErrors = %d, want 1 (the first error is final)", truncate, got)
+		}
+
+		replay, err := core.NewVM(core.Config{ID: 4, Mode: ids.Replay, ReplayLogs: vm.Logs()})
+		if err != nil {
+			t.Fatalf("the in-memory logs of a WAL-failed run do not replay: %v", err)
+		}
+		if got := run(replay); got != recorded {
+			t.Fatalf("replay ended at %d, recorded %d", got, recorded)
+		}
+		if err := replay.Close(); err != nil {
+			t.Fatalf("Close of a VM without a WAL = %v, want nil", err)
+		}
 	}
 }

@@ -219,6 +219,9 @@ type VM struct {
 	metrics *obs.Metrics
 
 	closed bool
+	// walErr is the attached WAL's first write or sync failure, as Close or
+	// TruncateWAL first saw it. Guarded by the global stream's lock.
+	walErr error
 }
 
 // Stats aggregates the quantities the paper's tables report for one VM. It is
@@ -375,9 +378,11 @@ func (vm *VM) Logs() *tracelog.Set { return vm.logs }
 // appending the final vm-meta, so a graceful shutdown leaves a complete
 // durable log; on a crash the file ends wherever the last fsync left it.
 //
-// WAL write errors after a successful EnableWAL do not stop recording —
-// durability degrades while the in-memory logs stay intact; check
-// Logs().WAL().Err() or the recovery report.
+// A WAL write or sync failure after a successful EnableWAL does not stop the
+// run: recording continues in memory and Logs() stays complete and
+// replayable, but nothing further reaches the file. The failure is not
+// silent: Close, Logs().SyncWAL and TruncateWAL return the first one, and
+// Snapshot().Faults.WALErrors counts it.
 func (vm *VM) EnableWAL(path string, opts tracelog.WALOptions) error {
 	if vm.mode != ids.Record {
 		return fmt.Errorf("core: vm %d: EnableWAL in %v mode", vm.id, vm.mode)
@@ -493,10 +498,22 @@ func (vm *VM) TruncateWAL(keep int) (*tracelog.TruncateStats, error) {
 	vm.global.flushLocked()
 	st, err := vm.logs.TruncateWAL(keep)
 	if err != nil {
+		// ErrNoAnchor and a failed compaction leave the WAL healthy; only
+		// the writer's own sticky error means durability is gone.
+		vm.noteWALErrLocked(vm.logs.WAL().Err())
 		return nil, err
 	}
 	vm.metrics.IncWALTruncate()
 	return st, nil
+}
+
+// noteWALErrLocked remembers the WAL's first failure for Close to return and
+// counts it, once, in Faults.WALErrors. Caller holds the global stream's lock.
+func (vm *VM) noteWALErrLocked(err error) {
+	if err != nil && vm.walErr == nil {
+		vm.walErr = fmt.Errorf("core: vm %d: write-ahead log: %w", vm.id, err)
+		vm.metrics.IncWALError()
+	}
 }
 
 // NetworkIndex exposes the replay-phase network log index (nil unless
@@ -720,8 +737,10 @@ func (vm *VM) NextThreadNum() ids.ThreadNum {
 
 // Close finalizes the VM. In record mode it flushes every stream's open run
 // and appends the VMMeta record; the log set is then complete and can be
-// saved or handed to a replay VM. Close is idempotent.
-func (vm *VM) Close() {
+// saved or handed to a replay VM. Close is idempotent. It returns nil unless
+// a WAL was enabled and failed (see EnableWAL): the in-memory logs are
+// complete either way, the file is not.
+func (vm *VM) Close() error {
 	// One stream lock at a time: they are never nested.
 	for _, s := range vm.allStreams() {
 		s.mu.Lock()
@@ -732,7 +751,7 @@ func (vm *VM) Close() {
 	vm.global.mu.Lock()
 	defer vm.global.mu.Unlock()
 	if vm.closed {
-		return
+		return vm.walErr
 	}
 	vm.closed = true
 	if vm.stopWatchdog != nil {
@@ -753,6 +772,7 @@ func (vm *VM) Close() {
 		// With a WAL attached the final meta above is the last durable
 		// record; syncing and closing here makes a graceful shutdown
 		// indistinguishable from a plain saved log set.
-		vm.logs.CloseWAL()
+		vm.noteWALErrLocked(vm.logs.CloseWAL())
 	}
+	return vm.walErr
 }

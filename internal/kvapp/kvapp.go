@@ -103,7 +103,9 @@ const (
 	updateBursts = 2 // each update datagram is sent twice against loss
 )
 
-// Run executes the store per cfg.
+// Run executes the store per cfg. A record run whose PrimaryWAL failed along
+// the way still returns its result and complete in-memory logs, next to the
+// error saying the file is not the durable copy it was meant to be.
 func Run(cfg Config) (Result, RunLogs, error) {
 	if cfg.Replicas <= 0 || cfg.Clients <= 0 || cfg.OpsPerClient <= 0 {
 		return Result{}, nil, fmt.Errorf("kvapp: sizes must be positive")
@@ -340,7 +342,7 @@ func Run(cfg Config) (Result, RunLogs, error) {
 	}
 	res.ClientDigest = cd
 
-	primaryVM.Close()
+	err = primaryVM.Close() // non-nil only when cfg.PrimaryWAL failed
 	clientVM.Close()
 	var logs RunLogs
 	if cfg.Mode == ids.Record {
@@ -355,7 +357,7 @@ func Run(cfg Config) (Result, RunLogs, error) {
 	if cfg.Mode == ids.Record {
 		logs = append(logs, clientVM.Logs())
 	}
-	return res, logs, nil
+	return res, logs, err
 }
 
 // encodeUpdate frames a key-value update (or the end-of-stream sentinel).

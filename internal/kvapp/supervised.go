@@ -332,7 +332,9 @@ func RunSupervised(cfg SupervisedConfig) (*SupervisedResult, error) {
 			// Survivor: the live store is the truth; the baseline replays the
 			// never-truncated in-memory log from zero.
 			vms[i].Wait()
-			vms[i].Close()
+			if err := vms[i].Close(); err != nil {
+				return res, fmt.Errorf("kvapp: supervised: member %s: %w", names[i], err)
+			}
 			mr.RecoveredDigest = digestStore(stores[i])
 			mr.BaselineDigest, err = replaySalvaged(coord, vmIDs[i], vms[i].Logs(), nil, limit)
 		}

@@ -1,6 +1,7 @@
 package logcheck
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"maps"
@@ -134,6 +135,15 @@ func diffNetwork(rep *DiffReport, a, b *tracelog.Set) error {
 	diffKeyed(rep, "bind", na.Binds, nb.Binds, byNetEvent, same[tracelog.BindEntry])
 	diffKeyed(rep, "net-err", na.Errs, nb.Errs, byNetEvent, same[tracelog.NetErrEntry])
 	diffKeyed(rep, "env", na.Envs, nb.Envs, byNetEvent, same[tracelog.EnvEntry])
+	diffKeyed(rep, "open-connect", na.OpenConnects, nb.OpenConnects, byNetEvent, same[tracelog.OpenConnectEntry])
+	diffKeyed(rep, "open-accept", na.OpenAccepts, nb.OpenAccepts, byNetEvent, same[tracelog.OpenAcceptEntry])
+	diffKeyed(rep, "open-read", na.OpenReads, nb.OpenReads, byNetEvent, func(x, y tracelog.OpenReadEntry) bool {
+		return x.EOF == y.EOF && bytes.Equal(x.Data, y.Data)
+	})
+	diffKeyed(rep, "open-write", na.OpenWrites, nb.OpenWrites, byNetEvent, same[tracelog.OpenWriteEntry])
+	diffKeyed(rep, "open-datagram", na.OpenDatagrams, nb.OpenDatagrams, byNetEvent, func(x, y tracelog.OpenDatagramEntry) bool {
+		return x.SourceHost == y.SourceHost && x.SourcePort == y.SourcePort && bytes.Equal(x.Data, y.Data)
+	})
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package logcheck
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,6 +71,56 @@ func TestDiffNetworkValueAndPresence(t *testing.T) {
 	}
 	if !diffContains(rep, "bind nev⟨t0,e1⟩: only in left log") {
 		t.Errorf("one-sided bind not reported: %v", rep.Lines)
+	}
+}
+
+// Two open-world recordings that saw a different peer, different request
+// bytes and a different reply checksum are not the same execution: every
+// open-world record family is compared, by value and by presence.
+func TestDiffOpenWorldValueAndPresence(t *testing.T) {
+	ev := func(e int) ids.NetworkEventID { return ids.NetworkEventID{Thread: 1, Event: ids.EventNum(e)} }
+	a, b := simpleSet(10), simpleSet(10)
+	// Events 0-4: one record of each family on both sides, values differing.
+	a.Network.Append(&tracelog.OpenConnectEntry{EventID: ev(0), LocalPort: 5, RemoteHost: "alpha", RemotePort: 80})
+	b.Network.Append(&tracelog.OpenConnectEntry{EventID: ev(0), LocalPort: 5, RemoteHost: "beta", RemotePort: 80})
+	a.Network.Append(&tracelog.OpenAcceptEntry{EventID: ev(1), RemoteHost: "peer", RemotePort: 1000})
+	b.Network.Append(&tracelog.OpenAcceptEntry{EventID: ev(1), RemoteHost: "peer", RemotePort: 1001})
+	a.Network.Append(&tracelog.OpenReadEntry{EventID: ev(2), Data: []byte("GET /a")})
+	b.Network.Append(&tracelog.OpenReadEntry{EventID: ev(2), Data: []byte("GET /b")})
+	a.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(3), Len: 6, Sum: 0xfeed})
+	b.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(3), Len: 6, Sum: 0xbeef})
+	a.Network.Append(&tracelog.OpenDatagramEntry{EventID: ev(4), SourceHost: "src", SourcePort: 53, Data: []byte("x")})
+	b.Network.Append(&tracelog.OpenDatagramEntry{EventID: ev(4), SourceHost: "src", SourcePort: 53, Data: []byte("y")})
+	// Events 5-9: one record of each family on the left side only.
+	a.Network.Append(&tracelog.OpenConnectEntry{EventID: ev(5)})
+	a.Network.Append(&tracelog.OpenAcceptEntry{EventID: ev(6)})
+	a.Network.Append(&tracelog.OpenReadEntry{EventID: ev(7)})
+	a.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(8)})
+	a.Network.Append(&tracelog.OpenDatagramEntry{EventID: ev(9)})
+	// Events 10-11: equal content must stay silent.
+	a.Network.Append(&tracelog.OpenReadEntry{EventID: ev(10), Data: []byte("same"), EOF: true})
+	b.Network.Append(&tracelog.OpenReadEntry{EventID: ev(10), Data: []byte("same"), EOF: true})
+	a.Network.Append(&tracelog.OpenDatagramEntry{EventID: ev(11), SourceHost: "src", Data: []byte("same")})
+	b.Network.Append(&tracelog.OpenDatagramEntry{EventID: ev(11), SourceHost: "src", Data: []byte("same")})
+
+	rep, err := Diff(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"open-connect nev⟨t1,e0⟩: values differ",
+		"open-connect nev⟨t1,e5⟩: only in left log",
+		"open-accept nev⟨t1,e1⟩: values differ",
+		"open-accept nev⟨t1,e6⟩: only in left log",
+		"open-read nev⟨t1,e2⟩: values differ",
+		"open-read nev⟨t1,e7⟩: only in left log",
+		"open-write nev⟨t1,e3⟩: values differ",
+		"open-write nev⟨t1,e8⟩: only in left log",
+		"open-datagram nev⟨t1,e4⟩: values differ",
+		"open-datagram nev⟨t1,e9⟩: only in left log",
+	}
+	if !slices.Equal(rep.Lines, want) {
+		t.Errorf("open-world differences:\n got %q\nwant %q", rep.Lines, want)
 	}
 }
 

@@ -61,6 +61,9 @@ type Metrics struct {
 	rudpBackoffCapped atomic.Uint64
 	// walTruncates counts checkpoint-anchored WAL compactions performed.
 	walTruncates atomic.Uint64
+	// walErrors counts WALs lost to a write or sync failure (at most one per
+	// VM: the writer's first error is final).
+	walErrors atomic.Uint64
 
 	// Supervisor counters: fail-stop recoveries completed, VM restarts
 	// launched, and recoveries that fell back to replay-from-zero because no
@@ -211,6 +214,9 @@ func (m *Metrics) IncRudpBackoffCap() { m.rudpBackoffCapped.Add(1) }
 
 // IncWALTruncate counts one checkpoint-anchored WAL compaction.
 func (m *Metrics) IncWALTruncate() { m.walTruncates.Add(1) }
+
+// IncWALError counts one WAL lost to a write or sync failure.
+func (m *Metrics) IncWALError() { m.walErrors.Add(1) }
 
 // IncRecovery counts one completed supervisor recovery.
 func (m *Metrics) IncRecovery() { m.recoveries.Add(1) }

@@ -100,6 +100,9 @@ type FaultCounts struct {
 	RudpBackoffCapped uint64 `json:"rudp_backoff_capped"`
 	// WALTruncates is checkpoint-anchored WAL compactions performed.
 	WALTruncates uint64 `json:"wal_truncates"`
+	// WALErrors is WALs lost to a write or sync failure: recording went on
+	// in memory, the file stopped growing, and Close returned the error.
+	WALErrors uint64 `json:"wal_errors"`
 }
 
 // RecoveryCounts groups the supervisor's recovery outcomes.
@@ -239,6 +242,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		RudpRetransmits:   m.rudpRetransmits.Load(),
 		RudpBackoffCapped: m.rudpBackoffCapped.Load(),
 		WALTruncates:      m.walTruncates.Load(),
+		WALErrors:         m.walErrors.Load(),
 	}
 	s.Recovery = RecoveryCounts{
 		Recoveries:    m.recoveries.Load(),

@@ -141,6 +141,7 @@ type Supervisor struct {
 	cfg     Config
 	members []Member
 	stop    chan struct{}
+	stopped sync.Once // Stop may race with itself: close(stop) runs once
 	done    chan struct{}
 
 	mu   sync.Mutex
@@ -182,11 +183,7 @@ func (s *Supervisor) MarkDone(member int) {
 // Stop stands the supervisor down (the supervised VMs completed cleanly).
 // Safe to call more than once; no-op while an episode is in flight.
 func (s *Supervisor) Stop() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
+	s.stopped.Do(func() { close(s.stop) })
 }
 
 // Wait blocks until supervision ends and returns the aggregated outcome —

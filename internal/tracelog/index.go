@@ -54,28 +54,10 @@ type ObjEvent struct {
 	Seq ids.AccessSeq
 }
 
-// The Build*Index functions decode the byte stream directly into the index
-// structures, one stack-allocated scratch record at a time: replay startup
-// over a large log never materializes the intermediate []Entry slice that
-// Parse builds.
-
-// recErr surfaces a sticky decode failure with the failing record's kind and
-// offset, matching Parse's error text. Call after each scratch decode.
-func recErr(d *dec, k Kind) error {
-	if d.err != nil {
-		return fmt.Errorf("%w: decoding %v record at offset %d", ErrCorrupt, k, d.off)
-	}
-	return nil
-}
-
-// unexpectedRecord classifies an out-of-place kind byte: unknown kinds keep
-// newEntry's error, known-but-misplaced kinds report which log rejected them.
-func unexpectedRecord(k Kind, logName string) error {
-	if _, err := newEntry(k); err != nil {
-		return err
-	}
-	return corruptf("unexpected %v record in %s log", k, logName)
-}
+// The Build*Index functions walk the byte stream with one reused scratch
+// record per kind and copy what they keep into the index structures: replay
+// startup over a large log never materializes the intermediate []Entry slice
+// that Parse builds.
 
 // BuildScheduleIndex decodes a schedule log and indexes it for replay.
 // Interval order within a thread is preserved from append order, which is the
@@ -90,140 +72,71 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 		ObjNotifies:   make(map[ObjEvent][]ids.ThreadNum),
 		ObjTimedWaits: make(map[ObjEvent]ObjTimedWait),
 	}
-	d := &dec{buf: l.snapshot()}
 	sawMeta := false
-	for !d.done() {
-		k := Kind(d.u8())
-		if d.err != nil {
-			return nil, d.err
-		}
-		switch k {
-		case KindInterval:
-			var v Interval
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+	var scratch [kindMax]Entry
+	err := walk(l.snapshot(), &scratch, func(e Entry) error {
+		switch v := e.(type) {
+		case *Interval:
 			if v.Last < v.First {
-				return nil, corruptf("interval for thread %d has Last %d < First %d", v.Thread, v.Last, v.First)
+				return corruptf("interval for thread %d has Last %d < First %d", v.Thread, v.Last, v.First)
 			}
 			ivs := idx.Intervals[v.Thread]
 			if n := len(ivs); n > 0 && ivs[n-1].Last >= v.First {
-				return nil, corruptf("intervals for thread %d out of order: [%d,%d] then [%d,%d]",
+				return corruptf("intervals for thread %d out of order: [%d,%d] then [%d,%d]",
 					v.Thread, ivs[n-1].First, ivs[n-1].Last, v.First, v.Last)
 			}
-			idx.Intervals[v.Thread] = append(ivs, v)
-		case KindNotify:
-			var v Notify
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+			idx.Intervals[v.Thread] = append(ivs, *v)
+		case *Notify:
 			idx.Notifies[v.GC] = v.Woken
-		case KindTimedWait:
-			var v TimedWaitEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.TimedWaits[v.GC] = v
-		case KindVMMeta:
-			var v VMMeta
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.Meta = v
+		case *TimedWaitEntry:
+			idx.TimedWaits[v.GC] = *v
+		case *VMMeta:
+			idx.Meta = *v
 			sawMeta = true
-		case KindCheckpoint:
-			var v CheckpointEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.Checkpoints = append(idx.Checkpoints, v)
-		case KindOpenInterval:
+		case *CheckpointEntry:
+			idx.Checkpoints = append(idx.Checkpoints, *v)
+		case *OpenInterval:
 			// Durability notes for crash recovery only; they carry no
 			// schedule semantics, so replay skips them.
-			var v OpenInterval
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-		case KindTimestamp:
+		case *TimestampEntry:
 			// Optional wall-clock anchors; replay ignores them, analysis
 			// reads them through the index.
-			var v TimestampEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.Timestamps = append(idx.Timestamps, v)
-		case KindOrderMode:
-			var v OrderModeEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+			idx.Timestamps = append(idx.Timestamps, *v)
+		case *OrderModeEntry:
 			if v.Mode != ids.OrderGlobal && v.Mode != ids.OrderSharded {
-				return nil, corruptf("unknown order mode %d", uint8(v.Mode))
+				return corruptf("unknown order mode %d", uint8(v.Mode))
 			}
 			idx.OrderMode = v.Mode
-		case KindObjRun:
-			var v ObjRun
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+		case *ObjRun:
 			if v.Last < v.First {
-				return nil, corruptf("obj-run for %v has Last %d < First %d", v.Obj, v.Last, v.First)
+				return corruptf("obj-run for %v has Last %d < First %d", v.Obj, v.Last, v.First)
 			}
 			runs := idx.ObjRuns[v.Obj]
 			if n := len(runs); n > 0 && runs[n-1].Last >= v.First {
-				return nil, corruptf("obj-runs for %v out of order: [%d,%d] then [%d,%d]",
+				return corruptf("obj-runs for %v out of order: [%d,%d] then [%d,%d]",
 					v.Obj, runs[n-1].First, runs[n-1].Last, v.First, v.Last)
 			}
-			idx.ObjRuns[v.Obj] = append(runs, v)
-		case KindObjNotify:
-			var v ObjNotify
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+			idx.ObjRuns[v.Obj] = append(runs, *v)
+		case *ObjNotify:
 			idx.ObjNotifies[ObjEvent{v.Obj, v.Seq}] = v.Woken
-		case KindObjTimedWait:
-			var v ObjTimedWait
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.ObjTimedWaits[ObjEvent{v.Obj, v.Seq}] = v
-		case KindTruncation:
-			var v TruncationEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+		case *ObjTimedWait:
+			idx.ObjTimedWaits[ObjEvent{v.Obj, v.Seq}] = *v
+		case *TruncationEntry:
 			if v.BaseGC > idx.BaseGC {
 				idx.BaseGC = v.BaseGC
 			}
-		case KindChaosPlan:
-			var v ChaosPlanEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.ChaosPlan = &v
-		case KindGroupEpoch:
-			var v GroupEpochEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.GroupEpochs = append(idx.GroupEpochs, v)
+		case *ChaosPlanEntry:
+			plan := *v
+			idx.ChaosPlan = &plan
+		case *GroupEpochEntry:
+			idx.GroupEpochs = append(idx.GroupEpochs, *v)
 		default:
-			return nil, unexpectedRecord(k, "schedule")
+			return misplaced(e.Kind(), logSchedule)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if !sawMeta {
 		return nil, corruptf("schedule log has no vm-meta record")
@@ -285,120 +198,60 @@ func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 		Envs:          make(map[ids.NetworkEventID]EnvEntry),
 		NetSpans:      make(map[ids.NetworkEventID]NetSpanEntry),
 	}
-	d := &dec{buf: l.snapshot()}
-	for !d.done() {
-		k := Kind(d.u8())
-		if d.err != nil {
-			return nil, d.err
-		}
-		switch k {
-		case KindServerSocket:
-			var v ServerSocketEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+	var scratch [kindMax]Entry
+	err := walk(l.snapshot(), &scratch, func(e Entry) error {
+		switch v := e.(type) {
+		case *ServerSocketEntry:
 			if _, ok := idx.ServerSockets[v.ServerID]; !ok {
 				idx.ServerSockets[v.ServerID] = v.ClientID
 			}
-		case KindRead:
-			var v ReadEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+		case *ReadEntry:
 			if _, ok := idx.Reads[v.EventID]; ok {
-				return nil, dupError{KindRead}
+				return dupError{KindRead}
 			}
-			idx.Reads[v.EventID] = v
-		case KindAvailable:
-			var v AvailableEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+			idx.Reads[v.EventID] = *v
+		case *AvailableEntry:
 			if _, ok := idx.Availables[v.EventID]; ok {
-				return nil, dupError{KindAvailable}
+				return dupError{KindAvailable}
 			}
-			idx.Availables[v.EventID] = v
-		case KindBind:
-			var v BindEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+			idx.Availables[v.EventID] = *v
+		case *BindEntry:
 			if _, ok := idx.Binds[v.EventID]; ok {
-				return nil, dupError{KindBind}
+				return dupError{KindBind}
 			}
-			idx.Binds[v.EventID] = v
-		case KindNetErr:
-			var v NetErrEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+			idx.Binds[v.EventID] = *v
+		case *NetErrEntry:
 			if _, ok := idx.Errs[v.EventID]; ok {
-				return nil, dupError{KindNetErr}
+				return dupError{KindNetErr}
 			}
-			idx.Errs[v.EventID] = v
-		case KindOpenConnect:
-			var v OpenConnectEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.OpenConnects[v.EventID] = v
-		case KindOpenAccept:
-			var v OpenAcceptEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.OpenAccepts[v.EventID] = v
-		case KindOpenRead:
-			var v OpenReadEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.OpenReads[v.EventID] = v
-		case KindOpenWrite:
-			var v OpenWriteEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.OpenWrites[v.EventID] = v
-		case KindOpenDatagram:
-			var v OpenDatagramEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
-			idx.OpenDatagrams[v.EventID] = v
-		case KindEnv:
-			var v EnvEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+			idx.Errs[v.EventID] = *v
+		case *OpenConnectEntry:
+			idx.OpenConnects[v.EventID] = *v
+		case *OpenAcceptEntry:
+			idx.OpenAccepts[v.EventID] = *v
+		case *OpenReadEntry:
+			idx.OpenReads[v.EventID] = *v
+		case *OpenWriteEntry:
+			idx.OpenWrites[v.EventID] = *v
+		case *OpenDatagramEntry:
+			idx.OpenDatagrams[v.EventID] = *v
+		case *EnvEntry:
 			if _, ok := idx.Envs[v.EventID]; ok {
-				return nil, dupError{KindEnv}
+				return dupError{KindEnv}
 			}
-			idx.Envs[v.EventID] = v
-		case KindNetSpan:
-			var v NetSpanEntry
-			v.decode(d)
-			if err := recErr(d, k); err != nil {
-				return nil, err
-			}
+			idx.Envs[v.EventID] = *v
+		case *NetSpanEntry:
 			if _, ok := idx.NetSpans[v.EventID]; ok {
-				return nil, dupError{KindNetSpan}
+				return dupError{KindNetSpan}
 			}
-			idx.NetSpans[v.EventID] = v
+			idx.NetSpans[v.EventID] = *v
 		default:
-			return nil, unexpectedRecord(k, "network")
+			return misplaced(e.Kind(), logNetwork)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return idx, nil
 }
@@ -420,25 +273,21 @@ func BuildDatagramIndex(l *Log) (*DatagramIndex, error) {
 		ByEvent:    make(map[ids.NetworkEventID]DatagramRecvEntry),
 		Deliveries: make(map[ids.DGNetworkEventID]int),
 	}
-	d := &dec{buf: l.snapshot()}
-	for !d.done() {
-		k := Kind(d.u8())
-		if d.err != nil {
-			return nil, d.err
-		}
-		if k != KindDatagramRecv {
-			return nil, unexpectedRecord(k, "datagram")
-		}
-		var v DatagramRecvEntry
-		v.decode(d)
-		if err := recErr(d, k); err != nil {
-			return nil, err
+	var scratch [kindMax]Entry
+	err := walk(l.snapshot(), &scratch, func(e Entry) error {
+		v, ok := e.(*DatagramRecvEntry)
+		if !ok {
+			return misplaced(e.Kind(), logDatagram)
 		}
 		if _, dup := idx.ByEvent[v.EventID]; dup {
-			return nil, dupError{KindDatagramRecv}
+			return dupError{KindDatagramRecv}
 		}
-		idx.ByEvent[v.EventID] = v
+		idx.ByEvent[v.EventID] = *v
 		idx.Deliveries[v.Datagram]++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return idx, nil
 }

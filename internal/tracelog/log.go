@@ -9,7 +9,7 @@ import (
 
 // Log is a thread-safe, append-only stream of log records held in memory.
 // A DJVM appends entries during the record phase; Bytes/SaveFile persist the
-// stream and Parse/LoadFile reconstruct it for the replay phase.
+// stream and Parse/LoadSet reconstruct it for the replay phase.
 type Log struct {
 	mu      sync.Mutex
 	buf     []byte
@@ -119,15 +119,35 @@ func (l *Log) Each(fn func(Entry) error) error {
 
 // EachEntry is Each over a raw encoded stream.
 func EachEntry(data []byte, fn func(Entry) error) error {
+	return walk(data, nil, fn)
+}
+
+// walk is the package's one decode loop: it decodes data one record at a time
+// in append order and hands each record to fn. With scratch nil every record
+// is freshly allocated and fn may retain it. Otherwise scratch holds one
+// record per kind and walk decodes into it again and again, so a walk over
+// any number of records allocates at most one per kind; fn must then copy
+// what it keeps (every entry decode overwrites all of its fields, and the
+// slices and strings a decode produces are fresh, so a copied struct shares
+// nothing with the next record). A non-nil error from fn stops the walk and
+// is returned as-is; a stream that does not decode fails with ErrCorrupt,
+// naming the record's kind and the offset reached.
+func walk(data []byte, scratch *[kindMax]Entry, fn func(Entry) error) error {
 	d := &dec{buf: data}
 	for !d.done() {
 		k := Kind(d.u8())
-		if d.err != nil {
-			return d.err
+		var e Entry
+		if scratch != nil && k < kindMax {
+			e = scratch[k]
 		}
-		e, err := newEntry(k)
-		if err != nil {
-			return err
+		if e == nil {
+			var err error
+			if e, err = newEntry(k); err != nil {
+				return err
+			}
+			if scratch != nil {
+				scratch[k] = e
+			}
 		}
 		e.decode(d)
 		if d.err != nil {
@@ -165,33 +185,48 @@ func (l *Log) SaveFile(path string) error {
 
 // Parse decodes an encoded log stream into its entries.
 func Parse(data []byte) ([]Entry, error) {
-	d := &dec{buf: data}
 	var out []Entry
-	for !d.done() {
-		k := Kind(d.u8())
-		if d.err != nil {
-			return nil, d.err
-		}
-		e, err := newEntry(k)
-		if err != nil {
-			return nil, err
-		}
-		e.decode(d)
-		if d.err != nil {
-			return nil, fmt.Errorf("%w: decoding %v record at offset %d", ErrCorrupt, k, d.off)
-		}
+	if err := walk(data, nil, func(e Entry) error {
 		out = append(out, e)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// LoadFile reads and decodes the log at path.
-func LoadFile(path string) ([]Entry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("tracelog: load %s: %w", path, err)
+// The three logs of a set, in the order the WAL's frame tag numbers them.
+const (
+	logSchedule = iota
+	logNetwork
+	logDatagram
+	logCount
+)
+
+// logNames names the three logs in errors, and (with ".log") on disk.
+var logNames = [logCount]string{"schedule", "network", "datagram"}
+
+// logOf reports which of the three logs records of kind k belong in — the one
+// classification behind the index builders' misplaced-record error and the
+// WAL scan's kind-versus-log check. Records keyed by a network event id go to
+// the network log, datagram deliveries to the datagram log, and everything
+// else is schedule-log material.
+func logOf(k Kind) uint8 {
+	switch k {
+	case KindServerSocket, KindRead, KindAvailable, KindBind, KindNetErr,
+		KindOpenConnect, KindOpenAccept, KindOpenRead, KindOpenWrite,
+		KindOpenDatagram, KindEnv, KindNetSpan:
+		return logNetwork
+	case KindDatagramRecv:
+		return logDatagram
 	}
-	return Parse(data)
+	return logSchedule
+}
+
+// misplaced is the error for a known record found in a log it does not belong
+// in.
+func misplaced(k Kind, logID uint8) error {
+	return corruptf("unexpected %v record in %s log", k, logNames[logID])
 }
 
 // Set bundles the three per-DJVM logs. The paper keeps a per-DJVM
@@ -215,76 +250,60 @@ func NewSet() *Set {
 	return &Set{Schedule: NewLog(), Network: NewLog(), Datagram: NewLog()}
 }
 
+// logs returns the set's three logs indexed by log id.
+func (s *Set) logs() [logCount]*Log {
+	return [logCount]*Log{s.Schedule, s.Network, s.Datagram}
+}
+
 // TotalSize is the total recorded bytes across the three logs — the paper's
 // "log size" column ("the list of scheduling intervals for each thread and
 // information related to network activity", §6).
 func (s *Set) TotalSize() int {
-	return s.Schedule.Size() + s.Network.Size() + s.Datagram.Size()
+	n := 0
+	for _, l := range s.logs() {
+		n += l.Size()
+	}
+	return n
 }
 
 // Save persists the three logs under dir as schedule.log, network.log and
 // datagram.log.
 func (s *Set) Save(dir string) error {
-	if err := s.Schedule.SaveFile(filepath.Join(dir, "schedule.log")); err != nil {
-		return err
+	for id, l := range s.logs() {
+		if err := l.SaveFile(filepath.Join(dir, logNames[id]+".log")); err != nil {
+			return err
+		}
 	}
-	if err := s.Network.SaveFile(filepath.Join(dir, "network.log")); err != nil {
-		return err
-	}
-	return s.Datagram.SaveFile(filepath.Join(dir, "datagram.log"))
+	return nil
 }
 
 // LoadSet reads the three logs saved by Save back into memory.
 func LoadSet(dir string) (*Set, error) {
 	s := NewSet()
-	for _, f := range []struct {
-		name string
-		log  *Log
-	}{
-		{"schedule.log", s.Schedule},
-		{"network.log", s.Network},
-		{"datagram.log", s.Datagram},
-	} {
-		data, err := os.ReadFile(filepath.Join(dir, f.name))
+	for id, l := range s.logs() {
+		name := logNames[id] + ".log"
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("tracelog: load set: %w", err)
 		}
 		n, err := countRecords(data)
 		if err != nil {
-			return nil, fmt.Errorf("tracelog: load set: %s: %w", f.name, err)
+			return nil, fmt.Errorf("tracelog: load set: %s: %w", name, err)
 		}
-		f.log.buf = data
-		f.log.entries = n
+		l.buf, l.entries = data, n
 	}
 	return s, nil
 }
 
 // countRecords walks an encoded stream, validating the framing and returning
 // the number of records, so a loaded Log reports the same Len() the recording
-// Log did. Records are decoded into one scratch value per kind rather than
-// allocated per record (every entry decode overwrites all of its fields).
+// Log did.
 func countRecords(data []byte) (int, error) {
-	d := &dec{buf: data}
 	var scratch [kindMax]Entry
 	n := 0
-	for !d.done() {
-		k := Kind(d.u8())
-		if d.err != nil {
-			return 0, d.err
-		}
-		if int(k) >= len(scratch) || scratch[k] == nil {
-			e, err := newEntry(k)
-			if err != nil {
-				return 0, err
-			}
-			scratch[k] = e
-		}
-		e := scratch[k]
-		e.decode(d)
-		if d.err != nil {
-			return 0, fmt.Errorf("%w: decoding %v record at offset %d", ErrCorrupt, k, d.off)
-		}
+	err := walk(data, &scratch, func(Entry) error {
 		n++
-	}
-	return n, nil
+		return nil
+	})
+	return n, err
 }

@@ -32,8 +32,8 @@ import (
 //
 // extras are appended verbatim after the schedule body — notify records,
 // checkpoints, timestamps, or anything else the caller wants carried over
-// from a recording (remap their counter keys with RemapGCKeys first if the
-// synthesized order moved events). The final VMMeta is appended last, with
+// from a recording (their counter keys must already name slots of the
+// synthesized order). The final VMMeta is appended last, with
 // FinalGC forced to meta.FinalGC's base plus len(order); callers normally
 // pass meta from the recording's index so VM, World, Threads, and the
 // BaseGC encoded in FinalGC-vs-interval arithmetic all agree.
@@ -131,38 +131,4 @@ func FlattenIntervals(idx *ScheduleIndex) ([]ids.ThreadNum, error) {
 		}
 	}
 	return order, nil
-}
-
-// RemapGCKeys returns a copy of extras with every counter-keyed record's GC
-// rewritten through remap. It covers the record kinds that key on a global
-// counter value — Notify, TimedWaitEntry, CheckpointEntry, TimestampEntry —
-// and passes every other entry through unchanged. Use it when carrying
-// recorded extras into a synthesized schedule whose events moved: remap maps
-// a recorded counter to its slot in the new order.
-func RemapGCKeys(extras []Entry, remap func(ids.GCount) ids.GCount) []Entry {
-	out := make([]Entry, 0, len(extras))
-	for _, e := range extras {
-		switch v := e.(type) {
-		case *Notify:
-			c := *v
-			c.GC = remap(v.GC)
-			c.Woken = append([]ids.ThreadNum(nil), v.Woken...)
-			out = append(out, &c)
-		case *TimedWaitEntry:
-			c := *v
-			c.GC = remap(v.GC)
-			out = append(out, &c)
-		case *CheckpointEntry:
-			c := *v
-			c.GC = remap(v.GC)
-			out = append(out, &c)
-		case *TimestampEntry:
-			c := *v
-			c.GC = remap(v.GC)
-			out = append(out, &c)
-		default:
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -112,28 +112,3 @@ func TestFlattenIntervalsRejectsGapsAndOverlaps(t *testing.T) {
 		t.Fatal("out-of-range interval not rejected")
 	}
 }
-
-func TestRemapGCKeys(t *testing.T) {
-	in := []Entry{
-		&Notify{GC: 5, Woken: []ids.ThreadNum{1, 2}},
-		&TimedWaitEntry{GC: 7, Check: true, TimedOut: true},
-		&TimestampEntry{GC: 9, Wall: 42},
-		&BindEntry{Port: 80},
-	}
-	out := RemapGCKeys(in, func(gc ids.GCount) ids.GCount { return gc + 100 })
-	if n := out[0].(*Notify); n.GC != 105 || len(n.Woken) != 2 {
-		t.Fatalf("notify remap: %+v", n)
-	}
-	if in[0].(*Notify).GC != 5 {
-		t.Fatal("remap mutated the input")
-	}
-	if w := out[1].(*TimedWaitEntry); w.GC != 107 || !w.TimedOut {
-		t.Fatalf("timed-wait remap: %+v", w)
-	}
-	if ts := out[2].(*TimestampEntry); ts.GC != 109 {
-		t.Fatalf("timestamp remap: %+v", ts)
-	}
-	if _, ok := out[3].(*BindEntry); !ok {
-		t.Fatal("non-counter entry not passed through")
-	}
-}

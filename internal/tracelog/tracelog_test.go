@@ -3,9 +3,11 @@ package tracelog
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,12 +129,174 @@ func TestParseRejectsCorruptStreams(t *testing.T) {
 		t.Errorf("unknown kind parsed: %v", err)
 	}
 
+	// Error text is API (logcheck findings and djrecover -json quote it):
+	// every reader of a stream must describe the same damage in the same
+	// words, whichever log the stream belongs to.
+	cutRecord := func(e Entry) []byte {
+		l := NewLog()
+		l.Append(e)
+		return l.buf[:len(l.buf)-1]
+	}
+	for _, tc := range []struct {
+		logID uint8
+		data  []byte
+		want  string
+	}{
+		{logSchedule, cutRecord(&Notify{GC: 5, Woken: []ids.ThreadNum{1, 2}}), "tracelog: corrupt log: decoding notify record at offset 4"},
+		{logNetwork, cutRecord(&NetErrEntry{Op: "read", Msg: "reset"}), "tracelog: corrupt log: decoding net-err record at offset 9"},
+		{logDatagram, cutRecord(&DatagramRecvEntry{ReceiverGC: 9}), "tracelog: corrupt log: decoding datagram-recv record at offset 5"},
+		{logSchedule, []byte{0xEE, 1, 2, 3}, "tracelog: corrupt log: unknown record kind 238"},
+		{logNetwork, []byte{0xEE, 1, 2, 3}, "tracelog: corrupt log: unknown record kind 238"},
+		{logDatagram, []byte{0xEE, 1, 2, 3}, "tracelog: corrupt log: unknown record kind 238"},
+	} {
+		for reader, got := range corruptStreamMessages(t, tc.logID, tc.data) {
+			if got != tc.want {
+				t.Errorf("%s log, %s: message %q, want %q", logNames[tc.logID], reader, got, tc.want)
+			}
+		}
+	}
+
 	// Random corruption: flip bytes; must never panic.
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		mut := append([]byte(nil), data...)
 		mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
 		Parse(mut) // outcome may be ok or error; must not panic
+	}
+}
+
+// buildIndex holds the three index builders by log id, results dropped.
+var buildIndex = [logCount]func(*Log) error{
+	func(l *Log) error { _, err := BuildScheduleIndex(l); return err },
+	func(l *Log) error { _, err := BuildNetworkIndex(l); return err },
+	func(l *Log) error { _, err := BuildDatagramIndex(l); return err },
+}
+
+// corruptStreamMessages feeds one undecodable stream of log logID to every
+// reader the package has and returns what each said about it: Parse,
+// EachEntry, LoadSet (minus its file-name prefix), that log's index builder,
+// and RecoverFile's scan (the stream as the payload of one WAL frame).
+func corruptStreamMessages(t *testing.T, logID uint8, data []byte) map[string]string {
+	t.Helper()
+	msg := func(err error) string {
+		if err == nil {
+			return "<accepted>"
+		}
+		return err.Error()
+	}
+	out := map[string]string{}
+	_, err := Parse(data)
+	out["Parse"] = msg(err)
+	out["EachEntry"] = msg(EachEntry(data, func(Entry) error { return nil }))
+
+	dir := t.TempDir()
+	set := NewSet()
+	set.logs()[logID].buf = data
+	if err := set.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadSet(dir)
+	out["LoadSet"] = strings.TrimPrefix(msg(err), "tracelog: load set: "+logNames[logID]+".log: ")
+
+	out["Build*Index"] = msg(buildIndex[logID](&Log{buf: data}))
+
+	path := filepath.Join(dir, "one-frame.wal")
+	w, err := CreateWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.append(logID, data)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, _ := RecoverFile(path)
+	out["RecoverFile"] = rep.Reason
+	return out
+}
+
+// TestEveryKindIsClassified pins the answers to the four questions the
+// package asks of a record kind — what is it called and how is it built,
+// which log does it belong in, which counter value keys it, which network
+// event keys it — against a literal table, so a new kind cannot be added
+// without deciding all of them.
+func TestEveryKindIsClassified(t *testing.T) {
+	type answers struct {
+		log      uint8
+		gcKey    bool // gcField finds a counter key
+		eventKey bool // netEventID finds an event key
+	}
+	want := map[Kind]answers{
+		KindInterval:     {log: logSchedule},
+		KindNotify:       {log: logSchedule, gcKey: true},
+		KindServerSocket: {log: logNetwork, eventKey: true},
+		KindRead:         {log: logNetwork, eventKey: true},
+		KindAvailable:    {log: logNetwork, eventKey: true},
+		KindBind:         {log: logNetwork, eventKey: true},
+		KindNetErr:       {log: logNetwork, eventKey: true},
+		KindDatagramRecv: {log: logDatagram, gcKey: true, eventKey: true},
+		KindOpenConnect:  {log: logNetwork, eventKey: true},
+		KindOpenAccept:   {log: logNetwork, eventKey: true},
+		KindOpenRead:     {log: logNetwork, eventKey: true},
+		KindOpenWrite:    {log: logNetwork, eventKey: true},
+		KindOpenDatagram: {log: logNetwork, eventKey: true},
+		KindVMMeta:       {log: logSchedule},
+		KindCheckpoint:   {log: logSchedule, gcKey: true},
+		KindEnv:          {log: logNetwork, eventKey: true},
+		KindTimedWait:    {log: logSchedule, gcKey: true},
+		KindOpenInterval: {log: logSchedule},
+		KindTimestamp:    {log: logSchedule, gcKey: true},
+		KindNetSpan:      {log: logNetwork, eventKey: true},
+		KindOrderMode:    {log: logSchedule},
+		KindObjRun:       {log: logSchedule},
+		KindObjNotify:    {log: logSchedule},
+		KindObjTimedWait: {log: logSchedule},
+		KindTruncation:   {log: logSchedule},
+		KindChaosPlan:    {log: logSchedule},
+		KindGroupEpoch:   {log: logSchedule, gcKey: true},
+	}
+	for k := kindInvalid + 1; k < kindMax; k++ {
+		w, ok := want[k]
+		if !ok {
+			t.Errorf("kind %d (%v) is not in this test's table: decide its log, counter key and event key", k, k)
+			continue
+		}
+		if k.String() == "kind(?)" {
+			t.Errorf("kind %d has no name", k)
+		}
+		e, err := newEntry(k)
+		if err != nil || e.Kind() != k {
+			t.Errorf("newEntry(%v) = %v, %v", k, e, err)
+			continue
+		}
+		if got := logOf(k); got != w.log {
+			t.Errorf("%v: logOf = %s, want %s", k, logNames[got], logNames[w.log])
+		}
+		if got := gcField(e) != nil; got != w.gcKey {
+			t.Errorf("%v: gcField finds a counter key: %v, want %v", k, got, w.gcKey)
+		}
+		if _, got := netEventID(e); got != w.eventKey {
+			t.Errorf("%v: netEventID finds an event key: %v, want %v", k, got, w.eventKey)
+		}
+		// A one-record stream of the kind indexes in its own log (the
+		// schedule index also wants a vm-meta) and nowhere else.
+		for id, build := range buildIndex {
+			l := NewLog()
+			l.Append(e)
+			if id == logSchedule {
+				l.Append(&VMMeta{})
+			}
+			err := build(l)
+			if id == int(w.log) {
+				if err != nil {
+					t.Errorf("%v: rejected by the %s index: %v", k, logNames[id], err)
+				}
+				continue
+			}
+			wantMsg := fmt.Sprintf("tracelog: corrupt log: unexpected %v record in %s log", k, logNames[id])
+			if err == nil || err.Error() != wantMsg {
+				t.Errorf("%v in the %s index: %v, want %q", k, logNames[id], err, wantMsg)
+			}
+		}
 	}
 }
 
@@ -197,8 +361,8 @@ func TestBuildScheduleIndexValidation(t *testing.T) {
 	l3 := NewLog()
 	l3.Append(&VMMeta{VM: 1})
 	l3.Append(&ReadEntry{})
-	if _, err := BuildScheduleIndex(l3); err == nil {
-		t.Error("network record in schedule log accepted")
+	if _, err := BuildScheduleIndex(l3); err == nil || err.Error() != "tracelog: corrupt log: unexpected read record in schedule log" {
+		t.Errorf("network record in schedule log: %v", err)
 	}
 }
 
@@ -213,8 +377,8 @@ func TestBuildNetworkIndexValidation(t *testing.T) {
 
 	l2 := NewLog()
 	l2.Append(&Interval{Thread: 0, First: 0, Last: 1})
-	if _, err := BuildNetworkIndex(l2); err == nil {
-		t.Error("schedule record in network log accepted")
+	if _, err := BuildNetworkIndex(l2); err == nil || err.Error() != "tracelog: corrupt log: unexpected interval record in network log" {
+		t.Errorf("schedule record in network log: %v", err)
 	}
 }
 

@@ -2,10 +2,8 @@ package tracelog
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
@@ -117,8 +115,8 @@ func (s *Set) TruncateWAL(keep int) (*TruncateStats, error) {
 	}
 
 	n, err := s.wal.replace(func(emit func(logID uint8, e Entry)) {
-		emit(walSchedule, &VMMeta{VM: header.VM, World: header.World})
-		emit(walSchedule, &TruncationEntry{BaseGC: base})
+		emit(logSchedule, &VMMeta{VM: header.VM, World: header.World})
+		emit(logSchedule, &TruncationEntry{BaseGC: base})
 		for _, e := range sched {
 			switch v := e.(type) {
 			case *VMMeta, *TruncationEntry:
@@ -133,58 +131,37 @@ func (s *Set) TruncateWAL(keep int) (*TruncateStats, error) {
 				if v.First < base {
 					iv := *v
 					iv.First = base
-					emit(walSchedule, &iv)
-					continue
+					e = &iv
 				}
 			case *OpenInterval:
 				// Open-interval notes' coverage is subsumed by the flushed
 				// intervals the caller's pre-truncation flush produced.
 				st.DroppedSchedule++
 				continue
-			case *Notify:
-				if v.GC < base {
-					st.DroppedSchedule++
-					continue
-				}
-			case *TimedWaitEntry:
-				if v.GC < base {
-					st.DroppedSchedule++
-					continue
-				}
-			case *CheckpointEntry:
-				if v.GC < base {
-					st.DroppedSchedule++
-					continue
-				}
-			case *TimestampEntry:
-				if v.GC < base {
-					st.DroppedSchedule++
-					continue
-				}
-			case *GroupEpochEntry:
-				// An epoch anchored below the new base names a checkpoint
-				// this compaction dropped; the stamp goes with it.
-				if v.GC < base {
-					st.DroppedSchedule++
-					continue
-				}
 			}
-			emit(walSchedule, e)
+			// A record keyed by a counter below the base belongs to an event
+			// the anchor checkpoint supersedes. An epoch stamp anchored below
+			// the new base names a checkpoint this compaction drops, so the
+			// stamp goes with it.
+			if gc := gcField(e); gc != nil && *gc < base {
+				st.DroppedSchedule++
+				continue
+			}
+			emit(logSchedule, e)
 		}
 		for _, e := range network {
-			id, ok := netEventID(e)
-			if ok && !liveNet(id) {
+			if id, ok := netEventID(e); ok && !liveNet(id) {
 				st.DroppedNetwork++
 				continue
 			}
-			emit(walNetwork, e)
+			emit(logNetwork, e)
 		}
 		for _, e := range datagram {
-			if g, ok := e.(*DatagramRecvEntry); ok && g.ReceiverGC < base {
+			if gc := gcField(e); gc != nil && *gc < base {
 				st.DroppedDatagram++
 				continue
 			}
-			emit(walDatagram, e)
+			emit(logDatagram, e)
 		}
 	}, &st.KeptRecords)
 	if err != nil {
@@ -194,7 +171,31 @@ func (s *Set) TruncateWAL(keep int) (*TruncateStats, error) {
 	return st, nil
 }
 
-// netEventID extracts the network event id a network-log record is keyed by.
+// gcField returns the global counter value a record is keyed by — the counter
+// of the critical event that logged it — or nil for a kind that carries none.
+// With netEventID it is all that prefix repair and truncation need to know
+// about record types: a record whose key falls outside the surviving counter
+// window, or whose network event can no longer be replayed, is dropped.
+func gcField(e Entry) *ids.GCount {
+	switch v := e.(type) {
+	case *Notify:
+		return &v.GC
+	case *TimedWaitEntry:
+		return &v.GC
+	case *CheckpointEntry:
+		return &v.GC
+	case *TimestampEntry:
+		return &v.GC
+	case *GroupEpochEntry:
+		return &v.GC
+	case *DatagramRecvEntry:
+		return &v.ReceiverGC
+	}
+	return nil
+}
+
+// netEventID extracts the network event id a network- or datagram-log record
+// is keyed by.
 func netEventID(e Entry) (ids.NetworkEventID, bool) {
 	switch v := e.(type) {
 	case *ServerSocketEntry:
@@ -221,14 +222,16 @@ func netEventID(e Entry) (ids.NetworkEventID, bool) {
 		return v.EventID, true
 	case *NetSpanEntry:
 		return v.EventID, true
+	case *DatagramRecvEntry:
+		return v.EventID, true
 	}
 	return ids.NetworkEventID{}, false
 }
 
 // replace atomically rewrites the WAL file with the frames build emits,
 // then swaps the writer onto the new file. Build runs with the writer locked,
-// so concurrent appends serialize against the rewrite; frames build emits are
-// framed and checksummed exactly like appended ones. On failure the original
+// so concurrent appends serialize against the rewrite; frames build emits go
+// through writeFrame like appended ones. On failure the original
 // file and writer are left untouched (truncation failure must not poison
 // recording durability).
 func (w *WALWriter) replace(build func(emit func(logID uint8, e Entry)), kept *int) (int64, error) {
@@ -257,21 +260,10 @@ func (w *WALWriter) replace(build func(emit func(logID uint8, e Entry)), kept *i
 		scratch.buf = scratch.buf[:0]
 		scratch.u8(uint8(e.Kind()))
 		e.encode(&scratch)
-		rec := scratch.buf
-		var hdr [walFrameHdrLen]byte
-		hdr[0] = logID
-		binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(rec))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			werr = err
-			return
+		if werr = writeFrame(bw, logID, scratch.buf); werr == nil {
+			n += int64(walFrameHdrLen + len(scratch.buf))
+			*kept++
 		}
-		if _, err := bw.Write(rec); err != nil {
-			werr = err
-			return
-		}
-		n += int64(walFrameHdrLen + len(rec))
-		*kept++
 	}
 	build(emit)
 	if werr == nil {

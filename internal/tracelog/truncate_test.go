@@ -1,7 +1,9 @@
 package tracelog
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -187,5 +189,64 @@ func TestTruncateWALAppendsContinue(t *testing.T) {
 	}
 	if idx.Meta.FinalGC != 13 {
 		t.Fatalf("FinalGC = %d, want 13", idx.Meta.FinalGC)
+	}
+}
+
+// The compacted image a truncation builds and the appends that follow it are
+// one stream of frames: a WAL made by appending the very same records must be
+// the same file, byte for byte, and recover to the same set.
+func TestTruncateWALFramesMatchAppendedFrames(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "node.wal")
+	s := buildCheckpointedWAL(t, path)
+	if _, err := s.TruncateWAL(1); err != nil {
+		t.Fatal(err)
+	}
+	s.Schedule.Append(&Interval{Thread: 0, First: 10, Last: 12})
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	replayed := filepath.Join(dir, "appended.wal")
+	w, err := CreateWAL(replayed, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch [kindMax]Entry
+	for _, off := range frameOffsets(t, compacted) {
+		logID, payload, _ := readFrame(compacted[off:], &scratch)
+		w.append(logID, payload)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appended, err := os.ReadFile(replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compacted, appended) {
+		t.Fatalf("compacted WAL (%d bytes) differs from the same records appended (%d bytes)", len(compacted), len(appended))
+	}
+
+	a, repA, err := RecoverFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, repB, err := RecoverFile(replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repB.Path = repA.Path
+	if *repA != *repB {
+		t.Fatalf("recovery reports differ:\n%+v\n%+v", repA, repB)
+	}
+	for id, l := range a.logs() {
+		if !bytes.Equal(l.Bytes(), b.logs()[id].Bytes()) {
+			t.Errorf("recovered %s logs differ", logNames[id])
+		}
 	}
 }

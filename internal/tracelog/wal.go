@@ -48,14 +48,6 @@ const maxWALPayload = 1 << 28
 // flush+fsync after this many appended records.
 const DefaultSyncEvery = 64
 
-// WAL log ids — the frame tag selecting the destination log.
-const (
-	walSchedule = iota
-	walNetwork
-	walDatagram
-	walLogCount
-)
-
 // ErrNotWAL reports that a file does not begin with the WAL magic.
 var ErrNotWAL = errors.New("tracelog: not a write-ahead log")
 
@@ -71,9 +63,10 @@ type WALOptions struct {
 }
 
 // WALWriter appends framed log records to a single durable file. Errors are
-// sticky: after the first write/sync failure every subsequent call reports it,
-// and the in-memory log keeps recording (durability degrades, recording does
-// not stop).
+// sticky: the first write or sync failure stops all further writing to the
+// file, and Sync, Close, Size, Err and the truncation report it from then on.
+// The in-memory log keeps recording, so the run itself is not lost — but its
+// durability is, and the caller of Close is told so.
 type WALWriter struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -123,6 +116,21 @@ func (w *WALWriter) Stats() (records, syncs uint64) {
 	return w.records, w.syncs
 }
 
+// writeFrame is the only code that lays out a WAL frame —
+// [logID][payloadLen][crc32(payload)][payload] — for appends and for the
+// compacted image a truncation builds alike.
+func writeFrame(bw *bufio.Writer, logID uint8, rec []byte) error {
+	var hdr [walFrameHdrLen]byte
+	hdr[0] = logID
+	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(rec)))
+	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(rec))
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := bw.Write(rec)
+	return err
+}
+
 // append frames one encoded record. rec is copied into the writer's buffer
 // before return, so callers may pass a slice into a live log buffer.
 func (w *WALWriter) append(logID uint8, rec []byte) {
@@ -131,15 +139,7 @@ func (w *WALWriter) append(logID uint8, rec []byte) {
 	if w.err != nil {
 		return
 	}
-	var hdr [walFrameHdrLen]byte
-	hdr[0] = logID
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(rec)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(rec))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		w.err = err
-		return
-	}
-	if _, err := w.w.Write(rec); err != nil {
+	if err := writeFrame(w.w, logID, rec); err != nil {
 		w.err = err
 		return
 	}
@@ -207,7 +207,7 @@ func (l *Log) attachWAL(w *WALWriter, logID uint8) error {
 // All three logs must still be empty. The set keeps a reference so SyncWAL
 // and CloseWAL can reach the writer.
 func (s *Set) AttachWAL(w *WALWriter) error {
-	for id, l := range []*Log{s.Schedule, s.Network, s.Datagram} {
+	for id, l := range s.logs() {
 		if err := l.attachWAL(w, uint8(id)); err != nil {
 			return err
 		}
@@ -287,94 +287,86 @@ func RecoverFile(path string) (*Set, *RecoveryReport, error) {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNotWAL, path)
 	}
 
-	var bufs [walLogCount][]byte
-	var counts [walLogCount]int
+	var bufs [logCount][]byte
+	var counts [logCount]int
 	var scratch [kindMax]Entry
 	off := len(WALMagic)
 	for off < len(data) {
-		rest := len(data) - off
-		if rest < walFrameHdrLen {
-			rep.stopScan(off, len(data), "torn frame header")
-			break
-		}
-		logID := data[off]
-		plen := int(binary.LittleEndian.Uint32(data[off+1 : off+5]))
-		sum := binary.LittleEndian.Uint32(data[off+5 : off+9])
-		if logID >= walLogCount {
-			rep.stopScan(off, len(data), fmt.Sprintf("invalid log id %d", logID))
-			break
-		}
-		if plen > maxWALPayload {
-			rep.stopScan(off, len(data), fmt.Sprintf("implausible frame length %d", plen))
-			break
-		}
-		if rest < walFrameHdrLen+plen {
-			rep.stopScan(off, len(data), "torn frame payload")
-			break
-		}
-		payload := data[off+walFrameHdrLen : off+walFrameHdrLen+plen]
-		if crc32.ChecksumIEEE(payload) != sum {
-			rep.stopScan(off, len(data), "frame checksum mismatch")
-			break
-		}
-		if reason, ok := validRecord(payload, &scratch); !ok {
-			rep.stopScan(off, len(data), reason)
+		logID, payload, reason := readFrame(data[off:], &scratch)
+		if reason != "" {
+			rep.Truncated = true
+			rep.Reason = reason
+			rep.DiscardedBytes = int64(len(data) - off)
 			break
 		}
 		bufs[logID] = append(bufs[logID], payload...)
 		counts[logID]++
 		rep.Frames++
-		off += walFrameHdrLen + plen
+		off += walFrameHdrLen + len(payload)
 	}
-	if !rep.Truncated {
-		rep.GoodBytes = int64(len(data))
-	}
-	rep.ScheduleRecords = counts[walSchedule]
-	rep.NetworkRecords = counts[walNetwork]
-	rep.DatagramRecords = counts[walDatagram]
+	rep.GoodBytes = int64(off)
+	rep.ScheduleRecords = counts[logSchedule]
+	rep.NetworkRecords = counts[logNetwork]
+	rep.DatagramRecords = counts[logDatagram]
 
 	s := NewSet()
-	s.Schedule.buf, s.Schedule.entries = bufs[walSchedule], counts[walSchedule]
-	s.Network.buf, s.Network.entries = bufs[walNetwork], counts[walNetwork]
-	s.Datagram.buf, s.Datagram.entries = bufs[walDatagram], counts[walDatagram]
-
+	for id, l := range s.logs() {
+		l.buf, l.entries = bufs[id], counts[id]
+	}
 	if err := repairSet(s, rep); err != nil {
 		return nil, rep, err
 	}
 	return s, rep, nil
 }
 
-func (r *RecoveryReport) stopScan(off, total int, reason string) {
-	r.Truncated = true
-	r.Reason = reason
-	r.GoodBytes = int64(off)
-	r.DiscardedBytes = int64(total - off)
-}
-
-// validRecord checks that payload decodes as exactly one known record with no
-// trailing bytes, so a frame whose checksum survived a crash but whose body is
-// garbage still truncates the scan.
-func validRecord(payload []byte, scratch *[kindMax]Entry) (string, bool) {
-	d := &dec{buf: payload}
-	k := Kind(d.u8())
-	if d.err != nil {
-		return "empty frame payload", false
+// readFrame is the scan-side inverse of writeFrame, and the only code that
+// reads a frame: it checks the frame at the head of b and returns its log id
+// and payload, or the reason the scan must stop here. A frame is good when
+// its header is whole, its log id and length are plausible, its payload is
+// whole and matches the checksum, and the payload decodes as exactly one
+// record of a kind that belongs in the named log — so a frame whose checksum
+// survived a crash but whose body is garbage still truncates the scan. The
+// kind-versus-log check is what covers the log-id byte: the checksum spans
+// only the payload, so without it one flipped id bit files an intact record
+// into the wrong log, where it makes the whole salvage unusable instead of
+// costing only the tail.
+func readFrame(b []byte, scratch *[kindMax]Entry) (logID uint8, payload []byte, reason string) {
+	if len(b) < walFrameHdrLen {
+		return 0, nil, "torn frame header"
 	}
-	if int(k) >= len(scratch) || scratch[k] == nil {
-		e, err := newEntry(k)
-		if err != nil {
-			return fmt.Sprintf("unknown record kind %d", k), false
+	logID = b[0]
+	plen := int(binary.LittleEndian.Uint32(b[1:5]))
+	sum := binary.LittleEndian.Uint32(b[5:9])
+	if logID >= logCount {
+		return 0, nil, fmt.Sprintf("invalid log id %d", logID)
+	}
+	if plen > maxWALPayload {
+		return 0, nil, fmt.Sprintf("implausible frame length %d", plen)
+	}
+	if len(b) < walFrameHdrLen+plen {
+		return 0, nil, "torn frame payload"
+	}
+	payload = b[walFrameHdrLen : walFrameHdrLen+plen]
+	if crc32.ChecksumIEEE(payload) != sum {
+		return 0, nil, "frame checksum mismatch"
+	}
+	records := 0
+	err := walk(payload, scratch, func(e Entry) error {
+		if records++; records > 1 {
+			return corruptf("frame holds more than one record")
 		}
-		scratch[k] = e
+		if logOf(e.Kind()) != logID {
+			return misplaced(e.Kind(), logID)
+		}
+		return nil
+	})
+	switch {
+	case err != nil:
+		return 0, nil, err.Error()
+	case records == 0:
+		return 0, nil, "empty frame payload"
 	}
-	scratch[k].decode(d)
-	if d.err != nil {
-		return fmt.Sprintf("undecodable %v record", k), false
-	}
-	if !d.done() {
-		return fmt.Sprintf("trailing bytes after %v record", k), false
-	}
-	return "", true
+	return logID, payload, ""
 }
 
 // repairSet trims a recovered set to its largest replayable prefix and
@@ -507,45 +499,26 @@ func repairSet(s *Set, rep *RecoveryReport) error {
 		newSched.Append(&iv)
 	}
 	for _, e := range sched {
-		switch v := e.(type) {
-		case *Interval, *OpenInterval:
+		switch e.(type) {
+		case *Interval, *OpenInterval, *VMMeta:
+			// Coverage was rebuilt above. The header is already appended, and
+			// the synthesized final meta appended below wins in
+			// BuildScheduleIndex (last meta wins).
 			continue
-		case *Notify:
-			if v.GC >= k {
+		}
+		// A record keyed by a counter at or past the recovered prefix belongs
+		// to an event this salvage dropped. For a group-epoch stamp that is
+		// exactly how a torn write demotes the group's recovery line: the
+		// stamp anchors on a checkpoint that is gone, so the epoch can no
+		// longer be complete for this member. The one exception: timestamp
+		// GCs range over [0, FinalGC] (the stamp records the counter value
+		// after the stamped event), so a stamp at exactly k is still
+		// consistent with the recovered prefix.
+		if gc := gcField(e); gc != nil && *gc >= k {
+			if _, stamp := e.(*TimestampEntry); !stamp || *gc > k {
 				rep.DroppedSchedule++
 				continue
 			}
-		case *TimedWaitEntry:
-			if v.GC >= k {
-				rep.DroppedSchedule++
-				continue
-			}
-		case *CheckpointEntry:
-			if v.GC >= k {
-				rep.DroppedSchedule++
-				continue
-			}
-		case *TimestampEntry:
-			// Timestamp GCs range over [0, FinalGC] (the stamp records the
-			// counter value after the stamped event), so a stamp at exactly k
-			// is still consistent with the recovered prefix.
-			if v.GC > k {
-				rep.DroppedSchedule++
-				continue
-			}
-		case *GroupEpochEntry:
-			// An epoch stamp whose own anchor lies at or past the recovered
-			// prefix anchors on a checkpoint this salvage dropped: discard it,
-			// which is exactly how a torn write demotes the group's recovery
-			// line (the epoch can no longer be complete for this member).
-			if v.GC >= k {
-				rep.DroppedSchedule++
-				continue
-			}
-		case *VMMeta:
-			// Header already appended; the synthesized final meta appended
-			// below wins in BuildScheduleIndex (last meta wins).
-			continue
 		}
 		newSched.Append(e)
 	}
@@ -553,12 +526,7 @@ func repairSet(s *Set, rep *RecoveryReport) error {
 	// Thread count for the synthesized meta: threads whose intervals were
 	// lost can still be referenced by salvaged network/datagram records, and
 	// logcheck validates those references against the meta.
-	if t, err := maxThreadRef(s.Network); err == nil && t > maxThread {
-		maxThread = t
-	}
-	if t, err := maxThreadRef(s.Datagram); err == nil && t > maxThread {
-		maxThread = t
-	}
+	maxThread = maxThreadRef(s.Datagram, maxThreadRef(s.Network, maxThread))
 	newSched.Append(&VMMeta{VM: header.VM, World: header.World, Threads: uint32(maxThread) + 1, FinalGC: k})
 	s.Schedule = newSched
 
@@ -570,7 +538,7 @@ func repairSet(s *Set, rep *RecoveryReport) error {
 	}
 	newDg := NewLog()
 	for _, e := range oldDatagrams {
-		if g, ok := e.(*DatagramRecvEntry); ok && g.ReceiverGC >= k {
+		if gc := gcField(e); gc != nil && *gc >= k {
 			rep.DroppedDatagrams++
 			continue
 		}
@@ -591,48 +559,16 @@ func sortIntervals(ivs []Interval) {
 	}
 }
 
-// maxThreadRef scans a network or datagram log for the highest thread number
-// referenced by any record's event id.
-func maxThreadRef(l *Log) (ids.ThreadNum, error) {
-	entries, err := l.Entries()
-	if err != nil {
-		return 0, err
-	}
-	maxT := ids.ThreadNum(0)
-	upd := func(t ids.ThreadNum) {
-		if t > maxT {
-			maxT = t
+// maxThreadRef raises maxT to the highest thread number any record of a
+// network or datagram log names in its event id.
+func maxThreadRef(l *Log, maxT ids.ThreadNum) ids.ThreadNum {
+	var scratch [kindMax]Entry
+	// The scan validated every record of l, so the walk cannot fail.
+	_ = walk(l.snapshot(), &scratch, func(e Entry) error {
+		if id, ok := netEventID(e); ok && id.Thread > maxT {
+			maxT = id.Thread
 		}
-	}
-	for _, e := range entries {
-		switch v := e.(type) {
-		case *ServerSocketEntry:
-			upd(v.ServerID.Thread)
-		case *ReadEntry:
-			upd(v.EventID.Thread)
-		case *AvailableEntry:
-			upd(v.EventID.Thread)
-		case *BindEntry:
-			upd(v.EventID.Thread)
-		case *NetErrEntry:
-			upd(v.EventID.Thread)
-		case *DatagramRecvEntry:
-			upd(v.EventID.Thread)
-		case *NetSpanEntry:
-			upd(v.EventID.Thread)
-		case *OpenConnectEntry:
-			upd(v.EventID.Thread)
-		case *OpenAcceptEntry:
-			upd(v.EventID.Thread)
-		case *OpenReadEntry:
-			upd(v.EventID.Thread)
-		case *OpenWriteEntry:
-			upd(v.EventID.Thread)
-		case *OpenDatagramEntry:
-			upd(v.EventID.Thread)
-		case *EnvEntry:
-			upd(v.EventID.Thread)
-		}
-	}
-	return maxT, nil
+		return nil
+	})
+	return maxT
 }

@@ -190,6 +190,68 @@ func TestWALCorruptFrameTruncatesScan(t *testing.T) {
 	}
 }
 
+// frameOffsets returns the file offset of every frame of a healthy WAL image.
+func frameOffsets(t *testing.T, data []byte) []int {
+	t.Helper()
+	var offs []int
+	var scratch [kindMax]Entry
+	for off := len(WALMagic); off < len(data); {
+		_, payload, reason := readFrame(data[off:], &scratch)
+		if reason != "" {
+			t.Fatalf("frame at %d: %s", off, reason)
+		}
+		offs = append(offs, off)
+		off += walFrameHdrLen + len(payload)
+	}
+	return offs
+}
+
+// The checksum covers only a frame's payload, so a flipped bit in its log-id
+// byte leaves the frame intact and merely files the record into the wrong
+// log. The scan must treat that like any other frame damage — stop there and
+// keep the prefix — not hand back a set whose network log holds an interval,
+// which no index, logcheck or replay VM accepts.
+func TestWALFlippedLogIDTruncatesScan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	buildWALRun(t, path, WALOptions{}, true)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := frameOffsets(t, data)
+	const hit = 3 // the interval [5,7] of thread 1, a schedule frame
+	if data[offs[hit]] != logSchedule {
+		t.Fatalf("frame %d is tagged %d, want the schedule log", hit, data[offs[hit]])
+	}
+	data[offs[hit]] ^= 1 // schedule 0 -> network 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, rep, err := RecoverFile(path)
+	if err != nil {
+		t.Fatalf("RecoverFile: %v", err)
+	}
+	if !rep.Truncated || rep.Frames != hit || rep.GoodBytes != int64(offs[hit]) {
+		t.Fatalf("scan did not stop at the misfiled frame: %+v", rep)
+	}
+	if want := "tracelog: corrupt log: unexpected interval record in network log"; rep.Reason != want {
+		t.Fatalf("Reason = %q, want %q", rep.Reason, want)
+	}
+	if rep.FinalGC != 5 {
+		t.Fatalf("FinalGC = %d, want 5 (the prefix before the damaged frame)", rep.FinalGC)
+	}
+	if _, err := BuildScheduleIndex(s.Schedule); err != nil {
+		t.Fatalf("schedule index: %v", err)
+	}
+	if _, err := BuildNetworkIndex(s.Network); err != nil {
+		t.Fatalf("network index: %v", err)
+	}
+	if _, err := BuildDatagramIndex(s.Datagram); err != nil {
+		t.Fatalf("datagram index: %v", err)
+	}
+}
+
 func TestWALBadMagic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bogus.wal")
 	if err := os.WriteFile(path, []byte("NOTAWAL0 trailing junk"), 0o644); err != nil {
