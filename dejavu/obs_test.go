@@ -152,3 +152,46 @@ func TestNodeServeMetrics(t *testing.T) {
 		t.Errorf("reporter wrote nothing useful:\n%s", report.String())
 	}
 }
+
+// TestNodeSnapshotWhileFrozen: a node stopped inside its critical section —
+// an EventObserver used as a breakpoint — still answers Snapshot at once, and
+// exactly: the debugger that set the breakpoint reads where it stopped.
+func TestNodeSnapshotWhileFrozen(t *testing.T) {
+	const at = 12
+	frozen, release := make(chan struct{}), make(chan struct{})
+	node, err := dejavu.NewNode(dejavu.Config{
+		ID: 43, Mode: dejavu.Record, World: dejavu.ClosedWorld,
+		Network: dejavu.NewNetwork(dejavu.NetworkConfig{Seed: 1}), Host: "solo",
+		EventObserver: func(_ dejavu.ThreadNum, gc dejavu.GCount) {
+			if gc == at {
+				close(frozen)
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Start(func(main *dejavu.Thread) {
+		var shared dejavu.SharedInt
+		for i := 0; i <= at; i++ {
+			shared.Add(main, 1)
+		}
+	})
+	<-frozen
+	got := make(chan dejavu.Snapshot, 1)
+	go func() { got <- node.Snapshot() }()
+	select {
+	case s := <-got:
+		if s.TotalEvents != at || s.Replay.CurrentGC != at {
+			t.Errorf("frozen inside event %d: TotalEvents %d, CurrentGC %d", at, s.TotalEvents, s.Replay.CurrentGC)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Error("Snapshot waits for the critical section")
+	}
+	close(release)
+	node.Wait()
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

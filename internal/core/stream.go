@@ -32,9 +32,11 @@ import (
 // conflicting events share a stream and are ordered by its counter, and all
 // cross-stream order is induced through per-thread program order.
 //
-// What is paid per event is one lock round trip (record) or one counter load
-// (replay), the event itself, and one counter store. Everything else is per
-// run: the log record, the parked-successor lookup, the count publication.
+// What is paid per event is the event itself and, while recording, one lock
+// round trip — the counter is a plain field the lock guards, so nothing else
+// on the path is atomic — or, while replaying, one counter load and one
+// counter store: the turnstile. Everything else is per run: the log record,
+// the parked-successor lookup, the publication of the counter and the counts.
 //
 // At most one run is open per stream. A run ends when another thread takes
 // the counter over, and the taker flushes it — so a stream's runs reach the
@@ -51,10 +53,13 @@ type stream struct {
 	// stream, slot-1 the ObjectID of a registered object. It also indexes each
 	// thread's cursor table.
 	slot int
-	// clock is the counter: the next value to be assigned (record) or
-	// admitted (replay). The global stream's word lives in obs.Metrics, alone
-	// on its cache line, where the clock gauge and the event total read it;
-	// an object's is own, below.
+	// clock is the counter word. Replay runs on it: it holds the next value to
+	// be admitted, and every event stores it once. A recording stream counts
+	// in next, below, under mu; the global stream then publishes next into the
+	// word at run granularity for readers outside the lock (publishLocked),
+	// and an object's stream never writes it. The global stream's word lives
+	// in obs.Metrics, alone on its cache line, where the clock gauge and the
+	// event total read it; an object's is own, below.
 	clock *atomic.Uint64
 	// Cadences of the global stream; nil/0 (holdMask: all ones) on every other.
 	//
@@ -93,18 +98,20 @@ type stream struct {
 	parked atomic.Int64
 	_      [48]byte
 
-	// What the thread whose turn it is writes: an object stream's counter
-	// word, and while recording the open run (guarded by mu). runs holds an
+	// What the thread whose turn it is writes: replaying, an object stream's
+	// counter word; recording, the counter itself — next, the value the next
+	// event receives — and the open run, all guarded by mu. runs holds an
 	// object stream's recorded runs by thread, read-only after registration;
 	// the global stream's are handed to each thread at creation
 	// (VM.newThreadLocked).
 	own       atomic.Uint64
+	next      ids.GCount
 	open      bool
 	runThread ids.ThreadNum
 	first     ids.GCount
 	last      ids.GCount
 	runs      map[ids.ThreadNum][]tracelog.Interval
-	_         [24]byte
+	_         [16]byte
 }
 
 // newStream allocates the VM's next stream. Caller holds streamsMu (or is
@@ -265,7 +272,7 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 		op()
 		t.maybeYield()
 	case ids.Record:
-		t.publishCounts()
+		t.publishCounts(nil)
 		op()
 		t.recordEvent(s, kind, mark)
 		t.maybeYield()
@@ -281,7 +288,7 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 		if ids.GCount(s.clock.Load()) != c.pos {
 			s.await(t, c.pos)
 		}
-		t.publishCounts()
+		t.publishCounts(nil)
 		op()
 		// Only this thread may advance the counter past c.pos, so the turn
 		// check in replayEvent passes immediately.
@@ -290,11 +297,12 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 	}
 }
 
-// tick executes op as the event with counter value n and advances the
-// counter. Record calls it under mu; replay calls it on its turn, which is as
-// exclusive. If op panics (a MonitorStateError the application recovers from,
-// say) the counter has not ticked: it is as if the event never happened.
-func (s *stream) tick(t *Thread, n ids.GCount, op func(ids.GCount)) {
+// exec executes op as the event with counter value n, under whatever makes
+// the caller the only thread on the stream: mu while recording, its turn
+// while replaying. Advancing the counter is the caller's next step, so if op
+// panics (a MonitorStateError the application recovers from, say) the counter
+// has not ticked: it is as if the event never happened.
+func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount)) {
 	sampled := uint64(n)&s.holdMask == 0
 	var start time.Time
 	if sampled {
@@ -307,6 +315,12 @@ func (s *stream) tick(t *Thread, n ids.GCount, op func(ids.GCount)) {
 	if sampled {
 		s.vm.metrics.ObserveGCHold(time.Since(start))
 	}
+}
+
+// tick is a replayed event: exec on the thread's turn, then the one store
+// that opens the turnstile to the next counter value.
+func (s *stream) tick(t *Thread, n ids.GCount, op func(ids.GCount)) {
+	s.exec(t, n, op)
 	s.clock.Store(uint64(n) + 1)
 }
 
@@ -320,27 +334,51 @@ func (s *stream) lockedTick(t *Thread, n ids.GCount, op func(ids.GCount)) {
 	s.tick(t, n, op)
 }
 
+// publishLocked copies the recording global stream's counter into its word,
+// for the readers that hold no lock (the clock gauge, the event total, a
+// supervisor's progress poll). Caller holds mu. The word is only ever written
+// here, from next, so it never decreases and is never ahead of the counter;
+// see Thread.publishCounts for when.
+func (s *stream) publishLocked() {
+	s.clock.Store(uint64(s.next))
+}
+
 // recordEvent is the critical section of the record phase: counter update and
 // event execution as one atomic operation (§2.2), then the run bookkeeping.
-// The deferred unlock keeps the stream consistent when op panics.
+// The lock is what makes the two one step, so the counter is a plain field
+// and the section's only atomic operations are the lock's own; the deferred
+// unlock keeps the stream consistent when op panics.
 func (t *Thread) recordEvent(s *stream, kind obs.EventKind, op func(ids.GCount)) {
+	if !s.isGlobal() && t.pendingN != t.pendingFast+t.pendingContended {
+		// Events of the global stream are still counted locally and their
+		// word is out of reach from inside an object's section (stream locks
+		// never nest): publish them on the way in.
+		t.publishCounts(nil)
+	}
 	fast := s.mu.TryLock()
 	if !fast {
 		s.mu.Lock()
 	}
 	defer s.mu.Unlock()
-	n := ids.GCount(s.clock.Load())
-	s.tick(t, n, op)
+	n := s.next
+	s.exec(t, n, op)
+	s.next = n + 1
 	s.countAcquire(t, fast)
 	t.countEvent(kind)
-	if s.open && s.runThread == t.num {
-		s.last = n
-	} else {
+	newRun := !s.open || s.runThread != t.num
+	if newRun {
 		// Another thread's event broke consecutiveness: its run is complete,
 		// and this thread's counts so far belong to a finished run of its own.
 		s.flushLocked()
-		s.open, s.runThread, s.first, s.last = true, t.num, n, n
-		t.publishCounts()
+		s.open, s.runThread, s.first = true, t.num, n
+	}
+	s.last = n
+	if newRun || t.pendingN >= publishBatch {
+		t.publishCounts(s)
+	} else if s.observer != nil {
+		// An observer may park inside the section for good (a breakpoint, a
+		// chaos kill): the word stays exact, event by event.
+		s.publishLocked()
 	}
 	if s.noteEvery != 0 && (uint64(n)+1)%s.noteEvery == 0 {
 		// The open run contains n, so it has grown since any earlier note; the
@@ -376,6 +414,9 @@ func (t *Thread) replayEvent(s *stream, c *cursor, kind obs.EventKind, op func(i
 	s.countAcquire(t, fast)
 	t.countEvent(kind)
 	if next != c.last {
+		if t.pendingN >= publishBatch {
+			t.publishCounts(nil)
+		}
 		return
 	}
 	// Store-buffering pairing with await: the counter store in tick is
@@ -387,7 +428,7 @@ func (t *Thread) replayEvent(s *stream, c *cursor, kind obs.EventKind, op func(i
 		s.wakeLocked(s.waiters[next+1])
 		s.mu.Unlock()
 	}
-	t.publishCounts()
+	t.publishCounts(nil)
 }
 
 // wakeLocked hands a parked thread its wake token. The registration stays in

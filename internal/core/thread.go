@@ -82,32 +82,50 @@ func (t *Thread) maybeYield() {
 
 // publishBatch bounds how many events a thread counts locally before it
 // publishes them, whatever else happens: the per-kind counters of a snapshot
-// lag the live total by less than this per running thread.
+// lag the live total by less than this per running thread, and while a thread
+// records, the global counter's published word lags the counter by less than
+// this.
 const publishBatch = 1024
 
-// countEvent counts one executed critical event of the thread locally,
-// publishing when an unbroken run fills a batch. Callers tick the event's
-// stream counter first.
+// countEvent counts one executed critical event of the thread locally; the
+// caller publishes when an unbroken run fills a batch. Callers tick the
+// event's stream counter first.
 func (t *Thread) countEvent(kind obs.EventKind) {
 	if int(kind) >= obs.NumEventKinds {
 		kind = obs.KindOther
 	}
 	t.pending[kind]++
 	t.pendingN++
-	if t.pendingN >= publishBatch {
-		t.publishCounts()
-	}
 }
 
 // publishCounts moves the thread's locally counted events into the VM's
-// metrics: at every run boundary the thread itself crosses,
-// before an operation that may block, when a batch fills, and when the thread
-// exits by any path. Owning goroutine only.
-func (t *Thread) publishCounts() {
+// metrics: at every run boundary the thread itself crosses, when a batch
+// fills, before an operation that may block, and when the thread exits by any
+// path. Owning goroutine only.
+//
+// It is the one place a thread's counts become visible, and while recording
+// it publishes the global counter first (stream.publishLocked): the word then
+// covers every event about to be counted by kind, so a reader's per-kind sum
+// never runs ahead of its total. held is the stream whose lock the caller
+// holds, nil for none; the first two sites publish from inside the section
+// they are already in, the other two pay one round trip on the global lock.
+// An object's section never holds uncounted global events (recordEvent
+// publishes them on the way in), so stream locks still never nest.
+func (t *Thread) publishCounts(held *stream) {
 	if t.pendingN == 0 {
 		return
 	}
-	m := t.vm.metrics
+	vm := t.vm
+	if vm.mode == ids.Record && t.pendingN != t.pendingFast+t.pendingContended {
+		if g := vm.global; held == g {
+			g.publishLocked()
+		} else {
+			g.mu.Lock()
+			g.publishLocked()
+			g.mu.Unlock()
+		}
+	}
+	m := vm.metrics
 	// Sharded totals before kinds: a snapshot reads them in the opposite
 	// order, so its per-kind sum never exceeds its total.
 	m.AddShardEvents(uint64(t.pendingFast), uint64(t.pendingContended))

@@ -168,8 +168,8 @@ type VM struct {
 	peers map[string]bool
 
 	// global is the VM's own order stream — the paper's global counter: its
-	// lock is the GC-critical-section lock and its counter word the global
-	// clock (see stream). streams lists every order stream of the VM, global
+	// lock is the GC-critical-section lock and its counter the global clock
+	// (see stream). streams lists every order stream of the VM, global
 	// first, then the registered objects' in ObjectID order; Close flushes
 	// their open runs and the stall watchdog probes and wakes them through it.
 	global    *stream
@@ -279,6 +279,18 @@ func NewVM(cfg Config) (*VM, error) {
 	case ids.Record:
 		vm.logs = tracelog.NewSet()
 		m := vm.metrics
+		// A recording VM publishes its counter into the metrics' word per run,
+		// not per event; a reader brings the word up to date itself whenever
+		// no event is in flight. Try, never Lock: a supervisor polls the total
+		// to detect a member frozen inside its critical section for good, and
+		// must read the last published value then, not join the freeze.
+		g := vm.global
+		m.SetClockRefresh(func() {
+			if g.mu.TryLock() {
+				g.publishLocked()
+				g.mu.Unlock()
+			}
+		})
 		vm.logs.Schedule.SetObserver(func(n int) { m.LogAppend(obs.LogSchedule, n) })
 		vm.logs.Network.SetObserver(func(n int) { m.LogAppend(obs.LogNetwork, n) })
 		vm.logs.Datagram.SetObserver(func(n int) { m.LogAppend(obs.LogDatagram, n) })
@@ -437,7 +449,7 @@ func (vm *VM) EnableTimestamps(every int) error {
 	vm.global.mu.Lock()
 	defer vm.global.mu.Unlock()
 	vm.global.tsEvery = uint64(every)
-	vm.appendTimestampLocked(vm.Clock())
+	vm.appendTimestampLocked(vm.global.next)
 	return nil
 }
 
@@ -496,6 +508,7 @@ func (vm *VM) TruncateWAL(keep int) (*tracelog.TruncateStats, error) {
 	// by flushed intervals. Splitting an interval is replay-safe — consecutive
 	// same-thread intervals replay identically to one merged interval.
 	vm.global.flushLocked()
+	vm.global.publishLocked()
 	st, err := vm.logs.TruncateWAL(keep)
 	if err != nil {
 		// ErrNoAnchor and a failed compaction leave the WAL healthy; only
@@ -528,9 +541,20 @@ func (vm *VM) DatagramIndex() *tracelog.DatagramIndex { return vm.dgIdx }
 // replaying).
 func (vm *VM) ScheduleIndex() *tracelog.ScheduleIndex { return vm.schedIdx }
 
-// Clock reports the current global counter value.
+// Clock reports the current global counter value: the value the next critical
+// event on the global stream receives. It is exact in every mode. A recording
+// VM reads it under the GC-critical-section lock, so Clock must not be called
+// from inside a critical event — whose op receives its own counter value — and
+// waits behind an event in flight; the lock-free, slightly stale view is
+// Metrics().TotalEvents() / Snapshot().
 func (vm *VM) Clock() ids.GCount {
-	return ids.GCount(vm.global.clock.Load())
+	g := vm.global
+	if vm.mode != ids.Record {
+		return ids.GCount(g.clock.Load())
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.next
 }
 
 // Stats returns a compact snapshot of the VM's event counters — the two
@@ -616,7 +640,7 @@ func (vm *VM) launch(t *Thread, fn func(t *Thread)) {
 		defer vm.activeWork.Done()
 		// Whatever way fn ends — return, divergence panic, end-of-log unwind —
 		// the thread's counted events are published before Wait can return.
-		defer t.publishCounts()
+		defer t.publishCounts(nil)
 		defer func() {
 			// Under StopAtLogEnd a thread abandons its function by panicking
 			// the private end-of-schedule signal; absorb it here so the
@@ -758,16 +782,18 @@ func (vm *VM) Close() error {
 		close(vm.stopWatchdog)
 	}
 	if vm.mode == ids.Record {
+		final := vm.global.next
+		vm.global.publishLocked()
 		if vm.global.tsEvery != 0 {
 			// Final anchor: ties FinalGC to wall time so interpolation covers
 			// the whole run even when the cadence never fired near the end.
-			vm.appendTimestampLocked(vm.Clock())
+			vm.appendTimestampLocked(final)
 		}
 		vm.logs.Schedule.Append(&tracelog.VMMeta{
 			VM:      vm.id,
 			World:   vm.world,
 			Threads: uint32(vm.ThreadCount()),
-			FinalGC: vm.Clock(),
+			FinalGC: final,
 		})
 		// With a WAL attached the final meta above is the last durable
 		// record; syncing and closing here makes a graceful shutdown

@@ -75,7 +75,11 @@ func checkSchedule(rep *Report, vm ids.DJVMID, sched *tracelog.ScheduleIndex) {
 		iv     tracelog.Interval
 		thread ids.ThreadNum
 	}
-	var spans []span
+	total := 0
+	for _, ivs := range sched.Intervals {
+		total += len(ivs)
+	}
+	spans := make([]span, 0, total)
 	for tn, ivs := range sched.Intervals {
 		if uint32(tn) >= sched.Meta.Threads {
 			rep.addf(vm, "schedule has intervals for thread %d but meta records %d threads", tn, sched.Meta.Threads)

@@ -5,7 +5,9 @@
 // recorded schedule, parked threads, turn-wait latency).
 //
 // The layer stays off the critical-event hot path: the global counter word
-// the VM advances anyway doubles as the clock gauge and the live event total;
+// doubles as the clock gauge and the event total — a replaying VM runs its
+// turnstile on it, a recording VM publishes its counter into it once per
+// schedule interval and readers refresh it on demand (Metrics.TotalEvents);
 // threads count their events by kind locally and publish a batch per schedule
 // interval (one atomic add per kind); histograms are fed by 1-in-N sampling.
 // Everything else is a single atomic RMW on a path that runs once per

@@ -10,14 +10,21 @@ import (
 // to use (core.NewVM allocates one per VM unconditionally — the layer is
 // always on).
 type Metrics struct {
-	// clock is the VM's global counter itself (core.VM advances it through
-	// Clock), not a copy: an event stores it once, and the clock gauge and the
-	// event total read the word the replay mechanism runs on. The padding
-	// keeps it alone on its cache line wherever the struct lands, so the one
-	// store every critical event makes invalidates nothing else a thread reads.
+	// clock is the VM's global counter word (core.VM writes it through Clock).
+	// A replaying VM runs on it: every event stores it once, and the clock
+	// gauge and the event total read the word the turnstile admits threads
+	// by. A recording VM counts under its critical-section lock and publishes
+	// the counter here once per run or batch, and refresh brings it up to
+	// date for a reader. The padding keeps the word alone on its cache line
+	// wherever the struct lands, so a store to it invalidates nothing else a
+	// thread reads.
 	_     [cacheLine]byte
 	clock atomic.Uint64
 	_     [cacheLine - 8]byte
+	// refresh, when set, republishes the owner's counter into clock if that
+	// can be done without waiting (see SetClockRefresh). Written once, before
+	// the Metrics is shared.
+	refresh func()
 	// clockBase is the counter value the run started at (a checkpoint
 	// resume's counter, else 0): clock-clockBase events ticked the clock.
 	clockBase atomic.Uint64
@@ -118,7 +125,24 @@ const (
 )
 
 // Clock exposes the global counter word. The owning VM is its only writer.
+// While that VM records, a raw load reads the last published value — never
+// ahead of the counter, behind it by less than a publish batch; TotalEvents
+// and Snapshot refresh it first.
 func (m *Metrics) Clock() *atomic.Uint64 { return &m.clock }
+
+// SetClockRefresh installs the hook TotalEvents and Snapshot call before they
+// read the counter word: a recording VM's, which stores its counter into the
+// word unless an event is in flight. The hook must never block — readers poll
+// the total precisely to notice an owner that has stopped for good — and must
+// be installed before the Metrics is shared.
+func (m *Metrics) SetClockRefresh(refresh func()) { m.refresh = refresh }
+
+// refreshClock runs the owner's hook, if any.
+func (m *Metrics) refreshClock() {
+	if m.refresh != nil {
+		m.refresh()
+	}
+}
 
 // SetClockBase starts the counter at gc (a checkpoint resume): the events
 // below it were skipped, not executed, and stay out of the event total.
@@ -128,9 +152,9 @@ func (m *Metrics) SetClockBase(gc uint64) {
 }
 
 // AddEvents publishes n executed critical events of the given kind: a
-// thread's locally counted batch. The events' clock ticks (or AddShardEvents
-// for sharded ones) come first, so the per-kind sum never runs ahead of the
-// total.
+// thread's locally counted batch. The counter word that covers them (or
+// AddShardEvents for sharded ones) is written first, so the per-kind sum never
+// runs ahead of the total.
 func (m *Metrics) AddEvents(kind EventKind, n uint64) {
 	if int(kind) >= NumEventKinds {
 		kind = KindOther
@@ -147,10 +171,14 @@ func (m *Metrics) EventCount(kind EventKind) uint64 {
 }
 
 // TotalEvents reports the running critical-event total: the events that
-// ticked the global counter — read from the counter word, so it is live even
-// while per-kind batches are pending — plus the published sharded events,
-// which advance per-object counters instead.
+// ticked the global counter — read from the counter word, so it does not wait
+// for per-kind batches — plus the published sharded events, which advance
+// per-object counters instead. Of a replaying VM the word is the counter; of
+// a recording one it is exact whenever no event is in flight (an idle VM, a
+// thread between two events) and otherwise the last published value, less
+// than a publish batch behind. It never decreases and is never ahead.
 func (m *Metrics) TotalEvents() uint64 {
+	m.refreshClock()
 	shard := m.shardFast.Load() + m.shardContended.Load()
 	return m.clock.Load() - m.clockBase.Load() + shard
 }

@@ -335,3 +335,26 @@ func (s *syncBuilder) String() string {
 	defer s.mu.Unlock()
 	return s.b.String()
 }
+
+// TestClockRefreshRunsBeforeTheWordIsRead: an owner that publishes its counter
+// lazily installs a hook; TotalEvents and Snapshot run it first and report
+// what it stored, and a raw load of the word does not run it.
+func TestClockRefreshRunsBeforeTheWordIsRead(t *testing.T) {
+	m := &Metrics{}
+	counter, calls := uint64(0), 0
+	m.SetClockRefresh(func() {
+		calls++
+		m.Clock().Store(counter)
+	})
+	counter = 7
+	if got := m.Clock().Load(); got != 0 || calls != 0 {
+		t.Fatalf("raw load read %d after %d refreshes, want the stale 0 and none", got, calls)
+	}
+	if got := m.TotalEvents(); got != 7 || calls != 1 {
+		t.Errorf("TotalEvents = %d after %d refreshes, want 7 after 1", got, calls)
+	}
+	counter = 9
+	if s := m.Snapshot(); s.TotalEvents != 9 || s.Replay.CurrentGC != 9 || calls != 2 {
+		t.Errorf("Snapshot total %d, CurrentGC %d after %d refreshes, want 9, 9 after 2", s.TotalEvents, s.Replay.CurrentGC, calls)
+	}
+}

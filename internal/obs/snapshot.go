@@ -147,11 +147,12 @@ type ShardCounts struct {
 }
 
 // Snapshot is a point-in-time view of one VM's metrics. TotalEvents and
-// Replay.CurrentGC are exact at the moment of the call (both come from the
-// counter word); Events is what the threads have published, so mid-run
-// Events.Total() trails TotalEvents by at most one pending batch per running
-// thread and never exceeds it, and once the VM's threads have returned the
-// two are equal.
+// Replay.CurrentGC both come from the counter word: exact of a replaying VM,
+// and of a recording one whenever no event is in flight, otherwise the last
+// published value (see Metrics.TotalEvents). Events is what the threads have
+// published, so mid-run Events.Total() trails TotalEvents by at most one
+// pending batch per running thread and never exceeds it, and once the VM's
+// threads have returned the two are equal.
 type Snapshot struct {
 	// Events is the critical-event count by kind, as published.
 	Events EventCounts `json:"events"`
@@ -196,7 +197,8 @@ type Snapshot struct {
 // every update path.
 func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot
-	// Load order mirrors publish order (clock tick or sharded batch first,
+	m.refreshClock()
+	// Load order mirrors publish order (counter word or sharded batch first,
 	// kinds after): kinds are read first, so their sum cannot exceed the total.
 	s.Events = EventCounts{
 		Shared:       m.events[KindShared].Load(),

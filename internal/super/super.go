@@ -8,13 +8,18 @@
 // are the line.
 //
 // Detection is progress-based, not liveness-based: a recording VM has no
-// heartbeat protocol, but its event counters are lock-free atomics that keep
-// moving as long as any thread executes critical events. The supervisor polls
-// every member's counter total and declares fail-stop of any subset whose
-// counters freeze outside the coordinator's barrier for a configurable window
-// — which catches both a killed process (counters frozen) and the chaos
-// engine's in-situ crash (a thread blocked forever inside the GC-critical
-// section freezes every other thread too, so the total freezes the same way).
+// heartbeat protocol, but its critical-event total moves as long as any thread
+// executes critical events. The supervisor polls every member's total
+// (obs.Metrics.TotalEvents) and declares fail-stop of any subset whose totals
+// freeze outside the coordinator's barrier for a configurable window — which
+// catches both a killed process (total frozen) and the chaos engine's in-situ
+// crash (a thread blocked forever inside the GC-critical section freezes every
+// other thread too, so the total freezes the same way). A recording VM
+// publishes its counter per schedule interval, not per event; the poll itself
+// brings the total up to date whenever no event is in flight, and it never
+// waits for the critical section — a member frozen inside it reads as frozen
+// (at its last published value; exactly, under an EventObserver such as the
+// chaos engine's) and cannot freeze the supervisor with it.
 //
 // Recovery then runs tracelog.RecoverFile on each victim's WAL, solves the
 // recovery line over the whole set, anchors each victim on its line

@@ -325,3 +325,37 @@ var errRestart = &restartErr{}
 type restartErr struct{}
 
 func (*restartErr) Error() string { return "injected restart failure" }
+
+// TestTrickleIsProgress: a recording VM publishes its counter per run or
+// batch, not per event, so a lone thread that executes one event now and then
+// — one open run, never a full batch, asleep in plain Go code in between —
+// publishes nothing on its own. The supervisor's poll brings the total up to
+// date itself whenever no event is in flight, so the member is seen to move
+// and is not declared fail-stop.
+func TestTrickleIsProgress(t *testing.T) {
+	vm, err := core.NewVM(core.Config{ID: 1, Mode: ids.Record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	vm.Start(func(main *core.Thread) {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			main.Critical(func(ids.GCount) {})
+			time.Sleep(2 * time.Millisecond)
+		}
+	})
+	cfg := testConfig(nil)
+	cfg.Heartbeat, cfg.FailAfter = 5*time.Millisecond, 60*time.Millisecond
+	sup := Watch(lone(vm, filepath.Join(t.TempDir(), "unused.wal")), cfg)
+	time.Sleep(400 * time.Millisecond)
+	sup.Stop()
+	out, err := sup.Wait()
+	cleanOutcome(t, out, err)
+	close(stop)
+	vm.Wait()
+}

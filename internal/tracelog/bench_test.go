@@ -2,6 +2,7 @@ package tracelog
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/ids"
@@ -92,5 +93,52 @@ func BenchmarkRecoverFile(b *testing.B) {
 		if _, rep, err := RecoverFile(path); err != nil || !rep.Clean {
 			b.Fatalf("RecoverFile: %v, %+v", err, rep)
 		}
+	}
+}
+
+// TestScheduleIndexAllocatesWhatItKeeps: at real parallelism a schedule log is
+// one interval (or obj-run) per lock hand-off, tens of thousands of them, and
+// the process's high-water mark follows what building the index allocates. An
+// index that grows its slices by append allocates about five times what it
+// keeps; sized from a counting walk it allocates little more than it keeps.
+func TestScheduleIndexAllocatesWhatItKeeps(t *testing.T) {
+	const records = 40_000
+	for _, tc := range []struct {
+		name   string
+		record func(i int) Entry
+	}{
+		{"intervals", func(i int) Entry {
+			return &Interval{Thread: ids.ThreadNum(i % 2), First: ids.GCount(3 * i), Last: ids.GCount(3*i + 2)}
+		}},
+		{"obj-runs", func(i int) Entry {
+			return &ObjRun{Obj: ids.ObjectID(i % 2), Thread: ids.ThreadNum(i % 3), First: ids.AccessSeq(3 * i), Last: ids.AccessSeq(3*i + 2)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewLog()
+			for i := 0; i < records; i++ {
+				l.Append(tc.record(i))
+			}
+			l.Append(&VMMeta{VM: 1, Threads: 3, FinalGC: 3 * records})
+			var before, built, kept runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			idx, err := BuildScheduleIndex(l)
+			runtime.ReadMemStats(&built)
+			runtime.GC()
+			runtime.ReadMemStats(&kept)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(idx.Intervals[0]) + len(idx.Intervals[1]) + len(idx.ObjRuns[0]) + len(idx.ObjRuns[1]); n != records {
+				t.Fatalf("index holds %d records, want %d", n, records)
+			}
+			allocated, retained := built.TotalAlloc-before.TotalAlloc, kept.HeapAlloc-before.HeapAlloc
+			t.Logf("%d KB log: allocated %d KB, retained %d KB", l.Size()>>10, allocated>>10, retained>>10)
+			if retained < records*16 || allocated > retained*3/2 {
+				t.Errorf("allocated %d bytes to retain %d: want at most 1.5 times as much", allocated, retained)
+			}
+			runtime.KeepAlive(idx)
+		})
 	}
 }

@@ -72,9 +72,11 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 		ObjNotifies:   make(map[ObjEvent][]ids.ThreadNum),
 		ObjTimedWaits: make(map[ObjEvent]ObjTimedWait),
 	}
-	sawMeta := false
+	data := l.snapshot()
 	var scratch [kindMax]Entry
-	err := walk(l.snapshot(), &scratch, func(e Entry) error {
+	sizeRuns(idx, data, &scratch)
+	sawMeta := false
+	err := walk(data, &scratch, func(e Entry) error {
 		switch v := e.(type) {
 		case *Interval:
 			if v.Last < v.First {
@@ -145,6 +147,41 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 		return idx.Checkpoints[i].GC < idx.Checkpoints[j].GC
 	})
 	return idx, nil
+}
+
+// sizeRuns gives every thread's Intervals and every object's ObjRuns their
+// final capacity before the index is filled. Under real parallelism a log is
+// mostly these two record kinds, one per lock hand-off, and a slice grown by
+// append has allocated about five times what it ends up holding. The counts
+// come from the records decoded in a walk of their own — never from a length
+// field, so a log cannot make the index allocate more than a small multiple of
+// its own size — and a damaged stream sizes what precedes the damage: the
+// filling walk is the one that reports it.
+func sizeRuns(idx *ScheduleIndex, data []byte, scratch *[kindMax]Entry) {
+	intervals := make(map[ids.ThreadNum]int)
+	runs := make(map[ids.ObjectID]int)
+	var nIntervals, nRuns int
+	_ = walk(data, scratch, func(e Entry) error {
+		switch v := e.(type) {
+		case *Interval:
+			intervals[v.Thread]++
+			nIntervals++
+		case *ObjRun:
+			runs[v.Obj]++
+			nRuns++
+		}
+		return nil
+	})
+	// One backing array per kind, carved: a thread's or an object's slice
+	// fills exactly its share and never reallocates.
+	ivs := make([]Interval, nIntervals)
+	for tn, n := range intervals {
+		idx.Intervals[tn], ivs = ivs[:0:n], ivs[n:]
+	}
+	ors := make([]ObjRun, nRuns)
+	for obj, n := range runs {
+		idx.ObjRuns[obj], ors = ors[:0:n], ors[n:]
+	}
 }
 
 // NetworkIndex is the replay-side view of a NetworkLogFile. Closed-world
