@@ -322,7 +322,9 @@ func render(e tracelog.Entry) string {
 	case *tracelog.OpenReadEntry:
 		return fmt.Sprintf("open-read     %v %dB eof=%v", v.EventID, len(v.Data), v.EOF)
 	case *tracelog.OpenWriteEntry:
-		return fmt.Sprintf("open-write    %v len=%d sum=%016x", v.EventID, v.Len, v.Sum)
+		// "open-write" is an FNV-1a record of a log from before PR 19,
+		// "open-write-wide" what recordings hold since.
+		return fmt.Sprintf("%-13v %v len=%d sum=%016x", v.Kind(), v.EventID, v.Len, v.Sum)
 	case *tracelog.OpenDatagramEntry:
 		return fmt.Sprintf("open-datagram %v src=%s:%d %dB",
 			v.EventID, v.SourceHost, v.SourcePort, len(v.Data))

@@ -88,6 +88,19 @@ func TestDumpRendersEveryRecordOfASalvagedSet(t *testing.T) {
 	}
 }
 
+// An open write renders under the name of its record's kind: the FNV-1a
+// records of logs from before PR 19 stay "open-write".
+func TestRenderNamesTheOpenWriteKind(t *testing.T) {
+	e := tracelog.OpenWriteEntry{EventID: ids.NetworkEventID{Thread: 2, Event: 3}, Len: 5, Sum: 0xabc}
+	if got, want := render(&e), "open-write-wide nev⟨t2,e3⟩ len=5 sum=0000000000000abc"; got != want {
+		t.Errorf("render = %q, want %q", got, want)
+	}
+	e.FNV = true
+	if got, want := render(&e), "open-write    nev⟨t2,e3⟩ len=5 sum=0000000000000abc"; got != want {
+		t.Errorf("render = %q, want %q", got, want)
+	}
+}
+
 func TestExitCodes(t *testing.T) {
 	dir := salvagedFixture(t)
 	for _, tc := range []struct {

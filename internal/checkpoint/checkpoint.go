@@ -18,6 +18,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -82,7 +83,9 @@ func List(logs *tracelog.Set) ([]*Snapshot, error) {
 				MainThread:   cp.TakerThread,
 				MainEventNum: cp.MainEventNum,
 			},
-			Data: cp.State,
+			// The index aliases the log's bytes, which are read-only; the
+			// application restores from (and may scribble on) its own copy.
+			Data: bytes.Clone(cp.State),
 		}
 	}
 	return out, nil

@@ -3,6 +3,8 @@ package djgram
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -51,6 +53,67 @@ func TestReplayExtraReceiveDiverges(t *testing.T) {
 	sendVM.Wait()
 	if !errors.Is(extraErr, ErrDiverged) {
 		t.Errorf("extra replay receive returned %v, want ErrDiverged", extraErr)
+	}
+}
+
+// TestOpenWorldSendDivergenceSaysHow: an open-world send is not re-sent on
+// replay, only verified against its record (§5). A replay that sends other
+// bytes is told which way they differ — in checksum at equal lengths, in
+// length otherwise — and at which event.
+func TestOpenWorldSendDivergenceSaysHow(t *testing.T) {
+	dest := netsim.Addr{Host: "plain", Port: 7600}
+	run := func(vm *core.VM, env *Env, payload string) error {
+		var sendErr error
+		vm.Start(func(main *core.Thread) {
+			sock, err := env.Bind(main, 7601)
+			if err != nil {
+				panic(err)
+			}
+			sendErr = sock.SendTo(main, dest, []byte(payload))
+			sock.Close(main)
+		})
+		vm.Wait()
+		vm.Close()
+		return sendErr
+	}
+	// Record against a plain socket of the network itself: the non-DJVM peer.
+	recNet := netsim.NewNetwork(netsim.Config{Seed: 73})
+	if _, err := recNet.DatagramBind(dest.Host, dest.Port); err != nil {
+		t.Fatal(err)
+	}
+	recVM := newVM(t, core.Config{ID: 510, Mode: ids.Record, World: ids.OpenWorld})
+	if err := run(recVM, NewEnv(recVM, recNet, "tx"), "datagram-A"); err != nil {
+		t.Fatalf("recorded send: %v", err)
+	}
+
+	// The send is main's second network event, after the bind.
+	event := fmt.Sprint(ids.NetworkEventID{Thread: 0, Event: 1})
+	for _, tc := range []struct {
+		name, payload string
+		want          []string
+	}{
+		{"same", "datagram-A", nil},
+		{"changed byte", "datagram-B", []string{event, "open-write-wide checksum differs: recorded 0x"}},
+		{"shorter", "datagram", []string{event, "length differs: recorded 10 bytes, replayed 8"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			repVM := newVM(t, core.Config{ID: 510, Mode: ids.Replay, World: ids.OpenWorld, ReplayLogs: recVM.Logs()})
+			err := run(repVM, NewEnv(repVM, netsim.NewNetwork(netsim.Config{}), "tx"), tc.payload)
+			if tc.want == nil {
+				if err != nil {
+					t.Fatalf("faithful replay: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrDiverged) {
+				t.Fatalf("diverged send returned %v, want ErrDiverged", err)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("divergence %q does not say %q", err, want)
+				}
+			}
+		})
 	}
 }
 

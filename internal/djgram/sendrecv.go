@@ -2,7 +2,6 @@ package djgram
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/core"
 	"repro/internal/ids"
@@ -45,7 +44,15 @@ func (ds *DatagramSocket) SendTo(t *core.Thread, addr netsim.Addr, data []byte) 
 	budget := e.payloadBudget()
 
 	if e.vm.Mode() == ids.Record {
-		var err error
+		var (
+			err error
+			sum uint64
+		)
+		if !closedSc {
+			// data is the caller's for the whole call: its checksum is taken
+			// out here, not under the VM's lock.
+			sum = tracelog.WideSum(data)
+		}
 		t.CriticalKind(obs.KindDatagram, func(gc ids.GCount) {
 			if !closedSc {
 				err = ds.sock.SendTo(addr, data)
@@ -56,7 +63,7 @@ func (ds *DatagramSocket) SendTo(t *core.Thread, addr netsim.Addr, data []byte) 
 				e.vm.Logs().Network.Append(&tracelog.OpenWriteEntry{
 					EventID: eventID,
 					Len:     uint32(len(data)),
-					Sum:     fnvSum(data),
+					Sum:     sum,
 				})
 				return
 			}
@@ -88,9 +95,8 @@ func (ds *DatagramSocket) SendTo(t *core.Thread, addr netsim.Addr, data []byte) 
 			return divergef("send event %v has no recorded entry", eventID)
 		}
 		t.CriticalKind(obs.KindDatagram, func(ids.GCount) {})
-		if entry.Len != uint32(len(data)) || entry.Sum != fnvSum(data) {
-			return divergef("send event %v payload differs from record (len %d vs %d)",
-				eventID, len(data), entry.Len)
+		if err := entry.Verify(data); err != nil {
+			return divergef("send event %v payload differs from record: %v", eventID, err)
 		}
 		return nil
 	}
@@ -201,13 +207,11 @@ func (ds *DatagramSocket) receiveRecord(t *core.Thread, eventID ids.NetworkEvent
 		case err != nil:
 			e.logNetErr(eventID, "receive", err)
 		case isOpen:
-			cp := make([]byte, len(data))
-			copy(cp, data)
 			e.vm.Logs().Network.Append(&tracelog.OpenDatagramEntry{
 				EventID:    eventID,
 				SourceHost: source.Host,
 				SourcePort: source.Port,
-				Data:       cp,
+				Data:       data,
 			})
 		default:
 			e.vm.Logs().Datagram.Append(&tracelog.DatagramRecvEntry{
@@ -331,10 +335,4 @@ func (ds *DatagramSocket) PooledDatagrams() int {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	return len(ds.pool)
-}
-
-func fnvSum(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
 }

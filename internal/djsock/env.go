@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/core"
@@ -162,13 +161,6 @@ func (e *Env) replayErr(eventID ids.NetworkEventID) (error, bool) {
 // divergef builds a replay-divergence error.
 func divergef(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrDiverged, fmt.Sprintf(format, args...))
-}
-
-// fnvSum is the checksum used to verify open-world writes.
-func fnvSum(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
 }
 
 // fdLock is one per-socket, per-direction FD-critical section (Figure 3).

@@ -331,11 +331,9 @@ func (s *Socket) logRead(eventID ids.NetworkEventID, data []byte, eof bool) {
 		})
 		return
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.env.vm.Logs().Network.Append(&tracelog.OpenReadEntry{
 		EventID: eventID,
-		Data:    cp,
+		Data:    data,
 		EOF:     eof,
 	})
 }
@@ -361,7 +359,13 @@ func (s *Socket) Write(t *core.Thread, p []byte) (int, error) {
 		var (
 			n   int
 			err error
+			sum uint64
 		)
+		if !s.peerDJVM {
+			// p is the caller's for the whole call: its checksum is taken
+			// out here, not under the VM's lock.
+			sum = tracelog.WideSum(p)
+		}
 		t.CriticalKind(obs.KindSocket, func(gc ids.GCount) {
 			n, err = s.stream.Write(p)
 			switch {
@@ -371,7 +375,7 @@ func (s *Socket) Write(t *core.Thread, p []byte) (int, error) {
 				e.vm.Logs().Network.Append(&tracelog.OpenWriteEntry{
 					EventID: eventID,
 					Len:     uint32(len(p)),
-					Sum:     fnvSum(p),
+					Sum:     sum,
 				})
 			default:
 				s.spanData(eventID, gc, tracelog.NetOpWrite, n)
@@ -394,9 +398,8 @@ func (s *Socket) Write(t *core.Thread, p []byte) (int, error) {
 			return 0, divergef("write event %v has no recorded entry", eventID)
 		}
 		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		if entry.Len != uint32(len(p)) || entry.Sum != fnvSum(p) {
-			return 0, divergef("write event %v payload differs from record (len %d vs %d)",
-				eventID, len(p), entry.Len)
+		if err := entry.Verify(p); err != nil {
+			return 0, divergef("write event %v payload differs from record: %v", eventID, err)
 		}
 		return len(p), nil
 	}

@@ -3,6 +3,8 @@ package djsock
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,21 +147,38 @@ func TestOpenWorldWriteDivergenceDetected(t *testing.T) {
 	recVM.Wait()
 	recVM.Close()
 
-	repVM := newVM(t, core.Config{ID: 52, Mode: ids.Replay, World: ids.OpenWorld, ReplayLogs: recVM.Logs()})
-	repEnv := NewEnv(repVM, netsim.NewNetwork(netsim.Config{}), "client")
-	var writeErr error
-	repVM.Start(func(main *core.Thread) {
-		conn, err := repEnv.Connect(main, netsim.Addr{Host: "echo", Port: port})
-		if err != nil {
-			panic(err)
-		}
-		_, writeErr = conn.Write(main, []byte("payload-B")) // diverged payload
-		conn.Close(main)
-	})
-	repVM.Wait()
-	repVM.Close()
-	if !errors.Is(writeErr, ErrDiverged) {
-		t.Errorf("diverged write returned %v, want ErrDiverged", writeErr)
+	// The write is main's second network event, after the connect.
+	event := fmt.Sprint(ids.NetworkEventID{Thread: 0, Event: 1})
+	for _, tc := range []struct {
+		name, payload string
+		want          []string
+	}{
+		{"changed byte", "payload-B", []string{event, "open-write-wide checksum differs: recorded 0x"}},
+		{"shorter", "payload", []string{event, "length differs: recorded 9 bytes, replayed 7"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			repVM := newVM(t, core.Config{ID: 52, Mode: ids.Replay, World: ids.OpenWorld, ReplayLogs: recVM.Logs()})
+			repEnv := NewEnv(repVM, netsim.NewNetwork(netsim.Config{}), "client")
+			var writeErr error
+			repVM.Start(func(main *core.Thread) {
+				conn, err := repEnv.Connect(main, netsim.Addr{Host: "echo", Port: port})
+				if err != nil {
+					panic(err)
+				}
+				_, writeErr = conn.Write(main, []byte(tc.payload)) // diverged payload
+				conn.Close(main)
+			})
+			repVM.Wait()
+			repVM.Close()
+			if !errors.Is(writeErr, ErrDiverged) {
+				t.Fatalf("diverged write returned %v, want ErrDiverged", writeErr)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(writeErr.Error(), want) {
+					t.Errorf("divergence %q does not say %q", writeErr, want)
+				}
+			}
+		})
 	}
 }
 

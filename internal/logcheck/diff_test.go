@@ -102,6 +102,12 @@ func TestDiffOpenWorldValueAndPresence(t *testing.T) {
 	b.Network.Append(&tracelog.OpenReadEntry{EventID: ev(10), Data: []byte("same"), EOF: true})
 	a.Network.Append(&tracelog.OpenDatagramEntry{EventID: ev(11), SourceHost: "src", Data: []byte("same")})
 	b.Network.Append(&tracelog.OpenDatagramEntry{EventID: ev(11), SourceHost: "src", Data: []byte("same")})
+	// Event 12: the same length and sum under the two open-write kinds are
+	// sums of different algorithms. Event 13: an old-kind record on both sides.
+	a.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(12), Len: 6, Sum: 0xfeed, FNV: true})
+	b.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(12), Len: 6, Sum: 0xfeed})
+	a.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(13), Len: 6, Sum: 0xfeed, FNV: true})
+	b.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(13), Len: 6, Sum: 0xfeed, FNV: true})
 
 	rep, err := Diff(a, b)
 	if err != nil {
@@ -116,6 +122,7 @@ func TestDiffOpenWorldValueAndPresence(t *testing.T) {
 		"open-read nev⟨t1,e7⟩: only in left log",
 		"open-write nev⟨t1,e3⟩: values differ",
 		"open-write nev⟨t1,e8⟩: only in left log",
+		"open-write nev⟨t1,e12⟩: values differ",
 		"open-datagram nev⟨t1,e4⟩: values differ",
 		"open-datagram nev⟨t1,e9⟩: only in left log",
 	}

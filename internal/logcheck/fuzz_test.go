@@ -47,6 +47,18 @@ func FuzzCheckSet(f *testing.F) {
 		[]tracelog.Entry{&tracelog.Notify{GC: 41, Woken: []ids.ThreadNum{2}}})
 	f.Add(truncated.Bytes())
 
+	// A schedule into which an open-write record of each kind has strayed:
+	// the checker must report them, not trip over them.
+	ev := ids.NetworkEventID{Thread: 1, Event: 0}
+	strayed := tracelog.ComposeSchedule(meta, ids.OrderGlobal, 0,
+		[]ids.ThreadNum{0, 1, 2},
+		nil,
+		[]tracelog.Entry{
+			&tracelog.OpenWriteEntry{EventID: ev, Len: 5, Sum: tracelog.WideSum([]byte("reply"))},
+			&tracelog.OpenWriteEntry{EventID: ev, Len: 5, Sum: 0x5d7a5c1d8e2a31c3, FNV: true},
+		})
+	f.Add(strayed.Bytes())
+
 	// Characteristic corruptions: truncations and bit flips of the composed
 	// logs, plus degenerate inputs.
 	pb := preempted.Bytes()
@@ -88,7 +100,8 @@ func FuzzCheckSet(f *testing.F) {
 // intervals, a notify, a timed wait, timestamps, checkpoints with their group
 // epoch stamps, a truncation marker (the file is compacted at the first
 // checkpoint mid-way), an open-interval note, and the final vm-meta — next to
-// closed- and open-world network frames and a datagram delivery.
+// closed- and open-world network frames (an open write of either kind among
+// them) and a datagram delivery.
 func healthyWAL(t testing.TB, path string) []byte {
 	t.Helper()
 	w, err := tracelog.CreateWAL(path, tracelog.WALOptions{})
@@ -117,6 +130,8 @@ func healthyWAL(t testing.TB, path string) []byte {
 	}
 	s.Schedule.Append(&tracelog.Interval{Thread: 1, First: 5, Last: 5})
 	s.Network.Append(&tracelog.OpenReadEntry{EventID: ev(0, 1), Data: []byte("request")})
+	s.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(0, 2), Len: 5, Sum: tracelog.WideSum([]byte("reply"))})
+	s.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(0, 3), Len: 5, Sum: 0x5d7a5c1d8e2a31c3, FNV: true})
 	s.Schedule.Append(&tracelog.Notify{GC: 6, Woken: []ids.ThreadNum{1}})
 	s.Schedule.Append(&tracelog.OpenInterval{Thread: 0, First: 6, Last: 6})
 	s.Schedule.Append(&tracelog.Interval{Thread: 0, First: 6, Last: 7})

@@ -417,3 +417,38 @@ func TestWorldGroupEpochMemberListMismatchDetected(t *testing.T) {
 		t.Errorf("agreeing world flagged: %v", rep.Findings)
 	}
 }
+
+// Both kinds of open-write record — the FNV-1a one of logs recorded before
+// PR 19 and the word-wide one of logs recorded since — belong in the network
+// log and nowhere else, one per network event between them.
+func TestOpenWriteKindsChecked(t *testing.T) {
+	ev := func(e int) ids.NetworkEventID { return ids.NetworkEventID{Thread: 1, Event: ids.EventNum(e)} }
+	for _, fnv := range []bool{false, true} {
+		kind := (&tracelog.OpenWriteEntry{FNV: fnv}).Kind()
+
+		ok := simpleSet(10)
+		ok.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(0), Len: 4, Sum: 1, FNV: fnv})
+		ok.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(1), Len: 4, Sum: 1, FNV: !fnv})
+		if rep := CheckSet(ok); !rep.OK() {
+			t.Errorf("%v in the network log: %v", kind, rep.Findings)
+		}
+
+		dup := simpleSet(10)
+		dup.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(0), Len: 4, Sum: 1, FNV: fnv})
+		dup.Network.Append(&tracelog.OpenWriteEntry{EventID: ev(0), Len: 4, Sum: 1, FNV: !fnv})
+		if rep := CheckSet(dup); !findingsContain(rep, "duplicate "+(&tracelog.OpenWriteEntry{FNV: !fnv}).Kind().String()+" entry") {
+			t.Errorf("two open-write records for one event: %v", rep.Findings)
+		}
+
+		for name, misfile := range map[string]func(*tracelog.Set) *tracelog.Log{
+			"schedule": func(s *tracelog.Set) *tracelog.Log { return s.Schedule },
+			"datagram": func(s *tracelog.Set) *tracelog.Log { return s.Datagram },
+		} {
+			bad := simpleSet(10)
+			misfile(bad).Append(&tracelog.OpenWriteEntry{EventID: ev(0), Len: 4, Sum: 1, FNV: fnv})
+			if rep := CheckSet(bad); !findingsContain(rep, "unexpected "+kind.String()+" record in "+name+" log") {
+				t.Errorf("%v in the %s log: %v", kind, name, rep.Findings)
+			}
+		}
+	}
+}

@@ -1,9 +1,17 @@
 package tracelog
 
 import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ids"
 )
@@ -34,15 +42,46 @@ func benchSet(s *Set) {
 	s.Schedule.Append(&VMMeta{VM: 1, World: ids.OpenWorld, Threads: 8, FinalGC: 2 * benchRecords})
 }
 
+// The content log of an open-world server, the shape net-open records: one
+// open-read record of contentPayload bytes per connection.
+const (
+	contentRecords = 32_000
+	contentPayload = 1 << 10
+)
+
+// appendContent appends the content log's records to l, all from one buffer
+// of seeded bytes, so the only memory a caller's measurement sees is the
+// log's own.
+func appendContent(l *Log) {
+	data := make([]byte, contentPayload)
+	rand.New(rand.NewSource(1)).Read(data)
+	e := &OpenReadEntry{Data: data}
+	for i := 0; i < contentRecords; i++ {
+		e.EventID = ids.NetworkEventID{Thread: ids.ThreadNum(i % 8), Event: ids.EventNum(i / 8)}
+		l.Append(e)
+	}
+}
+
+func BenchmarkAppendContent(b *testing.B) {
+	b.ReportAllocs()
+	b.SetBytes(contentRecords * contentPayload)
+	for i := 0; i < b.N; i++ {
+		appendContent(NewLog())
+	}
+}
+
 func BenchmarkBuildIndex(b *testing.B) {
 	s := NewSet()
 	benchSet(s)
+	content := NewLog()
+	appendContent(content)
 	for _, bc := range []struct {
 		name  string
 		build func() error
 	}{
 		{"schedule", func() error { _, err := BuildScheduleIndex(s.Schedule); return err }},
 		{"network", func() error { _, err := BuildNetworkIndex(s.Network); return err }},
+		{"network-content", func() error { _, err := BuildNetworkIndex(content); return err }},
 		{"datagram", func() error { _, err := BuildDatagramIndex(s.Datagram); return err }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -69,6 +108,47 @@ func BenchmarkLoadSet(b *testing.B) {
 		if _, err := LoadSet(dir); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkLoadSetContent(b *testing.B) {
+	s := NewSet()
+	appendContent(s.Network)
+	dir := b.TempDir()
+	if err := s.Save(dir); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadSet(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var sumSink uint64
+
+// BenchmarkOpenWriteSum: the checksum of an open-world write, as records made
+// before PR 19 hold it (byte-at-a-time FNV-1a) and as records hold it since.
+func BenchmarkOpenWriteSum(b *testing.B) {
+	for _, size := range []int{64, 1 << 10, 64 << 10} {
+		p := make([]byte, size)
+		rand.New(rand.NewSource(1)).Read(p)
+		b.Run(fmt.Sprintf("fnv1a/%d", size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				h := fnv.New64a()
+				h.Write(p)
+				sumSink = h.Sum64()
+			}
+		})
+		b.Run(fmt.Sprintf("wide/%d", size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				sumSink = WideSum(p)
+			}
+		})
 	}
 }
 
@@ -140,5 +220,352 @@ func TestScheduleIndexAllocatesWhatItKeeps(t *testing.T) {
 			}
 			runtime.KeepAlive(idx)
 		})
+	}
+}
+
+// within reports whether b lies inside a's backing array.
+func within(a, b []byte) bool {
+	if len(b) == 0 {
+		return true
+	}
+	lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return lo <= hi && hi+uintptr(len(b)) <= lo+uintptr(cap(a))
+}
+
+// TestAppendNeverMovesALoggedByte: a log that holds its stream in one slice
+// grown by append reallocates and copies everything it has logged so far about
+// 45 times on the way to 34 MB — five times the log allocated, four times it
+// copied. Held as chunks the log allocates what it holds and the first byte it
+// logged is where it was put.
+func TestAppendNeverMovesALoggedByte(t *testing.T) {
+	l := NewLog()
+	l.Append(&OpenReadEntry{})
+	first := &l.chunks[0][0]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	appendContent(l)
+	runtime.ReadMemStats(&after)
+	allocated, size := after.TotalAlloc-before.TotalAlloc, uint64(l.Size())
+	t.Logf("%d KB log in %d chunks: allocated %d KB", size>>10, len(l.chunks), allocated>>10)
+	if size < contentRecords*contentPayload || allocated > size*115/100 {
+		t.Errorf("allocated %d bytes to log %d: want at most 1.15 times as much", allocated, size)
+	}
+	if &l.chunks[0][0] != first {
+		t.Error("the first record's first byte moved")
+	}
+	for i, c := range l.chunks {
+		if cap(c) > maxChunk {
+			t.Errorf("chunk %d holds %d bytes, more than the maximum %d", i, cap(c), maxChunk)
+		}
+	}
+}
+
+// TestReadBackAliasesTheLoadedFile: loading a content log and indexing it used
+// to copy every payload twice (once to count the records, once into the
+// index) on top of reading the file. Decoding aliases: beyond the file itself
+// the read-back allocates the index's maps and nothing per payload, and what
+// the index hands out are read-only windows into the file.
+func TestReadBackAliasesTheLoadedFile(t *testing.T) {
+	s := NewSet()
+	appendContent(s.Network)
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	loaded, err := LoadSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := BuildNetworkIndex(loaded.Network)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(loaded.Network.Size())
+	beyond := after.TotalAlloc - before.TotalAlloc - size
+	t.Logf("%d KB log: read-back allocated %d KB beyond the file", size>>10, beyond>>10)
+	if len(idx.OpenReads) != contentRecords || beyond > size/4 {
+		t.Errorf("indexed %d records allocating %d bytes beyond the %d of the file: want at most a quarter as much",
+			len(idx.OpenReads), beyond, size)
+	}
+
+	if len(loaded.Network.chunks) != 1 {
+		t.Fatalf("a loaded log has %d chunks, want the file as its one chunk", len(loaded.Network.chunks))
+	}
+	file := loaded.Network.chunks[0]
+	image := bytes.Clone(file)
+	for ev, e := range idx.OpenReads {
+		if len(e.Data) != contentPayload || cap(e.Data) != len(e.Data) || !within(file, e.Data) {
+			t.Fatalf("open-read %v: Data has len %d cap %d, inside the file: %v", ev, len(e.Data), cap(e.Data), within(file, e.Data))
+		}
+		_ = append(e.Data, 0xAA, 0xBB) // must reallocate, not write into the next record
+	}
+	if !bytes.Equal(file, image) {
+		t.Error("appending to an entry's Data changed the log")
+	}
+}
+
+// chunkProbe is one record of the chunk-boundary tests: an open-read whose
+// payload is n copies of a byte derived from its event id, so a reader can
+// tell a whole record from a torn or misplaced one.
+func chunkProbe(thread, event, n int) *OpenReadEntry {
+	return &OpenReadEntry{
+		EventID: ids.NetworkEventID{Thread: ids.ThreadNum(thread), Event: ids.EventNum(event)},
+		Data:    bytes.Repeat([]byte{byte(thread*31 + event)}, n),
+	}
+}
+
+func checkProbe(e Entry) error {
+	r, ok := e.(*OpenReadEntry)
+	if !ok {
+		return fmt.Errorf("decoded a %v record", e.Kind())
+	}
+	want := byte(int(r.EventID.Thread)*31 + int(r.EventID.Event))
+	for _, b := range r.Data {
+		if b != want {
+			return fmt.Errorf("record %v holds byte %#x, want %#x", r.EventID, b, want)
+		}
+	}
+	return nil
+}
+
+// encoded returns e's record as Append encodes it.
+func encoded(e Entry) []byte {
+	l := NewLog()
+	l.Append(e)
+	return l.Bytes()
+}
+
+// TestChunkBoundaries: whatever sizes the records have — empty, a few bytes
+// either side of what the open chunk can still take at every chunk capacity,
+// several times the largest chunk — the log is the concatenation of its
+// records, each whole inside one chunk, and Save, LoadSet, the WAL, Len and
+// Size cannot tell it from a log held in one piece.
+func TestChunkBoundaries(t *testing.T) {
+	for delta := -2; delta <= 2; delta++ {
+		delta := delta
+		t.Run(fmt.Sprintf("end%+d", delta), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(19 + delta)))
+			dir := t.TempDir()
+			w, err := CreateWAL(filepath.Join(dir, "node.wal"), WALOptions{SyncEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewSet()
+			if err := s.AttachWAL(w); err != nil {
+				t.Fatal(err)
+			}
+			s.Schedule.Append(&VMMeta{VM: 1, World: ids.OpenWorld})
+			l := s.Network
+			var want []Entry
+			var records [][]byte
+			add := func(n int) {
+				e := chunkProbe(len(want)%5, len(want)/5, n)
+				rec := encoded(e)
+				nChunks := len(l.chunks)
+				var head *byte
+				if nChunks > 0 && len(l.chunks[0]) > 0 {
+					head = &l.chunks[0][0]
+				}
+				l.Append(e)
+				want, records = append(want, e), append(records, rec)
+				if head != nil && &l.chunks[0][0] != head {
+					t.Fatalf("record %d moved the log's first byte", len(want)-1)
+				}
+				last := l.chunks[len(l.chunks)-1]
+				if !bytes.HasSuffix(last, rec) {
+					t.Fatalf("record %d (%d bytes) is not whole at the end of the open chunk", len(want)-1, len(rec))
+				}
+				if len(l.chunks) > nChunks+1 {
+					t.Fatalf("record %d opened %d chunks", len(want)-1, len(l.chunks)-nChunks)
+				}
+			}
+			// Walk the capacities: fill each open chunk to within delta bytes of
+			// its capacity (over it, the record must open the next chunk), with
+			// random records in between.
+			add(0)
+			for capNow := minChunk; ; {
+				open := l.chunks[len(l.chunks)-1]
+				spare := cap(open) - len(open)
+				overhead := len(encoded(chunkProbe(len(want)%5, len(want)/5, spare))) - spare
+				if n := spare + delta - overhead; n >= 0 {
+					add(n)
+				}
+				add(rng.Intn(64))
+				add(rng.Intn(3 * minChunk))
+				if capNow == maxChunk {
+					break
+				}
+				capNow *= 2
+				// Fill on until the log has opened a chunk of the next capacity.
+				for cap(l.chunks[len(l.chunks)-1]) < capNow {
+					add(rng.Intn(capNow / 2))
+				}
+			}
+			add(3 * maxChunk)
+			add(maxChunk + delta)
+			add(rng.Intn(100))
+			add(0)
+			s.Schedule.Append(&VMMeta{VM: 1, World: ids.OpenWorld, Threads: 5})
+			if err := s.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+
+			stream := bytes.Join(records, nil)
+			if !bytes.Equal(l.Bytes(), stream) {
+				t.Fatal("Bytes() is not the concatenation of the records")
+			}
+			whole := &Log{chunks: [][]byte{stream}}
+			if n, err := countRecords(stream); err != nil || n != l.Len() || whole.Size() != l.Size() || n != len(want) {
+				t.Fatalf("Len %d Size %d; the same records in one chunk: %d (%v) and %d", l.Len(), l.Size(), n, err, whole.Size())
+			}
+			if len(l.chunks) < 12 {
+				t.Fatalf("the log has %d chunks: the test did not walk the capacities", len(l.chunks))
+			}
+
+			if err := s.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			if file, err := os.ReadFile(filepath.Join(dir, "network.log")); err != nil || !bytes.Equal(file, stream) {
+				t.Fatalf("saved file differs from the stream (%v)", err)
+			}
+			loaded, err := LoadSet(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, lg := range map[string]*Log{"recorded": l, "loaded": loaded.Network} {
+				got, err := lg.Entries()
+				if err != nil {
+					t.Fatalf("%s log: %v", name, err)
+				}
+				if len(got) != len(want) || lg.Len() != len(want) {
+					t.Fatalf("%s log: %d entries, Len %d, want %d", name, len(got), lg.Len(), len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("%s log: entry %d does not round-trip", name, i)
+					}
+				}
+			}
+
+			wal, err := os.ReadFile(w.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var scratch [kindMax]Entry
+			frames := 0
+			for _, off := range frameOffsets(t, wal) {
+				logID, payload, _ := readFrame(wal[off:], &scratch)
+				if logID != logNetwork {
+					continue
+				}
+				if frames >= len(records) || !bytes.Equal(payload, records[frames]) {
+					t.Fatalf("network frame %d of the WAL is not record %d", frames, frames)
+				}
+				frames++
+			}
+			if frames != len(records) {
+				t.Fatalf("WAL holds %d network frames, want %d", frames, len(records))
+			}
+			// A recovered log is filled through the same chunk append.
+			recovered, rep, err := RecoverFile(w.Path())
+			if err != nil || !rep.Clean {
+				t.Fatalf("RecoverFile: %v, %+v", err, rep)
+			}
+			rl := recovered.Network
+			if !bytes.Equal(rl.Bytes(), stream) || rl.Len() != len(want) || len(rl.chunks) != len(l.chunks) {
+				t.Fatalf("recovered log: %d bytes, %d records, %d chunks; recorded %d, %d, %d",
+					rl.Size(), rl.Len(), len(rl.chunks), len(stream), len(want), len(l.chunks))
+			}
+		})
+	}
+}
+
+// TestEachSeesARecordAlignedPrefix: a reader racing appenders (run under
+// -race) walks whole records only, never fewer than the walk before, and each
+// appender's records in the order it appended them.
+func TestEachSeesARecordAlignedPrefix(t *testing.T) {
+	const appenders, perAppender = 8, 400
+	l := NewLog()
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		a := a
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(a)))
+			for i := 0; i < perAppender; i++ {
+				l.Append(chunkProbe(a, i, rng.Intn(3000)))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	walk := func(prev int) int {
+		var next [appenders]ids.EventNum
+		n := 0
+		if err := l.Each(func(e Entry) error {
+			if err := checkProbe(e); err != nil {
+				return err
+			}
+			r := e.(*OpenReadEntry)
+			if r.EventID.Event != next[r.EventID.Thread] {
+				return fmt.Errorf("appender %d: record %d follows record %d", r.EventID.Thread, r.EventID.Event, next[r.EventID.Thread])
+			}
+			next[r.EventID.Thread]++
+			n++
+			return nil
+		}); err != nil {
+			t.Fatalf("walk racing the appenders: %v", err)
+		}
+		if n < prev {
+			t.Fatalf("a walk saw %d records after an earlier one saw %d", n, prev)
+		}
+		return n
+	}
+	seen := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		seen = walk(seen)
+	}
+	if seen != appenders*perAppender || l.Len() != seen {
+		t.Errorf("the last walk saw %d records, Len %d, want %d", seen, l.Len(), appenders*perAppender)
+	}
+	if len(l.chunks) < 8 {
+		t.Errorf("the log has %d chunks: the appenders crossed too few boundaries", len(l.chunks))
+	}
+}
+
+// TestDecodeErrorOffsetIsAStreamOffset: damage in the third chunk is reported
+// at its offset in the whole stream, the offset Parse gives for the same bytes
+// in one piece.
+func TestDecodeErrorOffsetIsAStreamOffset(t *testing.T) {
+	l := NewLog()
+	for i := 0; len(l.chunks) < 4; i++ {
+		l.Append(&OpenReadEntry{EventID: ids.NetworkEventID{Thread: 1, Event: 1}, Data: bytes.Repeat([]byte{0xFF}, 1000)})
+	}
+	// Kind, thread and event take a byte each; then comes the payload length.
+	// Run it into the 0xFF payload and it is no varint at all.
+	const lenAt = 3
+	l.chunks[2][lenAt], l.chunks[2][lenAt+1] = 0xFF, 0xFF
+	want := fmt.Sprintf("tracelog: corrupt log: decoding open-read record at offset %d", len(l.chunks[0])+len(l.chunks[1])+lenAt)
+	_, flatErr := Parse(l.Bytes())
+	_, err := l.Entries()
+	if err == nil || flatErr == nil || err.Error() != want || flatErr.Error() != want {
+		t.Errorf("chunked log: %v\none piece:   %v\nwant:        %s", err, flatErr, want)
+	}
+	if _, err := BuildNetworkIndex(l); err == nil || err.Error() != want {
+		t.Errorf("BuildNetworkIndex: %v, want %s", err, want)
 	}
 }

@@ -117,18 +117,21 @@ func (d *dec) u8() uint8 {
 
 func (d *dec) bool() bool { return d.u8() != 0 }
 
+// bytes returns the next length-prefixed field as a sub-slice of the stream,
+// capacity cut to its length: the decoder never copies a payload. See walk for
+// the aliasing contract this puts on every decoded entry.
 func (d *dec) bytes() []byte {
 	n := d.u64()
 	if d.err != nil {
 		return nil
 	}
-	if uint64(d.off)+n > uint64(len(d.buf)) {
+	if n > uint64(len(d.buf)-d.off) {
 		d.fail()
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
+	end := d.off + int(n)
+	b := d.buf[d.off:end:end]
+	d.off = end
 	return b
 }
 

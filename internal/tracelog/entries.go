@@ -1,6 +1,11 @@
 package tracelog
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math/bits"
+
 	"repro/internal/ids"
 )
 
@@ -53,9 +58,11 @@ const (
 	// KindOpenRead records the full data returned by a read from a non-DJVM
 	// peer.
 	KindOpenRead
-	// KindOpenWrite records the length and checksum of data written to a
-	// non-DJVM peer, letting replay detect divergence without storing or
-	// re-sending the payload.
+	// KindOpenWrite records the length and FNV-1a checksum of data written to
+	// a non-DJVM peer, letting replay detect divergence without storing or
+	// re-sending the payload. Read-only since PR 19: logs recorded before it
+	// carry these and still replay and verify; the recorder writes
+	// KindOpenWriteWide.
 	KindOpenWrite
 	// KindOpenDatagram records the full contents and source of a datagram
 	// received from a non-DJVM peer.
@@ -153,6 +160,11 @@ const (
 	// solver, logcheck, and WAL compaction consume it.
 	KindGroupEpoch
 
+	// KindOpenWriteWide is KindOpenWrite with WideSum as its checksum: the
+	// record of a write to a non-DJVM peer in every log recorded since PR 19.
+	// Same three fields, same encoded size.
+	KindOpenWriteWide
+
 	// New kinds must be appended here, never inserted above: kind values are
 	// part of the on-disk log format.
 	kindMax
@@ -187,6 +199,8 @@ var kindNames = [...]string{
 	KindTruncation:   "truncation",
 	KindChaosPlan:    "chaos-plan",
 	KindGroupEpoch:   "group-epoch",
+
+	KindOpenWriteWide: "open-write-wide",
 }
 
 func (k Kind) String() string {
@@ -509,16 +523,26 @@ func (o *OpenReadEntry) decode(d *dec) {
 	o.EOF = d.bool()
 }
 
-// OpenWriteEntry records the length and FNV-1a checksum of the data a write
-// sent to a non-DJVM peer. During replay the message "need not be sent again"
-// (§5); the checksum lets the replayer detect a diverged execution.
+// OpenWriteEntry records the length and checksum of the data a write sent to
+// a non-DJVM peer. During replay the message "need not be sent again" (§5);
+// the checksum lets the replayer detect a diverged execution.
 type OpenWriteEntry struct {
 	EventID ids.NetworkEventID
 	Len     uint32
 	Sum     uint64
+	// FNV marks a KindOpenWrite record, whose Sum is the payload's FNV-1a
+	// hash: what logs recorded before PR 19 hold. Unset, the entry is a
+	// KindOpenWriteWide record and Sum is WideSum of the payload — the only
+	// form the recorder writes.
+	FNV bool
 }
 
-func (o *OpenWriteEntry) Kind() Kind { return KindOpenWrite }
+func (o *OpenWriteEntry) Kind() Kind {
+	if o.FNV {
+		return KindOpenWrite
+	}
+	return KindOpenWriteWide
+}
 
 func (o *OpenWriteEntry) encode(e *enc) {
 	e.u32(uint32(o.EventID.Thread))
@@ -527,11 +551,58 @@ func (o *OpenWriteEntry) encode(e *enc) {
 	e.u64(o.Sum)
 }
 
+// decode leaves FNV alone: newEntry set it from the record's kind.
 func (o *OpenWriteEntry) decode(d *dec) {
 	o.EventID.Thread = ids.ThreadNum(d.u32())
 	o.EventID.Event = ids.EventNum(d.u32())
 	o.Len = d.u32()
 	o.Sum = d.u64()
+}
+
+// Verify checks a replayed open-world write against its record: nil when p is
+// what the recorded execution wrote, otherwise how it differs — in length, or
+// at equal lengths in checksum, under the algorithm the record's kind names.
+func (o *OpenWriteEntry) Verify(p []byte) error {
+	if o.Len != uint32(len(p)) {
+		return fmt.Errorf("length differs: recorded %d bytes, replayed %d", o.Len, len(p))
+	}
+	var sum uint64
+	if o.FNV {
+		h := fnv.New64a()
+		h.Write(p)
+		sum = h.Sum64()
+	} else {
+		sum = WideSum(p)
+	}
+	if sum != o.Sum {
+		return fmt.Errorf("%v checksum differs: recorded %#016x, replayed %#016x", o.Kind(), o.Sum, sum)
+	}
+	return nil
+}
+
+// WideSum is the checksum a KindOpenWriteWide record holds of a write's
+// payload: 64 bits, eight bytes per step. The length seeds the state; each
+// step xors in one little-endian word (at the end, one byte), rotates, and
+// multiplies by an odd constant — a bijection of the state, so two payloads
+// of one length that differ in a single word never collide — and a final
+// avalanche (murmur3's) spreads every state bit over the sum. The loads are
+// fixed little-endian: the same number on every architecture, pinned by
+// TestWideSumVectors, because it is part of the log format.
+func WideSum(p []byte) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := (uint64(len(p)) + 1) * m
+	for ; len(p) >= 8; p = p[8:] {
+		h = bits.RotateLeft64(h^binary.LittleEndian.Uint64(p), 29) * m
+	}
+	for _, b := range p {
+		h = bits.RotateLeft64(h^uint64(b), 29) * m
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // OpenDatagramEntry records the full contents and source address of a
@@ -693,6 +764,8 @@ func newEntry(k Kind) (Entry, error) {
 	case KindOpenRead:
 		return &OpenReadEntry{}, nil
 	case KindOpenWrite:
+		return &OpenWriteEntry{FNV: true}, nil
+	case KindOpenWriteWide:
 		return &OpenWriteEntry{}, nil
 	case KindOpenDatagram:
 		return &OpenDatagramEntry{}, nil

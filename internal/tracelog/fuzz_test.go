@@ -18,6 +18,8 @@ func FuzzParse(f *testing.F) {
 	l.Append(&Notify{GC: 50, Woken: []ids.ThreadNum{2, 3}})
 	l.Append(&ReadEntry{EventID: ids.NetworkEventID{Thread: 1, Event: 2}, N: 64})
 	l.Append(&OpenReadEntry{EventID: ids.NetworkEventID{Thread: 2, Event: 0}, Data: []byte("payload")})
+	l.Append(&OpenWriteEntry{EventID: ids.NetworkEventID{Thread: 2, Event: 1}, Len: 7, Sum: WideSum([]byte("payload"))})
+	l.Append(&OpenWriteEntry{EventID: ids.NetworkEventID{Thread: 2, Event: 2}, Len: 7, Sum: 0xa3bdd3a0b1a3b0c1, FNV: true})
 	l.Append(&DatagramRecvEntry{
 		EventID:  ids.NetworkEventID{Thread: 3, Event: 1},
 		Datagram: ids.DGNetworkEventID{VM: 9, GC: 77},
@@ -86,8 +88,7 @@ func FuzzParse(f *testing.F) {
 		// A successful parse must survive the replay indexers without
 		// panicking (they may reject the content with errors).
 		if err == nil {
-			lg := NewLog()
-			lg.buf = data
+			lg := &Log{chunks: [][]byte{data}}
 			BuildScheduleIndex(lg)
 			BuildNetworkIndex(lg)
 			BuildDatagramIndex(lg)

@@ -72,11 +72,10 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 		ObjNotifies:   make(map[ObjEvent][]ids.ThreadNum),
 		ObjTimedWaits: make(map[ObjEvent]ObjTimedWait),
 	}
-	data := l.snapshot()
 	var scratch [kindMax]Entry
-	sizeRuns(idx, data, &scratch)
+	sizeRuns(idx, l, &scratch)
 	sawMeta := false
-	err := walk(data, &scratch, func(e Entry) error {
+	err := l.walk(&scratch, func(e Entry) error {
 		switch v := e.(type) {
 		case *Interval:
 			if v.Last < v.First {
@@ -157,11 +156,11 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 // field, so a log cannot make the index allocate more than a small multiple of
 // its own size — and a damaged stream sizes what precedes the damage: the
 // filling walk is the one that reports it.
-func sizeRuns(idx *ScheduleIndex, data []byte, scratch *[kindMax]Entry) {
+func sizeRuns(idx *ScheduleIndex, l *Log, scratch *[kindMax]Entry) {
 	intervals := make(map[ids.ThreadNum]int)
 	runs := make(map[ids.ObjectID]int)
 	var nIntervals, nRuns int
-	_ = walk(data, scratch, func(e Entry) error {
+	_ = l.walk(scratch, func(e Entry) error {
 		switch v := e.(type) {
 		case *Interval:
 			intervals[v.Thread]++
@@ -236,7 +235,7 @@ func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 		NetSpans:      make(map[ids.NetworkEventID]NetSpanEntry),
 	}
 	var scratch [kindMax]Entry
-	err := walk(l.snapshot(), &scratch, func(e Entry) error {
+	err := l.walk(&scratch, func(e Entry) error {
 		switch v := e.(type) {
 		case *ServerSocketEntry:
 			if _, ok := idx.ServerSockets[v.ServerID]; !ok {
@@ -269,6 +268,11 @@ func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 		case *OpenReadEntry:
 			idx.OpenReads[v.EventID] = *v
 		case *OpenWriteEntry:
+			// Both open-write kinds share the one key: which of two records
+			// verifies an event's payload must never be a matter of order.
+			if _, ok := idx.OpenWrites[v.EventID]; ok {
+				return dupError{v.Kind()}
+			}
 			idx.OpenWrites[v.EventID] = *v
 		case *OpenDatagramEntry:
 			idx.OpenDatagrams[v.EventID] = *v
@@ -311,7 +315,7 @@ func BuildDatagramIndex(l *Log) (*DatagramIndex, error) {
 		Deliveries: make(map[ids.DGNetworkEventID]int),
 	}
 	var scratch [kindMax]Entry
-	err := walk(l.snapshot(), &scratch, func(e Entry) error {
+	err := l.walk(&scratch, func(e Entry) error {
 		v, ok := e.(*DatagramRecvEntry)
 		if !ok {
 			return misplaced(e.Kind(), logDatagram)

@@ -10,13 +10,21 @@ import (
 // Log is a thread-safe, append-only stream of log records held in memory.
 // A DJVM appends entries during the record phase; Bytes/SaveFile persist the
 // stream and Parse/LoadSet reconstruct it for the replay phase.
+//
+// The stream is held as a list of chunks, and a byte that has been logged is
+// never moved or written again: Append encodes into the spare capacity of the
+// last chunk (the open one), and a record that does not fit there seals that
+// chunk and opens the next. A record is therefore always contiguous inside one
+// chunk. Chunk capacities double from minChunk to maxChunk, so a VM that logs
+// a few KB holds a few KB; a record larger than maxChunk gets a chunk of its
+// own. A loaded log (LoadSet) is the same type with the file as its one chunk.
 type Log struct {
 	mu      sync.Mutex
-	buf     []byte
+	chunks  [][]byte
 	entries int
-	// enc is the log's reusable encoder: Append encodes straight into buf
-	// under mu, so the hot record path allocates nothing beyond buf's own
-	// amortized growth.
+	// enc is the log's reusable encoder: Append encodes straight into the
+	// open chunk under mu, so the hot record path allocates nothing but
+	// chunks.
 	enc enc
 	// onAppend, when set, observes each append's encoded size — the hook the
 	// observability layer uses to count log volume without the log importing
@@ -28,6 +36,13 @@ type Log struct {
 	wal   *WALWriter
 	walID uint8
 }
+
+// Chunk capacities: the first chunk of a log holds minChunk bytes, each next
+// one twice the last, up to maxChunk.
+const (
+	minChunk = 4 << 10
+	maxChunk = 1 << 20
+)
 
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{} }
@@ -49,24 +64,68 @@ func (l *Log) SetObserver(fn func(bytes int)) {
 	l.onAppend = fn
 }
 
-// Append encodes and appends one entry.
+// Append encodes and appends one entry. The record is complete when Append
+// returns and the log keeps nothing of e: a []byte field of e may be the
+// caller's own buffer.
 func (l *Log) Append(e Entry) {
 	l.mu.Lock()
-	l.enc.buf = l.buf
+	l.enc.buf = l.spare()
 	l.enc.u8(uint8(e.Kind()))
 	e.encode(&l.enc)
-	n := len(l.enc.buf) - len(l.buf)
-	if l.wal != nil {
-		l.wal.append(l.walID, l.enc.buf[len(l.buf):])
-	}
-	l.buf = l.enc.buf
+	rec := l.commit(l.enc.buf)
 	l.enc.buf = nil
-	l.entries++
+	if l.wal != nil {
+		l.wal.append(l.walID, rec)
+	}
 	fn := l.onAppend
 	l.mu.Unlock()
 	if fn != nil {
-		fn(n)
+		fn(len(rec))
 	}
+}
+
+// spare returns the open chunk's unused capacity as an empty slice. A record
+// is encoded by appending to it: while the record fits it lands in place,
+// right behind the chunk's last record, and once it does not, append moves
+// what it holds — the bytes of this one record, nothing logged earlier — to
+// an array of its own. Caller holds mu.
+func (l *Log) spare() []byte {
+	if n := len(l.chunks); n > 0 {
+		return l.chunks[n-1][len(l.chunks[n-1]):]
+	}
+	return nil
+}
+
+// commit makes rec, one whole record appended to what spare returned, the
+// log's next record and returns its bytes in the log. If rec fit the open
+// chunk it is already in place. Otherwise that chunk is sealed as it stands
+// and rec opens the next one: a fresh chunk of the next capacity it is copied
+// to, or rec's own array when that is at least as large (a record that needs
+// a chunk of its own is not copied again). Caller holds mu.
+func (l *Log) commit(rec []byte) []byte {
+	l.entries++
+	next := minChunk
+	if n := len(l.chunks); n > 0 {
+		open := l.chunks[n-1]
+		if len(rec) <= cap(open)-len(open) {
+			l.chunks[n-1] = open[:len(open)+len(rec)]
+			return rec
+		}
+		next = min(max(2*cap(open), minChunk), maxChunk)
+	}
+	if cap(rec) < next {
+		rec = append(make([]byte, 0, next), rec...)
+	}
+	l.chunks = append(l.chunks, rec)
+	return rec
+}
+
+// appendRecord appends one already-encoded record — what RecoverFile salvages
+// from a WAL frame — the way Append places the records it encodes.
+func (l *Log) appendRecord(rec []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.commit(append(l.spare(), rec...))
 }
 
 // Size reports the encoded size of the log in bytes. This is the "log size"
@@ -74,7 +133,15 @@ func (l *Log) Append(e Entry) {
 func (l *Log) Size() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.buf)
+	return l.sizeLocked()
+}
+
+func (l *Log) sizeLocked() int {
+	n := 0
+	for _, c := range l.chunks {
+		n += len(c)
+	}
+	return n
 }
 
 // Len reports the number of entries appended.
@@ -88,38 +155,58 @@ func (l *Log) Len() int {
 func (l *Log) Bytes() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]byte, len(l.buf))
-	copy(out, l.buf)
+	out := make([]byte, 0, l.sizeLocked())
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
-// snapshot returns the encoded stream without copying. Appends only ever grow
-// buf past its current length (in place or into a fresh array), so the
-// returned prefix stays immutable; callers must treat it as read-only.
-func (l *Log) snapshot() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.buf
-}
-
-// Entries decodes and returns every record in append order.
+// Entries decodes and returns every record in append order. The entries alias
+// the log's bytes: see walk.
 func (l *Log) Entries() ([]Entry, error) {
-	return Parse(l.snapshot())
+	var out []Entry
+	if err := l.walk(nil, func(e Entry) error {
+		out = append(out, e)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Each decodes the log one record at a time in append order, invoking fn for
 // each entry. Unlike Entries it never materializes the full slice, so memory
-// stays O(largest record) regardless of log size — the graph builder and
-// djtrace stream multi-gigabyte logs through it. Each entry passed to fn is
-// freshly allocated; fn may retain it. A non-nil error from fn stops the walk
-// and is returned as-is.
+// stays O(1) regardless of log size — the graph builder and djtrace stream
+// multi-gigabyte logs through it. Each entry passed to fn is freshly
+// allocated and aliases the log's bytes (see walk); fn may retain it. A
+// non-nil error from fn stops the walk and is returned as-is.
 func (l *Log) Each(fn func(Entry) error) error {
-	return EachEntry(l.snapshot(), fn)
+	return l.walk(nil, fn)
 }
 
-// EachEntry is Each over a raw encoded stream.
+// walk runs the package's walk over the records the log holds when it is
+// called, chunk after chunk; offsets in its errors are offsets in the whole
+// stream. The chunks are read without the lock, which is sound because a
+// logged byte is never written again: appends racing the walk only write past
+// the lengths noted here.
+func (l *Log) walk(scratch *[kindMax]Entry, fn func(Entry) error) error {
+	l.mu.Lock()
+	chunks := append([][]byte(nil), l.chunks...)
+	l.mu.Unlock()
+	base := 0
+	for _, c := range chunks {
+		if err := walk(c, base, scratch, fn); err != nil {
+			return err
+		}
+		base += len(c)
+	}
+	return nil
+}
+
+// EachEntry is Each over a raw encoded stream: the one-chunk log.
 func EachEntry(data []byte, fn func(Entry) error) error {
-	return walk(data, nil, fn)
+	return (&Log{chunks: [][]byte{data}}).Each(fn)
 }
 
 // walk is the package's one decode loop: it decodes data one record at a time
@@ -127,12 +214,21 @@ func EachEntry(data []byte, fn func(Entry) error) error {
 // is freshly allocated and fn may retain it. Otherwise scratch holds one
 // record per kind and walk decodes into it again and again, so a walk over
 // any number of records allocates at most one per kind; fn must then copy
-// what it keeps (every entry decode overwrites all of its fields, and the
-// slices and strings a decode produces are fresh, so a copied struct shares
-// nothing with the next record). A non-nil error from fn stops the walk and
-// is returned as-is; a stream that does not decode fails with ErrCorrupt,
-// naming the record's kind and the offset reached.
-func walk(data []byte, scratch *[kindMax]Entry, fn func(Entry) error) error {
+// the structs it keeps (every entry decode overwrites all of its fields). A
+// non-nil error from fn stops the walk and is returned as-is; a stream that
+// does not decode fails with ErrCorrupt, naming the record's kind and the
+// offset reached, counted from base (where data starts in its stream).
+//
+// Aliasing contract, for this and every function built on it (Parse,
+// EachEntry, Log.Entries, Log.Each, the Build*Index functions): decoded
+// entries alias the stream they were decoded from. A []byte field of an entry
+// is a sub-slice of data with its capacity cut to its length — never a copy —
+// so it is read-only, and it is valid for as long as data is left unchanged,
+// which for a Log is forever. Whoever hands such bytes to code that may write
+// to them copies at that boundary: djsock and djgram into the application's
+// read buffer, checkpoint.List into Snapshot.Data. Strings and decoded lists
+// (Woken, Members) are fresh.
+func walk(data []byte, base int, scratch *[kindMax]Entry, fn func(Entry) error) error {
 	d := &dec{buf: data}
 	for !d.done() {
 		k := Kind(d.u8())
@@ -151,7 +247,7 @@ func walk(data []byte, scratch *[kindMax]Entry, fn func(Entry) error) error {
 		}
 		e.decode(d)
 		if d.err != nil {
-			return fmt.Errorf("%w: decoding %v record at offset %d", ErrCorrupt, k, d.off)
+			return fmt.Errorf("%w: decoding %v record at offset %d", ErrCorrupt, k, base+d.off)
 		}
 		if err := fn(e); err != nil {
 			return err
@@ -161,8 +257,8 @@ func walk(data []byte, scratch *[kindMax]Entry, fn func(Entry) error) error {
 }
 
 // SaveFile writes the encoded log to path, creating parent directories. The
-// stream is written straight from the log's buffer under its lock, with no
-// intermediate copy.
+// stream is written chunk by chunk, straight from the log under its lock,
+// with no intermediate copy.
 func (l *Log) SaveFile(path string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("tracelog: save %s: %w", path, err)
@@ -171,8 +267,13 @@ func (l *Log) SaveFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("tracelog: save %s: %w", path, err)
 	}
+	var werr error
 	l.mu.Lock()
-	_, werr := f.Write(l.buf)
+	for _, c := range l.chunks {
+		if _, werr = f.Write(c); werr != nil {
+			break
+		}
+	}
 	l.mu.Unlock()
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
@@ -183,16 +284,10 @@ func (l *Log) SaveFile(path string) error {
 	return nil
 }
 
-// Parse decodes an encoded log stream into its entries.
+// Parse decodes an encoded log stream into its entries, which alias data (see
+// walk).
 func Parse(data []byte) ([]Entry, error) {
-	var out []Entry
-	if err := walk(data, nil, func(e Entry) error {
-		out = append(out, e)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return (&Log{chunks: [][]byte{data}}).Entries()
 }
 
 // The three logs of a set, in the order the WAL's frame tag numbers them.
@@ -215,7 +310,7 @@ func logOf(k Kind) uint8 {
 	switch k {
 	case KindServerSocket, KindRead, KindAvailable, KindBind, KindNetErr,
 		KindOpenConnect, KindOpenAccept, KindOpenRead, KindOpenWrite,
-		KindOpenDatagram, KindEnv, KindNetSpan:
+		KindOpenWriteWide, KindOpenDatagram, KindEnv, KindNetSpan:
 		return logNetwork
 	case KindDatagramRecv:
 		return logDatagram
@@ -290,7 +385,7 @@ func LoadSet(dir string) (*Set, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tracelog: load set: %s: %w", name, err)
 		}
-		l.buf, l.entries = data, n
+		l.chunks, l.entries = [][]byte{data}, n
 	}
 	return s, nil
 }
@@ -301,7 +396,7 @@ func LoadSet(dir string) (*Set, error) {
 func countRecords(data []byte) (int, error) {
 	var scratch [kindMax]Entry
 	n := 0
-	err := walk(data, &scratch, func(Entry) error {
+	err := walk(data, 0, &scratch, func(Entry) error {
 		n++
 		return nil
 	})

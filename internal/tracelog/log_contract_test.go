@@ -59,7 +59,7 @@ func TestLoadSetRejectsCorruptStream(t *testing.T) {
 	}
 	// Truncate the schedule log mid-record.
 	data := s.Schedule.Bytes()
-	if err := (&Log{buf: data[:len(data)-1]}).SaveFile(dir + "/schedule.log"); err != nil {
+	if err := (&Log{chunks: [][]byte{data[:len(data)-1]}}).SaveFile(dir + "/schedule.log"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadSet(dir); err == nil {

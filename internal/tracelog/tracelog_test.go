@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -37,6 +38,7 @@ func allEntryKinds() []Entry {
 		&OpenAcceptEntry{EventID: ids.NetworkEventID{Thread: 2, Event: 2}, RemoteHost: "peer", RemotePort: 1234},
 		&OpenReadEntry{EventID: ids.NetworkEventID{Thread: 3, Event: 3}, Data: []byte{1, 2, 3, 0, 255}, EOF: false},
 		&OpenWriteEntry{EventID: ids.NetworkEventID{Thread: 4, Event: 4}, Len: 99, Sum: 0xdeadbeefcafe},
+		&OpenWriteEntry{EventID: ids.NetworkEventID{Thread: 4, Event: 5}, Len: 98, Sum: 0xfeedface, FNV: true},
 		&OpenDatagramEntry{EventID: ids.NetworkEventID{Thread: 5, Event: 5}, SourceHost: "src", SourcePort: 53, Data: []byte("dns")},
 		&VMMeta{VM: 12, World: ids.MixedWorld, Threads: 33, FinalGC: 1 << 50},
 		&CheckpointEntry{GC: 500, NextThread: 9, TakerThread: 0, MainEventNum: 17, State: []byte("snapshot")},
@@ -135,7 +137,8 @@ func TestParseRejectsCorruptStreams(t *testing.T) {
 	cutRecord := func(e Entry) []byte {
 		l := NewLog()
 		l.Append(e)
-		return l.buf[:len(l.buf)-1]
+		b := l.Bytes()
+		return b[:len(b)-1]
 	}
 	for _, tc := range []struct {
 		logID uint8
@@ -191,14 +194,14 @@ func corruptStreamMessages(t *testing.T, logID uint8, data []byte) map[string]st
 
 	dir := t.TempDir()
 	set := NewSet()
-	set.logs()[logID].buf = data
+	set.logs()[logID].chunks = [][]byte{data}
 	if err := set.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	_, err = LoadSet(dir)
 	out["LoadSet"] = strings.TrimPrefix(msg(err), "tracelog: load set: "+logNames[logID]+".log: ")
 
-	out["Build*Index"] = msg(buildIndex[logID](&Log{buf: data}))
+	out["Build*Index"] = msg(buildIndex[logID](&Log{chunks: [][]byte{data}}))
 
 	path := filepath.Join(dir, "one-frame.wal")
 	w, err := CreateWAL(path, WALOptions{})
@@ -253,6 +256,8 @@ func TestEveryKindIsClassified(t *testing.T) {
 		KindTruncation:   {log: logSchedule},
 		KindChaosPlan:    {log: logSchedule},
 		KindGroupEpoch:   {log: logSchedule, gcKey: true},
+
+		KindOpenWriteWide: {log: logNetwork, eventKey: true},
 	}
 	for k := kindInvalid + 1; k < kindMax; k++ {
 		w, ok := want[k]
@@ -374,6 +379,16 @@ func TestBuildNetworkIndexValidation(t *testing.T) {
 	if _, err := BuildNetworkIndex(l); err == nil {
 		t.Error("duplicate read entries accepted")
 	}
+	// An event has one open-write record, of either kind: which checksum
+	// verifies its payload must not depend on record order.
+	for _, pair := range [][2]bool{{false, false}, {true, true}, {true, false}, {false, true}} {
+		lw := NewLog()
+		lw.Append(&OpenWriteEntry{EventID: ev, Len: 5, Sum: 1, FNV: pair[0]})
+		lw.Append(&OpenWriteEntry{EventID: ev, Len: 5, Sum: 1, FNV: pair[1]})
+		if _, err := BuildNetworkIndex(lw); err == nil {
+			t.Errorf("duplicate open-write entries (FNV %v then %v) accepted", pair[0], pair[1])
+		}
+	}
 
 	l2 := NewLog()
 	l2.Append(&Interval{Thread: 0, First: 0, Last: 1})
@@ -400,5 +415,107 @@ func TestBuildDatagramIndexCountsDeliveries(t *testing.T) {
 	}
 	if len(idx.ByEvent) != 3 {
 		t.Errorf("%d events indexed, want 3", len(idx.ByEvent))
+	}
+}
+
+// TestWideSumVectors pins WideSum, which is part of the log format: the sum a
+// recording stores today must be the sum every later build, on every
+// architecture, computes for the same payload. The second computation reads
+// the payload a byte at a time, with no help from encoding/binary.
+func TestWideSumVectors(t *testing.T) {
+	bytewise := func(p []byte) uint64 {
+		const m = 0x9e3779b97f4a7c15
+		step := func(h, w uint64) uint64 { h ^= w; return (h<<29 | h>>35) * m }
+		h := (uint64(len(p)) + 1) * m
+		for ; len(p) >= 8; p = p[8:] {
+			var w uint64
+			for i := 7; i >= 0; i-- {
+				w = w<<8 | uint64(p[i])
+			}
+			h = step(h, w)
+		}
+		for _, b := range p {
+			h = step(h, uint64(b))
+		}
+		h = (h ^ h>>33) * 0xff51afd7ed558ccd
+		h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+		return h ^ h>>33
+	}
+	for _, v := range []struct {
+		n    int
+		want uint64
+	}{
+		{0, 0x9ca066f1a4ab2eea},
+		{1, 0x1c5718e4f7e47e26},
+		{7, 0xe4e2722f80c27a76},
+		{8, 0x53c0f3ff3eb3420a},
+		{9, 0x2b8fded1eb2284ff},
+		{1024, 0x489ed46f49b0292a},
+	} {
+		p := make([]byte, v.n)
+		for i := range p {
+			p[i] = byte(i*7 + 1)
+		}
+		if got := WideSum(p); got != v.want || bytewise(p) != v.want {
+			t.Errorf("WideSum of %d bytes = %#016x (bytewise %#016x), pinned %#016x", v.n, got, bytewise(p), v.want)
+		}
+	}
+
+	// Every single-bit change of a payload changes the sum, and so does moving
+	// a byte across the end (the length is part of it).
+	p := make([]byte, 100)
+	base := WideSum(p)
+	for i := range p {
+		for bit := 0; bit < 8; bit++ {
+			p[i] ^= 1 << bit
+			if WideSum(p) == base {
+				t.Fatalf("flipping bit %d of byte %d left the sum unchanged", bit, i)
+			}
+			p[i] ^= 1 << bit
+		}
+	}
+	if WideSum(p[:99]) == base || WideSum(append(p, 0)) == base {
+		t.Error("payloads of zeros that differ only in length share a sum")
+	}
+}
+
+// TestOpenWriteVerify: one verifier for both kinds of open-write record, each
+// under its own checksum, saying how a payload differs.
+func TestOpenWriteVerify(t *testing.T) {
+	payload := []byte("the reply the recorded run wrote")
+	changed := append([]byte(nil), payload...)
+	changed[4] ^= 1
+	fnvSum := fnv.New64a()
+	fnvSum.Write(payload)
+	for _, e := range []*OpenWriteEntry{
+		{Len: uint32(len(payload)), Sum: WideSum(payload)},
+		{Len: uint32(len(payload)), Sum: fnvSum.Sum64(), FNV: true},
+	} {
+		if err := e.Verify(payload); err != nil {
+			t.Errorf("%v: the recorded payload does not verify: %v", e.Kind(), err)
+		}
+		err := e.Verify(changed)
+		if want := fmt.Sprintf("%v checksum differs: recorded %#016x, replayed ", e.Kind(), e.Sum); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%v: changed payload: %v, want %s…", e.Kind(), err, want)
+		}
+		err = e.Verify(payload[:10])
+		if want := fmt.Sprintf("length differs: recorded %d bytes, replayed 10", len(payload)); err == nil || err.Error() != want {
+			t.Errorf("%v: short payload: %v, want %s", e.Kind(), err, want)
+		}
+	}
+	// The kinds do not verify each other's sums.
+	if (&OpenWriteEntry{Len: uint32(len(payload)), Sum: WideSum(payload), FNV: true}).Verify(payload) == nil {
+		t.Error("an FNV-1a record verified against a WideSum")
+	}
+}
+
+// TestDecodeRejectsOverlongField: a length field near 2^64 must not wrap the
+// bounds check into accepting it.
+func TestDecodeRejectsOverlongField(t *testing.T) {
+	rec := encoded(&OpenReadEntry{EventID: ids.NetworkEventID{Thread: 1, Event: 1}})
+	// kind, thread, event, then the payload length: make it 2^64-1.
+	rec = append(rec[:3], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0)
+	if _, err := Parse(rec); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Parse of a record with a 2^64-1 byte payload: %v, want ErrCorrupt", err)
 	}
 }

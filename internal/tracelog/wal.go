@@ -287,8 +287,11 @@ func RecoverFile(path string) (*Set, *RecoveryReport, error) {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNotWAL, path)
 	}
 
-	var bufs [logCount][]byte
-	var counts [logCount]int
+	// Each good frame's payload is one record: it goes into its log the way
+	// Append would have put it there, so a recovered log is a recorded log's
+	// chunks over again.
+	s := NewSet()
+	logs := s.logs()
 	var scratch [kindMax]Entry
 	off := len(WALMagic)
 	for off < len(data) {
@@ -299,20 +302,15 @@ func RecoverFile(path string) (*Set, *RecoveryReport, error) {
 			rep.DiscardedBytes = int64(len(data) - off)
 			break
 		}
-		bufs[logID] = append(bufs[logID], payload...)
-		counts[logID]++
+		logs[logID].appendRecord(payload)
 		rep.Frames++
 		off += walFrameHdrLen + len(payload)
 	}
 	rep.GoodBytes = int64(off)
-	rep.ScheduleRecords = counts[logSchedule]
-	rep.NetworkRecords = counts[logNetwork]
-	rep.DatagramRecords = counts[logDatagram]
+	rep.ScheduleRecords = s.Schedule.Len()
+	rep.NetworkRecords = s.Network.Len()
+	rep.DatagramRecords = s.Datagram.Len()
 
-	s := NewSet()
-	for id, l := range s.logs() {
-		l.buf, l.entries = bufs[id], counts[id]
-	}
 	if err := repairSet(s, rep); err != nil {
 		return nil, rep, err
 	}
@@ -351,7 +349,7 @@ func readFrame(b []byte, scratch *[kindMax]Entry) (logID uint8, payload []byte, 
 		return 0, nil, "frame checksum mismatch"
 	}
 	records := 0
-	err := walk(payload, scratch, func(e Entry) error {
+	err := walk(payload, 0, scratch, func(e Entry) error {
 		if records++; records > 1 {
 			return corruptf("frame holds more than one record")
 		}
@@ -564,7 +562,7 @@ func sortIntervals(ivs []Interval) {
 func maxThreadRef(l *Log, maxT ids.ThreadNum) ids.ThreadNum {
 	var scratch [kindMax]Entry
 	// The scan validated every record of l, so the walk cannot fail.
-	_ = walk(l.snapshot(), &scratch, func(e Entry) error {
+	_ = l.walk(&scratch, func(e Entry) error {
 		if id, ok := netEventID(e); ok && id.Thread > maxT {
 			maxT = id.Thread
 		}
