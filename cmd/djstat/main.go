@@ -10,7 +10,10 @@
 //
 // In -watch mode djstat redraws a progress line (percent of the recorded
 // schedule replayed, parked threads, watchdog state) until the replay
-// completes or the endpoint goes away.
+// completes or the endpoint goes away. The counter it shows is the VM's
+// counter word as last published (obs.ReplayProgress.CurrentGC): of a VM whose
+// threads are running it trails the thread that holds the counter's turn by
+// less than 1024 events, and it is exact — 100% — once they have finished.
 package main
 
 import (
@@ -27,36 +30,52 @@ import (
 )
 
 func main() {
-	watch := flag.Bool("watch", false, "poll the source and redraw replay progress until done")
-	interval := flag.Duration("interval", time.Second, "poll interval for -watch")
-	asJSON := flag.Bool("json", false, "emit the snapshot as indented JSON instead of a report")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: djstat [-watch] [-interval 1s] [-json] <metrics-url | snapshot-file>")
-		os.Exit(2)
-	}
-	src := flag.Arg(0)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the command: 0 on success, 1 when the source cannot be read, 2 on
+// usage errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("djstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	watch := fs.Bool("watch", false, "poll the source and redraw replay progress until done")
+	interval := fs.Duration("interval", time.Second, "poll interval for -watch")
+	asJSON := fs.Bool("json", false, "emit the snapshot as indented JSON instead of a report")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: djstat [-watch] [-interval 1s] [-json] <metrics-url | snapshot-file>")
+		return 2
+	}
+	src := fs.Arg(0)
+
+	var err error
 	if *watch {
-		if err := watchLoop(src, *interval); err != nil {
-			fatal(err)
-		}
-		return
+		err = watchLoop(stdout, src, *interval)
+	} else {
+		err = report(stdout, src, *asJSON)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "djstat:", err)
+		return 1
+	}
+	return 0
+}
 
+// report prints one snapshot of src, as a report or as indented JSON.
+func report(out io.Writer, src string, asJSON bool) error {
 	s, err := fetch(src)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+	if asJSON {
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(s); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(s)
 	}
-	obs.WriteReport(os.Stdout, s)
+	obs.WriteReport(out, s)
+	return nil
 }
 
 // fetch loads a Snapshot from an http(s) URL or a local file.
@@ -94,7 +113,7 @@ func fetch(src string) (obs.Snapshot, error) {
 // counter, until the endpoint disappears / the user interrupts). A VM
 // typically exits right after its replay completes, so when the endpoint
 // goes away mid-watch the error reports the last observed progress.
-func watchLoop(src string, every time.Duration) error {
+func watchLoop(out io.Writer, src string, every time.Duration) error {
 	if every <= 0 {
 		every = time.Second
 	}
@@ -102,7 +121,7 @@ func watchLoop(src string, every time.Duration) error {
 	for {
 		s, err := fetch(src)
 		if err != nil {
-			fmt.Println()
+			fmt.Fprintln(out)
 			if last != nil {
 				r := last.Replay
 				if pct := r.Percent(); pct >= 0 {
@@ -115,10 +134,10 @@ func watchLoop(src string, every time.Duration) error {
 		}
 		last = &s
 		line := progressLine(s)
-		fmt.Printf("\r\033[K%s", line)
+		fmt.Fprintf(out, "\r\033[K%s", line)
 		if pct := s.Replay.Percent(); pct >= 100 {
-			fmt.Println()
-			obs.WriteReport(os.Stdout, s)
+			fmt.Fprintln(out)
+			obs.WriteReport(out, s)
 			return nil
 		}
 		time.Sleep(every)
@@ -140,9 +159,4 @@ func progressLine(s obs.Snapshot) string {
 	}
 	return fmt.Sprintf("record  gc=%d  events=%d  log=%dB",
 		r.CurrentGC, s.TotalEvents, s.Logs.TotalBytes())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "djstat:", err)
-	os.Exit(1)
 }

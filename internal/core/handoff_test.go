@@ -127,6 +127,33 @@ func TestAdjacentIntervalsOfOneThreadReplay(t *testing.T) {
 // never hands it over: the child stays parked until the watchdog names it.
 // Waking it there instead would let both threads execute counters 3 to 5.
 func TestOverlappingOverrideStallsInsteadOfDoubleExecuting(t *testing.T) {
+	overlappingOverride(t, recordOneSpawn(t), true, 300*time.Millisecond)
+}
+
+// TestOverlappingOverrideRacingIntruder is the same illegal override without
+// letting the child park first: child and main race. Were the word to move
+// inside main's run, an intruder that arrived just as it read 3 would pass the
+// turn check and both threads would execute counters 3 to 5. A thread that
+// holds the turn stores nothing inside its run, so the word goes from 0 to 10
+// and the intruder can never find its value, whenever it arrives.
+func TestOverlappingOverrideRacingIntruder(t *testing.T) {
+	rec := recordOneSpawn(t)
+	const runs, atOnce = 200, 20
+	for done := 0; done < runs; done += atOnce {
+		var wg sync.WaitGroup
+		for i := 0; i < atOnce; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				overlappingOverride(t, rec, false, 40*time.Millisecond)
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+func recordOneSpawn(t *testing.T) *VM {
+	t.Helper()
 	rec, err := NewVM(Config{ID: 62, Mode: ids.Record})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +163,13 @@ func TestOverlappingOverrideStallsInsteadOfDoubleExecuting(t *testing.T) {
 	})
 	rec.Wait()
 	rec.Close()
+	return rec
+}
 
+// overlappingOverride replays main's [0,9] against the child's [3,5] and
+// checks that the child stalled on counter 3 and every counter executed once.
+// It reports with Errorf only, so it may run on a goroutine of its own.
+func overlappingOverride(t *testing.T, rec *VM, parkFirst bool, stallTimeout time.Duration) {
 	override := tracelog.NewLog()
 	override.Append(&tracelog.Interval{Thread: 0, First: 0, Last: 9})
 	override.Append(&tracelog.Interval{Thread: 1, First: 3, Last: 5})
@@ -144,10 +177,11 @@ func TestOverlappingOverrideStallsInsteadOfDoubleExecuting(t *testing.T) {
 
 	rep, err := NewVM(Config{
 		ID: 62, Mode: ids.Replay, ReplayLogs: rec.Logs(), ScheduleOverride: override,
-		StallTimeout: 300 * time.Millisecond,
+		StallTimeout: stallTimeout,
 	})
 	if err != nil {
-		t.Fatalf("overlapping override rejected up front: %v", err)
+		t.Errorf("overlapping override rejected up front: %v", err)
+		return
 	}
 	var executed [10]atomic.Int32
 	event := func(th *Thread) {
@@ -162,7 +196,7 @@ func TestOverlappingOverrideStallsInsteadOfDoubleExecuting(t *testing.T) {
 			}
 		})
 		// Let the child park on counter 3 before main runs through it.
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(10 * time.Second); parkFirst; time.Sleep(time.Millisecond) {
 			if w, ok := rep.WaitingThreads()[1]; ok && w == 3 {
 				break
 			}
@@ -179,13 +213,12 @@ func TestOverlappingOverrideStallsInsteadOfDoubleExecuting(t *testing.T) {
 	case r := <-childErr:
 		de, ok := r.(*DivergenceError)
 		if !ok {
-			t.Fatalf("child recovered %v (%T), want the watchdog's *DivergenceError", r, r)
-		}
-		if !strings.Contains(de.Msg, "stalled") || de.Thread != 1 || de.Waiting[1] != 3 {
+			t.Errorf("child recovered %v (%T), want the watchdog's *DivergenceError", r, r)
+		} else if !strings.Contains(de.Msg, "stalled") || de.Thread != 1 || de.Waiting[1] != 3 {
 			t.Errorf("divergence %q (thread %d, waiting %v) does not name thread 1 parked on counter 3", de.Msg, de.Thread, de.Waiting)
 		}
 	case <-time.After(20 * time.Second):
-		t.Fatal("watchdog did not fire for the parked child")
+		t.Error("watchdog did not fire for the parked child")
 	}
 	rep.Wait()
 	rep.Close()
@@ -299,8 +332,8 @@ func TestUnwindingThreadPublishesCounts(t *testing.T) {
 
 // TestSnapshotMidRunInvariants takes snapshots from another goroutine while
 // the VM's threads run, in record and in replay, in both order modes: the
-// clock gauge is the VM's counter (of a recorder: as last published, less than
-// a batch behind), the total is derived from it (plus the published sharded
+// clock gauge is the VM's counter as last published (less than a batch behind
+// in either mode), the total is derived from it (plus the published sharded
 // events), never decreases and is never behind the per-kind sum, which in turn trails it by less than a publish batch per thread; and
 // once the threads have returned everything is exact and identical between
 // the two phases.
@@ -346,9 +379,13 @@ func TestSnapshotMidRunInvariants(t *testing.T) {
 				before := uint64(vm.Clock())
 				s := vm.Metrics().Snapshot()
 				after := uint64(vm.Clock())
-				// Replay runs on the word; a recorder publishes it per run or
-				// batch, so a snapshot that finds an event in flight reads
-				// less than a batch behind the counter — never ahead of it.
+				// A recorder publishes the word per run or batch, so a snapshot
+				// that finds an event in flight reads less than a batch behind
+				// the counter vm.Clock() reads under the lock — never ahead of
+				// it. A replaying VM's vm.Clock() is the word itself, as last
+				// published by the thread that holds the counter's turn: the
+				// window then says the word is monotone, and how far it may
+				// trail that thread is TestReplayWordMovesPerRunNotPerEvent's.
 				behind := uint64(0)
 				if cfg.Mode == ids.Record {
 					behind = publishBatch - 1

@@ -147,7 +147,7 @@ func (m *Monitor) Wait(t *Thread) {
 	// monitor, atomically with the counter tick.
 	t.critical(s, obs.KindWait, func(ids.GCount) { enterWait() })
 	// Block outside any critical section until a notify picks us.
-	<-p.ch
+	t.awaitNotify(p)
 	// Second critical event: re-acquire the monitor. Counter assigned at
 	// completion in record mode, so replay finds the monitor free at this
 	// event's turn.
@@ -236,10 +236,20 @@ func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
 		})
 	}
 	if !timedOut {
-		<-p.ch
+		t.awaitNotify(p)
 	}
 	t.blocking(s, obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
 	return timedOut
+}
+
+// awaitNotify blocks the thread, in the wait set, until a notify picks it. A
+// replaying thread stops running events here for as long as the notifier
+// takes, so what it holds becomes exact first (cursor.publish).
+func (t *Thread) awaitNotify(p *parked) {
+	if t.vm.mode == ids.Replay {
+		t.publishCounts(nil)
+	}
+	<-p.ch
 }
 
 // timedWaitPassthrough is the uninstrumented semantics.

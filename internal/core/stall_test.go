@@ -216,3 +216,110 @@ func TestWaitingThreadsDiagnosticAcrossStreams(t *testing.T) {
 		t.Errorf("%d threads failed with the stall diagnostic, want 3", stalls)
 	}
 }
+
+// recordRunThenSuccessor records `events` events of the main thread in one run
+// followed by one event of a child, and returns the logs.
+func recordRunThenSuccessor(t *testing.T, id ids.DJVMID, events int) *VM {
+	t.Helper()
+	rec, err := NewVM(Config{ID: id, Mode: ids.Record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Start(func(main *Thread) {
+		ran := make(chan struct{})
+		child := main.Spawn(func(th *Thread) { // counter 0
+			<-ran
+			th.Critical(func(ids.GCount) {}) // counter events+1
+		})
+		for i := 0; i < events; i++ {
+			main.Critical(func(ids.GCount) {}) // counters 1..events
+		}
+		close(ran)
+		main.Join(child)
+	})
+	rec.Wait()
+	rec.Close()
+	return rec
+}
+
+// TestTrickleInsideARunIsNotAStall: a thread that executes one event every few
+// milliseconds inside a long run stores its word once per batch — minutes
+// apart — while its successor is parked. The watchdog must not read the silent
+// word as a stall: it asks for exactness first and counts only from there.
+func TestTrickleInsideARunIsNotAStall(t *testing.T) {
+	const events, trickled = 5000, 60
+	const timeout = 200 * time.Millisecond
+	rec := recordRunThenSuccessor(t, 74, events)
+	rep, err := NewVM(Config{ID: 74, Mode: ids.Replay, ReplayLogs: rec.Logs(), StallTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan any, 2)
+	rep.Start(func(main *Thread) {
+		defer func() { errs <- recover() }()
+		child := main.Spawn(func(th *Thread) {
+			defer func() { errs <- recover() }()
+			th.Critical(func(ids.GCount) {}) // parks on counter events+1 until the run is over
+		})
+		for i := 0; i < events; i++ {
+			if i < trickled {
+				time.Sleep(timeout / 8)
+			}
+			main.Critical(func(ids.GCount) {})
+		}
+		main.Join(child)
+	})
+	rep.Wait()
+	for i := 0; i < 2; i++ {
+		if r := <-errs; r != nil {
+			t.Fatalf("a slow run was taken for a stall: %v", r)
+		}
+	}
+	if s := rep.Metrics().Snapshot(); s.Replay.Stalled || s.Replay.CurrentGC != s.Replay.FinalGC {
+		t.Errorf("stalled %v, counter %d of %d", s.Replay.Stalled, s.Replay.CurrentGC, s.Replay.FinalGC)
+	}
+	rep.Close()
+}
+
+// TestStallInsideARunNamesTheExactCounter: the run's thread blocks for good in
+// the op of a blocking event in the middle of its run. The word was published
+// before the op, so the stall diagnostic of the parked successor names that
+// event's counter — not the run's First, which is where the word stood last.
+func TestStallInsideARunNamesTheExactCounter(t *testing.T) {
+	const events, k = 3000, 1500 // event k of main's run has counter k
+	rec := recordRunThenSuccessor(t, 75, events)
+	rep, err := NewVM(Config{ID: 75, Mode: ids.Replay, ReplayLogs: rec.Logs(), StallTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	childErr := make(chan any, 1)
+	release := make(chan struct{})
+	rep.Start(func(main *Thread) {
+		main.Spawn(func(th *Thread) {
+			defer func() { childErr <- recover() }()
+			th.Critical(func(ids.GCount) {})
+		})
+		for i := 1; i <= events; i++ {
+			if i == k {
+				main.Blocking(func() { <-release }, func(ids.GCount) {})
+				return // released by the test's end: abandon the run
+			}
+			main.Critical(func(ids.GCount) {})
+		}
+	})
+	select {
+	case r := <-childErr:
+		de, ok := r.(*DivergenceError)
+		if !ok {
+			t.Fatalf("child recovered %v (%T), want the watchdog's *DivergenceError", r, r)
+		}
+		if de.GC != k || !strings.Contains(de.Msg, fmt.Sprintf("replay stalled at counter %d;", k)) || de.Waiting[1] != events+1 {
+			t.Errorf("stall diagnostic %q (GC %d, waiting %v): want the stall at counter %d with thread 1 parked on %d", de.Msg, de.GC, de.Waiting, k, events+1)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("watchdog did not fire")
+	}
+	close(release)
+	rep.Wait()
+	rep.Close()
+}

@@ -34,9 +34,12 @@ import (
 //
 // What is paid per event is the event itself and, while recording, one lock
 // round trip — the counter is a plain field the lock guards, so nothing else
-// on the path is atomic — or, while replaying, one counter load and one
-// counter store: the turnstile. Everything else is per run: the log record,
-// the parked-successor lookup, the publication of the counter and the counts.
+// on the path is atomic — or, while replaying, no access to the counter word
+// and no write to anything shared: a thread takes the turn at a run's first
+// event (one load of the word) and gives it up at its last (one store), and
+// in between its position is its own. Everything else is per run too: the log
+// record, the parked-successor lookup, the publication of the counter and the
+// counts.
 //
 // At most one run is open per stream. A run ends when another thread takes
 // the counter over, and the taker flushes it — so a stream's runs reach the
@@ -53,13 +56,15 @@ type stream struct {
 	// stream, slot-1 the ObjectID of a registered object. It also indexes each
 	// thread's cursor table.
 	slot int
-	// clock is the counter word. Replay runs on it: it holds the next value to
-	// be admitted, and every event stores it once. A recording stream counts
-	// in next, below, under mu; the global stream then publishes next into the
-	// word at run granularity for readers outside the lock (publishLocked),
-	// and an object's stream never writes it. The global stream's word lives
-	// in obs.Metrics, alone on its cache line, where the clock gauge and the
-	// event total read it; an object's is own, below.
+	// clock is the counter word. Replay's turnstile runs on it: it admits the
+	// thread whose run starts at the value it holds, and that thread — the
+	// word's only writer until it stores its run's Last+1 — publishes its
+	// position into it per run, not per event (cursor.publish has the rule). A
+	// recording stream counts in next, below, under mu; the global stream then
+	// publishes next into the word at run granularity for readers outside the
+	// lock (publishLocked), and an object's stream never writes it. The global
+	// stream's word lives in obs.Metrics, alone on its cache line, where the
+	// clock gauge and the event total read it; an object's is own, below.
 	clock *atomic.Uint64
 	// Cadences of the global stream; nil/0 (holdMask: all ones) on every other.
 	//
@@ -180,27 +185,56 @@ func (t *Thread) streamFor(s *stream) *stream {
 // cursor walks one thread's recorded runs of one stream. Only the owning
 // thread touches it. While ri < len(runs), pos is the thread's next recorded
 // counter value on the stream and last the Last of the run it lies in.
+//
+// held says the thread has the stream's turn: its wait for the word to reach
+// the First of the run (or the resume counter, inside one) has passed, and
+// until it stores the run's Last+1 no other thread can be admitted, whatever
+// the word reads in between. pub is what the word reads while held — this
+// thread last wrote it — and quiet counts down the events left before the
+// run's Last, which execute without a load or a store of the word; the run's
+// first event sets it (replayEvent), and it stays 0 while the turn is not held
+// and throughout with an EventObserver, whose word is exact per event.
 type cursor struct {
+	s         *stream
 	runs      []tracelog.Interval
 	ri        int
 	pos, last ids.GCount
+	held      bool
+	pub       ids.GCount
+	quiet     uint64
 }
 
-func newCursor(runs []tracelog.Interval) *cursor {
-	c := &cursor{runs: runs}
+func newCursor(s *stream, runs []tracelog.Interval) *cursor {
+	c := &cursor{s: s, runs: runs}
 	if len(runs) > 0 {
 		c.pos, c.last = runs[0].First, runs[0].Last
 	}
 	return c
 }
 
-// advance moves past the event just executed.
-func (c *cursor) advance() {
-	c.pos++
-	if c.pos > c.last {
-		if c.ri++; c.ri < len(c.runs) {
-			c.pos, c.last = c.runs[c.ri].First, c.runs[c.ri].Last
-		}
+// publish makes the stream's word exact: the position of the thread that
+// holds the turn. It is the replay path's one store of a counter word, and the
+// publication rule is the mirror of the recorder's (stream.publishLocked):
+// the word is exact wherever the runtime takes its holder off the event path
+// — it is stored when a run ends (Last+1, which admits the successor), before
+// the op of a blocking event, when the thread parks on another stream or in a
+// monitor's wait set, asks for its clock, diverges, or leaves its function by
+// any path — and inside a run, running or paused in code the runtime cannot
+// see, it trails the position by less than publishBatch, never leads it, and
+// is stored before the event counts it covers (Thread.publishCounts). Nobody
+// can be waiting for a value inside a run, so between those points the store
+// would have no reader that acts on it.
+func (c *cursor) publish() {
+	if c.held && c.pub != c.pos {
+		c.s.clock.Store(uint64(c.pos))
+		c.pub = c.pos
+	}
+}
+
+// nextRun moves past the run whose Last event just executed.
+func (c *cursor) nextRun() {
+	if c.ri++; c.ri < len(c.runs) {
+		c.pos, c.last = c.runs[c.ri].First, c.runs[c.ri].Last
 	}
 }
 
@@ -228,7 +262,7 @@ func (t *Thread) cursor(s *stream) *cursor {
 	for len(t.cursors) <= s.slot {
 		t.cursors = append(t.cursors, nil)
 	}
-	c := newCursor(s.runs[t.num])
+	c := newCursor(s, s.runs[t.num])
 	t.cursors[s.slot] = c
 	return c
 }
@@ -254,12 +288,7 @@ func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 		t.recordEvent(s, kind, op)
 		t.maybeYield()
 	case ids.Replay:
-		c := t.cursor(s)
-		if c.ri == len(c.runs) {
-			t.endOfSchedule(s, "critical event")
-		}
-		t.replayEvent(s, c, kind, op)
-		c.advance()
+		t.replayEvent(s, t.cursor(s), kind, op)
 	}
 }
 
@@ -278,22 +307,17 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 		t.maybeYield()
 	case ids.Replay:
 		c := t.cursor(s)
-		if c.ri == len(c.runs) {
-			t.endOfSchedule(s, "blocking critical event")
-		}
-		// Wait for the turn first, without executing anything: every event op
+		// Take the turn first, without executing anything: every event op
 		// causally depends on carries a smaller counter value (values are
 		// assigned at completion), so once this one is admitted op cannot
 		// block indefinitely.
-		if ids.GCount(s.clock.Load()) != c.pos {
-			s.await(t, c.pos)
-		}
+		t.takeTurn(s, c, "blocking critical event")
+		// op may block for as long as it likes: the thread stops running
+		// events, so its words and counts become exact first.
 		t.publishCounts(nil)
 		op()
-		// Only this thread may advance the counter past c.pos, so the turn
-		// check in replayEvent passes immediately.
+		// The turn is held, so the mark runs without waiting.
 		t.replayEvent(s, c, kind, mark)
-		c.advance()
 	}
 }
 
@@ -317,21 +341,17 @@ func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount)) {
 	}
 }
 
-// tick is a replayed event: exec on the thread's turn, then the one store
-// that opens the turnstile to the next counter value.
-func (s *stream) tick(t *Thread, n ids.GCount, op func(ids.GCount)) {
-	s.exec(t, n, op)
-	s.clock.Store(uint64(n) + 1)
-}
-
-// lockedTick is tick inside the critical section — the replay of an observed
-// stream, preserving the EventObserver contract that callbacks are totally
-// ordered under the lock and that the stall watchdog's progress probe
-// serializes behind a blocking callback.
-func (s *stream) lockedTick(t *Thread, n ids.GCount, op func(ids.GCount)) {
+// lockedTick is a replayed event inside the critical section — the replay of
+// an observed stream, preserving the EventObserver contract that callbacks are
+// totally ordered under the lock and that the stall watchdog's progress probe
+// serializes behind a blocking callback. The word is exact at every event: an
+// observer may stop inside one for good.
+func (s *stream) lockedTick(t *Thread, c *cursor, op func(ids.GCount)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tick(t, n, op)
+	s.exec(t, c.pos, op)
+	c.pos++
+	c.publish()
 }
 
 // publishLocked copies the recording global stream's counter into its word,
@@ -390,45 +410,90 @@ func (t *Thread) recordEvent(s *stream, kind obs.EventKind, op func(ids.GCount))
 	}
 }
 
-// replayEvent waits for the event's turn, executes it, and advances the
-// counter (§2.2).
-//
-// The thread touches one shared word per event, the counter: until it
-// advances the counter no other thread may execute an event on this stream,
-// and threads replaying other streams proceed concurrently. Everything else
-// happens once per run. A thread can only be parked on the first value of one
-// of its own runs, and the value after any event but the run's Last is this
-// thread's own; so only the Last event looks for a parked successor, and that
-// is also where the thread publishes its event counts.
-func (t *Thread) replayEvent(s *stream, c *cursor, kind obs.EventKind, op func(ids.GCount)) {
-	next := c.pos
-	fast := ids.GCount(s.clock.Load()) == next
-	if !fast {
-		s.await(t, next)
+// takeTurn waits, without executing anything, until the thread may execute
+// its next recorded event on s: the word has reached the First of the run the
+// event lies in. The thread then holds the turn for the whole run, so every
+// later event of the run passes straight through. It reports whether the turn
+// came without waiting.
+func (t *Thread) takeTurn(s *stream, c *cursor, what string) (fast bool) {
+	if c.held {
+		return true
 	}
+	if c.ri == len(c.runs) {
+		t.endOfSchedule(s, what)
+	}
+	fast = ids.GCount(s.clock.Load()) == c.pos
+	if !fast {
+		s.await(t, c.pos)
+	}
+	c.held, c.pub = true, c.pos
+	return fast
+}
+
+// replayEvent executes the thread's next recorded event on s: it waits for
+// the turn, executes the event, and advances the counter (§2.2) — once per
+// run, not per event. The recorded schedule gives the run's thread every
+// counter value up to the run's Last and nobody can be parked on a value
+// inside it, so between taking the turn at First and handing it over after
+// Last the thread neither loads nor stores the word and writes nothing shared:
+// position, per-kind counts and program order are its own, and the one shared
+// word the branch reads, VM.unpublished, nobody writes while replay moves. The
+// Last event stores Last+1, which is what admits the successor; only it looks
+// for one parked, and that is also where the thread publishes its event
+// counts. Everything the thread wrote inside the run precedes that store,
+// which the successor's load observes before its first event. If op panics
+// the position has not moved and the turn stays held: a retry runs without
+// waiting.
+func (t *Thread) replayEvent(s *stream, c *cursor, kind obs.EventKind, op func(ids.GCount)) {
+	if c.quiet != 0 && t.pendingN < t.vm.unpublished.Load() {
+		// No observer here (quiet would be 0), so exec has only the sampled
+		// hold time to add, and calling it costs as much as the rest of the
+		// branch: go through it for the sampled events only.
+		if n := c.pos; uint64(n)&s.holdMask != 0 {
+			op(n)
+		} else {
+			s.exec(t, n, op)
+		}
+		c.pos++
+		c.quiet--
+		s.countAcquire(t, true)
+		t.countEvent(kind)
+		return
+	}
+	// A run's first or last event, a full batch, an observed stream, or the
+	// watchdog asking.
+	fast := t.takeTurn(s, c, "critical event")
+	n := c.pos
 	if s.observer == nil {
-		s.tick(t, next, op)
+		s.exec(t, n, op)
+		c.pos++
 	} else {
-		s.lockedTick(t, next, op)
+		s.lockedTick(t, c, op)
 	}
 	s.countAcquire(t, fast)
 	t.countEvent(kind)
-	if next != c.last {
-		if t.pendingN >= publishBatch {
+	if n != c.last {
+		if s.observer == nil {
+			c.quiet = uint64(c.last - c.pos)
+		}
+		if t.pendingN > t.vm.unpublished.Load() {
 			t.publishCounts(nil)
 		}
 		return
 	}
-	// Store-buffering pairing with await: the counter store in tick is
-	// sequenced before this parked load, and a waiter publishes its parked
-	// count before re-checking the counter — so either the waiter is visible
-	// here, or it sees the advanced counter and never parks.
+	// Store-buffering pairing with await: the counter store is sequenced
+	// before this parked load, and a waiter publishes its parked count before
+	// re-checking the counter — so either the waiter is visible here, or it
+	// sees the advanced counter and never parks.
+	c.publish()
+	c.held = false
 	if s.parked.Load() != 0 {
 		s.mu.Lock()
-		s.wakeLocked(s.waiters[next+1])
+		s.wakeLocked(s.waiters[n+1])
 		s.mu.Unlock()
 	}
 	t.publishCounts(nil)
+	c.nextRun()
 }
 
 // wakeLocked hands a parked thread its wake token. The registration stays in
@@ -450,6 +515,9 @@ func (s *stream) wakeLocked(t *Thread) {
 // the loop re-checks its condition, so a stale token costs one iteration.
 func (s *stream) await(t *Thread, next ids.GCount) {
 	vm := s.vm
+	// The thread is about to stop running events: what it holds on other
+	// streams becomes exact, for the stall diagnostic among others.
+	t.publishCounts(nil)
 	s.mu.Lock()
 	if ids.GCount(s.clock.Load()) == next {
 		s.mu.Unlock()

@@ -82,9 +82,11 @@ func (t *Thread) maybeYield() {
 
 // publishBatch bounds how many events a thread counts locally before it
 // publishes them, whatever else happens: the per-kind counters of a snapshot
-// lag the live total by less than this per running thread, and while a thread
-// records, the global counter's published word lags the counter by less than
-// this.
+// lag the live total by less than this per running thread, and a counter's
+// published word lags the counter — while a thread records — or the position
+// of the thread that holds its turn — while one replays — by less than this.
+// A replaying thread reads the bound through VM.unpublished, which the stall
+// watchdog lowers to zero while it needs every word exact.
 const publishBatch = 1024
 
 // countEvent counts one executed critical event of the thread locally; the
@@ -103,14 +105,18 @@ func (t *Thread) countEvent(kind obs.EventKind) {
 // fills, before an operation that may block, and when the thread exits by any
 // path. Owning goroutine only.
 //
-// It is the one place a thread's counts become visible, and while recording
-// it publishes the global counter first (stream.publishLocked): the word then
-// covers every event about to be counted by kind, so a reader's per-kind sum
-// never runs ahead of its total. held is the stream whose lock the caller
-// holds, nil for none; the first two sites publish from inside the section
-// they are already in, the other two pay one round trip on the global lock.
-// An object's section never holds uncounted global events (recordEvent
-// publishes them on the way in), so stream locks still never nest.
+// It is the one place a thread's counts become visible, and it publishes the
+// counter first: the word then covers every event about to be counted by
+// kind, so a reader's per-kind sum never runs ahead of its total. While
+// recording that is the global counter (stream.publishLocked): held is the
+// stream whose lock the caller holds, nil for none; the first two sites
+// publish from inside the section they are already in, the other two pay one
+// round trip on the global lock. An object's section never holds uncounted
+// global events (recordEvent publishes them on the way in), so stream locks
+// still never nest. While replaying it is the word of every stream whose turn
+// the thread holds (cursor.publish), so words and counts go out together: a
+// word trails its holder by no more than the holder's unpublished counts, and
+// a thread with nothing counted locally has every word it holds exact.
 func (t *Thread) publishCounts(held *stream) {
 	if t.pendingN == 0 {
 		return
@@ -123,6 +129,11 @@ func (t *Thread) publishCounts(held *stream) {
 			g.mu.Lock()
 			g.publishLocked()
 			g.mu.Unlock()
+		}
+	}
+	for _, c := range t.cursors { // replay only
+		if c != nil {
+			c.publish()
 		}
 	}
 	m := vm.metrics
@@ -162,6 +173,21 @@ func (t *Thread) EventID(ev ids.EventNum) ids.NetworkEventID {
 // thread's event numbering where the record phase left off.
 func (t *Thread) CurrentEventNum() ids.EventNum { return t.eventNum }
 
+// Clock reports the VM's global counter as the calling thread may rely on it:
+// exact in every mode for the thread that asks between two of its own events,
+// which is what a program needs to decide its control flow by the counter — a
+// loop bounded by it runs the same number of rounds in record and in replay.
+// A replaying thread publishes its own position first (it may hold the
+// counter's turn, with the word up to a batch behind); a recording one reads
+// under the lock like VM.Clock, and must not call it from inside an event.
+// Owning goroutine only.
+func (t *Thread) Clock() ids.GCount {
+	if t.vm.mode == ids.Replay {
+		t.publishCounts(nil)
+	}
+	return t.vm.Clock()
+}
+
 // ProgramOrder reports how many sharded-mode critical events this thread has
 // executed (0 outside sharded mode). Must be called from the owning
 // goroutine, like every Thread method.
@@ -197,7 +223,7 @@ func (t *Thread) diverge(format string, args ...any) {
 		VM:     t.vm.id,
 		Thread: t.num,
 		Msg:    fmt.Sprintf(format, args...),
-		GC:     t.vm.Clock(),
+		GC:     t.Clock(),
 	})
 }
 

@@ -179,6 +179,13 @@ type VM struct {
 	jitter     uint64 // yield 1-in-jitter after record-mode critical events
 	sampleMask uint64 // counter values with n&mask==0 get their hold (global stream) and turn wait timed
 
+	// unpublished is how many events a replaying thread may count locally,
+	// and leave out of the words it holds the turn of, before it publishes:
+	// publishBatch-1, and 0 while the stall watchdog is asking — every event
+	// is then published as it executes. It is the one word an event inside a
+	// run reads, and nobody writes it while replay moves.
+	unpublished atomic.Uint32
+
 	// stalled is set by the watchdog when replay stops progressing; every
 	// parked thread then fails with the stall diagnostic, which names the
 	// threads parked at detection (stallParked, written before the flag).
@@ -333,6 +340,7 @@ func NewVM(cfg Config) (*VM, error) {
 			return nil, fmt.Errorf("core: vm %d: datagram log: %w", cfg.ID, err)
 		}
 		vm.schedIdx, vm.netIdx, vm.dgIdx = sched, netIdx, dgIdx
+		vm.unpublished.Store(publishBatch - 1)
 		vm.stopAtLogEnd = cfg.StopAtLogEnd
 		vm.metrics.SetFinalGC(uint64(sched.Meta.FinalGC))
 		if cfg.Resume != nil {
@@ -542,11 +550,17 @@ func (vm *VM) DatagramIndex() *tracelog.DatagramIndex { return vm.dgIdx }
 func (vm *VM) ScheduleIndex() *tracelog.ScheduleIndex { return vm.schedIdx }
 
 // Clock reports the current global counter value: the value the next critical
-// event on the global stream receives. It is exact in every mode. A recording
-// VM reads it under the GC-critical-section lock, so Clock must not be called
-// from inside a critical event — whose op receives its own counter value — and
-// waits behind an event in flight; the lock-free, slightly stale view is
-// Metrics().TotalEvents() / Snapshot().
+// event on the global stream receives. A recording VM reads it under the
+// GC-critical-section lock — exact, but Clock must not be called from inside a
+// critical event, whose op receives its own counter value, and waits behind an
+// event in flight; the lock-free, slightly stale view is
+// Metrics().TotalEvents() / Snapshot(). A replaying VM reads the counter word,
+// which the thread that holds the counter's turn publishes per run
+// (cursor.publish): exact after Wait, while that thread is parked or inside a
+// blocking operation, and at every event with an EventObserver; less than
+// publishBatch behind it, never ahead, while it is inside a recorded run. A
+// thread that decides what to do next by the counter asks Thread.Clock, which
+// is exact for it in every mode.
 func (vm *VM) Clock() ids.GCount {
 	g := vm.global
 	if vm.mode != ids.Record {
@@ -606,7 +620,7 @@ func (vm *VM) newThreadLocked() *Thread {
 			schedule, skipped = fastForward(schedule, vm.resume.GC)
 			vm.metrics.AddFastForwardSkips(skipped)
 		}
-		t.cursors = []*cursor{newCursor(schedule)} // slot 0: the global stream
+		t.cursors = []*cursor{newCursor(vm.global, schedule)} // slot 0: the global stream
 	}
 	vm.threads = append(vm.threads, t)
 	return t
@@ -672,14 +686,19 @@ func (vm *VM) Wait() {
 // watchdog monitors replay progress: if no critical event executes for the
 // timeout while threads are parked on their turns, it flips the stall flag
 // and wakes them to fail with diagnostics. Progress is witnessed by the
-// counters the mechanism itself advances (see replayProgress), not by the
-// published event counts, which trail a running thread by up to a batch.
+// counter words (see replayProgress) — and a thread inside a run moves its
+// word once per batch, so words that stand still between two ticks prove
+// nothing about a thread that executes an event every few milliseconds. The
+// watchdog therefore asks before it counts: it lowers VM.unpublished to zero,
+// which makes every event publish as it executes, and measures the timeout
+// from that moment; the first word that moves ends the asking.
 func (vm *VM) watchdog(timeout time.Duration) {
 	defer vm.metrics.SetWatchdogArmed(false)
 	tick := time.NewTicker(timeout / 4)
 	defer tick.Stop()
 	lastProgress := uint64(0)
 	lastChange := time.Now()
+	asking := false
 	for {
 		select {
 		case <-vm.stopWatchdog:
@@ -696,7 +715,16 @@ func (vm *VM) watchdog(timeout time.Duration) {
 		case progress != lastProgress:
 			lastProgress = progress
 			lastChange = time.Now()
-		case parked && time.Since(lastChange) >= timeout:
+			if asking {
+				asking = false
+				vm.unpublished.Store(publishBatch - 1)
+			}
+		case !parked:
+		case !asking:
+			asking = true
+			vm.unpublished.Store(0)
+			lastChange = time.Now()
+		case time.Since(lastChange) >= timeout:
 			vm.stallParked = vm.parkedThreads()
 			vm.stalled.Store(true)
 			vm.metrics.SetStalled()

@@ -444,7 +444,7 @@ func runSupervisedWorkload(vm *core.VM, net *netsim.Network, coord *recline.Coor
 	mon.Register(vm)
 	peers := []string{"p1", "p2"}
 	vm.Start(func(main *core.Thread) {
-		for r := startRound; vm.Clock() < limit; r++ {
+		for r := startRound; main.Clock() < limit; r++ {
 			workers := make([]*core.Thread, supWorkers)
 			for w := 0; w < supWorkers; w++ {
 				w := w

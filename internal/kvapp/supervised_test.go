@@ -5,8 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/ids"
+	"repro/internal/netsim"
+	"repro/internal/recline"
 )
 
 // memberCounts are the rows of the supervised-run tables: the lone primary
@@ -177,5 +182,52 @@ func TestSupervisedRunSurfacesTruncateErrors(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatalf("degraded durability must not break recovery: %+v", m)
+	}
+}
+
+// The round loop is bounded by the member's own counter, read by its main
+// thread between two of its events — inside a run whose turn a replaying
+// thread holds, with the counter word behind its position. The loop must ask
+// Thread.Clock: replayed against the counter the recording read after round j,
+// it stops after round j, for every j. (A recording bounded by that counter
+// would be this one's prefix.) Only the last look follows the last event its
+// thread recorded, where even a lazily published word is exact; at every
+// earlier one vm.Clock() would read less and go round again.
+func TestRoundLoopBoundReplaysExactly(t *testing.T) {
+	net := netsim.NewNetwork(netsim.Config{Seed: 7})
+	for _, p := range []string{"p1", "p2"} {
+		if err := startEchoPeer(net, p, echoPort); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := core.NewVM(core.Config{ID: 1, Mode: ids.Record, World: ids.OpenWorld})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := recline.NewCoordinator(rec.ID())
+	var after []ids.GCount // the counter the loop read after each round
+	runSupervisedWorkload(rec, net, coord, "m1", map[string]string{}, 0, 150, func(int) { after = append(after, rec.Clock()) }, nil)
+	rec.Wait()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(after) < 3 || after[len(after)-1] != rec.Clock() {
+		t.Fatalf("recorded rounds ended at counters %v, the run at %d: not a bounded multi-round run", after, rec.Clock())
+	}
+	for j, bound := range after {
+		rep, err := core.NewVM(core.Config{
+			ID: 1, Mode: ids.Replay, World: ids.OpenWorld, ReplayLogs: rec.Logs(),
+			StopAtLogEnd: true, StallTimeout: 10 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := 0
+		runSupervisedWorkload(rep, netsim.NewNetwork(netsim.Config{}), coord, "replay", map[string]string{}, 0, bound, func(int) { rounds++ }, nil)
+		rep.Wait()
+		if rounds != j+1 || rep.Clock() != bound || rep.LogEndStops() != 0 {
+			t.Errorf("bound %d (recorded after round %d): replay ran %d rounds to counter %d, %d threads stopped by the end of the log",
+				bound, j, rounds, rep.Clock(), rep.LogEndStops())
+		}
 	}
 }

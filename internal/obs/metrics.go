@@ -124,10 +124,12 @@ const (
 	cacheLine = 128
 )
 
-// Clock exposes the global counter word. The owning VM is its only writer.
-// While that VM records, a raw load reads the last published value — never
-// ahead of the counter, behind it by less than a publish batch; TotalEvents
-// and Snapshot refresh it first.
+// Clock exposes the global counter word. The owning VM is its only writer,
+// and it publishes the counter into it per run, not per event: a raw load
+// reads the last published value — never ahead of the counter, behind it by
+// less than a publish batch while a thread is inside a run, exact once the
+// threads have returned. Of a recording VM TotalEvents and Snapshot refresh it
+// first.
 func (m *Metrics) Clock() *atomic.Uint64 { return &m.clock }
 
 // SetClockRefresh installs the hook TotalEvents and Snapshot call before they
@@ -173,10 +175,12 @@ func (m *Metrics) EventCount(kind EventKind) uint64 {
 // TotalEvents reports the running critical-event total: the events that
 // ticked the global counter — read from the counter word, so it does not wait
 // for per-kind batches — plus the published sharded events, which advance
-// per-object counters instead. Of a replaying VM the word is the counter; of
-// a recording one it is exact whenever no event is in flight (an idle VM, a
-// thread between two events) and otherwise the last published value, less
-// than a publish batch behind. It never decreases and is never ahead.
+// per-object counters instead. Of a recording VM the word is exact whenever
+// no event is in flight (an idle VM, a thread between two events); of a
+// replaying one whenever the thread that holds the counter's turn has
+// finished, is parked or is inside a blocking operation, and at every event
+// with an observer. Otherwise it is the last published value, less than a
+// publish batch behind. It never decreases and is never ahead.
 func (m *Metrics) TotalEvents() uint64 {
 	m.refreshClock()
 	shard := m.shardFast.Load() + m.shardContended.Load()

@@ -8,16 +8,17 @@ import (
 )
 
 // WriteReport renders one snapshot in human-readable form: the format the
-// periodic reporter and cmd/djstat share.
+// periodic reporter and cmd/djstat share. The counter is the word as last
+// published (ReplayProgress.CurrentGC), and the legend says so in both modes.
 func WriteReport(w io.Writer, s Snapshot) {
 	if pct := s.Replay.Percent(); pct >= 0 {
-		fmt.Fprintf(w, "replay   %s %.1f%%  gc %d/%d  parked %d%s%s\n",
+		fmt.Fprintf(w, "replay   %s %.1f%%  gc %d/%d (as last published)  parked %d%s%s\n",
 			ProgressBar(pct, 24), pct, s.Replay.CurrentGC, s.Replay.FinalGC,
 			s.Replay.ParkedThreads,
 			flag(s.Replay.WatchdogArmed, "  watchdog:armed"),
 			flag(s.Replay.Stalled, "  STALLED"))
 	} else {
-		fmt.Fprintf(w, "clock    gc %d\n", s.Replay.CurrentGC)
+		fmt.Fprintf(w, "clock    gc %d (as last published)\n", s.Replay.CurrentGC)
 	}
 	fmt.Fprintf(w, "events   total %d  nw %d  intervals %d", s.TotalEvents, s.NetworkEvents, s.Intervals)
 	if s.FastForwardSkips > 0 {

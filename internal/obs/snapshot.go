@@ -59,7 +59,14 @@ func (l LogStats) TotalBytes() uint64 {
 // ReplayProgress is the live state of a replaying VM. For record/passthrough
 // VMs FinalGC is 0 and only CurrentGC is meaningful.
 type ReplayProgress struct {
-	// CurrentGC is the global counter after the latest critical event.
+	// CurrentGC is the global counter as last published into its word: exact
+	// once the VM's threads have returned and at every event with an
+	// EventObserver, and otherwise behind the counter by less than one publish
+	// batch (1024 events), never ahead. A recorder publishes per run or batch
+	// and Snapshot refreshes the word when no event is in flight; a replaying
+	// thread holds the counter's turn for a whole recorded run and publishes
+	// when the run ends, a batch fills, or the runtime takes it off the event
+	// path (a blocking operation, a park, its exit).
 	CurrentGC uint64 `json:"current_gc"`
 	// FinalGC is the recorded schedule's final counter value (0 outside
 	// replay): the denominator of replay progress.
@@ -147,12 +154,12 @@ type ShardCounts struct {
 }
 
 // Snapshot is a point-in-time view of one VM's metrics. TotalEvents and
-// Replay.CurrentGC both come from the counter word: exact of a replaying VM,
-// and of a recording one whenever no event is in flight, otherwise the last
-// published value (see Metrics.TotalEvents). Events is what the threads have
-// published, so mid-run Events.Total() trails TotalEvents by at most one
-// pending batch per running thread and never exceeds it, and once the VM's
-// threads have returned the two are equal.
+// Replay.CurrentGC both come from the counter word: the counter as last
+// published, exact once the threads have returned and less than a publish
+// batch behind while they run (see ReplayProgress.CurrentGC). Events is what
+// the threads have published, so mid-run Events.Total() trails TotalEvents by
+// at most one pending batch per running thread and never exceeds it, and once
+// the VM's threads have returned the two are equal.
 type Snapshot struct {
 	// Events is the critical-event count by kind, as published.
 	Events EventCounts `json:"events"`
