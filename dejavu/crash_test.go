@@ -1,10 +1,14 @@
 package dejavu_test
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,6 +165,278 @@ func TestCrashRecoveryReplaysExactEventPrefix(t *testing.T) {
 					t.Errorf("cut=%d: full replay reported %d log-end stops",
 						cut, repNode.LogEndStops())
 				}
+			}
+		})
+	}
+}
+
+// crashScenario is one recorded network program of the crash-point property
+// test. prog runs the recording node's threads, appending to out one line per
+// completed operation: what the application saw — data, or that it failed.
+// peer, when set, is the passthrough side of an open world; it is there for
+// the record phase only.
+type crashScenario struct {
+	world dejavu.World
+	peer  func(node *dejavu.Node, ready chan<- struct{})
+	prog  func(node *dejavu.Node, out *crashOut)
+}
+
+// crashOut collects a program's observations, each thread's in the order it
+// made them.
+type crashOut struct {
+	mu    sync.Mutex
+	lines map[dejavu.ThreadNum][]string
+}
+
+// saw notes one operation th completed. A failure is noted as such, without
+// its text: replay re-throws it under the ReplayedError wrapping.
+func (o *crashOut) saw(t *testing.T, th *dejavu.Thread, step string, data any, err error) {
+	if errors.Is(err, dejavu.ErrDiverged) {
+		t.Errorf("%s: a divergence reached the application: %v", step, err)
+	}
+	line := step + " failed"
+	if err == nil || err == io.EOF {
+		line = fmt.Sprintf("%s %v %v", step, data, err)
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.lines == nil {
+		o.lines = make(map[dejavu.ThreadNum][]string)
+	}
+	o.lines[th.Num()] = append(o.lines[th.Num()], line)
+}
+
+// prefixOf reports whether every thread saw while replaying a prefix of what
+// it saw while recording.
+func (o *crashOut) prefixOf(rec *crashOut) bool {
+	for th, lines := range o.lines {
+		if all := rec.lines[th]; len(lines) > len(all) || !slices.Equal(lines, all[:len(lines)]) {
+			return false
+		}
+	}
+	return true
+}
+
+// openClientScenario: an open-world client of a passthrough echo server. Every
+// operation's result is logged in full (§5), a refused connect and an expired
+// read deadline included, and replay touches no network.
+func openClientScenario(t *testing.T) crashScenario {
+	return crashScenario{
+		world: dejavu.OpenWorld,
+		peer: func(node *dejavu.Node, ready chan<- struct{}) {
+			node.Start(func(main *dejavu.Thread) {
+				ss, err := node.Listen(main, 9000)
+				if err != nil {
+					panic(err)
+				}
+				close(ready)
+				conn, err := ss.Accept(main)
+				if err != nil {
+					panic(err)
+				}
+				buf := make([]byte, 16)
+				for {
+					n, err := conn.Read(main, buf)
+					if err != nil {
+						break
+					}
+					conn.Write(main, buf[:n])
+				}
+				conn.Close(main)
+				ss.Close(main)
+			})
+		},
+		prog: func(node *dejavu.Node, out *crashOut) {
+			node.Start(func(main *dejavu.Thread) {
+				_, err := node.Connect(main, dejavu.Addr{Host: "echo", Port: 1})
+				out.saw(t, main, "connect-refused", nil, err)
+				conn, err := node.Connect(main, dejavu.Addr{Host: "echo", Port: 9000})
+				out.saw(t, main, "connect", nil, err)
+				if err != nil {
+					return
+				}
+				out.saw(t, main, "now", node.Env().Now(main) != 0, nil)
+				buf := make([]byte, 16)
+				for i := 0; i < 3; i++ {
+					_, err := conn.Write(main, []byte(fmt.Sprintf("ping-%d", i)))
+					out.saw(t, main, "write", i, err)
+					n, err := conn.Read(main, buf)
+					out.saw(t, main, "read", string(buf[:n]), err)
+				}
+				n, err := conn.Available(main)
+				out.saw(t, main, "available", n, err)
+				_, err = conn.ReadTimeout(main, buf, time.Millisecond)
+				out.saw(t, main, "read-expired", nil, err)
+				out.saw(t, main, "closewrite", nil, conn.CloseWrite(main))
+				n, err = conn.Read(main, buf)
+				out.saw(t, main, "read-eof", n, err)
+				out.saw(t, main, "close", nil, conn.Close(main))
+			})
+		},
+	}
+}
+
+// closedPairScenario: a closed-world server and client, two threads of one
+// node, so one WAL holds both ends and every cut of it is a consistent cut of
+// the pair. Only byte counts and the connectionId are logged (§4.1.3); replay
+// re-executes every operation below the crash point against the other thread.
+func closedPairScenario(t *testing.T) crashScenario {
+	return crashScenario{
+		world: dejavu.ClosedWorld,
+		prog: func(node *dejavu.Node, out *crashOut) {
+			node.Start(func(main *dejavu.Thread) {
+				ss, err := node.Listen(main, 7100)
+				out.saw(t, main, "listen", nil, err)
+				if err != nil {
+					return
+				}
+				server := main.Spawn(func(th *dejavu.Thread) {
+					conn, err := ss.Accept(th)
+					out.saw(t, th, "accept", nil, err)
+					if err != nil {
+						return
+					}
+					buf := make([]byte, 4)
+					for {
+						n, err := conn.Read(th, buf)
+						out.saw(t, th, "server-read", string(buf[:n]), err)
+						if err != nil {
+							break
+						}
+						_, err = conn.Write(th, buf[:n])
+						out.saw(t, th, "server-write", nil, err)
+					}
+					out.saw(t, th, "server-close", nil, conn.Close(th))
+				})
+				client := main.Spawn(func(th *dejavu.Thread) {
+					conn, err := node.Connect(th, dejavu.Addr{Host: "crashnode", Port: 7100})
+					out.saw(t, th, "connect", nil, err)
+					if err != nil {
+						return
+					}
+					buf := make([]byte, 4)
+					for i := 0; i < 3; i++ {
+						_, err := conn.Write(th, []byte(fmt.Sprintf("m%d", i)))
+						out.saw(t, th, "client-write", i, err)
+						n, err := conn.Read(th, buf)
+						out.saw(t, th, "client-read", string(buf[:n]), err)
+					}
+					out.saw(t, th, "closewrite", nil, conn.CloseWrite(th))
+					n, err := conn.Read(th, buf)
+					out.saw(t, th, "client-eof", n, err)
+					out.saw(t, th, "client-close", nil, conn.Close(th))
+				})
+				main.Join(server)
+				main.Join(client)
+				out.saw(t, main, "listener-close", nil, ss.Close(main))
+			})
+		},
+	}
+}
+
+// TestCrashPointIsALogEndForNetworkEvents is the crash-safety property of the
+// network layers: a node recording through a WAL fsynced at every record is
+// killed at every byte offset of the file, and the replay of what Recover
+// salvages — with StopAtLogEnd — shows the application exactly the prefix of
+// what it saw while recording. An event whose record did not survive the crash
+// is where its thread stops, cleanly (LogEndStops); the application is never
+// handed an error the record phase did not hand it, and least of all a
+// divergence. The datagram layers' half is
+// internal/djgram.TestCrashPointIsALogEndForDatagrams.
+func TestCrashPointIsALogEndForNetworkEvents(t *testing.T) {
+	for name, mk := range map[string]func(*testing.T) crashScenario{
+		"open-client": openClientScenario,
+		"closed-pair": closedPairScenario,
+	} {
+		t.Run(name, func(t *testing.T) {
+			sc := mk(t)
+			dir := t.TempDir()
+			walPath := filepath.Join(dir, "node.wal")
+
+			run := func(cfg dejavu.Config, record bool) (*dejavu.Node, *crashOut, []string) {
+				var trace []string
+				net := dejavu.NewNetwork(dejavu.NetworkConfig{Seed: 1})
+				cfg.EventObserver = func(tn dejavu.ThreadNum, gc dejavu.GCount) {
+					trace = append(trace, fmt.Sprintf("t%d@%d", tn, gc))
+				}
+				cfg.Network, cfg.Host, cfg.World, cfg.ID = net, "crashnode", sc.world, 82
+				cfg.StallTimeout = 20 * time.Second
+				node, err := dejavu.NewNode(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var peer *dejavu.Node
+				if record {
+					if err := node.EnableWAL(walPath, dejavu.WALOptions{SyncEvery: 1}); err != nil {
+						t.Fatal(err)
+					}
+					if sc.peer != nil {
+						peer, err = dejavu.NewNode(dejavu.Config{Mode: dejavu.Passthrough, Network: net, Host: "echo"})
+						if err != nil {
+							t.Fatal(err)
+						}
+						ready := make(chan struct{})
+						sc.peer(peer, ready)
+						<-ready
+					}
+				}
+				var out crashOut
+				sc.prog(node, &out)
+				node.Wait()
+				node.Close()
+				if peer != nil {
+					peer.Wait()
+					peer.Close()
+				}
+				return node, &out, trace
+			}
+
+			_, recOut, recTrace := run(dejavu.Config{Mode: dejavu.Record}, true)
+			if t.Failed() {
+				t.FailNow()
+			}
+			data, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			cutPath := filepath.Join(dir, "cut.wal")
+			replayed, stopped := 0, 0
+			for cut := 0; cut <= len(data); cut++ {
+				if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				logs, rep, err := dejavu.Recover(cutPath)
+				if err != nil {
+					if rep == nil || rep.Frames == 0 {
+						continue // nothing salvaged: not the magic, or not the identity header
+					}
+					t.Fatalf("cut=%d: Recover: %v", cut, err)
+				}
+				k := int(rep.FinalGC)
+				node, out, trace := run(dejavu.Config{Mode: dejavu.Replay, ReplayLogs: logs, StopAtLogEnd: true}, false)
+				replayed++
+
+				if !out.prefixOf(recOut) {
+					t.Fatalf("cut=%d (prefix %d of %d events): the application's threads saw\n%v\nwhile replaying, and\n%v\nwhile recording",
+						cut, k, len(recTrace), out.lines, recOut.lines)
+				}
+				if k > len(recTrace) || !slices.Equal(trace, recTrace[:k]) {
+					t.Fatalf("cut=%d: replay observed events %v, the recorded prefix [0,%d) is %v", cut, trace, k, recTrace)
+				}
+				switch stops := node.LogEndStops(); {
+				case k < len(recTrace) && stops == 0:
+					t.Fatalf("cut=%d: truncated replay (prefix %d of %d) reported no log-end stop", cut, k, len(recTrace))
+				case k == len(recTrace) && stops != 0:
+					t.Fatalf("cut=%d: full replay reported %d log-end stops", cut, stops)
+				case stops != 0:
+					stopped++
+				}
+			}
+			t.Logf("%d-byte WAL: %d cuts replayed, %d of them to a log-end stop", len(data), replayed, stopped)
+			if replayed < len(data)/2 || stopped == 0 {
+				t.Errorf("%d of %d cuts replayed, %d of them stopped at a log end: the property was barely exercised",
+					replayed, len(data)+1, stopped)
 			}
 		})
 	}

@@ -53,6 +53,7 @@ import (
 	"repro/internal/djsock"
 	"repro/internal/explore"
 	"repro/internal/ids"
+	"repro/internal/netevent"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/recline"
@@ -108,6 +109,10 @@ type (
 	// DivergenceError is thrown when a replayed execution departs from the
 	// recorded one.
 	DivergenceError = core.DivergenceError
+	// ReplayedError is a network operation's record-phase failure, re-thrown
+	// by the same operation during replay without executing it: Op names the
+	// operation, Msg is the recorded error text.
+	ReplayedError = netevent.ReplayedError
 
 	// Addr is a simulated network endpoint.
 	Addr = netsim.Addr
@@ -264,6 +269,11 @@ var (
 	ErrPeerUnreachable = rudp.ErrPeerUnreachable
 	// ErrTimeout is the uniform SO_TIMEOUT expiry error of the socket layer.
 	ErrTimeout = djsock.ErrTimeout
+	// ErrDiverged is wrapped by the error a stream or datagram operation
+	// returns when the replaying execution's network activity departs from
+	// the recorded one — an operation the record phase never performed, a
+	// buffer too small for the recorded bytes, a different message sent.
+	ErrDiverged = netevent.ErrDiverged
 )
 
 // Execution modes.

@@ -1,6 +1,7 @@
 package dejavu_test
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/dejavu"
@@ -171,4 +172,45 @@ func ExampleCheckpointTake() {
 
 	fmt.Println("resumed replay reaches the recorded final state:", acc.Load() == final)
 	// Output: resumed replay reaches the recorded final state: true
+}
+
+// ExampleReplayedError shows the two errors a replaying network operation can
+// hand the application that a recording one cannot: a connect refused while
+// recording is refused again during replay — by the log, the network is not
+// asked — and an operation the recording never performed is a divergence.
+func ExampleReplayedError() {
+	var done dejavu.SharedInt
+	program := func(node *dejavu.Node, extraListen bool) {
+		node.Start(func(main *dejavu.Thread) {
+			_, err := node.Connect(main, dejavu.Addr{Host: "nowhere", Port: 80})
+			var replayed *dejavu.ReplayedError
+			if errors.As(err, &replayed) {
+				fmt.Println("replay re-threw the recorded failure of:", replayed.Op)
+			} else {
+				fmt.Println("connect failed while recording:", err != nil)
+			}
+			if extraListen {
+				_, err := node.Listen(main, 0)
+				fmt.Println("an unrecorded listen diverges:", errors.Is(err, dejavu.ErrDiverged))
+			}
+			done.Set(main, 1)
+		})
+		node.Wait()
+		node.Close()
+	}
+
+	rec, _ := dejavu.NewNode(dejavu.Config{
+		ID: 1, Mode: dejavu.Record, Network: dejavu.NewNetwork(dejavu.NetworkConfig{}), Host: "cli",
+	})
+	program(rec, false)
+
+	rep, _ := dejavu.NewNode(dejavu.Config{
+		ID: 1, Mode: dejavu.Replay, Network: dejavu.NewNetwork(dejavu.NetworkConfig{}),
+		Host: "cli", ReplayLogs: rec.Logs(),
+	})
+	program(rep, true)
+	// Output:
+	// connect failed while recording: true
+	// replay re-threw the recorded failure of: connect
+	// an unrecorded listen diverges: true
 }

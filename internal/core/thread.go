@@ -347,6 +347,14 @@ func (t *Thread) Spawn(fn func(t *Thread)) *Thread {
 	return child
 }
 
+// EndOfSchedule is endOfSchedule on the global stream for the network-event
+// layer, which can tell before it asks for a turn that the thread has run off
+// its recording: the event at hand left no record and RemainingScheduled is
+// zero. what names the event. Replay only; never returns.
+func (t *Thread) EndOfSchedule(what string) {
+	t.endOfSchedule(t.vm.global, what)
+}
+
 // RemainingScheduled reports how many recorded critical events this thread
 // has not yet replayed, on every order stream. Zero for non-replay modes.
 func (t *Thread) RemainingScheduled() uint64 {

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/netevent"
 	"repro/internal/obs"
 	"repro/internal/tracelog"
 )
@@ -64,44 +65,36 @@ func (s *Source) Intn(t *core.Thread, n int) int {
 	return int(s.Uint64(t) % uint64(n))
 }
 
-// query executes one environment critical event. signed only affects the
-// caller's interpretation; values travel as uint64.
+// query executes one environment critical event: a network event whose value,
+// like open-world input, replay serves from the log. signed only affects the
+// caller's interpretation; values travel as uint64. There is no error to
+// return a divergence in, so it is thrown.
 func (s *Source) query(t *core.Thread, op string, sample func() uint64, signed bool) int64 {
 	vm := s.vm
 	if vm.Mode() == ids.Passthrough {
 		return int64(sample())
 	}
-	eventID := t.EventID(t.NextEventNum())
-
-	var out uint64
-	switch vm.Mode() {
-	case ids.Record:
-		t.CriticalKind(obs.KindEnv, func(ids.GCount) {
+	ev := netevent.Begin(t, obs.KindEnv, op)
+	var (
+		out uint64
+		err error
+	)
+	if ev.Recording() {
+		err = ev.Record(nil, func(ids.GCount) error {
 			out = sample()
-			vm.Logs().Network.Append(&tracelog.EnvEntry{
-				EventID: eventID,
-				Op:      op,
-				Value:   out,
-			})
+			vm.Logs().Network.Append(&tracelog.EnvEntry{EventID: ev.ID, Op: op, Value: out})
+			return nil
 		})
-	case ids.Replay:
-		entry, ok := vm.NetworkIndex().Envs[eventID]
-		t.CriticalKind(obs.KindEnv, func(ids.GCount) {})
-		if !ok {
-			panic(&core.DivergenceError{
-				VM:     vm.ID(),
-				Thread: t.Num(),
-				Msg:    fmt.Sprintf("environment event %v (%s) has no recorded value", eventID, op),
-			})
+	} else {
+		entry, ok := vm.NetworkIndex().Envs[ev.ID]
+		if ok && entry.Op != op {
+			err = fmt.Errorf("environment event %v recorded as %q, replayed as %q", ev.ID, entry.Op, op)
+		} else {
+			out, err = entry.Value, ev.Replay(ok, true, nil, nil)
 		}
-		if entry.Op != op {
-			panic(&core.DivergenceError{
-				VM:     vm.ID(),
-				Thread: t.Num(),
-				Msg:    fmt.Sprintf("environment event %v recorded as %q, replayed as %q", eventID, entry.Op, op),
-			})
-		}
-		out = entry.Value
+	}
+	if err != nil {
+		panic(&core.DivergenceError{VM: vm.ID(), Thread: t.Num(), Msg: err.Error()})
 	}
 	return int64(out)
 }

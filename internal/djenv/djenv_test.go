@@ -158,3 +158,31 @@ func TestIntnBounds(t *testing.T) {
 	}
 	vm2.Wait()
 }
+
+// TestCrashPointEnvQueryStopsAtLogEnd: under StopAtLogEnd an environment
+// query past the recovered log is where its thread stops — no value is made
+// up and nothing is thrown (the socket layers' half of this property is
+// dejavu.TestCrashPointIsALogEndForNetworkEvents).
+func TestCrashPointEnvQueryStopsAtLogEnd(t *testing.T) {
+	vm := newVM(t, core.Config{ID: 6, Mode: ids.Record})
+	src := New(vm)
+	var recorded int64
+	vm.Start(func(main *core.Thread) { recorded = src.Now(main) })
+	vm.Wait()
+	vm.Close()
+
+	rep := newVM(t, core.Config{ID: 6, Mode: ids.Replay, ReplayLogs: vm.Logs(), StopAtLogEnd: true})
+	repSrc := New(rep)
+	var got []int64
+	rep.Start(func(main *core.Thread) {
+		got = append(got, repSrc.Now(main))
+		got = append(got, repSrc.Now(main)) // past the log end
+	})
+	rep.Wait()
+	if len(got) != 1 || got[0] != recorded {
+		t.Errorf("replay drew %v, want only the recorded %d", got, recorded)
+	}
+	if rep.LogEndStops() != 1 {
+		t.Errorf("LogEndStops = %d, want 1", rep.LogEndStops())
+	}
+}

@@ -29,33 +29,23 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/netevent"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/rudp"
-	"repro/internal/tracelog"
 )
 
 // ErrDiverged is wrapped by errors returned when replayed datagram activity
-// departs from the recorded execution.
-var ErrDiverged = errors.New("djgram: replay diverged from record")
+// departs from the recorded execution; ReplayedError re-throws an error
+// recorded during the record phase. Both are the network-event skeleton's,
+// under the names this package has always exported.
+var ErrDiverged = netevent.ErrDiverged
+
+type ReplayedError = netevent.ReplayedError
 
 // ErrTooLarge is returned when an application datagram cannot fit the
 // network's datagram budget even after a two-way split.
 var ErrTooLarge = errors.New("djgram: application datagram too large")
-
-// ReplayedError re-throws an error recorded during the record phase.
-type ReplayedError struct {
-	Op  string
-	Msg string
-}
-
-func (e *ReplayedError) Error() string {
-	return fmt.Sprintf("%s: %s (replayed)", e.Op, e.Msg)
-}
-
-func divergef(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrDiverged, fmt.Sprintf(format, args...))
-}
 
 // Datagram meta-data trailer: 4-byte sender VM id, 8-byte sender global
 // counter, 1 portion flag.
@@ -135,83 +125,42 @@ type pooled struct {
 
 // Bind creates a datagram socket bound to port on the VM's host (port 0
 // picks an ephemeral port; the result is recorded and re-bound in replay).
+// One network critical event, the bind event.
 func (e *Env) Bind(t *core.Thread, port uint16) (*DatagramSocket, error) {
-	if e.vm.Mode() == ids.Passthrough {
-		s, err := e.net.DatagramBind(e.host, port)
-		if err != nil {
-			return nil, err
+	var s *netsim.DatagramSocket
+	port, err := netevent.Bind(t, obs.KindDatagram, "bind", port, func(p uint16) (_ uint16, err error) {
+		if s, err = e.net.DatagramBind(e.host, p); err != nil {
+			return 0, err
 		}
-		return &DatagramSocket{env: e, addr: s.Addr(), sock: s}, nil
+		return s.Addr().Port, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-
-	switch e.vm.Mode() {
-	case ids.Record:
-		var (
-			s   *netsim.DatagramSocket
-			err error
-		)
-		t.CriticalKind(obs.KindDatagram, func(ids.GCount) {
-			s, err = e.net.DatagramBind(e.host, port)
-			if err != nil {
-				e.logNetErr(eventID, "bind", err)
-				return
-			}
-			e.vm.Logs().Network.Append(&tracelog.BindEntry{
-				EventID: eventID,
-				Port:    s.Addr().Port,
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		return e.newSocket(s.Addr(), s, nil), nil
-
-	default: // ids.Replay
-		if rerr, ok := e.replayErr(eventID); ok {
-			t.CriticalKind(obs.KindDatagram, func(ids.GCount) {})
-			return nil, rerr
-		}
-		entry, ok := e.vm.NetworkIndex().Binds[eventID]
-		if !ok {
-			return nil, divergef("bind event %v has no recorded port", eventID)
-		}
-		if e.vm.World() == ids.OpenWorld {
-			t.CriticalKind(obs.KindDatagram, func(ids.GCount) {})
-			ds := e.newSocket(netsim.Addr{Host: e.host, Port: entry.Port}, nil, nil)
-			ds.openReplay = true
-			return ds, nil
-		}
-		var (
-			s   *netsim.DatagramSocket
-			err error
-		)
-		t.CriticalKind(obs.KindDatagram, func(ids.GCount) {
-			s, err = e.net.DatagramBind(e.host, entry.Port)
-		})
-		if err != nil {
-			return nil, divergef("bind to recorded port %d failed: %v", entry.Port, err)
-		}
-		// The reliable layer's retry budget keeps replay from retransmitting
-		// forever at a peer that crashed; abandoned destinations surface in
-		// the VM's fault counters.
-		rc := rudp.New(s, rudp.Config{
-			OnUnreachable: func(netsim.Addr) { e.vm.Metrics().IncPeerUnreachable() },
-			OnRetransmit:  e.vm.Metrics().IncRudpRetransmit,
-			OnBackoffCap:  e.vm.Metrics().IncRudpBackoffCap,
-		})
-		return e.newSocket(s.Addr(), s, rc), nil
+	ds := e.newSocket(netsim.Addr{Host: e.host, Port: port}, s)
+	if e.vm.Mode() != ids.Replay {
+		return ds, nil
 	}
+	if s == nil {
+		ds.openReplay = true // the open world's replay binds nothing (§5)
+		return ds, nil
+	}
+	// Replay datagrams travel over the reliable layer, whose retry budget
+	// keeps replay from retransmitting forever at a peer that crashed;
+	// abandoned destinations surface in the VM's fault counters.
+	ds.rc = rudp.New(s, rudp.Config{
+		OnUnreachable: func(netsim.Addr) { e.vm.Metrics().IncPeerUnreachable() },
+		OnRetransmit:  e.vm.Metrics().IncRudpRetransmit,
+		OnBackoffCap:  e.vm.Metrics().IncRudpBackoffCap,
+	})
+	return ds, nil
 }
 
-func (e *Env) newSocket(addr netsim.Addr, s *netsim.DatagramSocket, rc *rudp.Conn) *DatagramSocket {
+func (e *Env) newSocket(addr netsim.Addr, s *netsim.DatagramSocket) *DatagramSocket {
 	return &DatagramSocket{
 		env:   e,
 		addr:  addr,
 		sock:  s,
-		rc:    rc,
 		reasm: make(map[ids.DGNetworkEventID]*partial),
 		pool:  make(map[ids.DGNetworkEventID]*pooled),
 	}
@@ -224,26 +173,15 @@ func (ds *DatagramSocket) Addr() netsim.Addr { return ds.addr }
 // change is a critical event so that group deliveries started before/after
 // it replay consistently.
 func (ds *DatagramSocket) JoinGroup(t *core.Thread, group string) error {
-	e := ds.env
-	if e.vm.Mode() == ids.Passthrough {
+	if ds.env.vm.Mode() == ids.Passthrough {
 		return ds.sock.JoinGroup(group)
 	}
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-	if rerr, ok := e.replayErrIfReplaying(eventID); ok {
-		t.CriticalKind(obs.KindDatagram, func(ids.GCount) {})
-		return rerr
-	}
-	var err error
-	t.CriticalKind(obs.KindDatagram, func(ids.GCount) {
-		if ds.sock != nil {
-			err = ds.sock.JoinGroup(group)
+	return netevent.Begin(t, obs.KindDatagram, "joingroup").Do(nil, func(ids.GCount) error {
+		if ds.sock == nil {
+			return nil // open-world replay: there is no socket
 		}
-		if err != nil && e.vm.Mode() == ids.Record {
-			e.logNetErr(eventID, "joingroup", err)
-		}
+		return ds.sock.JoinGroup(group)
 	})
-	return err
 }
 
 // Close releases the socket (§4.2.1). In replay it first waits, boundedly,
@@ -253,13 +191,6 @@ func (ds *DatagramSocket) Close(t *core.Thread) error {
 	if e.vm.Mode() == ids.Passthrough {
 		return ds.sock.Close()
 	}
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-	if rerr, ok := e.replayErrIfReplaying(eventID); ok {
-		t.CriticalKind(obs.KindDatagram, func(ids.GCount) {})
-		return rerr
-	}
-
 	if ds.rc != nil {
 		// Bounded flush outside the critical section: peers acknowledge at
 		// the rudp layer even for datagrams their application ignores, so
@@ -274,39 +205,15 @@ func (ds *DatagramSocket) Close(t *core.Thread) error {
 			time.Sleep(time.Millisecond)
 		}
 	}
-
-	var err error
-	t.CriticalKind(obs.KindDatagram, func(ids.GCount) {
+	return netevent.Begin(t, obs.KindDatagram, "close").Do(nil, func(ids.GCount) error {
 		switch {
 		case ds.rc != nil:
-			err = ds.rc.Close()
+			return ds.rc.Close()
 		case ds.sock != nil:
-			err = ds.sock.Close()
+			return ds.sock.Close()
 		}
-		if err != nil && e.vm.Mode() == ids.Record {
-			e.logNetErr(eventID, "close", err)
-		}
+		return nil
 	})
-	return err
-}
-
-func (e *Env) logNetErr(eventID ids.NetworkEventID, op string, err error) {
-	e.vm.Logs().Network.Append(&tracelog.NetErrEntry{EventID: eventID, Op: op, Msg: err.Error()})
-}
-
-func (e *Env) replayErr(eventID ids.NetworkEventID) (error, bool) {
-	entry, ok := e.vm.NetworkIndex().Errs[eventID]
-	if !ok {
-		return nil, false
-	}
-	return &ReplayedError{Op: entry.Op, Msg: entry.Msg}, true
-}
-
-func (e *Env) replayErrIfReplaying(eventID ids.NetworkEventID) (error, bool) {
-	if e.vm.Mode() != ids.Replay {
-		return nil, false
-	}
-	return e.replayErr(eventID)
 }
 
 // encodeTrailer appends the DGnetworkEventId trailer to payload.

@@ -193,46 +193,6 @@ func TestSplitDatagramsRecombine(t *testing.T) {
 	}
 }
 
-func TestOversizedDatagramRejectedBothPhases(t *testing.T) {
-	net := netsim.NewNetwork(netsim.Config{MaxDatagram: 100})
-	vm := newVM(t, core.Config{ID: 300, Mode: ids.Record, World: ids.ClosedWorld})
-	env := NewEnv(vm, net, "tx")
-	var sendErr error
-	vm.Start(func(main *core.Thread) {
-		sock, err := env.Bind(main, 0)
-		if err != nil {
-			panic(err)
-		}
-		sendErr = sock.SendTo(main, netsim.Addr{Host: "rx", Port: 1}, make([]byte, 400))
-		sock.Close(main)
-	})
-	vm.Wait()
-	vm.Close()
-	if sendErr == nil {
-		t.Fatal("record-phase oversized send succeeded")
-	}
-
-	rep := newVM(t, core.Config{ID: 300, Mode: ids.Replay, World: ids.ClosedWorld, ReplayLogs: vm.Logs()})
-	repEnv := NewEnv(rep, netsim.NewNetwork(netsim.Config{MaxDatagram: 100}), "tx")
-	var repErr error
-	rep.Start(func(main *core.Thread) {
-		sock, err := repEnv.Bind(main, 0)
-		if err != nil {
-			panic(err)
-		}
-		repErr = sock.SendTo(main, netsim.Addr{Host: "rx", Port: 1}, make([]byte, 400))
-		sock.Close(main)
-	})
-	rep.Wait()
-	rep.Close()
-	if repErr == nil {
-		t.Fatal("replay-phase oversized send succeeded")
-	}
-	if repErr.Error() != "send: "+sendErr.Error()+" (replayed)" {
-		t.Errorf("replayed error %q does not carry recorded message %q", repErr, sendErr)
-	}
-}
-
 // multicastApp: one sender, two receiver VMs joined to a group; each
 // receiver delivers nRecv datagrams.
 func runMulticastApp(t *testing.T, mode ids.Mode, seed int64, nSend, nRecv int,

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/netevent"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/tracelog"
@@ -37,89 +38,24 @@ func (ds *DatagramSocket) SendTo(t *core.Thread, addr netsim.Addr, data []byte) 
 	if e.vm.Mode() == ids.Passthrough {
 		return ds.sock.SendTo(addr, data)
 	}
-
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-	closedSc := e.closedSchemeTo(addr.Host)
-	budget := e.payloadBudget()
-
-	if e.vm.Mode() == ids.Record {
-		var (
-			err error
-			sum uint64
-		)
-		if !closedSc {
-			// data is the caller's for the whole call: its checksum is taken
-			// out here, not under the VM's lock.
-			sum = tracelog.WideSum(data)
-		}
-		t.CriticalKind(obs.KindDatagram, func(gc ids.GCount) {
-			if !closedSc {
-				err = ds.sock.SendTo(addr, data)
-				if err != nil {
-					e.logNetErr(eventID, "send", err)
-					return
-				}
-				e.vm.Logs().Network.Append(&tracelog.OpenWriteEntry{
-					EventID: eventID,
-					Len:     uint32(len(data)),
-					Sum:     sum,
-				})
-				return
-			}
-			dgID := ids.DGNetworkEventID{VM: e.vm.ID(), GC: gc}
-			var frames [][]byte
-			frames, err = splitFrames(data, dgID, budget)
-			if err != nil {
-				e.logNetErr(eventID, "send", err)
-				return
-			}
-			for _, f := range frames {
-				if err = ds.sock.SendTo(addr, f); err != nil {
-					e.logNetErr(eventID, "send", err)
-					return
-				}
-			}
-		})
-		return err
+	ev := netevent.Begin(t, obs.KindDatagram, "send")
+	if ds.openReplay || !e.closedSchemeTo(addr.Host) {
+		return ev.OpenWrite(data, func() error { return ds.sock.SendTo(addr, data) })
 	}
-
-	// Replay.
-	if rerr, ok := e.replayErr(eventID); ok {
-		t.CriticalKind(obs.KindDatagram, func(ids.GCount) {})
-		return rerr
-	}
-	if ds.openReplay || !closedSc {
-		entry, ok := e.vm.NetworkIndex().OpenWrites[eventID]
-		if !ok {
-			return divergef("send event %v has no recorded entry", eventID)
-		}
-		t.CriticalKind(obs.KindDatagram, func(ids.GCount) {})
-		if err := entry.Verify(data); err != nil {
-			return divergef("send event %v payload differs from record: %v", eventID, err)
-		}
-		return nil
-	}
-	var err error
-	t.CriticalKind(obs.KindDatagram, func(gc ids.GCount) {
+	return ev.Do(nil, func(gc ids.GCount) error {
 		// The replayed schedule gives this send the same global counter as
 		// in the record phase, so the datagram id is identical on the wire.
 		dgID := ids.DGNetworkEventID{VM: e.vm.ID(), GC: gc}
-		var frames [][]byte
-		frames, err = splitFrames(data, dgID, budget)
-		if err != nil {
-			return
-		}
-		for _, f := range frames {
-			if err = ds.rc.SendTo(e.net, addr, f); err != nil {
-				return
+		frames, err := splitFrames(data, dgID, e.payloadBudget())
+		for i := 0; err == nil && i < len(frames); i++ {
+			if ds.rc != nil {
+				err = ds.rc.SendTo(e.net, addr, frames[i])
+			} else {
+				err = ds.sock.SendTo(addr, frames[i])
 			}
 		}
+		return err
 	})
-	if err != nil {
-		return divergef("send event %v failed during replay: %v", eventID, err)
-	}
-	return nil
 }
 
 // splitFrames encodes an application datagram into one wire frame, or two
@@ -156,72 +92,82 @@ func (ds *DatagramSocket) Receive(t *core.Thread) ([]byte, netsim.Addr, error) {
 		return pkt.Data, pkt.Source, err
 	}
 
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-
-	if e.vm.Mode() == ids.Record {
-		return ds.receiveRecord(t, eventID)
-	}
-	return ds.receiveReplay(t, eventID)
-}
-
-func (ds *DatagramSocket) receiveRecord(t *core.Thread, eventID ids.NetworkEventID) ([]byte, netsim.Addr, error) {
-	e := ds.env
+	ev := netevent.Begin(t, obs.KindDatagram, "receive")
 	var (
 		data   []byte
 		source netsim.Addr
-		dgID   ids.DGNetworkEventID
-		isOpen bool
-		err    error
 	)
-	t.BlockingKind(obs.KindDatagram, func() {
-		for {
-			var pkt netsim.Packet
-			pkt, err = ds.sock.Receive()
-			if err != nil {
-				return
+	if ev.Recording() {
+		var (
+			dgID   ids.DGNetworkEventID
+			isOpen bool
+		)
+		err := ev.Record(func() (err error) {
+			data, source, dgID, isOpen, err = ds.nextDatagram()
+			return err
+		}, func(gc ids.GCount) error {
+			if isOpen {
+				e.vm.Logs().Network.Append(&tracelog.OpenDatagramEntry{
+					EventID:    ev.ID,
+					SourceHost: source.Host,
+					SourcePort: source.Port,
+					Data:       data,
+				})
+			} else {
+				e.vm.Logs().Datagram.Append(&tracelog.DatagramRecvEntry{
+					EventID:    ev.ID,
+					ReceiverGC: gc,
+					Datagram:   dgID,
+				})
 			}
-			source = pkt.Source
-			if !e.closedSchemeTo(pkt.Source.Host) {
-				data, isOpen = pkt.Data, true
-				return
-			}
-			var payload []byte
-			var portion byte
-			payload, dgID, portion, err = decodeTrailer(pkt.Data)
-			if err != nil {
-				return
-			}
-			if portion == portionWhole {
-				data = payload
-				return
-			}
-			if complete, ok := ds.reassemble(dgID, portion, payload); ok {
-				data = complete
-				return
-			}
-			// Half of a split datagram: keep waiting for its counterpart.
+			return nil
+		})
+		return data, source, err
+	}
+
+	// Replay. A datagram recorded from a non-DJVM source is delivered with
+	// the recorded data, not with the real network (§5).
+	entry, open := e.vm.NetworkIndex().OpenDatagrams[ev.ID]
+	want, closedSc := e.vm.DatagramIndex().ByEvent[ev.ID]
+	err := ev.Replay(open || closedSc, open, func() (err error) {
+		data, source, err = ds.awaitDatagram(want.Datagram)
+		return err
+	}, nil)
+	if err != nil {
+		return nil, netsim.Addr{}, err
+	}
+	if open {
+		data = append([]byte(nil), entry.Data...)
+		source = netsim.Addr{Host: entry.SourceHost, Port: entry.SourcePort}
+	}
+	return data, source, nil
+}
+
+// nextDatagram is the record-phase raw receive: it blocks until one whole
+// application datagram has arrived, recombining split ones, and reports the
+// datagram id its sender gave it — or isOpen, for a datagram from a non-DJVM
+// source, which carries none.
+func (ds *DatagramSocket) nextDatagram() (data []byte, source netsim.Addr, id ids.DGNetworkEventID, isOpen bool, _ error) {
+	for {
+		pkt, err := ds.sock.Receive()
+		if err != nil {
+			return nil, netsim.Addr{}, id, false, err
 		}
-	}, func(gc ids.GCount) {
-		switch {
-		case err != nil:
-			e.logNetErr(eventID, "receive", err)
-		case isOpen:
-			e.vm.Logs().Network.Append(&tracelog.OpenDatagramEntry{
-				EventID:    eventID,
-				SourceHost: source.Host,
-				SourcePort: source.Port,
-				Data:       data,
-			})
-		default:
-			e.vm.Logs().Datagram.Append(&tracelog.DatagramRecvEntry{
-				EventID:    eventID,
-				ReceiverGC: gc,
-				Datagram:   dgID,
-			})
+		if !ds.env.closedSchemeTo(pkt.Source.Host) {
+			return pkt.Data, pkt.Source, id, true, nil
 		}
-	})
-	return data, source, err
+		payload, dgID, portion, err := decodeTrailer(pkt.Data)
+		if err != nil {
+			return nil, pkt.Source, dgID, false, err
+		}
+		if portion == portionWhole {
+			return payload, pkt.Source, dgID, false, nil
+		}
+		if complete, ok := ds.reassemble(dgID, portion, payload); ok {
+			return complete, pkt.Source, dgID, false, nil
+		}
+		// Half of a split datagram: keep waiting for its counterpart.
+	}
 }
 
 // reassemble stores one half of a split datagram and reports the combined
@@ -250,36 +196,6 @@ func (ds *DatagramSocket) reassemble(dgID ids.DGNetworkEventID, portion byte, pa
 	return combined, true
 }
 
-func (ds *DatagramSocket) receiveReplay(t *core.Thread, eventID ids.NetworkEventID) ([]byte, netsim.Addr, error) {
-	e := ds.env
-	if rerr, ok := e.replayErr(eventID); ok {
-		t.CriticalKind(obs.KindDatagram, func(ids.GCount) {})
-		return nil, netsim.Addr{}, rerr
-	}
-	if entry, ok := e.vm.NetworkIndex().OpenDatagrams[eventID]; ok {
-		// Recorded from a non-DJVM source: performed with the recorded data,
-		// not with the real network (§5).
-		t.CriticalKind(obs.KindDatagram, func(ids.GCount) {})
-		data := make([]byte, len(entry.Data))
-		copy(data, entry.Data)
-		return data, netsim.Addr{Host: entry.SourceHost, Port: entry.SourcePort}, nil
-	}
-	want, ok := e.vm.DatagramIndex().ByEvent[eventID]
-	if !ok {
-		return nil, netsim.Addr{}, divergef("receive event %v has no recorded datagram", eventID)
-	}
-
-	var (
-		data   []byte
-		source netsim.Addr
-		err    error
-	)
-	t.BlockingKind(obs.KindDatagram, func() {
-		data, source, err = ds.awaitDatagram(want.Datagram)
-	}, func(ids.GCount) {})
-	return data, source, err
-}
-
 // awaitDatagram returns one delivery of the wanted datagram id, pulling from
 // the pool or the reliable transport and buffering everything else.
 func (ds *DatagramSocket) awaitDatagram(want ids.DGNetworkEventID) ([]byte, netsim.Addr, error) {
@@ -301,7 +217,7 @@ func (ds *DatagramSocket) awaitDatagram(want ids.DGNetworkEventID) ([]byte, nets
 
 		pkt, err := ds.rc.Receive()
 		if err != nil {
-			return nil, netsim.Addr{}, divergef("waiting for datagram %v: %v", want, err)
+			return nil, netsim.Addr{}, netevent.Divergef("waiting for datagram %v: %v", want, err)
 		}
 		payload, dgID, portion, derr := decodeTrailer(pkt.Data)
 		if derr != nil {

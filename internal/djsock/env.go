@@ -19,31 +19,22 @@ package djsock
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/netevent"
 	"repro/internal/netsim"
 	"repro/internal/tracelog"
 )
 
 // ErrDiverged is wrapped by errors returned when a replaying execution's
-// network activity departs from the recorded one.
-var ErrDiverged = errors.New("djsock: replay diverged from record")
+// network activity departs from the recorded one; ReplayedError is a recorded
+// error re-thrown during replay (§4.1.3). Both are the network-event
+// skeleton's, under the names this package has always exported.
+var ErrDiverged = netevent.ErrDiverged
 
-// ReplayedError is an error that was recorded during the record phase and is
-// re-thrown during replay without re-executing the failed operation
-// (§4.1.3).
-type ReplayedError struct {
-	Op  string
-	Msg string
-}
-
-func (e *ReplayedError) Error() string {
-	return fmt.Sprintf("%s: %s (replayed)", e.Op, e.Msg)
-}
+type ReplayedError = netevent.ReplayedError
 
 // Env binds one DJVM to a host on a simulated network. All sockets of the VM
 // are created through its Env.
@@ -118,15 +109,6 @@ func readFull(s *netsim.Stream, p []byte) error {
 	return nil
 }
 
-// logNetErr appends a NetErrEntry for the failed event.
-func (e *Env) logNetErr(eventID ids.NetworkEventID, op string, err error) {
-	e.vm.Logs().Network.Append(&tracelog.NetErrEntry{
-		EventID: eventID,
-		Op:      op,
-		Msg:     err.Error(),
-	})
-}
-
 // logNetSpan appends a causal-tracing annotation for a closed-world socket
 // event: the connection it acted on, its counter value, and (for data
 // transfer) the application-stream byte range. Called from inside the event's
@@ -146,21 +128,6 @@ func (e *Env) logNetSpan(eventID ids.NetworkEventID, gc ids.GCount, op uint8, co
 		Len:     uint32(n),
 	})
 	e.vm.Metrics().IncNetSpan()
-}
-
-// replayErr looks up a recorded error for the event; ok reports whether one
-// was recorded.
-func (e *Env) replayErr(eventID ids.NetworkEventID) (error, bool) {
-	entry, ok := e.vm.NetworkIndex().Errs[eventID]
-	if !ok {
-		return nil, false
-	}
-	return &ReplayedError{Op: entry.Op, Msg: entry.Msg}, true
-}
-
-// divergef builds a replay-divergence error.
-func divergef(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrDiverged, fmt.Sprintf(format, args...))
 }
 
 // fdLock is one per-socket, per-direction FD-critical section (Figure 3).

@@ -2,9 +2,9 @@ package djsock
 
 import (
 	"errors"
-	"strings"
 	"time"
 
+	"repro/internal/netevent"
 	"repro/internal/netsim"
 )
 
@@ -12,10 +12,11 @@ import (
 // java.net.SocketTimeoutException. Every djsock operation that can expire
 // (Connect across an unreachable link, AcceptTimeout, ReadTimeout) reports
 // deadline expiry as an error satisfying errors.Is(err, djsock.ErrTimeout),
-// in record, replay and passthrough modes alike, so callers never need to
-// match the simulator's own sentinel. The underlying netsim.ErrTimeout stays
-// reachable through Unwrap for code written against the substrate.
-var ErrTimeout = errors.New("djsock: operation timed out")
+// in record, replay and passthrough modes alike (a replayed expiry through
+// ReplayedError.Is), so callers never need to match the simulator's own
+// sentinel. The underlying netsim.ErrTimeout stays reachable through Unwrap
+// for code written against the substrate.
+var ErrTimeout = netevent.ErrTimeout
 
 // timeoutError adapts a simulator deadline-expiry error to the uniform
 // djsock.ErrTimeout identity while preserving the original message (which is
@@ -35,14 +36,6 @@ func mapTimeout(err error) error {
 		return &timeoutError{err: err}
 	}
 	return err
-}
-
-// Is makes replayed timeout outcomes carry the same uniform identity as live
-// ones: a recorded SO_TIMEOUT expiry re-thrown during replay still satisfies
-// errors.Is(err, djsock.ErrTimeout), even though the original error object is
-// gone and only its recorded message remains.
-func (e *ReplayedError) Is(target error) bool {
-	return target == ErrTimeout && strings.Contains(e.Msg, "timed out")
 }
 
 // RetryPolicy bounds the redial loop applied by Env.Connect when its first

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/netevent"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/tracelog"
@@ -28,67 +29,19 @@ type ServerSocket struct {
 
 // Listen creates a server socket bound to port on the VM's host (port 0
 // picks an ephemeral port — whose identity is recorded, so replay binds to
-// the same port). It is one network critical event.
+// the same port). It is one network critical event, the bind event.
 func (e *Env) Listen(t *core.Thread, port uint16) (*ServerSocket, error) {
-	if e.vm.Mode() == ids.Passthrough {
-		l, err := e.net.Listen(e.host, port)
-		if err != nil {
-			return nil, err
+	var l *netsim.Listener
+	port, err := netevent.Bind(t, obs.KindSocket, "listen", port, func(p uint16) (_ uint16, err error) {
+		if l, err = e.net.Listen(e.host, p); err != nil {
+			return 0, err
 		}
-		return &ServerSocket{env: e, l: l, port: l.Addr().Port}, nil
+		return l.Addr().Port, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-
-	switch e.vm.Mode() {
-	case ids.Record:
-		var (
-			l   *netsim.Listener
-			err error
-		)
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {
-			l, err = e.net.Listen(e.host, port)
-			if err != nil {
-				e.logNetErr(eventID, "listen", err)
-				return
-			}
-			e.vm.Logs().Network.Append(&tracelog.BindEntry{
-				EventID: eventID,
-				Port:    l.Addr().Port,
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &ServerSocket{env: e, l: l, port: l.Addr().Port}, nil
-
-	default: // ids.Replay
-		if rerr, ok := e.replayErr(eventID); ok {
-			t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-			return nil, rerr
-		}
-		entry, ok := e.vm.NetworkIndex().Binds[eventID]
-		if !ok {
-			return nil, divergef("listen event %v has no recorded bind", eventID)
-		}
-		if e.vm.World() == ids.OpenWorld {
-			// Open-world replay touches no real network (§5).
-			t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-			return &ServerSocket{env: e, port: entry.Port}, nil
-		}
-		var (
-			l   *netsim.Listener
-			err error
-		)
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {
-			l, err = e.net.Listen(e.host, entry.Port)
-		})
-		if err != nil {
-			return nil, divergef("listen on recorded port %d failed: %v", entry.Port, err)
-		}
-		return &ServerSocket{env: e, l: l, port: entry.Port}, nil
-	}
+	return &ServerSocket{env: e, l: l, port: port}, nil
 }
 
 // Port reports the server socket's bound local port.
@@ -118,141 +71,14 @@ func (s *ServerSocket) Backlog() int {
 // Open scheme (non-DJVM peer): the remote endpoint is recorded at accept
 // time; replay synthesizes the connection entirely from the log (§5).
 func (s *ServerSocket) Accept(t *core.Thread) (*Socket, error) {
-	e := s.env
-	if e.vm.Mode() == ids.Passthrough {
-		conn, err := s.l.Accept()
-		if err != nil {
-			return nil, err
-		}
-		return newSocket(e, conn, true, ids.ConnectionID{}), nil
-	}
-
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-
-	if e.vm.Mode() == ids.Record {
-		return s.acceptRecord(t, eventID)
-	}
-	return s.acceptReplay(t, eventID)
+	return s.AcceptTimeout(t, noDeadline)
 }
 
-func (s *ServerSocket) acceptRecord(t *core.Thread, eventID ids.NetworkEventID) (*Socket, error) {
-	e := s.env
-	var (
-		conn     *netsim.Stream
-		err      error
-		clientID ids.ConnectionID
-		closedSc bool
-	)
-	t.BlockingKind(obs.KindSocket, func() {
-		conn, err = s.l.Accept()
-		if err != nil {
-			return
-		}
-		closedSc = e.closedSchemeTo(conn.RemoteAddr().Host)
-		if closedSc {
-			meta := make([]byte, metaLen)
-			if err = readFull(conn, meta); err != nil {
-				err = fmt.Errorf("accept: reading connection meta data: %w", err)
-				return
-			}
-			clientID = decodeMeta(meta)
-		}
-	}, func(gc ids.GCount) {
-		switch {
-		case err != nil:
-			e.logNetErr(eventID, "accept", err)
-		case closedSc:
-			e.vm.Logs().Network.Append(&tracelog.ServerSocketEntry{
-				ServerID: eventID,
-				ClientID: clientID,
-			})
-			e.logNetSpan(eventID, gc, tracelog.NetOpAccept, clientID, 0, 0)
-		default:
-			remote := conn.RemoteAddr()
-			e.vm.Logs().Network.Append(&tracelog.OpenAcceptEntry{
-				EventID:    eventID,
-				RemoteHost: remote.Host,
-				RemotePort: remote.Port,
-			})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newSocket(e, conn, closedSc, clientID), nil
-}
-
-func (s *ServerSocket) acceptReplay(t *core.Thread, eventID ids.NetworkEventID) (*Socket, error) {
-	e := s.env
-	if rerr, ok := e.replayErr(eventID); ok {
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		return nil, rerr
-	}
-
-	if entry, ok := e.vm.NetworkIndex().OpenAccepts[eventID]; ok {
-		// The record-phase peer was not a DJVM: synthesize the connection
-		// from the log; no network activity (§5).
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		return newOpenReplaySocket(e,
-			netsim.Addr{Host: e.host, Port: s.port},
-			netsim.Addr{Host: entry.RemoteHost, Port: entry.RemotePort},
-		), nil
-	}
-
-	want, ok := e.vm.NetworkIndex().ServerSockets[eventID]
-	if !ok {
-		// The record phase logged nothing for this event: it never happened,
-		// so it owns no schedule slot — fail without consuming one.
-		return nil, divergef("accept event %v has no recorded connection", eventID)
-	}
-
-	var (
-		conn *netsim.Stream
-		err  error
-	)
-	t.BlockingKind(obs.KindSocket, func() {
-		if s.pool == nil {
-			s.pool = make(map[ids.ConnectionID]*netsim.Stream)
-		}
-		if c, hit := s.pool[want]; hit {
-			delete(s.pool, want)
-			conn = c
-			return
-		}
-		for {
-			var c *netsim.Stream
-			c, err = s.l.Accept()
-			if err != nil {
-				err = divergef("accept waiting for %v: %v", want, err)
-				return
-			}
-			meta := make([]byte, metaLen)
-			if err = readFull(c, meta); err != nil {
-				err = divergef("accept waiting for %v: reading meta data: %v", want, err)
-				return
-			}
-			id := decodeMeta(meta)
-			if id == want {
-				conn = c
-				return
-			}
-			// Out-of-order connection: buffer it for the accept event that
-			// recorded it.
-			s.pool[id] = c
-		}
-	}, func(ids.GCount) {})
-	if err != nil {
-		return nil, err
-	}
-	return newSocket(e, conn, true, want), nil
-}
-
-// AcceptTimeout is Accept with an SO_TIMEOUT-style deadline. A record-phase
-// timeout is an error outcome like any other — logged and re-thrown during
-// replay without waiting out the deadline (timeouts are elided, so replay
-// runs faster than real time). A record-phase success replays through the
-// regular connection-pool path.
+// AcceptTimeout is Accept with an SO_TIMEOUT-style deadline (a negative d
+// means none). A record-phase timeout is an error outcome like any other —
+// logged and re-thrown during replay without waiting out the deadline
+// (timeouts are elided, so replay runs faster than real time). A record-phase
+// success replays through the regular connection-pool path.
 //
 // Note that whether a timeout or a connection wins the race is itself
 // nondeterministic; the recorded outcome is what replays, which is exactly
@@ -267,59 +93,98 @@ func (s *ServerSocket) AcceptTimeout(t *core.Thread, d time.Duration) (*Socket, 
 		return newSocket(e, conn, true, ids.ConnectionID{}), nil
 	}
 
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-
-	if e.vm.Mode() == ids.Record {
-		var (
-			conn     *netsim.Stream
-			err      error
-			clientID ids.ConnectionID
-			closedSc bool
-		)
-		t.BlockingKind(obs.KindSocket, func() {
-			conn, err = s.l.AcceptTimeout(d)
-			err = mapTimeout(err)
-			if err != nil {
-				return
+	ev := netevent.Begin(t, obs.KindSocket, "accept")
+	var (
+		conn     *netsim.Stream
+		clientID ids.ConnectionID
+	)
+	if ev.Recording() {
+		var closedSc bool
+		err := ev.Record(func() (err error) {
+			if conn, err = s.l.AcceptTimeout(d); err != nil {
+				return mapTimeout(err)
 			}
-			closedSc = e.closedSchemeTo(conn.RemoteAddr().Host)
+			if closedSc = e.closedSchemeTo(conn.RemoteAddr().Host); closedSc {
+				clientID, err = readMeta(conn)
+			}
+			return err
+		}, func(gc ids.GCount) error {
 			if closedSc {
-				meta := make([]byte, metaLen)
-				if err = readFull(conn, meta); err != nil {
-					err = fmt.Errorf("accept: reading connection meta data: %w", err)
-					return
-				}
-				clientID = decodeMeta(meta)
+				e.vm.Logs().Network.Append(&tracelog.ServerSocketEntry{ServerID: ev.ID, ClientID: clientID})
+				e.logNetSpan(ev.ID, gc, tracelog.NetOpAccept, clientID, 0, 0)
+				return nil
 			}
-		}, func(gc ids.GCount) {
-			switch {
-			case err != nil:
-				e.logNetErr(eventID, "accept", err)
-			case closedSc:
-				e.vm.Logs().Network.Append(&tracelog.ServerSocketEntry{
-					ServerID: eventID,
-					ClientID: clientID,
-				})
-				e.logNetSpan(eventID, gc, tracelog.NetOpAccept, clientID, 0, 0)
-			default:
-				remote := conn.RemoteAddr()
-				e.vm.Logs().Network.Append(&tracelog.OpenAcceptEntry{
-					EventID:    eventID,
-					RemoteHost: remote.Host,
-					RemotePort: remote.Port,
-				})
-			}
+			remote := conn.RemoteAddr()
+			e.vm.Logs().Network.Append(&tracelog.OpenAcceptEntry{
+				EventID:    ev.ID,
+				RemoteHost: remote.Host,
+				RemotePort: remote.Port,
+			})
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		return newSocket(e, conn, closedSc, clientID), nil
 	}
-	// Replay: a recorded timeout re-throws via the error path inside
-	// acceptReplay; a recorded success replays through the connection pool.
-	// The deadline itself is not re-armed.
-	return s.acceptReplay(t, eventID)
+
+	// Replay. The record-phase peer was either not a DJVM — the connection
+	// is synthesized from the log, with no network activity (§5) — or sent
+	// the connectionId this accept now waits for.
+	idx := e.vm.NetworkIndex()
+	peer, open := idx.OpenAccepts[ev.ID]
+	clientID, closedSc := idx.ServerSockets[ev.ID]
+	err := ev.Replay(open || closedSc, open, func() (err error) {
+		conn, err = s.awaitConn(clientID)
+		return err
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	if open {
+		return newOpenReplaySocket(e,
+			netsim.Addr{Host: e.host, Port: s.port},
+			netsim.Addr{Host: peer.RemoteHost, Port: peer.RemotePort},
+		), nil
+	}
+	return newSocket(e, conn, true, clientID), nil
+}
+
+// readMeta receives the client's connectionId, the first data over a
+// closed-world connection.
+func readMeta(conn *netsim.Stream) (ids.ConnectionID, error) {
+	var meta [metaLen]byte
+	if err := readFull(conn, meta[:]); err != nil {
+		return ids.ConnectionID{}, fmt.Errorf("accept: reading connection meta data: %w", err)
+	}
+	return decodeMeta(meta[:]), nil
+}
+
+// awaitConn returns the connection that carries the connectionId want, from
+// the pool or off the backlog, buffering every other arrival for the accept
+// event that recorded it.
+func (s *ServerSocket) awaitConn(want ids.ConnectionID) (*netsim.Stream, error) {
+	if s.pool == nil {
+		s.pool = make(map[ids.ConnectionID]*netsim.Stream)
+	}
+	if c, hit := s.pool[want]; hit {
+		delete(s.pool, want)
+		return c, nil
+	}
+	for {
+		c, err := s.l.Accept()
+		if err != nil {
+			return nil, netevent.Divergef("accept waiting for %v: %v", want, err)
+		}
+		id, err := readMeta(c)
+		if err != nil {
+			return nil, netevent.Divergef("accept waiting for %v: %v", want, err)
+		}
+		if id == want {
+			return c, nil
+		}
+		s.pool[id] = c
+	}
 }
 
 // PooledConnections reports how many out-of-order connections the replay
@@ -332,32 +197,13 @@ func (s *ServerSocket) PooledConnections() int {
 // event handled like a shared-variable update (§4.1.3 "Other stream socket
 // events").
 func (s *ServerSocket) Close(t *core.Thread) error {
-	e := s.env
-	if e.vm.Mode() == ids.Passthrough {
+	if s.env.vm.Mode() == ids.Passthrough {
 		return s.l.Close()
 	}
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-	var err error
-	if rerr, ok := replayErrIfReplaying(e, eventID); ok {
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		return rerr
-	}
-	t.CriticalKind(obs.KindSocket, func(ids.GCount) {
-		if s.l != nil {
-			err = s.l.Close()
+	return netevent.Begin(t, obs.KindSocket, "close").Do(nil, func(ids.GCount) error {
+		if s.l == nil {
+			return nil // open-world replay server socket: nothing is bound
 		}
-		if err != nil && e.vm.Mode() == ids.Record {
-			e.logNetErr(eventID, "close", err)
-		}
+		return s.l.Close()
 	})
-	return err
-}
-
-// replayErrIfReplaying checks for a recorded error when in replay mode.
-func replayErrIfReplaying(e *Env, eventID ids.NetworkEventID) (error, bool) {
-	if e.vm.Mode() != ids.Replay {
-		return nil, false
-	}
-	return e.replayErr(eventID)
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/netevent"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/tracelog"
@@ -73,85 +74,56 @@ func (e *Env) Connect(t *core.Thread, addr netsim.Addr) (*Socket, error) {
 		return newSocket(e, s, true, ids.ConnectionID{}), nil
 	}
 
-	eventNum := t.NextEventNum()
-	eventID := t.EventID(eventNum)
-	t.CountNetworkEvent()
-	connID := ids.ConnectionID{VM: e.vm.ID(), Thread: t.Num(), Event: eventNum}
+	ev := netevent.Begin(t, obs.KindSocket, "connect")
+	connID := ids.ConnectionID{VM: e.vm.ID(), Thread: t.Num(), Event: ev.ID.Event}
 	closedSc := e.closedSchemeTo(addr.Host)
 
-	if e.vm.Mode() == ids.Record {
-		var (
-			s   *netsim.Stream
-			err error
-		)
-		t.BlockingKind(obs.KindSocket, func() {
-			s, err = e.dial(addr)
-		}, func(gc ids.GCount) {
-			if err == nil && closedSc {
-				// The connectionId is sent via a low-level write before the
-				// constructor returns, guaranteeing it is the first data on the
-				// connection (§4.1.3). Like every send it goes out inside the
-				// GC-critical section: the peer's accept completes on reading
-				// it, so nothing that depends on that accept can be marked
-				// with a smaller counter of this VM than the connect itself —
-				// sent from op, before the mark, it could, and the recording
-				// would deadlock every replay.
-				_, err = s.Write(encodeMeta(connID))
-			}
-			switch {
-			case err != nil:
-				e.logNetErr(eventID, "connect", err)
-			case !closedSc:
-				local, remote := s.LocalAddr(), s.RemoteAddr()
-				e.vm.Logs().Network.Append(&tracelog.OpenConnectEntry{
-					EventID:    eventID,
-					LocalPort:  local.Port,
-					RemoteHost: remote.Host,
-					RemotePort: remote.Port,
-				})
-			default:
-				e.logNetSpan(eventID, gc, tracelog.NetOpConnect, connID, 0, 0)
-			}
-		})
-		if err != nil {
+	var s *netsim.Stream
+	dial := func() (err error) {
+		s, err = e.dial(addr)
+		return err
+	}
+	mark := func(gc ids.GCount) error {
+		if !closedSc {
+			local, remote := s.LocalAddr(), s.RemoteAddr()
+			e.vm.Logs().Network.Append(&tracelog.OpenConnectEntry{
+				EventID:    ev.ID,
+				LocalPort:  local.Port,
+				RemoteHost: remote.Host,
+				RemotePort: remote.Port,
+			})
+			return nil
+		}
+		// The connectionId is sent via a low-level write before the
+		// constructor returns, guaranteeing it is the first data on the
+		// connection (§4.1.3). Like every send it goes out inside the
+		// GC-critical section: the peer's accept completes on reading it, so
+		// nothing that depends on that accept can be marked with a smaller
+		// counter of this VM than the connect itself — sent from dial, before
+		// the mark, it could, and the recording would deadlock every replay.
+		if _, err := s.Write(encodeMeta(connID)); err != nil {
+			return err
+		}
+		e.logNetSpan(ev.ID, gc, tracelog.NetOpConnect, connID, 0, 0)
+		return nil
+	}
+	if ev.Recording() {
+		if err := ev.Record(dial, mark); err != nil {
 			return nil, err
 		}
 		return newSocket(e, s, closedSc, connID), nil
 	}
-
-	// Replay.
-	if rerr, ok := e.replayErr(eventID); ok {
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		return nil, rerr
+	// A non-DJVM peer is not there during replay: the OS-level connect is
+	// not executed, its results are retrieved from the log (§5).
+	entry, open := e.vm.NetworkIndex().OpenConnects[ev.ID]
+	if err := ev.Replay(open || closedSc, open, dial, mark); err != nil {
+		return nil, err
 	}
-	if entry, ok := e.vm.NetworkIndex().OpenConnects[eventID]; ok {
-		// Non-DJVM peer: the OS-level connect is not executed; the results
-		// are retrieved from the log (§5).
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
+	if open {
 		return newOpenReplaySocket(e,
 			netsim.Addr{Host: e.host, Port: entry.LocalPort},
 			netsim.Addr{Host: entry.RemoteHost, Port: entry.RemotePort},
 		), nil
-	}
-	if !closedSc {
-		return nil, divergef("connect event %v to non-DJVM peer %v has no recorded result", eventID, addr)
-	}
-	var (
-		s   *netsim.Stream
-		err error
-	)
-	t.BlockingKind(obs.KindSocket, func() {
-		s, err = e.dial(addr)
-		if err != nil {
-			err = divergef("connect %v: %v", addr, err)
-			return
-		}
-		if _, werr := s.Write(encodeMeta(connID)); werr != nil {
-			err = divergef("connect %v: sending meta data: %v", addr, werr)
-		}
-	}, func(ids.GCount) {})
-	if err != nil {
-		return nil, err
 	}
 	return newSocket(e, s, true, connID), nil
 }
@@ -162,143 +134,95 @@ func (s *Socket) LocalAddr() netsim.Addr { return s.local }
 // RemoteAddr reports the socket's remote endpoint.
 func (s *Socket) RemoteAddr() netsim.Addr { return s.remote }
 
+// noDeadline is the timeout of the plain blocking calls: netsim's *Timeout
+// operations take a negative duration to mean none.
+const noDeadline time.Duration = -1
+
 // Read reads up to len(p) bytes — SocketInputStream.read. It may return
 // fewer bytes than requested; the byte count is the recorded quantity that
 // replay reproduces exactly, blocking until the recorded number of bytes is
 // available and never consuming more (§4.1.3 "Replaying read", Figure 3).
 func (s *Socket) Read(t *core.Thread, p []byte) (int, error) {
-	e := s.env
-	if e.vm.Mode() == ids.Passthrough {
-		return s.stream.Read(p)
-	}
-
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-
-	s.rdLock.enter(e.vm.Mode())
-	defer s.rdLock.leave(e.vm.Mode())
-
-	if e.vm.Mode() == ids.Record {
-		var (
-			n   int
-			err error
-		)
-		t.BlockingKind(obs.KindSocket, func() {
-			n, err = s.stream.Read(p)
-		}, func(gc ids.GCount) {
-			switch {
-			case err == io.EOF:
-				s.logRead(eventID, nil, true)
-			case err != nil:
-				e.logNetErr(eventID, "read", err)
-			default:
-				s.logRead(eventID, p[:n], false)
-				s.spanData(eventID, gc, tracelog.NetOpRead, n)
-			}
-		})
-		return n, err
-	}
-
-	// Replay.
-	if rerr, ok := e.replayErr(eventID); ok {
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		return 0, rerr
-	}
-	if s.stream == nil || !s.peerDJVM {
-		// Open scheme: the read is performed with the recorded data, not
-		// with the real network (§5). No blocking is possible, so this is a
-		// plain critical event.
-		entry, ok := e.vm.NetworkIndex().OpenReads[eventID]
-		if !ok {
-			return 0, divergef("read event %v has no recorded data", eventID)
-		}
-		if len(entry.Data) > len(p) {
-			return 0, divergef("read event %v recorded %d bytes but buffer holds %d",
-				eventID, len(entry.Data), len(p))
-		}
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		n := copy(p, entry.Data)
-		if entry.EOF {
-			return 0, io.EOF
-		}
-		return n, nil
-	}
-
-	entry, ok := e.vm.NetworkIndex().Reads[eventID]
-	if !ok {
-		return 0, divergef("read event %v has no recorded byte count", eventID)
-	}
-	if int(entry.N) > len(p) {
-		return 0, divergef("read event %v recorded %d bytes but buffer holds %d",
-			eventID, entry.N, len(p))
-	}
-	var err error
-	t.BlockingKind(obs.KindSocket, func() {
-		if entry.EOF {
-			// The record-phase read observed end of stream; wait for it.
-			var n int
-			n, err = s.stream.Read(p[:0:0])
-			if err == nil || n != 0 {
-				err = divergef("read event %v recorded EOF but stream has data", eventID)
-			} else if err == io.EOF {
-				err = nil
-			}
-			return
-		}
-		// Read exactly the recorded number of bytes: block until they are
-		// available, never consume more (Figure 3).
-		err = readFull(s.stream, p[:entry.N])
-	}, func(ids.GCount) {})
-	if err != nil {
-		return 0, err
-	}
-	if entry.EOF {
-		return 0, io.EOF
-	}
-	return int(entry.N), nil
+	return s.ReadTimeout(t, p, noDeadline)
 }
 
-// ReadTimeout is Read with an SO_TIMEOUT-style deadline. A record-phase
-// timeout is logged as the read's outcome and re-thrown during replay
-// without re-arming the deadline; a record-phase success replays exactly
-// like a plain read (the recorded byte count, however long it takes the
-// replayed peer to produce it).
+// ReadTimeout is Read with an SO_TIMEOUT-style deadline (a negative d means
+// none). A record-phase timeout is logged as the read's outcome and re-thrown
+// during replay without re-arming the deadline; a record-phase success
+// replays exactly like a plain read (the recorded byte count, however long it
+// takes the replayed peer to produce it).
 func (s *Socket) ReadTimeout(t *core.Thread, p []byte, d time.Duration) (int, error) {
 	e := s.env
 	if e.vm.Mode() == ids.Passthrough {
 		n, err := s.stream.ReadTimeout(p, d)
 		return n, mapTimeout(err)
 	}
-	if e.vm.Mode() == ids.Replay {
-		// Success and failure outcomes both replay through the plain-read
-		// paths (ReadEntry / NetErrEntry lookups).
-		return s.Read(t, p)
-	}
 
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
+	ev := netevent.Begin(t, obs.KindSocket, "read")
 	s.rdLock.enter(e.vm.Mode())
 	defer s.rdLock.leave(e.vm.Mode())
 
 	var (
-		n   int
-		err error
+		n    int
+		eof  bool
+		data []byte // open scheme, replay: the recorded bytes
+		err  error
 	)
-	t.BlockingKind(obs.KindSocket, func() {
-		n, err = s.stream.ReadTimeout(p, d)
-		err = mapTimeout(err)
-	}, func(gc ids.GCount) {
-		switch {
-		case err == io.EOF:
-			s.logRead(eventID, nil, true)
-		case err != nil:
-			e.logNetErr(eventID, "read", err)
-		default:
-			s.logRead(eventID, p[:n], false)
-			s.spanData(eventID, gc, tracelog.NetOpRead, n)
+	if ev.Recording() {
+		err = ev.Record(func() (err error) {
+			n, err = s.stream.ReadTimeout(p, d)
+			if eof = err == io.EOF; eof {
+				return nil // end of stream is a result, not a failure
+			}
+			return mapTimeout(err)
+		}, func(gc ids.GCount) error {
+			s.logRead(ev.ID, p[:n], eof)
+			s.spanData(ev.ID, gc, tracelog.NetOpRead, n)
+			return nil
+		})
+	} else {
+		// The recorded result is a byte count in the closed scheme — the
+		// bytes flow again — and the bytes themselves in the open scheme,
+		// where the read is performed with the recorded data, not with the
+		// real network, and cannot block (§5).
+		var ok bool
+		if s.peerDJVM {
+			var r tracelog.ReadEntry
+			r, ok = e.vm.NetworkIndex().Reads[ev.ID]
+			n, eof = int(r.N), r.EOF
+		} else {
+			var r tracelog.OpenReadEntry
+			r, ok = e.vm.NetworkIndex().OpenReads[ev.ID]
+			n, eof, data = len(r.Data), r.EOF, r.Data
 		}
-	})
-	return n, err
+		if n > len(p) {
+			return 0, netevent.Divergef("read event %v recorded %d bytes but buffer holds %d", ev.ID, n, len(p))
+		}
+		err = ev.Replay(ok, !s.peerDJVM, func() error {
+			if !eof {
+				// Read exactly the recorded number of bytes: block until
+				// they are available, never consume more (Figure 3).
+				return readFull(s.stream, p[:n])
+			}
+			// The record-phase read observed end of stream; wait for it.
+			_, err := s.stream.Read(p[:0:0])
+			switch err {
+			case io.EOF:
+				return nil
+			case nil:
+				return netevent.Divergef("read event %v recorded EOF but stream has data", ev.ID)
+			}
+			return err
+		}, nil)
+	}
+	switch {
+	case err != nil:
+		return 0, err
+	case eof:
+		return 0, io.EOF
+	}
+	copy(p, data)
+	return n, nil
 }
 
 // spanData emits the causal net-span for one successful closed-world data
@@ -342,78 +266,36 @@ func (s *Socket) logRead(eventID ids.NetworkEventID, data []byte, eof bool) {
 // handled by placing it within the GC-critical section, like a shared
 // variable update; the per-socket FD-critical section keeps overlapping
 // writes by multiple threads replayable while letting threads on different
-// sockets proceed in parallel (§4.1.3 "Replaying write", Figure 3).
+// sockets proceed in parallel (§4.1.3 "Replaying write", Figure 3). A
+// closed-scheme write logs nothing: replay sends the bytes again.
 func (s *Socket) Write(t *core.Thread, p []byte) (int, error) {
 	e := s.env
 	if e.vm.Mode() == ids.Passthrough {
 		return s.stream.Write(p)
 	}
 
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-
+	ev := netevent.Begin(t, obs.KindSocket, "write")
 	s.wrLock.enter(e.vm.Mode())
 	defer s.wrLock.leave(e.vm.Mode())
 
-	if e.vm.Mode() == ids.Record {
-		var (
-			n   int
-			err error
-			sum uint64
-		)
-		if !s.peerDJVM {
-			// p is the caller's for the whole call: its checksum is taken
-			// out here, not under the VM's lock.
-			sum = tracelog.WideSum(p)
-		}
-		t.CriticalKind(obs.KindSocket, func(gc ids.GCount) {
-			n, err = s.stream.Write(p)
-			switch {
-			case err != nil:
-				e.logNetErr(eventID, "write", err)
-			case !s.peerDJVM:
-				e.vm.Logs().Network.Append(&tracelog.OpenWriteEntry{
-					EventID: eventID,
-					Len:     uint32(len(p)),
-					Sum:     sum,
-				})
-			default:
-				s.spanData(eventID, gc, tracelog.NetOpWrite, n)
-			}
+	if !s.peerDJVM {
+		err := ev.OpenWrite(p, func() error {
+			_, err := s.stream.Write(p)
+			return err
 		})
-		return n, err
-	}
-
-	// Replay.
-	if rerr, ok := e.replayErr(eventID); ok {
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		return 0, rerr
-	}
-	if s.stream == nil || !s.peerDJVM {
-		// Open scheme: "any message sent to a non-DJVM thread during the
-		// record phase need not be sent again during the replay phase" (§5).
-		// Verify the replayed execution produced the same message.
-		entry, ok := e.vm.NetworkIndex().OpenWrites[eventID]
-		if !ok {
-			return 0, divergef("write event %v has no recorded entry", eventID)
-		}
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		if err := entry.Verify(p); err != nil {
-			return 0, divergef("write event %v payload differs from record: %v", eventID, err)
+		if err != nil {
+			return 0, err
 		}
 		return len(p), nil
 	}
-	var (
-		n   int
-		err error
-	)
-	t.CriticalKind(obs.KindSocket, func(ids.GCount) {
-		n, err = s.stream.Write(p)
+	var n int
+	err := ev.Do(nil, func(gc ids.GCount) (err error) {
+		if n, err = s.stream.Write(p); err == nil {
+			s.spanData(ev.ID, gc, tracelog.NetOpWrite, n)
+		}
+		return err
 	})
-	if err != nil {
-		return n, divergef("write event %v failed during replay: %v", eventID, err)
-	}
-	return n, nil
+	return n, err
 }
 
 // Available reports the number of bytes readable without blocking. The
@@ -427,96 +309,56 @@ func (s *Socket) Available(t *core.Thread) (int, error) {
 		return s.stream.Available(), nil
 	}
 
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-
-	if e.vm.Mode() == ids.Record {
+	ev := netevent.Begin(t, obs.KindSocket, "available")
+	if ev.Recording() {
 		var n int
-		t.BlockingKind(obs.KindSocket, func() {
+		err := ev.Record(func() error {
 			n = s.stream.Available()
-		}, func(ids.GCount) {
-			e.vm.Logs().Network.Append(&tracelog.AvailableEntry{
-				EventID: eventID,
-				N:       uint32(n),
-			})
+			return nil
+		}, func(ids.GCount) error {
+			e.vm.Logs().Network.Append(&tracelog.AvailableEntry{EventID: ev.ID, N: uint32(n)})
+			return nil
 		})
-		return n, nil
+		return n, err
 	}
-
-	// Replay.
-	if rerr, ok := e.replayErr(eventID); ok {
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		return 0, rerr
+	entry, ok := e.vm.NetworkIndex().Availables[ev.ID]
+	n := int(entry.N)
+	err := ev.Replay(ok, !s.peerDJVM, func() error {
+		if got := s.stream.WaitAvailable(n); got < n {
+			return netevent.Divergef("available event %v: stream ended with %d bytes, recorded %d", ev.ID, got, n)
+		}
+		return nil
+	}, nil)
+	if err != nil {
+		return 0, err
 	}
-	entry, ok := e.vm.NetworkIndex().Availables[eventID]
-	if !ok {
-		return 0, divergef("available event %v has no recorded count", eventID)
-	}
-	if s.stream == nil || !s.peerDJVM {
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		return int(entry.N), nil
-	}
-	var got int
-	t.BlockingKind(obs.KindSocket, func() {
-		got = s.stream.WaitAvailable(int(entry.N))
-	}, func(ids.GCount) {})
-	if got < int(entry.N) {
-		return 0, divergef("available event %v: stream ended with %d bytes, recorded %d",
-			eventID, got, entry.N)
-	}
-	return int(entry.N), nil
+	return n, nil
 }
 
 // CloseWrite half-closes the connection (Socket.shutdownOutput): the peer
 // observes end of stream after draining, while this side keeps reading.
 // A non-blocking critical event like close.
 func (s *Socket) CloseWrite(t *core.Thread) error {
-	e := s.env
-	if e.vm.Mode() == ids.Passthrough {
-		return s.stream.ShutdownWrite()
-	}
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-	if rerr, ok := replayErrIfReplaying(e, eventID); ok {
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		return rerr
-	}
-	var err error
-	t.CriticalKind(obs.KindSocket, func(ids.GCount) {
-		if s.stream != nil {
-			err = s.stream.ShutdownWrite()
-		}
-		if err != nil && e.vm.Mode() == ids.Record {
-			e.logNetErr(eventID, "closewrite", err)
-		}
-	})
-	return err
+	return s.shut(t, "closewrite", (*netsim.Stream).ShutdownWrite)
 }
 
 // Close shuts the connection down. Like create and listen, it is recorded
 // simply by enclosing it in the GC-critical section (§4.1.3 "Other stream
 // socket events").
 func (s *Socket) Close(t *core.Thread) error {
-	e := s.env
-	if e.vm.Mode() == ids.Passthrough {
-		return s.stream.Close()
+	return s.shut(t, "close", (*netsim.Stream).Close)
+}
+
+func (s *Socket) shut(t *core.Thread, op string, shut func(*netsim.Stream) error) error {
+	if s.env.vm.Mode() == ids.Passthrough {
+		return shut(s.stream)
 	}
-	eventID := t.EventID(t.NextEventNum())
-	t.CountNetworkEvent()
-	if rerr, ok := replayErrIfReplaying(e, eventID); ok {
-		t.CriticalKind(obs.KindSocket, func(ids.GCount) {})
-		return rerr
-	}
-	var err error
-	t.CriticalKind(obs.KindSocket, func(ids.GCount) {
-		if s.stream != nil {
-			err = s.stream.Close()
+	return netevent.Begin(t, obs.KindSocket, op).Do(nil, func(ids.GCount) error {
+		if s.stream == nil {
+			return nil // open-world replay socket: there is no connection
 		}
-		if err != nil && e.vm.Mode() == ids.Record {
-			e.logNetErr(eventID, "close", err)
-		}
+		return shut(s.stream)
 	})
-	return err
 }
 
 // Bound adapts the socket to io.ReadWriteCloser for one thread, so standard

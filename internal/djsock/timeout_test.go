@@ -11,50 +11,6 @@ import (
 	"repro/internal/netsim"
 )
 
-func TestAcceptTimeoutRecordedAndReplayed(t *testing.T) {
-	// A server accepts with a short deadline and no client ever connects:
-	// the timeout outcome records and replays — without waiting out the
-	// deadline again.
-	run := func(mode ids.Mode, logs *tracelogSetOrNil) (string, time.Duration) {
-		net := netsim.NewNetwork(netsim.Config{Seed: 111})
-		vm := newVM(t, core.Config{ID: 60, Mode: mode, ReplayLogs: logs.set})
-		env := NewEnv(vm, net, "server")
-		var msg string
-		start := time.Now()
-		vm.Start(func(main *core.Thread) {
-			ss, err := env.Listen(main, 0)
-			if err != nil {
-				panic(err)
-			}
-			if _, aerr := ss.AcceptTimeout(main, 30*time.Millisecond); aerr != nil {
-				msg = aerr.Error()
-			}
-			ss.Close(main)
-		})
-		vm.Wait()
-		elapsed := time.Since(start)
-		vm.Close()
-		logs.out = vm.Logs()
-		return msg, elapsed
-	}
-	var logs tracelogSetOrNil
-	recMsg, recElapsed := run(ids.Record, &logs)
-	if !strings.Contains(recMsg, "timed out") {
-		t.Fatalf("record accept returned %q, want a timeout", recMsg)
-	}
-	if recElapsed < 30*time.Millisecond {
-		t.Fatalf("record run took %v, less than the deadline", recElapsed)
-	}
-	repLogs := tracelogSetOrNil{set: logs.out}
-	repMsg, repElapsed := run(ids.Replay, &repLogs)
-	if want := "accept: " + recMsg + " (replayed)"; repMsg != want {
-		t.Errorf("replayed timeout %q, want %q", repMsg, want)
-	}
-	if repElapsed >= 30*time.Millisecond {
-		t.Errorf("replay took %v; the deadline was not elided", repElapsed)
-	}
-}
-
 func TestAcceptTimeoutSuccessReplays(t *testing.T) {
 	// When a connection wins the race, AcceptTimeout records and replays
 	// like a plain accept.

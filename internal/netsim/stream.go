@@ -47,45 +47,59 @@ func (l *Listener) Addr() Addr { return l.addr }
 
 // Accept blocks until a connection is available in the backlog and returns
 // its server-side stream.
-func (l *Listener) Accept() (*Stream, error) {
+func (l *Listener) Accept() (*Stream, error) { return l.AcceptTimeout(noDeadline) }
+
+// AcceptTimeout is Accept with an SO_TIMEOUT-style deadline: it returns
+// ErrTimeout if no connection becomes available within d. A negative d means
+// no deadline.
+func (l *Listener) AcceptTimeout(d time.Duration) (*Stream, error) {
+	to := arm(d, &l.mu, l.cond)
+	defer to.stop()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.backlog) == 0 && !l.closed {
+	for len(l.backlog) == 0 && !l.closed && !to.expired() {
 		l.cond.Wait()
 	}
 	if len(l.backlog) == 0 {
-		return nil, fmt.Errorf("accept %v: %w", l.addr, ErrClosed)
+		if l.closed {
+			return nil, fmt.Errorf("accept %v: %w", l.addr, ErrClosed)
+		}
+		return nil, fmt.Errorf("accept %v: %w", l.addr, ErrTimeout)
 	}
 	s := l.backlog[0]
 	l.backlog = l.backlog[1:]
 	return s, nil
 }
 
-// AcceptTimeout is Accept with an SO_TIMEOUT-style deadline: it returns
-// ErrTimeout if no connection becomes available within d.
-func (l *Listener) AcceptTimeout(d time.Duration) (*Stream, error) {
-	deadline := time.Now().Add(d)
-	timer := time.AfterFunc(d, func() {
-		l.mu.Lock()
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	})
-	defer timer.Stop()
+// noDeadline is the timeout of the plain blocking calls.
+const noDeadline time.Duration = -1
 
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for len(l.backlog) == 0 && !l.closed && time.Now().Before(deadline) {
-		l.cond.Wait()
+// timeout is the SO_TIMEOUT of one blocking call that waits on a condition
+// variable; the zero value is "no deadline".
+type timeout struct {
+	end   time.Time
+	timer *time.Timer
+}
+
+// arm starts d running for a call that waits on cond under mu: when it runs
+// out, every waiter on cond is woken to look. A negative d arms nothing.
+func arm(d time.Duration, mu *sync.Mutex, cond *sync.Cond) timeout {
+	if d < 0 {
+		return timeout{}
 	}
-	if l.closed && len(l.backlog) == 0 {
-		return nil, fmt.Errorf("accept %v: %w", l.addr, ErrClosed)
+	return timeout{end: time.Now().Add(d), timer: time.AfterFunc(d, func() {
+		mu.Lock()
+		cond.Broadcast()
+		mu.Unlock()
+	})}
+}
+
+func (t timeout) expired() bool { return t.timer != nil && !time.Now().Before(t.end) }
+
+func (t timeout) stop() {
+	if t.timer != nil {
+		t.timer.Stop()
 	}
-	if len(l.backlog) == 0 {
-		return nil, fmt.Errorf("accept %v: %w", l.addr, ErrTimeout)
-	}
-	s := l.backlog[0]
-	l.backlog = l.backlog[1:]
-	return s, nil
 }
 
 // Backlog reports how many established connections are waiting to be
@@ -331,26 +345,7 @@ func (s *Stream) admit(seq uint64, data []byte, fin bool) {
 // Read blocks until at least one byte is available, end of stream, or local
 // close, then returns up to len(p) bytes. Like SocketInputStream.read, it may
 // return fewer bytes than requested (§4.1.2 "variable message sizes").
-func (s *Stream) Read(p []byte) (int, error) {
-	in := &s.in
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for len(in.buf) == 0 && !in.eof && !in.closed && !in.reset {
-		in.cond.Wait()
-	}
-	if in.reset {
-		return 0, fmt.Errorf("read %v: %w", s.local, ErrReset)
-	}
-	if in.closed {
-		return 0, fmt.Errorf("read %v: %w", s.local, ErrClosed)
-	}
-	if len(in.buf) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, in.buf)
-	in.buf = in.buf[n:]
-	return n, nil
-}
+func (s *Stream) Read(p []byte) (int, error) { return s.ReadTimeout(p, noDeadline) }
 
 // Available reports the number of bytes that can be read without blocking
 // (§4.1.1 available()).
@@ -361,20 +356,15 @@ func (s *Stream) Available() int {
 }
 
 // ReadTimeout is Read with an SO_TIMEOUT-style deadline: it returns
-// ErrTimeout if no byte becomes available within d.
+// ErrTimeout if no byte becomes available within d. A negative d means no
+// deadline.
 func (s *Stream) ReadTimeout(p []byte, d time.Duration) (int, error) {
-	deadline := time.Now().Add(d)
 	in := &s.in
-	timer := time.AfterFunc(d, func() {
-		in.mu.Lock()
-		in.cond.Broadcast()
-		in.mu.Unlock()
-	})
-	defer timer.Stop()
-
+	to := arm(d, &in.mu, in.cond)
+	defer to.stop()
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for len(in.buf) == 0 && !in.eof && !in.closed && !in.reset && time.Now().Before(deadline) {
+	for len(in.buf) == 0 && !in.eof && !in.closed && !in.reset && !to.expired() {
 		in.cond.Wait()
 	}
 	if in.reset {
