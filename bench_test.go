@@ -185,59 +185,54 @@ func BenchmarkKVStore(b *testing.B) {
 
 // BenchmarkAblationCriticalEvent measures the per-critical-event cost of the
 // GC-critical section in each mode: the innermost quantity behind every
-// "rec ovhd" number.
+// "rec ovhd" number. One thread sets one SharedInt b.N times — one run — on
+// the global stream, and in the -sharded arms on the variable's own stream
+// under OrderSharded, so the mid-run branch of each has its own number.
+//
+//	go test -run '^$' -bench AblationCriticalEvent .
 func BenchmarkAblationCriticalEvent(b *testing.B) {
-	for _, mode := range []ids.Mode{ids.Passthrough, ids.Record} {
-		b.Run(mode.String(), func(b *testing.B) {
-			vm, err := core.NewVM(core.Config{ID: 1, Mode: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var x core.SharedInt
-			done := make(chan struct{})
-			b.ResetTimer()
-			vm.Start(func(t *core.Thread) {
-				for i := 0; i < b.N; i++ {
-					x.Set(t, int64(i))
-				}
-				close(done)
-			})
-			<-done
-			b.StopTimer()
-			vm.Wait()
-			vm.Close()
-		})
-	}
-	b.Run("replay", func(b *testing.B) {
-		recVM, err := core.NewVM(core.Config{ID: 1, Mode: ids.Record})
+	// loop runs the b.N events on a fresh VM; the timer covers them only.
+	loop := func(b *testing.B, cfg core.Config, timed bool) *core.VM {
+		vm, err := core.NewVM(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var x core.SharedInt
-		recVM.Start(func(t *core.Thread) {
-			for i := 0; i < b.N; i++ {
-				x.Set(t, int64(i))
-			}
-		})
-		recVM.Wait()
-		recVM.Close()
-		repVM, err := core.NewVM(core.Config{ID: 1, Mode: ids.Replay, ReplayLogs: recVM.Logs()})
-		if err != nil {
-			b.Fatal(err)
+		x.Register(vm)
+		if timed {
+			b.ResetTimer()
 		}
-		done := make(chan struct{})
-		b.ResetTimer()
-		repVM.Start(func(t *core.Thread) {
+		vm.Start(func(t *core.Thread) {
 			for i := 0; i < b.N; i++ {
 				x.Set(t, int64(i))
 			}
-			close(done)
 		})
-		<-done
-		b.StopTimer()
-		repVM.Wait()
-		repVM.Close()
-	})
+		vm.Wait()
+		if timed {
+			b.StopTimer()
+		}
+		vm.Close()
+		return vm
+	}
+	for _, arm := range []struct {
+		name  string
+		mode  ids.Mode
+		order ids.OrderMode
+	}{
+		{"passthrough", ids.Passthrough, ids.OrderGlobal},
+		{"record", ids.Record, ids.OrderGlobal},
+		{"replay", ids.Replay, ids.OrderGlobal},
+		{"record-sharded", ids.Record, ids.OrderSharded},
+		{"replay-sharded", ids.Replay, ids.OrderSharded},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			cfg := core.Config{ID: 1, Mode: arm.mode, OrderMode: arm.order}
+			if arm.mode == ids.Replay {
+				cfg.ReplayLogs = loop(b, core.Config{ID: 1, Mode: ids.Record, OrderMode: arm.order}, false).Logs()
+			}
+			loop(b, cfg, true)
+		})
+	}
 }
 
 // BenchmarkAblationIntervalCompression quantifies §2.2's central efficiency

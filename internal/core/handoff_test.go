@@ -51,6 +51,61 @@ func TestHandoffEveryEventAndNever(t *testing.T) {
 	}
 }
 
+// TestHeldRunServesOnlyItsStream: a thread holds the turn of every stream it
+// is inside a run of, but Thread.run, where critical looks for the cursor its
+// mid-run branch counts down, is one — the cursor of the stream of the
+// thread's previous event. Here threads cycle through two registered objects
+// and the global stream (an unregistered variable), twice in a row on x, and
+// race each other on all three: each event must be served by its own stream's
+// cursor. What every access saw pins each object's access order; replay
+// reproduces it and the finals, at RecordJitter 1 (runs of an event or two)
+// and 0 (long runs on all three streams at once).
+func TestHeldRunServesOnlyItsStream(t *testing.T) {
+	const nThreads, iters = 4, 300
+	run := func(cfg Config) (traces [][]int64, finals [3]int64, vm *VM) {
+		vm = startVM(t, cfg)
+		var x, y, g SharedInt
+		x.Register(vm)
+		y.Register(vm)
+		traces = make([][]int64, nThreads)
+		vm.Start(func(main *Thread) {
+			var kids []*Thread
+			for i := 0; i < nThreads; i++ {
+				i := i
+				kids = append(kids, main.Spawn(func(th *Thread) {
+					for j := 0; j < iters; j++ {
+						traces[i] = append(traces[i], x.Add(th, 1), x.Add(th, 1), y.Add(th, 1), g.Add(th, 1))
+					}
+				}))
+			}
+			for _, k := range kids {
+				main.Join(k)
+			}
+		})
+		vm.Wait()
+		vm.Close()
+		return traces, [3]int64{x.Load(), y.Load(), g.Load()}, vm
+	}
+	for _, jitter := range []int{1, 0} {
+		t.Run(fmt.Sprintf("jitter%d", jitter), func(t *testing.T) {
+			recTraces, recFinals, rec := run(Config{ID: 65, Mode: ids.Record, OrderMode: ids.OrderSharded, RecordJitter: jitter})
+			if recFinals != [3]int64{2 * nThreads * iters, nThreads * iters, nThreads * iters} {
+				t.Fatalf("record finals %v", recFinals)
+			}
+			repTraces, repFinals, rep := run(Config{
+				ID: 65, Mode: ids.Replay, OrderMode: ids.OrderSharded, ReplayLogs: rec.Logs(),
+				StallTimeout: 5 * time.Second,
+			})
+			if !tracesEqual(recTraces, repTraces) || repFinals != recFinals {
+				t.Fatalf("replay departed from the recorded object orders (finals %v, recorded %v)", repFinals, recFinals)
+			}
+			if r, p := rec.Metrics().Snapshot(), rep.Metrics().Snapshot(); p.Events != r.Events || p.TotalEvents != r.TotalEvents || p.Replay.Stalled {
+				t.Errorf("replay counts %+v total %d (stalled %v), record %+v total %d", p.Events, p.TotalEvents, p.Replay.Stalled, r.Events, r.TotalEvents)
+			}
+		})
+	}
+}
+
 // splitSchedule rewrites a recorded schedule so every interval and obj-run
 // longer than one event becomes two adjacent ones of the same thread,
 // [a,m][m+1,b] — what TruncateWAL's flush of open intervals produces. The

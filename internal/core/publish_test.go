@@ -662,12 +662,21 @@ func TestClockAfterLogEndInsideARun(t *testing.T) {
 // TestResumeIntoTheMiddleOfARun: a checkpoint resume trims the run it lands in
 // to start at the resume counter (fastForward). The trimmed run's first event
 // is a run start like any other — it takes the turn by finding the word at its
-// value — and the suffix replays to the recorded outcome.
+// value and arms the mid-run branch with the events left of the trimmed run,
+// not of the recorded one — and the suffix replays to the recorded outcome.
 func TestResumeIntoTheMiddleOfARun(t *testing.T) {
 	const events, at = 3000, 1234
+	// Main's recorded run is [0, events]: its accesses, then the spawn.
 	program := func(vm *VM, x *SharedInt, from int) (childSaw int64) {
 		vm.Start(func(main *Thread) {
 			for i := from; i < events; i++ {
+				if c := main.cursors; vm.mode == ids.Replay && i > from {
+					if main.run != c[0] || c[0].quiet != uint64(events-i) {
+						t.Errorf("before the resumed run's event %d: Thread.run is the global cursor: %v, with %d events before its Last; want %d",
+							i, main.run == c[0], c[0].quiet, events-i)
+						return
+					}
+				}
 				x.Add(main, int64(i))
 			}
 			main.Join(main.Spawn(func(th *Thread) { childSaw = x.Add(th, 1) }))
@@ -764,8 +773,9 @@ func TestHandoffOfTwoHeldTurns(t *testing.T) {
 }
 
 // TestPanickingEventKeepsTheTurn: an op that panics in the middle of a run the
-// thread holds the turn of leaves the position where it was and the turn held:
-// the retry is the same event, and it runs without looking at the word.
+// thread holds the turn of — on critical's mid-run branch — leaves the
+// position and the countdown where they were and the turn held: the retry is
+// the same event, and it runs without looking at the word.
 func TestPanickingEventKeepsTheTurn(t *testing.T) {
 	const events, bad = 40, 17
 	rec := startVM(t, Config{ID: 103, Mode: ids.Record})
@@ -784,12 +794,18 @@ func TestPanickingEventKeepsTheTurn(t *testing.T) {
 		for i := 0; i < events; i++ {
 			func() {
 				defer func() {
-					if r := recover(); r != nil {
+					switch r := recover(); r {
+					case nil:
+					case "injected":
 						c := main.cursors[0]
-						if !c.held || c.pos != bad || c.quiet != events-1-bad {
-							t.Errorf("after the panic: held %v, position %d, %d quiet events left; want the turn held at %d with %d left", c.held, c.pos, c.quiet, bad, events-1-bad)
+						if !c.held || c.pos != bad || c.quiet != events-1-bad || main.run != c {
+							t.Errorf("after the panic: held %v, position %d, %d quiet events left, Thread.run is the global cursor: %v; want the turn held at %d with %d left",
+								c.held, c.pos, c.quiet, main.run == c, bad, events-1-bad)
 						}
 						i-- // retry
+					default:
+						t.Errorf("event %d: %v", i, r)
+						i = events // stop
 					}
 				}()
 				main.Critical(func(gc ids.GCount) {

@@ -246,39 +246,59 @@ func recordRunThenSuccessor(t *testing.T, id ids.DJVMID, events int) *VM {
 // milliseconds inside a long run stores its word once per batch — minutes
 // apart — while its successor is parked. The watchdog must not read the silent
 // word as a stall: it asks for exactness first and counts only from there.
+// The run is on the global stream, and under OrderSharded on a registered
+// object's, whose word the watchdog sums with the global one.
 func TestTrickleInsideARunIsNotAStall(t *testing.T) {
 	const events, trickled = 5000, 60
 	const timeout = 200 * time.Millisecond
-	rec := recordRunThenSuccessor(t, 74, events)
-	rep, err := NewVM(Config{ID: 74, Mode: ids.Replay, ReplayLogs: rec.Logs(), StallTimeout: timeout})
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := make(chan any, 2)
-	rep.Start(func(main *Thread) {
-		defer func() { errs <- recover() }()
-		child := main.Spawn(func(th *Thread) {
-			defer func() { errs <- recover() }()
-			th.Critical(func(ids.GCount) {}) // parks on counter events+1 until the run is over
-		})
-		for i := 0; i < events; i++ {
-			if i < trickled {
-				time.Sleep(timeout / 8)
+	for _, order := range []ids.OrderMode{ids.OrderGlobal, ids.OrderSharded} {
+		t.Run(order.String(), func(t *testing.T) {
+			// run: main spawns a child, then makes `events` accesses to x — one
+			// run on x's stream — and the child's one access follows the run.
+			run := func(cfg Config, trickle bool) (*VM, [2]any) {
+				vm, err := NewVM(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var x SharedInt
+				x.Register(vm)
+				errs := make(chan any, 2)
+				vm.Start(func(main *Thread) {
+					defer func() { errs <- recover() }()
+					ran := make(chan struct{})
+					child := main.Spawn(func(th *Thread) {
+						defer func() { errs <- recover() }()
+						if cfg.Mode == ids.Record {
+							<-ran
+						}
+						x.Add(th, 1) // replay: parks until the run is over
+					})
+					for i := 0; i < events; i++ {
+						if trickle && i < trickled {
+							time.Sleep(timeout / 8)
+						}
+						x.Add(main, 1)
+					}
+					close(ran)
+					main.Join(child)
+				})
+				vm.Wait()
+				return vm, [2]any{<-errs, <-errs}
 			}
-			main.Critical(func(ids.GCount) {})
-		}
-		main.Join(child)
-	})
-	rep.Wait()
-	for i := 0; i < 2; i++ {
-		if r := <-errs; r != nil {
-			t.Fatalf("a slow run was taken for a stall: %v", r)
-		}
+			rec, _ := run(Config{ID: 74, Mode: ids.Record, OrderMode: order}, false)
+			rec.Close()
+			rep, errs := run(Config{ID: 74, Mode: ids.Replay, OrderMode: order, ReplayLogs: rec.Logs(), StallTimeout: timeout}, true)
+			for _, r := range errs {
+				if r != nil {
+					t.Fatalf("a slow run was taken for a stall: %v", r)
+				}
+			}
+			if s := rep.Metrics().Snapshot(); s.Replay.Stalled || s.Replay.CurrentGC != s.Replay.FinalGC || s.TotalEvents != rec.Metrics().TotalEvents() {
+				t.Errorf("stalled %v, counter %d of %d, %d events of %d", s.Replay.Stalled, s.Replay.CurrentGC, s.Replay.FinalGC, s.TotalEvents, rec.Metrics().TotalEvents())
+			}
+			rep.Close()
+		})
 	}
-	if s := rep.Metrics().Snapshot(); s.Replay.Stalled || s.Replay.CurrentGC != s.Replay.FinalGC {
-		t.Errorf("stalled %v, counter %d of %d", s.Replay.Stalled, s.Replay.CurrentGC, s.Replay.FinalGC)
-	}
-	rep.Close()
 }
 
 // TestStallInsideARunNamesTheExactCounter: the run's thread blocks for good in

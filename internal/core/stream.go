@@ -193,7 +193,8 @@ func (t *Thread) streamFor(s *stream) *stream {
 // thread last wrote it — and quiet counts down the events left before the
 // run's Last, which execute without a load or a store of the word; the run's
 // first event sets it (replayEvent), and it stays 0 while the turn is not held
-// and throughout with an EventObserver, whose word is exact per event.
+// and throughout with an EventObserver, whose word is exact per event;
+// critical's mid-run branch counts it down.
 type cursor struct {
 	s         *stream
 	runs      []tracelog.Interval
@@ -279,6 +280,16 @@ func (t *Thread) endOfSchedule(s *stream, what string) {
 
 // critical executes op as one non-blocking critical event of stream s; see
 // Thread.Critical for the per-mode discipline.
+//
+// The Replay arm finds the thread's cursor over s in t.run when its previous
+// event was on s too, and its branch is the one place an event inside a held
+// run is replayed: the run has events left before its Last and the thread's
+// local count is under the batch bound (zero while the stall watchdog asks).
+// Such an event needs nothing but itself and its counts — no load or store of
+// the word, no write to anything shared (replayEvent has why) — and goes
+// through exec only when its hold time is sampled: with an observer quiet is
+// 0. If op panics the position has not moved and the turn stays held. Every
+// other event is replayEvent's.
 func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 	switch t.vm.mode {
 	case ids.Passthrough:
@@ -288,7 +299,24 @@ func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 		t.recordEvent(s, kind, op)
 		t.maybeYield()
 	case ids.Replay:
-		t.replayEvent(s, t.cursor(s), kind, op)
+		c := t.run
+		if c.s != s {
+			c = t.cursor(s)
+			t.run = c
+		}
+		if c.quiet != 0 && t.pendingN < t.vm.unpublished.Load() {
+			if n := c.pos; uint64(n)&s.holdMask != 0 {
+				op(n)
+			} else {
+				s.exec(t, n, op)
+			}
+			c.pos++
+			c.quiet--
+			s.countAcquire(t, true)
+			t.countEvent(kind)
+			return
+		}
+		t.replayEvent(s, c, kind, op)
 	}
 }
 
@@ -323,21 +351,25 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 
 // exec executes op as the event with counter value n, under whatever makes
 // the caller the only thread on the stream: mu while recording, its turn
-// while replaying. Advancing the counter is the caller's next step, so if op
-// panics (a MonitorStateError the application recovers from, say) the counter
-// has not ticked: it is as if the event never happened.
+// while replaying — and times it into the GC-hold histogram when n is
+// sampled, and reports it to the observer when there is one. The per-event
+// paths (recordEvent, critical's mid-run branch) call op directly for every
+// other event, so exec is the path of the sampled and the observed ones.
+// Advancing the counter is the caller's next step, so if op panics (a
+// MonitorStateError the application recovers from, say) the counter has not
+// ticked: it is as if the event never happened.
 func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount)) {
 	sampled := uint64(n)&s.holdMask == 0
-	var start time.Time
+	var start time.Duration
 	if sampled {
-		start = time.Now()
+		start = time.Since(s.vm.epoch)
 	}
 	op(n)
 	if s.observer != nil {
 		s.observer(t.num, n)
 	}
 	if sampled {
-		s.vm.metrics.ObserveGCHold(time.Since(start))
+		s.vm.metrics.ObserveGCHold(time.Since(s.vm.epoch) - start)
 	}
 }
 
@@ -367,7 +399,8 @@ func (s *stream) publishLocked() {
 // event execution as one atomic operation (§2.2), then the run bookkeeping.
 // The lock is what makes the two one step, so the counter is a plain field
 // and the section's only atomic operations are the lock's own; the deferred
-// unlock keeps the stream consistent when op panics.
+// unlock keeps the stream consistent when op panics. The event goes through
+// exec only when its hold time is sampled or the stream is observed.
 func (t *Thread) recordEvent(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 	if !s.isGlobal() && t.pendingN != t.pendingFast+t.pendingContended {
 		// Events of the global stream are still counted locally and their
@@ -381,7 +414,11 @@ func (t *Thread) recordEvent(s *stream, kind obs.EventKind, op func(ids.GCount))
 	}
 	defer s.mu.Unlock()
 	n := s.next
-	s.exec(t, n, op)
+	if uint64(n)&s.holdMask != 0 && s.observer == nil {
+		op(n)
+	} else {
+		s.exec(t, n, op)
+	}
 	s.next = n + 1
 	s.countAcquire(t, fast)
 	t.countEvent(kind)
@@ -437,31 +474,17 @@ func (t *Thread) takeTurn(s *stream, c *cursor, what string) (fast bool) {
 // inside it, so between taking the turn at First and handing it over after
 // Last the thread neither loads nor stores the word and writes nothing shared:
 // position, per-kind counts and program order are its own, and the one shared
-// word the branch reads, VM.unpublished, nobody writes while replay moves. The
-// Last event stores Last+1, which is what admits the successor; only it looks
-// for one parked, and that is also where the thread publishes its event
-// counts. Everything the thread wrote inside the run precedes that store,
-// which the successor's load observes before its first event. If op panics
-// the position has not moved and the turn stays held: a retry runs without
-// waiting.
+// word an event inside the run reads, VM.unpublished, nobody writes while
+// replay moves. Those events are critical's mid-run branch; this function is
+// every other case — a run's first or Last event, a full batch, an observed
+// stream, the watchdog asking, a Blocking mark — and it is what arms the
+// mid-run branch: quiet is set here. The Last event stores Last+1,
+// which is what admits the successor; only it looks for one parked, and that
+// is also where the thread publishes its event counts. Everything the thread
+// wrote inside the run precedes that store, which the successor's load
+// observes before its first event. If op panics the position has not moved
+// and the turn stays held: a retry runs without waiting.
 func (t *Thread) replayEvent(s *stream, c *cursor, kind obs.EventKind, op func(ids.GCount)) {
-	if c.quiet != 0 && t.pendingN < t.vm.unpublished.Load() {
-		// No observer here (quiet would be 0), so exec has only the sampled
-		// hold time to add, and calling it costs as much as the rest of the
-		// branch: go through it for the sampled events only.
-		if n := c.pos; uint64(n)&s.holdMask != 0 {
-			op(n)
-		} else {
-			s.exec(t, n, op)
-		}
-		c.pos++
-		c.quiet--
-		s.countAcquire(t, true)
-		t.countEvent(kind)
-		return
-	}
-	// A run's first or last event, a full batch, an observed stream, or the
-	// watchdog asking.
 	fast := t.takeTurn(s, c, "critical event")
 	n := c.pos
 	if s.observer == nil {
@@ -524,9 +547,9 @@ func (s *stream) await(t *Thread, next ids.GCount) {
 		return // its turn already: no wait to observe
 	}
 	sampled := uint64(next)&vm.sampleMask == 0
-	var start time.Time
+	var start time.Duration
 	if sampled {
-		start = time.Now()
+		start = time.Since(vm.epoch)
 	}
 	// Publish the parked count before re-checking the counter: a lock-free
 	// advancer that misses it must have stored the new value first, which the
@@ -550,7 +573,7 @@ func (s *stream) await(t *Thread, next ids.GCount) {
 	vm.metrics.DecParked()
 	s.mu.Unlock()
 	if sampled {
-		vm.metrics.ObserveTurnWait(time.Since(start))
+		vm.metrics.ObserveTurnWait(time.Since(vm.epoch) - start)
 	}
 }
 

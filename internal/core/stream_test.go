@@ -3,10 +3,26 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ids"
 	"repro/internal/tracelog"
 )
+
+// TestThreadFillsWholeCacheLines: threads running in parallel each write
+// their own Thread on every event, and a stream's holder writes its own
+// third of the stream; a size that is a multiple of the 64-byte line puts
+// every object on a line boundary, so none of those writes lands on a line
+// another thread reads per event. A Thread one field larger than two lines
+// made par-sharded bimodal: a quarter of its repetitions recorded and
+// replayed at half speed.
+func TestThreadFillsWholeCacheLines(t *testing.T) {
+	for name, size := range map[string]uintptr{"Thread": unsafe.Sizeof(Thread{}), "stream": unsafe.Sizeof(stream{})} {
+		if size%64 != 0 {
+			t.Errorf("%s is %d bytes, not a whole number of cache lines: resize its padding", name, size)
+		}
+	}
+}
 
 // scheduleRecords returns the schedule log's records in append order.
 func scheduleRecords(t *testing.T, vm *VM) []tracelog.Entry {

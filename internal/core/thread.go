@@ -28,6 +28,11 @@ type Thread struct {
 	// stream's is built at thread creation, an object's on first access.
 	// Only the owning goroutine touches them.
 	cursors []*cursor
+	// run is the cursor of the stream the thread's last non-blocking event
+	// was on (the global stream's at first): critical finds an event's cursor
+	// there with one compare when the stream has not changed, and looks it up
+	// in cursors when it has.
+	run *cursor
 
 	// turnCh delivers this thread's wake token when its awaited counter
 	// value is reached (successor-directed wakeup; see stream.waiters).
@@ -58,6 +63,13 @@ type Thread struct {
 
 	// done is closed when the thread's function returns; Join blocks on it.
 	done chan struct{}
+
+	// Threads are allocated side by side, and each writes its counts and
+	// reads its header on every event: a Thread fills whole cache lines (the
+	// allocator puts an object whose size is a multiple of 64 bytes on a line
+	// boundary), so no two threads running in parallel share one.
+	// TestThreadFillsWholeCacheLines keeps it so.
+	_ [56]byte
 }
 
 // maybeYield yields the processor with probability 1/vm.jitter, emulating a

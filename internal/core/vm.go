@@ -178,6 +178,10 @@ type VM struct {
 
 	jitter     uint64 // yield 1-in-jitter after record-mode critical events
 	sampleMask uint64 // counter values with n&mask==0 get their hold (global stream) and turn wait timed
+	// epoch is the VM's creation time. A sampled hold or turn wait is timed
+	// as two time.Since(epoch): each one read of the monotonic clock, where
+	// time.Now would read the wall clock as well.
+	epoch time.Time
 
 	// unpublished is how many events a replaying thread may count locally,
 	// and leave out of the words it holds the turn of, before it publishes:
@@ -251,6 +255,7 @@ func NewVM(cfg Config) (*VM, error) {
 		world:   cfg.World,
 		peers:   cfg.DJVMPeers,
 		metrics: &obs.Metrics{},
+		epoch:   time.Now(),
 	}
 	vm.global = vm.newStream()
 	vm.global.clock = vm.metrics.Clock()
@@ -621,6 +626,7 @@ func (vm *VM) newThreadLocked() *Thread {
 			vm.metrics.AddFastForwardSkips(skipped)
 		}
 		t.cursors = []*cursor{newCursor(vm.global, schedule)} // slot 0: the global stream
+		t.run = t.cursors[0]
 	}
 	vm.threads = append(vm.threads, t)
 	return t

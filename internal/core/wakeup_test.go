@@ -161,41 +161,62 @@ func TestStallWatchdogWakesAllParked(t *testing.T) {
 // TestHistogramSamplingPreservesCounts checks the ObsSampleRate knob: with
 // the default 1-in-64 sampling the event counters stay exact while the
 // latency histograms see only the sampled subset; with rate 1 every event is
-// timed.
+// timed. Both modes time exactly the sampled events: the per-event paths call
+// op directly for every other one, and replay runs all but the run's first and
+// last of these events on critical's mid-run branch.
 func TestHistogramSamplingPreservesCounts(t *testing.T) {
-	run := func(rate int) (total, holds uint64, sampleRate uint64) {
-		vm, err := NewVM(Config{ID: 92, Mode: ids.Record, ObsSampleRate: rate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var x SharedInt
-		vm.Start(func(main *Thread) {
-			for i := 0; i < 1000; i++ {
-				x.Set(main, int64(i))
+	for _, mode := range []ids.Mode{ids.Record, ids.Replay} {
+		t.Run(mode.String(), func(t *testing.T) {
+			run := func(rate int) (total, holds uint64, sampleRate uint64) {
+				cfg := Config{ID: 92, Mode: ids.Record, ObsSampleRate: rate}
+				if mode == ids.Replay {
+					rec, err := NewVM(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					setThousand(rec)
+					cfg.Mode, cfg.ReplayLogs = ids.Replay, rec.Logs()
+				}
+				vm, err := NewVM(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				setThousand(vm)
+				s := vm.Metrics().Snapshot()
+				return s.TotalEvents, s.GCHold.Count, s.HistSampleRate
+			}
+
+			total, holds, rate := run(0) // default sampling
+			if total != 1000 {
+				t.Fatalf("%d events, want 1000", total)
+			}
+			if rate != ObsSampleDefault {
+				t.Errorf("snapshot reports sample rate %d, want default %d", rate, ObsSampleDefault)
+			}
+			if want := (total + ObsSampleDefault - 1) / ObsSampleDefault; holds != want {
+				t.Errorf("sampled GCHold observed %d holds for %d events, want %d", holds, total, want)
+			}
+
+			total, holds, rate = run(1) // exhaustive
+			if rate != 1 {
+				t.Errorf("snapshot reports sample rate %d, want 1", rate)
+			}
+			if holds != total {
+				t.Errorf("exhaustive GCHold observed %d holds for %d events", holds, total)
 			}
 		})
-		vm.Wait()
-		vm.Close()
-		s := vm.Metrics().Snapshot()
-		return s.TotalEvents, s.GCHold.Count, s.HistSampleRate
 	}
+}
 
-	total, holds, rate := run(0) // default sampling
-	if total != 1000 {
-		t.Fatalf("recorded %d events, want 1000", total)
-	}
-	if rate != ObsSampleDefault {
-		t.Errorf("snapshot reports sample rate %d, want default %d", rate, ObsSampleDefault)
-	}
-	if want := (total + ObsSampleDefault - 1) / ObsSampleDefault; holds != want {
-		t.Errorf("sampled GCHold observed %d holds for %d events, want %d", holds, total, want)
-	}
-
-	total, holds, rate = run(1) // exhaustive
-	if rate != 1 {
-		t.Errorf("snapshot reports sample rate %d, want 1", rate)
-	}
-	if holds != total {
-		t.Errorf("exhaustive GCHold observed %d holds for %d events", holds, total)
-	}
+// setThousand runs one thread setting a variable 1 000 times — one run of
+// counters 0..999 — and closes the VM.
+func setThousand(vm *VM) {
+	var x SharedInt
+	vm.Start(func(main *Thread) {
+		for i := 0; i < 1000; i++ {
+			x.Set(main, int64(i))
+		}
+	})
+	vm.Wait()
+	vm.Close()
 }
