@@ -13,8 +13,11 @@
 // sets are fed to the recovery-line solver, which reports the latest complete
 // coordinated-checkpoint line — each member's restart anchor — and why newer
 // epochs were demoted (torn stamps, lost anchor checkpoints, orphan
-// messages). Exit status is non-zero if any member fails to salvage or
-// validate.
+// messages).
+//
+// Exit status: 0 when every WAL salvaged to an internally consistent set (or
+// the fixture was written), 1 when one did not salvage or did not validate, 2
+// on a usage error (including a -set directory with no *.wal in it).
 //
 // The tool truncates nothing on disk: it reads the WAL, discards the torn or
 // corrupt tail in memory, repairs the salvaged records to the largest
@@ -27,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -38,84 +42,103 @@ import (
 	"repro/internal/tracelog"
 )
 
+const usage = "usage: djrecover [-json] [-o dir] <file.wal> | djrecover [-json] [-o dir] -set <dir> | djrecover -mkfixture <file.wal>"
+
 func main() {
-	asJSON := flag.Bool("json", false, "emit the recovery report as JSON")
-	outDir := flag.String("o", "", "save the recovered log set under this directory")
-	fixture := flag.String("mkfixture", "", "write a torn-tail WAL fixture to this path and exit")
-	setDir := flag.String("set", "", "batch mode: salvage every member *.wal under this directory and solve the group recovery line")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *fixture != "" {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("djrecover", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	asJSON := fs.Bool("json", false, "emit the recovery report as JSON")
+	outDir := fs.String("o", "", "save the recovered log set under this directory")
+	fixture := fs.String("mkfixture", "", "write a torn-tail WAL fixture to this path and exit")
+	setDir := fs.String("set", "", "batch mode: salvage every member *.wal under this directory and solve the group recovery line")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	switch {
+	case *fixture != "" && fs.NArg() == 0 && *setDir == "":
 		if err := writeFixture(*fixture); err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, "djrecover:", err)
+			return 1
 		}
-		fmt.Printf("wrote torn fixture %s\n", *fixture)
-		return
+		fmt.Fprintf(stdout, "wrote torn fixture %s\n", *fixture)
+		return 0
+	case *setDir != "" && fs.NArg() == 0 && *fixture == "":
+		return runSet(*setDir, *asJSON, *outDir, stdout, stderr)
+	case fs.NArg() == 1 && *setDir == "" && *fixture == "":
+		return runFile(fs.Arg(0), *asJSON, *outDir, stdout, stderr)
 	}
-	if *setDir != "" {
-		os.Exit(runSet(*setDir, *asJSON, *outDir))
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: djrecover [-json] [-o dir] <file.wal> | djrecover -set <dir> | djrecover -mkfixture <file.wal>")
-		os.Exit(2)
-	}
+	fmt.Fprintln(stderr, usage)
+	return 2
+}
 
-	set, rep, err := tracelog.RecoverFile(flag.Arg(0))
+// runFile salvages and validates one WAL and returns the process exit code.
+func runFile(path string, asJSON bool, outDir string, stdout, stderr io.Writer) int {
+	set, rep, err := tracelog.RecoverFile(path)
 	if err != nil {
-		if rep != nil && *asJSON {
-			emitJSON(rep, nil, err)
+		if rep != nil && asJSON {
+			_ = emitJSON(stdout, rep, nil, err) // exits 1 either way, with err on stderr
 		}
-		fatal(err)
+		fmt.Fprintln(stderr, "djrecover:", err)
+		return 1
 	}
 	check := logcheck.CheckSet(set)
 
-	if *asJSON {
-		emitJSON(rep, check, nil)
+	if asJSON {
+		if err := emitJSON(stdout, rep, check, nil); err != nil {
+			fmt.Fprintln(stderr, "djrecover:", err)
+			return 1
+		}
 	} else {
-		printReport(rep, check)
+		printReport(stdout, rep, check)
 	}
 
-	if *outDir != "" {
-		if err := set.Save(*outDir); err != nil {
-			fatal(err)
+	if outDir != "" {
+		if err := set.Save(outDir); err != nil {
+			fmt.Fprintln(stderr, "djrecover:", err)
+			return 1
 		}
-		fmt.Printf("recovered log set saved to %s (replay with StopAtLogEnd)\n", *outDir)
+		fmt.Fprintf(stdout, "recovered log set saved to %s (replay with StopAtLogEnd)\n", outDir)
 	}
 	if !check.OK() {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func printReport(rep *tracelog.RecoveryReport, check *logcheck.Report) {
-	fmt.Printf("== %s ==\n", rep.Path)
-	fmt.Printf("frames:    %d valid (%d bytes kept, %d discarded)\n",
+func printReport(w io.Writer, rep *tracelog.RecoveryReport, check *logcheck.Report) {
+	fmt.Fprintf(w, "== %s ==\n", rep.Path)
+	fmt.Fprintf(w, "frames:    %d valid (%d bytes kept, %d discarded)\n",
 		rep.Frames, rep.GoodBytes, rep.DiscardedBytes)
 	if rep.Truncated {
-		fmt.Printf("truncated: yes — %s\n", rep.Reason)
+		fmt.Fprintf(w, "truncated: yes — %s\n", rep.Reason)
 	} else {
-		fmt.Printf("truncated: no\n")
+		fmt.Fprintf(w, "truncated: no\n")
 	}
-	fmt.Printf("records:   %d schedule, %d network, %d datagram\n",
+	fmt.Fprintf(w, "records:   %d schedule, %d network, %d datagram\n",
 		rep.ScheduleRecords, rep.NetworkRecords, rep.DatagramRecords)
 	switch {
 	case rep.Clean:
-		fmt.Printf("shutdown:  clean (final vm-meta present)\n")
+		fmt.Fprintf(w, "shutdown:  clean (final vm-meta present)\n")
 	default:
-		fmt.Printf("shutdown:  CRASH — replayable prefix repaired, vm-meta synthesized\n")
-		fmt.Printf("dropped:   %d intervals, %d schedule records, %d datagram records beyond the prefix\n",
+		fmt.Fprintf(w, "shutdown:  CRASH — replayable prefix repaired, vm-meta synthesized\n")
+		fmt.Fprintf(w, "dropped:   %d intervals, %d schedule records, %d datagram records beyond the prefix\n",
 			rep.DroppedIntervals, rep.DroppedSchedule, rep.DroppedDatagrams)
 		if rep.OpenNotes > 0 {
-			fmt.Printf("notes:     %d open-interval durability notes merged into the prefix\n", rep.OpenNotes)
+			fmt.Fprintf(w, "notes:     %d open-interval durability notes merged into the prefix\n", rep.OpenNotes)
 		}
 	}
-	fmt.Printf("identity:  vm=%d world=%v\n", rep.VM, rep.World)
-	fmt.Printf("replayable prefix: events [0,%d)\n", rep.FinalGC)
+	fmt.Fprintf(w, "identity:  vm=%d world=%v\n", rep.VM, rep.World)
+	fmt.Fprintf(w, "replayable prefix: events [0,%d)\n", rep.FinalGC)
 	if check.OK() {
-		fmt.Printf("logcheck:  ok — recovered set is internally consistent\n")
+		fmt.Fprintf(w, "logcheck:  ok — recovered set is internally consistent\n")
 	} else {
-		fmt.Printf("logcheck:  %d finding(s)\n", len(check.Findings))
+		fmt.Fprintf(w, "logcheck:  %d finding(s)\n", len(check.Findings))
 		for _, f := range check.Findings {
-			fmt.Println("  ", f)
+			fmt.Fprintln(w, "  ", f)
 		}
 	}
 }
@@ -151,13 +174,10 @@ type setReport struct {
 // runSet salvages every member WAL under dir, validates each, solves the
 // group's recovery line across the salvaged sets, and returns the process
 // exit code.
-func runSet(dir string, asJSON bool, outDir string) int {
+func runSet(dir string, asJSON bool, outDir string, stdout, stderr io.Writer) int {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.wal"))
-	if err != nil {
-		fatal(err)
-	}
-	if len(paths) == 0 {
-		fmt.Fprintf(os.Stderr, "djrecover: no *.wal files under %s\n", dir)
+	if err != nil || len(paths) == 0 {
+		fmt.Fprintf(stderr, "djrecover: no *.wal files under %s\n", dir)
 		return 2
 	}
 	sort.Strings(paths)
@@ -184,7 +204,8 @@ func runSet(dir string, asJSON bool, outDir string) int {
 			if outDir != "" {
 				name := strings.TrimSuffix(filepath.Base(p), ".wal")
 				if err := set.Save(filepath.Join(outDir, name)); err != nil {
-					fatal(err)
+					fmt.Fprintln(stderr, "djrecover:", err)
+					return 1
 				}
 			}
 		}
@@ -222,13 +243,12 @@ func runSet(dir string, asJSON bool, outDir string) int {
 	}
 
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
+		if err := writeJSON(stdout, out); err != nil {
+			fmt.Fprintln(stderr, "djrecover:", err)
+			return 1
 		}
 	} else {
-		printSetReport(&out)
+		printSetReport(stdout, &out)
 	}
 	if !out.OK {
 		return 1
@@ -236,39 +256,39 @@ func runSet(dir string, asJSON bool, outDir string) int {
 	return 0
 }
 
-func printSetReport(out *setReport) {
-	fmt.Printf("== group salvage: %s (%d members) ==\n", out.Dir, len(out.Members))
+func printSetReport(w io.Writer, out *setReport) {
+	fmt.Fprintf(w, "== group salvage: %s (%d members) ==\n", out.Dir, len(out.Members))
 	for _, m := range out.Members {
 		switch {
 		case m.Error != "":
-			fmt.Printf("%-20s FAIL  %s\n", filepath.Base(m.Path), m.Error)
+			fmt.Fprintf(w, "%-20s FAIL  %s\n", filepath.Base(m.Path), m.Error)
 		case !m.OK:
-			fmt.Printf("%-20s FAIL  %d logcheck finding(s)\n", filepath.Base(m.Path), len(m.Findings))
+			fmt.Fprintf(w, "%-20s FAIL  %d logcheck finding(s)\n", filepath.Base(m.Path), len(m.Findings))
 			for _, f := range m.Findings {
-				fmt.Println("    ", f)
+				fmt.Fprintln(w, "    ", f)
 			}
 		default:
 			shutdown := "clean"
 			if !m.Report.Clean {
 				shutdown = "crash"
 			}
-			fmt.Printf("%-20s ok    vm=%d %s, prefix [0,%d), %d frames\n",
+			fmt.Fprintf(w, "%-20s ok    vm=%d %s, prefix [0,%d), %d frames\n",
 				filepath.Base(m.Path), m.Report.VM, shutdown, m.Report.FinalGC, m.Report.Frames)
 		}
 	}
 	switch {
 	case out.Line != nil:
-		fmt.Printf("recovery line: epoch %d, anchors %v", out.Line.Epoch, out.Line.Anchors)
+		fmt.Fprintf(w, "recovery line: epoch %d, anchors %v", out.Line.Epoch, out.Line.Anchors)
 		if out.Line.Fallbacks > 0 {
-			fmt.Printf(" (fell back through %d newer epoch(s))", out.Line.Fallbacks)
+			fmt.Fprintf(w, " (fell back through %d newer epoch(s))", out.Line.Fallbacks)
 		}
-		fmt.Println()
-		fmt.Printf("messages:      %d stable, %d in-flight to re-deliver\n", out.Line.Stable, out.Line.InFlight)
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "messages:      %d stable, %d in-flight to re-deliver\n", out.Line.Stable, out.Line.InFlight)
 		for _, d := range out.Line.Demoted {
-			fmt.Println("  demoted:", d)
+			fmt.Fprintln(w, "  demoted:", d)
 		}
 	case out.NoLine != "":
-		fmt.Printf("recovery line: NONE — %s\n", out.NoLine)
+		fmt.Fprintf(w, "recovery line: NONE — %s\n", out.NoLine)
 	}
 }
 
@@ -280,7 +300,7 @@ type jsonReport struct {
 	Error    string                   `json:"error,omitempty"`
 }
 
-func emitJSON(rep *tracelog.RecoveryReport, check *logcheck.Report, err error) {
+func emitJSON(w io.Writer, rep *tracelog.RecoveryReport, check *logcheck.Report, err error) error {
 	out := jsonReport{Report: rep}
 	if check != nil {
 		out.OK = check.OK()
@@ -291,11 +311,13 @@ func emitJSON(rep *tracelog.RecoveryReport, check *logcheck.Report, err error) {
 	if err != nil {
 		out.Error = err.Error()
 	}
-	enc := json.NewEncoder(os.Stdout)
+	return writeJSON(w, out)
+}
+
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if eerr := enc.Encode(out); eerr != nil {
-		fatal(eerr)
-	}
+	return enc.Encode(v)
 }
 
 // writeFixture builds a small single-VM WAL — identity header, a two-thread
@@ -342,9 +364,4 @@ func writeFixture(path string) error {
 		return err
 	}
 	return os.Truncate(path, info.Size()-35)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "djrecover:", err)
-	os.Exit(1)
 }

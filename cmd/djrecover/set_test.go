@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,8 +43,8 @@ func TestRunSetHealthyGroup(t *testing.T) {
 	dir := t.TempDir()
 	buildMemberWAL(t, dir, "m1.wal", 1, 90, 180)
 	buildMemberWAL(t, dir, "m2.wal", 2, 95, 185)
-	if code := runSet(dir, true, ""); code != 0 {
-		t.Fatalf("runSet = %d, want 0", code)
+	if code := run([]string{"-json", "-set", dir}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("djrecover -set = %d, want 0", code)
 	}
 }
 
@@ -62,8 +63,8 @@ func TestRunSetTornMemberFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := t.TempDir()
-	if code := runSet(dir, true, out); code != 0 {
-		t.Fatalf("runSet = %d, want 0 (a torn tail still salvages)", code)
+	if code := run([]string{"-json", "-o", out, "-set", dir}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("djrecover -set = %d, want 0 (a torn tail still salvages)", code)
 	}
 	// -o saved each member's recovered set under its own subdirectory.
 	for _, m := range []string{"m1", "m2"} {
@@ -80,7 +81,7 @@ func TestRunSetBadMemberFails(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "m2.wal"), []byte("not a wal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := runSet(dir, true, ""); code != 1 {
-		t.Fatalf("runSet = %d, want 1 for an unrecoverable member", code)
+	if code := run([]string{"-json", "-set", dir}, io.Discard, io.Discard); code != 1 {
+		t.Fatalf("djrecover -set = %d, want 1 for an unrecoverable member", code)
 	}
 }

@@ -386,10 +386,11 @@ type Config struct {
 	// extensions that need one total order (EventObserver, Resume, WAL,
 	// timestamps, causal tracing) reject OrderSharded with a clear error.
 	OrderMode OrderMode
-	// ObsSampleRate controls 1-in-N sampling of the latency histograms
-	// (GC-hold, turn-wait): only events whose counter value is a multiple of
-	// N are timed, so the common-case critical event performs no time.Now
-	// calls. Event counts stay exact. Zero selects the default
+	// ObsSampleRate controls 1-in-N sampling of the latency histograms:
+	// GC-hold (record only — a replaying node holds no critical section) and
+	// turn-wait (replay): only events whose counter value is a multiple of N
+	// are timed, so the common-case critical event reads no clock. Event
+	// counts stay exact. Zero selects the default
 	// (core.ObsSampleDefault, 64); 1 times every event; other values round
 	// up to a power of two.
 	ObsSampleRate int

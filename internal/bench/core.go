@@ -122,8 +122,6 @@ func GenerateCore(threadCounts []int, reps int, label string, progress func(stri
 			EventsPerSec:  eps(repEvents, repDur),
 			TurnWaitP50Ns: uint64(rep.Server.Obs.TurnWait.Quantile(0.50)),
 			TurnWaitP99Ns: uint64(rep.Server.Obs.TurnWait.Quantile(0.99)),
-			GCHoldP50Ns:   uint64(rep.Server.Obs.GCHold.Quantile(0.50)),
-			GCHoldP99Ns:   uint64(rep.Server.Obs.GCHold.Quantile(0.99)),
 		})
 	}
 

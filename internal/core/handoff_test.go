@@ -52,29 +52,39 @@ func TestHandoffEveryEventAndNever(t *testing.T) {
 }
 
 // TestHeldRunServesOnlyItsStream: a thread holds the turn of every stream it
-// is inside a run of, but Thread.run, where critical looks for the cursor its
-// mid-run branch counts down, is one — the cursor of the stream of the
-// thread's previous event. Here threads cycle through two registered objects
-// and the global stream (an unregistered variable), twice in a row on x, and
-// race each other on all three: each event must be served by its own stream's
-// cursor. What every access saw pins each object's access order; replay
-// reproduces it and the finals, at RecordJitter 1 (runs of an event or two)
-// and 0 (long runs on all three streams at once).
+// is inside a run of, but Thread.run, where heldCursor looks for the cursor
+// an in-place event counts down, is one — the cursor of the stream of the
+// thread's previous event. Here threads cycle through three registered shared
+// integers — x, y and one of their own — and the global stream (an
+// unregistered variable g): twice in a row on x through critical (Add), then
+// y, then a Get and a Set of their own integer through the accessors' inline
+// path, then g. They race each other on x, y and g, and each event must be
+// served by its own stream's cursor. What every access saw pins each object's
+// access order; replay reproduces it and the finals, at RecordJitter 1 (runs
+// of an event or two) and 0 (long runs on every stream at once).
 func TestHeldRunServesOnlyItsStream(t *testing.T) {
 	const nThreads, iters = 4, 300
-	run := func(cfg Config) (traces [][]int64, finals [3]int64, vm *VM) {
+	run := func(cfg Config) (traces [][]int64, finals [4]int64, vm *VM) {
 		vm = startVM(t, cfg)
 		var x, y, g SharedInt
 		x.Register(vm)
 		y.Register(vm)
+		own := make([]SharedInt, nThreads)
+		for i := range own {
+			own[i].Register(vm)
+		}
 		traces = make([][]int64, nThreads)
 		vm.Start(func(main *Thread) {
 			var kids []*Thread
 			for i := 0; i < nThreads; i++ {
 				i := i
 				kids = append(kids, main.Spawn(func(th *Thread) {
+					o := &own[i]
 					for j := 0; j < iters; j++ {
-						traces[i] = append(traces[i], x.Add(th, 1), x.Add(th, 1), y.Add(th, 1), g.Add(th, 1))
+						traces[i] = append(traces[i], x.Add(th, 1), x.Add(th, 1), y.Add(th, 1))
+						u := o.Get(th)
+						o.Set(th, u+1)
+						traces[i] = append(traces[i], u, g.Add(th, 1))
 					}
 				}))
 			}
@@ -84,12 +94,16 @@ func TestHeldRunServesOnlyItsStream(t *testing.T) {
 		})
 		vm.Wait()
 		vm.Close()
-		return traces, [3]int64{x.Load(), y.Load(), g.Load()}, vm
+		var sum int64
+		for i := range own {
+			sum += own[i].Load()
+		}
+		return traces, [4]int64{x.Load(), y.Load(), g.Load(), sum}, vm
 	}
 	for _, jitter := range []int{1, 0} {
 		t.Run(fmt.Sprintf("jitter%d", jitter), func(t *testing.T) {
 			recTraces, recFinals, rec := run(Config{ID: 65, Mode: ids.Record, OrderMode: ids.OrderSharded, RecordJitter: jitter})
-			if recFinals != [3]int64{2 * nThreads * iters, nThreads * iters, nThreads * iters} {
+			if recFinals != [4]int64{2 * nThreads * iters, nThreads * iters, nThreads * iters, nThreads * iters} {
 				t.Fatalf("record finals %v", recFinals)
 			}
 			repTraces, repFinals, rep := run(Config{

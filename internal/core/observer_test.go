@@ -77,6 +77,51 @@ func TestEventObserverSeesIdenticalSequences(t *testing.T) {
 	}
 }
 
+// TestObservedReplayTicksEveryAccessLocked: with an EventObserver a replayed
+// run has no in-place events — quiet stays 0, so neither SharedInt.Get and Set
+// inline nor critical replays one in place — and every access goes through
+// lockedTick: the callback runs under the global stream's lock, after the
+// access, with the counter word exact at the access's own value. One thread's
+// one long run of Get, Set and Add is the case the in-place path would
+// otherwise serve.
+func TestObservedReplayTicksEveryAccessLocked(t *testing.T) {
+	const iters = 300
+	program := func(vm *VM, x *SharedInt) {
+		vm.Start(func(main *Thread) {
+			for i := 0; i < iters; i++ {
+				x.Set(main, x.Get(main)+1)
+				x.Add(main, 1)
+			}
+		})
+		vm.Wait()
+		vm.Close()
+	}
+	var x SharedInt
+	rec := startVM(t, Config{ID: 62, Mode: ids.Record})
+	program(rec, &x)
+
+	var rep *VM
+	var y SharedInt
+	var seen ids.GCount
+	rep = startVM(t, Config{ID: 62, Mode: ids.Replay, ReplayLogs: rec.Logs(), EventObserver: func(_ ids.ThreadNum, gc ids.GCount) {
+		// Events 3k, 3k+1 and 3k+2 are the k-th Get, Set and Add: y holds 2k
+		// at the Get, 2k+1 after the Set and 2k+2 after the Add.
+		want := 2*(int64(gc)/3) + int64(gc%3)
+		if rep.global.mu.TryLock() {
+			rep.global.mu.Unlock()
+			t.Errorf("event %d observed outside the global stream's lock", gc)
+		}
+		if w := rep.Clock(); w != gc || gc != seen || y.Load() != want {
+			t.Errorf("event %d (%d observed so far): word %d, variable %d; want word %d, variable %d", gc, seen, w, y.Load(), gc, want)
+		}
+		seen++
+	}})
+	program(rep, &y)
+	if seen != 3*iters || y.Load() != x.Load() {
+		t.Errorf("observed %d events, final %d; recorded %d events, final %d", seen, y.Load(), 3*iters, x.Load())
+	}
+}
+
 // TestSMPRecordReplay runs the racy workload with several OS-level
 // processors: the paper's approach needs no scheduler control, so it carries
 // to SMP unchanged (its §8 mentions applying the techniques to Jalapeño, an

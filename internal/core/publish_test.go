@@ -662,7 +662,7 @@ func TestClockAfterLogEndInsideARun(t *testing.T) {
 // TestResumeIntoTheMiddleOfARun: a checkpoint resume trims the run it lands in
 // to start at the resume counter (fastForward). The trimmed run's first event
 // is a run start like any other — it takes the turn by finding the word at its
-// value and arms the mid-run branch with the events left of the trimmed run,
+// value and arms the in-place path with the events left of the trimmed run,
 // not of the recorded one — and the suffix replays to the recorded outcome.
 func TestResumeIntoTheMiddleOfARun(t *testing.T) {
 	const events, at = 3000, 1234
@@ -773,61 +773,82 @@ func TestHandoffOfTwoHeldTurns(t *testing.T) {
 }
 
 // TestPanickingEventKeepsTheTurn: an op that panics in the middle of a run the
-// thread holds the turn of — on critical's mid-run branch — leaves the
-// position and the countdown where they were and the turn held: the retry is
-// the same event, and it runs without looking at the word.
+// thread holds the turn of — replayed in place by critical, through
+// Thread.Critical or a SharedVar.Update whose fn panics — leaves the position
+// and the countdown where they were and the turn held: the retry is the same
+// event, and it runs without looking at the word.
 func TestPanickingEventKeepsTheTurn(t *testing.T) {
 	const events, bad = 40, 17
-	rec := startVM(t, Config{ID: 103, Mode: ids.Record})
-	rec.Start(func(main *Thread) {
-		for i := 0; i < events; i++ {
-			main.Critical(func(ids.GCount) {})
-		}
-	})
-	rec.Wait()
-	rec.Close()
+	var v SharedVar[int] // the update arm's variable, on the global stream
+	for _, arm := range []struct {
+		name string
+		// event executes one event of main; its op panics once on the bad
+		// counter value, and otherwise appends the value to order.
+		event func(main *Thread, op func(gc ids.GCount))
+	}{
+		{"critical", func(main *Thread, op func(ids.GCount)) { main.Critical(op) }},
+		{"update", func(main *Thread, op func(ids.GCount)) {
+			v.Update(main, func(n int) int {
+				if main.run != nil { // replaying: the position the event replays at
+					op(main.run.pos)
+				}
+				return n + 1
+			})
+		}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			rec := startVM(t, Config{ID: 103, Mode: ids.Record})
+			rec.Start(func(main *Thread) {
+				for i := 0; i < events; i++ {
+					arm.event(main, func(ids.GCount) {})
+				}
+			})
+			rec.Wait()
+			rec.Close()
 
-	rep := startVM(t, Config{ID: 103, Mode: ids.Replay, ReplayLogs: rec.Logs()})
-	var order []ids.GCount
-	rep.Start(func(main *Thread) {
-		panicked := false
-		for i := 0; i < events; i++ {
-			func() {
-				defer func() {
-					switch r := recover(); r {
-					case nil:
-					case "injected":
-						c := main.cursors[0]
-						if !c.held || c.pos != bad || c.quiet != events-1-bad || main.run != c {
-							t.Errorf("after the panic: held %v, position %d, %d quiet events left, Thread.run is the global cursor: %v; want the turn held at %d with %d left",
-								c.held, c.pos, c.quiet, main.run == c, bad, events-1-bad)
-						}
-						i-- // retry
-					default:
-						t.Errorf("event %d: %v", i, r)
-						i = events // stop
-					}
-				}()
-				main.Critical(func(gc ids.GCount) {
-					if gc == bad && !panicked {
-						panicked = true
-						panic("injected")
-					}
-					order = append(order, gc)
-				})
-			}()
-		}
-	})
-	rep.Wait()
-	if len(order) != events {
-		t.Fatalf("%d events executed, want %d", len(order), events)
-	}
-	for i, gc := range order {
-		if gc != ids.GCount(i) {
-			t.Fatalf("event %d executed with counter %d", i, gc)
-		}
-	}
-	if s := rep.Metrics().Snapshot(); s.TotalEvents != events || s.Events.Total() != events || s.TurnWait.Count != 0 {
-		t.Errorf("total %d, per-kind sum %d, %d turn waits; want %d, %d, 0", s.TotalEvents, s.Events.Total(), s.TurnWait.Count, events, events)
+			rep := startVM(t, Config{ID: 103, Mode: ids.Replay, ReplayLogs: rec.Logs()})
+			var order []ids.GCount
+			rep.Start(func(main *Thread) {
+				panicked := false
+				for i := 0; i < events; i++ {
+					func() {
+						defer func() {
+							switch r := recover(); r {
+							case nil:
+							case "injected":
+								c := main.cursors[0]
+								if !c.held || c.pos != bad || c.quiet != events-1-bad || main.run != c {
+									t.Errorf("after the panic: held %v, position %d, %d quiet events left, Thread.run is the global cursor: %v; want the turn held at %d with %d left",
+										c.held, c.pos, c.quiet, main.run == c, bad, events-1-bad)
+								}
+								i-- // retry
+							default:
+								t.Errorf("event %d: %v", i, r)
+								i = events // stop
+							}
+						}()
+						arm.event(main, func(gc ids.GCount) {
+							if gc == bad && !panicked {
+								panicked = true
+								panic("injected")
+							}
+							order = append(order, gc)
+						})
+					}()
+				}
+			})
+			rep.Wait()
+			if len(order) != events {
+				t.Fatalf("%d events executed, want %d", len(order), events)
+			}
+			for i, gc := range order {
+				if gc != ids.GCount(i) {
+					t.Fatalf("event %d executed with counter %d", i, gc)
+				}
+			}
+			if s := rep.Metrics().Snapshot(); s.TotalEvents != events || s.Events.Total() != events || s.TurnWait.Count != 0 {
+				t.Errorf("total %d, per-kind sum %d, %d turn waits; want %d, %d, 0", s.TotalEvents, s.Events.Total(), s.TurnWait.Count, events, events)
+			}
+		})
 	}
 }

@@ -13,7 +13,10 @@ import (
 // one logical thread schedule from another, so Get and Set are individually
 // atomic but sequences of them race at application level — as racy Java field
 // accesses do. In passthrough mode accesses compile down to plain atomics,
-// modeling the unmodified JVM.
+// modeling the unmodified JVM. In replay a Get or Set inside a run the thread
+// holds is the access itself plus thread-local counts (Thread.heldCursor) —
+// these two carry the workloads' racy idiom — and every other access goes
+// through critical.
 type SharedInt struct {
 	v     int64
 	order *stream // the variable's own order stream after Register on a sharded VM; nil: the VM's global one
@@ -40,8 +43,14 @@ func (s *SharedInt) Get(t *Thread) int64 {
 		t.maybeYield()
 		return v
 	}
+	st := t.streamFor(s.order)
+	if c := t.heldCursor(st); c != nil {
+		v := s.v
+		t.advance(c, obs.KindShared)
+		return v
+	}
 	var out int64
-	t.critical(t.streamFor(s.order), obs.KindShared, func(ids.GCount) { out = s.v })
+	t.critical(st, obs.KindShared, func(ids.GCount) { out = s.v })
 	return out
 }
 
@@ -52,7 +61,13 @@ func (s *SharedInt) Set(t *Thread, v int64) {
 		t.maybeYield()
 		return
 	}
-	t.critical(t.streamFor(s.order), obs.KindShared, func(ids.GCount) { s.v = v })
+	st := t.streamFor(s.order)
+	if c := t.heldCursor(st); c != nil {
+		s.v = v
+		t.advance(c, obs.KindShared)
+		return
+	}
+	t.critical(st, obs.KindShared, func(ids.GCount) { s.v = v })
 }
 
 // Add atomically adds delta as a single critical event and returns the new

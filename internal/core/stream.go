@@ -68,16 +68,17 @@ type stream struct {
 	clock *atomic.Uint64
 	// Cadences of the global stream; nil/0 (holdMask: all ones) on every other.
 	//
-	// holdMask selects the events whose execution time is sampled into the
-	// GC-hold histogram — those with n&holdMask == 0. The histogram describes
-	// the global critical section, so an object's stream contributes nothing
-	// past its first event, and threads on disjoint objects never meet on the
-	// histogram's words. observer is Config.EventObserver. noteEvery is the
-	// open-run durability note cadence (events between notes) while a WAL is
-	// attached: each note snapshots the still-open run into the WAL so crash
-	// recovery can credit events no flushed interval covers yet. tsEvery is
-	// the sampled wall-clock stamp cadence of EnableTimestamps; stamps carry
-	// no schedule semantics.
+	// holdMask selects the recorded events whose execution time is sampled
+	// into the GC-hold histogram — those with n&holdMask == 0. The histogram
+	// describes the record phase's global critical section, so an object's
+	// stream contributes nothing past its first event, threads on disjoint
+	// objects never meet on the histogram's words, and replay, which holds no
+	// section, never reads the mask. observer is Config.EventObserver.
+	// noteEvery is the open-run durability note cadence (events between notes)
+	// while a WAL is attached: each note snapshots the still-open run into the
+	// WAL so crash recovery can credit events no flushed interval covers yet.
+	// tsEvery is the sampled wall-clock stamp cadence of EnableTimestamps;
+	// stamps carry no schedule semantics.
 	holdMask  uint64
 	observer  func(thread ids.ThreadNum, gc ids.GCount)
 	noteEvery uint64
@@ -194,7 +195,7 @@ func (t *Thread) streamFor(s *stream) *stream {
 // run's Last, which execute without a load or a store of the word; the run's
 // first event sets it (replayEvent), and it stays 0 while the turn is not held
 // and throughout with an EventObserver, whose word is exact per event;
-// critical's mid-run branch counts it down.
+// Thread.advance counts it down.
 type cursor struct {
 	s         *stream
 	runs      []tracelog.Interval
@@ -281,15 +282,13 @@ func (t *Thread) endOfSchedule(s *stream, what string) {
 // critical executes op as one non-blocking critical event of stream s; see
 // Thread.Critical for the per-mode discipline.
 //
-// The Replay arm finds the thread's cursor over s in t.run when its previous
-// event was on s too, and its branch is the one place an event inside a held
-// run is replayed: the run has events left before its Last and the thread's
-// local count is under the batch bound (zero while the stall watchdog asks).
-// Such an event needs nothing but itself and its counts — no load or store of
-// the word, no write to anything shared (replayEvent has why) — and goes
-// through exec only when its hold time is sampled: with an observer quiet is
-// 0. If op panics the position has not moved and the turn stays held. Every
-// other event is replayEvent's.
+// The Replay arm finds the thread's cursor over s in t.run — looking it up
+// when the thread's previous event was on another stream — and replays the
+// event in place when heldCursor allows it: op, then advance. Every other
+// event is replayEvent's. After the look-up heldCursor's nil and stream tests,
+// which are there for SharedInt's inline accessors, always pass; they are two
+// inlined compares of words already loaded, kept so that the in-place test is
+// written once.
 func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 	switch t.vm.mode {
 	case ids.Passthrough:
@@ -299,25 +298,42 @@ func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 		t.recordEvent(s, kind, op)
 		t.maybeYield()
 	case ids.Replay:
-		c := t.run
-		if c.s != s {
-			c = t.cursor(s)
-			t.run = c
+		if t.run.s != s {
+			t.run = t.cursor(s)
 		}
-		if c.quiet != 0 && t.pendingN < t.vm.unpublished.Load() {
-			if n := c.pos; uint64(n)&s.holdMask != 0 {
-				op(n)
-			} else {
-				s.exec(t, n, op)
-			}
-			c.pos++
-			c.quiet--
-			s.countAcquire(t, true)
-			t.countEvent(kind)
+		if c := t.heldCursor(s); c != nil {
+			op(c.pos)
+			t.advance(c, kind)
 			return
 		}
-		t.replayEvent(s, c, kind, op)
+		t.replayEvent(s, t.run, kind, op)
 	}
+}
+
+// heldCursor returns the thread's cursor over s when its next event on s may
+// be replayed in place, nil otherwise: the cursor is t.run's, the thread holds
+// the run with events left before its Last (quiet, which stays 0 with an
+// observer), and its local count is under the batch bound (zero while the
+// stall watchdog asks). Such an event needs nothing but itself and advance —
+// no load or store of the word, no write to anything shared (replayEvent has
+// why) — so critical, and SharedInt.Get and Set without a call to it, run its
+// body and then call advance. The body goes first: if it panics the position has
+// not moved and the turn stays held. Nil in every mode but Replay, where t.run
+// is never nil.
+func (t *Thread) heldCursor(s *stream) *cursor {
+	if c := t.run; c != nil && c.s == s && c.quiet != 0 && t.pendingN < t.vm.unpublished.Load() {
+		return c
+	}
+	return nil
+}
+
+// advance accounts an event heldCursor let the thread replay in place, after
+// its body ran: the position, the countdown and the thread's local counts.
+func (t *Thread) advance(c *cursor, kind obs.EventKind) {
+	c.pos++
+	c.quiet--
+	c.s.countAcquire(t, true)
+	t.countEvent(kind)
 }
 
 // blocking executes a blocking critical event of stream s: op runs outside
@@ -349,12 +365,12 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 	}
 }
 
-// exec executes op as the event with counter value n, under whatever makes
-// the caller the only thread on the stream: mu while recording, its turn
-// while replaying — and times it into the GC-hold histogram when n is
-// sampled, and reports it to the observer when there is one. The per-event
-// paths (recordEvent, critical's mid-run branch) call op directly for every
-// other event, so exec is the path of the sampled and the observed ones.
+// exec executes op as the recorded event with counter value n under mu — the
+// critical section — and times it into the GC-hold histogram when n is
+// sampled, and reports it to the observer when there is one. recordEvent calls
+// op directly for every other event, so exec is the path of the sampled and
+// the observed ones. A replaying thread holds no section (its turn is the
+// mutual exclusion) and times no hold: GC-hold is a record-phase histogram.
 // Advancing the counter is the caller's next step, so if op panics (a
 // MonitorStateError the application recovers from, say) the counter has not
 // ticked: it is as if the event never happened.
@@ -381,7 +397,8 @@ func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount)) {
 func (s *stream) lockedTick(t *Thread, c *cursor, op func(ids.GCount)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.exec(t, c.pos, op)
+	op(c.pos)
+	s.observer(t.num, c.pos)
 	c.pos++
 	c.publish()
 }
@@ -475,10 +492,10 @@ func (t *Thread) takeTurn(s *stream, c *cursor, what string) (fast bool) {
 // Last the thread neither loads nor stores the word and writes nothing shared:
 // position, per-kind counts and program order are its own, and the one shared
 // word an event inside the run reads, VM.unpublished, nobody writes while
-// replay moves. Those events are critical's mid-run branch; this function is
-// every other case — a run's first or Last event, a full batch, an observed
-// stream, the watchdog asking, a Blocking mark — and it is what arms the
-// mid-run branch: quiet is set here. The Last event stores Last+1,
+// replay moves. Those events are replayed in place (heldCursor, advance);
+// this function is every other case — a run's first or Last event, a full
+// batch, an observed stream, the watchdog asking, a Blocking mark — and it is
+// what arms the in-place path: quiet is set here. The Last event stores Last+1,
 // which is what admits the successor; only it looks for one parked, and that
 // is also where the thread publishes its event counts. Everything the thread
 // wrote inside the run precedes that store, which the successor's load
@@ -488,7 +505,7 @@ func (t *Thread) replayEvent(s *stream, c *cursor, kind obs.EventKind, op func(i
 	fast := t.takeTurn(s, c, "critical event")
 	n := c.pos
 	if s.observer == nil {
-		s.exec(t, n, op)
+		op(n)
 		c.pos++
 	} else {
 		s.lockedTick(t, c, op)

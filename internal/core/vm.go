@@ -131,11 +131,13 @@ type Config struct {
 	// checkpoint Resume all require OrderGlobal and fail with a clear error
 	// under OrderSharded. A replay VM's OrderMode must match the recording's.
 	OrderMode ids.OrderMode
-	// ObsSampleRate controls 1-in-N sampling of the latency histograms
-	// (GC-hold and turn-wait): events whose counter value is a multiple of N
-	// are timed; every other event skips the clock reads entirely, so the
-	// common-case GC-critical section performs no time.Now calls. Event
-	// *counts* stay exact — only latency observation is sampled. Zero selects
+	// ObsSampleRate controls 1-in-N sampling of the latency histograms:
+	// GC-hold, the record phase's critical-section hold (a replaying VM holds
+	// no section and reports none), and turn-wait, replay's wait for a turn.
+	// Events whose counter value is a multiple of N are timed; every other
+	// event skips the clock reads entirely, so the common-case GC-critical
+	// section reads no clock. Event *counts* stay exact — only latency
+	// observation is sampled. Zero selects
 	// ObsSampleDefault; 1 times every event (the exhaustive pre-sampling
 	// behavior); other values round up to the next power of two. Because
 	// sampling keys off the counter value, a workload whose latency varies
@@ -177,7 +179,7 @@ type VM struct {
 	streams   []*stream
 
 	jitter     uint64 // yield 1-in-jitter after record-mode critical events
-	sampleMask uint64 // counter values with n&mask==0 get their hold (global stream) and turn wait timed
+	sampleMask uint64 // counter values with n&mask==0 get their hold (recording, global stream) or turn wait (replaying) timed
 	// epoch is the VM's creation time. A sampled hold or turn wait is timed
 	// as two time.Since(epoch): each one read of the monotonic clock, where
 	// time.Now would read the wall clock as well.

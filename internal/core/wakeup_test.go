@@ -161,9 +161,11 @@ func TestStallWatchdogWakesAllParked(t *testing.T) {
 // TestHistogramSamplingPreservesCounts checks the ObsSampleRate knob: with
 // the default 1-in-64 sampling the event counters stay exact while the
 // latency histograms see only the sampled subset; with rate 1 every event is
-// timed. Both modes time exactly the sampled events: the per-event paths call
-// op directly for every other one, and replay runs all but the run's first and
-// last of these events on critical's mid-run branch.
+// timed. GC-hold is the record phase's critical section: a recording VM times
+// exactly the sampled events (recordEvent calls op directly for every other
+// one), and a replaying VM, which holds no section, times none at any rate —
+// its timed interval is the wait for a turn, sampled by the awaited counter
+// value.
 func TestHistogramSamplingPreservesCounts(t *testing.T) {
 	for _, mode := range []ids.Mode{ids.Record, ids.Replay} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -185,6 +187,12 @@ func TestHistogramSamplingPreservesCounts(t *testing.T) {
 				s := vm.Metrics().Snapshot()
 				return s.TotalEvents, s.GCHold.Count, s.HistSampleRate
 			}
+			wantHolds := func(total, rate uint64) uint64 {
+				if mode == ids.Replay {
+					return 0
+				}
+				return (total + rate - 1) / rate
+			}
 
 			total, holds, rate := run(0) // default sampling
 			if total != 1000 {
@@ -193,7 +201,7 @@ func TestHistogramSamplingPreservesCounts(t *testing.T) {
 			if rate != ObsSampleDefault {
 				t.Errorf("snapshot reports sample rate %d, want default %d", rate, ObsSampleDefault)
 			}
-			if want := (total + ObsSampleDefault - 1) / ObsSampleDefault; holds != want {
+			if want := wantHolds(total, ObsSampleDefault); holds != want {
 				t.Errorf("sampled GCHold observed %d holds for %d events, want %d", holds, total, want)
 			}
 
@@ -201,11 +209,56 @@ func TestHistogramSamplingPreservesCounts(t *testing.T) {
 			if rate != 1 {
 				t.Errorf("snapshot reports sample rate %d, want 1", rate)
 			}
-			if holds != total {
-				t.Errorf("exhaustive GCHold observed %d holds for %d events", holds, total)
+			if want := wantHolds(total, 1); holds != want {
+				t.Errorf("exhaustive GCHold observed %d holds for %d events, want %d", holds, total, want)
 			}
 		})
 	}
+	// A replay's one turn wait — the child parked on counter n while main runs
+	// [0, n-1] — is timed when n is a multiple of the rate, and only then.
+	t.Run("replay-turn-wait", func(t *testing.T) {
+		for _, c := range []struct {
+			rate, n int
+			timed   uint64
+		}{{0, 64, 1}, {0, 65, 0}, {1, 65, 1}} {
+			rec := startVM(t, Config{ID: 93, Mode: ids.Record, ObsSampleRate: c.rate})
+			parkThenRun(t, rec, c.n)
+			rep := startVM(t, Config{ID: 93, Mode: ids.Replay, ReplayLogs: rec.Logs(), ObsSampleRate: c.rate, StallTimeout: 5 * time.Second})
+			parkThenRun(t, rep, c.n)
+			if s := rep.Metrics().Snapshot(); s.TurnWait.Count != c.timed || s.GCHold.Count != 0 || s.TotalEvents != uint64(c.n)+1 {
+				t.Errorf("rate %d, child parked on %d: %d turn waits and %d holds timed over %d events; want %d, 0, %d",
+					c.rate, c.n, s.TurnWait.Count, s.GCHold.Count, s.TotalEvents, c.timed, c.n+1)
+			}
+		}
+	})
+}
+
+// parkThenRun runs main's spawn and n-1 accesses — one run, counters 0..n-1 —
+// and then the child's one access, n, and closes the VM. Replaying, main lets
+// the child park on n before its run, so the child waits exactly once.
+func parkThenRun(t *testing.T, vm *VM, n int) {
+	var x SharedInt
+	ran := make(chan struct{})
+	vm.Start(func(main *Thread) {
+		main.Spawn(func(th *Thread) {
+			if vm.mode == ids.Record {
+				<-ran
+			}
+			x.Add(th, 1)
+		})
+		for deadline := time.Now().Add(10 * time.Second); vm.mode == ids.Replay && len(vm.WaitingThreads()) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("the child never parked")
+				break
+			}
+		}
+		for i := 1; i < n; i++ {
+			x.Add(main, 1)
+		}
+		close(ran)
+	})
+	vm.Wait()
+	vm.Close()
 }
 
 // setThousand runs one thread setting a variable 1 000 times — one run of

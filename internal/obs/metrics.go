@@ -107,8 +107,9 @@ type Metrics struct {
 	// TurnWait observes how long replaying threads wait for their scheduled
 	// turns (the replay serialization cost).
 	TurnWait Histogram
-	// GCHold observes how long the GC-critical section is held per critical
-	// event (op + observer), record and replay alike.
+	// GCHold observes how long the record phase's GC-critical section is held
+	// per critical event (op + observer). A replaying VM holds no section —
+	// the recorded schedule is its mutual exclusion — and observes none.
 	GCHold Histogram
 	// MTTR observes supervisor mean-time-to-recover: crash detection to the
 	// recovered VM rejoining (every recovery is observed — no sampling).
