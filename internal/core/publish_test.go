@@ -398,46 +398,59 @@ func TestPanickingEventDoesNotTick(t *testing.T) {
 // that enters an object's section with global events still counted locally
 // publishes them — which takes the global lock — on the way in, holding
 // nothing; so while the global section is occupied for good, the object stays
-// usable by every thread that owes the global stream nothing.
+// usable by every thread that owes the global stream nothing. Get and Set
+// are recorded without a closure (recordInt) and Add with one, and each must
+// publish on the way in.
 func TestObjectSectionNeverWaitsForGlobalLock(t *testing.T) {
-	vm := startVM(t, Config{ID: 96, Mode: ids.Record, OrderMode: ids.OrderSharded})
-	var onGlobal, x SharedInt // onGlobal stays unregistered
-	x.Register(vm)
-	counted, frozen, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
-	vm.Start(func(main *Thread) {
-		main.Spawn(func(th *Thread) {
-			for i := 0; i < 5; i++ {
-				onGlobal.Add(th, 1) // one run: the first published, four counted locally
-			}
-			close(counted)
-			<-frozen
-			x.Add(th, 1)
-		})
-		main.Spawn(func(th *Thread) {
-			<-counted
-			th.Critical(func(ids.GCount) {
-				close(frozen)
-				<-release
+	for _, access := range []struct {
+		name string
+		do   func(x *SharedInt, th *Thread)
+	}{
+		{"add", func(x *SharedInt, th *Thread) { x.Add(th, 1) }},
+		{"get", func(x *SharedInt, th *Thread) { x.Get(th) }},
+		{"set", func(x *SharedInt, th *Thread) { x.Set(th, 1) }},
+	} {
+		t.Run(access.name, func(t *testing.T) {
+			vm := startVM(t, Config{ID: 96, Mode: ids.Record, OrderMode: ids.OrderSharded})
+			var onGlobal, x SharedInt // onGlobal stays unregistered
+			x.Register(vm)
+			counted, frozen, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+			vm.Start(func(main *Thread) {
+				main.Spawn(func(th *Thread) {
+					for i := 0; i < 5; i++ {
+						onGlobal.Add(th, 1) // one run: the first published, four counted locally
+					}
+					close(counted)
+					<-frozen
+					access.do(&x, th)
+				})
+				main.Spawn(func(th *Thread) {
+					<-counted
+					th.Critical(func(ids.GCount) {
+						close(frozen)
+						<-release
+					})
+				})
+				main.Spawn(func(th *Thread) {
+					<-frozen
+					time.Sleep(20 * time.Millisecond) // let the first thread reach the lock it must wait for
+					access.do(&x, th)
+					close(done)
+				})
 			})
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				t.Error("an object's section is held by a thread waiting for the global lock")
+			}
+			close(release)
+			vm.Wait()
+			if s := vm.Metrics().Snapshot(); s.TotalEvents != 3+5+1+2 || s.Events.Total() != s.TotalEvents {
+				t.Errorf("total %d, per-kind sum %d, want 11 each", s.TotalEvents, s.Events.Total())
+			}
+			vm.Close()
 		})
-		main.Spawn(func(th *Thread) {
-			<-frozen
-			time.Sleep(20 * time.Millisecond) // let the first thread reach the lock it must wait for
-			x.Add(th, 1)
-			close(done)
-		})
-	})
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Error("an object's section is held by a thread waiting for the global lock")
 	}
-	close(release)
-	vm.Wait()
-	if s := vm.Metrics().Snapshot(); s.TotalEvents != 3+5+1+2 || s.Events.Total() != s.TotalEvents {
-		t.Errorf("total %d, per-kind sum %d, want 11 each", s.TotalEvents, s.Events.Total())
-	}
-	vm.Close()
 }
 
 // A replaying thread takes a stream's turn once per run and keeps it: between

@@ -13,10 +13,10 @@ import (
 // one logical thread schedule from another, so Get and Set are individually
 // atomic but sequences of them race at application level — as racy Java field
 // accesses do. In passthrough mode accesses compile down to plain atomics,
-// modeling the unmodified JVM. In replay a Get or Set inside a run the thread
-// holds is the access itself plus thread-local counts (Thread.heldCursor) —
-// these two carry the workloads' racy idiom — and every other access goes
-// through critical.
+// modeling the unmodified JVM. Get and Set carry the workloads' racy idiom: a
+// replayed one inside a held run is the access plus thread-local counts
+// (Thread.heldCursor), a recorded one the access under the stream's lock
+// (Thread.recordInt). Every other access goes through critical.
 type SharedInt struct {
 	v     int64
 	order *stream // the variable's own order stream after Register on a sharded VM; nil: the VM's global one
@@ -49,6 +49,9 @@ func (s *SharedInt) Get(t *Thread) int64 {
 		t.advance(c, obs.KindShared)
 		return v
 	}
+	if t.vm.mode == ids.Record {
+		return t.recordInt(st, &s.v, false, 0)
+	}
 	var out int64
 	t.critical(st, obs.KindShared, func(ids.GCount) { out = s.v })
 	return out
@@ -65,6 +68,10 @@ func (s *SharedInt) Set(t *Thread, v int64) {
 	if c := t.heldCursor(st); c != nil {
 		s.v = v
 		t.advance(c, obs.KindShared)
+		return
+	}
+	if t.vm.mode == ids.Record {
+		t.recordInt(st, &s.v, true, v)
 		return
 	}
 	t.critical(st, obs.KindShared, func(ids.GCount) { s.v = v })

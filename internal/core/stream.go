@@ -284,11 +284,8 @@ func (t *Thread) endOfSchedule(s *stream, what string) {
 //
 // The Replay arm finds the thread's cursor over s in t.run — looking it up
 // when the thread's previous event was on another stream — and replays the
-// event in place when heldCursor allows it: op, then advance. Every other
-// event is replayEvent's. After the look-up heldCursor's nil and stream tests,
-// which are there for SharedInt's inline accessors, always pass; they are two
-// inlined compares of words already loaded, kept so that the in-place test is
-// written once.
+// event in place when heldCursor (whose nil and stream tests always pass here)
+// allows it: op, then advance. Every other event is replayEvent's.
 func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 	switch t.vm.mode {
 	case ids.Passthrough:
@@ -296,7 +293,6 @@ func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 		t.maybeYield()
 	case ids.Record:
 		t.recordEvent(s, kind, op)
-		t.maybeYield()
 	case ids.Replay:
 		if t.run.s != s {
 			t.run = t.cursor(s)
@@ -348,7 +344,6 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 		t.publishCounts(nil)
 		op()
 		t.recordEvent(s, kind, mark)
-		t.maybeYield()
 	case ids.Replay:
 		c := t.cursor(s)
 		// Take the turn first, without executing anything: every event op
@@ -365,28 +360,39 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 	}
 }
 
-// exec executes op as the recorded event with counter value n under mu — the
-// critical section — and times it into the GC-hold histogram when n is
-// sampled, and reports it to the observer when there is one. recordEvent calls
-// op directly for every other event, so exec is the path of the sampled and
-// the observed ones. A replaying thread holds no section (its turn is the
-// mutual exclusion) and times no hold: GC-hold is a record-phase histogram.
-// Advancing the counter is the caller's next step, so if op panics (a
-// MonitorStateError the application recovers from, say) the counter has not
-// ticked: it is as if the event never happened.
-func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount)) {
+// exec executes the recorded event with counter value n under mu — the
+// critical section: op, or with op nil recordInt's SharedInt access — timing
+// it into the GC-hold histogram when n is sampled and reporting it to the
+// observer when there is one. It is the path of every event that runs code
+// which may panic (a MonitorStateError the application recovers from, say, or
+// an observer's kill): the deferred unlock then releases the section before
+// the counter ticks, as if the event never happened. Replay holds no section
+// (its turn is the mutual exclusion): GC-hold is a record-phase histogram.
+func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount), p *int64, set bool, v int64) int64 {
+	done := false
+	defer func() {
+		if !done {
+			s.mu.Unlock()
+		}
+	}()
 	sampled := uint64(n)&s.holdMask == 0
 	var start time.Duration
 	if sampled {
 		start = time.Since(s.vm.epoch)
 	}
-	op(n)
+	if op != nil {
+		op(n)
+	} else {
+		v = accessInt(p, set, v)
+	}
 	if s.observer != nil {
 		s.observer(t.num, n)
 	}
 	if sampled {
 		s.vm.metrics.ObserveGCHold(time.Since(s.vm.epoch) - start)
 	}
+	done = true
+	return v
 }
 
 // lockedTick is a replayed event inside the critical section — the replay of
@@ -412,29 +418,50 @@ func (s *stream) publishLocked() {
 	s.clock.Store(uint64(s.next))
 }
 
-// recordEvent is the critical section of the record phase: counter update and
+// recordEvent records op as one critical event of s.
+func (t *Thread) recordEvent(s *stream, kind obs.EventKind, op func(ids.GCount)) {
+	t.record(s, kind, op, nil, false, 0)
+}
+
+// recordInt records a SharedInt access — a load of *p, or with set a store of
+// v — and returns its value. Inlined into SharedInt.Get and Set, it is their
+// one call while recording.
+func (t *Thread) recordInt(s *stream, p *int64, set bool, v int64) int64 {
+	return t.record(s, obs.KindShared, nil, p, set, v)
+}
+
+func accessInt(p *int64, set bool, v int64) int64 {
+	if set {
+		*p = v
+		return v
+	}
+	return *p
+}
+
+// record is the critical section of the record phase: counter update and
 // event execution as one atomic operation (§2.2), then the run bookkeeping.
 // The lock is what makes the two one step, so the counter is a plain field
-// and the section's only atomic operations are the lock's own; the deferred
-// unlock keeps the stream consistent when op panics. The event goes through
-// exec only when its hold time is sampled or the stream is observed.
-func (t *Thread) recordEvent(s *stream, kind obs.EventKind, op func(ids.GCount)) {
+// and the section's only atomic operations are the lock's own. It is every
+// recorded event's entry (publish, lock, read next) and tail (tick, counts,
+// run flush and open, publication, WAL note, timestamp); the event between
+// them is op, or with op nil the access recordInt asked for. That access
+// cannot panic: unless it is sampled or observed it runs in place, with no
+// closure and no defer. Everything that can runs in exec.
+func (t *Thread) record(s *stream, kind obs.EventKind, op func(ids.GCount), p *int64, set bool, v int64) int64 {
 	if !s.isGlobal() && t.pendingN != t.pendingFast+t.pendingContended {
-		// Events of the global stream are still counted locally and their
-		// word is out of reach from inside an object's section (stream locks
-		// never nest): publish them on the way in.
+		// Global events still counted locally: publish them on the way in,
+		// as stream locks never nest.
 		t.publishCounts(nil)
 	}
 	fast := s.mu.TryLock()
 	if !fast {
 		s.mu.Lock()
 	}
-	defer s.mu.Unlock()
 	n := s.next
-	if uint64(n)&s.holdMask != 0 && s.observer == nil {
-		op(n)
+	if op == nil && uint64(n)&s.holdMask != 0 && s.observer == nil {
+		v = accessInt(p, set, v)
 	} else {
-		s.exec(t, n, op)
+		v = s.exec(t, n, op, p, set, v)
 	}
 	s.next = n + 1
 	s.countAcquire(t, fast)
@@ -462,6 +489,9 @@ func (t *Thread) recordEvent(s *stream, kind obs.EventKind, op func(ids.GCount))
 	if s.tsEvery != 0 && (uint64(n)+1)%s.tsEvery == 0 {
 		s.vm.appendTimestampLocked(n + 1)
 	}
+	s.mu.Unlock()
+	t.maybeYield()
+	return v
 }
 
 // takeTurn waits, without executing anything, until the thread may execute

@@ -124,7 +124,7 @@ func (t *Thread) countEvent(kind obs.EventKind) {
 // stream whose lock the caller holds, nil for none; the first two sites
 // publish from inside the section they are already in, the other two pay one
 // round trip on the global lock. An object's section never holds uncounted
-// global events (recordEvent publishes them on the way in), so stream locks
+// global events (record publishes them on the way in), so stream locks
 // still never nest. While replaying it is the word of every stream whose turn
 // the thread holds (cursor.publish), so words and counts go out together: a
 // word trails its holder by no more than the holder's unpublished counts, and

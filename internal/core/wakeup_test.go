@@ -162,8 +162,8 @@ func TestStallWatchdogWakesAllParked(t *testing.T) {
 // the default 1-in-64 sampling the event counters stay exact while the
 // latency histograms see only the sampled subset; with rate 1 every event is
 // timed. GC-hold is the record phase's critical section: a recording VM times
-// exactly the sampled events (recordEvent calls op directly for every other
-// one), and a replaying VM, which holds no section, times none at any rate —
+// exactly the sampled events (record runs a SharedInt access in place, and
+// exec times only the sampled ones), and a replaying VM, which holds no section, times none at any rate —
 // its timed interval is the wait for a turn, sampled by the awaited counter
 // value.
 func TestHistogramSamplingPreservesCounts(t *testing.T) {
