@@ -1,187 +1,24 @@
 package repro
 
-// Repository-level benchmarks: one per table of the paper's evaluation
-// section (§6), plus the ablations called out in DESIGN.md §4.
+// Repository-level benchmarks: the ablations called out in DESIGN.md §4.
+// The paper's tables are regenerated by `go run ./cmd/djfigures -table 1|2`,
+// and the system is timed end to end by the benchmark module.
 //
-//	go test -bench 'Table1' -benchmem .     # Table 1 (closed world)
-//	go test -bench 'Table2' -benchmem .     # Table 2 (open world)
-//	go test -bench 'Ablation' -benchmem .   # design-choice ablations
-//
-// Per-table custom metrics attach the paper's non-timing columns to each
-// benchmark line: critical-events/run, nw-events/run, log-B/run. The rec
-// ovhd column is the ratio of a Record benchmark's ns/op to the matching
-// Baseline benchmark's ns/op; `go run ./cmd/djbench` computes it directly.
+//	go test -run '^$' -bench 'Ablation' -benchmem .
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/djgram"
 	"repro/internal/djsock"
 	"repro/internal/ids"
-	"repro/internal/kvapp"
 	"repro/internal/netsim"
 	"repro/internal/rudp"
 	"repro/internal/tracelog"
 )
-
-var tableThreads = []int{2, 4, 8, 16, 32}
-
-// benchRun drives one bench.Run configuration b.N times and reports the
-// table's non-timing columns from the last run.
-func benchRun(b *testing.B, fn func() (bench.RunResult, error), component func(bench.RunResult) bench.ComponentStats) {
-	b.Helper()
-	var last bench.RunResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := fn()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.StopTimer()
-	cs := component(last)
-	b.ReportMetric(float64(cs.CriticalEvents), "critical-events/run")
-	b.ReportMetric(float64(cs.NetworkEvents), "nw-events/run")
-	b.ReportMetric(float64(cs.LogBytes), "log-B/run")
-}
-
-// BenchmarkTable1Closed regenerates Table 1: both components record in the
-// closed world; the Server and Client sub-benchmarks report that component's
-// columns.
-func BenchmarkTable1Closed(b *testing.B) {
-	for _, n := range tableThreads {
-		p := bench.ClosedParams(n)
-		b.Run(fmt.Sprintf("Server/threads=%d", n), func(b *testing.B) {
-			benchRun(b, func() (bench.RunResult, error) {
-				return bench.RunClosed(p, ids.Record, nil, nil)
-			}, func(r bench.RunResult) bench.ComponentStats { return r.Server })
-		})
-		b.Run(fmt.Sprintf("Client/threads=%d", n), func(b *testing.B) {
-			benchRun(b, func() (bench.RunResult, error) {
-				return bench.RunClosed(p, ids.Record, nil, nil)
-			}, func(r bench.RunResult) bench.ComponentStats { return r.Client })
-		})
-	}
-}
-
-// BenchmarkTable1Baseline is the plain-VM baseline for Table 1's rec ovhd
-// column (identical workload, no recording).
-func BenchmarkTable1Baseline(b *testing.B) {
-	for _, n := range tableThreads {
-		p := bench.ClosedParams(n)
-		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-			benchRun(b, func() (bench.RunResult, error) {
-				return bench.RunBaseline(p)
-			}, func(r bench.RunResult) bench.ComponentStats { return r.Client })
-		})
-	}
-}
-
-// BenchmarkTable2Open regenerates Table 2: the named component is the sole
-// DJVM (open world), its peer a plain VM.
-func BenchmarkTable2Open(b *testing.B) {
-	for _, n := range tableThreads {
-		p := bench.OpenParams(n)
-		b.Run(fmt.Sprintf("Server/threads=%d", n), func(b *testing.B) {
-			benchRun(b, func() (bench.RunResult, error) {
-				return bench.RunOpen(p, true, ids.Record, nil)
-			}, func(r bench.RunResult) bench.ComponentStats { return r.Server })
-		})
-		b.Run(fmt.Sprintf("Client/threads=%d", n), func(b *testing.B) {
-			benchRun(b, func() (bench.RunResult, error) {
-				return bench.RunOpen(p, false, ids.Record, nil)
-			}, func(r bench.RunResult) bench.ComponentStats { return r.Client })
-		})
-	}
-}
-
-// BenchmarkTable2Baseline is the plain-VM baseline for Table 2's rec ovhd
-// column.
-func BenchmarkTable2Baseline(b *testing.B) {
-	for _, n := range tableThreads {
-		p := bench.OpenParams(n)
-		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-			benchRun(b, func() (bench.RunResult, error) {
-				return bench.RunBaseline(p)
-			}, func(r bench.RunResult) bench.ComponentStats { return r.Client })
-		})
-	}
-}
-
-// BenchmarkReplayClosed measures replay-phase execution of the Table 1
-// workload (the paper reports record overheads only; replay cost bounds the
-// debugging experience).
-func BenchmarkReplayClosed(b *testing.B) {
-	for _, n := range []int{2, 8} {
-		p := bench.ClosedParams(n)
-		rec, err := bench.RunClosed(p, ids.Record, nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunClosed(p, ids.Replay, rec.ServerLogs, rec.ClientLogs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkKVStore measures record overhead on the realistic distributed
-// application (internal/kvapp) — the "verified against real applications"
-// follow-up the paper's §6 calls for. Compare the record and passthrough
-// lines for the application-level rec ovhd.
-func BenchmarkKVStore(b *testing.B) {
-	cfg := func(mode ids.Mode) kvapp.Config {
-		return kvapp.Config{
-			Replicas: 2, Clients: 3, OpsPerClient: 8,
-			Mode: mode, Jitter: 5, Seed: 1234, Chaos: kvapp.DefaultChaos(),
-		}
-	}
-	b.Run("passthrough", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := kvapp.Run(cfg(ids.Passthrough)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("record", func(b *testing.B) {
-		var logBytes int
-		for i := 0; i < b.N; i++ {
-			_, logs, err := kvapp.Run(cfg(ids.Record))
-			if err != nil {
-				b.Fatal(err)
-			}
-			logBytes = 0
-			for _, l := range logs {
-				logBytes += l.TotalSize()
-			}
-		}
-		b.ReportMetric(float64(logBytes), "log-B/run")
-	})
-	b.Run("replay", func(b *testing.B) {
-		_, logs, err := kvapp.Run(cfg(ids.Record))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c := cfg(ids.Replay)
-			c.Logs = logs
-			if _, _, err := kvapp.Run(c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- Ablations (DESIGN.md §4) ---
 
 // BenchmarkAblationCriticalEvent measures the per-critical-event cost of the
 // GC-critical section in each mode: the innermost quantity behind every

@@ -1,14 +1,22 @@
-// djfigures demonstrates the mechanisms illustrated by the paper's figures:
+// djfigures reproduces the paper's figures and tables:
 //
 //	djfigures -figure 1   # Figures 1 & 2: nondeterministic connection
 //	                      # pairing, ServerSocketEntry logging, and exact
 //	                      # replay of the recorded pairing
 //	djfigures -figure 3   # Figure 3: overlapping reads/writes on one socket
 //	                      # and exact replay of partial read sizes
+//	djfigures -table 1    # Table 1(a)/(b): closed-world server & client
+//	djfigures -table 2    # Table 2(a)/(b): open-world server & client
+//	djfigures -table logsize  # §6's note: client log size vs message size
 //
-// -runs sets how many free executions are shown first. Exits 0 when every
-// replay reproduced its recording, 1 when one did not (or a run failed), 2 on
-// a usage error.
+// -runs sets how many free executions a figure shows first. A table's
+// columns mirror the paper: #threads, #critical events, #nw events, log size
+// (bytes), and rec ovhd (%) — the percentage increase in execution time of a
+// recording run over the plain (passthrough) baseline, the minimum of -reps
+// timed runs. -threads lists the thread counts; the sweep uses the first.
+// Tables 1 and 2 also replay the recordings of their first thread count.
+// Progress goes to stderr. Exits 0 when every replay reproduced its
+// recording, 1 when one did not (or a run failed), 2 on a usage error.
 package main
 
 import (
@@ -17,6 +25,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -33,18 +43,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	figure := fs.Int("figure", 1, "which figure to demonstrate: 1 (and 2) or 3")
 	runs := fs.Int("runs", 5, "number of free executions to show before record/replay")
+	tableName := fs.String("table", "", "which table to regenerate instead of a figure: 1, 2 or logsize")
+	threadList := fs.String("threads", "2,4,8,16,32", "comma-separated thread counts of a table")
+	reps := fs.Int("reps", 3, "timing repetitions per table cell (minimum is reported)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 0 || *runs < 0 {
-		fmt.Fprintln(stderr, "usage: djfigures [-figure 1|3] [-runs N]")
+	threads, err := parseThreads(*threadList)
+	figureSet := false
+	fs.Visit(func(f *flag.Flag) { figureSet = figureSet || f.Name == "figure" })
+	switch {
+	case fs.NArg() != 0 || *runs < 0 || *reps < 1:
+		fmt.Fprintln(stderr, "usage: djfigures [-figure 1|3] [-runs N] | -table 1|2|logsize [-threads N,...] [-reps N]")
+		return 2
+	case err != nil:
+		fmt.Fprintln(stderr, err)
+		return 2
+	case *tableName != "" && figureSet:
+		fmt.Fprintln(stderr, "djfigures: -figure and -table are exclusive")
 		return 2
 	}
-	var err error
-	switch *figure {
-	case 1, 2:
+	switch {
+	case *tableName == "1" || *tableName == "2" || *tableName == "logsize":
+		err = table(stdout, stderr, *tableName, threads, *reps)
+	case *tableName != "":
+		fmt.Fprintln(stderr, "djfigures: -table must be 1, 2 or logsize")
+		return 2
+	case *figure == 1 || *figure == 2:
 		err = figure12(stdout, *runs)
-	case 3:
+	case *figure == 3:
 		err = figure3(stdout, *runs)
 	default:
 		fmt.Fprintln(stderr, "djfigures: -figure must be 1 or 3")
@@ -55,6 +82,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+func parseThreads(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("djfigures: bad thread count %q", part)
+		}
+		out = append(out, n)
+	}
+	return out, nil
 }
 
 var errDiverged = errors.New("replay diverged")

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 	"repro/internal/djsock"
 	"repro/internal/ids"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/tracelog"
 )
 
@@ -47,9 +46,6 @@ type ComponentStats struct {
 	NetworkEvents  uint64
 	LogBytes       int
 	Outcome        Outcome
-	// Obs is the component VM's full observability snapshot at run end:
-	// per-kind event counts, log volume, and latency histograms.
-	Obs obs.Snapshot
 }
 
 // RunResult is the outcome of one benchmark run.
@@ -140,7 +136,6 @@ func Run(spec Spec) (RunResult, error) {
 			CriticalEvents: st.CriticalEvents,
 			NetworkEvents:  st.NetworkEvents,
 			Outcome:        serverOut,
-			Obs:            serverVM.Metrics().Snapshot(),
 		}
 		if logs := serverVM.Logs(); logs != nil {
 			res.Server.LogBytes = logs.TotalSize()
@@ -154,7 +149,6 @@ func Run(spec Spec) (RunResult, error) {
 			CriticalEvents: st.CriticalEvents,
 			NetworkEvents:  st.NetworkEvents,
 			Outcome:        clientOut,
-			Obs:            clientVM.Metrics().Snapshot(),
 		}
 		if logs := clientVM.Logs(); logs != nil {
 			res.Client.LogBytes = logs.TotalSize()

@@ -1,6 +1,7 @@
-// Package bench reconstructs the synthetic, multi-threaded client-server
-// benchmark of the paper's §6 and the harness that regenerates Tables 1
-// and 2.
+package main
+
+// The synthetic, multi-threaded client-server benchmark of the paper's §6,
+// which Tables 1 and 2 measure.
 //
 // The benchmark is "written to deliberately contain non-determinism in
 // updating both shared variables and passing the result of computation over
@@ -18,7 +19,6 @@
 // Because of these sources of nondeterminism, repeated free executions
 // complete with different results; under DJVM record/replay the results
 // reproduce exactly (§6: "a perfect replay is observed").
-package bench
 
 import (
 	"encoding/binary"

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"testing"
@@ -155,12 +155,6 @@ func TestOpenWorldLogGrowsWithMessageSize(t *testing.T) {
 	}
 }
 
-// contentLogBytes is the size of a recorded client's network and datagram
-// logs: everything but the schedule.
-func contentLogBytes(r RunResult) int {
-	return r.ClientLogs.Network.Size() + r.ClientLogs.Datagram.Size()
-}
-
 func TestFreeRunsDiffer(t *testing.T) {
 	// §6: "repeated executions of the benchmark invariably complete with
 	// different results computed by each thread."
@@ -177,14 +171,4 @@ func TestFreeRunsDiffer(t *testing.T) {
 		}
 	}
 	t.Error("six free runs produced identical client outcomes; benchmark not racy")
-}
-
-func TestVerifyReplay(t *testing.T) {
-	closedOK, openOK, detail, err := VerifyReplay(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !closedOK || !openOK {
-		t.Errorf("verify failed (closed=%v open=%v):\n%s", closedOK, openOK, detail)
-	}
 }
