@@ -17,8 +17,11 @@
 //	djchaos [-members N] [-kills N] -seed 1 -campaign 100 [-json] [-dir DIR] [-horizon N] [-keep N]
 //
 // The campaign runs seeds seed..seed+campaign-1 over N coordinated members;
-// -members 1 is the lone supervised primary. Exit status 0 means every run
-// satisfied every invariant, 1 that some run did not, 2 a usage error.
+// -members 1 is the lone supervised primary. Each seed's member WALs are
+// left under DIR/seed-N for djrecover; without -dir they go to a temp dir
+// that is removed when the campaign ends.
+// Exit status 0 means every run satisfied every invariant, 1 that some run
+// did not, 2 a usage error.
 package main
 
 import (
@@ -88,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "first seed of the campaign")
 	campaign := fs.Int("campaign", 1, "number of consecutive seeds to run")
 	jsonOut := fs.Bool("json", false, "emit the campaign report as JSON")
-	dir := fs.String("dir", "", "working directory (default: a fresh temp dir)")
+	dir := fs.String("dir", "", "working directory, kept after the run (default: a fresh temp dir, removed)")
 	horizon := fs.Uint64("horizon", 0, "fault horizon in counter units (0 = default)")
 	keep := fs.Int("keep", 0, "checkpoint retention for WAL truncation (0 = default)")
 	members := fs.Int("members", 3, "supervised member VMs per run (1 = a lone primary)")
@@ -237,9 +240,6 @@ func runOne(seed uint64, dir string, horizon ids.GCount, keep, members, kills in
 			r.Err = fmt.Sprintf("member %s: %d WAL truncations failed, first: %v", m.Name, len(m.TruncateErrs), m.TruncateErrs[0])
 		}
 		r.MemberReports = append(r.MemberReports, mr)
-	}
-	if r.ok() {
-		os.RemoveAll(dir)
 	}
 	return r
 }

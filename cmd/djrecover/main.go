@@ -1,29 +1,27 @@
-// djrecover inspects and salvages a DJVM write-ahead trace log left behind by
-// a crashed node (see Node.EnableWAL / dejavu.Recover):
+// djrecover salvages the write-ahead trace logs a crashed node or group left
+// behind (see Node.EnableWAL / dejavu.Recover):
 //
-//	djrecover <file.wal>            # scan, repair, report, validate
-//	djrecover -json <file.wal>      # machine-readable report
-//	djrecover -o <dir> <file.wal>   # also save the recovered log set to dir
-//	djrecover -mkfixture <file.wal> # write a deliberately torn fixture (CI)
-//	djrecover -set <dir>            # batch: salvage every member *.wal in dir
-//	                                # and solve the group recovery line
+//	djrecover <file.wal | dir>          # scan, repair, validate, report
+//	djrecover -json <file.wal | dir>    # machine-readable report
+//	djrecover -o <out> <file.wal | dir> # also save each recovered set to out/<member>
+//	djrecover -mkfixture <file.wal>     # write a deliberately torn fixture (CI)
 //
-// -set treats the directory as one crashed group: every *.wal is salvaged and
-// validated independently (one summary row per member), then the salvaged
-// sets are fed to the recovery-line solver, which reports the latest complete
-// coordinated-checkpoint line — each member's restart anchor — and why newer
-// epochs were demoted (torn stamps, lost anchor checkpoints, orphan
-// messages).
+// The input is one WAL or a directory of them, one per group member; a file
+// is a group of one. Every member is salvaged and validated on its own and
+// gets one report, and -o saves member m.wal's recovered set under out/m.
+// The salvaged sets then go to the recovery-line solver. When some member
+// carries coordinated-checkpoint epochs, the report ends with the latest
+// complete line — each member's restart anchor — and why newer epochs were
+// demoted (torn stamps, lost anchor checkpoints, orphan messages).
 //
 // Exit status: 0 when every WAL salvaged to an internally consistent set (or
 // the fixture was written), 1 when one did not salvage or did not validate, 2
-// on a usage error (including a -set directory with no *.wal in it).
+// on a usage error (including a directory with no *.wal in it).
 //
-// The tool truncates nothing on disk: it reads the WAL, discards the torn or
+// The tool truncates nothing on disk: it reads each WAL, discards the torn or
 // corrupt tail in memory, repairs the salvaged records to the largest
-// replayable prefix, and reports what survived. The recovered set — written
-// with -o — replays deterministically up to the crash point with
-// Config.StopAtLogEnd.
+// replayable prefix, and reports what survived. A recovered set replays
+// deterministically up to the crash point with Config.StopAtLogEnd.
 package main
 
 import (
@@ -42,7 +40,7 @@ import (
 	"repro/internal/tracelog"
 )
 
-const usage = "usage: djrecover [-json] [-o dir] <file.wal> | djrecover [-json] [-o dir] -set <dir> | djrecover -mkfixture <file.wal>"
+const usage = "usage: djrecover [-json] [-o dir] <file.wal | dir> | djrecover -mkfixture <file.wal>"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -52,108 +50,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("djrecover", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	asJSON := fs.Bool("json", false, "emit the recovery report as JSON")
-	outDir := fs.String("o", "", "save the recovered log set under this directory")
+	outDir := fs.String("o", "", "save each member's recovered log set under this directory")
 	fixture := fs.String("mkfixture", "", "write a torn-tail WAL fixture to this path and exit")
-	setDir := fs.String("set", "", "batch mode: salvage every member *.wal under this directory and solve the group recovery line")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	switch {
-	case *fixture != "" && fs.NArg() == 0 && *setDir == "":
+	case *fixture != "" && fs.NArg() == 0:
 		if err := writeFixture(*fixture); err != nil {
 			fmt.Fprintln(stderr, "djrecover:", err)
 			return 1
 		}
 		fmt.Fprintf(stdout, "wrote torn fixture %s\n", *fixture)
 		return 0
-	case *setDir != "" && fs.NArg() == 0 && *fixture == "":
-		return runSet(*setDir, *asJSON, *outDir, stdout, stderr)
-	case fs.NArg() == 1 && *setDir == "" && *fixture == "":
-		return runFile(fs.Arg(0), *asJSON, *outDir, stdout, stderr)
+	case *fixture == "" && fs.NArg() == 1:
+		return salvage(fs.Arg(0), *asJSON, *outDir, stdout, stderr)
 	}
 	fmt.Fprintln(stderr, usage)
 	return 2
 }
 
-// runFile salvages and validates one WAL and returns the process exit code.
-func runFile(path string, asJSON bool, outDir string, stdout, stderr io.Writer) int {
-	set, rep, err := tracelog.RecoverFile(path)
-	if err != nil {
-		if rep != nil && asJSON {
-			_ = emitJSON(stdout, rep, nil, err) // exits 1 either way, with err on stderr
-		}
-		fmt.Fprintln(stderr, "djrecover:", err)
-		return 1
-	}
-	check := logcheck.CheckSet(set)
-
-	if asJSON {
-		if err := emitJSON(stdout, rep, check, nil); err != nil {
-			fmt.Fprintln(stderr, "djrecover:", err)
-			return 1
-		}
-	} else {
-		printReport(stdout, rep, check)
-	}
-
-	if outDir != "" {
-		if err := set.Save(outDir); err != nil {
-			fmt.Fprintln(stderr, "djrecover:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "recovered log set saved to %s (replay with StopAtLogEnd)\n", outDir)
-	}
-	if !check.OK() {
-		return 1
-	}
-	return 0
-}
-
-func printReport(w io.Writer, rep *tracelog.RecoveryReport, check *logcheck.Report) {
-	fmt.Fprintf(w, "== %s ==\n", rep.Path)
-	fmt.Fprintf(w, "frames:    %d valid (%d bytes kept, %d discarded)\n",
-		rep.Frames, rep.GoodBytes, rep.DiscardedBytes)
-	if rep.Truncated {
-		fmt.Fprintf(w, "truncated: yes — %s\n", rep.Reason)
-	} else {
-		fmt.Fprintf(w, "truncated: no\n")
-	}
-	fmt.Fprintf(w, "records:   %d schedule, %d network, %d datagram\n",
-		rep.ScheduleRecords, rep.NetworkRecords, rep.DatagramRecords)
-	switch {
-	case rep.Clean:
-		fmt.Fprintf(w, "shutdown:  clean (final vm-meta present)\n")
-	default:
-		fmt.Fprintf(w, "shutdown:  CRASH — replayable prefix repaired, vm-meta synthesized\n")
-		fmt.Fprintf(w, "dropped:   %d intervals, %d schedule records, %d datagram records beyond the prefix\n",
-			rep.DroppedIntervals, rep.DroppedSchedule, rep.DroppedDatagrams)
-		if rep.OpenNotes > 0 {
-			fmt.Fprintf(w, "notes:     %d open-interval durability notes merged into the prefix\n", rep.OpenNotes)
-		}
-	}
-	fmt.Fprintf(w, "identity:  vm=%d world=%v\n", rep.VM, rep.World)
-	fmt.Fprintf(w, "replayable prefix: events [0,%d)\n", rep.FinalGC)
-	if check.OK() {
-		fmt.Fprintf(w, "logcheck:  ok — recovered set is internally consistent\n")
-	} else {
-		fmt.Fprintf(w, "logcheck:  %d finding(s)\n", len(check.Findings))
-		for _, f := range check.Findings {
-			fmt.Fprintln(w, "  ", f)
-		}
-	}
-}
-
-// setMemberRow is one member's salvage summary in -set mode.
-type setMemberRow struct {
+// member is one WAL's salvage outcome.
+type member struct {
 	Path     string                   `json:"path"`
 	Report   *tracelog.RecoveryReport `json:"report,omitempty"`
 	Findings []string                 `json:"findings,omitempty"`
+	Saved    string                   `json:"saved,omitempty"`
 	OK       bool                     `json:"ok"`
 	Error    string                   `json:"error,omitempty"`
 }
 
-// setLineRow summarizes the solved recovery line in -set mode.
-type setLineRow struct {
+// line summarizes the solved recovery line.
+type line struct {
 	Epoch     uint64            `json:"epoch"`
 	Anchors   map[string]uint64 `json:"anchors"`
 	Fallbacks int               `json:"fallbacks"`
@@ -162,93 +90,67 @@ type setLineRow struct {
 	Demoted   []string          `json:"demoted,omitempty"`
 }
 
-// setReport is the -set JSON output shape.
-type setReport struct {
-	Dir     string         `json:"dir"`
-	Members []setMemberRow `json:"members"`
-	Line    *setLineRow    `json:"line,omitempty"`
-	NoLine  string         `json:"no_line,omitempty"`
-	OK      bool           `json:"ok"`
+// report is the whole output, and the -json shape.
+type report struct {
+	Input   string   `json:"input"`
+	Members []member `json:"members"`
+	Line    *line    `json:"line,omitempty"`
+	NoLine  string   `json:"no_line,omitempty"`
+	OK      bool     `json:"ok"`
 }
 
-// runSet salvages every member WAL under dir, validates each, solves the
-// group's recovery line across the salvaged sets, and returns the process
-// exit code.
-func runSet(dir string, asJSON bool, outDir string, stdout, stderr io.Writer) int {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.wal"))
-	if err != nil || len(paths) == 0 {
-		fmt.Fprintf(stderr, "djrecover: no *.wal files under %s\n", dir)
-		return 2
+// salvage salvages and validates every member WAL of input — the file
+// itself, or each *.wal in the directory — solves the recovery line across
+// the salvaged sets, reports, and returns the process exit code.
+func salvage(input string, asJSON bool, outDir string, stdout, stderr io.Writer) int {
+	paths := []string{input}
+	if fi, err := os.Stat(input); err == nil && fi.IsDir() {
+		paths, _ = filepath.Glob(filepath.Join(input, "*.wal"))
+		if len(paths) == 0 {
+			fmt.Fprintf(stderr, "djrecover: no *.wal files under %s\n", input)
+			return 2
+		}
+		sort.Strings(paths)
 	}
-	sort.Strings(paths)
 
-	out := setReport{Dir: dir, OK: true}
+	out := report{Input: input, OK: true}
 	var sets []*tracelog.Set
 	for _, p := range paths {
-		row := setMemberRow{Path: p}
 		set, rep, err := tracelog.RecoverFile(p)
-		row.Report = rep
+		m := member{Path: p, Report: rep}
 		if err != nil {
-			row.Error = err.Error()
+			m.Error = err.Error()
 			out.OK = false
-		} else {
-			check := logcheck.CheckSet(set)
-			row.OK = check.OK()
-			for _, f := range check.Findings {
-				row.Findings = append(row.Findings, f.String())
-			}
-			if !row.OK {
-				out.OK = false
-			}
-			sets = append(sets, set)
-			if outDir != "" {
-				name := strings.TrimSuffix(filepath.Base(p), ".wal")
-				if err := set.Save(filepath.Join(outDir, name)); err != nil {
-					fmt.Fprintln(stderr, "djrecover:", err)
-					return 1
-				}
+			out.Members = append(out.Members, m)
+			continue
+		}
+		check := logcheck.CheckSet(set)
+		m.OK = check.OK()
+		out.OK = out.OK && m.OK
+		for _, f := range check.Findings {
+			m.Findings = append(m.Findings, f.String())
+		}
+		if outDir != "" {
+			m.Saved = filepath.Join(outDir, strings.TrimSuffix(filepath.Base(p), ".wal"))
+			if err := set.Save(m.Saved); err != nil {
+				fmt.Fprintln(stderr, "djrecover:", err)
+				return 1
 			}
 		}
-		out.Members = append(out.Members, row)
+		sets = append(sets, set)
+		out.Members = append(out.Members, m)
 	}
-
-	if len(sets) > 0 {
-		sol, err := recline.Solve(sets)
-		switch {
-		case err != nil:
-			out.NoLine = err.Error()
-		case sol.Line == nil:
-			out.NoLine = "no complete group epoch survived (per-member restarts only)"
-			for _, c := range sol.Candidates {
-				out.NoLine += fmt.Sprintf("; epoch %d: %s", c.Epoch, c.Rejected)
-			}
-		default:
-			line := &setLineRow{
-				Epoch:     sol.Line.Epoch,
-				Anchors:   map[string]uint64{},
-				Fallbacks: sol.Fallbacks(),
-				Stable:    sol.Stable,
-				InFlight:  sol.InFlight,
-			}
-			for vm, gc := range sol.Line.Anchors {
-				line.Anchors[fmt.Sprintf("vm%d", vm)] = uint64(gc)
-			}
-			for _, c := range sol.Candidates {
-				if c.Rejected != "" {
-					line.Demoted = append(line.Demoted, fmt.Sprintf("epoch %d: %s", c.Epoch, c.Rejected))
-				}
-			}
-			out.Line = line
-		}
-	}
+	out.Line, out.NoLine = solve(sets)
 
 	if asJSON {
-		if err := writeJSON(stdout, out); err != nil {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(out); err != nil {
 			fmt.Fprintln(stderr, "djrecover:", err)
 			return 1
 		}
 	} else {
-		printSetReport(stdout, &out)
+		printReport(stdout, &out)
 	}
 	if !out.OK {
 		return 1
@@ -256,24 +158,88 @@ func runSet(dir string, asJSON bool, outDir string, stdout, stderr io.Writer) in
 	return 0
 }
 
-func printSetReport(w io.Writer, out *setReport) {
-	fmt.Fprintf(w, "== group salvage: %s (%d members) ==\n", out.Dir, len(out.Members))
+// solve runs the recovery-line solver over the salvaged sets. It returns the
+// chosen line, or why there is none; both are empty when the solver finds no
+// group epoch in any member, so a lone WAL's report has no recovery-line
+// section.
+func solve(sets []*tracelog.Set) (*line, string) {
+	sol, err := recline.Solve(sets)
+	switch {
+	case err != nil:
+		return nil, err.Error()
+	case len(sol.Candidates) == 0:
+		return nil, ""
+	case sol.Line == nil:
+		why := "no complete group epoch survived (per-member restarts only)"
+		for _, c := range sol.Candidates {
+			why += fmt.Sprintf("; epoch %d: %s", c.Epoch, c.Rejected)
+		}
+		return nil, why
+	}
+	l := &line{
+		Epoch:     sol.Line.Epoch,
+		Anchors:   map[string]uint64{},
+		Fallbacks: sol.Fallbacks(),
+		Stable:    sol.Stable,
+		InFlight:  sol.InFlight,
+	}
+	for vm, gc := range sol.Line.Anchors {
+		l.Anchors[fmt.Sprintf("vm%d", vm)] = uint64(gc)
+	}
+	for _, c := range sol.Candidates {
+		if c.Rejected != "" {
+			l.Demoted = append(l.Demoted, fmt.Sprintf("epoch %d: %s", c.Epoch, c.Rejected))
+		}
+	}
+	return l, ""
+}
+
+func printReport(w io.Writer, out *report) {
 	for _, m := range out.Members {
-		switch {
-		case m.Error != "":
-			fmt.Fprintf(w, "%-20s FAIL  %s\n", filepath.Base(m.Path), m.Error)
-		case !m.OK:
-			fmt.Fprintf(w, "%-20s FAIL  %d logcheck finding(s)\n", filepath.Base(m.Path), len(m.Findings))
+		if m.Error != "" {
+			fmt.Fprintf(w, "%s  FAIL  %s\n", m.Path, m.Error)
+			continue
+		}
+		rep := m.Report
+		if m.OK {
+			shutdown := "clean"
+			if !rep.Clean {
+				shutdown = "crash"
+			}
+			fmt.Fprintf(w, "%s  ok    vm=%d world=%v, %s, prefix [0,%d)\n",
+				m.Path, rep.VM, rep.World, shutdown, rep.FinalGC)
+		} else {
+			fmt.Fprintf(w, "%s  FAIL  %d logcheck finding(s)\n", m.Path, len(m.Findings))
+		}
+		fmt.Fprintf(w, "  frames:    %d valid (%d bytes kept, %d discarded)\n",
+			rep.Frames, rep.GoodBytes, rep.DiscardedBytes)
+		if rep.Truncated {
+			fmt.Fprintf(w, "  truncated: yes — %s\n", rep.Reason)
+		} else {
+			fmt.Fprintf(w, "  truncated: no\n")
+		}
+		fmt.Fprintf(w, "  records:   %d schedule, %d network, %d datagram\n",
+			rep.ScheduleRecords, rep.NetworkRecords, rep.DatagramRecords)
+		if rep.Clean {
+			fmt.Fprintf(w, "  shutdown:  clean (final vm-meta present)\n")
+		} else {
+			fmt.Fprintf(w, "  shutdown:  CRASH — replayable prefix repaired, vm-meta synthesized\n")
+			fmt.Fprintf(w, "  dropped:   %d intervals, %d schedule records, %d datagram records beyond the prefix\n",
+				rep.DroppedIntervals, rep.DroppedSchedule, rep.DroppedDatagrams)
+			if rep.OpenNotes > 0 {
+				fmt.Fprintf(w, "  notes:     %d open-interval durability notes merged into the prefix\n", rep.OpenNotes)
+			}
+		}
+		if m.OK {
+			fmt.Fprintf(w, "  logcheck:  ok — recovered set is internally consistent\n")
+		} else {
+			fmt.Fprintf(w, "  logcheck:  %d finding(s)\n", len(m.Findings))
 			for _, f := range m.Findings {
 				fmt.Fprintln(w, "    ", f)
 			}
-		default:
-			shutdown := "clean"
-			if !m.Report.Clean {
-				shutdown = "crash"
-			}
-			fmt.Fprintf(w, "%-20s ok    vm=%d %s, prefix [0,%d), %d frames\n",
-				filepath.Base(m.Path), m.Report.VM, shutdown, m.Report.FinalGC, m.Report.Frames)
+		}
+		if m.Saved != "" {
+			fmt.Fprintf(w, "  saved:     %s (replay with StopAtLogEnd)\n", m.Saved)
 		}
 	}
 	switch {
@@ -290,34 +256,6 @@ func printSetReport(w io.Writer, out *setReport) {
 	case out.NoLine != "":
 		fmt.Fprintf(w, "recovery line: NONE — %s\n", out.NoLine)
 	}
-}
-
-// jsonReport is the -json output shape.
-type jsonReport struct {
-	Report   *tracelog.RecoveryReport `json:"report"`
-	Findings []string                 `json:"findings,omitempty"`
-	OK       bool                     `json:"ok"`
-	Error    string                   `json:"error,omitempty"`
-}
-
-func emitJSON(w io.Writer, rep *tracelog.RecoveryReport, check *logcheck.Report, err error) error {
-	out := jsonReport{Report: rep}
-	if check != nil {
-		out.OK = check.OK()
-		for _, f := range check.Findings {
-			out.Findings = append(out.Findings, f.String())
-		}
-	}
-	if err != nil {
-		out.Error = err.Error()
-	}
-	return writeJSON(w, out)
-}
-
-func writeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 // writeFixture builds a small single-VM WAL — identity header, a two-thread

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/tracelog"
 )
 
 // fixtureWAL writes the -mkfixture WAL into dir under name, through run.
@@ -40,10 +42,9 @@ func TestUsageErrors(t *testing.T) {
 		{},
 		{wal, wal},
 		{"-nosuchflag", wal},
-		{"-set", dir, wal},
-		{"-set", dir, "-mkfixture", filepath.Join(dir, "b.wal")},
+		{"-set", dir}, // one path serves a file and a directory alike
 		{"-mkfixture", filepath.Join(dir, "b.wal"), wal},
-		{"-set", t.TempDir()}, // no *.wal in it
+		{t.TempDir()}, // no *.wal in it
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 || stderr.Len() == 0 || stdout.Len() != 0 {
@@ -52,7 +53,7 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestSalvageExitCodes runs both modes over the torn fixture, the fixture
+// TestSalvageExitCodes runs a lone WAL and a directory over the torn fixture, the fixture
 // with its log-id byte of frame 3 flipped (the frame checksum does not cover
 // it: the salvage keeps the three frames before it and still validates), the
 // fixture with its magic flipped (not a WAL: nothing salvages) and a group
@@ -80,10 +81,10 @@ func TestSalvageExitCodes(t *testing.T) {
 		{"logid", []string{"-json", logID}, 0, []string{`"Frames": 3,`, "unexpected interval record in network log", `"ok": true`}},
 		{"magic", []string{magic}, 1, nil},
 		{"finding", []string{finding}, 1, []string{"logcheck:  1 finding(s)", why}},
-		{"set/fixture", []string{"-set", walDir(t, fixture)}, 0, []string{"fixture.wal", " ok ", "crash"}},
-		{"set/logid", []string{"-json", "-set", walDir(t, logID)}, 0, []string{`"Frames": 3,`, `"ok": true`}},
-		{"set/magic", []string{"-set", walDir(t, fixture, magic)}, 1, []string{"magic.wal", "FAIL", "fixture.wal"}},
-		{"set/finding", []string{"-set", walDir(t, fixture, finding)}, 1, []string{"finding.wal", "FAIL  1 logcheck finding(s)", why, "fixture.wal"}},
+		{"set/fixture", []string{walDir(t, fixture)}, 0, []string{"fixture.wal", " ok ", "crash"}},
+		{"set/logid", []string{"-json", walDir(t, logID)}, 0, []string{`"Frames": 3,`, `"ok": true`}},
+		{"set/magic", []string{walDir(t, fixture, magic)}, 1, []string{"magic.wal", "FAIL", "fixture.wal"}},
+		{"set/finding", []string{walDir(t, fixture, finding)}, 1, []string{"finding.wal", "FAIL  1 logcheck finding(s)", why, "fixture.wal"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -99,16 +100,18 @@ func TestSalvageExitCodes(t *testing.T) {
 	}
 }
 
-// TestSavedSetIsWritten: -o writes the salvaged set; a path that cannot be
-// written is a failure, exit 1, in -o and in -mkfixture alike.
+// TestSavedSetIsWritten: -o writes a lone WAL's salvaged set under its member
+// name, as it does each member of a directory; a path that cannot be written
+// is a failure, exit 1, in -o and in -mkfixture alike.
 func TestSavedSetIsWritten(t *testing.T) {
 	fixture := fixtureWAL(t, t.TempDir(), "fixture.wal")
 	out := filepath.Join(t.TempDir(), "recovered")
+	saved := filepath.Join(out, "fixture")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-o", out, fixture}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "recovered log set saved to "+out) {
+	if code := run([]string{"-o", out, fixture}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "saved:     "+saved) {
 		t.Fatalf("exit %d, stderr %q\n%s", code, stderr.String(), stdout.String())
 	}
-	if _, err := os.Stat(out); err != nil {
+	if _, err := tracelog.LoadSet(saved); err != nil {
 		t.Fatal(err)
 	}
 	if code := run([]string{"-o", filepath.Join(fixture, "sub"), fixture}, &stdout, &stderr); code != 1 {

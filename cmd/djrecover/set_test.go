@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ids"
@@ -37,18 +39,22 @@ func buildMemberWAL(t *testing.T, dir, name string, vm ids.DJVMID, a1, a2 ids.GC
 	return path
 }
 
-// -set over a healthy two-member group: both members salvage, and the solver
-// settles on the newest epoch.
+// A healthy two-member group: both members salvage, and the solver settles on
+// the newest epoch.
 func TestRunSetHealthyGroup(t *testing.T) {
 	dir := t.TempDir()
 	buildMemberWAL(t, dir, "m1.wal", 1, 90, 180)
 	buildMemberWAL(t, dir, "m2.wal", 2, 95, 185)
-	if code := run([]string{"-json", "-set", dir}, io.Discard, io.Discard); code != 0 {
-		t.Fatalf("djrecover -set = %d, want 0", code)
+	var stdout bytes.Buffer
+	if code := run([]string{dir}, &stdout, io.Discard); code != 0 {
+		t.Fatalf("djrecover dir = %d, want 0\n%s", code, stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "recovery line: epoch 2, anchors map[vm1:180 vm2:185]") {
+		t.Errorf("report lacks the epoch-2 line:\n%s", stdout.String())
 	}
 }
 
-// -set over a group whose second member's final frame (the epoch-2 stamp) is
+// A group whose second member's final frame (the epoch-2 stamp) is
 // torn: both members still salvage — the batch succeeds — and the solver
 // falls back to epoch 1.
 func TestRunSetTornMemberFallsBack(t *testing.T) {
@@ -63,8 +69,12 @@ func TestRunSetTornMemberFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := t.TempDir()
-	if code := run([]string{"-json", "-o", out, "-set", dir}, io.Discard, io.Discard); code != 0 {
-		t.Fatalf("djrecover -set = %d, want 0 (a torn tail still salvages)", code)
+	var stdout bytes.Buffer
+	if code := run([]string{"-json", "-o", out, dir}, &stdout, io.Discard); code != 0 {
+		t.Fatalf("djrecover dir = %d, want 0 (a torn tail still salvages)", code)
+	}
+	if !strings.Contains(stdout.String(), `"epoch": 1,`) || !strings.Contains(stdout.String(), `"fallbacks": 1,`) {
+		t.Errorf("report does not fall back to epoch 1:\n%s", stdout.String())
 	}
 	// -o saved each member's recovered set under its own subdirectory.
 	for _, m := range []string{"m1", "m2"} {
@@ -74,14 +84,43 @@ func TestRunSetTornMemberFallsBack(t *testing.T) {
 	}
 }
 
-// -set over an unsalvageable member (not a WAL at all) reports failure.
+// An unsalvageable member (not a WAL at all) fails the group.
 func TestRunSetBadMemberFails(t *testing.T) {
 	dir := t.TempDir()
 	buildMemberWAL(t, dir, "m1.wal", 1, 90, 180)
 	if err := os.WriteFile(filepath.Join(dir, "m2.wal"), []byte("not a wal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-json", "-set", dir}, io.Discard, io.Discard); code != 1 {
-		t.Fatalf("djrecover -set = %d, want 1 for an unrecoverable member", code)
+	if code := run([]string{"-json", dir}, io.Discard, io.Discard); code != 1 {
+		t.Fatalf("djrecover dir = %d, want 1 for an unrecoverable member", code)
+	}
+}
+
+// The recovery-line section is there only when some member carries group
+// epochs: a lone WAL without them reports its salvage and nothing more, while
+// a lone member of a two-VM group says why it has no line.
+func TestRecoveryLineOnlyWithGroupEpochs(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		wal  string
+		want string
+	}{
+		{fixtureWAL(t, dir, "fixture.wal"), ""},
+		{buildMemberWAL(t, dir, "m1.wal", 1, 90, 180), "recovery line: NONE — no complete group epoch survived"},
+	} {
+		for _, args := range [][]string{{tc.wal}, {"-json", tc.wal}} {
+			var stdout bytes.Buffer
+			if code := run(args, &stdout, io.Discard); code != 0 {
+				t.Fatalf("djrecover %v = %d, want 0\n%s", args, code, stdout.String())
+			}
+			out := stdout.String()
+			hasLine := strings.Contains(out, "recovery line") || strings.Contains(out, `"line"`) || strings.Contains(out, `"no_line"`)
+			if hasLine != (tc.want != "") {
+				t.Errorf("djrecover %v: recovery-line section present = %v, want %v:\n%s", args, hasLine, tc.want != "", out)
+			}
+			if tc.want != "" && args[0] != "-json" && !strings.Contains(out, tc.want) {
+				t.Errorf("djrecover %v lacks %q:\n%s", args, tc.want, out)
+			}
+		}
 	}
 }

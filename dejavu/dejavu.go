@@ -40,7 +40,6 @@ package dejavu
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"time"
 
 	"repro/internal/causal"
@@ -90,9 +89,6 @@ type (
 	SharedVar[T any] = core.SharedVar[T]
 	// ResumePoint identifies where a checkpoint-resumed replay picks up.
 	ResumePoint = core.ResumePoint
-	// Stats aggregates a node's event counters: the paper's two table
-	// columns. Snapshot is the full observability view.
-	Stats = core.Stats
 
 	// Snapshot is a consistent point-in-time view of a node's metrics:
 	// critical events by kind, network events, log volume per file, replay
@@ -478,18 +474,10 @@ func (n *Node) Close() error { return n.vm.Close() }
 // Logs returns the record-phase logs (nil unless recording).
 func (n *Node) Logs() *Logs { return n.vm.Logs() }
 
-// Stats returns a snapshot of the node's event counters.
-func (n *Node) Stats() Stats { return n.vm.Stats() }
-
 // Snapshot returns the full observability view of the node: critical events
 // by kind, network events, log volume, replay progress, and latency
 // histograms. It is safe to call at any time, including while the node runs.
 func (n *Node) Snapshot() Snapshot { return n.vm.Metrics().Snapshot() }
-
-// MetricsHandler returns an http.Handler serving the node's metrics snapshot
-// as JSON — mount it wherever the application serves debug endpoints, or use
-// ServeMetrics for a standalone listener. cmd/djstat consumes this format.
-func (n *Node) MetricsHandler() http.Handler { return obs.Handler(n.vm.Metrics()) }
 
 // ServeMetrics starts a standalone HTTP listener on addr (use
 // "127.0.0.1:0" for an ephemeral port) serving the node's metrics snapshot
@@ -766,14 +754,21 @@ func Checkpoints(logs *Logs) ([]*CheckpointSnapshot, error) {
 	return checkpoint.List(logs)
 }
 
-// FinalCounter reports the global counter value a recorded log set reached —
-// the total number of critical events of the run.
+// FinalCounter reports the total number of critical events of a recorded
+// run: the global counter value its log set reached plus, under
+// OrderSharded, the accesses in every registered object's runs.
 func FinalCounter(logs *Logs) (uint64, error) {
 	idx, err := tracelog.BuildScheduleIndex(logs.Schedule)
 	if err != nil {
 		return 0, err
 	}
-	return uint64(idx.Meta.FinalGC), nil
+	n := uint64(idx.Meta.FinalGC)
+	for _, runs := range idx.ObjRuns {
+		for _, r := range runs {
+			n += uint64(r.Last-r.First) + 1
+		}
+	}
+	return n, nil
 }
 
 // Explore runs schedule-space exploration for one generated program seed:

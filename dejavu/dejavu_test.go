@@ -192,15 +192,16 @@ func TestFacadeAccessors(t *testing.T) {
 	if x.Load() != 2 {
 		t.Errorf("barrier app final %d, want 2", x.Load())
 	}
-	if node.Stats().CriticalEvents == 0 {
-		t.Error("Stats empty after run")
+	snap := node.Snapshot()
+	if snap.TotalEvents == 0 || snap.NetworkEvents != 0 {
+		t.Errorf("snapshot after run: %d events, %d network events; want some and none", snap.TotalEvents, snap.NetworkEvents)
 	}
 	final, err := dejavu.FinalCounter(node.Logs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final != node.Stats().CriticalEvents {
-		t.Errorf("FinalCounter %d, stats %d", final, node.Stats().CriticalEvents)
+	if final != snap.TotalEvents {
+		t.Errorf("FinalCounter %d, snapshot %d", final, snap.TotalEvents)
 	}
 }
 

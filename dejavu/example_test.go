@@ -1,6 +1,7 @@
 package dejavu_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -137,6 +138,91 @@ func ExampleNode_NewRPCServer() {
 	server.Close()
 	client.Close()
 	// Output: hello, world
+}
+
+// ExampleConfig_worlds records a client that talks to a DJVM server and to an
+// echo service outside DJVM control, then replays both DJVM nodes with the
+// echo service gone. In the open world the client logs every byte it reads,
+// so replay serves both legs from its log. In the mixed world each DJVM node
+// names the other in DJVMPeers: that leg keeps the closed-world scheme, logs
+// no content and replays against the server's own replay, while the echo leg
+// is still served from the log.
+func ExampleConfig_worlds() {
+	const replyLen = 1024
+	reply := bytes.Repeat([]byte("dj"), replyLen/2)
+	program := func(world dejavu.World, mode dejavu.Mode, srvLogs, cliLogs *dejavu.Logs) (string, *dejavu.Node, *dejavu.Node) {
+		net := dejavu.NewNetwork(dejavu.NetworkConfig{})
+		const echoPort = 7
+		if mode == dejavu.Record {
+			echo, _ := dejavu.NewNode(dejavu.Config{ID: 9, Mode: dejavu.Passthrough, Network: net, Host: "echo"})
+			up := make(chan struct{})
+			echo.Start(func(main *dejavu.Thread) {
+				ss, _ := echo.Listen(main, echoPort)
+				close(up)
+				conn, _ := ss.Accept(main)
+				buf := make([]byte, 5)
+				conn.ReadFull(main, buf)
+				conn.Write(main, bytes.ToUpper(buf))
+				conn.Close(main)
+			})
+			<-up
+		}
+		node := func(id dejavu.DJVMID, host, peer string, logs *dejavu.Logs) *dejavu.Node {
+			cfg := dejavu.Config{ID: id, Mode: mode, World: world, Network: net, Host: host, ReplayLogs: logs}
+			if world == dejavu.MixedWorld {
+				cfg.DJVMPeers = []string{peer}
+			}
+			n, _ := dejavu.NewNode(cfg)
+			return n
+		}
+		srv, cli := node(1, "djserver", "client", srvLogs), node(2, "client", "djserver", cliLogs)
+
+		ready := make(chan uint16, 1)
+		srv.Start(func(main *dejavu.Thread) {
+			ss, _ := srv.Listen(main, 0)
+			ready <- ss.Port()
+			conn, _ := ss.Accept(main)
+			conn.ReadFull(main, make([]byte, 4))
+			conn.Write(main, reply)
+			conn.Close(main)
+		})
+		port := <-ready
+		var replies string
+		cli.Start(func(main *dejavu.Thread) {
+			for _, leg := range []struct {
+				to      dejavu.Addr
+				request string
+				n       int
+			}{
+				{dejavu.Addr{Host: "djserver", Port: port}, "ping", replyLen},
+				{dejavu.Addr{Host: "echo", Port: echoPort}, "mixed", 5},
+			} {
+				conn, _ := cli.Connect(main, leg.to)
+				conn.Write(main, []byte(leg.request))
+				buf := make([]byte, leg.n)
+				conn.ReadFull(main, buf)
+				replies += string(buf) + "|"
+				conn.Close(main)
+			}
+		})
+		srv.Wait()
+		cli.Wait()
+		srv.Close()
+		cli.Close()
+		return replies, srv, cli
+	}
+
+	for _, world := range []dejavu.World{dejavu.OpenWorld, dejavu.MixedWorld} {
+		recorded, srv, cli := program(world, dejavu.Record, nil, nil)
+		replayed, _, _ := program(world, dejavu.Replay, srv.Logs(), cli.Logs())
+		fmt.Printf("%v world: replay without the echo service reproduced both replies: %v\n", world, replayed == recorded)
+		fmt.Printf("%v world: the DJVM server's reply is in the client's log: %v\n", world, cli.Logs().TotalSize() > replyLen)
+	}
+	// Output:
+	// open world: replay without the echo service reproduced both replies: true
+	// open world: the DJVM server's reply is in the client's log: true
+	// mixed world: replay without the echo service reproduced both replies: true
+	// mixed world: the DJVM server's reply is in the client's log: false
 }
 
 // ExampleCheckpointTake shows bounding replay time with a checkpoint.

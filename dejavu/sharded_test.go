@@ -135,6 +135,24 @@ func TestShardedFacadeRecordReplay(t *testing.T) {
 	}
 }
 
+// TestFinalCounterCountsEveryStream: under OrderSharded the registered
+// objects' accesses are critical events on their own streams, outside the
+// global counter, and FinalCounter still counts every event the run had.
+func TestFinalCounterCountsEveryStream(t *testing.T) {
+	_, _, cli := shardedRun(t, dejavu.Record, nil, nil)
+	final, err := dejavu.FinalCounter(cli.Logs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := cli.Snapshot()
+	if snap.Shard.FastPath+snap.Shard.Contended == 0 {
+		t.Fatal("sharded record counted no per-object events")
+	}
+	if final != snap.TotalEvents {
+		t.Errorf("FinalCounter %d, snapshot %d critical events", final, snap.TotalEvents)
+	}
+}
+
 // TestShardedFacadeModeMismatch: replaying a sharded recording on a global
 // node must fail at construction with an order-mode error.
 func TestShardedFacadeModeMismatch(t *testing.T) {

@@ -12,9 +12,9 @@
 //
 // Scope: a checkpoint must be taken at a thread-quiescent point — while the
 // checkpointing thread is the only thread with critical events still to
-// execute, and with no network data in flight. The demo application in
-// examples/ and the tests structure their phases around such barriers, as
-// coordinated checkpointing protocols do.
+// execute, and with no network data in flight. The dejavu package's
+// ExampleCheckpointTake and the tests structure their phases around such
+// barriers, as coordinated checkpointing protocols do.
 package checkpoint
 
 import (
