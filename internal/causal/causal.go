@@ -424,8 +424,8 @@ func collectCrossEdges(g *Graph, vms []*vmLogs) []crossEdge {
 	// connectionId the accept recorded. Both endpoint counter values come
 	// from net-spans.
 	for vi, v := range vms {
-		for serverID, clientID := range v.net.ServerSockets {
-			acceptSpan, ok := v.net.NetSpans[serverID]
+		for serverID, clientID := range v.net.ServerSockets.All() {
+			acceptSpan, ok := v.net.NetSpans.Get(serverID)
 			if !ok || acceptSpan.Op != tracelog.NetOpAccept {
 				g.Stats.UnmatchedHandshakes++
 				continue
@@ -435,7 +435,7 @@ func collectCrossEdges(g *Graph, vms []*vmLogs) []crossEdge {
 				g.Stats.UnmatchedHandshakes++
 				continue
 			}
-			connectSpan, ok := vms[cvi].net.NetSpans[ids.NetworkEventID{Thread: clientID.Thread, Event: clientID.Event}]
+			connectSpan, ok := vms[cvi].net.NetSpans.Get(ids.NetworkEventID{Thread: clientID.Thread, Event: clientID.Event})
 			if !ok || connectSpan.Op != tracelog.NetOpConnect {
 				g.Stats.UnmatchedHandshakes++
 				continue
@@ -456,7 +456,7 @@ func collectCrossEdges(g *Graph, vms []*vmLogs) []crossEdge {
 	writes := make(map[dirKey][]tracelog.NetSpanEntry)
 	reads := make(map[dirKey][]tracelog.NetSpanEntry) // keyed by the READER's VM
 	for vi, v := range vms {
-		for _, ns := range v.net.NetSpans {
+		for _, ns := range v.net.NetSpans.All() {
 			switch ns.Op {
 			case tracelog.NetOpWrite:
 				k := dirKey{conn: ns.Conn, vm: vi}
@@ -506,7 +506,7 @@ func collectCrossEdges(g *Graph, vms []*vmLogs) []crossEdge {
 	// Datagram edges: the delivery record already names the sender's
 	// ⟨VM, counter⟩ — no annotation needed.
 	for vi, v := range vms {
-		for ev, entry := range v.dg.ByEvent {
+		for ev, entry := range v.dg.ByEvent.All() {
 			svi, ok := g.vmIndex[entry.Datagram.VM]
 			if !ok || svi == vi {
 				g.Stats.DanglingDatagrams++

@@ -247,12 +247,12 @@ func TestKVAppGraphProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantHandshakes += len(ni.ServerSockets)
+		wantHandshakes += ni.ServerSockets.Len()
 		di, err := tracelog.BuildDatagramIndex(set.Datagram)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantDatagrams += len(di.ByEvent)
+		wantDatagrams += di.ByEvent.Len()
 	}
 	if g.Stats.UnmatchedHandshakes != 0 {
 		t.Errorf("UnmatchedHandshakes = %d, want 0 (tracing was on everywhere)", g.Stats.UnmatchedHandshakes)
@@ -296,7 +296,7 @@ func independentStreamMatches(t *testing.T, logs kvapp.RunLogs) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ns := range ni.NetSpans {
+		for _, ns := range ni.NetSpans.All() {
 			if ns.Op != tracelog.NetOpRead && ns.Op != tracelog.NetOpWrite {
 				continue
 			}

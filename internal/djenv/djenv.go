@@ -86,7 +86,7 @@ func (s *Source) query(t *core.Thread, op string, sample func() uint64, signed b
 			return nil
 		})
 	} else {
-		entry, ok := vm.NetworkIndex().Envs[ev.ID]
+		entry, ok := vm.NetworkIndex().Envs.Get(ev.ID)
 		if ok && entry.Op != op {
 			err = fmt.Errorf("environment event %v recorded as %q, replayed as %q", ev.ID, entry.Op, op)
 		} else {

@@ -127,8 +127,8 @@ func (ds *DatagramSocket) Receive(t *core.Thread) ([]byte, netsim.Addr, error) {
 
 	// Replay. A datagram recorded from a non-DJVM source is delivered with
 	// the recorded data, not with the real network (§5).
-	entry, open := e.vm.NetworkIndex().OpenDatagrams[ev.ID]
-	want, closedSc := e.vm.DatagramIndex().ByEvent[ev.ID]
+	entry, open := e.vm.NetworkIndex().OpenDatagrams.Get(ev.ID)
+	want, closedSc := e.vm.DatagramIndex().ByEvent.Get(ev.ID)
 	err := ev.Replay(open || closedSc, open, func() (err error) {
 		data, source, err = ds.awaitDatagram(want.Datagram)
 		return err

@@ -118,10 +118,10 @@ func TestServerSocketEntriesLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx.ServerSockets) != nClients {
-		t.Fatalf("server logged %d ServerSocketEntries, want %d", len(idx.ServerSockets), nClients)
+	if idx.ServerSockets.Len() != nClients {
+		t.Fatalf("server logged %d ServerSocketEntries, want %d", idx.ServerSockets.Len(), nClients)
 	}
-	for serverID, clientID := range idx.ServerSockets {
+	for serverID, clientID := range idx.ServerSockets.All() {
 		if clientID.VM != recC.ID() {
 			t.Errorf("entry %v records client VM %d, want %d", serverID, clientID.VM, recC.ID())
 		}
@@ -132,7 +132,7 @@ func TestServerSocketEntriesLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(cidx.OpenReads) + len(cidx.OpenWrites) + len(cidx.OpenConnects); n != 0 {
+	if n := cidx.OpenReads.Len() + cidx.OpenWrites.Len() + cidx.OpenConnects.Len(); n != 0 {
 		t.Errorf("closed-world client logged %d open-world records", n)
 	}
 }

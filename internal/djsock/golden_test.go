@@ -184,10 +184,10 @@ func replayGoldenOpen(t *testing.T, flip int) (string, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fnvWrites != goldenOpenConns || len(idx.OpenWrites) != goldenOpenConns ||
-		len(idx.OpenAccepts) != goldenOpenConns || len(idx.OpenReads) < goldenOpenConns {
+	if fnvWrites != goldenOpenConns || idx.OpenWrites.Len() != goldenOpenConns ||
+		idx.OpenAccepts.Len() != goldenOpenConns || idx.OpenReads.Len() < goldenOpenConns {
 		t.Fatalf("fixture holds %d open-write records (%d indexed), %d accepts, %d reads; want %d old-kind writes",
-			fnvWrites, len(idx.OpenWrites), len(idx.OpenAccepts), len(idx.OpenReads), goldenOpenConns)
+			fnvWrites, idx.OpenWrites.Len(), idx.OpenAccepts.Len(), idx.OpenReads.Len(), goldenOpenConns)
 	}
 	vm := newVM(t, core.Config{
 		ID: 91, Mode: ids.Replay, World: ids.OpenWorld, ReplayLogs: logs,

@@ -132,8 +132,8 @@ func (s *ServerSocket) AcceptTimeout(t *core.Thread, d time.Duration) (*Socket, 
 	// is synthesized from the log, with no network activity (§5) — or sent
 	// the connectionId this accept now waits for.
 	idx := e.vm.NetworkIndex()
-	peer, open := idx.OpenAccepts[ev.ID]
-	clientID, closedSc := idx.ServerSockets[ev.ID]
+	peer, open := idx.OpenAccepts.Get(ev.ID)
+	clientID, closedSc := idx.ServerSockets.Get(ev.ID)
 	err := ev.Replay(open || closedSc, open, func() (err error) {
 		conn, err = s.awaitConn(clientID)
 		return err

@@ -115,7 +115,7 @@ func (e *Env) Connect(t *core.Thread, addr netsim.Addr) (*Socket, error) {
 	}
 	// A non-DJVM peer is not there during replay: the OS-level connect is
 	// not executed, its results are retrieved from the log (§5).
-	entry, open := e.vm.NetworkIndex().OpenConnects[ev.ID]
+	entry, open := e.vm.NetworkIndex().OpenConnects.Get(ev.ID)
 	if err := ev.Replay(open || closedSc, open, dial, mark); err != nil {
 		return nil, err
 	}
@@ -188,11 +188,11 @@ func (s *Socket) ReadTimeout(t *core.Thread, p []byte, d time.Duration) (int, er
 		var ok bool
 		if s.peerDJVM {
 			var r tracelog.ReadEntry
-			r, ok = e.vm.NetworkIndex().Reads[ev.ID]
+			r, ok = e.vm.NetworkIndex().Reads.Get(ev.ID)
 			n, eof = int(r.N), r.EOF
 		} else {
 			var r tracelog.OpenReadEntry
-			r, ok = e.vm.NetworkIndex().OpenReads[ev.ID]
+			r, ok = e.vm.NetworkIndex().OpenReads.Get(ev.ID)
 			n, eof, data = len(r.Data), r.EOF, r.Data
 		}
 		if n > len(p) {
@@ -321,7 +321,7 @@ func (s *Socket) Available(t *core.Thread) (int, error) {
 		})
 		return n, err
 	}
-	entry, ok := e.vm.NetworkIndex().Availables[ev.ID]
+	entry, ok := e.vm.NetworkIndex().Availables.Get(ev.ID)
 	n := int(entry.N)
 	err := ev.Replay(ok, !s.peerDJVM, func() error {
 		if got := s.stream.WaitAvailable(n); got < n {

@@ -113,17 +113,17 @@ func TestOpenWorldLogContainsContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx.OpenConnects) != 1 {
-		t.Errorf("logged %d open connects, want 1", len(idx.OpenConnects))
+	if idx.OpenConnects.Len() != 1 {
+		t.Errorf("logged %d open connects, want 1", idx.OpenConnects.Len())
 	}
-	if len(idx.OpenReads) == 0 {
+	if idx.OpenReads.Len() == 0 {
 		t.Error("no open-world read contents logged")
 	}
-	if len(idx.OpenWrites) != 1 {
-		t.Errorf("logged %d open writes, want 1", len(idx.OpenWrites))
+	if idx.OpenWrites.Len() != 1 {
+		t.Errorf("logged %d open writes, want 1", idx.OpenWrites.Len())
 	}
 	var total int
-	for _, r := range idx.OpenReads {
+	for _, r := range idx.OpenReads.All() {
 		total += len(r.Data)
 	}
 	if total != 12 {
@@ -297,11 +297,11 @@ func TestMixedWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx.OpenConnects) != 1 || len(idx.OpenWrites) != 1 {
+	if idx.OpenConnects.Len() != 1 || idx.OpenWrites.Len() != 1 {
 		t.Errorf("client logged %d open connects and %d open writes, want 1 and 1",
-			len(idx.OpenConnects), len(idx.OpenWrites))
+			idx.OpenConnects.Len(), idx.OpenWrites.Len())
 	}
-	if len(idx.Reads) == 0 {
+	if idx.Reads.Len() == 0 {
 		t.Error("client logged no closed-scheme reads for the DJVM leg")
 	}
 }

@@ -113,7 +113,7 @@ func TestPrimaryWALRandomCrashPointsRecoverConsistently(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: datagram index: %v", cut, err)
 		}
-		for _, e := range dg.ByEvent {
+		for _, e := range dg.ByEvent.All() {
 			if e.ReceiverGC >= rep.FinalGC {
 				t.Fatalf("cut=%d: datagram delivery at counter %d beyond prefix %d", cut, e.ReceiverGC, rep.FinalGC)
 			}

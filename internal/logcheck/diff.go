@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"iter"
 	"maps"
 	"slices"
 
@@ -75,33 +76,65 @@ func diffSchedules(rep *DiffReport, a, b *tracelog.ScheduleIndex) {
 	if a.OrderMode != b.OrderMode {
 		rep.addf("order mode: %v vs %v", a.OrderMode, b.OrderMode)
 	}
-	for _, tn := range unionKeys(a.Intervals, b.Intervals, cmp.Compare[ids.ThreadNum]) {
-		diffRuns(rep, fmt.Sprintf("thread %d: schedules", tn), "interval", a.Intervals[tn], b.Intervals[tn],
-			func(iv tracelog.Interval) string { return fmt.Sprintf("[%d,%d]", iv.First, iv.Last) })
-	}
-	for _, obj := range unionKeys(a.ObjRuns, b.ObjRuns, cmp.Compare[ids.ObjectID]) {
-		diffRuns(rep, fmt.Sprintf("%v: access orders", obj), "run", a.ObjRuns[obj], b.ObjRuns[obj],
-			func(r tracelog.ObjRun) string { return fmt.Sprintf("thread %d [%d,%d]", r.Thread, r.First, r.Last) })
-	}
+	merge(inOrder(a.Intervals, cmp.Compare), inOrder(b.Intervals, cmp.Compare), cmp.Compare,
+		func(tn ids.ThreadNum, ra []tracelog.Interval, _ bool, rb []tracelog.Interval, _ bool) {
+			diffRuns(rep, fmt.Sprintf("thread %d: schedules", tn), "interval", ra, rb,
+				func(iv tracelog.Interval) string { return fmt.Sprintf("[%d,%d]", iv.First, iv.Last) })
+		})
+	merge(inOrder(a.ObjRuns, cmp.Compare), inOrder(b.ObjRuns, cmp.Compare), cmp.Compare,
+		func(obj ids.ObjectID, ra []tracelog.ObjRun, _ bool, rb []tracelog.ObjRun, _ bool) {
+			diffRuns(rep, fmt.Sprintf("%v: access orders", obj), "run", ra, rb,
+				func(r tracelog.ObjRun) string { return fmt.Sprintf("thread %d [%d,%d]", r.Thread, r.First, r.Last) })
+		})
 	byObjEvent := func(x, y tracelog.ObjEvent) int {
 		return cmp.Or(cmp.Compare(x.Obj, y.Obj), cmp.Compare(x.Seq, y.Seq))
 	}
-	diffKeyed(rep, "notify at counter", a.Notifies, b.Notifies, cmp.Compare[ids.GCount], slices.Equal[[]ids.ThreadNum])
-	diffKeyed(rep, "timed-wait at counter", a.TimedWaits, b.TimedWaits, cmp.Compare[ids.GCount], same[tracelog.TimedWaitEntry])
-	diffKeyed(rep, "obj-notify at", a.ObjNotifies, b.ObjNotifies, byObjEvent, slices.Equal[[]ids.ThreadNum])
-	diffKeyed(rep, "obj-timed-wait at", a.ObjTimedWaits, b.ObjTimedWaits, byObjEvent, same[tracelog.ObjTimedWait])
+	diffKeyed(rep, "notify at counter", inOrder(a.Notifies, cmp.Compare), inOrder(b.Notifies, cmp.Compare),
+		cmp.Compare, slices.Equal[[]ids.ThreadNum])
+	diffKeyed(rep, "timed-wait at counter", inOrder(a.TimedWaits, cmp.Compare), inOrder(b.TimedWaits, cmp.Compare),
+		cmp.Compare, same[tracelog.TimedWaitEntry])
+	diffKeyed(rep, "obj-notify at", inOrder(a.ObjNotifies, byObjEvent), inOrder(b.ObjNotifies, byObjEvent),
+		byObjEvent, slices.Equal[[]ids.ThreadNum])
+	diffKeyed(rep, "obj-timed-wait at", inOrder(a.ObjTimedWaits, byObjEvent), inOrder(b.ObjTimedWaits, byObjEvent),
+		byObjEvent, same[tracelog.ObjTimedWait])
 }
 
-// unionKeys returns the keys of either map, sorted by order.
-func unionKeys[K comparable, V any](a, b map[K]V, order func(K, K) int) []K {
-	keys := slices.Collect(maps.Keys(a))
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			keys = append(keys, k)
+// inOrder yields m's entries in key order.
+func inOrder[K comparable, V any](m map[K]V, order func(K, K) int) iter.Seq2[K, V] {
+	return func(yield func(K, V) bool) {
+		for _, k := range slices.SortedFunc(maps.Keys(m), order) {
+			if !yield(k, m[k]) {
+				return
+			}
 		}
 	}
-	slices.SortFunc(keys, order)
-	return keys
+}
+
+// merge walks two key-ordered sequences in step and calls visit once for
+// every key either holds, in key order, with each side's value and whether
+// that side holds the key.
+func merge[K, V any](a, b iter.Seq2[K, V], order func(K, K) int, visit func(k K, va V, inA bool, vb V, inB bool)) {
+	nextA, stopA := iter.Pull2(a)
+	defer stopA()
+	nextB, stopB := iter.Pull2(b)
+	defer stopB()
+	var none V
+	ka, va, inA := nextA()
+	kb, vb, inB := nextB()
+	for inA || inB {
+		switch {
+		case !inB || inA && order(ka, kb) < 0:
+			visit(ka, va, true, none, false)
+			ka, va, inA = nextA()
+		case !inA || order(ka, kb) > 0:
+			visit(kb, none, false, vb, true)
+			kb, vb, inB = nextB()
+		default:
+			visit(ka, va, true, vb, true)
+			ka, va, inA = nextA()
+			kb, vb, inB = nextB()
+		}
+	}
 }
 
 // diffRuns reports the first run at which one stream's two recorded orders
@@ -129,19 +162,19 @@ func diffNetwork(rep *DiffReport, a, b *tracelog.Set) error {
 		return fmt.Errorf("logcheck: diff: right network log: %w", err)
 	}
 
-	diffKeyed(rep, "accept", na.ServerSockets, nb.ServerSockets, byNetEvent, same[ids.ConnectionID])
-	diffKeyed(rep, "read", na.Reads, nb.Reads, byNetEvent, same[tracelog.ReadEntry])
-	diffKeyed(rep, "available", na.Availables, nb.Availables, byNetEvent, same[tracelog.AvailableEntry])
-	diffKeyed(rep, "bind", na.Binds, nb.Binds, byNetEvent, same[tracelog.BindEntry])
-	diffKeyed(rep, "net-err", na.Errs, nb.Errs, byNetEvent, same[tracelog.NetErrEntry])
-	diffKeyed(rep, "env", na.Envs, nb.Envs, byNetEvent, same[tracelog.EnvEntry])
-	diffKeyed(rep, "open-connect", na.OpenConnects, nb.OpenConnects, byNetEvent, same[tracelog.OpenConnectEntry])
-	diffKeyed(rep, "open-accept", na.OpenAccepts, nb.OpenAccepts, byNetEvent, same[tracelog.OpenAcceptEntry])
-	diffKeyed(rep, "open-read", na.OpenReads, nb.OpenReads, byNetEvent, func(x, y tracelog.OpenReadEntry) bool {
+	diffKeyed(rep, "accept", na.ServerSockets.All(), nb.ServerSockets.All(), byNetEvent, same[ids.ConnectionID])
+	diffKeyed(rep, "read", na.Reads.All(), nb.Reads.All(), byNetEvent, same[tracelog.ReadEntry])
+	diffKeyed(rep, "available", na.Availables.All(), nb.Availables.All(), byNetEvent, same[tracelog.AvailableEntry])
+	diffKeyed(rep, "bind", na.Binds.All(), nb.Binds.All(), byNetEvent, same[tracelog.BindEntry])
+	diffKeyed(rep, "net-err", na.Errs.All(), nb.Errs.All(), byNetEvent, same[tracelog.NetErrEntry])
+	diffKeyed(rep, "env", na.Envs.All(), nb.Envs.All(), byNetEvent, same[tracelog.EnvEntry])
+	diffKeyed(rep, "open-connect", na.OpenConnects.All(), nb.OpenConnects.All(), byNetEvent, same[tracelog.OpenConnectEntry])
+	diffKeyed(rep, "open-accept", na.OpenAccepts.All(), nb.OpenAccepts.All(), byNetEvent, same[tracelog.OpenAcceptEntry])
+	diffKeyed(rep, "open-read", na.OpenReads.All(), nb.OpenReads.All(), byNetEvent, func(x, y tracelog.OpenReadEntry) bool {
 		return x.EOF == y.EOF && bytes.Equal(x.Data, y.Data)
 	})
-	diffKeyed(rep, "open-write", na.OpenWrites, nb.OpenWrites, byNetEvent, same[tracelog.OpenWriteEntry])
-	diffKeyed(rep, "open-datagram", na.OpenDatagrams, nb.OpenDatagrams, byNetEvent, func(x, y tracelog.OpenDatagramEntry) bool {
+	diffKeyed(rep, "open-write", na.OpenWrites.All(), nb.OpenWrites.All(), byNetEvent, same[tracelog.OpenWriteEntry])
+	diffKeyed(rep, "open-datagram", na.OpenDatagrams.All(), nb.OpenDatagrams.All(), byNetEvent, func(x, y tracelog.OpenDatagramEntry) bool {
 		return x.SourceHost == y.SourceHost && x.SourcePort == y.SourcePort && bytes.Equal(x.Data, y.Data)
 	})
 	return nil
@@ -156,7 +189,7 @@ func diffDatagram(rep *DiffReport, a, b *tracelog.Set) error {
 	if err != nil {
 		return fmt.Errorf("logcheck: diff: right datagram log: %w", err)
 	}
-	diffKeyed(rep, "datagram-recv", da.ByEvent, db.ByEvent, byNetEvent, func(x, y tracelog.DatagramRecvEntry) bool {
+	diffKeyed(rep, "datagram-recv", da.ByEvent.All(), db.ByEvent.All(), byNetEvent, func(x, y tracelog.DatagramRecvEntry) bool {
 		return x.Datagram == y.Datagram
 	})
 	return nil
@@ -168,12 +201,10 @@ func byNetEvent(x, y ids.NetworkEventID) int {
 
 func same[V comparable](x, y V) bool { return x == y }
 
-// diffKeyed compares two keyed record families: keys only on one side, and
-// shared keys whose values differ.
-func diffKeyed[K comparable, V any](rep *DiffReport, what string, a, b map[K]V, order func(K, K) int, equal func(V, V) bool) {
-	for _, k := range unionKeys(a, b, order) {
-		va, inA := a[k]
-		vb, inB := b[k]
+// diffKeyed compares two keyed record families, each given in key order:
+// keys only on one side, and shared keys whose values differ.
+func diffKeyed[K, V any](rep *DiffReport, what string, a, b iter.Seq2[K, V], order func(K, K) int, equal func(V, V) bool) {
+	merge(a, b, order, func(k K, va V, inA bool, vb V, inB bool) {
 		switch {
 		case !inA:
 			rep.addf("%s %v: only in right log", what, k)
@@ -182,5 +213,5 @@ func diffKeyed[K comparable, V any](rep *DiffReport, what string, a, b map[K]V, 
 		case !equal(va, vb):
 			rep.addf("%s %v: values differ", what, k)
 		}
-	}
+	})
 }

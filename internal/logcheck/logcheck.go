@@ -271,7 +271,7 @@ func checkNetwork(rep *Report, vm ids.DJVMID, sched *tracelog.ScheduleIndex, idx
 			rep.addf(vm, "%s record for unknown thread %d", what, ev.Thread)
 		}
 	}
-	for ev, cid := range idx.ServerSockets {
+	for ev, cid := range idx.ServerSockets.All() {
 		threadOK(ev, "server-socket")
 		// A connection from this same VM is legitimate — a loopback stream
 		// (the explorer's generated programs build their channels this way).
@@ -281,28 +281,28 @@ func checkNetwork(rep *Report, vm ids.DJVMID, sched *tracelog.ScheduleIndex, idx
 			rep.addf(vm, "accept %v records a loopback connection from unknown thread %d", ev, cid.Thread)
 		}
 	}
-	for ev := range idx.Reads {
+	for ev := range idx.Reads.All() {
 		threadOK(ev, "read")
 	}
-	for ev := range idx.Availables {
+	for ev := range idx.Availables.All() {
 		threadOK(ev, "available")
 	}
-	for ev, b := range idx.Binds {
+	for ev, b := range idx.Binds.All() {
 		threadOK(ev, "bind")
 		if b.Port == 0 {
 			rep.addf(vm, "bind %v recorded port 0", ev)
 		}
 	}
-	for ev := range idx.Errs {
+	for ev := range idx.Errs.All() {
 		threadOK(ev, "net-err")
 	}
-	for ev := range idx.OpenReads {
+	for ev := range idx.OpenReads.All() {
 		threadOK(ev, "open-read")
 	}
-	for ev := range idx.Envs {
+	for ev := range idx.Envs.All() {
 		threadOK(ev, "env")
 	}
-	for ev, ns := range idx.NetSpans {
+	for ev, ns := range idx.NetSpans.All() {
 		threadOK(ev, "net-span")
 		if ns.GC >= sched.Meta.FinalGC {
 			rep.addf(vm, "net-span %v at counter %d beyond final counter %d", ev, ns.GC, sched.Meta.FinalGC)
@@ -317,7 +317,7 @@ func checkNetwork(rep *Report, vm ids.DJVMID, sched *tracelog.ScheduleIndex, idx
 
 // checkDatagram verifies datagram-log records against the schedule.
 func checkDatagram(rep *Report, vm ids.DJVMID, sched *tracelog.ScheduleIndex, idx *tracelog.DatagramIndex) {
-	for ev, entry := range idx.ByEvent {
+	for ev, entry := range idx.ByEvent.All() {
 		if uint32(ev.Thread) >= sched.Meta.Threads {
 			rep.addf(vm, "datagram-recv record for unknown thread %d", ev.Thread)
 		}
@@ -393,8 +393,12 @@ func CheckWorld(sets []*tracelog.Set) *Report {
 		}
 	}
 
-	for vm, ni := range indexes {
-		for ev, cid := range ni.ServerSockets {
+	for _, vm := range vms {
+		ni, ok := indexes[vm]
+		if !ok {
+			continue
+		}
+		for ev, cid := range ni.ServerSockets.All() {
 			peer, ok := metas[cid.VM]
 			if !ok {
 				rep.addf(vm, "accept %v names unknown peer VM %d", ev, cid.VM)
@@ -406,8 +410,12 @@ func CheckWorld(sets []*tracelog.Set) *Report {
 			}
 		}
 	}
-	for vm, di := range dgIndexes {
-		for ev, entry := range di.ByEvent {
+	for _, vm := range vms {
+		di, ok := dgIndexes[vm]
+		if !ok {
+			continue
+		}
+		for ev, entry := range di.ByEvent.All() {
 			peer, ok := metas[entry.Datagram.VM]
 			if !ok {
 				rep.addf(vm, "datagram-recv %v names unknown sender VM %d", ev, entry.Datagram.VM)

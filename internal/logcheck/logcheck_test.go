@@ -1,6 +1,7 @@
 package logcheck
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -449,6 +450,74 @@ func TestOpenWriteKindsChecked(t *testing.T) {
 			if rep := CheckSet(bad); !findingsContain(rep, "unexpected "+kind.String()+" record in "+name+" log") {
 				t.Errorf("%v in the %s log: %v", kind, name, rep.Findings)
 			}
+		}
+	}
+}
+
+// Every network record kind but the server-socket entry is one record per
+// event: a second one makes the network log unusable, whatever its kind,
+// rather than leaving replay with whichever payload was logged last.
+func TestDuplicateNetworkRecordDetected(t *testing.T) {
+	ev := ids.NetworkEventID{Thread: 1, Event: 3}
+	for _, c := range []struct {
+		first, second tracelog.Entry
+	}{
+		{&tracelog.ReadEntry{EventID: ev, N: 5}, &tracelog.ReadEntry{EventID: ev, N: 6}},
+		{&tracelog.BindEntry{EventID: ev, Port: 80}, &tracelog.BindEntry{EventID: ev, Port: 81}},
+		{&tracelog.OpenConnectEntry{EventID: ev, RemoteHost: "alpha"}, &tracelog.OpenConnectEntry{EventID: ev, RemoteHost: "beta"}},
+		{&tracelog.OpenAcceptEntry{EventID: ev, RemotePort: 1000}, &tracelog.OpenAcceptEntry{EventID: ev, RemotePort: 1001}},
+		{&tracelog.OpenReadEntry{EventID: ev, Data: []byte("a")}, &tracelog.OpenReadEntry{EventID: ev, Data: []byte("b")}},
+		{&tracelog.OpenDatagramEntry{EventID: ev, Data: []byte("a")}, &tracelog.OpenDatagramEntry{EventID: ev, Data: []byte("b")}},
+		{&tracelog.EnvEntry{EventID: ev, Op: "clock", Value: 1}, &tracelog.EnvEntry{EventID: ev, Op: "clock", Value: 2}},
+	} {
+		kind := c.first.Kind().String()
+		t.Run(kind, func(t *testing.T) {
+			set := simpleSet(10)
+			set.Network.Append(c.first)
+			set.Network.Append(&tracelog.ReadEntry{EventID: ids.NetworkEventID{Thread: 0, Event: 9}, N: 1})
+			set.Network.Append(c.second)
+			if rep := CheckSet(set); !findingsContain(rep, "network log unusable: tracelog: duplicate "+kind+" entry for one network event") {
+				t.Errorf("two %s records for %v: %v", kind, ev, rep.Findings)
+			}
+		})
+	}
+	set := simpleSet(10)
+	set.Datagram.Append(&tracelog.DatagramRecvEntry{EventID: ev, ReceiverGC: 4})
+	set.Datagram.Append(&tracelog.DatagramRecvEntry{EventID: ev, ReceiverGC: 5})
+	if rep := CheckSet(set); !findingsContain(rep, "datagram log unusable: tracelog: duplicate datagram-recv entry") {
+		t.Errorf("two datagram deliveries for %v: %v", ev, rep.Findings)
+	}
+}
+
+// CheckSet lists a log's network findings in ⟨thread, event⟩ order within
+// each record family, whatever order the records were logged in, so two
+// checks of one log read the same.
+func TestNetworkFindingsInEventOrder(t *testing.T) {
+	set := simpleSet(10) // threads 0 and 1
+	for _, ev := range []ids.NetworkEventID{{Thread: 9, Event: 2}, {Thread: 3, Event: 8}, {Thread: 9, Event: 0}, {Thread: 5, Event: 1}, {Thread: 3, Event: 1}} {
+		set.Network.Append(&tracelog.ReadEntry{EventID: ev, N: 1})
+	}
+	for _, e := range []int{6, 2, 4, 0} {
+		set.Network.Append(&tracelog.BindEntry{EventID: ids.NetworkEventID{Thread: 1, Event: ids.EventNum(e)}})
+	}
+	want := []string{
+		"read record for unknown thread 3",
+		"read record for unknown thread 3",
+		"read record for unknown thread 5",
+		"read record for unknown thread 9",
+		"read record for unknown thread 9",
+		"bind nev⟨t1,e0⟩ recorded port 0",
+		"bind nev⟨t1,e2⟩ recorded port 0",
+		"bind nev⟨t1,e4⟩ recorded port 0",
+		"bind nev⟨t1,e6⟩ recorded port 0",
+	}
+	for run := range 2 {
+		var got []string
+		for _, f := range CheckSet(set).Findings {
+			got = append(got, f.Msg)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("check %d listed\n%s\nwant\n%s", run, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	}
 }

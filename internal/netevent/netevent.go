@@ -130,7 +130,7 @@ func consume(ids.GCount) {}
 // schedule goes; a thread that still owns schedule is told it diverged.
 func (ev Event) Replay(recorded, fromLog bool, block func() error, mark func(gc ids.GCount) error) error {
 	t := ev.t
-	if e, failed := t.VM().NetworkIndex().Errs[ev.ID]; failed {
+	if e, failed := t.VM().NetworkIndex().Errs.Get(ev.ID); failed {
 		if e.Op != ev.op {
 			return Divergef("event %v recorded a failed %s, replayed as %s", ev.ID, e.Op, ev.op)
 		}
@@ -191,7 +191,7 @@ func Bind(t *core.Thread, kind obs.EventKind, op string, port uint16, bind func(
 		})
 		return port, err
 	}
-	entry, ok := vm.NetworkIndex().Binds[ev.ID]
+	entry, ok := vm.NetworkIndex().Binds.Get(ev.ID)
 	return entry.Port, ev.Replay(ok, vm.World() == ids.OpenWorld, nil, func(ids.GCount) error {
 		_, err := bind(entry.Port)
 		return err
@@ -217,7 +217,7 @@ func (ev Event) OpenWrite(p []byte, send func() error) error {
 			return err
 		})
 	}
-	entry, ok := vm.NetworkIndex().OpenWrites[ev.ID]
+	entry, ok := vm.NetworkIndex().OpenWrites.Get(ev.ID)
 	if err := ev.Replay(ok, true, nil, nil); err != nil {
 		return err
 	}

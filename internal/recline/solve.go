@@ -298,18 +298,7 @@ func crossMessages(views map[ids.DJVMID]*memberView, vmOrder []ids.DJVMID) []Mes
 	// Datagrams.
 	for _, rvm := range vmOrder {
 		v := views[rvm]
-		evs := make([]ids.NetworkEventID, 0, len(v.dg.ByEvent))
-		for ev := range v.dg.ByEvent {
-			evs = append(evs, ev)
-		}
-		sort.Slice(evs, func(i, j int) bool {
-			if evs[i].Thread != evs[j].Thread {
-				return evs[i].Thread < evs[j].Thread
-			}
-			return evs[i].Event < evs[j].Event
-		})
-		for _, ev := range evs {
-			entry := v.dg.ByEvent[ev]
+		for _, entry := range v.dg.ByEvent.All() {
 			svm := entry.Datagram.VM
 			if svm == rvm {
 				continue
@@ -333,7 +322,7 @@ func crossMessages(views map[ids.DJVMID]*memberView, vmOrder []ids.DJVMID) []Mes
 	writes := map[dirKey][]tracelog.NetSpanEntry{}
 	reads := map[dirKey][]tracelog.NetSpanEntry{}
 	for _, vm := range vmOrder {
-		for _, ns := range views[vm].net.NetSpans {
+		for _, ns := range views[vm].net.NetSpans.All() {
 			switch ns.Op {
 			case tracelog.NetOpWrite:
 				writes[dirKey{ns.Conn, vm}] = append(writes[dirKey{ns.Conn, vm}], ns)

@@ -288,9 +288,9 @@ func TestReadBackAliasesTheLoadedFile(t *testing.T) {
 	size := uint64(loaded.Network.Size())
 	beyond := after.TotalAlloc - before.TotalAlloc - size
 	t.Logf("%d KB log: read-back allocated %d KB beyond the file", size>>10, beyond>>10)
-	if len(idx.OpenReads) != contentRecords || beyond > size/4 {
+	if idx.OpenReads.Len() != contentRecords || beyond > size/4 {
 		t.Errorf("indexed %d records allocating %d bytes beyond the %d of the file: want at most a quarter as much",
-			len(idx.OpenReads), beyond, size)
+			idx.OpenReads.Len(), beyond, size)
 	}
 
 	if len(loaded.Network.chunks) != 1 {
@@ -298,7 +298,7 @@ func TestReadBackAliasesTheLoadedFile(t *testing.T) {
 	}
 	file := loaded.Network.chunks[0]
 	image := bytes.Clone(file)
-	for ev, e := range idx.OpenReads {
+	for ev, e := range idx.OpenReads.All() {
 		if len(e.Data) != contentPayload || cap(e.Data) != len(e.Data) || !within(file, e.Data) {
 			t.Fatalf("open-read %v: Data has len %d cap %d, inside the file: %v", ev, len(e.Data), cap(e.Data), within(file, e.Data))
 		}
@@ -420,8 +420,8 @@ func TestChunkBoundaries(t *testing.T) {
 				t.Fatal("Bytes() is not the concatenation of the records")
 			}
 			whole := &Log{chunks: [][]byte{stream}}
-			if n, err := countRecords(stream); err != nil || n != l.Len() || whole.Size() != l.Size() || n != len(want) {
-				t.Fatalf("Len %d Size %d; the same records in one chunk: %d (%v) and %d", l.Len(), l.Size(), n, err, whole.Size())
+			if err := whole.countRecords(); err != nil || whole.Len() != l.Len() || whole.Size() != l.Size() || whole.Len() != len(want) || whole.kinds != l.kinds {
+				t.Fatalf("Len %d Size %d; the same records in one chunk: %d (%v) and %d", l.Len(), l.Size(), whole.Len(), err, whole.Size())
 			}
 			if len(l.chunks) < 12 {
 				t.Fatalf("the log has %d chunks: the test did not walk the capacities", len(l.chunks))

@@ -135,6 +135,28 @@ func (d *dec) bytes() []byte {
 	return b
 }
 
+// decodeList decodes a length-prefixed list of at most 2²⁰ elements, each
+// decoded by elem and taking at least minSize bytes. The list is sized by
+// what the rest of the stream could hold, not by its length field, so a
+// damaged length cannot make the decoder allocate more than the stream
+// encodes; a list that runs out of stream fails where its elements do.
+func decodeList[T any](d *dec, minSize int, elem func(*dec) T) []T {
+	n := d.u64()
+	if d.err != nil || n > 1<<20 {
+		d.fail()
+		return nil
+	}
+	out := make([]T, 0, min(n, uint64((len(d.buf)-d.off)/minSize)))
+	for range n {
+		v := elem(d)
+		if d.err != nil {
+			return nil
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
 func (d *dec) str() string {
 	return string(d.bytes())
 }

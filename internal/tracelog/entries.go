@@ -287,17 +287,12 @@ func (n *Notify) encode(e *enc) {
 	}
 }
 
+// decodeThread decodes one element of a Woken list.
+func decodeThread(d *dec) ids.ThreadNum { return ids.ThreadNum(d.u32()) }
+
 func (n *Notify) decode(d *dec) {
 	n.GC = ids.GCount(d.u64())
-	cnt := d.u64()
-	if d.err != nil || cnt > 1<<20 {
-		d.fail()
-		return
-	}
-	n.Woken = make([]ids.ThreadNum, cnt)
-	for i := range n.Woken {
-		n.Woken[i] = ids.ThreadNum(d.u32())
-	}
+	n.Woken = decodeList(d, 1, decodeThread)
 }
 
 // ServerSocketEntry is the tuple ⟨serverId, clientId⟩ logged at each
@@ -955,15 +950,7 @@ func (n *ObjNotify) encode(e *enc) {
 func (n *ObjNotify) decode(d *dec) {
 	n.Obj = ids.ObjectID(d.u64())
 	n.Seq = ids.AccessSeq(d.u64())
-	cnt := d.u64()
-	if d.err != nil || cnt > 1<<20 {
-		d.fail()
-		return
-	}
-	n.Woken = make([]ids.ThreadNum, cnt)
-	for i := range n.Woken {
-		n.Woken[i] = ids.ThreadNum(d.u32())
-	}
+	n.Woken = decodeList(d, 1, decodeThread)
 }
 
 // ObjTimedWait records the resolution of a sharded-mode timed wait whose
@@ -1066,14 +1053,7 @@ func (g *GroupEpochEntry) encode(e *enc) {
 func (g *GroupEpochEntry) decode(d *dec) {
 	g.Epoch = d.u64()
 	g.GC = ids.GCount(d.u64())
-	cnt := d.u64()
-	if d.err != nil || cnt > 1<<20 {
-		d.fail()
-		return
-	}
-	g.Members = make([]GroupMember, cnt)
-	for i := range g.Members {
-		g.Members[i].VM = ids.DJVMID(d.u32())
-		g.Members[i].AnchorGC = ids.GCount(d.u64())
-	}
+	g.Members = decodeList(d, 2, func(d *dec) GroupMember {
+		return GroupMember{VM: ids.DJVMID(d.u32()), AnchorGC: ids.GCount(d.u64())}
+	})
 }

@@ -1,17 +1,20 @@
 package tracelog
 
 import (
+	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/ids"
 )
 
-// FuzzParse hardens the log decoder against arbitrary bytes: whatever the
-// input, Parse must return cleanly (entries or an error), never panic, and
-// parsing must be deterministic. Replay consumes logs that may have crossed
-// machines and filesystems; the decoder is a trust boundary.
-func FuzzParse(f *testing.F) {
-	// Seed with a healthy multi-record log and characteristic corruptions.
+// fuzzSeeds is the decoder fuzzers' shared seed corpus: a healthy
+// multi-record log, the schedule layouts of sharded, truncated and group
+// recording, and characteristic corruptions of them.
+func fuzzSeeds() [][]byte {
+	var seeds [][]byte
+	add := func(b []byte) { seeds = append(seeds, b) }
 	l := NewLog()
 	l.Append(&VMMeta{VM: 3, World: ids.ClosedWorld, Threads: 4, FinalGC: 100})
 	l.Append(&Interval{Thread: 1, First: 10, Last: 90})
@@ -25,7 +28,7 @@ func FuzzParse(f *testing.F) {
 		Datagram: ids.DGNetworkEventID{VM: 9, GC: 77},
 	})
 	healthy := l.Bytes()
-	f.Add(healthy)
+	add(healthy)
 
 	// A sharded-order schedule exercising the per-object record kinds.
 	sl := NewLog()
@@ -36,8 +39,8 @@ func FuzzParse(f *testing.F) {
 	sl.Append(&ObjNotify{Obj: 1, Seq: 2, Woken: []ids.ThreadNum{1, 3}})
 	sl.Append(&ObjTimedWait{Obj: 1, Seq: 3, Check: true, TimedOut: false})
 	sharded := sl.Bytes()
-	f.Add(sharded)
-	f.Add(sharded[:len(sharded)/2])
+	add(sharded)
+	add(sharded[:len(sharded)/2])
 
 	// A checkpoint-truncated schedule: base marker, embedded chaos plan,
 	// anchor checkpoint, intervals starting at the base. The compacted WAL
@@ -50,7 +53,7 @@ func FuzzParse(f *testing.F) {
 	trl.Append(&CheckpointEntry{GC: 120, NextThread: 3, TakerThread: 0, MainEventNum: 40, State: []byte("state")})
 	trl.Append(&Interval{Thread: 0, First: 121, Last: 199})
 	truncated := trl.Bytes()
-	f.Add(truncated)
+	add(truncated)
 
 	// A group-recovery schedule: coordinated checkpoint anchors with their
 	// epoch stamps, the layout internal/recline's line solver consumes.
@@ -65,16 +68,45 @@ func FuzzParse(f *testing.F) {
 		{VM: 1, AnchorGC: 180}, {VM: 2, AnchorGC: 175}, {VM: 3, AnchorGC: 190},
 	}})
 	group := gl.Bytes()
-	f.Add(group)
-	f.Add(group[:len(group)-5])
-	f.Add(truncated[:len(truncated)-3])
-	f.Add(healthy[:len(healthy)/2])
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff})
+	add(group)
+
+	// A network log holding a record of every network kind, out of key
+	// order, with an accept's server-socket entry repeated (the first one
+	// wins), and the same log with one event logged twice.
+	nl := NewLog()
+	for i := range netRecords(ids.NetworkEventID{}) {
+		rec := netRecords(ids.NetworkEventID{Thread: ids.ThreadNum(i % 3), Event: ids.EventNum(20 - i)})[i]
+		if logOf(rec.first.Kind()) == logNetwork {
+			nl.Append(rec.first)
+		}
+	}
+	for conn := range ids.EventNum(2) {
+		nl.Append(&ServerSocketEntry{ServerID: ids.NetworkEventID{Thread: 2, Event: 30}, ClientID: ids.ConnectionID{VM: 4, Thread: 1, Event: conn}})
+	}
+	network := nl.Bytes()
+	add(network)
+	nl.Append(&ReadEntry{EventID: ids.NetworkEventID{Thread: 1, Event: 19}})
+	add(nl.Bytes())
+	add(group[:len(group)-5])
+	add(truncated[:len(truncated)-3])
+	add(healthy[:len(healthy)/2])
+	add([]byte{})
+	add([]byte{0xff, 0xff, 0xff})
 	mutated := append([]byte(nil), healthy...)
 	mutated[0] ^= 0x55
-	f.Add(mutated)
+	add(mutated)
 
+	return seeds
+}
+
+// FuzzParse hardens the log decoder against arbitrary bytes: whatever the
+// input, Parse must return cleanly (entries or an error), never panic, and
+// parsing must be deterministic. Replay consumes logs that may have crossed
+// machines and filesystems; the decoder is a trust boundary.
+func FuzzParse(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := Parse(data)
 		if err != nil && entries != nil {
@@ -94,4 +126,109 @@ func FuzzParse(f *testing.F) {
 			BuildDatagramIndex(lg)
 		}
 	})
+}
+
+// FuzzNetworkIndex holds BuildNetworkIndex to a map per table built from
+// Parse: whatever the bytes, it never panics; it rejects them only as corrupt
+// or for a duplicate; and of what it accepts, every table finds exactly the
+// records Parse decoded (the first-logged one for a server-socket entry) and
+// yields them in strictly increasing key order. A log cannot make it allocate
+// more than a small multiple of its own size.
+func FuzzNetworkIndex(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lg := &Log{chunks: [][]byte{data}}
+		_ = lg.countRecords() // sizes the tables, as LoadSet does
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		idx, err := BuildNetworkIndex(lg)
+		runtime.ReadMemStats(&after)
+		if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 32*uint64(len(data))+16<<10 {
+			t.Fatalf("indexing %d bytes allocated %d", len(data), allocated)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.As(err, new(dupError)) {
+				t.Fatalf("rejected with %v: neither corrupt nor a duplicate", err)
+			}
+			return
+		}
+		entries, err := Parse(data)
+		if err != nil {
+			t.Fatalf("the index accepted a log Parse rejects: %v", err)
+		}
+		want := map[string]map[ids.NetworkEventID]any{}
+		for _, e := range entries {
+			table, ev, v := tableRow(e)
+			if want[table] == nil {
+				want[table] = map[ids.NetworkEventID]any{}
+			}
+			if _, dup := want[table][ev]; !dup {
+				want[table][ev] = v
+			}
+		}
+		for table, view := range tableViews(idx) {
+			if view.len != len(want[table]) || len(view.keys) != view.len {
+				t.Fatalf("%s: Len %d, All yields %d keys, the log has %d", table, view.len, len(view.keys), len(want[table]))
+			}
+			for i, ev := range view.keys {
+				if i > 0 && packEvent(view.keys[i-1]) >= packEvent(ev) {
+					t.Fatalf("%s: All yields %v after %v", table, ev, view.keys[i-1])
+				}
+			}
+			for ev, v := range want[table] {
+				if got, ok := view.get(ev); !ok || !reflect.DeepEqual(got, v) {
+					t.Fatalf("%s: Get(%v) = %v, %v; the log has %v", table, ev, got, ok, v)
+				}
+			}
+		}
+	})
+}
+
+// tableRow names the NetworkIndex table a network record goes to and gives
+// its key and the value the table holds for it.
+func tableRow(e Entry) (table string, ev ids.NetworkEventID, v any) {
+	if ss, ok := e.(*ServerSocketEntry); ok {
+		return "ServerSockets", ss.ServerID, ss.ClientID
+	}
+	k := e.Kind()
+	if k == KindOpenWriteWide {
+		k = KindOpenWrite
+	}
+	row := reflect.ValueOf(e).Elem()
+	return k.String(), row.FieldByName("EventID").Interface().(ids.NetworkEventID), row.Interface()
+}
+
+// tableView is one table seen through its methods alone.
+type tableView struct {
+	len  int
+	keys []ids.NetworkEventID // in the order All yields them
+	get  func(ids.NetworkEventID) (any, bool)
+}
+
+func viewOf[V any](t *Table[V]) tableView {
+	v := tableView{len: t.Len(), get: func(ev ids.NetworkEventID) (any, bool) { return t.Get(ev) }}
+	for ev := range t.All() {
+		v.keys = append(v.keys, ev)
+	}
+	return v
+}
+
+// tableViews names idx's tables as tableRow does.
+func tableViews(idx *NetworkIndex) map[string]tableView {
+	return map[string]tableView{
+		"ServerSockets":           viewOf(&idx.ServerSockets),
+		KindRead.String():         viewOf(&idx.Reads),
+		KindAvailable.String():    viewOf(&idx.Availables),
+		KindBind.String():         viewOf(&idx.Binds),
+		KindNetErr.String():       viewOf(&idx.Errs),
+		KindOpenConnect.String():  viewOf(&idx.OpenConnects),
+		KindOpenAccept.String():   viewOf(&idx.OpenAccepts),
+		KindOpenRead.String():     viewOf(&idx.OpenReads),
+		KindOpenWrite.String():    viewOf(&idx.OpenWrites),
+		KindOpenDatagram.String(): viewOf(&idx.OpenDatagrams),
+		KindEnv.String():          viewOf(&idx.Envs),
+		KindNetSpan.String():      viewOf(&idx.NetSpans),
+	}
 }

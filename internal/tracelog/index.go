@@ -2,6 +2,8 @@ package tracelog
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -190,20 +192,160 @@ func sizeRuns(idx *ScheduleIndex, l *Log, scratch *[kindMax]Entry) {
 type NetworkIndex struct {
 	// ServerSockets maps an accept's networkEventId to the connectionId that
 	// the matching record-phase connection carried.
-	ServerSockets map[ids.NetworkEventID]ids.ConnectionID
-	Reads         map[ids.NetworkEventID]ReadEntry
-	Availables    map[ids.NetworkEventID]AvailableEntry
-	Binds         map[ids.NetworkEventID]BindEntry
-	Errs          map[ids.NetworkEventID]NetErrEntry
-	OpenConnects  map[ids.NetworkEventID]OpenConnectEntry
-	OpenAccepts   map[ids.NetworkEventID]OpenAcceptEntry
-	OpenReads     map[ids.NetworkEventID]OpenReadEntry
-	OpenWrites    map[ids.NetworkEventID]OpenWriteEntry
-	OpenDatagrams map[ids.NetworkEventID]OpenDatagramEntry
-	Envs          map[ids.NetworkEventID]EnvEntry
+	ServerSockets Table[ids.ConnectionID]
+	Reads         Table[ReadEntry]
+	Availables    Table[AvailableEntry]
+	Binds         Table[BindEntry]
+	Errs          Table[NetErrEntry]
+	OpenConnects  Table[OpenConnectEntry]
+	OpenAccepts   Table[OpenAcceptEntry]
+	OpenReads     Table[OpenReadEntry]
+	OpenWrites    Table[OpenWriteEntry]
+	OpenDatagrams Table[OpenDatagramEntry]
+	Envs          Table[EnvEntry]
 	// NetSpans holds the optional causal-tracing annotations keyed by the
 	// annotated event's id. Replay never consults them.
-	NetSpans map[ids.NetworkEventID]NetSpanEntry
+	NetSpans Table[NetSpanEntry]
+}
+
+// Table is an index's table of records keyed by network event id: one row
+// per key, held sorted by ⟨thread, event⟩ and found by binary search. The
+// key of every lookup is known in advance — replay asks for the event it is
+// at — so nothing is hashed. A table is read-only once its builder returns.
+type Table[V any] struct {
+	keys []uint64 // packed ⟨thread, event⟩, ascending
+	vals []V
+}
+
+// packEvent packs an event id into one word that orders like ⟨thread, event⟩.
+func packEvent(ev ids.NetworkEventID) uint64 { return uint64(ev.Thread)<<32 | uint64(ev.Event) }
+
+func unpackEvent(k uint64) ids.NetworkEventID {
+	return ids.NetworkEventID{Thread: ids.ThreadNum(k >> 32), Event: ids.EventNum(k)}
+}
+
+// newTable returns an empty table with room for n rows.
+func newTable[V any](n int) Table[V] {
+	return Table[V]{keys: make([]uint64, 0, n), vals: make([]V, 0, n)}
+}
+
+// Get returns the row keyed ev and whether there is one.
+func (t *Table[V]) Get(ev ids.NetworkEventID) (V, bool) {
+	i, ok := slices.BinarySearch(t.keys, packEvent(ev))
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return t.vals[i], true
+}
+
+// Len reports the number of rows.
+func (t *Table[V]) Len() int { return len(t.keys) }
+
+// All yields every row in key order.
+func (t *Table[V]) All() iter.Seq2[ids.NetworkEventID, V] {
+	return func(yield func(ids.NetworkEventID, V) bool) {
+		for i, k := range t.keys {
+			if !yield(unpackEvent(k), t.vals[i]) {
+				return
+			}
+		}
+	}
+}
+
+// add appends a row during the build, in log order.
+func (t *Table[V]) add(ev ids.NetworkEventID, v V) {
+	t.keys = append(t.keys, packEvent(ev))
+	t.vals = append(t.vals, v)
+}
+
+// sortRows puts the rows in key order, rows that share a key in log order.
+// It radix-sorts the rows' positions, least significant byte of the key
+// first and skipping the bytes every key shares (a log's threads and events
+// are small numbers, so that is most of them), and then moves each row once,
+// along the cycles of that permutation: the only scratch is eight bytes a
+// row. (A table cannot reach 2³² rows: their values alone would outgrow
+// memory.)
+func (t *Table[V]) sortRows() {
+	if slices.IsSorted(t.keys) {
+		return
+	}
+	n := len(t.keys)
+	scratch := make([]uint32, 2*n)
+	perm, next := scratch[:n], scratch[n:]
+	var differ uint64
+	for i, k := range t.keys {
+		perm[i] = uint32(i)
+		differ |= k ^ t.keys[0]
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var at [256]int
+		for _, p := range perm {
+			at[t.keys[p]>>shift&0xff]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b], sum = sum, sum+c
+		}
+		for _, p := range perm {
+			b := t.keys[p] >> shift & 0xff
+			next[at[b]] = p
+			at[b]++
+		}
+		perm, next = next, perm
+	}
+	// Position j takes the row at perm[j]; a placed position is marked by
+	// perm[j] == j.
+	for i := range perm {
+		if perm[i] == uint32(i) {
+			continue
+		}
+		k, v := t.keys[i], t.vals[i]
+		for j := i; ; {
+			src := int(perm[j])
+			perm[j] = uint32(j)
+			if src == i {
+				t.keys[j], t.vals[j] = k, v
+				break
+			}
+			t.keys[j], t.vals[j] = t.keys[src], t.vals[src]
+			j = src
+		}
+	}
+}
+
+// unique sorts t and fails with a dupError if two rows share a key, naming
+// the kind of the one logged later.
+func unique[V any, P interface {
+	*V
+	Kind() Kind
+}](t *Table[V]) error {
+	t.sortRows()
+	for i := 1; i < len(t.keys); i++ {
+		if t.keys[i] == t.keys[i-1] {
+			return dupError{P(&t.vals[i]).Kind()}
+		}
+	}
+	return nil
+}
+
+// keepFirst sorts t and keeps, of the rows that share a key, the one logged
+// first.
+func (t *Table[V]) keepFirst() {
+	t.sortRows()
+	n := 0
+	for i, k := range t.keys {
+		if n > 0 && t.keys[n-1] == k {
+			continue
+		}
+		t.keys[n], t.vals[n] = k, t.vals[i]
+		n++
+	}
+	clear(t.vals[n:])
+	t.keys, t.vals = t.keys[:n], t.vals[:n]
 }
 
 // dupError reports two log entries claiming the same network event.
@@ -214,78 +356,57 @@ func (e dupError) Error() string {
 }
 
 // BuildNetworkIndex decodes a NetworkLogFile and indexes it for replay.
-// A duplicate key is a corruption error except for ServerSocketEntries, whose
-// lack of uniqueness the paper explicitly tolerates ("this lack of unique
-// entries is not a problem", §4.1.3) — uniqueness of our extended
-// connectionId makes duplicates impossible in practice, but the first entry
-// wins to mirror the paper's semantics.
+// Each table is sized from the log's count of its records and filled in one
+// walk. A duplicate key is a corruption error except for
+// ServerSocketEntries, whose lack of uniqueness the paper explicitly
+// tolerates ("this lack of unique entries is not a problem", §4.1.3) —
+// uniqueness of our extended connectionId makes duplicates impossible in
+// practice, but the first entry wins to mirror the paper's semantics.
 func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 	idx := &NetworkIndex{
-		ServerSockets: make(map[ids.NetworkEventID]ids.ConnectionID),
-		Reads:         make(map[ids.NetworkEventID]ReadEntry),
-		Availables:    make(map[ids.NetworkEventID]AvailableEntry),
-		Binds:         make(map[ids.NetworkEventID]BindEntry),
-		Errs:          make(map[ids.NetworkEventID]NetErrEntry),
-		OpenConnects:  make(map[ids.NetworkEventID]OpenConnectEntry),
-		OpenAccepts:   make(map[ids.NetworkEventID]OpenAcceptEntry),
-		OpenReads:     make(map[ids.NetworkEventID]OpenReadEntry),
-		OpenWrites:    make(map[ids.NetworkEventID]OpenWriteEntry),
-		OpenDatagrams: make(map[ids.NetworkEventID]OpenDatagramEntry),
-		Envs:          make(map[ids.NetworkEventID]EnvEntry),
-		NetSpans:      make(map[ids.NetworkEventID]NetSpanEntry),
+		ServerSockets: newTable[ids.ConnectionID](l.count(KindServerSocket)),
+		Reads:         newTable[ReadEntry](l.count(KindRead)),
+		Availables:    newTable[AvailableEntry](l.count(KindAvailable)),
+		Binds:         newTable[BindEntry](l.count(KindBind)),
+		Errs:          newTable[NetErrEntry](l.count(KindNetErr)),
+		OpenConnects:  newTable[OpenConnectEntry](l.count(KindOpenConnect)),
+		OpenAccepts:   newTable[OpenAcceptEntry](l.count(KindOpenAccept)),
+		OpenReads:     newTable[OpenReadEntry](l.count(KindOpenRead)),
+		OpenWrites:    newTable[OpenWriteEntry](l.count(KindOpenWrite) + l.count(KindOpenWriteWide)),
+		OpenDatagrams: newTable[OpenDatagramEntry](l.count(KindOpenDatagram)),
+		Envs:          newTable[EnvEntry](l.count(KindEnv)),
+		NetSpans:      newTable[NetSpanEntry](l.count(KindNetSpan)),
 	}
 	var scratch [kindMax]Entry
 	err := l.walk(&scratch, func(e Entry) error {
 		switch v := e.(type) {
 		case *ServerSocketEntry:
-			if _, ok := idx.ServerSockets[v.ServerID]; !ok {
-				idx.ServerSockets[v.ServerID] = v.ClientID
-			}
+			idx.ServerSockets.add(v.ServerID, v.ClientID)
 		case *ReadEntry:
-			if _, ok := idx.Reads[v.EventID]; ok {
-				return dupError{KindRead}
-			}
-			idx.Reads[v.EventID] = *v
+			idx.Reads.add(v.EventID, *v)
 		case *AvailableEntry:
-			if _, ok := idx.Availables[v.EventID]; ok {
-				return dupError{KindAvailable}
-			}
-			idx.Availables[v.EventID] = *v
+			idx.Availables.add(v.EventID, *v)
 		case *BindEntry:
-			if _, ok := idx.Binds[v.EventID]; ok {
-				return dupError{KindBind}
-			}
-			idx.Binds[v.EventID] = *v
+			idx.Binds.add(v.EventID, *v)
 		case *NetErrEntry:
-			if _, ok := idx.Errs[v.EventID]; ok {
-				return dupError{KindNetErr}
-			}
-			idx.Errs[v.EventID] = *v
+			idx.Errs.add(v.EventID, *v)
 		case *OpenConnectEntry:
-			idx.OpenConnects[v.EventID] = *v
+			idx.OpenConnects.add(v.EventID, *v)
 		case *OpenAcceptEntry:
-			idx.OpenAccepts[v.EventID] = *v
+			idx.OpenAccepts.add(v.EventID, *v)
 		case *OpenReadEntry:
-			idx.OpenReads[v.EventID] = *v
+			idx.OpenReads.add(v.EventID, *v)
 		case *OpenWriteEntry:
-			// Both open-write kinds share the one key: which of two records
-			// verifies an event's payload must never be a matter of order.
-			if _, ok := idx.OpenWrites[v.EventID]; ok {
-				return dupError{v.Kind()}
-			}
-			idx.OpenWrites[v.EventID] = *v
+			// Both open-write kinds share the one table: which of two
+			// records verifies an event's payload must never be a matter of
+			// order.
+			idx.OpenWrites.add(v.EventID, *v)
 		case *OpenDatagramEntry:
-			idx.OpenDatagrams[v.EventID] = *v
+			idx.OpenDatagrams.add(v.EventID, *v)
 		case *EnvEntry:
-			if _, ok := idx.Envs[v.EventID]; ok {
-				return dupError{KindEnv}
-			}
-			idx.Envs[v.EventID] = *v
+			idx.Envs.add(v.EventID, *v)
 		case *NetSpanEntry:
-			if _, ok := idx.NetSpans[v.EventID]; ok {
-				return dupError{KindNetSpan}
-			}
-			idx.NetSpans[v.EventID] = *v
+			idx.NetSpans.add(v.EventID, *v)
 		default:
 			return misplaced(e.Kind(), logNetwork)
 		}
@@ -293,6 +414,24 @@ func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	idx.ServerSockets.keepFirst()
+	for _, err := range []error{
+		unique(&idx.Reads),
+		unique(&idx.Availables),
+		unique(&idx.Binds),
+		unique(&idx.Errs),
+		unique(&idx.OpenConnects),
+		unique(&idx.OpenAccepts),
+		unique(&idx.OpenReads),
+		unique(&idx.OpenWrites),
+		unique(&idx.OpenDatagrams),
+		unique(&idx.Envs),
+		unique(&idx.NetSpans),
+	} {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return idx, nil
 }
@@ -304,14 +443,14 @@ func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 // duplication is kept in the buffer until it is delivered to the same number
 // of read requests as in the record phase" (§4.2.3).
 type DatagramIndex struct {
-	ByEvent    map[ids.NetworkEventID]DatagramRecvEntry
+	ByEvent    Table[DatagramRecvEntry]
 	Deliveries map[ids.DGNetworkEventID]int
 }
 
 // BuildDatagramIndex indexes the datagram log for replay.
 func BuildDatagramIndex(l *Log) (*DatagramIndex, error) {
 	idx := &DatagramIndex{
-		ByEvent:    make(map[ids.NetworkEventID]DatagramRecvEntry),
+		ByEvent:    newTable[DatagramRecvEntry](l.count(KindDatagramRecv)),
 		Deliveries: make(map[ids.DGNetworkEventID]int),
 	}
 	var scratch [kindMax]Entry
@@ -320,14 +459,14 @@ func BuildDatagramIndex(l *Log) (*DatagramIndex, error) {
 		if !ok {
 			return misplaced(e.Kind(), logDatagram)
 		}
-		if _, dup := idx.ByEvent[v.EventID]; dup {
-			return dupError{KindDatagramRecv}
-		}
-		idx.ByEvent[v.EventID] = *v
+		idx.ByEvent.add(v.EventID, *v)
 		idx.Deliveries[v.Datagram]++
 		return nil
 	})
 	if err != nil {
+		return nil, err
+	}
+	if err := unique(&idx.ByEvent); err != nil {
 		return nil, err
 	}
 	return idx, nil

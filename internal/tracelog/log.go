@@ -22,6 +22,9 @@ type Log struct {
 	mu      sync.Mutex
 	chunks  [][]byte
 	entries int
+	// kinds counts the records of each kind, for the indexes to size their
+	// tables by.
+	kinds [kindMax]int
 	// enc is the log's reusable encoder: Append encodes straight into the
 	// open chunk under mu, so the hot record path allocates nothing but
 	// chunks.
@@ -104,6 +107,7 @@ func (l *Log) spare() []byte {
 // a chunk of its own is not copied again). Caller holds mu.
 func (l *Log) commit(rec []byte) []byte {
 	l.entries++
+	l.kinds[rec[0]]++ // a record starts with its kind
 	next := minChunk
 	if n := len(l.chunks); n > 0 {
 		open := l.chunks[n-1]
@@ -149,6 +153,13 @@ func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.entries
+}
+
+// count reports how many records of kind k the log holds.
+func (l *Log) count(k Kind) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.kinds[k]
 }
 
 // Bytes returns a copy of the encoded log.
@@ -381,24 +392,22 @@ func LoadSet(dir string) (*Set, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tracelog: load set: %w", err)
 		}
-		n, err := countRecords(data)
-		if err != nil {
+		l.chunks = [][]byte{data}
+		if err := l.countRecords(); err != nil {
 			return nil, fmt.Errorf("tracelog: load set: %s: %w", name, err)
 		}
-		l.chunks, l.entries = [][]byte{data}, n
 	}
 	return s, nil
 }
 
-// countRecords walks an encoded stream, validating the framing and returning
-// the number of records, so a loaded Log reports the same Len() the recording
-// Log did.
-func countRecords(data []byte) (int, error) {
+// countRecords walks a loaded log, validating the framing and counting its
+// records in all and per kind, so it reports the same Len() the recording
+// Log did and its indexes are sized as the recording's would be.
+func (l *Log) countRecords() error {
 	var scratch [kindMax]Entry
-	n := 0
-	err := walk(data, 0, &scratch, func(Entry) error {
-		n++
+	return l.walk(&scratch, func(e Entry) error {
+		l.entries++
+		l.kinds[e.Kind()]++
 		return nil
 	})
-	return n, err
 }

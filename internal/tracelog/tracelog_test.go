@@ -413,8 +413,8 @@ func TestBuildDatagramIndexCountsDeliveries(t *testing.T) {
 	if idx.Deliveries[dg] != 3 {
 		t.Errorf("delivery count %d, want 3 (duplicated datagram)", idx.Deliveries[dg])
 	}
-	if len(idx.ByEvent) != 3 {
-		t.Errorf("%d events indexed, want 3", len(idx.ByEvent))
+	if idx.ByEvent.Len() != 3 {
+		t.Errorf("%d events indexed, want 3", idx.ByEvent.Len())
 	}
 }
 

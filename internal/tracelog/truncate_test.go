@@ -100,18 +100,18 @@ func TestTruncateWALAnchorsLatestCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(netIdx.Reads) != 1 {
-		t.Fatalf("network reads = %d, want 1 (only the taker's post-anchor event)", len(netIdx.Reads))
+	if netIdx.Reads.Len() != 1 {
+		t.Fatalf("network reads = %d, want 1 (only the taker's post-anchor event)", netIdx.Reads.Len())
 	}
-	if _, ok := netIdx.Reads[ids.NetworkEventID{Thread: 0, Event: 2}]; !ok {
+	if _, ok := netIdx.Reads.Get(ids.NetworkEventID{Thread: 0, Event: 2}); !ok {
 		t.Fatalf("surviving read is not event 2: %v", netIdx.Reads)
 	}
 	dgIdx, err := BuildDatagramIndex(got.Datagram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dgIdx.ByEvent) != 1 {
-		t.Fatalf("datagram records = %d, want 1 (delivery at counter 8)", len(dgIdx.ByEvent))
+	if dgIdx.ByEvent.Len() != 1 {
+		t.Fatalf("datagram records = %d, want 1 (delivery at counter 8)", dgIdx.ByEvent.Len())
 	}
 }
 

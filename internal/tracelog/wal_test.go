@@ -153,7 +153,7 @@ func TestWALRecoverEveryTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: recovered datagram log does not index: %v", n, err)
 		}
-		for _, e := range dg.ByEvent {
+		for _, e := range dg.ByEvent.All() {
 			if e.ReceiverGC >= idx.Meta.FinalGC {
 				t.Fatalf("cut=%d: datagram delivery at gc %d beyond prefix %d", n, e.ReceiverGC, idx.Meta.FinalGC)
 			}
