@@ -685,7 +685,12 @@ func (n *Node) SaveLogs(dir string) error {
 	return logs.Save(dir)
 }
 
-// LoadLogs reads logs previously persisted with SaveLogs.
+// LoadLogs opens logs previously persisted with SaveLogs. A log larger than
+// a read window is not read into memory: the returned Logs keep its file
+// open and read it as replay needs it, closing it when they are dropped.
+// Deleting the files after LoadLogs is fine, and so is saving other logs
+// into the same directory (a save replaces a file, it never writes into
+// one); a file changed in place makes the replay fail as corrupt.
 func LoadLogs(dir string) (*Logs, error) { return tracelog.LoadSet(dir) }
 
 // EnableCausalTrace makes a record-mode node annotate its network log with

@@ -127,7 +127,7 @@ func (ds *DatagramSocket) Receive(t *core.Thread) ([]byte, netsim.Addr, error) {
 
 	// Replay. A datagram recorded from a non-DJVM source is delivered with
 	// the recorded data, not with the real network (§5).
-	entry, open := e.vm.NetworkIndex().OpenDatagrams.Get(ev.ID)
+	row, open := e.vm.NetworkIndex().OpenDatagrams.Get(ev.ID)
 	want, closedSc := e.vm.DatagramIndex().ByEvent.Get(ev.ID)
 	err := ev.Replay(open || closedSc, open, func() (err error) {
 		data, source, err = ds.awaitDatagram(want.Datagram)
@@ -137,8 +137,10 @@ func (ds *DatagramSocket) Receive(t *core.Thread) ([]byte, netsim.Addr, error) {
 		return nil, netsim.Addr{}, err
 	}
 	if open {
-		data = append([]byte(nil), entry.Data...)
-		source = netsim.Addr{Host: entry.SourceHost, Port: entry.SourcePort}
+		// The recorded datagram leaves the log here, into a fresh slice.
+		if data, source.Host, source.Port, err = e.vm.NetworkIndex().Content(ev.ID, row, nil); err != nil {
+			return nil, netsim.Addr{}, fmt.Errorf("%w: %w", ErrDiverged, err)
+		}
 	}
 	return data, source, nil
 }

@@ -163,10 +163,10 @@ func (s *Socket) ReadTimeout(t *core.Thread, p []byte, d time.Duration) (int, er
 	defer s.rdLock.leave(e.vm.Mode())
 
 	var (
-		n    int
-		eof  bool
-		data []byte // open scheme, replay: the recorded bytes
-		err  error
+		n   int
+		eof bool
+		row tracelog.ContentRow // open scheme, replay: where the recorded bytes are
+		err error
 	)
 	if ev.Recording() {
 		err = ev.Record(func() (err error) {
@@ -191,9 +191,8 @@ func (s *Socket) ReadTimeout(t *core.Thread, p []byte, d time.Duration) (int, er
 			r, ok = e.vm.NetworkIndex().Reads.Get(ev.ID)
 			n, eof = int(r.N), r.EOF
 		} else {
-			var r tracelog.OpenReadEntry
-			r, ok = e.vm.NetworkIndex().OpenReads.Get(ev.ID)
-			n, eof, data = len(r.Data), r.EOF, r.Data
+			row, ok = e.vm.NetworkIndex().OpenReads.Get(ev.ID)
+			n, eof = int(row.N), row.EOF
 		}
 		if n > len(p) {
 			return 0, netevent.Divergef("read event %v recorded %d bytes but buffer holds %d", ev.ID, n, len(p))
@@ -221,7 +220,13 @@ func (s *Socket) ReadTimeout(t *core.Thread, p []byte, d time.Duration) (int, er
 	case eof:
 		return 0, io.EOF
 	}
-	copy(p, data)
+	if !s.peerDJVM && !ev.Recording() {
+		// The recorded bytes leave the log here, into the application's
+		// buffer, which holds n of them.
+		if _, _, _, err := e.vm.NetworkIndex().Content(ev.ID, row, p[:0]); err != nil {
+			return 0, fmt.Errorf("%w: %w", ErrDiverged, err)
+		}
+	}
 	return n, nil
 }
 

@@ -124,7 +124,7 @@ func TestOpenWorldLogContainsContents(t *testing.T) {
 	}
 	var total int
 	for _, r := range idx.OpenReads.All() {
-		total += len(r.Data)
+		total += int(r.N)
 	}
 	if total != 12 {
 		t.Errorf("open read contents total %d bytes, want 12", total)

@@ -170,14 +170,49 @@ func diffNetwork(rep *DiffReport, a, b *tracelog.Set) error {
 	diffKeyed(rep, "env", na.Envs.All(), nb.Envs.All(), byNetEvent, same[tracelog.EnvEntry])
 	diffKeyed(rep, "open-connect", na.OpenConnects.All(), nb.OpenConnects.All(), byNetEvent, same[tracelog.OpenConnectEntry])
 	diffKeyed(rep, "open-accept", na.OpenAccepts.All(), nb.OpenAccepts.All(), byNetEvent, same[tracelog.OpenAcceptEntry])
-	diffKeyed(rep, "open-read", na.OpenReads.All(), nb.OpenReads.All(), byNetEvent, func(x, y tracelog.OpenReadEntry) bool {
-		return x.EOF == y.EOF && bytes.Equal(x.Data, y.Data)
-	})
+	var errA, errB error
+	diffKeyed(rep, "open-read", contents(na, &na.OpenReads, &errA), contents(nb, &nb.OpenReads, &errB), byNetEvent, sameContent)
 	diffKeyed(rep, "open-write", na.OpenWrites.All(), nb.OpenWrites.All(), byNetEvent, same[tracelog.OpenWriteEntry])
-	diffKeyed(rep, "open-datagram", na.OpenDatagrams.All(), nb.OpenDatagrams.All(), byNetEvent, func(x, y tracelog.OpenDatagramEntry) bool {
-		return x.SourceHost == y.SourceHost && x.SourcePort == y.SourcePort && bytes.Equal(x.Data, y.Data)
-	})
+	diffKeyed(rep, "open-datagram", contents(na, &na.OpenDatagrams, &errA), contents(nb, &nb.OpenDatagrams, &errB), byNetEvent, sameContent)
+	if errA != nil {
+		return fmt.Errorf("logcheck: diff: left network log: %w", errA)
+	}
+	if errB != nil {
+		return fmt.Errorf("logcheck: diff: right network log: %w", errB)
+	}
 	return nil
+}
+
+// content is a content record as Diff compares it: an open read's or
+// datagram's payload, a datagram's source, a read's end of stream.
+type content struct {
+	data []byte
+	host string
+	port uint16
+	eof  bool
+}
+
+func sameContent(x, y content) bool {
+	return x.eof == y.eof && x.host == y.host && x.port == y.port && bytes.Equal(x.data, y.data)
+}
+
+// contents yields the records of t, a content table of idx, each copied out
+// of the log through idx.Content. It stops at a record that cannot be read
+// back and leaves why in *err.
+func contents(idx *tracelog.NetworkIndex, t *tracelog.Table[tracelog.ContentRow], err *error) iter.Seq2[ids.NetworkEventID, content] {
+	return func(yield func(ids.NetworkEventID, content) bool) {
+		for ev, row := range t.All() {
+			c := content{eof: row.EOF}
+			var cerr error
+			if c.data, c.host, c.port, cerr = idx.Content(ev, row, nil); cerr != nil {
+				*err = cerr
+				return
+			}
+			if !yield(ev, c) {
+				return
+			}
+		}
+	}
 }
 
 func diffDatagram(rep *DiffReport, a, b *tracelog.Set) error {

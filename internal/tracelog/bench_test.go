@@ -9,9 +9,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/internal/ids"
 )
@@ -127,6 +127,50 @@ func BenchmarkLoadSetContent(b *testing.B) {
 	}
 }
 
+// BenchmarkReadContent copies every payload of the content log out through
+// its index, in log order as replay asks for them: from the recorded log's
+// chunks, and from a loaded log's file through its window.
+func BenchmarkReadContent(b *testing.B) {
+	s := NewSet()
+	appendContent(s.Network)
+	dir := b.TempDir()
+	if err := s.Save(dir); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := LoadSet(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for name, l := range map[string]*Log{"recorded": s.Network, "loaded": loaded.Network} {
+		idx, err := BuildNetworkIndex(l)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var evs []ids.NetworkEventID
+		for ev := range idx.OpenReads.All() {
+			evs = append(evs, ev)
+		}
+		sort.Slice(evs, func(i, j int) bool { // log order
+			ri, _ := idx.OpenReads.Get(evs[i])
+			rj, _ := idx.OpenReads.Get(evs[j])
+			return ri.Off < rj.Off
+		})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(contentRecords * contentPayload)
+			p := make([]byte, contentPayload)
+			for b.Loop() {
+				for _, ev := range evs {
+					row, _ := idx.OpenReads.Get(ev)
+					if _, _, _, err := idx.Content(ev, row, p[:0]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 var sumSink uint64
 
 // BenchmarkOpenWriteSum: the checksum of an open-world write, as records made
@@ -223,15 +267,6 @@ func TestScheduleIndexAllocatesWhatItKeeps(t *testing.T) {
 	}
 }
 
-// within reports whether b lies inside a's backing array.
-func within(a, b []byte) bool {
-	if len(b) == 0 {
-		return true
-	}
-	lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-	return lo <= hi && hi+uintptr(len(b)) <= lo+uintptr(cap(a))
-}
-
 // TestAppendNeverMovesALoggedByte: a log that holds its stream in one slice
 // grown by append reallocates and copies everything it has logged so far about
 // 45 times on the way to 34 MB — five times the log allocated, four times it
@@ -261,51 +296,160 @@ func TestAppendNeverMovesALoggedByte(t *testing.T) {
 	}
 }
 
-// TestReadBackAliasesTheLoadedFile: loading a content log and indexing it used
-// to copy every payload twice (once to count the records, once into the
-// index) on top of reading the file. Decoding aliases: beyond the file itself
-// the read-back allocates the index's maps and nothing per payload, and what
-// the index hands out are read-only windows into the file.
-func TestReadBackAliasesTheLoadedFile(t *testing.T) {
+// TestLoadedLogHoldsAWindow: a loaded content log is its file, not a copy of
+// it. Loading it and indexing it allocate one window each, beyond the
+// index's rows; the rows hold no pointer, only where each record is; and
+// what Content copies out of the file is what was recorded, in a slice of
+// the caller's.
+func TestLoadedLogHoldsAWindow(t *testing.T) {
 	s := NewSet()
 	appendContent(s.Network)
 	dir := t.TempDir()
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
+	var before, loadedAt, indexed runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	loaded, err := LoadSet(dir)
+	runtime.ReadMemStats(&loadedAt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	idx, err := BuildNetworkIndex(loaded.Network)
-	runtime.ReadMemStats(&after)
+	runtime.ReadMemStats(&indexed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := uint64(loaded.Network.Size())
-	beyond := after.TotalAlloc - before.TotalAlloc - size
-	t.Logf("%d KB log: read-back allocated %d KB beyond the file", size>>10, beyond>>10)
-	if idx.OpenReads.Len() != contentRecords || beyond > size/4 {
-		t.Errorf("indexed %d records allocating %d bytes beyond the %d of the file: want at most a quarter as much",
-			idx.OpenReads.Len(), beyond, size)
+	if l := loaded.Network; l.file == nil || len(l.chunks) != 0 || l.Size() != s.Network.Size() {
+		t.Fatalf("the loaded log holds %d chunks and a file extent of %d bytes; want the %d-byte file as its extent",
+			len(l.chunks), l.fileLen, s.Network.Size())
+	}
+	// Keys, rows, and the sort's eight bytes a row of scratch.
+	const perRow = 8 + 24 + 8
+	load, build := loadedAt.TotalAlloc-before.TotalAlloc, indexed.TotalAlloc-loadedAt.TotalAlloc
+	t.Logf("%d KB log: load allocated %d KB, index %d KB (%d B a row beyond the window)",
+		loaded.Network.Size()>>10, load>>10, build>>10, (int(build)-window)/contentRecords)
+	if load > window+32<<10 {
+		t.Errorf("LoadSet allocated %d bytes, want at most one window (%d) and 32 KiB", load, window)
+	}
+	if idx.OpenReads.Len() != contentRecords || build > window+perRow*contentRecords+32<<10 {
+		t.Errorf("indexing %d records allocated %d bytes, want at most one window (%d), 32 KiB and %d bytes a row",
+			idx.OpenReads.Len(), build, window, perRow)
+	}
+	if hasPointers(reflect.TypeFor[ContentRow]()) {
+		t.Error("a content row holds a pointer")
 	}
 
-	if len(loaded.Network.chunks) != 1 {
-		t.Fatalf("a loaded log has %d chunks, want the file as its one chunk", len(loaded.Network.chunks))
-	}
-	file := loaded.Network.chunks[0]
-	image := bytes.Clone(file)
-	for ev, e := range idx.OpenReads.All() {
-		if len(e.Data) != contentPayload || cap(e.Data) != len(e.Data) || !within(file, e.Data) {
-			t.Fatalf("open-read %v: Data has len %d cap %d, inside the file: %v", ev, len(e.Data), cap(e.Data), within(file, e.Data))
+	data := make([]byte, contentPayload)
+	rand.New(rand.NewSource(1)).Read(data)
+	buf := make([]byte, 0, contentPayload)
+	for ev, row := range idx.OpenReads.All() {
+		got, _, _, err := idx.Content(ev, row, buf)
+		if err != nil {
+			t.Fatal(err)
 		}
-		_ = append(e.Data, 0xAA, 0xBB) // must reallocate, not write into the next record
+		if !bytes.Equal(got, data) || &got[0] != &buf[:1][0] {
+			t.Fatalf("open-read %v: copied out %d bytes, into the caller's slice: %v; want the recorded %d",
+				ev, len(got), &got[0] == &buf[:1][0], len(data))
+		}
+		clear(got) // the copy is the caller's: the log must not see this
 	}
-	if !bytes.Equal(file, image) {
-		t.Error("appending to an entry's Data changed the log")
+	// Entries decoded from either source alias it with their capacity cut to
+	// their length: an append to one reallocates instead of running into the
+	// next record.
+	for _, l := range []*Log{s.Network, loaded.Network} {
+		image := l.Bytes()
+		err := l.Each(func(e Entry) error {
+			d := e.(*OpenReadEntry).Data
+			if cap(d) != len(d) {
+				return fmt.Errorf("%v: Data has len %d cap %d", e.(*OpenReadEntry).EventID, len(d), cap(d))
+			}
+			_ = append(d, 0xAA, 0xBB)
+			return nil
+		})
+		if err != nil || !bytes.Equal(l.Bytes(), image) {
+			t.Fatalf("appending to decoded entries' Data: %v; the log changed: %v", err, !bytes.Equal(l.Bytes(), image))
+		}
+	}
+	// Replay's threads read content at once, through the one window.
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ev, row := range idx.OpenReads.All() {
+				if int(ev.Thread)%4 != g {
+					continue
+				}
+				if got, _, _, err := idx.Content(ev, row, nil); err != nil || !bytes.Equal(got, data) {
+					t.Errorf("open-read %v read back again: %v", ev, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// hasPointers reports whether a value of type t holds a pointer the collector
+// must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true
+}
+
+// TestEachHoldsAWindow: Each over a loaded log holds the window it decodes
+// from, never the file — the walk djtrace streams a log through. A callback
+// that keeps nothing sees the heap grow by about two windows at most.
+func TestEachHoldsAWindow(t *testing.T) {
+	s := NewSet()
+	appendContent(s.Network)
+	if s.Network.Size() < 16<<20 {
+		t.Fatalf("the log is %d bytes, want at least 16 MB", s.Network.Size())
+	}
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base, peak := ms.HeapInuse, ms.HeapInuse
+	loaded, err := LoadSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err = loaded.Network.Each(func(e Entry) error {
+		if n++; n%(contentRecords/8) == 0 {
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapInuse)
+		}
+		return nil
+	})
+	if err != nil || n != contentRecords {
+		t.Fatalf("Each visited %d records: %v", n, err)
+	}
+	t.Logf("%d KB log: Each grew the heap in use by at most %d KB", loaded.Network.Size()>>10, (peak-base)>>10)
+	if peak-base > 2*window+256<<10 {
+		t.Errorf("Each over a %d-byte loaded log grew the heap in use by %d bytes, want about two windows (%d) at most",
+			loaded.Network.Size(), peak-base, 2*window)
 	}
 }
 

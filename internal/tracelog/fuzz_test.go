@@ -2,6 +2,9 @@ package tracelog
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -131,7 +134,8 @@ func FuzzParse(f *testing.F) {
 // FuzzNetworkIndex holds BuildNetworkIndex to a map per table built from
 // Parse: whatever the bytes, it never panics; it rejects them only as corrupt
 // or for a duplicate; and of what it accepts, every table finds exactly the
-// records Parse decoded (the first-logged one for a server-socket entry) and
+// records Parse decoded (the first-logged one for a server-socket entry; for
+// a content table, the record Content copies out) and
 // yields them in strictly increasing key order. A log cannot make it allocate
 // more than a small multiple of its own size.
 func FuzzNetworkIndex(f *testing.F) {
@@ -186,6 +190,72 @@ func FuzzNetworkIndex(f *testing.F) {
 	})
 }
 
+// FuzzLoadSet holds the windowed loader to the in-memory walk over the same
+// bytes. Written as a set's network.log and loaded through a window of 1 to
+// 16 bytes, a stream loads, decodes, indexes and reads back its content just
+// as the one-chunk log of those bytes does — the same records, the same
+// rows, the same payloads — or fails with the same error.
+func FuzzLoadSet(f *testing.F) {
+	for i, seed := range fuzzSeeds() {
+		f.Add(seed, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, w uint8) {
+		win := 1 + int(w%16)
+		dir := t.TempDir()
+		for id, name := range logNames {
+			var b []byte
+			if id == logNetwork {
+				b = data
+			}
+			if err := os.WriteFile(filepath.Join(dir, name+".log"), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mem := &Log{chunks: [][]byte{data}}
+		want := mem.countRecords()
+		s, err := loadSet(dir, win)
+		if want != nil {
+			want = fmt.Errorf("tracelog: load set: network.log: %w", want)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("window %d: LoadSet said %v, the in-memory walk %v", win, err, want)
+		}
+		if err != nil {
+			return
+		}
+		l := s.Network
+		if l.Len() != mem.Len() || l.kinds != mem.kinds || l.Size() != len(data) {
+			t.Fatalf("window %d: loaded %d records of %d bytes, the in-memory walk %d of %d", win, l.Len(), l.Size(), mem.Len(), len(data))
+		}
+		got, err := l.Entries()
+		if wantEntries, _ := Parse(data); err != nil || !reflect.DeepEqual(got, wantEntries) {
+			t.Fatalf("window %d: Entries differ from Parse's (%v)", win, err)
+		}
+		idx, err := BuildNetworkIndex(l)
+		memIdx, memErr := BuildNetworkIndex(mem)
+		if fmt.Sprint(err) != fmt.Sprint(memErr) {
+			t.Fatalf("window %d: index build said %v, the in-memory one %v", win, err, memErr)
+		}
+		if err != nil {
+			return
+		}
+		tables, memTables := *idx, *memIdx
+		tables.log, memTables.log = nil, nil
+		if !reflect.DeepEqual(tables, memTables) {
+			t.Fatalf("window %d: the index differs from the in-memory one", win)
+		}
+		for _, table := range []*Table[ContentRow]{&idx.OpenReads, &idx.OpenDatagrams} {
+			for ev, row := range table.All() {
+				e, err := entryOf(idx, ev, row)
+				memE, memErr := entryOf(memIdx, ev, row)
+				if err != nil || memErr != nil || !reflect.DeepEqual(e, memE) {
+					t.Fatalf("window %d: content of %v read back as %v (%v), in memory %v (%v)", win, ev, e, err, memE, memErr)
+				}
+			}
+		}
+	})
+}
+
 // tableRow names the NetworkIndex table a network record goes to and gives
 // its key and the value the table holds for it.
 func tableRow(e Entry) (table string, ev ids.NetworkEventID, v any) {
@@ -215,6 +285,34 @@ func viewOf[V any](t *Table[V]) tableView {
 	return v
 }
 
+// contentViewOf is viewOf for a content table of idx: a row is seen as the
+// record Content copies out.
+func contentViewOf(t *Table[ContentRow], idx *NetworkIndex) tableView {
+	v := viewOf(t)
+	v.get = func(ev ids.NetworkEventID) (any, bool) {
+		row, ok := t.Get(ev)
+		if !ok {
+			return nil, false
+		}
+		e, err := entryOf(idx, ev, row)
+		if err != nil {
+			return err, true
+		}
+		return e, true
+	}
+	return v
+}
+
+// entryOf is the record Content copies out of idx's log for ev at row, as
+// the entry Parse decodes.
+func entryOf(idx *NetworkIndex, ev ids.NetworkEventID, row ContentRow) (any, error) {
+	data, host, port, err := idx.Content(ev, row, []byte{})
+	if row.Kind() == KindOpenRead {
+		return OpenReadEntry{EventID: ev, Data: data, EOF: row.EOF}, err
+	}
+	return OpenDatagramEntry{EventID: ev, SourceHost: host, SourcePort: port, Data: data}, err
+}
+
 // tableViews names idx's tables as tableRow does.
 func tableViews(idx *NetworkIndex) map[string]tableView {
 	return map[string]tableView{
@@ -225,9 +323,9 @@ func tableViews(idx *NetworkIndex) map[string]tableView {
 		KindNetErr.String():       viewOf(&idx.Errs),
 		KindOpenConnect.String():  viewOf(&idx.OpenConnects),
 		KindOpenAccept.String():   viewOf(&idx.OpenAccepts),
-		KindOpenRead.String():     viewOf(&idx.OpenReads),
+		KindOpenRead.String():     contentViewOf(&idx.OpenReads, idx),
 		KindOpenWrite.String():    viewOf(&idx.OpenWrites),
-		KindOpenDatagram.String(): viewOf(&idx.OpenDatagrams),
+		KindOpenDatagram.String(): contentViewOf(&idx.OpenDatagrams, idx),
 		KindEnv.String():          viewOf(&idx.Envs),
 		KindNetSpan.String():      viewOf(&idx.NetSpans),
 	}

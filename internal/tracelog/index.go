@@ -1,6 +1,7 @@
 package tracelog
 
 import (
+	"bytes"
 	"fmt"
 	"iter"
 	"slices"
@@ -77,7 +78,7 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 	var scratch [kindMax]Entry
 	sizeRuns(idx, l, &scratch)
 	sawMeta := false
-	err := l.walk(&scratch, func(e Entry) error {
+	err := l.walk(&scratch, func(e Entry, _, _ int) error {
 		switch v := e.(type) {
 		case *Interval:
 			if v.Last < v.First {
@@ -98,6 +99,7 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 			sawMeta = true
 		case *CheckpointEntry:
 			idx.Checkpoints = append(idx.Checkpoints, *v)
+			idx.Checkpoints[len(idx.Checkpoints)-1].State = bytes.Clone(v.State)
 		case *OpenInterval:
 			// Durability notes for crash recovery only; they carry no
 			// schedule semantics, so replay skips them.
@@ -130,6 +132,7 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 			}
 		case *ChaosPlanEntry:
 			plan := *v
+			plan.Spec = bytes.Clone(v.Spec)
 			idx.ChaosPlan = &plan
 		case *GroupEpochEntry:
 			idx.GroupEpochs = append(idx.GroupEpochs, *v)
@@ -162,7 +165,7 @@ func sizeRuns(idx *ScheduleIndex, l *Log, scratch *[kindMax]Entry) {
 	intervals := make(map[ids.ThreadNum]int)
 	runs := make(map[ids.ObjectID]int)
 	var nIntervals, nRuns int
-	_ = l.walk(scratch, func(e Entry) error {
+	_ = l.walk(scratch, func(e Entry, _, _ int) error {
 		switch v := e.(type) {
 		case *Interval:
 			intervals[v.Thread]++
@@ -199,14 +202,35 @@ type NetworkIndex struct {
 	Errs          Table[NetErrEntry]
 	OpenConnects  Table[OpenConnectEntry]
 	OpenAccepts   Table[OpenAcceptEntry]
-	OpenReads     Table[OpenReadEntry]
+	OpenReads     Table[ContentRow]
 	OpenWrites    Table[OpenWriteEntry]
-	OpenDatagrams Table[OpenDatagramEntry]
+	OpenDatagrams Table[ContentRow]
 	Envs          Table[EnvEntry]
 	// NetSpans holds the optional causal-tracing annotations keyed by the
 	// annotated event's id. Replay never consults them.
 	NetSpans Table[NetSpanEntry]
+	log      *Log // the indexed log, where content rows point
 }
+
+// Content reads back ev's record at row and returns its payload appended to
+// dst, and a datagram's source host and port. A record no longer of the row's
+// kind and length, or not ev's, fails with ErrCorrupt.
+func (idx *NetworkIndex) Content(ev ids.NetworkEventID, row ContentRow, dst []byte) ([]byte, string, uint16, error) {
+	return idx.log.content(ev, row, dst)
+}
+
+// A ContentRow locates an open read's or datagram's record in the network log,
+// whose file keeps the payload until Content copies it out. It has no pointer.
+type ContentRow struct {
+	Off  int64  // the record's offset in the log's stream
+	Len  uint32 // the record's length
+	N    uint32 // the payload's length
+	EOF  bool   // an open read's: the read observed end of stream
+	kind Kind
+}
+
+// Kind reports the kind of the record the row locates.
+func (r *ContentRow) Kind() Kind { return r.kind }
 
 // Table is an index's table of records keyed by network event id: one row
 // per key, held sorted by ⟨thread, event⟩ and found by binary search. The
@@ -371,14 +395,15 @@ func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 		Errs:          newTable[NetErrEntry](l.count(KindNetErr)),
 		OpenConnects:  newTable[OpenConnectEntry](l.count(KindOpenConnect)),
 		OpenAccepts:   newTable[OpenAcceptEntry](l.count(KindOpenAccept)),
-		OpenReads:     newTable[OpenReadEntry](l.count(KindOpenRead)),
+		OpenReads:     newTable[ContentRow](l.count(KindOpenRead)),
 		OpenWrites:    newTable[OpenWriteEntry](l.count(KindOpenWrite) + l.count(KindOpenWriteWide)),
-		OpenDatagrams: newTable[OpenDatagramEntry](l.count(KindOpenDatagram)),
+		OpenDatagrams: newTable[ContentRow](l.count(KindOpenDatagram)),
 		Envs:          newTable[EnvEntry](l.count(KindEnv)),
 		NetSpans:      newTable[NetSpanEntry](l.count(KindNetSpan)),
+		log:           l,
 	}
 	var scratch [kindMax]Entry
-	err := l.walk(&scratch, func(e Entry) error {
+	err := l.walk(&scratch, func(e Entry, off, n int) error {
 		switch v := e.(type) {
 		case *ServerSocketEntry:
 			idx.ServerSockets.add(v.ServerID, v.ClientID)
@@ -395,14 +420,14 @@ func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 		case *OpenAcceptEntry:
 			idx.OpenAccepts.add(v.EventID, *v)
 		case *OpenReadEntry:
-			idx.OpenReads.add(v.EventID, *v)
+			idx.OpenReads.add(v.EventID, ContentRow{int64(off), uint32(n), uint32(len(v.Data)), v.EOF, KindOpenRead})
 		case *OpenWriteEntry:
 			// Both open-write kinds share the one table: which of two
 			// records verifies an event's payload must never be a matter of
 			// order.
 			idx.OpenWrites.add(v.EventID, *v)
 		case *OpenDatagramEntry:
-			idx.OpenDatagrams.add(v.EventID, *v)
+			idx.OpenDatagrams.add(v.EventID, ContentRow{int64(off), uint32(n), uint32(len(v.Data)), false, KindOpenDatagram})
 		case *EnvEntry:
 			idx.Envs.add(v.EventID, *v)
 		case *NetSpanEntry:
@@ -454,7 +479,7 @@ func BuildDatagramIndex(l *Log) (*DatagramIndex, error) {
 		Deliveries: make(map[ids.DGNetworkEventID]int),
 	}
 	var scratch [kindMax]Entry
-	err := l.walk(&scratch, func(e Entry) error {
+	err := l.walk(&scratch, func(e Entry, _, _ int) error {
 		v, ok := e.(*DatagramRecvEntry)
 		if !ok {
 			return misplaced(e.Kind(), logDatagram)

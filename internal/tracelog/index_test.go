@@ -119,8 +119,9 @@ func TestTableOrdersAnyLog(t *testing.T) {
 
 // TestNetworkIndexAllocatesItsRows: indexing the content log of an open-world
 // server allocates the rows it holds and the scratch that sorts them, about
-// 56 bytes a record, and nothing for growth: the log's per-kind counts size
-// the tables, both when it was recorded and when it was loaded.
+// 40 bytes a record (56 with the window a loaded log is read through), and
+// nothing for growth: the log's per-kind counts size the tables, both when it
+// was recorded and when it was loaded.
 func TestNetworkIndexAllocatesItsRows(t *testing.T) {
 	s := NewSet()
 	appendContent(s.Network)

@@ -1,13 +1,19 @@
 package tracelog
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+
+	"repro/internal/ids"
 )
 
-// Log is a thread-safe, append-only stream of log records held in memory.
+// Log is a thread-safe, append-only stream of log records.
 // A DJVM appends entries during the record phase; Bytes/SaveFile persist the
 // stream and Parse/LoadSet reconstruct it for the replay phase.
 //
@@ -17,9 +23,15 @@ import (
 // chunk and opens the next. A record is therefore always contiguous inside one
 // chunk. Chunk capacities double from minChunk to maxChunk, so a VM that logs
 // a few KB holds a few KB; a record larger than maxChunk gets a chunk of its
-// own. A loaded log (LoadSet) is the same type with the file as its one chunk.
+// own. A loaded log (LoadSet) may begin with a file extent instead: the first
+// fileLen bytes of file, walked winSize bytes at a time, never held whole.
 type Log struct {
 	mu      sync.Mutex
+	file    *os.File
+	fileLen int
+	winSize int
+	wbuf    []byte // content's window: the extent's bytes from woff on
+	woff    int
 	chunks  [][]byte
 	entries int
 	// kinds counts the records of each kind, for the indexes to size their
@@ -41,10 +53,11 @@ type Log struct {
 }
 
 // Chunk capacities: the first chunk of a log holds minChunk bytes, each next
-// one twice the last, up to maxChunk.
+// one twice the last, up to maxChunk. A loaded log reads window bytes a time.
 const (
 	minChunk = 4 << 10
 	maxChunk = 1 << 20
+	window   = 512 << 10
 )
 
 // NewLog returns an empty log.
@@ -141,7 +154,7 @@ func (l *Log) Size() int {
 }
 
 func (l *Log) sizeLocked() int {
-	n := 0
+	n := l.fileLen
 	for _, c := range l.chunks {
 		n += len(c)
 	}
@@ -162,22 +175,18 @@ func (l *Log) count(k Kind) int {
 	return l.kinds[k]
 }
 
-// Bytes returns a copy of the encoded log.
+// Bytes returns a copy of the encoded log, as far as its file still holds it.
 func (l *Log) Bytes() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]byte, 0, l.sizeLocked())
-	for _, c := range l.chunks {
-		out = append(out, c...)
-	}
-	return out
+	var b bytes.Buffer
+	l.writeTo(&b)
+	return b.Bytes()
 }
 
 // Entries decodes and returns every record in append order. The entries alias
 // the log's bytes: see walk.
 func (l *Log) Entries() ([]Entry, error) {
 	var out []Entry
-	if err := l.walk(nil, func(e Entry) error {
+	if err := l.walk(nil, func(e Entry, _, _ int) error {
 		out = append(out, e)
 		return nil
 	}); err != nil {
@@ -187,32 +196,58 @@ func (l *Log) Entries() ([]Entry, error) {
 }
 
 // Each decodes the log one record at a time in append order, invoking fn for
-// each entry. Unlike Entries it never materializes the full slice, so memory
-// stays O(1) regardless of log size — the graph builder and djtrace stream
+// each entry. It never materializes the full slice, nor reads more than a
+// window of a file extent at once — the graph builder and djtrace stream
 // multi-gigabyte logs through it. Each entry passed to fn is freshly
-// allocated and aliases the log's bytes (see walk); fn may retain it. A
-// non-nil error from fn stops the walk and is returned as-is.
+// allocated and aliases the log's bytes (see walk), or a window read for it
+// alone; fn may retain it. A non-nil error from fn stops the walk as-is.
 func (l *Log) Each(fn func(Entry) error) error {
-	return l.walk(nil, fn)
+	return l.walk(nil, func(e Entry, _, _ int) error { return fn(e) })
 }
 
 // walk runs the package's walk over the records the log holds when it is
-// called, chunk after chunk; offsets in its errors are offsets in the whole
-// stream. The chunks are read without the lock, which is sound because a
-// logged byte is never written again: appends racing the walk only write past
-// the lengths noted here.
-func (l *Log) walk(scratch *[kindMax]Entry, fn func(Entry) error) error {
+// called, the file extent and then chunk after chunk; offsets, in its errors
+// and to fn, are offsets in the whole stream. The chunks are read without the
+// lock, which is sound because a logged byte is never written again: appends
+// racing the walk only write past the lengths noted here.
+func (l *Log) walk(scratch *[kindMax]Entry, fn func(e Entry, off, n int) error) error {
 	l.mu.Lock()
+	f, base, win := l.file, l.fileLen, l.winSize
 	chunks := append([][]byte(nil), l.chunks...)
 	l.mu.Unlock()
-	base := 0
+	// A record a window cuts starts the next; one larger than it doubles it.
+	for pos, buf := 0, []byte(nil); pos < base; {
+		n := min(win, base-pos)
+		if scratch == nil || cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		used, err := readAt(f, buf[:n], pos)
+		if err == nil {
+			used, err = walk(buf[:n], pos, pos+n == base, scratch, fn)
+		}
+		if err != nil {
+			return err
+		} else if used == 0 {
+			win *= 2
+		}
+		pos += used
+	}
 	for _, c := range chunks {
-		if err := walk(c, base, scratch, fn); err != nil {
+		if _, err := walk(c, base, true, scratch, fn); err != nil {
 			return err
 		}
 		base += len(c)
 	}
 	return nil
+}
+
+// readAt is f.ReadAt, with the end of a file cut short under its log corrupt.
+func readAt(f *os.File, p []byte, off int) (int, error) {
+	n, err := f.ReadAt(p, int64(off))
+	if err == io.EOF {
+		err = fmt.Errorf("%w: the file ends at offset %d, inside the log", ErrCorrupt, off+n)
+	}
+	return n, err
 }
 
 // EachEntry is Each over a raw encoded stream: the one-chunk log.
@@ -221,27 +256,28 @@ func EachEntry(data []byte, fn func(Entry) error) error {
 }
 
 // walk is the package's one decode loop: it decodes data one record at a time
-// in append order and hands each record to fn. With scratch nil every record
+// in append order and hands each to fn with its offset, counted from base
+// (where data starts in its stream), and length. With scratch nil every record
 // is freshly allocated and fn may retain it. Otherwise scratch holds one
-// record per kind and walk decodes into it again and again, so a walk over
-// any number of records allocates at most one per kind; fn must then copy
-// the structs it keeps (every entry decode overwrites all of its fields). A
-// non-nil error from fn stops the walk and is returned as-is; a stream that
-// does not decode fails with ErrCorrupt, naming the record's kind and the
-// offset reached, counted from base (where data starts in its stream).
+// record per kind, decoded into again and again, so a walk allocates at most
+// one record per kind; fn must copy what it keeps, bytes too. An error from fn
+// stops the walk as-is; a record that does not decode fails with ErrCorrupt,
+// naming its kind and the offset reached — or, unless data is last in its
+// stream, ends the walk before it. walk returns how many bytes it consumed.
 //
 // Aliasing contract, for this and every function built on it (Parse,
 // EachEntry, Log.Entries, Log.Each, the Build*Index functions): decoded
 // entries alias the stream they were decoded from. A []byte field of an entry
 // is a sub-slice of data with its capacity cut to its length — never a copy —
 // so it is read-only, and it is valid for as long as data is left unchanged,
-// which for a Log is forever. Whoever hands such bytes to code that may write
-// to them copies at that boundary: djsock and djgram into the application's
-// read buffer, checkpoint.List into Snapshot.Data. Strings and decoded lists
-// (Woken, Members) are fresh.
-func walk(data []byte, base int, scratch *[kindMax]Entry, fn func(Entry) error) error {
+// which for a Log's chunks is forever. Whoever hands such bytes to code that
+// may write to them copies at that boundary: djsock and djgram into the
+// application's read buffer (NetworkIndex.Content), checkpoint.List into
+// Snapshot.Data. Strings and decoded lists (Woken, Members) are fresh.
+func walk(data []byte, base int, last bool, scratch *[kindMax]Entry, fn func(Entry, int, int) error) (int, error) {
 	d := &dec{buf: data}
 	for !d.done() {
+		start := d.off
 		k := Kind(d.u8())
 		var e Entry
 		if scratch != nil && k < kindMax {
@@ -250,49 +286,111 @@ func walk(data []byte, base int, scratch *[kindMax]Entry, fn func(Entry) error) 
 		if e == nil {
 			var err error
 			if e, err = newEntry(k); err != nil {
-				return err
+				return start, err
 			}
 			if scratch != nil {
 				scratch[k] = e
 			}
 		}
 		e.decode(d)
-		if d.err != nil {
-			return fmt.Errorf("%w: decoding %v record at offset %d", ErrCorrupt, k, base+d.off)
+		if d.err != nil && !last {
+			return start, nil
+		} else if d.err != nil {
+			return start, fmt.Errorf("%w: decoding %v record at offset %d", ErrCorrupt, k, base+d.off)
 		}
-		if err := fn(e); err != nil {
+		if err := fn(e, base+start, d.off-start); err != nil {
+			return start, err
+		}
+	}
+	return d.off, nil
+}
+
+// SaveFile writes the encoded log, straight from the log under its lock, to
+// path.tmp, creating parent directories, and renames that over path: a failed
+// save leaves the old file, and a log loaded from it keeps its bytes.
+func (l *Log) SaveFile(path string) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if os.IsNotExist(err) && os.MkdirAll(filepath.Dir(path), 0o755) == nil {
+		f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	}
+	if err == nil {
+		err = l.writeTo(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp, path)
+		}
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("tracelog: save %s: %w", path, err)
+	}
+	return nil
+}
+
+// writeTo writes the stream to w: the file extent, then the chunks.
+func (l *Log) writeTo(w io.Writer) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n, err := io.Copy(w, io.NewSectionReader(l.file, 0, int64(l.fileLen))); err != nil || n < int64(l.fileLen) {
+		return cmp.Or(err, fmt.Errorf("%w: the file ends at offset %d, inside the log", ErrCorrupt, n))
+	}
+	for _, c := range l.chunks {
+		if _, err := w.Write(c); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// SaveFile writes the encoded log to path, creating parent directories. The
-// stream is written chunk by chunk, straight from the log under its lock,
-// with no intermediate copy.
-func (l *Log) SaveFile(path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("tracelog: save %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("tracelog: save %s: %w", path, err)
-	}
-	var werr error
+// content is NetworkIndex.Content. It reads the extent through the log's
+// window, which replay, asking in about log order, moves forward.
+func (l *Log) content(ev ids.NetworkEventID, row ContentRow, dst []byte) ([]byte, string, uint16, error) {
 	l.mu.Lock()
-	for _, c := range l.chunks {
-		if _, werr = f.Write(c); werr != nil {
-			break
+	defer l.mu.Unlock()
+	fail := func(err error) ([]byte, string, uint16, error) {
+		return nil, "", 0, fmt.Errorf("tracelog: %v record of event %v at offset %d: %w", row.kind, ev, row.Off, err)
+	}
+	off, n := int(row.Off), int(row.Len)
+	var rec []byte
+	if off >= l.fileLen {
+		off -= l.fileLen
+		for _, c := range l.chunks {
+			if off < len(c) {
+				rec = c[off:min(off+n, len(c))]
+				break
+			}
+			off -= len(c)
 		}
+	} else if off >= l.woff && off+n <= l.woff+len(l.wbuf) {
+		rec = l.wbuf[off-l.woff:][:n]
+	} else {
+		size := max(n, min(l.winSize, l.fileLen-off))
+		l.wbuf = slices.Grow(l.wbuf[:0], size)[:size]
+		got, err := readAt(l.file, l.wbuf, off)
+		if l.wbuf, l.woff = l.wbuf[:got], off; got < n {
+			return fail(err)
+		}
+		rec = l.wbuf[:n]
 	}
-	l.mu.Unlock()
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	// Decoded by concrete type, so nothing escapes: a read allocates nothing.
+	d := &dec{buf: rec}
+	k, r, g := Kind(d.u8()), OpenReadEntry{}, OpenDatagramEntry{}
+	switch {
+	case k == row.kind && k == KindOpenRead:
+		r.decode(d)
+	case k == row.kind && k == KindOpenDatagram:
+		g.decode(d)
+		r.EventID, r.Data = g.EventID, g.Data
+	default:
+		d.fail()
 	}
-	if werr != nil {
-		return fmt.Errorf("tracelog: save %s: %w", path, werr)
+	if d.err != nil || d.off != len(rec) || r.EventID != ev || len(r.Data) != int(row.N) {
+		return fail(corruptf("the log holds a %v record of event %v there", k, r.EventID))
 	}
-	return nil
+	return append(dst, r.Data...), g.SourceHost, g.SourcePort, nil
 }
 
 // Parse decodes an encoded log stream into its entries, which alias data (see
@@ -383,21 +481,46 @@ func (s *Set) Save(dir string) error {
 	return nil
 }
 
-// LoadSet reads the three logs saved by Save back into memory.
-func LoadSet(dir string) (*Set, error) {
+// LoadSet opens the three logs saved by Save for replay. A file of more than
+// one window is its log's extent, open until the set is dropped: it may be
+// removed or replaced by a Save, but one changed in place reads as corrupt.
+func LoadSet(dir string) (*Set, error) { return loadSet(dir, window) }
+
+// loadSet is LoadSet through a window of win bytes.
+func loadSet(dir string, win int) (*Set, error) {
 	s := NewSet()
 	for id, l := range s.logs() {
 		name := logNames[id] + ".log"
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("tracelog: load set: %w", err)
 		}
-		l.chunks = [][]byte{data}
-		if err := l.countRecords(); err != nil {
+		if err := l.load(f, win); err != nil {
+			f.Close()
 			return nil, fmt.Errorf("tracelog: load set: %s: %w", name, err)
 		}
 	}
 	return s, nil
+}
+
+// load makes l the log stored in f.
+func (l *Log) load(f *os.File, win int) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := int(fi.Size())
+	if size > win {
+		l.file, l.fileLen, l.winSize = f, size, win
+		return l.countRecords()
+	}
+	buf := make([]byte, size)
+	if _, err := readAt(f, buf, 0); err != nil {
+		return err
+	}
+	l.chunks = [][]byte{buf}
+	f.Close()
+	return l.countRecords()
 }
 
 // countRecords walks a loaded log, validating the framing and counting its
@@ -405,7 +528,7 @@ func LoadSet(dir string) (*Set, error) {
 // Log did and its indexes are sized as the recording's would be.
 func (l *Log) countRecords() error {
 	var scratch [kindMax]Entry
-	return l.walk(&scratch, func(e Entry) error {
+	return l.walk(&scratch, func(e Entry, _, _ int) error {
 		l.entries++
 		l.kinds[e.Kind()]++
 		return nil

@@ -1,6 +1,13 @@
 package tracelog
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ids"
@@ -91,4 +98,145 @@ func TestSetObserverContract(t *testing.T) {
 		}
 	}()
 	l.SetObserver(func(int) {})
+}
+
+// contentSet is a set whose network log holds records open-reads of
+// payloadLen bytes, event i's payload filled with byte i+fill.
+func contentSet(records, payloadLen int, fill byte) *Set {
+	s := NewSet()
+	for i := range records {
+		s.Network.Append(&OpenReadEntry{
+			EventID: ids.NetworkEventID{Thread: 1, Event: ids.EventNum(i)},
+			Data:    bytes.Repeat([]byte{byte(i) + fill}, payloadLen),
+		})
+	}
+	return s
+}
+
+// readBack copies every payload of l out through its index.
+func readBack(t *testing.T, l *Log) map[ids.NetworkEventID][]byte {
+	t.Helper()
+	idx, err := BuildNetworkIndex(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[ids.NetworkEventID][]byte{}
+	for ev, row := range idx.OpenReads.All() {
+		data, _, _, err := idx.Content(ev, row, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ev] = data
+	}
+	return out
+}
+
+// TestSaveReplacesTheFile: Save writes a new file and renames it over the
+// old one, so a set loaded from a directory keeps reading what it was loaded
+// from when another set is saved there — and a save that fails leaves the
+// file that was there.
+func TestSaveReplacesTheFile(t *testing.T) {
+	first := contentSet(100, 40, 0)
+	dir := t.TempDir()
+	if err := first.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := loadSet(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Network.file == nil {
+		t.Fatal("the network log was loaded whole: the test needs a file extent")
+	}
+	if err := contentSet(150, 30, 7).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readBack(t, loaded.Network), readBack(t, first.Network); !reflect.DeepEqual(got, want) {
+		t.Error("saving another set into the directory changed what the loaded set reads")
+	}
+	if !bytes.Equal(loaded.Network.Bytes(), first.Network.Bytes()) {
+		t.Error("the loaded log's bytes changed")
+	}
+	if leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(leftovers) != 0 {
+		t.Errorf("Save left %v behind", leftovers)
+	}
+
+	path := filepath.Join(dir, "network.log")
+	before, _ := os.ReadFile(path)
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil { // the next save cannot create its file
+		t.Fatal(err)
+	}
+	if err := first.Network.SaveFile(path); err == nil {
+		t.Fatal("SaveFile succeeded without its temporary file")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Error("a failed save changed the file")
+	}
+}
+
+// TestContentChecksWhatItReads: a file cut short or rewritten under a loaded
+// log makes Content fail with ErrCorrupt naming the event — never a panic,
+// never another event's bytes.
+func TestContentChecksWhatItReads(t *testing.T) {
+	const records, payloadLen = 100, 40
+	dir := t.TempDir()
+	if err := contentSet(records, payloadLen, 0).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "network.log")
+	for _, tc := range []struct {
+		name   string
+		damage func(size int) int // returns how many bytes are left as they were
+	}{
+		{"cut short", func(size int) int {
+			if err := os.Truncate(path, int64(size/2)); err != nil {
+				t.Fatal(err)
+			}
+			return size / 2
+		}},
+		{"rewritten", func(int) int {
+			// The same records one place later: every offset now holds the
+			// record of the event before, or of another thread's event.
+			l := NewLog()
+			l.Append(&OpenReadEntry{EventID: ids.NetworkEventID{Thread: 2}, Data: make([]byte, payloadLen)})
+			data := append(l.Bytes(), contentSet(records, payloadLen, 0).Network.Bytes()...)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := contentSet(records, payloadLen, 0).Network.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := loadSet(dir, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := BuildNetworkIndex(loaded.Network)
+			if err != nil {
+				t.Fatal(err)
+			}
+			intact := tc.damage(loaded.Network.Size())
+			failed := 0
+			for ev, row := range idx.OpenReads.All() {
+				data, _, _, err := idx.Content(ev, row, nil)
+				if int(row.Off)+int(row.Len) <= intact {
+					if err != nil || !bytes.Equal(data, bytes.Repeat([]byte{byte(ev.Event)}, payloadLen)) {
+						t.Fatalf("%v, intact in the file, read back as %v, %v", ev, data, err)
+					}
+					continue
+				}
+				failed++
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprint(ev)) {
+					t.Fatalf("%v read back from the damaged file: %v, %v; want ErrCorrupt naming the event", ev, data, err)
+				}
+			}
+			t.Logf("%d of %d records failed to read back", failed, records)
+			if failed == 0 {
+				t.Fatal("no record was damaged")
+			}
+		})
+	}
 }

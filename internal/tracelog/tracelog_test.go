@@ -134,10 +134,13 @@ func TestParseRejectsCorruptStreams(t *testing.T) {
 	// Error text is API (logcheck findings and djrecover -json quote it):
 	// every reader of a stream must describe the same damage in the same
 	// words, whichever log the stream belongs to.
-	cutRecord := func(e Entry) []byte {
+	record := func(e Entry) []byte {
 		l := NewLog()
 		l.Append(e)
-		b := l.Bytes()
+		return l.Bytes()
+	}
+	cutRecord := func(e Entry) []byte {
+		b := record(e)
 		return b[:len(b)-1]
 	}
 	for _, tc := range []struct {
@@ -155,6 +158,28 @@ func TestParseRejectsCorruptStreams(t *testing.T) {
 		for reader, got := range corruptStreamMessages(t, tc.logID, tc.data) {
 			if got != tc.want {
 				t.Errorf("%s log, %s: message %q, want %q", logNames[tc.logID], reader, got, tc.want)
+			}
+		}
+	}
+
+	// Damage behind whole records: through every window, LoadSet stops at
+	// the record Parse stops at, and says what Parse says of it.
+	netErrs := record(&NetErrEntry{EventID: ids.NetworkEventID{Thread: 1, Event: 2}, Op: "connect", Msg: "refused"})
+	for _, data := range [][]byte{
+		append(bytes.Repeat(netErrs, 3), cutRecord(&NetErrEntry{Op: "read", Msg: "reset"})...),
+		append(bytes.Repeat(netErrs, 2), 0xEE, 1, 2, 3),
+	} {
+		_, perr := Parse(data)
+		dir := t.TempDir()
+		set := NewSet()
+		set.Network.chunks = [][]byte{data}
+		if err := set.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		for win := 1; win <= len(data); win++ {
+			_, err := loadSet(dir, win)
+			if want := "tracelog: load set: network.log: " + perr.Error(); err == nil || err.Error() != want {
+				t.Errorf("window %d: LoadSet said %v, want %q", win, err, want)
 			}
 		}
 	}
@@ -177,8 +202,9 @@ var buildIndex = [logCount]func(*Log) error{
 
 // corruptStreamMessages feeds one undecodable stream of log logID to every
 // reader the package has and returns what each said about it: Parse,
-// EachEntry, LoadSet (minus its file-name prefix), that log's index builder,
-// and RecoverFile's scan (the stream as the payload of one WAL frame).
+// EachEntry, LoadSet (minus its file-name prefix) with its own window and
+// with every window up to the stream's length, that log's index builder, and
+// RecoverFile's scan (the stream as the payload of one WAL frame).
 func corruptStreamMessages(t *testing.T, logID uint8, data []byte) map[string]string {
 	t.Helper()
 	msg := func(err error) string {
@@ -198,8 +224,17 @@ func corruptStreamMessages(t *testing.T, logID uint8, data []byte) map[string]st
 	if err := set.Save(dir); err != nil {
 		t.Fatal(err)
 	}
+	loadMsg := func(err error) string {
+		return strings.TrimPrefix(msg(err), "tracelog: load set: "+logNames[logID]+".log: ")
+	}
 	_, err = LoadSet(dir)
-	out["LoadSet"] = strings.TrimPrefix(msg(err), "tracelog: load set: "+logNames[logID]+".log: ")
+	out["LoadSet"] = loadMsg(err)
+	// Every window from one byte to the whole file: a record is found whole
+	// wherever the windows cut it.
+	for win := 1; win <= len(data); win++ {
+		_, err = loadSet(dir, win)
+		out[fmt.Sprintf("LoadSet, window %d", win)] = loadMsg(err)
+	}
 
 	out["Build*Index"] = msg(buildIndex[logID](&Log{chunks: [][]byte{data}}))
 

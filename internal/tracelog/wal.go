@@ -349,7 +349,7 @@ func readFrame(b []byte, scratch *[kindMax]Entry) (logID uint8, payload []byte, 
 		return 0, nil, "frame checksum mismatch"
 	}
 	records := 0
-	err := walk(payload, 0, scratch, func(e Entry) error {
+	_, err := walk(payload, 0, true, scratch, func(e Entry, _, _ int) error {
 		if records++; records > 1 {
 			return corruptf("frame holds more than one record")
 		}
@@ -562,7 +562,7 @@ func sortIntervals(ivs []Interval) {
 func maxThreadRef(l *Log, maxT ids.ThreadNum) ids.ThreadNum {
 	var scratch [kindMax]Entry
 	// The scan validated every record of l, so the walk cannot fail.
-	_ = l.walk(&scratch, func(e Entry) error {
+	_ = l.walk(&scratch, func(e Entry, _, _ int) error {
 		if id, ok := netEventID(e); ok && id.Thread > maxT {
 			maxT = id.Thread
 		}
