@@ -1,5 +1,5 @@
 // djstat inspects the observability snapshot of a DJVM — either live, by
-// polling the expvar-style metrics endpoint a node exposes with
+// polling the JSON metrics endpoint a node exposes with
 // Node.ServeMetrics, or offline, by pretty-printing a dumped snapshot file:
 //
 //	djstat http://127.0.0.1:8123/          # one-shot report from a live VM

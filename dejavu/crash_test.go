@@ -189,14 +189,18 @@ type crashOut struct {
 }
 
 // saw notes one operation th completed. A failure is noted as such, without
-// its text: replay re-throws it under the ReplayedError wrapping.
+// its text: replay re-throws it under the ReplayedError wrapping, which still
+// answers errors.Is(err, ErrTimeout) for an expired deadline.
 func (o *crashOut) saw(t *testing.T, th *dejavu.Thread, step string, data any, err error) {
 	if errors.Is(err, dejavu.ErrDiverged) {
 		t.Errorf("%s: a divergence reached the application: %v", step, err)
 	}
 	line := step + " failed"
-	if err == nil || err == io.EOF {
+	switch {
+	case err == nil || err == io.EOF:
 		line = fmt.Sprintf("%s %v %v", step, data, err)
+	case errors.Is(err, dejavu.ErrTimeout):
+		line = step + " timed out"
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -439,5 +443,84 @@ func TestCrashPointIsALogEndForNetworkEvents(t *testing.T) {
 					replayed, len(data)+1, stopped)
 			}
 		})
+	}
+}
+
+// TestTruncatedWALRecoversAndResumes: a WAL compacted with TruncateAt at its
+// last checkpoint recovers into a set based at the truncation's anchor, and
+// that set replays from the retained checkpoint to the recorded final state.
+func TestTruncatedWALRecoversAndResumes(t *testing.T) {
+	// rounds runs rounds [from, 3): a checkpoint carrying the round number,
+	// then five increments. A resumed run starts just past its checkpoint.
+	rounds := func(th *dejavu.Thread, x *dejavu.SharedInt, from int, resumed bool) {
+		for r := from; r < 3; r++ {
+			if !resumed || r != from {
+				dejavu.CheckpointTake(th, func() []byte { return []byte{byte(r)} })
+			}
+			for i := 0; i < 5; i++ {
+				x.Set(th, x.Get(th)+1)
+			}
+		}
+	}
+	walPath := filepath.Join(t.TempDir(), "node.wal")
+	rec, err := dejavu.NewNode(dejavu.Config{
+		ID: 1, Mode: dejavu.Record, Network: dejavu.NewNetwork(dejavu.NetworkConfig{}), Host: "a",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.EnableWAL(walPath, dejavu.WALOptions{SyncEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var recorded dejavu.SharedInt
+	rec.Start(func(main *dejavu.Thread) { rounds(main, &recorded, 0, false) })
+	rec.Wait()
+	st, err := rec.TruncateAt(1)
+	if err != nil {
+		t.Fatalf("TruncateAt: %v", err)
+	}
+	if st.BaseGC == 0 {
+		t.Fatal("truncation anchored at zero")
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	logs, rep, err := dejavu.Recover(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BaseGC != st.BaseGC {
+		t.Fatalf("recovered base %d, truncation stamped %d", rep.BaseGC, st.BaseGC)
+	}
+	cps, err := dejavu.Checkpoints(logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cps) != 1 || len(cps[0].Data) != 1 || cps[0].Data[0] != 2 {
+		t.Fatalf("truncation kept %d checkpoints, want only the last round's", len(cps))
+	}
+
+	var replayed dejavu.SharedInt
+	rep2, err := dejavu.NewNode(dejavu.Config{
+		ID: 1, Mode: dejavu.Replay, Network: dejavu.NewNetwork(dejavu.NetworkConfig{}),
+		Host: "a", ReplayLogs: logs,
+		Resume:       &cps[0].Resume,
+		StopAtLogEnd: true,
+		StallTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep2.Start(func(main *dejavu.Thread) {
+		from := int(cps[0].Data[0])
+		replayed.Restore(int64(5 * from))
+		rounds(main, &replayed, from, true)
+	})
+	rep2.Wait()
+	rep2.Close()
+	if replayed.Load() != recorded.Load() || rep2.LogEndStops() != 0 {
+		t.Fatalf("resumed replay reached %d with %d log-end stops, recorded %d",
+			replayed.Load(), rep2.LogEndStops(), recorded.Load())
 	}
 }

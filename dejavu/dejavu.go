@@ -42,22 +42,16 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/causal"
-	"repro/internal/chaos"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/djenv"
 	"repro/internal/djgram"
 	"repro/internal/djrpc"
 	"repro/internal/djsock"
-	"repro/internal/explore"
 	"repro/internal/ids"
 	"repro/internal/netevent"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/recline"
-	"repro/internal/rudp"
-	"repro/internal/super"
 	"repro/internal/tracelog"
 )
 
@@ -94,14 +88,6 @@ type (
 	// critical events by kind, network events, log volume per file, replay
 	// progress, and latency histograms. See Node.Snapshot.
 	Snapshot = obs.Snapshot
-	// EventCounts breaks a snapshot's critical-event total down by kind.
-	EventCounts = obs.EventCounts
-	// ReplayProgress is a snapshot's live replay-progress gauge set.
-	ReplayProgress = obs.ReplayProgress
-	// LogStats is a snapshot's per-log-file append/byte volume.
-	LogStats = obs.LogStats
-	// HistogramSnapshot is a snapshot of one latency histogram.
-	HistogramSnapshot = obs.HistogramSnapshot
 	// DivergenceError is thrown when a replayed execution departs from the
 	// recorded one.
 	DivergenceError = core.DivergenceError
@@ -133,8 +119,6 @@ type (
 	RPCServer = djrpc.Server
 	// RPCClient issues replayable remote calls.
 	RPCClient = djrpc.Client
-	// RPCHandler processes one remote call on a server worker thread.
-	RPCHandler = djrpc.Handler
 	// RemoteError is an application-level RPC error.
 	RemoteError = djrpc.RemoteError
 
@@ -148,121 +132,12 @@ type (
 	// RecoveryReport describes what Recover salvaged from a crashed node's
 	// write-ahead log.
 	RecoveryReport = tracelog.RecoveryReport
-	// RetryPolicy bounds the redial loop applied to transient connect
-	// failures. See Config.ConnectRetry.
-	RetryPolicy = djsock.RetryPolicy
-	// FaultCounts groups a snapshot's fault-tolerance counters (WAL syncs,
-	// connect retries, unreachable peers, log-end stops).
-	FaultCounts = obs.FaultCounts
-	// ShardCounts groups a snapshot's sharded-order counters (fast-path vs.
-	// contended per-object acquisitions, access runs logged).
-	ShardCounts = obs.ShardCounts
-
-	// ChaosPlan is a seeded, declarative fault schedule for one or more
-	// coordinated nodes: per-member in-situ kill points on the members' own
-	// counters, plus shared partition windows, link-loss epochs and peer
-	// crashes keyed to the group's high-water counter, so the same seed
-	// perturbs a run at the same logical instants every time. A lone node is
-	// a plan with one member. See GenerateChaos.
-	ChaosPlan = chaos.Plan
-	// ChaosKill is one member's scheduled in-situ kill.
-	ChaosKill = chaos.Kill
-	// ChaosAction is one scheduled network fault of a ChaosPlan.
-	ChaosAction = chaos.Action
-	// ChaosOptions parameterizes plan generation (member hosts, peer hosts,
-	// fault horizon, kill count).
-	ChaosOptions = chaos.Options
-	// ChaosEngine fires a plan's faults at their counter values; install
-	// Observer(i) as member i's Config.EventObserver.
-	ChaosEngine = chaos.Engine
-	// Supervisor watches recording nodes for fail-stop, solves their
-	// recovery line, and restarts crashed members from checkpoint anchors
-	// while survivors keep running. See Supervise.
-	Supervisor = super.Supervisor
-	// SuperConfig tunes fail-stop detection and recovery.
-	SuperConfig = super.Config
-	// Recovery is one crashed member's prepared restart: the salvaged log set
-	// and the checkpoint anchor to resume from.
-	Recovery = super.Recovery
-	// SuperEpisode is one detection episode: the members declared failed
-	// together, the solved line, and their prepared restarts.
-	SuperEpisode = super.Episode
-	// SuperOutcome aggregates a supervision run's episodes.
-	SuperOutcome = super.Outcome
-	// RecoveryCounts groups a snapshot's supervisor counters (recoveries,
-	// restarts, replay-from-zero fallbacks).
-	RecoveryCounts = obs.RecoveryCounts
 	// TruncateStats reports what one WAL truncation kept and dropped.
 	TruncateStats = tracelog.TruncateStats
-
-	// GroupCoordinator runs the counter-barrier coordinated checkpoint
-	// protocol: each member's GroupCheckpoint arrives at the barrier inside
-	// its own critical event, and the completed round stamps a group epoch
-	// into every member's log. See NewGroupCoordinator.
-	GroupCoordinator = recline.Coordinator
-	// RecoveryLine is one consistent cross-VM recovery line: a completed
-	// group epoch and each member's checkpoint anchor on it.
-	RecoveryLine = recline.Line
-	// LineSolution is a full recovery-line solve over a set of salvaged
-	// logs: the chosen line, every candidate epoch with its completeness
-	// verdict, and the cross-VM message classification. See
-	// SolveRecoveryLine.
-	LineSolution = recline.Solution
-	// LineCandidate is one candidate epoch of a solve, complete or demoted.
-	LineCandidate = recline.Candidate
-	// CrossMessage is one cross-VM message classified against a line
-	// (stable, in-flight, orphan, or post-line).
-	CrossMessage = recline.Message
-
-	// CausalGraph is the reconstructed cross-VM happens-before graph of a
-	// recorded world. See Analyze.
-	CausalGraph = causal.Graph
-	// CausalEdgeKind classifies a happens-before edge (program order, thread
-	// handoff, notify, connection handshake, stream data, datagram).
-	CausalEdgeKind = causal.EdgeKind
-	// CausalStats reports what the analyzer correlated — and what it could
-	// not (unmatched counts are coverage holes, never silent drops).
-	CausalStats = causal.BuildStats
-	// CriticalPathReport attributes a recorded run's wall time to per-thread
-	// turn-wait stalls and its logical length to the longest dependency chain.
-	CriticalPathReport = causal.Report
-	// DivergenceCause is one recorded event range causally preceding a
-	// divergence point.
-	DivergenceCause = causal.Cause
-	// PerfettoStats summarizes a WritePerfetto export.
-	PerfettoStats = causal.PerfettoStats
-
-	// Log is one in-memory record log; a Logs set holds three (schedule,
-	// network, datagram). Exposed for Config.ScheduleOverride.
-	Log = tracelog.Log
-
-	// ExploreOptions configures a schedule-space exploration run: program
-	// seed, order mode, schedule budget and directive depth. See Explore.
-	ExploreOptions = explore.Options
-	// ExploreResult summarizes one program seed's exploration.
-	ExploreResult = explore.Result
-	// ExploreCampaignResult aggregates exploration across program seeds.
-	ExploreCampaignResult = explore.CampaignResult
-	// ExploreFinding is one schedule-dependent divergence the explorer found:
-	// a synthesized legal schedule whose replay broke determinism or missed
-	// the program's sequential model.
-	ExploreFinding = explore.Finding
-	// ExploreDirective is one forced scheduling decision of a synthesized
-	// schedule — findings carry the minimal list that reproduces them.
-	ExploreDirective = explore.Directive
-	// ExploreCoverage aggregates exploration coverage counters (distinct
-	// schedules, replays, preemption-depth histogram).
-	ExploreCoverage = obs.ExploreStats
 )
 
-// Fault-tolerance errors surfaced through the facade.
+// Socket-layer errors surfaced through the facade.
 var (
-	// ErrReset is returned by stream operations whose connection was reset
-	// because a fault plan crashed one of its endpoints.
-	ErrReset = netsim.ErrReset
-	// ErrPeerUnreachable is returned when the reliable datagram layer
-	// exhausts its retry budget against a dead or partitioned peer.
-	ErrPeerUnreachable = rudp.ErrPeerUnreachable
 	// ErrTimeout is the uniform SO_TIMEOUT expiry error of the socket layer.
 	ErrTimeout = djsock.ErrTimeout
 	// ErrDiverged is wrapped by the error a stream or datagram operation
@@ -334,13 +209,6 @@ type Config struct {
 	Host string
 	// ReplayLogs supplies the record-phase logs in Replay mode.
 	ReplayLogs *Logs
-	// ScheduleOverride, when non-nil in Replay mode, replays a synthesized
-	// schedule instead of the recorded one while still serving network and
-	// datagram events from ReplayLogs — the schedule-space exploration hook
-	// (see Explore/Shrink and internal/explore). The override must be a
-	// complete, legal schedule log for the same VM identity, world, and
-	// order mode; it is validated exactly like a recording.
-	ScheduleOverride *Log
 	// Resume, optionally, starts replay from a checkpoint.
 	Resume *ResumePoint
 	// RecordJitter, when > 0, yields the processor with probability
@@ -368,9 +236,6 @@ type Config struct {
 	// cleanly — releasing its joiners — instead of raising a divergence. The
 	// run then reproduces exactly the prefix that survived the crash.
 	StopAtLogEnd bool
-	// ConnectRetry bounds the redial loop Connect applies to transient
-	// failures (refused, timed out). The zero value disables retries.
-	ConnectRetry RetryPolicy
 	// OrderMode selects how the node orders critical events. OrderGlobal
 	// (the zero value) totally orders every critical event through one
 	// global counter. OrderSharded instead records a per-object access
@@ -382,14 +247,6 @@ type Config struct {
 	// extensions that need one total order (EventObserver, Resume, WAL,
 	// timestamps, causal tracing) reject OrderSharded with a clear error.
 	OrderMode OrderMode
-	// ObsSampleRate controls 1-in-N sampling of the latency histograms:
-	// GC-hold (record only — a replaying node holds no critical section) and
-	// turn-wait (replay): only events whose counter value is a multiple of N
-	// are timed, so the common-case critical event reads no clock. Event
-	// counts stay exact. Zero selects the default
-	// (core.ObsSampleDefault, 64); 1 times every event; other values round
-	// up to a power of two.
-	ObsSampleRate int
 }
 
 // GCount is a global-counter (logical clock) value.
@@ -416,28 +273,24 @@ func NewNode(cfg Config) (*Node, error) {
 		peers[p] = true
 	}
 	vm, err := core.NewVM(core.Config{
-		ID:               cfg.ID,
-		Mode:             cfg.Mode,
-		World:            cfg.World,
-		DJVMPeers:        peers,
-		ReplayLogs:       cfg.ReplayLogs,
-		ScheduleOverride: cfg.ScheduleOverride,
-		Resume:           cfg.Resume,
-		RecordJitter:     cfg.RecordJitter,
-		StallTimeout:     cfg.StallTimeout,
-		StopAtLogEnd:     cfg.StopAtLogEnd,
-		EventObserver:    cfg.EventObserver,
-		OrderMode:        cfg.OrderMode,
-		ObsSampleRate:    cfg.ObsSampleRate,
+		ID:            cfg.ID,
+		Mode:          cfg.Mode,
+		World:         cfg.World,
+		DJVMPeers:     peers,
+		ReplayLogs:    cfg.ReplayLogs,
+		Resume:        cfg.Resume,
+		RecordJitter:  cfg.RecordJitter,
+		StallTimeout:  cfg.StallTimeout,
+		StopAtLogEnd:  cfg.StopAtLogEnd,
+		EventObserver: cfg.EventObserver,
+		OrderMode:     cfg.OrderMode,
 	})
 	if err != nil {
 		return nil, err
 	}
-	sock := djsock.NewEnv(vm, cfg.Network, cfg.Host)
-	sock.ConnectRetry = cfg.ConnectRetry
 	return &Node{
 		vm:   vm,
-		sock: sock,
+		sock: djsock.NewEnv(vm, cfg.Network, cfg.Host),
 		gram: djgram.NewEnv(vm, cfg.Network, cfg.Host),
 		env:  djenv.New(vm),
 	}, nil
@@ -486,10 +339,6 @@ func (n *Node) Snapshot() Snapshot { return n.vm.Metrics().Snapshot() }
 func (n *Node) ServeMetrics(addr string) (boundAddr string, stop func(), err error) {
 	return obs.Serve(addr, n.vm.Metrics())
 }
-
-// PublishExpvar registers the node's metrics in the process-global expvar
-// registry under name (idempotent), making them visible on /debug/vars.
-func (n *Node) PublishExpvar(name string) { obs.Publish(name, n.vm.Metrics()) }
 
 // StartReporter periodically writes a human-readable metrics report to w
 // until the returned stop function is called (stop writes one final report).
@@ -540,19 +389,9 @@ func (n *Node) NewRPCClient(addr Addr) *RPCClient { return djrpc.NewClient(n.soc
 // node before Start. If the process dies mid-run, Recover salvages the
 // consistent prefix of the file and the run replays deterministically up to
 // the crash point. If writing the file fails mid-run, recording continues in
-// memory and Close, SyncWAL and TruncateAt report the first failure.
+// memory and Close and TruncateAt report the first failure.
 func (n *Node) EnableWAL(path string, opts WALOptions) error {
 	return n.vm.EnableWAL(path, opts)
-}
-
-// SyncWAL forces an immediate fsync of the node's write-ahead log. It is a
-// no-op when no WAL is enabled.
-func (n *Node) SyncWAL() error {
-	logs := n.vm.Logs()
-	if logs == nil {
-		return nil
-	}
-	return logs.SyncWAL()
 }
 
 // LogEndStops reports how many replay threads stopped cleanly at the end of a
@@ -568,103 +407,6 @@ func (n *Node) LogEndStops() uint64 { return n.vm.LogEndStops() }
 // leaves the previous log intact.
 func (n *Node) TruncateAt(keep int) (*TruncateStats, error) {
 	return n.vm.TruncateWAL(keep)
-}
-
-// GenerateChaos expands a seed into a validated fault schedule: in-situ kill
-// points for a seeded subset of opts.Members (a lone member is always the
-// victim), shared partition windows and link-loss epochs, and possibly a
-// post-kill peer failure. The same seed and options always yield
-// byte-identical plans (ChaosPlan.Encode).
-func GenerateChaos(seed uint64, opts ChaosOptions) (ChaosPlan, error) {
-	return chaos.Generate(seed, opts)
-}
-
-// NewChaosEngine compiles a plan against a network. Each member installs
-// engine.Observer(i) as its Config.EventObserver; the plan's network faults
-// fire as the group's high-water counter advances, driven by whichever member
-// reaches each fire point first. kill is invoked at a member's kill point;
-// nil means freeze the node in place (the supervisor's detection path).
-// Faults land at deterministic logical instants, so a recorded run replays
-// them implicitly — the engine is for the record phase only.
-func NewChaosEngine(p ChaosPlan, net *Network, kill func()) (*ChaosEngine, error) {
-	return chaos.NewEngine(p, net, kill)
-}
-
-// RecordChaosPlan stamps the plan (seed and encoded schedule) into the node's
-// record-phase logs, so the fault schedule travels with the trace and
-// ChaosPlanFromLogs can round-trip it after recovery. Stamp it on every
-// member so any salvageable subset of the logs carries the schedule.
-func (n *Node) RecordChaosPlan(p ChaosPlan) error {
-	logs := n.vm.Logs()
-	if logs == nil {
-		return fmt.Errorf("dejavu: node %d has no logs (mode %v)", n.ID(), n.Mode())
-	}
-	chaos.Record(logs, p)
-	return nil
-}
-
-// ChaosPlanFromLogs recovers the fault schedule recorded into a log set.
-// ok is false when the set carries no plan.
-func ChaosPlanFromLogs(logs *Logs) (ChaosPlan, bool, error) {
-	return chaos.PlanFromSet(logs)
-}
-
-// NewGroupCoordinator creates the coordinated-checkpoint barrier for the
-// given member identities. Every member must call GroupCheckpoint at the same
-// logical points of its run; a member that exits early must be Removed so the
-// others' rounds still complete.
-func NewGroupCoordinator(members ...DJVMID) *GroupCoordinator {
-	return recline.NewCoordinator(members...)
-}
-
-// GroupCheckpoint records t's arrival at the group checkpoint barrier as ONE
-// critical event of its node: the checkpoint capture, the group-epoch stamp
-// naming every member's anchor counter, and the WAL sync all land inside the
-// same GC-critical section, so a crash either retains the member's whole
-// barrier arrival or none of it. Blocks until every live member of coord has
-// arrived (record mode; replay consumes the schedule slot without
-// coordinating).
-func GroupCheckpoint(coord *GroupCoordinator, t *Thread, save func() []byte) {
-	coord.Checkpoint(t, save)
-}
-
-// SolveRecoveryLine computes the latest consistent recovery line across one
-// salvaged log set per member: the newest group epoch whose every listed
-// member retains both its epoch stamp and its anchor checkpoint, and which no
-// orphan message (received at or before the line, sent after it) invalidates.
-// Incomplete epochs are demoted with reasons; cross-VM messages are
-// classified stable, in-flight, orphan, or post-line. Line is nil when no
-// complete epoch survived.
-func SolveRecoveryLine(sets ...*Logs) (*LineSolution, error) {
-	return recline.Solve(sets)
-}
-
-// SuperMember names one supervised node.
-type SuperMember struct {
-	// Name is the member's display name (its simulated host, typically).
-	Name string
-	// Node is the member's recording node, polled for progress.
-	Node *Node
-	// WALPath is the member's write-ahead log, salvaged on detection.
-	WALPath string
-}
-
-// Supervise starts a fail-stop supervisor over one or more recording nodes
-// that checkpoint through cfg.Coordinator (required; a lone node uses a
-// coordinator of one): it polls every member's event-counter total, treats
-// members parked in the coordinator's barrier as alive, declares the
-// remainder failed after cfg.FailAfter with no progress, salvages their WALs,
-// solves the latest complete recovery line, and invokes cfg.Restart once per
-// crashed member with a line-anchored recovery (falling back to the member's
-// latest salvaged checkpoint, then to replay-from-zero) — while the surviving
-// members keep running. Call Stop when the nodes complete cleanly; Wait
-// returns the outcome.
-func Supervise(members []SuperMember, cfg SuperConfig) *Supervisor {
-	ms := make([]super.Member, len(members))
-	for i, m := range members {
-		ms[i] = super.Member{Name: m.Name, VM: m.Node.vm, WALPath: m.WALPath}
-	}
-	return super.Watch(ms, cfg)
 }
 
 // Recover reads a write-ahead log written by EnableWAL — including one left
@@ -695,53 +437,17 @@ func LoadLogs(dir string) (*Logs, error) { return tracelog.LoadSet(dir) }
 
 // EnableCausalTrace makes a record-mode node annotate its network log with
 // byte-offset spans for connects, accepts, stream reads and writes, so
-// Analyze can correlate cross-VM messages into happens-before edges. Call it
-// before Start; replay ignores the annotations. Off by default: without it
+// `djtrace -perfetto` and `-critpath` can correlate the saved logs' cross-VM
+// messages into happens-before edges. Call it before Start; replay ignores
+// the annotations. Off by default: without it
 // recorded logs are byte-identical to previous releases.
 func (n *Node) EnableCausalTrace() error { return n.vm.EnableCausalTrace() }
 
 // EnableTimestamps makes a record-mode node log a wall-clock anchor every
 // `every` critical events (plus one at the start and one at the end of the
-// run), giving CriticalPath a counter→wall-time mapping. Call it before
+// run), giving `djtrace -critpath` a counter→wall-time mapping. Call it before
 // Start; replay ignores the anchors. Off by default.
 func (n *Node) EnableTimestamps(every int) error { return n.vm.EnableTimestamps(every) }
-
-// Analyze reconstructs the cross-VM happens-before graph of a recorded world
-// from one log set per node: program order from the logical schedule,
-// synchronization edges from notify records, and message edges from the
-// causal-trace annotations (handshakes, stream byte spans) and datagram
-// delivery records. The graph is proven acyclic, each node carries a logical
-// start time and a vector clock, and CausalStats reports anything that could
-// not be correlated. Feed it to WritePerfetto, CriticalPath, or WhyDiverged.
-func Analyze(logs ...*Logs) (*CausalGraph, error) { return causal.Build(logs) }
-
-// WritePerfetto exports an analyzed graph as Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev): one process per node, one track per
-// thread, one slice per schedule segment, and one flow arrow per correlated
-// cross-VM message or notify wake-up.
-func WritePerfetto(w io.Writer, g *CausalGraph) (PerfettoStats, error) {
-	return causal.WritePerfetto(w, g)
-}
-
-// CriticalPath computes the longest dependency chain through an analyzed
-// graph — the replay speed-of-light — and attributes logical and wall-clock
-// stall time to each thread.
-func CriticalPath(g *CausalGraph) CriticalPathReport { return causal.CriticalPath(g) }
-
-// WhyDiverged returns the k most recent recorded event ranges, across every
-// node, that causally precede the event at ⟨vm, gc⟩ — the history to inspect
-// when replay diverges there.
-func WhyDiverged(g *CausalGraph, vm DJVMID, gc GCount, k int) ([]DivergenceCause, error) {
-	return causal.WhyDiverged(g, vm, gc, k)
-}
-
-// ExplainDivergence renders the root-cause report for a DivergenceError
-// recovered from a replay thread: the divergence point, the threads parked at
-// detection and the counters they waited for, and the causally-preceding
-// recorded history.
-func ExplainDivergence(w io.Writer, g *CausalGraph, div *DivergenceError, k int) error {
-	return causal.WriteWhyDiverged(w, g, div, k)
-}
 
 // CheckpointTake records a checkpoint as one critical event of t, capturing
 // the state returned by save (record mode; consumes its schedule slot during
@@ -774,26 +480,4 @@ func FinalCounter(logs *Logs) (uint64, error) {
 		}
 	}
 	return n, nil
-}
-
-// Explore runs schedule-space exploration for one generated program seed:
-// record once, synthesize alternative legal schedules (bounded-preemption
-// systematic frontier plus seeded random mutations), replay each one twice
-// through Config.ScheduleOverride, and report every schedule whose replay
-// broke determinism or whose final state missed the program's sequential
-// model. See internal/explore for the methodology.
-func Explore(opts ExploreOptions) (*ExploreResult, error) { return explore.Run(opts) }
-
-// ExploreCampaign explores seeds consecutive program seeds starting at
-// opts.Seed, aggregating coverage and findings.
-func ExploreCampaign(opts ExploreOptions, seeds int) (*ExploreCampaignResult, error) {
-	return explore.Campaign(opts, seeds)
-}
-
-// Shrink minimizes an exploration finding to its smallest reproducing
-// directive list (delta debugging over forced scheduling decisions). The
-// returned finding reproduces the same divergence kind; the int is the
-// number of candidate schedules replayed while shrinking.
-func Shrink(opts ExploreOptions, f ExploreFinding) (ExploreFinding, int, error) {
-	return explore.Shrink(opts, f)
 }

@@ -173,7 +173,7 @@ func TestFacadeAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node.ID() != 44 || node.Mode() != dejavu.Record || node.Host() != "acc" {
+	if node.ID() != 44 || node.Mode() != dejavu.Record || node.Host() != "acc" || node.OrderMode() != dejavu.OrderGlobal {
 		t.Error("node identity accessors wrong")
 	}
 	bar := dejavu.NewBarrier(2)
@@ -202,6 +202,38 @@ func TestFacadeAccessors(t *testing.T) {
 	}
 	if final != snap.TotalEvents {
 		t.Errorf("FinalCounter %d, snapshot %d", final, snap.TotalEvents)
+	}
+}
+
+// TestReplayPastTheRecordingDiverges: a replaying thread that attempts a
+// critical event the recording never had panics with a *DivergenceError
+// naming its node.
+func TestReplayPastTheRecordingDiverges(t *testing.T) {
+	rec, err := dejavu.NewNode(dejavu.Config{ID: 12, Mode: dejavu.Record, Network: dejavu.NewNetwork(dejavu.NetworkConfig{}), Host: "h"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var x dejavu.SharedInt
+	rec.Start(func(main *dejavu.Thread) { x.Set(main, 1) })
+	rec.Wait()
+	rec.Close()
+
+	rep, err := dejavu.NewNode(dejavu.Config{
+		ID: 12, Mode: dejavu.Replay, Network: dejavu.NewNetwork(dejavu.NetworkConfig{}),
+		Host: "h", ReplayLogs: rec.Logs(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan any, 1)
+	rep.Start(func(main *dejavu.Thread) {
+		defer func() { got <- recover() }()
+		x.Set(main, 1)
+		x.Set(main, 2) // one event past the recording
+	})
+	r := <-got
+	if div, ok := r.(*dejavu.DivergenceError); !ok || div.VM != 12 {
+		t.Fatalf("recovered %v (%T), want a *DivergenceError of vm 12", r, r)
 	}
 }
 

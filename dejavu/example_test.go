@@ -110,7 +110,8 @@ func ExampleNode_Connect() {
 	// Output: re:ping
 }
 
-// ExampleNode_NewRPCServer shows a replayable remote call.
+// ExampleNode_NewRPCServer shows a replayable remote call, and the
+// RemoteError a call to a method the server does not handle returns.
 func ExampleNode_NewRPCServer() {
 	net := dejavu.NewNetwork(dejavu.NetworkConfig{})
 	server, _ := dejavu.NewNode(dejavu.Config{ID: 1, Mode: dejavu.Record, Network: net, Host: "srv"})
@@ -124,7 +125,7 @@ func ExampleNode_NewRPCServer() {
 	server.Start(func(main *dejavu.Thread) {
 		ss, _ := server.Listen(main, 0)
 		ready <- ss.Port()
-		srv.Serve(main, ss, 1)
+		srv.Serve(main, ss, 2)
 	})
 	port := <-ready
 
@@ -132,12 +133,19 @@ func ExampleNode_NewRPCServer() {
 		cl := client.NewRPCClient(dejavu.Addr{Host: "srv", Port: port})
 		out, _ := cl.Call(main, "greet", []byte("world"))
 		fmt.Println(string(out))
+		_, err := cl.Call(main, "shout", nil)
+		var remote *dejavu.RemoteError
+		if errors.As(err, &remote) {
+			fmt.Println("remote error from", remote.Method+":", remote.Msg)
+		}
 	})
 	server.Wait()
 	client.Wait()
 	server.Close()
 	client.Close()
-	// Output: hello, world
+	// Output:
+	// hello, world
+	// remote error from shout: djrpc: unknown method
 }
 
 // ExampleConfig_worlds records a client that talks to a DJVM server and to an

@@ -11,8 +11,9 @@ import (
 	"repro/dejavu"
 )
 
-// obsEchoWorld runs a two-node echo application and returns both nodes.
-func obsEchoWorld(t *testing.T, mode dejavu.Mode, serverLogs, clientLogs *dejavu.Logs) (server, client *dejavu.Node) {
+// obsEchoWorld runs a two-node echo application and returns both nodes; each
+// prep function is applied to both nodes before they start.
+func obsEchoWorld(t *testing.T, mode dejavu.Mode, serverLogs, clientLogs *dejavu.Logs, prep ...func(*dejavu.Node) error) (server, client *dejavu.Node) {
 	t.Helper()
 	net := dejavu.NewNetwork(dejavu.NetworkConfig{
 		Chaos: dejavu.Chaos{DeliverDelayMax: 100 * time.Microsecond, MaxSegment: 4},
@@ -25,6 +26,11 @@ func obsEchoWorld(t *testing.T, mode dejavu.Mode, serverLogs, clientLogs *dejavu
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, p := range prep {
+			if err := p(node); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return node
 	}
@@ -114,6 +120,27 @@ func TestNodeSnapshotRecordReplayCounts(t *testing.T) {
 	}
 	if pct := repSrv.Snapshot().Replay.Percent(); pct != 100 {
 		t.Errorf("server replay finished at %.1f%%", pct)
+	}
+}
+
+// TestCausalHooksReachTheLog: nodes recorded with causal tracing and
+// timestamp sampling on log both kinds of annotation — the net spans and wall
+// anchors `djtrace -perfetto` and `-critpath` read back from saved logs — and
+// nodes recorded without them log neither.
+func TestCausalHooksReachTheLog(t *testing.T) {
+	srv, cli := obsEchoWorld(t, dejavu.Record, nil, nil,
+		func(n *dejavu.Node) error { return n.EnableCausalTrace() },
+		func(n *dejavu.Node) error { return n.EnableTimestamps(8) })
+	for _, n := range []*dejavu.Node{srv, cli} {
+		if c := n.Snapshot().Causal; c.NetSpans == 0 || c.Timestamps == 0 {
+			t.Errorf("node %d traced: %d net spans, %d timestamps; want both > 0", n.ID(), c.NetSpans, c.Timestamps)
+		}
+	}
+	srv, cli = obsEchoWorld(t, dejavu.Record, nil, nil)
+	for _, n := range []*dejavu.Node{srv, cli} {
+		if c := n.Snapshot().Causal; c.NetSpans != 0 || c.Timestamps != 0 {
+			t.Errorf("node %d untraced: %d net spans, %d timestamps; want none", n.ID(), c.NetSpans, c.Timestamps)
+		}
 	}
 }
 

@@ -2,10 +2,8 @@ package causal
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/ids"
 )
 
@@ -92,29 +90,4 @@ func WhyDiverged(g *Graph, vm ids.DJVMID, gc ids.GCount, k int) ([]Cause, error)
 		causes = causes[:k]
 	}
 	return causes, nil
-}
-
-// WriteWhyDiverged renders the root-cause report for a DivergenceError: where
-// replay diverged, which threads were stuck waiting for which counters, and
-// the K most recent recorded events that causally precede the divergence
-// point across all VMs.
-func WriteWhyDiverged(w io.Writer, g *Graph, div *core.DivergenceError, k int) error {
-	fmt.Fprintf(w, "divergence: %v\n", div)
-	fmt.Fprintf(w, "at: vm %d thread %d counter %d\n", div.VM, div.Thread, div.GC)
-	if len(div.Parked) > 0 {
-		fmt.Fprintln(w, "parked threads at detection:")
-		for _, p := range div.Parked {
-			fmt.Fprintf(w, "  thread %-3d waiting for %s\n", p.Thread, p.Awaited())
-		}
-	}
-	causes, err := WhyDiverged(g, div.VM, div.GC, k)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "last %d causally-preceding recorded event ranges (most recent first):\n", len(causes))
-	for _, c := range causes {
-		fmt.Fprintf(w, "  vm %-3d thread %-3d gc [%d,%d]  %d hop(s) away via %v\n",
-			c.VM, c.Thread, c.First, c.Last, c.Dist, c.Via)
-	}
-	return nil
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/netsim"
@@ -415,6 +417,55 @@ func TestRecordPlanRoundTrip(t *testing.T) {
 	empty.Schedule.Append(&tracelog.VMMeta{VM: 2, Threads: 1, FinalGC: 0})
 	if _, ok, err := PlanFromSet(empty); err != nil || ok {
 		t.Fatalf("plan-less set: ok=%v err=%v, want false/nil", ok, err)
+	}
+}
+
+// A plan stamped into a WAL-backed recording survives a truncation at a
+// checkpoint anchor and the salvage of the compacted file: the recovered set
+// still carries the same plan.
+func TestRecordedPlanSurvivesTruncation(t *testing.T) {
+	p, err := Generate(5, loneOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(t.TempDir(), "node.wal")
+	vm, err := core.NewVM(core.Config{ID: 1, Mode: ids.Record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.EnableWAL(walPath, tracelog.WALOptions{SyncEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	Record(vm.Logs(), p)
+	vm.Start(func(main *core.Thread) {
+		var x core.SharedInt
+		for r := 0; r < 3; r++ {
+			for i := 0; i < 5; i++ {
+				x.Set(main, x.Get(main)+1)
+			}
+			checkpoint.Take(main, func() []byte { return []byte("state") })
+		}
+	})
+	vm.Wait()
+	st, err := vm.TruncateWAL(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BaseGC == 0 {
+		t.Fatal("truncation anchored at zero")
+	}
+	vm.Close()
+
+	set, _, err := tracelog.RecoverFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, ok, err := PlanFromSet(set)
+	if err != nil || !ok {
+		t.Fatalf("plan lost in truncation: ok=%v err=%v", ok, err)
+	}
+	if string(q.Encode()) != string(p.Encode()) {
+		t.Fatal("recovered plan differs from the recorded one")
 	}
 }
 

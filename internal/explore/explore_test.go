@@ -111,16 +111,18 @@ func TestExploreStats(t *testing.T) {
 	}
 }
 
-// A small cross-seed campaign aggregates cleanly.
+// A small cross-seed campaign aggregates cleanly in both order modes.
 func TestCampaign(t *testing.T) {
-	res, err := Campaign(Options{Seed: 0, OrderMode: ids.OrderGlobal, Budget: 4}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seeds != 5 || res.Schedules < 10 {
-		t.Fatalf("campaign: %+v", res)
-	}
-	if len(res.Findings) != 0 {
-		t.Fatalf("campaign findings on clean programs: %v", res.Findings)
+	for _, mode := range []ids.OrderMode{ids.OrderGlobal, ids.OrderSharded} {
+		res, err := Campaign(Options{Seed: 0, OrderMode: mode, Budget: 4}, 5)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.Seeds != 5 || res.Schedules < 10 {
+			t.Fatalf("%v: campaign: %+v", mode, res)
+		}
+		if len(res.Findings) != 0 {
+			t.Fatalf("%v: campaign findings on clean programs: %v", mode, res.Findings)
+		}
 	}
 }

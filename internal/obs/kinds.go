@@ -15,9 +15,9 @@
 // without stopping writers.
 //
 // One Metrics value belongs to one VM. It is exposed three ways: the typed
-// Snapshot struct (re-exported by the dejavu facade), an expvar-compatible
-// JSON form (Metrics implements expvar.Var; Handler/Serve mount it over
-// HTTP for cmd/djstat), and a periodic human-readable reporter.
+// Snapshot struct (re-exported by the dejavu facade), the same snapshot as
+// JSON over HTTP (Handler/Serve, for cmd/djstat), and a periodic
+// human-readable reporter.
 package obs
 
 // EventKind classifies a critical event by the subsystem that issued it. The

@@ -209,41 +209,18 @@ func TestReplayProgressPercent(t *testing.T) {
 	}
 }
 
-// TestExpvarJSONRoundTrip checks the expvar String() form parses back into an
-// identical Snapshot — djstat relies on this.
-func TestExpvarJSONRoundTrip(t *testing.T) {
+// TestServeEndpoint spins up the metrics endpoint, fetches a snapshot the
+// way djstat does, and checks the served JSON parses back into the snapshot
+// it was made from — events, logs, replay progress and a histogram.
+func TestServeEndpoint(t *testing.T) {
 	m := &Metrics{}
 	tick(m, KindShared, 1)
 	tick(m, KindSocket, 2)
+	tick(m, KindMonitorEnter, 3)
 	m.IncNetworkEvent()
 	m.LogAppend(LogDatagram, 42)
 	m.SetFinalGC(10)
 	m.ObserveGCHold(3 * time.Microsecond)
-
-	var got Snapshot
-	if err := json.Unmarshal([]byte(m.String()), &got); err != nil {
-		t.Fatalf("String() is not valid JSON: %v", err)
-	}
-	want := m.Snapshot()
-	if got.TotalEvents != want.TotalEvents || got.Events != want.Events {
-		t.Errorf("events round-trip mismatch: got %+v want %+v", got.Events, want.Events)
-	}
-	if got.Logs != want.Logs {
-		t.Errorf("logs round-trip mismatch: got %+v want %+v", got.Logs, want.Logs)
-	}
-	if got.Replay != want.Replay {
-		t.Errorf("replay round-trip mismatch: got %+v want %+v", got.Replay, want.Replay)
-	}
-	if got.GCHold.Count != want.GCHold.Count || got.GCHold.SumNanos != want.GCHold.SumNanos {
-		t.Errorf("histogram round-trip mismatch: got %+v want %+v", got.GCHold, want.GCHold)
-	}
-}
-
-// TestServeEndpoint spins up the metrics endpoint and fetches a snapshot the
-// way djstat does.
-func TestServeEndpoint(t *testing.T) {
-	m := &Metrics{}
-	tick(m, KindMonitorEnter, 1)
 	addr, stop, err := Serve("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)
@@ -262,21 +239,26 @@ func TestServeEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s Snapshot
-	if err := json.Unmarshal(body, &s); err != nil {
+	var got Snapshot
+	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatalf("endpoint body is not a snapshot: %v", err)
 	}
-	if s.Events.MonitorEnter != 1 {
-		t.Errorf("served snapshot events = %+v", s.Events)
+	want := m.Snapshot()
+	if got.Events.MonitorEnter != 1 {
+		t.Errorf("served snapshot events = %+v", got.Events)
 	}
-}
-
-func TestPublishIdempotent(t *testing.T) {
-	m := &Metrics{}
-	Publish("obs-test-metrics", m)
-	// A second Publish with the same name must not panic (expvar.Publish
-	// would).
-	Publish("obs-test-metrics", &Metrics{})
+	if got.TotalEvents != want.TotalEvents || got.Events != want.Events {
+		t.Errorf("events round-trip mismatch: got %+v want %+v", got.Events, want.Events)
+	}
+	if got.Logs != want.Logs {
+		t.Errorf("logs round-trip mismatch: got %+v want %+v", got.Logs, want.Logs)
+	}
+	if got.Replay != want.Replay {
+		t.Errorf("replay round-trip mismatch: got %+v want %+v", got.Replay, want.Replay)
+	}
+	if got.GCHold.Count != want.GCHold.Count || got.GCHold.SumNanos != want.GCHold.SumNanos {
+		t.Errorf("histogram round-trip mismatch: got %+v want %+v", got.GCHold, want.GCHold)
+	}
 }
 
 func TestWriteReportAndReporter(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/tracelog"
 )
@@ -392,5 +393,54 @@ func TestTornEpochAnchorFallsBackThroughWAL(t *testing.T) {
 	c := sol.Candidates[0]
 	if c.Epoch != 2 || len(c.Missing) != 1 || c.Missing[0] != 2 {
 		t.Fatalf("candidate = %+v, want epoch 2 missing member 2", c)
+	}
+}
+
+// --- Coordinated rounds on real VMs --------------------------------------
+
+// Two recording VMs run three checkpoint rounds through one coordinator; the
+// solve over their logs picks the last epoch, anchored on both members, with
+// nothing demoted.
+func TestCoordinatedRoundsSolveToTheLastEpoch(t *testing.T) {
+	coord := NewCoordinator(1, 2)
+	var vms []*core.VM
+	for id := ids.DJVMID(1); id <= 2; id++ {
+		vm, err := core.NewVM(core.Config{ID: id, Mode: ids.Record})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	for _, vm := range vms {
+		vm.Start(func(main *core.Thread) {
+			var x core.SharedInt
+			for r := 0; r < 3; r++ {
+				for i := 0; i < 5; i++ {
+					x.Set(main, x.Get(main)+1)
+				}
+				coord.Checkpoint(main, func() []byte { return []byte("state") })
+			}
+		})
+	}
+	for _, vm := range vms {
+		vm.Wait()
+		vm.Close()
+	}
+	if got := coord.Epochs(); got != 3 {
+		t.Fatalf("completed epochs = %d, want 3", got)
+	}
+
+	sol, err := Solve([]*tracelog.Set{vms[0].Logs(), vms[1].Logs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Line == nil || sol.Line.Epoch != 3 {
+		t.Fatalf("line = %+v, want epoch 3 (candidates %+v)", sol.Line, sol.Candidates)
+	}
+	if len(sol.Line.Anchors) != 2 {
+		t.Fatalf("line anchors %v, want both members", sol.Line.Anchors)
+	}
+	if sol.Fallbacks() != 0 {
+		t.Fatalf("clean run demoted %d epochs: %+v", sol.Fallbacks(), sol.Candidates)
 	}
 }
