@@ -12,12 +12,14 @@
 //     threads; each woken thread's next scheduled event happens-after g.
 //     Thread handoffs — consecutive counter values executed by different
 //     threads — are edges too: the counter itself is the handoff token.
-//   - Cross-VM message edges: a connect's net-span and the matching accept's
-//     ServerSocketEntry (correlated by connectionId) form handshake edges;
-//     write and read net-spans on the same connection are matched by
-//     application-stream byte overlap to form stream-data edges; datagram
-//     deliveries carry the sender's ⟨VM, counter⟩ in their dgNetworkEventId
-//     and need no annotations at all.
+//   - Cross-VM message edges: one per message tracelog.Messages matches — a
+//     connect and the accept whose ServerSocketEntry names its connectionId
+//     (handshake edges), a write net-span and the first peer read net-span
+//     overlapping its bytes (stream-data edges), and a datagram delivery,
+//     whose dgNetworkEventId names the sender's ⟨VM, counter⟩ (datagram
+//     edges). The recovery-line solver (internal/recline) classifies the
+//     same enumeration. Each end's counter is attributed to the thread that
+//     executed it.
 //
 // Nodes are *segments* of schedule intervals: every interval is split at the
 // endpoints of incoming and outgoing cross edges, so an edge's source event
@@ -29,11 +31,17 @@
 // On top of the graph Build assigns each node a logical start time (longest
 // path from any root, one critical event = one tick) and a vector clock, so
 // callers can test ordering, export timelines, and attribute critical-path
-// time.
+// time. One world gives one graph: Build orders VMs by id, notify edges by
+// counter and message edges in Messages' order, so the Perfetto export, the
+// WhyDiverged list and the critical-path report are the same bytes however
+// often, and in whatever set order, the graph is built.
 package causal
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -205,8 +213,6 @@ func (g *Graph) NodeAt(vm ids.DJVMID, gc ids.GCount) (NodeID, bool) {
 // vmLogs is the per-VM working state during Build.
 type vmLogs struct {
 	sched *tracelog.ScheduleIndex
-	net   *tracelog.NetworkIndex
-	dg    *tracelog.DatagramIndex
 	// spans is every schedule interval sorted by First (counter ranges are
 	// disjoint across threads), for counter→thread attribution.
 	spans []ivSpan
@@ -240,47 +246,45 @@ func (v *vmLogs) markCut(m map[ids.ThreadNum]map[ids.GCount]bool, t ids.ThreadNu
 	set[gc] = true
 }
 
-// Build reconstructs the happens-before graph from one log set per VM.
-// The sets must come from one recorded world (duplicate VM ids are an
-// error); cross-VM message edges beyond datagrams require the run to have
-// been recorded with causal tracing enabled — without it the graph still
-// builds, with the unmatched counts in Stats reporting the holes.
+// Build reconstructs the happens-before graph from one log set per VM, given
+// in any order: the graph lists its VMs in ascending id, and building it
+// twice from the same sets gives the same graph. The sets must come from one
+// recorded world (duplicate VM ids are an error); cross-VM message edges
+// beyond datagrams require the run to have been recorded with causal tracing
+// enabled — without it the graph still builds, with the unmatched counts in
+// Stats reporting the holes.
 func Build(sets []*tracelog.Set) (*Graph, error) {
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("causal: no log sets")
 	}
+	xs := make([]*tracelog.SetIndex, 0, len(sets))
+	for i, set := range sets {
+		x, err := tracelog.IndexSet(set)
+		if err != nil {
+			return nil, fmt.Errorf("causal: log set %d: %w", i, err)
+		}
+		if x.Schedule.OrderMode != ids.OrderGlobal {
+			// Sharded logs order events per object, not by one global counter;
+			// there is no total intra-VM order to segment, so the graph this
+			// package builds does not exist for them.
+			return nil, fmt.Errorf("causal: vm %d was recorded with %v order mode, which has no global event order; record with OrderGlobal for causal analysis",
+				x.VM(), x.Schedule.OrderMode)
+		}
+		xs = append(xs, x)
+	}
+	slices.SortStableFunc(xs, func(a, b *tracelog.SetIndex) int { return cmp.Compare(a.VM(), b.VM()) })
 	g := &Graph{
 		vmIndex: make(map[ids.DJVMID]int),
 		Stats:   BuildStats{EdgesByKind: make(map[EdgeKind]int)},
 	}
 	var vms []*vmLogs
-	for _, set := range sets {
-		sched, err := tracelog.BuildScheduleIndex(set.Schedule)
-		if err != nil {
-			return nil, fmt.Errorf("causal: schedule log: %w", err)
-		}
-		if sched.OrderMode != ids.OrderGlobal {
-			// Sharded logs order events per object, not by one global counter;
-			// there is no total intra-VM order to segment, so the graph this
-			// package builds does not exist for them.
-			return nil, fmt.Errorf("causal: vm %d was recorded with %v order mode, which has no global event order; record with OrderGlobal for causal analysis",
-				sched.Meta.VM, sched.OrderMode)
-		}
-		net, err := tracelog.BuildNetworkIndex(set.Network)
-		if err != nil {
-			return nil, fmt.Errorf("causal: vm %d: network log: %w", sched.Meta.VM, err)
-		}
-		dg, err := tracelog.BuildDatagramIndex(set.Datagram)
-		if err != nil {
-			return nil, fmt.Errorf("causal: vm %d: datagram log: %w", sched.Meta.VM, err)
-		}
+	for _, x := range xs {
+		sched := x.Schedule
 		if _, dup := g.vmIndex[sched.Meta.VM]; dup {
 			return nil, fmt.Errorf("causal: duplicate log set for vm %d", sched.Meta.VM)
 		}
 		v := &vmLogs{
 			sched:    sched,
-			net:      net,
-			dg:       dg,
 			cutEnd:   make(map[ids.ThreadNum]map[ids.GCount]bool),
 			cutStart: make(map[ids.ThreadNum]map[ids.GCount]bool),
 		}
@@ -300,7 +304,12 @@ func Build(sets []*tracelog.Set) (*Graph, error) {
 		vms = append(vms, v)
 	}
 
-	cross := collectCrossEdges(g, vms)
+	cross := notifyEdges(g, vms)
+	msgs, un := tracelog.Messages(xs)
+	g.Stats.UnmatchedHandshakes = un.Handshakes
+	g.Stats.UnmatchedWrites = un.Writes
+	g.Stats.DanglingDatagrams = un.Datagrams
+	cross = appendMessageEdges(cross, g, vms, msgs)
 
 	// Mark the segment cuts every cross edge needs, then build the nodes.
 	for _, ce := range cross {
@@ -390,19 +399,18 @@ func splitSpan(sp ivSpan, ends, starts map[ids.GCount]bool) []ivSpan {
 	return out
 }
 
-// collectCrossEdges gathers every notify, handshake, stream-data, and
-// datagram edge as ⟨event, event⟩ pairs, before segmentation.
-func collectCrossEdges(g *Graph, vms []*vmLogs) []crossEdge {
+// notifyEdges gathers each VM's notify edges, in counter order, as
+// ⟨event, event⟩ pairs before segmentation: the notifier's event → each
+// woken thread's next event.
+func notifyEdges(g *Graph, vms []*vmLogs) []crossEdge {
 	var cross []crossEdge
-
-	// Notify edges: notifier's event → each woken thread's next event.
 	for vi, v := range vms {
-		for gc, woken := range v.sched.Notifies {
+		for _, gc := range slices.Sorted(maps.Keys(v.sched.Notifies)) {
 			nt, ok := v.threadAt(gc)
 			if !ok {
 				continue
 			}
-			for _, wt := range woken {
+			for _, wt := range v.sched.Notifies[gc] {
 				ivs := v.sched.Intervals[wt]
 				i := sort.Search(len(ivs), func(i int) bool { return ivs[i].Last > gc })
 				if i == len(ivs) || ivs[i].First <= gc {
@@ -419,109 +427,39 @@ func collectCrossEdges(g *Graph, vms []*vmLogs) []crossEdge {
 			}
 		}
 	}
+	return cross
+}
 
-	// Handshake edges: client connect → server accept, correlated by the
-	// connectionId the accept recorded. Both endpoint counter values come
-	// from net-spans.
-	for vi, v := range vms {
-		for serverID, clientID := range v.net.ServerSockets.All() {
-			acceptSpan, ok := v.net.NetSpans.Get(serverID)
-			if !ok || acceptSpan.Op != tracelog.NetOpAccept {
-				g.Stats.UnmatchedHandshakes++
-				continue
-			}
-			cvi, ok := g.vmIndex[clientID.VM]
-			if !ok {
-				g.Stats.UnmatchedHandshakes++
-				continue
-			}
-			connectSpan, ok := vms[cvi].net.NetSpans.Get(ids.NetworkEventID{Thread: clientID.Thread, Event: clientID.Event})
-			if !ok || connectSpan.Op != tracelog.NetOpConnect {
-				g.Stats.UnmatchedHandshakes++
-				continue
-			}
-			cross = append(cross, crossEdge{
-				kind: EdgeHandshake, fromVM: cvi, fromThread: clientID.Thread, fromGC: connectSpan.GC,
-				toVM: vi, toThread: serverID.Thread, toGC: acceptSpan.GC,
-			})
-		}
-	}
+// messageEdge is the edge kind of each message kind.
+var messageEdge = map[tracelog.MessageKind]EdgeKind{
+	tracelog.MsgHandshake: EdgeHandshake,
+	tracelog.MsgStream:    EdgeStream,
+	tracelog.MsgDatagram:  EdgeDatagram,
+}
 
-	// Stream-data edges: per connection and direction, match each write span
-	// to the first peer read span overlapping its byte range.
-	type dirKey struct {
-		conn ids.ConnectionID
-		vm   int // writer's VM index
-	}
-	writes := make(map[dirKey][]tracelog.NetSpanEntry)
-	reads := make(map[dirKey][]tracelog.NetSpanEntry) // keyed by the READER's VM
-	for vi, v := range vms {
-		for _, ns := range v.net.NetSpans.All() {
-			switch ns.Op {
-			case tracelog.NetOpWrite:
-				k := dirKey{conn: ns.Conn, vm: vi}
-				writes[k] = append(writes[k], ns)
-			case tracelog.NetOpRead:
-				k := dirKey{conn: ns.Conn, vm: vi}
-				reads[k] = append(reads[k], ns)
-			}
-		}
-	}
-	for wk, ws := range writes {
-		// The peer's reads on this connection: same conn, different VM.
-		var rs []tracelog.NetSpanEntry
-		var readerVM int
-		for rk, cand := range reads {
-			if rk.conn == wk.conn && rk.vm != wk.vm {
-				rs = append(rs, cand...)
-				readerVM = rk.vm
-			}
-		}
-		sort.Slice(ws, func(i, j int) bool { return ws[i].Offset < ws[j].Offset })
-		sort.Slice(rs, func(i, j int) bool { return rs[i].Offset < rs[j].Offset })
-		ri := 0
-		for _, w := range ws {
-			wEnd := w.Offset + uint64(w.Len)
-			for ri < len(rs) && rs[ri].Offset+uint64(rs[ri].Len) <= w.Offset {
-				ri++
-			}
-			if ri == len(rs) || rs[ri].Offset >= wEnd {
+// appendMessageEdges appends an edge for each matched message, with the
+// threads that executed its two events. A message whose end no thread
+// executed counts as unmatched.
+func appendMessageEdges(cross []crossEdge, g *Graph, vms []*vmLogs, msgs []tracelog.Message) []crossEdge {
+	for _, m := range msgs {
+		fvi, tvi := g.vmIndex[m.From.VM], g.vmIndex[m.To.VM]
+		ft, okF := vms[fvi].threadAt(m.From.GC)
+		tt, okT := vms[tvi].threadAt(m.To.GC)
+		if !okF || !okT {
+			switch m.Kind {
+			case tracelog.MsgHandshake:
+				g.Stats.UnmatchedHandshakes++
+			case tracelog.MsgStream:
 				g.Stats.UnmatchedWrites++
-				continue
-			}
-			r := rs[ri]
-			wt, okW := vms[wk.vm].threadAt(w.GC)
-			rt, okR := vms[readerVM].threadAt(r.GC)
-			if !okW || !okR {
-				g.Stats.UnmatchedWrites++
-				continue
-			}
-			cross = append(cross, crossEdge{
-				kind: EdgeStream, fromVM: wk.vm, fromThread: wt, fromGC: w.GC,
-				toVM: readerVM, toThread: rt, toGC: r.GC,
-			})
-		}
-	}
-
-	// Datagram edges: the delivery record already names the sender's
-	// ⟨VM, counter⟩ — no annotation needed.
-	for vi, v := range vms {
-		for ev, entry := range v.dg.ByEvent.All() {
-			svi, ok := g.vmIndex[entry.Datagram.VM]
-			if !ok || svi == vi {
+			default:
 				g.Stats.DanglingDatagrams++
-				continue
 			}
-			st, ok := vms[svi].threadAt(entry.Datagram.GC)
-			if !ok {
-				g.Stats.DanglingDatagrams++
-				continue
-			}
-			cross = append(cross, crossEdge{
-				kind: EdgeDatagram, fromVM: svi, fromThread: st, fromGC: entry.Datagram.GC,
-				toVM: vi, toThread: ev.Thread, toGC: entry.ReceiverGC,
-			})
+			continue
 		}
+		cross = append(cross, crossEdge{
+			kind: messageEdge[m.Kind], fromVM: fvi, fromThread: ft, fromGC: m.From.GC,
+			toVM: tvi, toThread: tt, toGC: m.To.GC,
+		})
 	}
 	return cross
 }

@@ -1,6 +1,10 @@
 package causal
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -243,16 +247,12 @@ func TestKVAppGraphProperties(t *testing.T) {
 	// verified by an independent overlap count below.
 	var wantHandshakes, wantDatagrams int
 	for _, set := range logs {
-		ni, err := tracelog.BuildNetworkIndex(set.Network)
+		x, err := tracelog.IndexSet(set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantHandshakes += ni.ServerSockets.Len()
-		di, err := tracelog.BuildDatagramIndex(set.Datagram)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantDatagrams += di.ByEvent.Len()
+		wantHandshakes += x.Network.ServerSockets.Len()
+		wantDatagrams += x.Datagram.ByEvent.Len()
 	}
 	if g.Stats.UnmatchedHandshakes != 0 {
 		t.Errorf("UnmatchedHandshakes = %d, want 0 (tracing was on everywhere)", g.Stats.UnmatchedHandshakes)
@@ -288,20 +288,16 @@ func independentStreamMatches(t *testing.T, logs kvapp.RunLogs) int {
 	}
 	var spans []span
 	for _, set := range logs {
-		si, err := tracelog.BuildScheduleIndex(set.Schedule)
+		x, err := tracelog.IndexSet(set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ni, err := tracelog.BuildNetworkIndex(set.Network)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ns := range ni.NetSpans.All() {
+		for _, ns := range x.Network.NetSpans.All() {
 			if ns.Op != tracelog.NetOpRead && ns.Op != tracelog.NetOpWrite {
 				continue
 			}
 			spans = append(spans, span{
-				vm: si.Meta.VM, lo: ns.Offset, hi: ns.Offset + uint64(ns.Len),
+				vm: x.VM(), lo: ns.Offset, hi: ns.Offset + uint64(ns.Len),
 				conn: ns.Conn, isWrite: ns.Op == tracelog.NetOpWrite,
 			})
 		}
@@ -357,5 +353,38 @@ func TestKVAppCriticalPath(t *testing.T) {
 	}
 	if pathEvents != rep.TotalEvents {
 		t.Errorf("path steps sum to %d events, TotalEvents = %d", pathEvents, rep.TotalEvents)
+	}
+}
+
+// TestBuildIsDeterministic builds the recorded kvapp world twenty times, its
+// log sets shuffled each time: the Perfetto export, the full divergence
+// history of one event and the critical-path report come out byte for byte
+// the same every time.
+func TestBuildIsDeterministic(t *testing.T) {
+	logs := recordedKV(t)
+	rng := rand.New(rand.NewPCG(1, 2))
+	var want []byte
+	for i := range 20 {
+		sets := slices.Clone(logs)
+		rng.Shuffle(len(sets), func(a, b int) { sets[a], sets[b] = sets[b], sets[a] })
+		g, err := Build(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if _, err := WritePerfetto(&out, g); err != nil {
+			t.Fatal(err)
+		}
+		causes, err := WhyDiverged(g, 1, 20, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%+v\n", causes)
+		CriticalPath(g).WriteReport(&out)
+		if i == 0 {
+			want = out.Bytes()
+		} else if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("build %d wrote other bytes than build 0", i)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package causal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -27,7 +29,9 @@ type Cause struct {
 // ⟨vm, gc⟩ and returns the k most recent causally-preceding event ranges
 // across all VMs — the recorded history that fed the diverged event. When gc
 // lies beyond the VM's last node (a divergence detected after the final
-// recorded event), the walk starts from the VM's last node.
+// recorded event), the walk starts from the VM's last node. The ranges come
+// most recent first; ranges that finish together are nearest first, then in
+// ⟨VM, thread, First⟩ order.
 func WhyDiverged(g *Graph, vm ids.DJVMID, gc ids.GCount, k int) ([]Cause, error) {
 	vi, ok := g.vmIndex[vm]
 	if !ok {
@@ -80,11 +84,9 @@ func WhyDiverged(g *Graph, vm ids.DJVMID, gc ids.GCount, k int) ([]Cause, error)
 			Finish: g.Start[id] + n.Events(), Dist: v.dist, Via: v.via,
 		})
 	}
-	sort.Slice(causes, func(i, j int) bool {
-		if causes[i].Finish != causes[j].Finish {
-			return causes[i].Finish > causes[j].Finish
-		}
-		return causes[i].Dist < causes[j].Dist
+	slices.SortFunc(causes, func(a, b Cause) int {
+		return cmp.Or(cmp.Compare(b.Finish, a.Finish), cmp.Compare(a.Dist, b.Dist),
+			cmp.Compare(a.VM, b.VM), cmp.Compare(a.Thread, b.Thread), cmp.Compare(a.First, b.First))
 	})
 	if k > 0 && len(causes) > k {
 		causes = causes[:k]

@@ -120,6 +120,12 @@ func TestHeldRunServesOnlyItsStream(t *testing.T) {
 	}
 }
 
+// withSchedule is a recorded set with its schedule log replaced: what the
+// schedule explorer replays.
+func withSchedule(recorded *tracelog.Set, schedule *tracelog.Log) *tracelog.Set {
+	return &tracelog.Set{Schedule: schedule, Network: recorded.Network, Datagram: recorded.Datagram}
+}
+
 // splitSchedule rewrites a recorded schedule so every interval and obj-run
 // longer than one event becomes two adjacent ones of the same thread,
 // [a,m][m+1,b] — what TruncateWAL's flush of open intervals produces. The
@@ -175,9 +181,9 @@ func TestAdjacentIntervalsOfOneThreadReplay(t *testing.T) {
 		t.Run(order.String(), func(t *testing.T) {
 			recTraces, recFinal, recVM := runRacyCounter(t, Config{ID: 61, Mode: ids.Record, OrderMode: order, RecordJitter: 9}, nThreads, iters)
 			repTraces, repFinal, repVM := runRacyCounter(t, Config{
-				ID: 61, Mode: ids.Replay, OrderMode: order, ReplayLogs: recVM.Logs(),
-				ScheduleOverride: splitSchedule(t, recVM.Logs().Schedule),
-				StallTimeout:     5 * time.Second,
+				ID: 61, Mode: ids.Replay, OrderMode: order,
+				ReplayLogs:   withSchedule(recVM.Logs(), splitSchedule(t, recVM.Logs().Schedule)),
+				StallTimeout: 5 * time.Second,
 			}, nThreads, iters)
 			if !tracesEqual(recTraces, repTraces) || recFinal != repFinal {
 				t.Fatal("replay of the split schedule diverged from record")
@@ -189,10 +195,10 @@ func TestAdjacentIntervalsOfOneThreadReplay(t *testing.T) {
 	}
 }
 
-// TestOverlappingOverrideStallsInsteadOfDoubleExecuting feeds an illegal
-// ScheduleOverride whose intervals overlap across threads — main claims
-// [0,9], the child [3,5] — which BuildScheduleIndex accepts, since it orders
-// intervals per thread only. Counter 3 lies inside main's interval, so main
+// TestOverlappingOverrideStallsInsteadOfDoubleExecuting replays an illegal
+// schedule whose intervals overlap across threads — main claims [0,9], the
+// child [3,5] — which BuildScheduleIndex accepts, since it orders intervals
+// per thread only. Counter 3 lies inside main's interval, so main
 // never hands it over: the child stays parked until the watchdog names it.
 // Waking it there instead would let both threads execute counters 3 to 5.
 func TestOverlappingOverrideStallsInsteadOfDoubleExecuting(t *testing.T) {
@@ -245,7 +251,7 @@ func overlappingOverride(t *testing.T, rec *VM, parkFirst bool, stallTimeout tim
 	override.Append(&tracelog.VMMeta{VM: 62, Threads: 2, FinalGC: 10})
 
 	rep, err := NewVM(Config{
-		ID: 62, Mode: ids.Replay, ReplayLogs: rec.Logs(), ScheduleOverride: override,
+		ID: 62, Mode: ids.Replay, ReplayLogs: withSchedule(rec.Logs(), override),
 		StallTimeout: stallTimeout,
 	})
 	if err != nil {
@@ -311,7 +317,7 @@ func TestOverlappingObjRunsRejectedUpFront(t *testing.T) {
 	override.Append(&tracelog.VMMeta{VM: 63, Threads: 3, FinalGC: 2})
 	_, err := NewVM(Config{
 		ID: 63, Mode: ids.Replay, OrderMode: ids.OrderSharded,
-		ReplayLogs: recVM.Logs(), ScheduleOverride: override,
+		ReplayLogs: withSchedule(recVM.Logs(), override),
 	})
 	if err == nil || !strings.Contains(err.Error(), "out of order") {
 		t.Fatalf("NewVM with overlapping obj-runs: err = %v, want an out-of-order rejection", err)

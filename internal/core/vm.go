@@ -54,20 +54,16 @@ type Config struct {
 	// traffic is recorded with full contents as in the open world (§5).
 	// Ignored in closed world (all peers DJVM) and open world (no peer DJVM).
 	DJVMPeers map[string]bool
-	// ReplayLogs supplies the record-phase logs when Mode is Replay.
+	// ReplayLogs supplies the record-phase logs when Mode is Replay. Its
+	// schedule log need not be the recorded one: the schedule explorer
+	// (internal/explore) pairs a synthesized schedule log with the recorded
+	// network and datagram logs, and the VM enforces the synthesized
+	// intervals (and per-object runs in sharded mode) while serving network
+	// events from the recording. Any legal interleaving — one in which every
+	// event's causal predecessors keep smaller counters — replays
+	// deterministically; an illegal one surfaces as a replay stall (arm
+	// StallTimeout) or a divergence, never as silent corruption.
 	ReplayLogs *tracelog.Set
-	// ScheduleOverride, when non-nil in replay mode, replaces the recorded
-	// schedule log with a synthesized one: the VM enforces the override's
-	// intervals (and per-object runs in sharded mode) while still serving
-	// network and datagram events from ReplayLogs. This is the schedule-space
-	// exploration hook (internal/explore): any *legal* alternative
-	// interleaving — one in which every event's causal predecessors keep
-	// smaller counters — can be fed here and replayed deterministically. The
-	// override must carry its own vm-meta record and must agree with the
-	// recording's VM identity, world, and order mode; it is validated exactly
-	// like a recorded schedule. An illegal override surfaces as a replay
-	// stall (arm StallTimeout) or a divergence, never as silent corruption.
-	ScheduleOverride *tracelog.Log
 	// Resume, when non-nil in replay mode, starts replay from a checkpoint
 	// instead of the beginning, bounding replay time (§8 future work; see
 	// internal/checkpoint). The application must restore its own state to
@@ -286,9 +282,6 @@ func NewVM(cfg Config) (*VM, error) {
 	if cfg.OrderMode == ids.OrderSharded && cfg.Resume != nil {
 		return nil, fmt.Errorf("core: vm %d: checkpoint resume requires OrderGlobal — fast-forward is defined on the global schedule", cfg.ID)
 	}
-	if cfg.ScheduleOverride != nil && cfg.Mode != ids.Replay {
-		return nil, fmt.Errorf("core: vm %d: ScheduleOverride is a replay-mode hook (mode %v)", cfg.ID, cfg.Mode)
-	}
 	switch cfg.Mode {
 	case ids.Record:
 		vm.logs = tracelog.NewSet()
@@ -318,14 +311,11 @@ func NewVM(cfg Config) (*VM, error) {
 		if cfg.ReplayLogs == nil {
 			return nil, fmt.Errorf("core: replay VM %d needs ReplayLogs", cfg.ID)
 		}
-		schedLog := cfg.ReplayLogs.Schedule
-		if cfg.ScheduleOverride != nil {
-			schedLog = cfg.ScheduleOverride
-		}
-		sched, err := tracelog.BuildScheduleIndex(schedLog)
+		x, err := tracelog.IndexSet(cfg.ReplayLogs)
 		if err != nil {
-			return nil, fmt.Errorf("core: vm %d: schedule log: %w", cfg.ID, err)
+			return nil, fmt.Errorf("core: vm %d: %w", cfg.ID, err)
 		}
+		sched := x.Schedule
 		if sched.Meta.VM != cfg.ID {
 			return nil, fmt.Errorf("core: vm %d: schedule log belongs to vm %d", cfg.ID, sched.Meta.VM)
 		}
@@ -338,15 +328,7 @@ func NewVM(cfg Config) (*VM, error) {
 		if sched.BaseGC > 0 && (cfg.Resume == nil || cfg.Resume.GC <= sched.BaseGC) {
 			return nil, fmt.Errorf("core: vm %d: log truncated at counter %d — events below the base were compacted away, so replay must resume from a retained checkpoint at or past it", cfg.ID, sched.BaseGC)
 		}
-		netIdx, err := tracelog.BuildNetworkIndex(cfg.ReplayLogs.Network)
-		if err != nil {
-			return nil, fmt.Errorf("core: vm %d: network log: %w", cfg.ID, err)
-		}
-		dgIdx, err := tracelog.BuildDatagramIndex(cfg.ReplayLogs.Datagram)
-		if err != nil {
-			return nil, fmt.Errorf("core: vm %d: datagram log: %w", cfg.ID, err)
-		}
-		vm.schedIdx, vm.netIdx, vm.dgIdx = sched, netIdx, dgIdx
+		vm.schedIdx, vm.netIdx, vm.dgIdx = sched, x.Network, x.Datagram
 		vm.unpublished.Store(publishBatch - 1)
 		vm.stopAtLogEnd = cfg.StopAtLogEnd
 		vm.metrics.SetFinalGC(uint64(sched.Meta.FinalGC))

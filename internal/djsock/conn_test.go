@@ -114,10 +114,11 @@ func TestServerSocketEntriesLogged(t *testing.T) {
 	a := &scrambleApp{pairings: make(map[int]string)}
 	recS, recC := runTwoVMs(t, a.app(nClients), ids.Record, 5, nil, nil)
 
-	idx, err := tracelog.BuildNetworkIndex(recS.Logs().Network)
+	x, err := tracelog.IndexSet(recS.Logs())
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := x.Network
 	if idx.ServerSockets.Len() != nClients {
 		t.Fatalf("server logged %d ServerSocketEntries, want %d", idx.ServerSockets.Len(), nClients)
 	}
@@ -128,10 +129,11 @@ func TestServerSocketEntriesLogged(t *testing.T) {
 	}
 	// The client, in the closed world, logs no per-connection contents: its
 	// network log holds no open-world records.
-	cidx, err := tracelog.BuildNetworkIndex(recC.Logs().Network)
+	cx, err := tracelog.IndexSet(recC.Logs())
 	if err != nil {
 		t.Fatal(err)
 	}
+	cidx := cx.Network
 	if n := cidx.OpenReads.Len() + cidx.OpenWrites.Len() + cidx.OpenConnects.Len(); n != 0 {
 		t.Errorf("closed-world client logged %d open-world records", n)
 	}

@@ -180,10 +180,11 @@ func replayGoldenOpen(t *testing.T, flip int) (string, error) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := tracelog.BuildNetworkIndex(logs.Network)
+	x, err := tracelog.IndexSet(logs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := x.Network
 	if fnvWrites != goldenOpenConns || idx.OpenWrites.Len() != goldenOpenConns ||
 		idx.OpenAccepts.Len() != goldenOpenConns || idx.OpenReads.Len() < goldenOpenConns {
 		t.Fatalf("fixture holds %d open-write records (%d indexed), %d accepts, %d reads; want %d old-kind writes",

@@ -109,10 +109,11 @@ func TestOpenWorldLogContainsContents(t *testing.T) {
 	var reply []byte
 	openClientApp(t, recVM, NewEnv(recVM, recNet, "client"), port, &reply)
 
-	idx, err := tracelog.BuildNetworkIndex(recVM.Logs().Network)
+	x, err := tracelog.IndexSet(recVM.Logs())
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := x.Network
 	if idx.OpenConnects.Len() != 1 {
 		t.Errorf("logged %d open connects, want 1", idx.OpenConnects.Len())
 	}
@@ -293,10 +294,11 @@ func TestMixedWorld(t *testing.T) {
 	}
 
 	// The client's log must contain contents only for the echo leg.
-	idx, err := tracelog.BuildNetworkIndex(recC.Logs().Network)
+	x, err := tracelog.IndexSet(recC.Logs())
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := x.Network
 	if idx.OpenConnects.Len() != 1 || idx.OpenWrites.Len() != 1 {
 		t.Errorf("client logged %d open connects and %d open writes, want 1 and 1",
 			idx.OpenConnects.Len(), idx.OpenWrites.Len())

@@ -22,10 +22,11 @@
 //     of bounded depth until the budget is spent.
 //  4. Each distinct schedule is composed into a schedule log
 //     (tracelog.ComposeSchedule), validated by logcheck against the recorded
-//     network and datagram logs, and replayed TWICE through
-//     core.Config.ScheduleOverride. Replay digests must agree (determinism)
-//     and the final state must equal the model (correctness). Any deviation
-//     is a Finding, and Shrink minimizes the directive list that provokes it.
+//     network and datagram logs, and replayed TWICE from a
+//     core.Config.ReplayLogs set of that schedule log and those two logs.
+//     Replay digests must agree (determinism) and the final state must equal
+//     the model (correctness). Any deviation is a Finding, and Shrink
+//     minimizes the directive list that provokes it.
 package explore
 
 import (
@@ -276,13 +277,12 @@ func (e *explorer) replayOnce(override *tracelog.Log) (uint64, []int64, error) {
 	net := netsim.NewNetwork(netsim.Config{Seed: e.opts.Seed})
 	h := newHash()
 	cfg := core.Config{
-		ID:               progVMID,
-		Mode:             ids.Replay,
-		World:            ids.ClosedWorld,
-		OrderMode:        e.opts.OrderMode,
-		ReplayLogs:       e.recorded,
-		ScheduleOverride: override,
-		StallTimeout:     e.opts.StallTimeout,
+		ID:           progVMID,
+		Mode:         ids.Replay,
+		World:        ids.ClosedWorld,
+		OrderMode:    e.opts.OrderMode,
+		ReplayLogs:   &tracelog.Set{Schedule: override, Network: e.recorded.Network, Datagram: e.recorded.Datagram},
+		StallTimeout: e.opts.StallTimeout,
 	}
 	if e.opts.OrderMode == ids.OrderGlobal {
 		// Runs inside the GC-critical section: invocations are totally

@@ -109,11 +109,11 @@ func TestPrimaryWALRandomCrashPointsRecoverConsistently(t *testing.T) {
 		if check := logcheck.CheckSet(set); !check.OK() {
 			t.Fatalf("cut=%d: recovered prefix [0,%d) fails logcheck: %v", cut, rep.FinalGC, check.Findings)
 		}
-		dg, err := tracelog.BuildDatagramIndex(set.Datagram)
+		x, err := tracelog.IndexSet(set)
 		if err != nil {
-			t.Fatalf("cut=%d: datagram index: %v", cut, err)
+			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		for _, e := range dg.ByEvent.All() {
+		for _, e := range x.Datagram.ByEvent.All() {
 			if e.ReceiverGC >= rep.FinalGC {
 				t.Fatalf("cut=%d: datagram delivery at counter %d beyond prefix %d", cut, e.ReceiverGC, rep.FinalGC)
 			}

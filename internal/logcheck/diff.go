@@ -36,14 +36,15 @@ func (d *DiffReport) addf(format string, args ...any) {
 // tends to be fallout.
 func Diff(a, b *tracelog.Set) (*DiffReport, error) {
 	rep := &DiffReport{}
-	sa, err := tracelog.BuildScheduleIndex(a.Schedule)
+	xa, err := tracelog.IndexSet(a)
 	if err != nil {
-		return nil, fmt.Errorf("logcheck: diff: left schedule: %w", err)
+		return nil, fmt.Errorf("logcheck: diff: left %w", err)
 	}
-	sb, err := tracelog.BuildScheduleIndex(b.Schedule)
+	xb, err := tracelog.IndexSet(b)
 	if err != nil {
-		return nil, fmt.Errorf("logcheck: diff: right schedule: %w", err)
+		return nil, fmt.Errorf("logcheck: diff: right %w", err)
 	}
+	sa, sb := xa.Schedule, xb.Schedule
 
 	if sa.Meta.VM != sb.Meta.VM {
 		rep.addf("vm id: %d vs %d", sa.Meta.VM, sb.Meta.VM)
@@ -59,12 +60,12 @@ func Diff(a, b *tracelog.Set) (*DiffReport, error) {
 	}
 
 	diffSchedules(rep, sa, sb)
-	if err := diffNetwork(rep, a, b); err != nil {
+	if err := diffNetwork(rep, xa.Network, xb.Network); err != nil {
 		return nil, err
 	}
-	if err := diffDatagram(rep, a, b); err != nil {
-		return nil, err
-	}
+	diffKeyed(rep, "datagram-recv", xa.Datagram.ByEvent.All(), xb.Datagram.ByEvent.All(), byNetEvent, func(x, y tracelog.DatagramRecvEntry) bool {
+		return x.Datagram == y.Datagram
+	})
 	return rep, nil
 }
 
@@ -152,16 +153,7 @@ func diffRuns[R comparable](rep *DiffReport, who, what string, ra, rb []R, show 
 }
 
 // diffNetwork compares the keyed network-log records.
-func diffNetwork(rep *DiffReport, a, b *tracelog.Set) error {
-	na, err := tracelog.BuildNetworkIndex(a.Network)
-	if err != nil {
-		return fmt.Errorf("logcheck: diff: left network log: %w", err)
-	}
-	nb, err := tracelog.BuildNetworkIndex(b.Network)
-	if err != nil {
-		return fmt.Errorf("logcheck: diff: right network log: %w", err)
-	}
-
+func diffNetwork(rep *DiffReport, na, nb *tracelog.NetworkIndex) error {
 	diffKeyed(rep, "accept", na.ServerSockets.All(), nb.ServerSockets.All(), byNetEvent, same[ids.ConnectionID])
 	diffKeyed(rep, "read", na.Reads.All(), nb.Reads.All(), byNetEvent, same[tracelog.ReadEntry])
 	diffKeyed(rep, "available", na.Availables.All(), nb.Availables.All(), byNetEvent, same[tracelog.AvailableEntry])
@@ -213,21 +205,6 @@ func contents(idx *tracelog.NetworkIndex, t *tracelog.Table[tracelog.ContentRow]
 			}
 		}
 	}
-}
-
-func diffDatagram(rep *DiffReport, a, b *tracelog.Set) error {
-	da, err := tracelog.BuildDatagramIndex(a.Datagram)
-	if err != nil {
-		return fmt.Errorf("logcheck: diff: left datagram log: %w", err)
-	}
-	db, err := tracelog.BuildDatagramIndex(b.Datagram)
-	if err != nil {
-		return fmt.Errorf("logcheck: diff: right datagram log: %w", err)
-	}
-	diffKeyed(rep, "datagram-recv", da.ByEvent.All(), db.ByEvent.All(), byNetEvent, func(x, y tracelog.DatagramRecvEntry) bool {
-		return x.Datagram == y.Datagram
-	})
-	return nil
 }
 
 func byNetEvent(x, y ids.NetworkEventID) int {

@@ -11,6 +11,7 @@ package logcheck
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -387,7 +388,7 @@ func CheckWorld(sets []*tracelog.Set) *Report {
 				ref[ge.Epoch] = carrier{vm: vm, members: ge.Members}
 				continue
 			}
-			if !sameGroupMembers(first.members, ge.Members) {
+			if !slices.Equal(first.members, ge.Members) {
 				rep.addf(vm, "group epoch %d member list disagrees with VM %d's copy", ge.Epoch, first.vm)
 			}
 		}
@@ -428,18 +429,4 @@ func CheckWorld(sets []*tracelog.Set) *Report {
 		}
 	}
 	return rep
-}
-
-// sameGroupMembers reports whether two stamped member lists are identical
-// (both are sorted by VM at stamp time).
-func sameGroupMembers(a, b []tracelog.GroupMember) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -16,7 +16,9 @@
 // picks the latest *complete* line: an epoch is complete only if every listed
 // member's log still carries both the epoch stamp and a checkpoint at exactly
 // that member's anchor counter (a torn WAL tail silently drops either, which
-// is precisely how a crash demotes the line). Cross-VM messages are then
+// is precisely how a crash demotes the line). Cross-VM messages (the
+// datagrams and stream writes of tracelog.Messages, the enumeration the
+// causal graph's message edges come from, in its order) are then
 // classified against the line — stable (sent and received before it),
 // in-flight (sent before, received after: replay re-delivers them from the
 // receiver's own recorded stream/datagram records), or orphaned (received

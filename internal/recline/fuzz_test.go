@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -57,7 +59,8 @@ func memberWAL(tb testing.TB, path string, vm ids.DJVMID, dg []tracelog.Entry) [
 // by the fuzzer's bytes, and solves its recovery line — what djrecover does
 // with every input. The solver must never panic, and a line it accepts must
 // name only input members, each anchored at a checkpoint that member's
-// salvaged schedule holds. Any other outcome is a returned error.
+// salvaged schedule holds. Any other outcome is a returned error. Solving the
+// group again with its members in reverse order gives the same Solution.
 func FuzzSolve(f *testing.F) {
 	dir := f.TempDir()
 	dgs := [][]tracelog.Entry{nil, {
@@ -100,6 +103,12 @@ func FuzzSolve(f *testing.F) {
 		group := append([]*tracelog.Set(nil), sets...)
 		group[int(which)%len(group)] = fuzzed
 		sol, err := Solve(group)
+		reversed := slices.Clone(group)
+		slices.Reverse(reversed)
+		again, errAgain := Solve(reversed)
+		if (err == nil) != (errAgain == nil) || err == nil && !reflect.DeepEqual(sol, again) {
+			t.Fatalf("two solves of one group differ: %+v (error %v), then %+v (error %v)", sol, err, again, errAgain)
+		}
 		if err != nil || sol.Line == nil {
 			return
 		}

@@ -1,8 +1,10 @@
 package recline
 
 import (
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -320,6 +322,96 @@ func TestSolveOrphanRejectsEpoch(t *testing.T) {
 	// Under epoch 1 the same message is post-line on both ends.
 	if sol.Post != 1 || sol.Stable != 0 || sol.InFlight != 0 {
 		t.Fatalf("classes stable=%d inflight=%d post=%d, want 0/0/1", sol.Stable, sol.InFlight, sol.Post)
+	}
+}
+
+// withNet appends stream net-spans to a member's network log.
+func withNet(s *tracelog.Set, spans ...tracelog.Entry) *tracelog.Set {
+	for _, e := range spans {
+		s.Network.Append(e)
+	}
+	return s
+}
+
+// netSpan is one write or read of n stream bytes at offset off of conn, the
+// event ev of thread 1 at counter gc.
+func netSpan(ev ids.EventNum, op uint8, conn ids.ConnectionID, off uint64, n uint32, gc ids.GCount) tracelog.Entry {
+	return &tracelog.NetSpanEntry{
+		EventID: ids.NetworkEventID{Thread: 1, Event: ev}, GC: gc,
+		Op: op, Conn: conn, Offset: off, Len: n,
+	}
+}
+
+// Stream bytes are messages too: a write member 2 sent after its epoch-2
+// anchor (190 > 185) that member 3 read before its own (150 ≤ 182) orphans
+// epoch 2, exactly like a datagram would.
+func TestSolveStreamOrphanRejectsEpoch(t *testing.T) {
+	conn := ids.ConnectionID{VM: 3, Thread: 1, Event: 1}
+	sol, err := Solve([]*tracelog.Set{
+		synthSet(1, fullMember(1), nil),
+		withNet(synthSet(2, fullMember(2), nil),
+			netSpan(4, tracelog.NetOpWrite, conn, 0, 8, 190)),
+		withNet(synthSet(3, fullMember(3), nil),
+			netSpan(2, tracelog.NetOpRead, conn, 0, 8, 150)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Line == nil || sol.Line.Epoch != 1 {
+		t.Fatalf("line = %+v, want fallback to epoch 1", sol.Line)
+	}
+	c := sol.Candidates[0]
+	if c.Epoch != 2 || c.Orphans != 1 || !strings.Contains(c.Rejected, "orphan") {
+		t.Fatalf("candidate = %+v, want epoch 2 rejected for 1 orphan", c)
+	}
+	want := Message{tracelog.Message{Kind: tracelog.MsgStream, From: tracelog.End{VM: 2, GC: 190}, To: tracelog.End{VM: 3, GC: 150}}, ClassPost}
+	if len(sol.Messages) != 1 || sol.Messages[0] != want {
+		t.Fatalf("messages = %+v, want the one stream write, post-line under epoch 1", sol.Messages)
+	}
+}
+
+// Solution.Messages lists stream writes by writer VM, then connection id, then
+// offset, and the datagrams after them, whatever the order of the sets. Member
+// 1 holds two connections to member 2 that differ only in the connect's event,
+// and wrote on the later one first.
+func TestSolveMessagesInOrder(t *testing.T) {
+	early := ids.ConnectionID{VM: 1, Thread: 1, Event: 2}
+	late := ids.ConnectionID{VM: 1, Thread: 1, Event: 5}
+	sets := []*tracelog.Set{
+		withNet(synthSet(1, fullMember(1), nil),
+			netSpan(10, tracelog.NetOpWrite, late, 0, 4, 100),
+			netSpan(11, tracelog.NetOpWrite, late, 4, 4, 101),
+			netSpan(12, tracelog.NetOpWrite, early, 0, 4, 102),
+			netSpan(13, tracelog.NetOpWrite, early, 4, 4, 103)),
+		withNet(synthSet(2, fullMember(2), []tracelog.Entry{dgMsg(1, 3, 105, 106)}),
+			netSpan(20, tracelog.NetOpRead, early, 0, 8, 110),
+			netSpan(21, tracelog.NetOpRead, late, 0, 8, 111)),
+		synthSet(3, fullMember(3), nil),
+	}
+	msg := func(kind tracelog.MessageKind, from, fromGC, to, toGC int) Message {
+		return Message{tracelog.Message{
+			Kind: kind,
+			From: tracelog.End{VM: ids.DJVMID(from), GC: ids.GCount(fromGC)},
+			To:   tracelog.End{VM: ids.DJVMID(to), GC: ids.GCount(toGC)},
+		}, ClassStable}
+	}
+	want := []Message{
+		msg(tracelog.MsgStream, 1, 102, 2, 110),
+		msg(tracelog.MsgStream, 1, 103, 2, 110),
+		msg(tracelog.MsgStream, 1, 100, 2, 111),
+		msg(tracelog.MsgStream, 1, 101, 2, 111),
+		msg(tracelog.MsgDatagram, 3, 105, 2, 106),
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := range 20 {
+		rng.Shuffle(len(sets), func(a, b int) { sets[a], sets[b] = sets[b], sets[a] })
+		sol, err := Solve(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sol.Messages, want) {
+			t.Fatalf("solve %d: messages = %+v, want %+v", i, sol.Messages, want)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package recline
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -43,17 +46,13 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", uint8(c))
 }
 
-// Message is one cross-VM message found in the set, with both endpoints'
-// counter values: datagrams directly from the delivery record (which names
-// the sender's ⟨VM, counter⟩), stream bytes from matched causal net-spans
-// when the recording carried them.
+// Message is one cross-VM message between line members (tracelog.Messages):
+// a datagram, whose delivery record names the sender's ⟨VM, counter⟩, or
+// stream bytes, matched through causal net-spans when the recording carried
+// them. Class is its relation to the chosen line.
 type Message struct {
-	Sender     ids.DJVMID
-	SenderGC   ids.GCount
-	Receiver   ids.DJVMID
-	ReceiverGC ids.GCount
-	Stream     bool // matched via net-span records rather than a datagram
-	Class      Class
+	tracelog.Message
+	Class Class
 }
 
 // Line is a consistent recovery line: one anchor checkpoint per member.
@@ -118,68 +117,56 @@ func (s *Solution) Fallbacks() int {
 
 // memberView is one member's indexed salvage.
 type memberView struct {
-	sched  *tracelog.ScheduleIndex
-	net    *tracelog.NetworkIndex
-	dg     *tracelog.DatagramIndex
 	epochs map[uint64]tracelog.GroupEpochEntry
 	cps    map[ids.GCount]bool
 }
 
 // Solve computes the latest complete recovery line of a distributed log set.
-// Each set is one member's salvaged (tracelog.RecoverFile) or live log set;
-// members absent from sets can only demote epochs that list them.
+// Each set is one member's salvaged (tracelog.RecoverFile) or live log set,
+// in any order; members absent from sets can only demote epochs that list
+// them. Solving the same sets twice gives the same Solution.
 func Solve(sets []*tracelog.Set) (*Solution, error) {
-	views := make(map[ids.DJVMID]*memberView, len(sets))
-	var vmOrder []ids.DJVMID
-	for _, s := range sets {
-		sched, err := tracelog.BuildScheduleIndex(s.Schedule)
+	xs := make([]*tracelog.SetIndex, 0, len(sets))
+	for i, s := range sets {
+		x, err := tracelog.IndexSet(s)
 		if err != nil {
-			return nil, fmt.Errorf("recline: %w", err)
+			return nil, fmt.Errorf("recline: log set %d: %w", i, err)
 		}
-		net, err := tracelog.BuildNetworkIndex(s.Network)
-		if err != nil {
-			return nil, fmt.Errorf("recline: vm %d: %w", sched.Meta.VM, err)
-		}
-		dg, err := tracelog.BuildDatagramIndex(s.Datagram)
-		if err != nil {
-			return nil, fmt.Errorf("recline: vm %d: %w", sched.Meta.VM, err)
-		}
-		vm := sched.Meta.VM
-		if _, dup := views[vm]; dup {
+		xs = append(xs, x)
+	}
+	slices.SortStableFunc(xs, func(a, b *tracelog.SetIndex) int { return cmp.Compare(a.VM(), b.VM()) })
+	views := make(map[ids.DJVMID]*memberView, len(xs))
+	for i, x := range xs {
+		vm := x.VM()
+		if i > 0 && xs[i-1].VM() == vm {
 			return nil, fmt.Errorf("recline: two sets claim vm %d", vm)
 		}
 		v := &memberView{
-			sched:  sched,
-			net:    net,
-			dg:     dg,
-			epochs: make(map[uint64]tracelog.GroupEpochEntry, len(sched.GroupEpochs)),
-			cps:    make(map[ids.GCount]bool, len(sched.Checkpoints)),
+			epochs: make(map[uint64]tracelog.GroupEpochEntry, len(x.Schedule.GroupEpochs)),
+			cps:    make(map[ids.GCount]bool, len(x.Schedule.Checkpoints)),
 		}
-		for _, ge := range sched.GroupEpochs {
+		for _, ge := range x.Schedule.GroupEpochs {
 			v.epochs[ge.Epoch] = ge
 		}
-		for _, cp := range sched.Checkpoints {
+		for _, cp := range x.Schedule.Checkpoints {
 			v.cps[cp.GC] = true
 		}
 		views[vm] = v
-		vmOrder = append(vmOrder, vm)
 	}
-	sort.Slice(vmOrder, func(i, j int) bool { return vmOrder[i] < vmOrder[j] })
 
-	msgs := crossMessages(views, vmOrder)
+	// The solver classifies datagrams and stream bytes; a handshake carries
+	// no application state.
+	all, _ := tracelog.Messages(xs)
+	msgs := slices.DeleteFunc(all, func(m tracelog.Message) bool { return m.Kind == tracelog.MsgHandshake })
 
 	// Candidate epochs, newest first.
-	epochSet := map[uint64]bool{}
-	for _, vm := range vmOrder {
-		for e := range views[vm].epochs {
-			epochSet[e] = true
-		}
+	var epochs []uint64
+	for _, v := range views {
+		epochs = slices.AppendSeq(epochs, maps.Keys(v.epochs))
 	}
-	epochs := make([]uint64, 0, len(epochSet))
-	for e := range epochSet {
-		epochs = append(epochs, e)
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] > epochs[j] })
+	slices.Sort(epochs)
+	epochs = slices.Compact(epochs)
+	slices.Reverse(epochs)
 
 	sol := &Solution{}
 	for _, e := range epochs {
@@ -187,14 +174,14 @@ func Solve(sets []*tracelog.Set) (*Solution, error) {
 		// The reference member list: every carrier of the stamp must agree.
 		var ref []tracelog.GroupMember
 		mismatch := false
-		for _, vm := range vmOrder {
-			ge, ok := views[vm].epochs[e]
+		for _, x := range xs {
+			ge, ok := views[x.VM()].epochs[e]
 			if !ok {
 				continue
 			}
 			if ref == nil {
 				ref = ge.Members
-			} else if !sameMembers(ref, ge.Members) {
+			} else if !slices.Equal(ref, ge.Members) {
 				mismatch = true
 			}
 		}
@@ -242,34 +229,21 @@ func Solve(sets []*tracelog.Set) (*Solution, error) {
 	return sol, nil
 }
 
-// sameMembers reports whether two member lists name the same anchors (both
-// are sorted by VM at stamp time).
-func sameMembers(a, b []tracelog.GroupMember) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // classify tags each message whose endpoints are both line members.
 // Messages touching a VM outside the line are not the group's concern and
 // are skipped.
-func classify(msgs []Message, anchors map[ids.DJVMID]ids.GCount) ([]Message, map[Class]int) {
+func classify(msgs []tracelog.Message, anchors map[ids.DJVMID]ids.GCount) ([]Message, map[Class]int) {
 	var out []Message
 	counts := map[Class]int{}
-	for _, m := range msgs {
-		sa, okS := anchors[m.Sender]
-		ra, okR := anchors[m.Receiver]
+	for _, tm := range msgs {
+		sa, okS := anchors[tm.From.VM]
+		ra, okR := anchors[tm.To.VM]
 		if !okS || !okR {
 			continue
 		}
-		sentBefore := m.SenderGC <= sa
-		recvBefore := m.ReceiverGC <= ra
+		m := Message{Message: tm}
+		sentBefore := m.From.GC <= sa
+		recvBefore := m.To.GC <= ra
 		switch {
 		case sentBefore && recvBefore:
 			m.Class = ClassStable
@@ -284,91 +258,4 @@ func classify(msgs []Message, anchors map[ids.DJVMID]ids.GCount) ([]Message, map
 		out = append(out, m)
 	}
 	return out, counts
-}
-
-// crossMessages enumerates every cross-VM message visible in the set, with
-// both endpoints' counter values. Datagram deliveries carry the sender's
-// ⟨VM, counter⟩ natively; stream bytes are matched write-span → read-span per
-// connection and direction when the recording carried causal net-spans
-// (core.EnableCausalTrace) — without them, stream traffic is invisible here,
-// exactly as it is to the causal analyzer.
-func crossMessages(views map[ids.DJVMID]*memberView, vmOrder []ids.DJVMID) []Message {
-	var msgs []Message
-
-	// Datagrams.
-	for _, rvm := range vmOrder {
-		v := views[rvm]
-		for _, entry := range v.dg.ByEvent.All() {
-			svm := entry.Datagram.VM
-			if svm == rvm {
-				continue
-			}
-			if _, ok := views[svm]; !ok {
-				continue
-			}
-			msgs = append(msgs, Message{
-				Sender: svm, SenderGC: entry.Datagram.GC,
-				Receiver: rvm, ReceiverGC: entry.ReceiverGC,
-			})
-		}
-	}
-
-	// Stream bytes via net-spans: per ⟨connection, writer⟩, match each write
-	// span to every peer read span its byte range overlaps.
-	type dirKey struct {
-		conn ids.ConnectionID
-		vm   ids.DJVMID
-	}
-	writes := map[dirKey][]tracelog.NetSpanEntry{}
-	reads := map[dirKey][]tracelog.NetSpanEntry{}
-	for _, vm := range vmOrder {
-		for _, ns := range views[vm].net.NetSpans.All() {
-			switch ns.Op {
-			case tracelog.NetOpWrite:
-				writes[dirKey{ns.Conn, vm}] = append(writes[dirKey{ns.Conn, vm}], ns)
-			case tracelog.NetOpRead:
-				reads[dirKey{ns.Conn, vm}] = append(reads[dirKey{ns.Conn, vm}], ns)
-			}
-		}
-	}
-	wkeys := make([]dirKey, 0, len(writes))
-	for k := range writes {
-		wkeys = append(wkeys, k)
-	}
-	sort.Slice(wkeys, func(i, j int) bool {
-		if wkeys[i].vm != wkeys[j].vm {
-			return wkeys[i].vm < wkeys[j].vm
-		}
-		return wkeys[i].conn.VM < wkeys[j].conn.VM
-	})
-	for _, wk := range wkeys {
-		ws := append([]tracelog.NetSpanEntry(nil), writes[wk]...)
-		sort.Slice(ws, func(i, j int) bool { return ws[i].Offset < ws[j].Offset })
-		for _, rvm := range vmOrder {
-			if rvm == wk.vm {
-				continue
-			}
-			rs := append([]tracelog.NetSpanEntry(nil), reads[dirKey{wk.conn, rvm}]...)
-			if len(rs) == 0 {
-				continue
-			}
-			sort.Slice(rs, func(i, j int) bool { return rs[i].Offset < rs[j].Offset })
-			ri := 0
-			for _, w := range ws {
-				wEnd := w.Offset + uint64(w.Len)
-				for ri < len(rs) && rs[ri].Offset+uint64(rs[ri].Len) <= w.Offset {
-					ri++
-				}
-				if ri == len(rs) || rs[ri].Offset >= wEnd {
-					continue
-				}
-				msgs = append(msgs, Message{
-					Sender: wk.vm, SenderGC: w.GC,
-					Receiver: rvm, ReceiverGC: rs[ri].GC,
-					Stream: true,
-				})
-			}
-		}
-	}
-	return msgs
 }

@@ -2,8 +2,10 @@ package tracelog
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"iter"
+	"maps"
 	"slices"
 	"sort"
 
@@ -495,4 +497,171 @@ func BuildDatagramIndex(l *Log) (*DatagramIndex, error) {
 		return nil, err
 	}
 	return idx, nil
+}
+
+// SetIndex is one log set's three indexes.
+type SetIndex struct {
+	Schedule *ScheduleIndex
+	Network  *NetworkIndex
+	Datagram *DatagramIndex
+}
+
+// IndexSet builds the three indexes of one log set. An error names the log
+// that failed: "schedule log: …", "network log: …" or "datagram log: …".
+func IndexSet(s *Set) (*SetIndex, error) {
+	sched, err := BuildScheduleIndex(s.Schedule)
+	if err != nil {
+		return nil, fmt.Errorf("schedule log: %w", err)
+	}
+	net, err := BuildNetworkIndex(s.Network)
+	if err != nil {
+		return nil, fmt.Errorf("network log: %w", err)
+	}
+	dg, err := BuildDatagramIndex(s.Datagram)
+	if err != nil {
+		return nil, fmt.Errorf("datagram log: %w", err)
+	}
+	return &SetIndex{Schedule: sched, Network: net, Datagram: dg}, nil
+}
+
+// VM is the id of the VM that recorded the set.
+func (x *SetIndex) VM() ids.DJVMID { return x.Schedule.Meta.VM }
+
+// MessageKind says how a cross-VM message was matched.
+type MessageKind uint8
+
+const (
+	// MsgHandshake is a connect received by an accept: the accept's
+	// ServerSocketEntry names the connect's connectionId (§4.1.3), and the
+	// net-spans of the two events give their counters.
+	MsgHandshake MessageKind = iota + 1
+	// MsgStream is a stream write received by the first peer read whose
+	// net-span overlaps the write's bytes. Later reads of the same bytes
+	// follow the first by the reader's program order.
+	MsgStream
+	// MsgDatagram is a datagram delivery: the delivery record names the
+	// sender's ⟨dJVMId, dJVMgc⟩ (§4.2.2) and needs no net-span.
+	MsgDatagram
+)
+
+// End is one end of a message: a VM and the counter value of its event.
+type End struct {
+	VM ids.DJVMID
+	GC ids.GCount
+}
+
+// Message is one cross-VM message, from the event that sent it to the event
+// that received it.
+type Message struct {
+	Kind     MessageKind
+	From, To End
+}
+
+// Unmatched counts what Messages found but could not match.
+type Unmatched struct {
+	// Handshakes counts accepts without their own accept net-span, or whose
+	// connect is not in the world or has no connect net-span (a run recorded
+	// without causal tracing has neither).
+	Handshakes int
+	// Writes counts write net-spans none of whose bytes a peer read net-span
+	// covers (bytes still unread when the connection closed).
+	Writes int
+	// Datagrams counts deliveries whose sender is the receiving VM itself or
+	// a VM the world does not include.
+	Datagrams int
+}
+
+// Messages matches the cross-VM messages of a recorded world, given one
+// index per VM in any order: connect→accept handshakes and the writes of
+// connections by their connectionId, datagrams by their datagramId. A
+// loopback connection's handshake is a message too; its bytes are not. The
+// stream half needs the net-spans of a run recorded with causal tracing.
+//
+// The messages come out in one order, whatever the order of xs: handshakes,
+// then stream writes, then datagrams. Handshakes and datagrams are ordered by
+// receiving VM, then by the receiving event's id; stream writes by writing
+// VM, then by connection id, then by offset.
+func Messages(xs []*SetIndex) ([]Message, Unmatched) {
+	xs = slices.SortedStableFunc(slices.Values(xs), func(a, b *SetIndex) int { return cmp.Compare(a.VM(), b.VM()) })
+	byVM := make(map[ids.DJVMID]*SetIndex, len(xs))
+	for _, x := range xs {
+		byVM[x.VM()] = x
+	}
+	var msgs []Message
+	var un Unmatched
+
+	for _, x := range xs {
+		for server, client := range x.Network.ServerSockets.All() {
+			accept, okA := x.Network.NetSpans.Get(server)
+			var connect NetSpanEntry
+			okC := false
+			if peer := byVM[client.VM]; peer != nil {
+				connect, okC = peer.Network.NetSpans.Get(ids.NetworkEventID{Thread: client.Thread, Event: client.Event})
+			}
+			if !okA || !okC || accept.Op != NetOpAccept || connect.Op != NetOpConnect {
+				un.Handshakes++
+				continue
+			}
+			msgs = append(msgs, Message{MsgHandshake, End{client.VM, connect.GC}, End{x.VM(), accept.GC}})
+		}
+	}
+
+	// A connection's writes, per writing VM, and its reads from every VM,
+	// each in offset order; equal offsets keep VM order, then event order.
+	type writer struct {
+		vm   ids.DJVMID
+		conn ids.ConnectionID
+	}
+	type read struct {
+		vm   ids.DJVMID
+		span NetSpanEntry
+	}
+	writes := make(map[writer][]NetSpanEntry)
+	reads := make(map[ids.ConnectionID][]read)
+	for _, x := range xs {
+		for _, ns := range x.Network.NetSpans.All() {
+			switch ns.Op {
+			case NetOpWrite:
+				w := writer{x.VM(), ns.Conn}
+				writes[w] = append(writes[w], ns)
+			case NetOpRead:
+				reads[ns.Conn] = append(reads[ns.Conn], read{x.VM(), ns})
+			}
+		}
+	}
+	for _, rs := range reads {
+		slices.SortStableFunc(rs, func(a, b read) int { return cmp.Compare(a.span.Offset, b.span.Offset) })
+	}
+	byWriter := func(a, b writer) int {
+		return cmp.Or(cmp.Compare(a.vm, b.vm), cmp.Compare(a.conn.VM, b.conn.VM),
+			cmp.Compare(a.conn.Thread, b.conn.Thread), cmp.Compare(a.conn.Event, b.conn.Event))
+	}
+	for _, w := range slices.SortedFunc(maps.Keys(writes), byWriter) {
+		ws := writes[w]
+		slices.SortStableFunc(ws, func(a, b NetSpanEntry) int { return cmp.Compare(a.Offset, b.Offset) })
+		peer := slices.DeleteFunc(slices.Clone(reads[w.conn]), func(r read) bool { return r.vm == w.vm })
+		ri := 0
+		for _, s := range ws {
+			end := s.Offset + uint64(s.Len)
+			for ri < len(peer) && peer[ri].span.Offset+uint64(peer[ri].span.Len) <= s.Offset {
+				ri++
+			}
+			if ri == len(peer) || peer[ri].span.Offset >= end {
+				un.Writes++
+				continue
+			}
+			msgs = append(msgs, Message{MsgStream, End{w.vm, s.GC}, End{peer[ri].vm, peer[ri].span.GC}})
+		}
+	}
+
+	for _, x := range xs {
+		for _, d := range x.Datagram.ByEvent.All() {
+			if d.Datagram.VM == x.VM() || byVM[d.Datagram.VM] == nil {
+				un.Datagrams++
+				continue
+			}
+			msgs = append(msgs, Message{MsgDatagram, End{d.Datagram.VM, d.Datagram.GC}, End{x.VM(), d.ReceiverGC}})
+		}
+	}
+	return msgs, un
 }

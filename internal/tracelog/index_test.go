@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ids"
@@ -146,6 +148,105 @@ func TestNetworkIndexAllocatesItsRows(t *testing.T) {
 		t.Logf("%s log: %d bytes a record", name, perRecord)
 		if idx.OpenReads.Len() != contentRecords || perRecord > 64 {
 			t.Errorf("%s log: indexed %d records allocating %d bytes each, want at most 64", name, idx.OpenReads.Len(), perRecord)
+		}
+	}
+}
+
+// IndexSet's error names the log that failed, and still wraps ErrCorrupt.
+func TestIndexSetNamesTheFailingLog(t *testing.T) {
+	for _, tc := range []struct {
+		log   string
+		spoil func(s *Set)
+	}{
+		{"schedule log", func(s *Set) { s.Schedule = NewLog() }},
+		{"network log", func(s *Set) { s.Network.Append(&Interval{}) }},
+		{"datagram log", func(s *Set) { s.Datagram.Append(&Interval{}) }},
+	} {
+		s := NewSet()
+		s.Schedule.Append(&VMMeta{VM: 1})
+		tc.spoil(s)
+		if _, err := IndexSet(s); err == nil || !strings.HasPrefix(err.Error(), tc.log+": ") || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("IndexSet with a corrupt %s: %v", tc.log, err)
+		}
+	}
+}
+
+// Messages matches every kind of message in one world and lists them in its
+// documented order, whatever the order of the indexes; what it cannot match
+// it counts.
+func TestMessagesOrderAndUnmatched(t *testing.T) {
+	ev := func(th ids.ThreadNum, e ids.EventNum) ids.NetworkEventID {
+		return ids.NetworkEventID{Thread: th, Event: e}
+	}
+	span := func(id ids.NetworkEventID, gc ids.GCount, op uint8, conn ids.ConnectionID, off uint64, n uint32) Entry {
+		return &NetSpanEntry{EventID: id, GC: gc, Op: op, Conn: conn, Offset: off, Len: n}
+	}
+	set := func(vm ids.DJVMID, network, datagram []Entry) *Set {
+		s := NewSet()
+		s.Schedule.Append(&VMMeta{VM: vm, Threads: 2, FinalGC: 100})
+		for _, e := range network {
+			s.Network.Append(e)
+		}
+		for _, e := range datagram {
+			s.Datagram.Append(e)
+		}
+		return s
+	}
+	// vm 1 connects twice to vm 2 and writes on both connections; vm 2
+	// accepts both (and a third, untraced, connection) and reads.
+	c1 := ids.ConnectionID{VM: 1, Thread: 0, Event: 1}
+	c2 := ids.ConnectionID{VM: 1, Thread: 1, Event: 0}
+	sets := []*Set{
+		set(1, []Entry{
+			span(ev(0, 1), 10, NetOpConnect, c1, 0, 0),
+			span(ev(1, 0), 11, NetOpConnect, c2, 0, 0),
+			span(ev(0, 2), 20, NetOpWrite, c2, 0, 4),
+			span(ev(0, 3), 21, NetOpWrite, c1, 4, 4),
+			span(ev(0, 4), 22, NetOpWrite, c1, 0, 4),
+			span(ev(0, 5), 23, NetOpWrite, c1, 8, 4), // never read
+		}, nil),
+		set(2, []Entry{
+			&ServerSocketEntry{ServerID: ev(1, 0), ClientID: c2},
+			&ServerSocketEntry{ServerID: ev(0, 0), ClientID: c1},
+			&ServerSocketEntry{ServerID: ev(0, 9), ClientID: ids.ConnectionID{VM: 1, Thread: 0, Event: 7}},
+			span(ev(0, 0), 12, NetOpAccept, c1, 0, 0),
+			span(ev(1, 0), 13, NetOpAccept, c2, 0, 0),
+			span(ev(0, 1), 30, NetOpRead, c1, 0, 8),
+			span(ev(1, 1), 31, NetOpRead, c2, 0, 4),
+		}, []Entry{
+			&DatagramRecvEntry{EventID: ev(1, 2), ReceiverGC: 41, Datagram: ids.DGNetworkEventID{VM: 3, GC: 5}},
+			&DatagramRecvEntry{EventID: ev(0, 2), ReceiverGC: 40, Datagram: ids.DGNetworkEventID{VM: 3, GC: 6}},
+			&DatagramRecvEntry{EventID: ev(0, 3), ReceiverGC: 42, Datagram: ids.DGNetworkEventID{VM: 2, GC: 7}}, // from itself
+			&DatagramRecvEntry{EventID: ev(0, 4), ReceiverGC: 43, Datagram: ids.DGNetworkEventID{VM: 9, GC: 8}}, // from outside
+		}),
+		set(3, nil, nil),
+	}
+	msg := func(kind MessageKind, from ids.DJVMID, fromGC ids.GCount, to ids.DJVMID, toGC ids.GCount) Message {
+		return Message{kind, End{from, fromGC}, End{to, toGC}}
+	}
+	want := []Message{
+		msg(MsgHandshake, 1, 10, 2, 12),
+		msg(MsgHandshake, 1, 11, 2, 13),
+		msg(MsgStream, 1, 22, 2, 30),
+		msg(MsgStream, 1, 21, 2, 30),
+		msg(MsgStream, 1, 20, 2, 31),
+		msg(MsgDatagram, 3, 6, 2, 40),
+		msg(MsgDatagram, 3, 5, 2, 41),
+	}
+	wantUn := Unmatched{Handshakes: 1, Writes: 1, Datagrams: 2}
+	var xs []*SetIndex
+	for _, s := range sets {
+		x, err := IndexSet(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs = append(xs, x)
+	}
+	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}} {
+		in := []*SetIndex{xs[order[0]], xs[order[1]], xs[order[2]]}
+		got, un := Messages(in)
+		if !slices.Equal(got, want) || un != wantUn {
+			t.Errorf("sets in order %v: messages %v, unmatched %+v; want %v, %+v", order, got, un, want, wantUn)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // This file holds the schedule rewrite helpers used by the schedule-space
 // explorer (internal/explore): given an explicit total order of thread turns,
 // ComposeSchedule synthesizes a complete schedule log that passes
-// BuildScheduleIndex and logcheck validation, ready to be fed to a replaying
-// VM through core.Config.ScheduleOverride. The helpers are also handy for
+// BuildScheduleIndex and logcheck validation, ready to be replayed as the
+// schedule log of a core.Config.ReplayLogs set. The helpers are also handy for
 // building adversarial fuzz corpora: any permutation of thread turns yields a
 // structurally valid log, whether or not it is causally legal.
 
