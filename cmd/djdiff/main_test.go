@@ -15,7 +15,7 @@ func saveSharded(t *testing.T, objOrder []ids.ThreadNum) string {
 	t.Helper()
 	s := tracelog.NewSet()
 	s.Schedule = tracelog.ComposeSchedule(tracelog.VMMeta{VM: 1, Threads: 2}, ids.OrderSharded, 0,
-		[]ids.ThreadNum{0, 1}, map[ids.ObjectID][]ids.ThreadNum{0: objOrder}, nil)
+		[][]ids.ThreadNum{{0, 1}, objOrder}, nil)
 	dir := t.TempDir()
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func saveOpenWorld(t *testing.T, peer, request string, replySum uint64) string {
 	t.Helper()
 	s := tracelog.NewSet()
 	s.Schedule = tracelog.ComposeSchedule(tracelog.VMMeta{VM: 1, World: ids.OpenWorld, Threads: 1}, ids.OrderGlobal, 0,
-		[]ids.ThreadNum{0, 0, 0}, nil, nil)
+		[][]ids.ThreadNum{{0, 0, 0}}, nil)
 	ev := func(e int) ids.NetworkEventID { return ids.NetworkEventID{Thread: 0, Event: ids.EventNum(e)} }
 	s.Network.Append(&tracelog.OpenConnectEntry{EventID: ev(0), LocalPort: 4000, RemoteHost: peer, RemotePort: 80})
 	s.Network.Append(&tracelog.OpenReadEntry{EventID: ev(1), Data: []byte(request)})

@@ -466,18 +466,16 @@ func Checkpoints(logs *Logs) ([]*CheckpointSnapshot, error) {
 }
 
 // FinalCounter reports the total number of critical events of a recorded
-// run: the global counter value its log set reached plus, under
-// OrderSharded, the accesses in every registered object's runs.
+// run: the sum over its order streams — the global counter and, under
+// OrderSharded, every registered object's — of the value each reached.
 func FinalCounter(logs *Logs) (uint64, error) {
 	idx, err := tracelog.BuildScheduleIndex(logs.Schedule)
 	if err != nil {
 		return 0, err
 	}
-	n := uint64(idx.Meta.FinalGC)
-	for _, runs := range idx.ObjRuns {
-		for _, r := range runs {
-			n += uint64(r.Last-r.First) + 1
-		}
+	var n uint64
+	for _, s := range idx.Streams {
+		n += uint64(s.End())
 	}
 	return n, nil
 }

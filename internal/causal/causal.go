@@ -288,12 +288,9 @@ func Build(sets []*tracelog.Set) (*Graph, error) {
 			cutEnd:   make(map[ids.ThreadNum]map[ids.GCount]bool),
 			cutStart: make(map[ids.ThreadNum]map[ids.GCount]bool),
 		}
-		for tn, ivs := range sched.Intervals {
-			for _, iv := range ivs {
-				v.spans = append(v.spans, ivSpan{first: iv.First, last: iv.Last, thread: tn})
-			}
+		for _, iv := range sched.Streams[0].Ordered() {
+			v.spans = append(v.spans, ivSpan{first: iv.First, last: iv.Last, thread: iv.Thread})
 		}
-		sort.Slice(v.spans, func(i, j int) bool { return v.spans[i].first < v.spans[j].first })
 		g.vmIndex[sched.Meta.VM] = len(vms)
 		g.VMs = append(g.VMs, VMInfo{
 			ID:         sched.Meta.VM,
@@ -405,13 +402,14 @@ func splitSpan(sp ivSpan, ends, starts map[ids.GCount]bool) []ivSpan {
 func notifyEdges(g *Graph, vms []*vmLogs) []crossEdge {
 	var cross []crossEdge
 	for vi, v := range vms {
-		for _, gc := range slices.Sorted(maps.Keys(v.sched.Notifies)) {
+		global := &v.sched.Streams[0]
+		for _, gc := range slices.Sorted(maps.Keys(global.Notifies)) {
 			nt, ok := v.threadAt(gc)
 			if !ok {
 				continue
 			}
-			for _, wt := range v.sched.Notifies[gc] {
-				ivs := v.sched.Intervals[wt]
+			for _, wt := range global.Notifies[gc] {
+				ivs := global.Runs[wt]
 				i := sort.Search(len(ivs), func(i int) bool { return ivs[i].Last > gc })
 				if i == len(ivs) || ivs[i].First <= gc {
 					// Never ran again, or the "next" interval contains the

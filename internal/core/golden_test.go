@@ -336,19 +336,23 @@ func TestGoldenLogsReplay(t *testing.T) {
 			switch g.name {
 			case "global":
 				one, all, timedOut := false, false, false
-				for _, woken := range idx.Notifies {
+				for _, woken := range idx.Streams[0].Notifies {
 					one = one || len(woken) == 1
 					all = all || len(woken) == 2
 				}
-				for _, tw := range idx.TimedWaits {
+				for _, tw := range idx.Streams[0].TimedWaits {
 					timedOut = timedOut || (tw.Check && tw.TimedOut)
 				}
 				if !one || !all || !timedOut {
 					t.Fatalf("fixture lacks a Notify (%v), a NotifyAll (%v) or a timed-out TimedWait (%v)", one, all, timedOut)
 				}
 			case "sharded":
-				if len(idx.ObjRuns) != 3 || len(idx.ObjNotifies) == 0 {
-					t.Fatalf("fixture has %d objects and %d obj-notifies, want 3 and > 0", len(idx.ObjRuns), len(idx.ObjNotifies))
+				notifies := 0
+				for _, s := range idx.Streams[1:] {
+					notifies += len(s.Notifies)
+				}
+				if len(idx.Streams) != 4 || notifies == 0 {
+					t.Fatalf("fixture has %d object streams with %d notifies, want 3 and > 0", len(idx.Streams)-1, notifies)
 				}
 			}
 			cfg := g.cfg

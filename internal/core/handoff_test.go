@@ -141,27 +141,15 @@ func splitSchedule(t *testing.T, recorded *tracelog.Log) *tracelog.Log {
 		out.Append(&tracelog.OrderModeEntry{Mode: idx.OrderMode})
 	}
 	splits := 0
-	for th, ivs := range idx.Intervals {
-		for _, iv := range ivs {
-			if iv.Last == iv.First {
-				out.Append(&tracelog.Interval{Thread: th, First: iv.First, Last: iv.Last})
-				continue
-			}
-			mid := iv.First + (iv.Last-iv.First)/2
-			out.Append(&tracelog.Interval{Thread: th, First: iv.First, Last: mid})
-			out.Append(&tracelog.Interval{Thread: th, First: mid + 1, Last: iv.Last})
-			splits++
-		}
-	}
-	for obj, runs := range idx.ObjRuns {
-		for _, r := range runs {
+	for _, s := range idx.Streams {
+		for _, r := range s.Ordered() {
 			if r.Last == r.First {
-				out.Append(&tracelog.ObjRun{Obj: obj, Thread: r.Thread, First: r.First, Last: r.Last})
+				out.AppendRun(s.ID, r.Thread, r.First, r.Last)
 				continue
 			}
 			mid := r.First + (r.Last-r.First)/2
-			out.Append(&tracelog.ObjRun{Obj: obj, Thread: r.Thread, First: r.First, Last: mid})
-			out.Append(&tracelog.ObjRun{Obj: obj, Thread: r.Thread, First: mid + 1, Last: r.Last})
+			out.AppendRun(s.ID, r.Thread, r.First, mid)
+			out.AppendRun(s.ID, r.Thread, mid+1, r.Last)
 			splits++
 		}
 	}

@@ -219,7 +219,7 @@ func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
 	t.critical(s, obs.KindWait, enter)
 	check, timedOut, ok := s.timedWait(c0)
 	if !ok {
-		t.diverge("timed wait entered at %s has no recorded resolution", s.at(c0))
+		t.diverge("timed wait entered at %s has no recorded resolution", s.id().At(c0))
 	}
 	if check {
 		t.critical(s, obs.KindWait, func(ids.GCount) {
@@ -227,7 +227,7 @@ func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
 				m.lock()
 				if !m.removeParked(p) {
 					m.unlock()
-					t.diverge("timed wait at %s recorded a timeout but the waiter was already woken", s.at(c0))
+					t.diverge("timed wait at %s recorded a timeout but the waiter was already woken", s.id().At(c0))
 				}
 				m.unlock()
 			}
@@ -317,7 +317,7 @@ func (m *Monitor) notify(t *Thread, all bool) {
 				p := m.takeWaiter(tn)
 				if p == nil {
 					m.unlock()
-					t.diverge("notify at %s expected thread %d in wait set", s.at(n), tn)
+					t.diverge("notify at %s expected thread %d in wait set", s.id().At(n), tn)
 				}
 				close(p.ch)
 				woken = append(woken, tn)

@@ -100,8 +100,8 @@ func TestNotifyWithEmptyWaitSetIsNoOp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(idx.Notifies) != 0 {
-				t.Errorf("empty notifies were logged: %v", idx.Notifies)
+			if len(idx.Streams[0].Notifies) != 0 {
+				t.Errorf("empty notifies were logged: %v", idx.Streams[0].Notifies)
 			}
 		}
 	}

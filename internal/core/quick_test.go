@@ -153,7 +153,7 @@ func TestIntervalCompressionProperty(t *testing.T) {
 		}
 		var intervals, events uint64
 		covered := make(map[ids.GCount]bool)
-		for _, ivs := range idx.Intervals {
+		for _, ivs := range idx.Streams[0].Runs {
 			for _, iv := range ivs {
 				intervals++
 				for gc := iv.First; ; gc++ {

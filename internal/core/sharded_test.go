@@ -332,7 +332,7 @@ func TestShardedStallDiverges(t *testing.T) {
 		}
 		// The structured diagnostic names main parked on access 2 of obj0,
 		// like a global-stream stall names the counter.
-		want := ParkedThread{Thread: 0, Object: 0, Next: 2}
+		want := ParkedThread{Thread: 0, Stream: tracelog.ObjectStream(0), Next: 2}
 		if len(de.Parked) != 1 || de.Parked[0] != want || de.Waiting[0] != 2 {
 			t.Errorf("stall diagnostic Parked=%v Waiting=%v, want main parked on %v", de.Parked, de.Waiting, want)
 		}

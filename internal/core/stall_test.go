@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/tracelog"
 )
 
 // TestStallWatchdogDetectsTruncatedReplay replays a program that skips one
@@ -177,9 +178,9 @@ func TestWaitingThreadsDiagnosticAcrossStreams(t *testing.T) {
 		StallTimeout: 400 * time.Millisecond,
 	}, true, repErrs)
 	want := []ParkedThread{
-		{Thread: 0, Global: true, Next: 4},
-		{Thread: 1, Object: 0, Next: 1},
-		{Thread: 2, Object: 1, Next: 1},
+		{Thread: 0, Stream: tracelog.GlobalStream, Next: 4},
+		{Thread: 1, Stream: tracelog.ObjectStream(0), Next: 1},
+		{Thread: 2, Stream: tracelog.ObjectStream(1), Next: 1},
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		w := rep.WaitingThreads()

@@ -106,24 +106,26 @@ type stream struct {
 
 	// What the thread whose turn it is writes: replaying, an object stream's
 	// counter word; recording, the counter itself — next, the value the next
-	// event receives — and the open run, all guarded by mu. runs holds an
-	// object stream's recorded runs by thread, read-only after registration;
-	// the global stream's are handed to each thread at creation
-	// (VM.newThreadLocked).
+	// event receives — and the open run, all guarded by mu, and countRun, the
+	// obs counter of the stream's flushed runs. sched is the stream's recorded
+	// schedule while replaying, read-only: each thread's runs, its notifies
+	// and timed waits (the global stream's runs are handed to each thread at
+	// creation, VM.newThreadLocked).
 	own       atomic.Uint64
 	next      ids.GCount
 	open      bool
 	runThread ids.ThreadNum
 	first     ids.GCount
 	last      ids.GCount
-	runs      map[ids.ThreadNum][]tracelog.Interval
-	_         [16]byte
+	countRun  func()
+	sched     *tracelog.StreamSchedule
+	_         [8]byte
 }
 
 // newStream allocates the VM's next stream. Caller holds streamsMu (or is
 // NewVM).
 func (vm *VM) newStream() *stream {
-	s := &stream{vm: vm, slot: len(vm.streams), holdMask: ^uint64(0)}
+	s := &stream{vm: vm, slot: len(vm.streams), holdMask: ^uint64(0), countRun: vm.metrics.IncObjRun}
 	s.clock = &s.own
 	if vm.mode == ids.Replay {
 		s.waiters = make(map[ids.GCount]*Thread)
@@ -150,11 +152,7 @@ func (vm *VM) registerObject() *stream {
 	defer vm.streamsMu.Unlock()
 	s := vm.newStream()
 	if vm.mode == ids.Replay {
-		s.runs = make(map[ids.ThreadNum][]tracelog.Interval)
-		for _, r := range vm.schedIdx.ObjRuns[s.obj()] {
-			s.runs[r.Thread] = append(s.runs[r.Thread],
-				tracelog.Interval{Thread: r.Thread, First: ids.GCount(r.First), Last: ids.GCount(r.Last)})
-		}
+		s.sched = vm.schedIdx.Stream(s.id())
 	}
 	return s
 }
@@ -264,7 +262,7 @@ func (t *Thread) cursor(s *stream) *cursor {
 	for len(t.cursors) <= s.slot {
 		t.cursors = append(t.cursors, nil)
 	}
-	c := newCursor(s, s.runs[t.num])
+	c := newCursor(s, s.sched.Runs[t.num])
 	t.cursors[s.slot] = c
 	return c
 }
@@ -276,7 +274,7 @@ func (t *Thread) endOfSchedule(s *stream, what string) {
 	if t.vm.stopAtLogEnd {
 		panic(replayLogEnd{})
 	}
-	t.diverge("%s attempted beyond the recorded schedule of the %s", what, s.name())
+	t.diverge("%s attempted beyond the recorded schedule of the %s", what, s.id())
 }
 
 // critical executes op as one non-blocking critical event of stream s; see
@@ -484,7 +482,7 @@ func (t *Thread) record(s *stream, kind obs.EventKind, op func(ids.GCount), p *i
 	if s.noteEvery != 0 && (uint64(n)+1)%s.noteEvery == 0 {
 		// The open run contains n, so it has grown since any earlier note; the
 		// note claims only events whose records precede it in the WAL stream.
-		s.vm.logs.Schedule.Append(&tracelog.OpenInterval{Thread: s.runThread, First: s.first, Last: s.last})
+		s.vm.appendOpenRunLocked(s.runThread, s.first, s.last)
 	}
 	if s.tsEvery != 0 && (uint64(n)+1)%s.tsEvery == 0 {
 		s.vm.appendTimestampLocked(n + 1)
@@ -627,23 +625,16 @@ func (s *stream) await(t *Thread, next ids.GCount) {
 // ParkedThread is one replaying thread parked on an order stream's turnstile.
 type ParkedThread struct {
 	Thread ids.ThreadNum
-	// Global is true when the thread waits on the VM's global counter;
-	// otherwise Object is the registered object whose access order it waits on.
-	Global bool
-	Object ids.ObjectID
-	// Next is the counter value the thread waits for: a global counter value,
-	// or an access sequence number of Object.
-	Next ids.GCount
+	// Stream is the order stream the thread waits on and Next the counter
+	// value it waits for there: a global counter value, or an access
+	// sequence number of a registered object.
+	Stream tracelog.Stream
+	Next   ids.GCount
 }
 
 // Awaited names what the thread waits for: "counter 7" on the global stream,
 // "access 7 of obj2" on an object's.
-func (p ParkedThread) Awaited() string {
-	if p.Global {
-		return fmt.Sprintf("counter %d", p.Next)
-	}
-	return fmt.Sprintf("access %d of %v", p.Next, p.Object)
-}
+func (p ParkedThread) Awaited() string { return p.Stream.At(p.Next) }
 
 func (p ParkedThread) String() string {
 	return fmt.Sprintf("thread %d: %s", p.Thread, p.Awaited())
@@ -655,7 +646,7 @@ func (vm *VM) parkedThreads() []ParkedThread {
 	for _, s := range vm.allStreams() {
 		s.mu.Lock()
 		for n, t := range s.waiters {
-			out = append(out, s.parkedAt(t.num, n))
+			out = append(out, ParkedThread{Thread: t.num, Stream: s.id(), Next: n})
 		}
 		s.mu.Unlock()
 	}
@@ -667,7 +658,7 @@ func (vm *VM) parkedThreads() []ParkedThread {
 // was parked at detection, on whichever stream, and this one. It is the one
 // place stall errors are built; the caller holds no stream lock.
 func (vm *VM) stallError(t *Thread, s *stream, next ids.GCount) *DivergenceError {
-	self := s.parkedAt(t.num, next)
+	self := ParkedThread{Thread: t.num, Stream: s.id(), Next: next}
 	parked := []ParkedThread{self} // listed even if it parked after detection
 	for _, p := range vm.stallParked {
 		if p.Thread != t.num {
@@ -691,42 +682,23 @@ func (vm *VM) stallError(t *Thread, s *stream, next ids.GCount) *DivergenceError
 	}
 }
 
-// The methods below are where the two record families meet the one engine:
-// which log records a stream writes or looks up (Interval/Notify/
-// TimedWaitEntry keyed by global counter, or ObjRun/ObjNotify/ObjTimedWait
-// keyed by ⟨object, accessSeq⟩) and which obs counters it bumps. Nothing on
-// the event path — record, replay, await, wake, cursor — asks.
+// The methods below are where a stream's numbering meets the schedule log
+// and the obs counters: tracelog maps a stream's runs, notifies and timed
+// waits onto its record kinds, and the stream's recorded schedule (sched)
+// holds them while replaying. Nothing on the event path — record, replay,
+// await, wake, cursor — asks which stream it is on.
 
-func (s *stream) isGlobal() bool    { return s.slot == 0 }
-func (s *stream) obj() ids.ObjectID { return ids.ObjectID(s.slot - 1) }
-
-func (s *stream) parkedAt(t ids.ThreadNum, n ids.GCount) ParkedThread {
-	if s.isGlobal() {
-		return ParkedThread{Thread: t, Global: true, Next: n}
-	}
-	return ParkedThread{Thread: t, Object: s.obj(), Next: n}
-}
-
-// at names counter value n of the stream in divergence messages.
-func (s *stream) at(n ids.GCount) string { return s.parkedAt(0, n).Awaited() }
-
-// name is the stream's name in divergence messages.
-func (s *stream) name() string {
-	if s.isGlobal() {
-		return "global counter"
-	}
-	return s.obj().String()
-}
+func (s *stream) isGlobal() bool      { return s.slot == 0 }
+func (s *stream) id() tracelog.Stream { return tracelog.Stream(s.slot) }
 
 // countAcquire accounts one executed event to the sharded-order counters when
-// s is an object's stream: the thread's program-order count, and whether the
-// object was acquired without waiting. Global-stream events need neither —
-// their total is the counter word itself.
+// s is an object's stream: whether the object was acquired without waiting.
+// Global-stream events need no count — their total is the counter word
+// itself.
 func (s *stream) countAcquire(t *Thread, fast bool) {
 	if s.isGlobal() {
 		return
 	}
-	t.progSeq++
 	if fast {
 		t.pendingFast++
 	} else {
@@ -735,56 +707,32 @@ func (s *stream) countAcquire(t *Thread, fast bool) {
 }
 
 // flushLocked appends the open run, if any, to the schedule log. Caller holds
-// mu; per-stream append order is counter order, which BuildScheduleIndex
-// validates per object (and, for intervals, per thread).
+// mu; a stream's append order is its counter order, which BuildScheduleIndex
+// validates.
 func (s *stream) flushLocked() {
 	if !s.open {
 		return
 	}
 	s.open = false
-	if s.isGlobal() {
-		s.vm.logs.Schedule.Append(&tracelog.Interval{Thread: s.runThread, First: s.first, Last: s.last})
-		s.vm.metrics.IncInterval()
-		return
-	}
-	s.vm.logs.Schedule.Append(&tracelog.ObjRun{
-		Obj: s.obj(), Thread: s.runThread, First: ids.AccessSeq(s.first), Last: ids.AccessSeq(s.last),
-	})
-	s.vm.metrics.IncObjRun()
+	s.vm.logs.Schedule.AppendRun(s.id(), s.runThread, s.first, s.last)
+	s.countRun()
 }
 
 // logNotify records which threads the notify event at n woke.
 func (s *stream) logNotify(n ids.GCount, woken []ids.ThreadNum) {
-	if s.isGlobal() {
-		s.vm.logs.Schedule.Append(&tracelog.Notify{GC: n, Woken: woken})
-		return
-	}
-	s.vm.logs.Schedule.Append(&tracelog.ObjNotify{Obj: s.obj(), Seq: ids.AccessSeq(n), Woken: woken})
+	s.vm.logs.Schedule.AppendNotify(s.id(), n, woken)
 }
 
 // notified reports which threads the recorded notify event at n woke.
-func (s *stream) notified(n ids.GCount) []ids.ThreadNum {
-	if s.isGlobal() {
-		return s.vm.schedIdx.Notifies[n]
-	}
-	return s.vm.schedIdx.ObjNotifies[tracelog.ObjEvent{Obj: s.obj(), Seq: ids.AccessSeq(n)}]
-}
+func (s *stream) notified(n ids.GCount) []ids.ThreadNum { return s.sched.Notifies[n] }
 
 // logTimedWait records how the timed wait entered at n resolved.
 func (s *stream) logTimedWait(n ids.GCount, check, timedOut bool) {
-	if s.isGlobal() {
-		s.vm.logs.Schedule.Append(&tracelog.TimedWaitEntry{GC: n, Check: check, TimedOut: timedOut})
-		return
-	}
-	s.vm.logs.Schedule.Append(&tracelog.ObjTimedWait{Obj: s.obj(), Seq: ids.AccessSeq(n), Check: check, TimedOut: timedOut})
+	s.vm.logs.Schedule.AppendTimedWait(s.id(), n, check, timedOut)
 }
 
 // timedWait looks up how the recorded timed wait entered at n resolved.
 func (s *stream) timedWait(n ids.GCount) (check, timedOut, ok bool) {
-	if s.isGlobal() {
-		e, ok := s.vm.schedIdx.TimedWaits[n]
-		return e.Check, e.TimedOut, ok
-	}
-	e, ok := s.vm.schedIdx.ObjTimedWaits[tracelog.ObjEvent{Obj: s.obj(), Seq: ids.AccessSeq(n)}]
+	e, ok := s.sched.TimedWaits[n]
 	return e.Check, e.TimedOut, ok
 }

@@ -44,14 +44,6 @@ type Thread struct {
 	// touches it; zero means unseeded.
 	rng uint64
 
-	// progSeq counts this thread's sharded-mode critical events in program
-	// order — the lock-free thread-local counter of the DOR scheme. Only the
-	// owning goroutine touches it; with per-object counters replacing the
-	// global clock it is the per-thread coordinate of an event (the pair
-	// ⟨object accessSeq, thread progSeq⟩ locates a sharded event the way a
-	// GCount locates a global one), surfaced in divergence diagnostics.
-	progSeq uint64
-
 	// Event accounting, local to the owning goroutine: executed events by
 	// kind (and, for sharded ones, how the object acquisition resolved) since
 	// the last publishCounts. The shared obs counters see one add per kind per
@@ -69,7 +61,7 @@ type Thread struct {
 	// allocator puts an object whose size is a multiple of 64 bytes on a line
 	// boundary), so no two threads running in parallel share one.
 	// TestThreadFillsWholeCacheLines keeps it so.
-	_ [56]byte
+	_ [64]byte
 }
 
 // maybeYield yields the processor with probability 1/vm.jitter, emulating a
@@ -199,11 +191,6 @@ func (t *Thread) Clock() ids.GCount {
 	}
 	return t.vm.Clock()
 }
-
-// ProgramOrder reports how many sharded-mode critical events this thread has
-// executed (0 outside sharded mode). Must be called from the owning
-// goroutine, like every Thread method.
-func (t *Thread) ProgramOrder() uint64 { return t.progSeq }
 
 // DivergenceError is thrown (via panic) when a replaying thread's execution
 // departs from the recorded schedule — e.g. it attempts more critical events

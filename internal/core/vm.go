@@ -257,6 +257,7 @@ func NewVM(cfg Config) (*VM, error) {
 	}
 	vm.global = vm.newStream()
 	vm.global.clock = vm.metrics.Clock()
+	vm.global.countRun = vm.metrics.IncInterval
 	vm.global.observer = cfg.EventObserver
 	if cfg.RecordJitter > 0 {
 		vm.jitter = uint64(cfg.RecordJitter)
@@ -329,6 +330,7 @@ func NewVM(cfg Config) (*VM, error) {
 			return nil, fmt.Errorf("core: vm %d: log truncated at counter %d — events below the base were compacted away, so replay must resume from a retained checkpoint at or past it", cfg.ID, sched.BaseGC)
 		}
 		vm.schedIdx, vm.netIdx, vm.dgIdx = sched, x.Network, x.Datagram
+		vm.global.sched = sched.Stream(tracelog.GlobalStream)
 		vm.unpublished.Store(publishBatch - 1)
 		vm.stopAtLogEnd = cfg.StopAtLogEnd
 		vm.metrics.SetFinalGC(uint64(sched.Meta.FinalGC))
@@ -481,6 +483,13 @@ func (vm *VM) appendTimestampLocked(gc ids.GCount) {
 	vm.metrics.IncTimestamp()
 }
 
+// appendOpenRunLocked logs a durability note for the global stream's open
+// run, which crash recovery credits when no flushed interval covers it yet.
+// Caller holds the global stream's lock.
+func (vm *VM) appendOpenRunLocked(thread ids.ThreadNum, first, last ids.GCount) {
+	vm.logs.Schedule.Append(&tracelog.OpenInterval{Thread: thread, First: first, Last: last})
+}
+
 // TruncateWAL compacts the attached WAL so it starts at a retained
 // checkpoint, dropping records a checkpoint-resumed replay can no longer
 // request: keep=1 anchors at the latest checkpoint, keep=N retains the N
@@ -603,7 +612,7 @@ func (vm *VM) newThreadLocked() *Thread {
 	}
 	if vm.mode == ids.Replay {
 		t.turnCh = make(chan struct{}, 1)
-		schedule := vm.schedIdx.Intervals[t.num]
+		schedule := vm.global.sched.Runs[t.num]
 		if vm.resume != nil {
 			var skipped uint64
 			schedule, skipped = fastForward(schedule, vm.resume.GC)

@@ -136,7 +136,7 @@ func TestScheduleIntervalsCoverAllEvents(t *testing.T) {
 	// value appears in exactly one interval.
 	seen := make(map[ids.GCount]ids.ThreadNum)
 	var total uint64
-	for tn, ivs := range idx.Intervals {
+	for tn, ivs := range idx.Streams[0].Runs {
 		for _, iv := range ivs {
 			for gc := iv.First; ; gc++ {
 				if prev, dup := seen[gc]; dup {

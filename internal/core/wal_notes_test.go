@@ -99,7 +99,7 @@ func TestWALNotesCoverParkedMainThread(t *testing.T) {
 		t.Fatalf("recovered schedule does not index: %v", err)
 	}
 	covered := make(map[ids.GCount]bool)
-	for _, ivs := range idx.Intervals {
+	for _, ivs := range idx.Streams[0].Runs {
 		for _, iv := range ivs {
 			for c := iv.First; c <= iv.Last; c++ {
 				if covered[c] {
@@ -117,7 +117,7 @@ func TestWALNotesCoverParkedMainThread(t *testing.T) {
 			t.Fatalf("counter %d inside prefix [0,%d) uncovered", c, rep.FinalGC)
 		}
 	}
-	if main := idx.Intervals[0]; len(main) == 0 || main[0].First != 0 {
+	if main := idx.Streams[0].Runs[0]; len(main) == 0 || main[0].First != 0 {
 		t.Fatalf("main thread's earliest coverage missing: %v", main)
 	}
 }

@@ -246,11 +246,3 @@ func (ds *DatagramSocket) awaitDatagram(want ids.DGNetworkEventID) ([]byte, nets
 		ds.mu.Unlock()
 	}
 }
-
-// PooledDatagrams reports how many distinct datagram ids the replay pool is
-// buffering.
-func (ds *DatagramSocket) PooledDatagrams() int {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return len(ds.pool)
-}

@@ -187,12 +187,6 @@ func (s *ServerSocket) awaitConn(want ids.ConnectionID) (*netsim.Stream, error) 
 	}
 }
 
-// PooledConnections reports how many out-of-order connections the replay
-// connection pool is currently buffering.
-func (s *ServerSocket) PooledConnections() int {
-	return len(s.pool)
-}
-
 // Close shuts the server socket down. It is a non-blocking network critical
 // event handled like a shared-variable update (§4.1.3 "Other stream socket
 // events").

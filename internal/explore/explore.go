@@ -182,10 +182,11 @@ func (e *explorer) record() error {
 	return nil
 }
 
-// align cross-checks the recording against the static atom model: the global
-// clock and every object counter must have advanced exactly as many times as
-// the model predicts. A mismatch means synthesized schedules would not
-// describe this program — an explorer/progen bug, not a program bug.
+// align cross-checks the recording against the static atom model: every
+// order stream's counter — the global clock's and, sharded, each object's —
+// must have advanced exactly as many times as the model predicts. A mismatch
+// means synthesized schedules would not describe this program — an
+// explorer/progen bug, not a program bug.
 func (e *explorer) align() error {
 	idx, err := tracelog.BuildScheduleIndex(e.recorded.Schedule)
 	if err != nil {
@@ -194,26 +195,13 @@ func (e *explorer) align() error {
 	if want := uint32(len(e.atoms)); idx.Meta.Threads != want {
 		return fmt.Errorf("explore: recording created %d threads, model has %d", idx.Meta.Threads, want)
 	}
-	if want := ids.GCount(e.p.GlobalEvents(e.opts.OrderMode)); idx.Meta.FinalGC != want {
-		return fmt.Errorf("explore: recording reached counter %d, model predicts %d — atom model drifted from runtime",
-			idx.Meta.FinalGC, want)
+	want := e.p.StreamEvents(e.opts.OrderMode)
+	if last := idx.Streams[len(idx.Streams)-1].ID; int(last) >= len(want) {
+		return fmt.Errorf("explore: recording has a %v the model does not", last)
 	}
-	if e.opts.OrderMode == ids.OrderSharded {
-		wantObj := e.p.ObjectEvents()
-		for obj, runs := range idx.ObjRuns {
-			n := 0
-			for _, r := range runs {
-				n += int(r.Last-r.First) + 1
-			}
-			if n != wantObj[obj] {
-				return fmt.Errorf("explore: recording has %d accesses of %v, model predicts %d", n, obj, wantObj[obj])
-			}
-			delete(wantObj, obj)
-		}
-		for obj, n := range wantObj {
-			if n > 0 {
-				return fmt.Errorf("explore: recording has no accesses of %v, model predicts %d", obj, n)
-			}
+	for s, n := range want {
+		if got := idx.Stream(tracelog.Stream(s)).End(); got != ids.GCount(n) {
+			return fmt.Errorf("explore: recording's %v reached %d, model predicts %d — atom model drifted from runtime", tracelog.Stream(s), got, n)
 		}
 	}
 	return nil
@@ -221,13 +209,13 @@ func (e *explorer) align() error {
 
 // compose turns a simulated schedule into a replayable schedule log.
 func (e *explorer) compose(sch *schedule) *tracelog.Log {
-	global, objOrders := project(e.p, sch, e.opts.OrderMode)
+	orders := project(e.p, sch, e.opts.OrderMode)
 	meta := tracelog.VMMeta{
 		VM:      progVMID,
 		World:   ids.ClosedWorld,
 		Threads: uint32(len(e.atoms)),
 	}
-	return tracelog.ComposeSchedule(meta, e.opts.OrderMode, 0, global, objOrders, nil)
+	return tracelog.ComposeSchedule(meta, e.opts.OrderMode, 0, orders, nil)
 }
 
 // check composes, validates, and doubly replays one schedule, returning a

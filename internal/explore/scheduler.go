@@ -163,23 +163,17 @@ func simulate(p *progen.Program, atoms [][]progen.Atom, dirs []Directive) (*sche
 	return sch, nil
 }
 
-// project splits the total order into the global-clock order and the
-// per-object access orders for the given order mode. In global mode every
-// atom ticks the global clock; in sharded mode registered-object accesses
-// tick only their object's counter.
-func project(p *progen.Program, sch *schedule, mode ids.OrderMode) (global []ids.ThreadNum, objOrders map[ids.ObjectID][]ids.ThreadNum) {
-	if mode != ids.OrderSharded {
-		return sch.order, nil
-	}
-	objOrders = make(map[ids.ObjectID][]ids.ThreadNum)
+// project splits the total order into one order per order stream, indexed
+// as the VM numbers its streams (progen.Program.Stream): in global mode every
+// atom ticks the global counter; in sharded mode a registered object's
+// accesses tick only its own.
+func project(p *progen.Program, sch *schedule, mode ids.OrderMode) [][]ids.ThreadNum {
+	orders := make([][]ids.ThreadNum, p.Streams(mode))
 	for i, a := range sch.atoms {
-		if obj, ok := p.Object(a); ok {
-			objOrders[obj] = append(objOrders[obj], sch.order[i])
-		} else {
-			global = append(global, sch.order[i])
-		}
+		s := p.Stream(a, mode)
+		orders[s] = append(orders[s], sch.order[i])
 	}
-	return global, objOrders
+	return orders
 }
 
 // hash64 is FNV-1a, hand-rolled to avoid per-schedule allocations.

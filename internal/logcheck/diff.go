@@ -70,34 +70,47 @@ func Diff(a, b *tracelog.Set) (*DiffReport, error) {
 }
 
 // diffSchedules reports where the two recorded orders depart: the order mode,
-// then, for every order stream — the global schedule thread by thread, each
-// registered object's access order — the first run that differs, then the
-// notify and timed-wait records keyed into those streams.
+// then, stream by stream in stream order — the global counter first, then
+// each registered object's — the first run that differs in each thread's
+// runs, and the stream's notify and timed-wait records.
 func diffSchedules(rep *DiffReport, a, b *tracelog.ScheduleIndex) {
 	if a.OrderMode != b.OrderMode {
 		rep.addf("order mode: %v vs %v", a.OrderMode, b.OrderMode)
 	}
-	merge(inOrder(a.Intervals, cmp.Compare), inOrder(b.Intervals, cmp.Compare), cmp.Compare,
-		func(tn ids.ThreadNum, ra []tracelog.Interval, _ bool, rb []tracelog.Interval, _ bool) {
-			diffRuns(rep, fmt.Sprintf("thread %d: schedules", tn), "interval", ra, rb,
-				func(iv tracelog.Interval) string { return fmt.Sprintf("[%d,%d]", iv.First, iv.Last) })
-		})
-	merge(inOrder(a.ObjRuns, cmp.Compare), inOrder(b.ObjRuns, cmp.Compare), cmp.Compare,
-		func(obj ids.ObjectID, ra []tracelog.ObjRun, _ bool, rb []tracelog.ObjRun, _ bool) {
-			diffRuns(rep, fmt.Sprintf("%v: access orders", obj), "run", ra, rb,
-				func(r tracelog.ObjRun) string { return fmt.Sprintf("thread %d [%d,%d]", r.Thread, r.First, r.Last) })
-		})
-	byObjEvent := func(x, y tracelog.ObjEvent) int {
-		return cmp.Or(cmp.Compare(x.Obj, y.Obj), cmp.Compare(x.Seq, y.Seq))
+	in := make(map[tracelog.Stream]bool)
+	for _, s := range slices.Concat(a.Streams, b.Streams) {
+		in[s.ID] = true
 	}
-	diffKeyed(rep, "notify at counter", inOrder(a.Notifies, cmp.Compare), inOrder(b.Notifies, cmp.Compare),
-		cmp.Compare, slices.Equal[[]ids.ThreadNum])
-	diffKeyed(rep, "timed-wait at counter", inOrder(a.TimedWaits, cmp.Compare), inOrder(b.TimedWaits, cmp.Compare),
-		cmp.Compare, same[tracelog.TimedWaitEntry])
-	diffKeyed(rep, "obj-notify at", inOrder(a.ObjNotifies, byObjEvent), inOrder(b.ObjNotifies, byObjEvent),
-		byObjEvent, slices.Equal[[]ids.ThreadNum])
-	diffKeyed(rep, "obj-timed-wait at", inOrder(a.ObjTimedWaits, byObjEvent), inOrder(b.ObjTimedWaits, byObjEvent),
-		byObjEvent, same[tracelog.ObjTimedWait])
+	for _, id := range slices.Sorted(maps.Keys(in)) {
+		sa, sb := a.Stream(id), b.Stream(id)
+		merge(inOrder(sa.Runs, cmp.Compare), inOrder(sb.Runs, cmp.Compare), cmp.Compare,
+			func(tn ids.ThreadNum, ra []tracelog.Interval, _ bool, rb []tracelog.Interval, _ bool) {
+				diffRuns(rep, fmt.Sprintf("%v, thread %d", id, tn), ra, rb)
+			})
+		diffKeyed(rep, "notify at", onStream(id, sa.Notifies), onStream(id, sb.Notifies), byPos, slices.Equal[[]ids.ThreadNum])
+		diffKeyed(rep, "timed-wait at", onStream(id, sa.TimedWaits), onStream(id, sb.TimedWaits), byPos, same[tracelog.TimedWaitEntry])
+	}
+}
+
+// pos is counter value n of stream id, printed the way the stream names it.
+type pos struct {
+	id tracelog.Stream
+	n  ids.GCount
+}
+
+func (p pos) String() string { return p.id.At(p.n) }
+
+func byPos(x, y pos) int { return cmp.Compare(x.n, y.n) }
+
+// onStream yields m, a record family of stream id, in counter order.
+func onStream[V any](id tracelog.Stream, m map[ids.GCount]V) iter.Seq2[pos, V] {
+	return func(yield func(pos, V) bool) {
+		for n, v := range inOrder(m, cmp.Compare) {
+			if !yield(pos{id, n}, v) {
+				return
+			}
+		}
+	}
 }
 
 // inOrder yields m's entries in key order.
@@ -138,17 +151,17 @@ func merge[K, V any](a, b iter.Seq2[K, V], order func(K, K) int, visit func(k K,
 	}
 }
 
-// diffRuns reports the first run at which one stream's two recorded orders
-// depart, or that one is a proper prefix of the other.
-func diffRuns[R comparable](rep *DiffReport, who, what string, ra, rb []R, show func(R) string) {
+// diffRuns reports the first run at which one thread's two recorded runs on
+// a stream depart, or that one list is a proper prefix of the other.
+func diffRuns(rep *DiffReport, who string, ra, rb []tracelog.Interval) {
 	for i := 0; i < min(len(ra), len(rb)); i++ {
 		if ra[i] != rb[i] {
-			rep.addf("%s depart at %s %d: %s vs %s", who, what, i, show(ra[i]), show(rb[i]))
+			rep.addf("%s: runs depart at run %d: [%d,%d] vs [%d,%d]", who, i, ra[i].First, ra[i].Last, rb[i].First, rb[i].Last)
 			return
 		}
 	}
 	if len(ra) != len(rb) {
-		rep.addf("%s: %d vs %d %ss (common prefix identical)", who, len(ra), len(rb), what)
+		rep.addf("%s: %d vs %d runs (common prefix identical)", who, len(ra), len(rb))
 	}
 }
 

@@ -49,7 +49,7 @@ func TestDiffScheduleDeparture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !diffContains(rep, "thread 0: schedules depart at interval 0") {
+	if !diffContains(rep, "global counter, thread 0: runs depart at run 0: [0,3] vs [0,5]") {
 		t.Errorf("schedule departure not reported: %v", rep.Lines)
 	}
 }
@@ -190,7 +190,7 @@ func TestDiffTwoRealRecordings(t *testing.T) {
 func shardedSet(objOrder []ids.ThreadNum, extras ...tracelog.Entry) *tracelog.Set {
 	s := tracelog.NewSet()
 	s.Schedule = tracelog.ComposeSchedule(tracelog.VMMeta{VM: 1, Threads: 2}, ids.OrderSharded, 0,
-		[]ids.ThreadNum{0, 1}, map[ids.ObjectID][]ids.ThreadNum{0: objOrder}, extras)
+		[][]ids.ThreadNum{{0, 1}, objOrder}, extras)
 	return s
 }
 
@@ -204,13 +204,13 @@ func TestDiffObjectOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !diffContains(rep, "obj0: access orders depart at run 0: thread 0 [0,0] vs thread 1 [0,1]") {
+	if !diffContains(rep, "obj0, thread 0: runs depart at run 0: [0,0] vs [2,3]") {
 		t.Errorf("object-order departure not reported: %v", rep.Lines)
 	}
 	if rep, _ := Diff(a, shardedSet([]ids.ThreadNum{0, 1, 0, 1})); !rep.Same() {
 		t.Errorf("equal object orders reported different: %v", rep.Lines)
 	}
-	if rep, _ := Diff(a, shardedSet([]ids.ThreadNum{0, 1, 0, 1, 0})); !diffContains(rep, "obj0: access orders: 4 vs 5 runs (common prefix identical)") {
+	if rep, _ := Diff(a, shardedSet([]ids.ThreadNum{0, 1, 0, 1, 0})); !diffContains(rep, "obj0, thread 0: 2 vs 3 runs (common prefix identical)") {
 		t.Errorf("longer object order not reported: %v", rep.Lines)
 	}
 }
@@ -233,9 +233,9 @@ func TestDiffOrderModeAndKeyedScheduleRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"obj-notify at {obj0 2}: values differ",
-		"obj-timed-wait at {obj0 1}: only in left log",
-		"obj-timed-wait at {obj0 3}: only in right log",
+		"notify at access 2 of obj0: values differ",
+		"timed-wait at access 1 of obj0: only in left log",
+		"timed-wait at access 3 of obj0: only in right log",
 		"notify at counter 1: only in left log",
 		"timed-wait at counter 0: values differ",
 	} {
@@ -245,7 +245,7 @@ func TestDiffOrderModeAndKeyedScheduleRecords(t *testing.T) {
 	}
 
 	global := tracelog.NewSet()
-	global.Schedule = tracelog.ComposeSchedule(tracelog.VMMeta{VM: 1, Threads: 2}, ids.OrderGlobal, 0, []ids.ThreadNum{0, 1}, nil, nil)
+	global.Schedule = tracelog.ComposeSchedule(tracelog.VMMeta{VM: 1, Threads: 2}, ids.OrderGlobal, 0, [][]ids.ThreadNum{{0, 1}}, nil)
 	rep, err = Diff(global, shardedSet(nil))
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,8 @@ import (
 // The explorer feeds CheckSet synthesized schedules (tracelog.ComposeSchedule
 // output) before replaying them, so the seed corpus leans on composed logs:
 // a preemption-heavy global order, a sharded order with interleaved object
-// runs, and mutated/truncated variants of each. Whatever the input, CheckSet
+// runs, a global order with a notify logged twice, and mutated/truncated
+// variants of each. Whatever the input, CheckSet
 // must return a report (possibly full of findings), never panic, and must be
 // deterministic.
 func FuzzCheckSet(f *testing.F) {
@@ -26,33 +27,37 @@ func FuzzCheckSet(f *testing.F) {
 	// A composed global schedule with preemptions on every other step — the
 	// shape the explorer's bounded-preemption search emits.
 	preempted := tracelog.ComposeSchedule(meta, ids.OrderGlobal, 0,
-		[]ids.ThreadNum{0, 1, 0, 2, 1, 0, 2, 1, 0}, nil, nil)
+		[][]ids.ThreadNum{{0, 1, 0, 2, 1, 0, 2, 1, 0}}, nil)
 	f.Add(preempted.Bytes())
 
 	// A composed sharded schedule: short global order (network/thread events)
-	// plus interleaved per-object access runs.
+	// plus interleaved access runs on two objects' streams.
 	sharded := tracelog.ComposeSchedule(meta, ids.OrderSharded, 0,
-		[]ids.ThreadNum{0, 0, 1, 2, 0},
-		map[ids.ObjectID][]ids.ThreadNum{
-			0: {1, 2, 1, 1, 2},
-			1: {2, 2, 1},
-		}, nil)
+		[][]ids.ThreadNum{{0, 0, 1, 2, 0}, {1, 2, 1, 1, 2}, {2, 2, 1}}, nil)
 	f.Add(sharded.Bytes())
 
 	// A composed schedule resuming from a checkpoint base, with extras the
 	// composer passes through verbatim.
 	truncated := tracelog.ComposeSchedule(meta, ids.OrderGlobal, 40,
-		[]ids.ThreadNum{1, 1, 2, 0},
-		nil,
+		[][]ids.ThreadNum{{1, 1, 2, 0}},
 		[]tracelog.Entry{&tracelog.Notify{GC: 41, Woken: []ids.ThreadNum{2}}})
 	f.Add(truncated.Bytes())
+
+	// Two notify records for one event: the index rejects the second, which
+	// the checker reports as an unusable schedule.
+	dupNotify := tracelog.ComposeSchedule(meta, ids.OrderGlobal, 0,
+		[][]ids.ThreadNum{{0, 1, 2}},
+		[]tracelog.Entry{
+			&tracelog.Notify{GC: 1, Woken: []ids.ThreadNum{2}},
+			&tracelog.Notify{GC: 1, Woken: []ids.ThreadNum{0}},
+		})
+	f.Add(dupNotify.Bytes())
 
 	// A schedule into which an open-write record of each kind has strayed:
 	// the checker must report them, not trip over them.
 	ev := ids.NetworkEventID{Thread: 1, Event: 0}
 	strayed := tracelog.ComposeSchedule(meta, ids.OrderGlobal, 0,
-		[]ids.ThreadNum{0, 1, 2},
-		nil,
+		[][]ids.ThreadNum{{0, 1, 2}},
 		[]tracelog.Entry{
 			&tracelog.OpenWriteEntry{EventID: ev, Len: 5, Sum: tracelog.WideSum([]byte("reply"))},
 			&tracelog.OpenWriteEntry{EventID: ev, Len: 5, Sum: 0x5d7a5c1d8e2a31c3, FNV: true},

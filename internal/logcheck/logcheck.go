@@ -11,6 +11,7 @@ package logcheck
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -67,68 +68,14 @@ func CheckSet(set *tracelog.Set) *Report {
 	return rep
 }
 
-// checkSchedule verifies the logical schedule intervals partition exactly
-// the counter range [BaseGC, FinalGC) — BaseGC is zero for an untruncated
-// log, and the checkpoint-truncation base for a compacted one, where every
-// record below it was deliberately dropped.
+// checkSchedule verifies every order stream (checkStream) and the records
+// that belong to the VM as a whole.
 func checkSchedule(rep *Report, vm ids.DJVMID, sched *tracelog.ScheduleIndex) {
-	type span struct {
-		iv     tracelog.Interval
-		thread ids.ThreadNum
+	if sched.OrderMode == ids.OrderGlobal && len(sched.Streams) > 1 {
+		rep.addf(vm, "schedule carries per-object order records but no sharded order-mode marker")
 	}
-	total := 0
-	for _, ivs := range sched.Intervals {
-		total += len(ivs)
-	}
-	spans := make([]span, 0, total)
-	for tn, ivs := range sched.Intervals {
-		if uint32(tn) >= sched.Meta.Threads {
-			rep.addf(vm, "schedule has intervals for thread %d but meta records %d threads", tn, sched.Meta.Threads)
-		}
-		for _, iv := range ivs {
-			if iv.Last < sched.BaseGC {
-				rep.addf(vm, "interval [%d,%d] of thread %d lies below truncation base %d", iv.First, iv.Last, tn, sched.BaseGC)
-				continue
-			}
-			spans = append(spans, span{iv: iv, thread: tn})
-		}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].iv.First < spans[j].iv.First })
-	next := sched.BaseGC
-	for _, s := range spans {
-		switch {
-		case s.iv.First < next:
-			rep.addf(vm, "interval [%d,%d] of thread %d overlaps counter %d", s.iv.First, s.iv.Last, s.thread, next-1)
-		case s.iv.First > next:
-			rep.addf(vm, "schedule gap: counters [%d,%d] covered by no interval", next, s.iv.First-1)
-		}
-		if s.iv.Last+1 > next {
-			next = s.iv.Last + 1
-		}
-	}
-	if next != sched.Meta.FinalGC {
-		rep.addf(vm, "intervals cover counters up to %d but final counter is %d", next, sched.Meta.FinalGC)
-	}
-	for gc, woken := range sched.Notifies {
-		if gc >= sched.Meta.FinalGC {
-			rep.addf(vm, "notify record at counter %d beyond final counter %d", gc, sched.Meta.FinalGC)
-		}
-		if gc < sched.BaseGC {
-			rep.addf(vm, "notify record at counter %d below truncation base %d", gc, sched.BaseGC)
-		}
-		for _, tn := range woken {
-			if uint32(tn) >= sched.Meta.Threads {
-				rep.addf(vm, "notify at counter %d wakes unknown thread %d", gc, tn)
-			}
-		}
-	}
-	for gc := range sched.TimedWaits {
-		if gc >= sched.Meta.FinalGC {
-			rep.addf(vm, "timed-wait record at counter %d beyond final counter %d", gc, sched.Meta.FinalGC)
-		}
-		if gc < sched.BaseGC {
-			rep.addf(vm, "timed-wait record at counter %d below truncation base %d", gc, sched.BaseGC)
-		}
+	for i := range sched.Streams {
+		checkStream(rep, vm, sched, &sched.Streams[i])
 	}
 	var lastTS ids.GCount
 	for i, ts := range sched.Timestamps {
@@ -175,7 +122,6 @@ func checkSchedule(rep *Report, vm ids.DJVMID, sched *tracelog.ScheduleIndex) {
 			rep.addf(vm, "log truncated at counter %d but no checkpoint anchors that base", sched.BaseGC)
 		}
 	}
-	checkObjOrder(rep, vm, sched)
 	checkGroupEpochs(rep, vm, sched)
 }
 
@@ -220,47 +166,57 @@ func checkGroupEpochs(rep *Report, vm ids.DJVMID, sched *tracelog.ScheduleIndex)
 	}
 }
 
-// checkObjOrder verifies the sharded-order records: each object's access runs
-// must partition its accessSeq range [0, lastSeq] exactly — contiguous from 0,
-// no gaps, no overlaps (the per-object analogue of the interval-partition
-// check) — and every per-object notify/timed-wait must land inside that range
-// and name threads that exist. A global-mode log carrying per-object records
-// is itself a finding: something recorded sharded data without the marker.
-func checkObjOrder(rep *Report, vm ids.DJVMID, sched *tracelog.ScheduleIndex) {
-	if sched.OrderMode == ids.OrderGlobal &&
-		(len(sched.ObjRuns) > 0 || len(sched.ObjNotifies) > 0 || len(sched.ObjTimedWaits) > 0) {
-		rep.addf(vm, "schedule carries per-object order records but no sharded order-mode marker")
+// checkStream verifies one order stream: its runs partition its counter
+// range exactly — [BaseGC, FinalGC) on the global stream, where BaseGC is
+// zero for an untruncated log and the checkpoint-truncation base of a
+// compacted one, every record below it deliberately dropped; [0, End) on an
+// object's, whose final counter the log does not record otherwise — they
+// name threads that exist, and every notify and timed-wait record lands
+// inside the range and wakes threads that exist. The index already rejects
+// runs out of order (per thread on the global stream, per stream on an
+// object's), so an object's stream can only have gaps.
+func checkStream(rep *Report, vm ids.DJVMID, sched *tracelog.ScheduleIndex, s *tracelog.StreamSchedule) {
+	base, final := ids.GCount(0), s.End()
+	if s.ID == tracelog.GlobalStream {
+		base, final = sched.BaseGC, sched.Meta.FinalGC
 	}
-	final := map[ids.ObjectID]ids.AccessSeq{} // one past each object's last access
-	for obj, runs := range sched.ObjRuns {
-		next := ids.AccessSeq(0)
-		for _, r := range runs {
-			// BuildScheduleIndex already rejects out-of-order and inverted
-			// runs per object, so only gaps remain to diagnose here.
-			if r.First > next {
-				rep.addf(vm, "%v access gap: sequences [%d,%d] covered by no run", obj, next, r.First-1)
-			}
-			if uint32(r.Thread) >= sched.Meta.Threads {
-				rep.addf(vm, "%v run [%d,%d] names unknown thread %d", obj, r.First, r.Last, r.Thread)
-			}
-			next = r.Last + 1
+	next := base
+	for _, r := range s.Ordered() {
+		if uint32(r.Thread) >= sched.Meta.Threads {
+			rep.addf(vm, "%v: run [%d,%d] names unknown thread %d (meta records %d threads)", s.ID, r.First, r.Last, r.Thread, sched.Meta.Threads)
 		}
-		final[obj] = next
+		switch {
+		case r.Last < base:
+			rep.addf(vm, "%v: run [%d,%d] of thread %d lies below truncation base %d", s.ID, r.First, r.Last, r.Thread, base)
+			continue
+		case r.First < next:
+			rep.addf(vm, "%v: run [%d,%d] of thread %d overlaps %s", s.ID, r.First, r.Last, r.Thread, s.ID.At(next-1))
+		case r.First > next:
+			rep.addf(vm, "%v: schedule gap: [%d,%d] covered by no run", s.ID, next, r.First-1)
+		}
+		next = max(next, r.Last+1)
 	}
-	for ev, woken := range sched.ObjNotifies {
-		if ev.Seq >= final[ev.Obj] {
-			rep.addf(vm, "obj-notify at %v access %d beyond the object's last access %d", ev.Obj, ev.Seq, final[ev.Obj])
+	if next != final {
+		rep.addf(vm, "%v: runs cover up to %d but final counter is %d", s.ID, next, final)
+	}
+	inRange := func(what string, n ids.GCount) {
+		if n >= final {
+			rep.addf(vm, "%s record at %s beyond final counter %d", what, s.ID.At(n), final)
 		}
-		for _, tn := range woken {
+		if n < base {
+			rep.addf(vm, "%s record at %s below truncation base %d", what, s.ID.At(n), base)
+		}
+	}
+	for _, n := range slices.Sorted(maps.Keys(s.Notifies)) {
+		inRange("notify", n)
+		for _, tn := range s.Notifies[n] {
 			if uint32(tn) >= sched.Meta.Threads {
-				rep.addf(vm, "obj-notify at %v access %d wakes unknown thread %d", ev.Obj, ev.Seq, tn)
+				rep.addf(vm, "notify at %s wakes unknown thread %d", s.ID.At(n), tn)
 			}
 		}
 	}
-	for ev := range sched.ObjTimedWaits {
-		if ev.Seq >= final[ev.Obj] {
-			rep.addf(vm, "obj-timed-wait at %v access %d beyond the object's last access %d", ev.Obj, ev.Seq, final[ev.Obj])
-		}
+	for _, n := range slices.Sorted(maps.Keys(s.TimedWaits)) {
+		inRange("timed-wait", n)
 	}
 }
 

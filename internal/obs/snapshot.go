@@ -21,23 +21,6 @@ func (c EventCounts) Total() uint64 {
 		c.Socket + c.Datagram + c.Checkpoint + c.Env + c.Thread + c.Other
 }
 
-// ByKind returns the counts keyed by EventKind name, for table rendering.
-func (c EventCounts) ByKind() map[string]uint64 {
-	return map[string]uint64{
-		KindShared.String():       c.Shared,
-		KindMonitorEnter.String(): c.MonitorEnter,
-		KindMonitorExit.String():  c.MonitorExit,
-		KindWait.String():         c.Wait,
-		KindNotify.String():       c.Notify,
-		KindSocket.String():       c.Socket,
-		KindDatagram.String():     c.Datagram,
-		KindCheckpoint.String():   c.Checkpoint,
-		KindEnv.String():          c.Env,
-		KindThread.String():       c.Thread,
-		KindOther.String():        c.Other,
-	}
-}
-
 // LogFileStats is the append count and byte volume of one record-phase log.
 type LogFileStats struct {
 	Appends uint64 `json:"appends"`

@@ -298,47 +298,43 @@ func (p *Program) Atoms() [][]Atom {
 	return atoms
 }
 
-// Object reports the sharded-mode object a given atom's event is attributed
-// to, if any. Run registers variables before monitors, each in rank order, so
-// variable v is ObjectID v and monitor m is ObjectID NumVars+m — matching the
-// VM's registration-rank identity rule. Atoms with no object (spawn, join,
-// network) are global events in both order modes; in global mode *every*
-// atom is a global event and this classification is irrelevant.
-func (p *Program) Object(a Atom) (ids.ObjectID, bool) {
+// Stream reports the order stream an atom's event ticks under the given
+// order mode, numbered as the VM numbers its streams: 0 is the global counter
+// and, under OrderSharded, registered object k's accesses tick stream k+1.
+// Run registers variables before monitors, each in rank order, so variable v
+// is object v and monitor m is object NumVars+m — matching the VM's
+// registration-rank identity rule. Atoms with no object (spawn, join,
+// network) tick the global counter in both order modes.
+func (p *Program) Stream(a Atom, mode ids.OrderMode) int {
+	if mode != ids.OrderSharded {
+		return 0
+	}
 	switch a.Kind {
 	case AtomVar:
-		return ids.ObjectID(a.Arg), true
+		return 1 + a.Arg
 	case AtomMonEnter, AtomMonExit:
-		return ids.ObjectID(p.NumVars + a.Arg), true
+		return 1 + p.NumVars + a.Arg
 	}
-	return 0, false
+	return 0
 }
 
-// GlobalEvents counts the atoms that tick the global clock under the given
-// order mode — the value the recording's FinalGC must equal, which is the
-// explorer's record/model alignment check.
-func (p *Program) GlobalEvents(mode ids.OrderMode) int {
-	n := 0
-	for _, atoms := range p.Atoms() {
-		for _, a := range atoms {
-			if _, obj := p.Object(a); mode == ids.OrderSharded && obj {
-				continue
-			}
-			n++
-		}
+// Streams reports how many order streams the program's VM has under the
+// given mode.
+func (p *Program) Streams(mode ids.OrderMode) int {
+	if mode != ids.OrderSharded {
+		return 1
 	}
-	return n
+	return 1 + p.NumVars + p.NumMons
 }
 
-// ObjectEvents counts per-object accesses under sharded mode: the totals the
-// recording's ObjRun coverage must equal per object.
-func (p *Program) ObjectEvents() map[ids.ObjectID]int {
-	out := make(map[ids.ObjectID]int)
+// StreamEvents counts the atoms that tick each order stream under the given
+// mode, indexed by Stream: the counters a recording's streams must reach,
+// which is the explorer's record/model alignment check.
+func (p *Program) StreamEvents(mode ids.OrderMode) []int {
+	out := make([]int, p.Streams(mode))
 	for _, atoms := range p.Atoms() {
 		for _, a := range atoms {
-			if obj, ok := p.Object(a); ok {
-				out[obj]++
-			}
+			out[p.Stream(a, mode)]++
 		}
 	}
 	return out

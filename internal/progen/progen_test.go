@@ -92,23 +92,27 @@ func TestAtomsMatchOps(t *testing.T) {
 	}
 }
 
-// Global and object event counts partition the total atom count in sharded
-// mode, and all atoms are global in global mode.
+// The per-stream event counts partition the total atom count in sharded
+// mode, and global mode has one stream that holds every atom.
 func TestEventCounts(t *testing.T) {
 	p := Generate(3, Opts{})
 	total := 0
 	for _, atoms := range p.Atoms() {
 		total += len(atoms)
 	}
-	if g := p.GlobalEvents(ids.OrderGlobal); g != total {
-		t.Fatalf("global-mode events = %d, want %d", g, total)
+	if g := p.StreamEvents(ids.OrderGlobal); len(g) != 1 || g[0] != total {
+		t.Fatalf("global-mode events = %v, want [%d]", g, total)
 	}
-	objTotal := 0
-	for _, n := range p.ObjectEvents() {
-		objTotal += n
+	sharded := p.StreamEvents(ids.OrderSharded)
+	if len(sharded) != 1+p.NumVars+p.NumMons {
+		t.Fatalf("sharded: %d streams, want %d", len(sharded), 1+p.NumVars+p.NumMons)
 	}
-	if g := p.GlobalEvents(ids.OrderSharded); g+objTotal != total {
-		t.Fatalf("sharded: %d global + %d obj != %d total", g, objTotal, total)
+	sum := 0
+	for _, n := range sharded {
+		sum += n
+	}
+	if sum != total || sharded[0] == total {
+		t.Fatalf("sharded: streams %v hold %d of %d events, the global one all of them", sharded, sum, total)
 	}
 }
 

@@ -254,7 +254,13 @@ func TestScheduleIndexAllocatesWhatItKeeps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := len(idx.Intervals[0]) + len(idx.Intervals[1]) + len(idx.ObjRuns[0]) + len(idx.ObjRuns[1]); n != records {
+			n := 0
+			for _, s := range idx.Streams {
+				for _, runs := range s.Runs {
+					n += len(runs)
+				}
+			}
+			if n != records {
 				t.Fatalf("index holds %d records, want %d", n, records)
 			}
 			allocated, retained := built.TotalAlloc-before.TotalAlloc, kept.HeapAlloc-before.HeapAlloc

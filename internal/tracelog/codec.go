@@ -19,6 +19,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+
+	"repro/internal/ids"
 )
 
 // ErrCorrupt is returned when a log cannot be decoded.
@@ -91,6 +94,16 @@ func (d *dec) u32() uint32 {
 		return 0
 	}
 	return uint32(v)
+}
+
+// obj decodes an ObjectID. The largest one names no object: its stream
+// number, ObjectStream, would wrap to the global stream's.
+func (d *dec) obj() ids.ObjectID {
+	v := d.u64()
+	if v == math.MaxUint64 {
+		d.fail()
+	}
+	return ids.ObjectID(v)
 }
 
 func (d *dec) u16() uint16 {

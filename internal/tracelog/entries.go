@@ -243,9 +243,9 @@ func (iv *Interval) decode(d *dec) {
 	iv.Last = iv.First + ids.GCount(d.u64())
 }
 
-// OpenInterval is a periodic snapshot of a thread's still-open schedule
-// interval, appended to the WAL during record so crash recovery can credit
-// coverage that extendIntervalLocked has not flushed yet. An OpenInterval
+// OpenInterval is a periodic snapshot of the global stream's still-open run,
+// appended to the WAL during record so crash recovery can credit coverage
+// that no flushed Interval holds yet. An OpenInterval
 // with a given (Thread, First) is always a prefix of the Interval eventually
 // flushed with the same First, so recovery dedups by (Thread, First) keeping
 // the largest Last. It carries no schedule semantics: BuildScheduleIndex and
@@ -922,7 +922,7 @@ func (r *ObjRun) encode(e *enc) {
 }
 
 func (r *ObjRun) decode(d *dec) {
-	r.Obj = ids.ObjectID(d.u64())
+	r.Obj = d.obj()
 	r.Thread = ids.ThreadNum(d.u32())
 	r.First = ids.AccessSeq(d.u64())
 	r.Last = r.First + ids.AccessSeq(d.u64())
@@ -948,7 +948,7 @@ func (n *ObjNotify) encode(e *enc) {
 }
 
 func (n *ObjNotify) decode(d *dec) {
-	n.Obj = ids.ObjectID(d.u64())
+	n.Obj = d.obj()
 	n.Seq = ids.AccessSeq(d.u64())
 	n.Woken = decodeList(d, 1, decodeThread)
 }
@@ -973,7 +973,7 @@ func (w *ObjTimedWait) encode(e *enc) {
 }
 
 func (w *ObjTimedWait) decode(d *dec) {
-	w.Obj = ids.ObjectID(d.u64())
+	w.Obj = d.obj()
 	w.Seq = ids.AccessSeq(d.u64())
 	w.Check = d.bool()
 	w.TimedOut = d.bool()

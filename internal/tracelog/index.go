@@ -12,14 +12,15 @@ import (
 	"repro/internal/ids"
 )
 
-// ScheduleIndex is the replay-side view of a schedule log: per-thread logical
-// schedule intervals in execution order, notify payloads keyed by global
-// counter, and checkpoints in counter order.
+// ScheduleIndex is the replay-side view of a schedule log: every order
+// stream's schedule, and the VM-wide records — checkpoints in counter order
+// among them.
 type ScheduleIndex struct {
-	Meta        VMMeta
-	Intervals   map[ids.ThreadNum][]Interval
-	Notifies    map[ids.GCount][]ids.ThreadNum
-	TimedWaits  map[ids.GCount]TimedWaitEntry
+	Meta VMMeta
+	// Streams holds the order streams' schedules in stream order. Streams[0]
+	// is always the global counter's; an object's stream is present when the
+	// log holds a record of it.
+	Streams     []StreamSchedule
 	Checkpoints []CheckpointEntry
 	// Timestamps are the optional sampled wall-clock anchors, in append
 	// (hence GC) order. Replay never consults them; the causal analyzer does.
@@ -41,22 +42,16 @@ type ScheduleIndex struct {
 	// order-mode record (every global-mode and pre-sharding log) index as
 	// OrderGlobal.
 	OrderMode ids.OrderMode
-	// ObjRuns holds each registered object's access runs in per-object
-	// execution order (append order per object is access order, the way
-	// interval append order per thread is execution order). Empty outside
-	// sharded mode.
-	ObjRuns map[ids.ObjectID][]ObjRun
-	// ObjNotifies and ObjTimedWaits key sharded-mode notify payloads and
-	// timed-wait resolutions by the event's ⟨object, accessSeq⟩.
-	ObjNotifies   map[ObjEvent][]ids.ThreadNum
-	ObjTimedWaits map[ObjEvent]ObjTimedWait
 }
 
-// ObjEvent identifies one sharded-mode critical event as the pair
-// ⟨object, accessSeq⟩ — the per-object analogue of a GCount.
-type ObjEvent struct {
-	Obj ids.ObjectID
-	Seq ids.AccessSeq
+// Stream returns stream id's schedule: an empty one when the log holds no
+// record of it.
+func (x *ScheduleIndex) Stream(id Stream) *StreamSchedule {
+	i, ok := slices.BinarySearchFunc(x.Streams, id, func(s StreamSchedule, id Stream) int { return cmp.Compare(s.ID, id) })
+	if !ok {
+		return &StreamSchedule{ID: id}
+	}
+	return &x.Streams[i]
 }
 
 // The Build*Index functions walk the byte stream with one reused scratch
@@ -64,38 +59,22 @@ type ObjEvent struct {
 // startup over a large log never materializes the intermediate []Entry slice
 // that Parse builds.
 
-// BuildScheduleIndex decodes a schedule log and indexes it for replay.
-// Interval order within a thread is preserved from append order, which is the
-// thread's execution order; intervals are additionally validated to be
-// non-overlapping and increasing per thread.
+// BuildScheduleIndex decodes a schedule log and indexes it for replay. A
+// stream's runs keep their append order, which is execution order; they are
+// validated to be non-overlapping and increasing per thread on the global
+// stream and per stream on an object's.
 func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
-	idx := &ScheduleIndex{
-		Intervals:     make(map[ids.ThreadNum][]Interval),
-		Notifies:      make(map[ids.GCount][]ids.ThreadNum),
-		TimedWaits:    make(map[ids.GCount]TimedWaitEntry),
-		ObjRuns:       make(map[ids.ObjectID][]ObjRun),
-		ObjNotifies:   make(map[ObjEvent][]ids.ThreadNum),
-		ObjTimedWaits: make(map[ObjEvent]ObjTimedWait),
-	}
+	idx := &ScheduleIndex{}
+	b := streamIndex{streams: make(map[Stream]*StreamSchedule), last: make(map[Stream]Interval)}
+	b.stream(GlobalStream)
 	var scratch [kindMax]Entry
-	sizeRuns(idx, l, &scratch)
+	b.sizeRuns(l, &scratch)
 	sawMeta := false
 	err := l.walk(&scratch, func(e Entry, _, _ int) error {
+		if ok, err := b.add(e); ok {
+			return err
+		}
 		switch v := e.(type) {
-		case *Interval:
-			if v.Last < v.First {
-				return corruptf("interval for thread %d has Last %d < First %d", v.Thread, v.Last, v.First)
-			}
-			ivs := idx.Intervals[v.Thread]
-			if n := len(ivs); n > 0 && ivs[n-1].Last >= v.First {
-				return corruptf("intervals for thread %d out of order: [%d,%d] then [%d,%d]",
-					v.Thread, ivs[n-1].First, ivs[n-1].Last, v.First, v.Last)
-			}
-			idx.Intervals[v.Thread] = append(ivs, *v)
-		case *Notify:
-			idx.Notifies[v.GC] = v.Woken
-		case *TimedWaitEntry:
-			idx.TimedWaits[v.GC] = *v
 		case *VMMeta:
 			idx.Meta = *v
 			sawMeta = true
@@ -114,20 +93,6 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 				return corruptf("unknown order mode %d", uint8(v.Mode))
 			}
 			idx.OrderMode = v.Mode
-		case *ObjRun:
-			if v.Last < v.First {
-				return corruptf("obj-run for %v has Last %d < First %d", v.Obj, v.Last, v.First)
-			}
-			runs := idx.ObjRuns[v.Obj]
-			if n := len(runs); n > 0 && runs[n-1].Last >= v.First {
-				return corruptf("obj-runs for %v out of order: [%d,%d] then [%d,%d]",
-					v.Obj, runs[n-1].First, runs[n-1].Last, v.First, v.Last)
-			}
-			idx.ObjRuns[v.Obj] = append(runs, *v)
-		case *ObjNotify:
-			idx.ObjNotifies[ObjEvent{v.Obj, v.Seq}] = v.Woken
-		case *ObjTimedWait:
-			idx.ObjTimedWaits[ObjEvent{v.Obj, v.Seq}] = *v
 		case *TruncationEntry:
 			if v.BaseGC > idx.BaseGC {
 				idx.BaseGC = v.BaseGC
@@ -149,45 +114,13 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 	if !sawMeta {
 		return nil, corruptf("schedule log has no vm-meta record")
 	}
+	for _, id := range slices.Sorted(maps.Keys(b.streams)) {
+		idx.Streams = append(idx.Streams, *b.streams[id])
+	}
 	sort.Slice(idx.Checkpoints, func(i, j int) bool {
 		return idx.Checkpoints[i].GC < idx.Checkpoints[j].GC
 	})
 	return idx, nil
-}
-
-// sizeRuns gives every thread's Intervals and every object's ObjRuns their
-// final capacity before the index is filled. Under real parallelism a log is
-// mostly these two record kinds, one per lock hand-off, and a slice grown by
-// append has allocated about five times what it ends up holding. The counts
-// come from the records decoded in a walk of their own — never from a length
-// field, so a log cannot make the index allocate more than a small multiple of
-// its own size — and a damaged stream sizes what precedes the damage: the
-// filling walk is the one that reports it.
-func sizeRuns(idx *ScheduleIndex, l *Log, scratch *[kindMax]Entry) {
-	intervals := make(map[ids.ThreadNum]int)
-	runs := make(map[ids.ObjectID]int)
-	var nIntervals, nRuns int
-	_ = l.walk(scratch, func(e Entry, _, _ int) error {
-		switch v := e.(type) {
-		case *Interval:
-			intervals[v.Thread]++
-			nIntervals++
-		case *ObjRun:
-			runs[v.Obj]++
-			nRuns++
-		}
-		return nil
-	})
-	// One backing array per kind, carved: a thread's or an object's slice
-	// fills exactly its share and never reallocates.
-	ivs := make([]Interval, nIntervals)
-	for tn, n := range intervals {
-		idx.Intervals[tn], ivs = ivs[:0:n], ivs[n:]
-	}
-	ors := make([]ObjRun, nRuns)
-	for obj, n := range runs {
-		idx.ObjRuns[obj], ors = ors[:0:n], ors[n:]
-	}
 }
 
 // NetworkIndex is the replay-side view of a NetworkLogFile. Closed-world
@@ -374,11 +307,16 @@ func (t *Table[V]) keepFirst() {
 	t.keys, t.vals = t.keys[:n], t.vals[:n]
 }
 
-// dupError reports two log entries claiming the same network event.
+// dupError reports two log entries claiming the same event: a network event,
+// or a critical event's notify or timed-wait resolution.
 type dupError struct{ kind Kind }
 
 func (e dupError) Error() string {
-	return fmt.Sprintf("tracelog: duplicate %v entry for one network event", e.kind)
+	event := "network event"
+	if logOf(e.kind) == logSchedule {
+		event = "critical event"
+	}
+	return fmt.Sprintf("tracelog: duplicate %v entry for one %s", e.kind, event)
 }
 
 // BuildNetworkIndex decodes a NetworkLogFile and indexes it for replay.

@@ -30,6 +30,41 @@ func netRecords(ev ids.NetworkEventID) []struct{ first, second Entry } {
 	}
 }
 
+// TestDuplicateScheduleRecordRejected: a notify or timed-wait record resolves
+// one critical event of one stream, so a second record for that event is
+// corruption, whichever record kind carries it — replay must never wake or
+// time out by whichever record happened to be logged last.
+func TestDuplicateScheduleRecordRejected(t *testing.T) {
+	for _, tc := range []struct {
+		first, second, other Entry
+	}{
+		{&Notify{GC: 1, Woken: []ids.ThreadNum{0}}, &Notify{GC: 1, Woken: []ids.ThreadNum{1}}, &Notify{GC: 0, Woken: []ids.ThreadNum{1}}},
+		{&TimedWaitEntry{GC: 1, Check: true}, &TimedWaitEntry{GC: 1, TimedOut: true}, &TimedWaitEntry{GC: 0}},
+		{&ObjNotify{Obj: 0, Seq: 1, Woken: []ids.ThreadNum{0}}, &ObjNotify{Obj: 0, Seq: 1}, &ObjNotify{Obj: 1, Seq: 1}},
+		{&ObjTimedWait{Obj: 0, Seq: 1}, &ObjTimedWait{Obj: 0, Seq: 1, TimedOut: true}, &ObjTimedWait{Obj: 0, Seq: 0}},
+	} {
+		k := tc.first.Kind()
+		t.Run(k.String(), func(t *testing.T) {
+			build := func(records ...Entry) error {
+				l := NewLog()
+				l.Append(&VMMeta{VM: 1, Threads: 2, FinalGC: 2})
+				for _, e := range records {
+					l.Append(e)
+				}
+				_, err := BuildScheduleIndex(l)
+				return err
+			}
+			want := dupError{k}
+			if err := build(tc.first, tc.other, tc.second); !errors.Is(err, want) || err.Error() != want.Error() {
+				t.Errorf("two %v records for one event: %v, want %v", k, err, want)
+			}
+			if err := build(tc.first, tc.other); err != nil {
+				t.Errorf("one %v record per event: %v", k, err)
+			}
+		})
+	}
+}
+
 // TestDuplicateNetworkRecordRejected: every kind but the server-socket entry
 // holds one record per network event. A second one, wherever it is logged,
 // fails the index naming the later record's kind — replay must never go on

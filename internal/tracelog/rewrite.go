@@ -2,84 +2,61 @@ package tracelog
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ids"
 )
 
 // This file holds the schedule rewrite helpers used by the schedule-space
-// explorer (internal/explore): given an explicit total order of thread turns,
-// ComposeSchedule synthesizes a complete schedule log that passes
-// BuildScheduleIndex and logcheck validation, ready to be replayed as the
-// schedule log of a core.Config.ReplayLogs set. The helpers are also handy for
-// building adversarial fuzz corpora: any permutation of thread turns yields a
-// structurally valid log, whether or not it is causally legal.
+// explorer (internal/explore): given an explicit order of thread turns per
+// order stream, ComposeSchedule synthesizes a complete schedule log that
+// passes BuildScheduleIndex and logcheck validation, ready to be replayed as
+// the schedule log of a core.Config.ReplayLogs set. The helpers are also
+// handy for building adversarial fuzz corpora: any permutation of thread
+// turns yields a structurally valid log, whether or not it is causally legal.
 
 // ComposeSchedule builds a schedule log from scratch.
 //
-// order is the synthesized total order of the VM's *global* critical events:
-// order[i] names the thread that executes the event with global counter
-// BaseGC+i. Consecutive slots owned by the same thread are run-length
-// compressed into one Interval, exactly as the recorder's
-// extendIntervalLocked would have produced, so the composed intervals
-// partition [BaseGC, BaseGC+len(order)) and are strictly increasing per
-// thread — the two invariants BuildScheduleIndex and logcheck enforce.
-//
-// objOrders, used only when mode is OrderSharded, gives the per-object access
-// order for each registered shared object: objOrders[obj][s] names the thread
-// that performs access sequence s on obj. Each object's order is compressed
-// into ObjRun records the same way.
+// orders holds one order per stream, indexed by Stream: orders[s][i] names
+// the thread that executes the event with counter value i of stream s, and
+// on the global stream, orders[0], the one with counter value baseGC+i. Each
+// order is compressed by CompressOrder into the runs the recorder's stream
+// would have flushed, so a stream's runs partition its counter range and are
+// strictly increasing per thread — the invariants BuildScheduleIndex and
+// logcheck enforce. A sharded log (mode OrderSharded) starts with its
+// order-mode record.
 //
 // extras are appended verbatim after the schedule body — notify records,
 // checkpoints, timestamps, or anything else the caller wants carried over
 // from a recording (their counter keys must already name slots of the
-// synthesized order). The final VMMeta is appended last, with
-// FinalGC forced to meta.FinalGC's base plus len(order); callers normally
-// pass meta from the recording's index so VM, World, Threads, and the
-// BaseGC encoded in FinalGC-vs-interval arithmetic all agree.
-func ComposeSchedule(meta VMMeta, mode ids.OrderMode, baseGC ids.GCount, order []ids.ThreadNum, objOrders map[ids.ObjectID][]ids.ThreadNum, extras []Entry) *Log {
+// synthesized orders). The VMMeta is appended last, with FinalGC forced to
+// baseGC plus len(orders[0]); callers normally pass meta from the
+// recording's index so VM, World and Threads agree.
+func ComposeSchedule(meta VMMeta, mode ids.OrderMode, baseGC ids.GCount, orders [][]ids.ThreadNum, extras []Entry) *Log {
 	log := NewLog()
 	if mode == ids.OrderSharded {
 		log.Append(&OrderModeEntry{Mode: mode})
 	}
-	for _, iv := range CompressOrder(baseGC, order) {
-		iv := iv
-		log.Append(&iv)
-	}
-	if mode == ids.OrderSharded {
-		objs := make([]ids.ObjectID, 0, len(objOrders))
-		for obj := range objOrders {
-			objs = append(objs, obj)
+	meta.FinalGC = baseGC
+	for s, order := range orders {
+		base := ids.GCount(0)
+		if s == int(GlobalStream) {
+			base = baseGC
+			meta.FinalGC += ids.GCount(len(order))
 		}
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		for _, obj := range objs {
-			seq := objOrders[obj]
-			for i := 0; i < len(seq); {
-				j := i + 1
-				for j < len(seq) && seq[j] == seq[i] {
-					j++
-				}
-				log.Append(&ObjRun{
-					Obj:    obj,
-					Thread: seq[i],
-					First:  ids.AccessSeq(i),
-					Last:   ids.AccessSeq(j - 1),
-				})
-				i = j
-			}
+		for _, r := range CompressOrder(base, order) {
+			log.AppendRun(Stream(s), r.Thread, r.First, r.Last)
 		}
 	}
 	for _, e := range extras {
 		log.Append(e)
 	}
-	meta.FinalGC = baseGC + ids.GCount(len(order))
 	log.Append(&meta)
 	return log
 }
 
-// CompressOrder run-length compresses a total order of thread turns into
-// schedule intervals: slot i of order becomes global counter baseGC+i, and
-// maximal runs of the same thread collapse into one Interval.
+// CompressOrder run-length compresses one stream's order of thread turns
+// into runs: slot i of order becomes counter value baseGC+i, and maximal runs
+// of the same thread collapse into one Interval.
 func CompressOrder(baseGC ids.GCount, order []ids.ThreadNum) []Interval {
 	var out []Interval
 	for i := 0; i < len(order); {
@@ -97,38 +74,31 @@ func CompressOrder(baseGC ids.GCount, order []ids.ThreadNum) []Interval {
 	return out
 }
 
-// FlattenIntervals inverts CompressOrder: it reconstructs the total order of
-// thread turns from a schedule index's intervals. The returned slice has one
-// element per global counter value in [idx.BaseGC, idx.Meta.FinalGC);
-// FlattenIntervals errors if the intervals do not partition that range
-// exactly (a gap or overlap means the log is not a complete schedule — the
-// same condition logcheck's schedule pass reports).
+// FlattenIntervals inverts CompressOrder on the global stream: it
+// reconstructs the total order of thread turns from a schedule index's global
+// runs, one element per counter value in [idx.BaseGC, idx.Meta.FinalGC). It
+// errors if the runs do not partition that range exactly (a gap or overlap
+// means the log is not a complete schedule — the same condition logcheck's
+// schedule pass reports).
 func FlattenIntervals(idx *ScheduleIndex) ([]ids.ThreadNum, error) {
-	if idx.Meta.FinalGC < idx.BaseGC {
-		return nil, fmt.Errorf("tracelog: final counter %d below base %d", idx.Meta.FinalGC, idx.BaseGC)
-	}
-	n := int(idx.Meta.FinalGC - idx.BaseGC)
-	order := make([]ids.ThreadNum, n)
-	seen := make([]bool, n)
-	for th, ivs := range idx.Intervals {
-		for _, iv := range ivs {
-			if iv.First < idx.BaseGC || iv.Last < iv.First || ids.GCount(n) <= iv.Last-idx.BaseGC {
-				return nil, fmt.Errorf("tracelog: thread %d interval [%d,%d] outside [%d,%d)", th, iv.First, iv.Last, idx.BaseGC, idx.Meta.FinalGC)
-			}
-			for gc := iv.First; gc <= iv.Last; gc++ {
-				slot := int(gc - idx.BaseGC)
-				if seen[slot] {
-					return nil, fmt.Errorf("tracelog: counter %d claimed twice", gc)
-				}
-				seen[slot] = true
-				order[slot] = th
-			}
+	var order []ids.ThreadNum
+	next := idx.BaseGC
+	for _, r := range idx.Streams[0].Ordered() {
+		switch {
+		case r.First < next:
+			return nil, fmt.Errorf("tracelog: counter %d claimed twice", r.First)
+		case r.First > next:
+			return nil, fmt.Errorf("tracelog: counter %d unclaimed by any interval", next)
+		case r.Last >= idx.Meta.FinalGC:
+			return nil, fmt.Errorf("tracelog: thread %d interval [%d,%d] beyond final counter %d", r.Thread, r.First, r.Last, idx.Meta.FinalGC)
 		}
-	}
-	for slot, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("tracelog: counter %d unclaimed by any interval", idx.BaseGC+ids.GCount(slot))
+		for range r.Last - r.First + 1 {
+			order = append(order, r.Thread)
 		}
+		next = r.Last + 1
+	}
+	if next != idx.Meta.FinalGC {
+		return nil, fmt.Errorf("tracelog: counter %d unclaimed by any interval", next)
 	}
 	return order, nil
 }

@@ -12,7 +12,7 @@ import (
 func TestComposeScheduleRoundTrip(t *testing.T) {
 	order := []ids.ThreadNum{0, 0, 1, 2, 1, 1, 0, 2}
 	meta := VMMeta{VM: 3, World: ids.ClosedWorld, Threads: 3}
-	log := ComposeSchedule(meta, ids.OrderGlobal, 0, order, nil, nil)
+	log := ComposeSchedule(meta, ids.OrderGlobal, 0, [][]ids.ThreadNum{order}, nil)
 	idx, err := BuildScheduleIndex(log)
 	if err != nil {
 		t.Fatalf("BuildScheduleIndex: %v", err)
@@ -29,30 +29,98 @@ func TestComposeScheduleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestComposeScheduleSharded(t *testing.T) {
-	order := []ids.ThreadNum{0, 1, 0}
-	objOrders := map[ids.ObjectID][]ids.ThreadNum{
-		1: {1, 1, 2, 1},
-		2: {2},
-	}
+// TestComposedStreamsIndexAsComposed: every consumer of a schedule reads it
+// one order stream at a time, so each stream's table in the index must be
+// exactly what was composed into it — its runs per thread and its notify and
+// timed-wait records keyed by its own counter — whichever record kinds carry
+// them in the log.
+func TestComposedStreamsIndexAsComposed(t *testing.T) {
 	meta := VMMeta{VM: 1, World: ids.ClosedWorld, Threads: 3}
-	log := ComposeSchedule(meta, ids.OrderSharded, 0, order, objOrders, nil)
-	idx, err := BuildScheduleIndex(log)
-	if err != nil {
-		t.Fatalf("BuildScheduleIndex: %v", err)
-	}
-	if idx.OrderMode != ids.OrderSharded {
-		t.Fatalf("OrderMode = %v, want sharded", idx.OrderMode)
-	}
-	wantRuns := map[ids.ObjectID][]ObjRun{
-		1: {{Obj: 1, Thread: 1, First: 0, Last: 1}, {Obj: 1, Thread: 2, First: 2, Last: 2}, {Obj: 1, Thread: 1, First: 3, Last: 3}},
-		2: {{Obj: 2, Thread: 2, First: 0, Last: 0}},
-	}
-	for obj, want := range wantRuns {
-		got := idx.ObjRuns[obj]
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("obj %d runs: got %+v, want %+v", obj, got, want)
-		}
+	for _, tc := range []struct {
+		name   string
+		mode   ids.OrderMode
+		orders [][]ids.ThreadNum
+		extras []Entry
+		want   []StreamSchedule
+	}{
+		{
+			name:   "global",
+			mode:   ids.OrderGlobal,
+			orders: [][]ids.ThreadNum{{0, 0, 1, 2, 1}},
+			extras: []Entry{
+				&Notify{GC: 1, Woken: []ids.ThreadNum{2}},
+				&TimedWaitEntry{GC: 3, Check: true, TimedOut: true},
+			},
+			want: []StreamSchedule{{
+				ID: GlobalStream,
+				Runs: map[ids.ThreadNum][]Interval{
+					0: {{Thread: 0, First: 0, Last: 1}},
+					1: {{Thread: 1, First: 2, Last: 2}, {Thread: 1, First: 4, Last: 4}},
+					2: {{Thread: 2, First: 3, Last: 3}},
+				},
+				Notifies:   map[ids.GCount][]ids.ThreadNum{1: {2}},
+				TimedWaits: map[ids.GCount]TimedWaitEntry{3: {GC: 3, Check: true, TimedOut: true}},
+			}},
+		},
+		{
+			name:   "sharded",
+			mode:   ids.OrderSharded,
+			orders: [][]ids.ThreadNum{{0, 1, 0}, {1, 1, 2, 1}, nil, {2}},
+			extras: []Entry{
+				&Notify{GC: 2, Woken: []ids.ThreadNum{1}},
+				&ObjNotify{Obj: 0, Seq: 2, Woken: []ids.ThreadNum{1}},
+				&ObjTimedWait{Obj: 2, Seq: 0, Check: true},
+				&TimedWaitEntry{GC: 0},
+			},
+			want: []StreamSchedule{
+				{
+					ID: GlobalStream,
+					Runs: map[ids.ThreadNum][]Interval{
+						0: {{Thread: 0, First: 0, Last: 0}, {Thread: 0, First: 2, Last: 2}},
+						1: {{Thread: 1, First: 1, Last: 1}},
+					},
+					Notifies:   map[ids.GCount][]ids.ThreadNum{2: {1}},
+					TimedWaits: map[ids.GCount]TimedWaitEntry{0: {GC: 0}},
+				},
+				{
+					ID: ObjectStream(0),
+					Runs: map[ids.ThreadNum][]Interval{
+						1: {{Thread: 1, First: 0, Last: 1}, {Thread: 1, First: 3, Last: 3}},
+						2: {{Thread: 2, First: 2, Last: 2}},
+					},
+					Notifies:   map[ids.GCount][]ids.ThreadNum{2: {1}},
+					TimedWaits: map[ids.GCount]TimedWaitEntry{},
+				},
+				// Object 1 was composed with no accesses: no record names it.
+				{
+					ID:         ObjectStream(2),
+					Runs:       map[ids.ThreadNum][]Interval{2: {{Thread: 2, First: 0, Last: 0}}},
+					Notifies:   map[ids.GCount][]ids.ThreadNum{},
+					TimedWaits: map[ids.GCount]TimedWaitEntry{0: {GC: 0, Check: true}},
+				},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx, err := BuildScheduleIndex(ComposeSchedule(meta, tc.mode, 0, tc.orders, tc.extras))
+			if err != nil {
+				t.Fatalf("BuildScheduleIndex: %v", err)
+			}
+			if idx.OrderMode != tc.mode {
+				t.Errorf("OrderMode = %v, want %v", idx.OrderMode, tc.mode)
+			}
+			if idx.Meta.FinalGC != ids.GCount(len(tc.orders[0])) {
+				t.Errorf("FinalGC = %d, want %d", idx.Meta.FinalGC, len(tc.orders[0]))
+			}
+			if !reflect.DeepEqual(idx.Streams, tc.want) {
+				t.Fatalf("streams:\n got %+v\nwant %+v", idx.Streams, tc.want)
+			}
+			for s, order := range tc.orders {
+				if got := idx.Stream(Stream(s)).End(); got != ids.GCount(len(order)) {
+					t.Errorf("%v ends at %d, want %d", Stream(s), got, len(order))
+				}
+			}
+		})
 	}
 }
 
@@ -60,7 +128,7 @@ func TestComposeScheduleSharded(t *testing.T) {
 func TestComposeScheduleBaseGC(t *testing.T) {
 	order := []ids.ThreadNum{1, 0, 1}
 	meta := VMMeta{VM: 1, World: ids.ClosedWorld, Threads: 2}
-	log := ComposeSchedule(meta, ids.OrderGlobal, 100, order, nil, nil)
+	log := ComposeSchedule(meta, ids.OrderGlobal, 100, [][]ids.ThreadNum{order}, nil)
 	idx, err := BuildScheduleIndex(log)
 	if err != nil {
 		t.Fatalf("BuildScheduleIndex: %v", err)
@@ -82,13 +150,11 @@ func TestComposeScheduleBaseGC(t *testing.T) {
 
 func TestFlattenIntervalsRejectsGapsAndOverlaps(t *testing.T) {
 	mk := func(ivs ...Interval) *ScheduleIndex {
-		idx := &ScheduleIndex{
-			Meta:      VMMeta{FinalGC: 4},
-			Intervals: map[ids.ThreadNum][]Interval{},
-		}
+		runs := map[ids.ThreadNum][]Interval{}
 		for _, iv := range ivs {
-			idx.Intervals[iv.Thread] = append(idx.Intervals[iv.Thread], iv)
+			runs[iv.Thread] = append(runs[iv.Thread], iv)
 		}
+		idx := &ScheduleIndex{Meta: VMMeta{FinalGC: 4}, Streams: []StreamSchedule{{Runs: runs}}}
 		return idx
 	}
 	// Gap: counter 2 unclaimed.

@@ -151,6 +151,9 @@ func TestParseRejectsCorruptStreams(t *testing.T) {
 		{logSchedule, cutRecord(&Notify{GC: 5, Woken: []ids.ThreadNum{1, 2}}), "tracelog: corrupt log: decoding notify record at offset 4"},
 		{logNetwork, cutRecord(&NetErrEntry{Op: "read", Msg: "reset"}), "tracelog: corrupt log: decoding net-err record at offset 9"},
 		{logDatagram, cutRecord(&DatagramRecvEntry{ReceiverGC: 9}), "tracelog: corrupt log: decoding datagram-recv record at offset 5"},
+		// The largest ObjectID has no stream number: ObjectStream would wrap
+		// it onto the global stream.
+		{logSchedule, record(&ObjNotify{Obj: ^ids.ObjectID(0), Seq: 1}), "tracelog: corrupt log: decoding obj-notify record at offset 11"},
 		{logSchedule, []byte{0xEE, 1, 2, 3}, "tracelog: corrupt log: unknown record kind 238"},
 		{logNetwork, []byte{0xEE, 1, 2, 3}, "tracelog: corrupt log: unknown record kind 238"},
 		{logDatagram, []byte{0xEE, 1, 2, 3}, "tracelog: corrupt log: unknown record kind 238"},
@@ -375,7 +378,7 @@ func TestSetSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Meta.VM != 4 || len(idx.Intervals[0]) != 1 {
+	if idx.Meta.VM != 4 || len(idx.Streams[0].Runs[0]) != 1 {
 		t.Errorf("loaded schedule index wrong: %+v", idx)
 	}
 }

@@ -83,15 +83,15 @@ func TestTruncateWALAnchorsLatestCheckpoint(t *testing.T) {
 	if idx.BaseGC != 6 {
 		t.Fatalf("index BaseGC = %d, want 6", idx.BaseGC)
 	}
-	ivs := idx.Intervals[0]
+	ivs := idx.Streams[0].Runs[0]
 	if len(ivs) != 1 || ivs[0].First != 6 || ivs[0].Last != 9 {
 		t.Fatalf("intervals = %+v, want exactly [6,9] (clipped at the base)", ivs)
 	}
 	if len(idx.Checkpoints) != 1 || idx.Checkpoints[0].GC != 6 || string(idx.Checkpoints[0].State) != "s2" {
 		t.Fatalf("checkpoints = %+v, want only the anchor at 6", idx.Checkpoints)
 	}
-	if len(idx.Notifies) != 0 {
-		t.Fatalf("below-base notify survived: %v", idx.Notifies)
+	if len(idx.Streams[0].Notifies) != 0 {
+		t.Fatalf("below-base notify survived: %v", idx.Streams[0].Notifies)
 	}
 	if idx.ChaosPlan == nil || idx.ChaosPlan.Seed != 9 {
 		t.Fatalf("chaos plan lost in truncation: %+v", idx.ChaosPlan)
@@ -137,7 +137,7 @@ func TestTruncateWALKeepRetainsOlderAnchors(t *testing.T) {
 	if len(idx.Checkpoints) != 2 {
 		t.Fatalf("checkpoints = %+v, want both anchors retained", idx.Checkpoints)
 	}
-	ivs := idx.Intervals[0]
+	ivs := idx.Streams[0].Runs[0]
 	if len(ivs) != 2 || ivs[0].First != 2 || ivs[0].Last != 3 {
 		t.Fatalf("intervals = %+v, want [2,3],[4,9]", ivs)
 	}
@@ -183,7 +183,7 @@ func TestTruncateWALAppendsContinue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivs := idx.Intervals[0]
+	ivs := idx.Streams[0].Runs[0]
 	if len(ivs) != 2 || ivs[1].First != 10 || ivs[1].Last != 12 {
 		t.Fatalf("post-truncation append lost: %+v", ivs)
 	}

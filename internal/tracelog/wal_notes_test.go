@@ -67,7 +67,7 @@ func TestWALRepairMergesOpenIntervalNotes(t *testing.T) {
 		1: {{Thread: 1, First: 2, Last: 4}, {Thread: 1, First: 5, Last: 6}},
 	}
 	for tn, want := range wantIvs {
-		got := idx.Intervals[tn]
+		got := idx.Streams[0].Runs[tn]
 		if len(got) != len(want) {
 			t.Fatalf("thread %d intervals = %v, want %v", tn, got, want)
 		}

@@ -128,7 +128,7 @@ func TestWALRecoverEveryTruncation(t *testing.T) {
 			t.Fatalf("cut=%d: recovered identity vm%d, want vm7", n, idx.Meta.VM)
 		}
 		covered := make(map[ids.GCount]bool)
-		for _, ivs := range idx.Intervals {
+		for _, ivs := range idx.Streams[0].Runs {
 			for _, iv := range ivs {
 				for c := iv.First; c <= iv.Last; c++ {
 					if covered[c] {
