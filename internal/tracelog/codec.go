@@ -27,154 +27,166 @@ import (
 // ErrCorrupt is returned when a log cannot be decoded.
 var ErrCorrupt = errors.New("tracelog: corrupt log")
 
-// enc is an append-only varint encoder over a byte slice.
-type enc struct {
-	buf []byte
+// codec is the package's one statement of the record format. Each record
+// type's code method lists the record's fields in wire order, each through one
+// of the field helpers below. With reading unset, that list appends the fields
+// to buf; with it set, the same list reads them back from buf at off. A
+// record's encoder and its decoder are therefore one list and cannot disagree.
+//
+// The contract. Encoding writes every field, never fails, and never writes to
+// the record. Decoding checks each field as it reads it, and fails with
+// ErrCorrupt on:
+//   - a value its field's type cannot hold (the u16 and u32 ranges);
+//   - the one ObjectID that names no stream;
+//   - a length or list that runs past the end of buf;
+//   - a list longer than 2²⁰ elements.
+//
+// A failure is sticky: once err is set no later field is read, and the
+// half-decoded record is walk's to discard. A decoded []byte aliases buf
+// (see walk); strings and lists are fresh.
+type codec struct {
+	reading bool
+	buf     []byte
+	off     int
+	err     error
 }
 
-func (e *enc) u64(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
-
-func (e *enc) u32(v uint32) { e.u64(uint64(v)) }
-
-func (e *enc) u16(v uint16) { e.u64(uint64(v)) }
-
-func (e *enc) u8(v uint8) { e.buf = append(e.buf, v) }
-
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
+func (c *codec) fail() {
+	if c.err == nil {
+		c.err = ErrCorrupt
 	}
 }
 
-func (e *enc) bytes(b []byte) {
-	e.u64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
+func (c *codec) done() bool { return c.err != nil || c.off >= len(c.buf) }
 
-func (e *enc) str(s string) {
-	e.u64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// dec is a sequential varint decoder over a byte slice. Decoding failures are
-// sticky: once err is set every subsequent call returns zero values.
-type dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = ErrCorrupt
+// uvarint codes an integer field as a uvarint; an int64 travels as its bits.
+// A value read that the field's type cannot hold is corrupt.
+func uvarint[T ~uint16 | ~uint32 | ~uint64 | ~int64](c *codec, v *T) {
+	if !c.reading {
+		c.buf = binary.AppendUvarint(c.buf, uint64(*v))
+		return
 	}
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
+	if c.err != nil {
+		return
 	}
-	v, n := binary.Uvarint(d.buf[d.off:])
+	x, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 {
-		d.fail()
-		return 0
+		c.fail()
+		return
 	}
-	d.off += n
-	return v
+	c.off += n
+	if uint64(T(x)) != x {
+		c.fail()
+	}
+	*v = T(x)
 }
 
-func (d *dec) u32() uint32 {
-	v := d.u64()
-	if v > 0xffffffff {
-		d.fail()
-		return 0
+// raw codes a one-byte field as the byte itself.
+func raw[T ~uint8](c *codec, v *T) {
+	switch {
+	case !c.reading:
+		c.buf = append(c.buf, uint8(*v))
+	case c.err == nil && c.off < len(c.buf):
+		*v = T(c.buf[c.off])
+		c.off++
+	default:
+		c.fail()
 	}
-	return uint32(v)
 }
 
-// obj decodes an ObjectID. The largest one names no object: its stream
+// flag codes a bool as the byte 1 or 0; any other byte reads as true.
+func (c *codec) flag(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	raw(c, &b)
+	if c.reading {
+		*v = b != 0
+	}
+}
+
+// delta codes v as its distance from base, a field coded before it: a run is
+// long, but the distance is what a varint compresses best.
+func delta[T ~uint64](c *codec, v *T, base T) {
+	d := *v - base
+	uvarint(c, &d)
+	if c.reading {
+		*v = base + d
+	}
+}
+
+// blob codes a length-prefixed byte field or string. A []byte read is a
+// sub-slice of buf, capacity cut to its length: the codec never copies a
+// payload (see walk for the aliasing contract this puts on every decoded
+// entry).
+func blob[T []byte | string](c *codec, v *T) {
+	n := uint64(len(*v))
+	uvarint(c, &n)
+	if !c.reading {
+		c.buf = append(c.buf, *v...)
+		return
+	}
+	if c.err != nil || n > uint64(len(c.buf)-c.off) {
+		c.fail()
+		return
+	}
+	end := c.off + int(n)
+	*v = T(c.buf[c.off:end:end])
+	c.off = end
+}
+
+// object codes an ObjectID. The largest one names no object: its stream
 // number, ObjectStream, would wrap to the global stream's.
-func (d *dec) obj() ids.ObjectID {
-	v := d.u64()
-	if v == math.MaxUint64 {
-		d.fail()
+func (c *codec) object(v *ids.ObjectID) {
+	uvarint(c, v)
+	if c.reading && *v == math.MaxUint64 {
+		c.fail()
 	}
-	return ids.ObjectID(v)
 }
 
-func (d *dec) u16() uint16 {
-	v := d.u64()
-	if v > 0xffff {
-		d.fail()
-		return 0
-	}
-	return uint16(v)
+// event codes a network event id, connection a connection id.
+func (c *codec) event(v *ids.NetworkEventID) {
+	uvarint(c, &v.Thread)
+	uvarint(c, &v.Event)
 }
 
-func (d *dec) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
+func (c *codec) connection(v *ids.ConnectionID) {
+	uvarint(c, &v.VM)
+	uvarint(c, &v.Thread)
+	uvarint(c, &v.Event)
 }
 
-func (d *dec) bool() bool { return d.u8() != 0 }
-
-// bytes returns the next length-prefixed field as a sub-slice of the stream,
-// capacity cut to its length: the decoder never copies a payload. See walk for
-// the aliasing contract this puts on every decoded entry.
-func (d *dec) bytes() []byte {
-	n := d.u64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail()
-		return nil
-	}
-	end := d.off + int(n)
-	b := d.buf[d.off:end:end]
-	d.off = end
-	return b
-}
-
-// decodeList decodes a length-prefixed list of at most 2²⁰ elements, each
-// decoded by elem and taking at least minSize bytes. The list is sized by
-// what the rest of the stream could hold, not by its length field, so a
-// damaged length cannot make the decoder allocate more than the stream
-// encodes; a list that runs out of stream fails where its elements do.
-func decodeList[T any](d *dec, minSize int, elem func(*dec) T) []T {
-	n := d.u64()
-	if d.err != nil || n > 1<<20 {
-		d.fail()
-		return nil
-	}
-	out := make([]T, 0, min(n, uint64((len(d.buf)-d.off)/minSize)))
-	for range n {
-		v := elem(d)
-		if d.err != nil {
-			return nil
+// list codes a length-prefixed list of at most 2²⁰ elements, each coded by
+// elem and taking at least minSize bytes. A list read is fresh, and sized by
+// what the rest of buf could hold, not by its length field, so a damaged
+// length cannot make the decoder allocate more than the stream encodes; a
+// list that runs out of stream fails where its elements do. Each element is
+// read in place in the list: one read into a local that elem is handed would
+// escape, an allocation per element.
+func list[T any](c *codec, l *[]T, minSize int, elem func(*codec, *T)) {
+	n := uint64(len(*l))
+	uvarint(c, &n)
+	if !c.reading {
+		for i := range *l {
+			elem(c, &(*l)[i])
 		}
-		out = append(out, v)
+		return
 	}
-	return out
+	if c.err != nil || n > 1<<20 {
+		c.fail()
+		return
+	}
+	out := make([]T, 0, min(n, uint64((len(c.buf)-c.off)/minSize)))
+	for range n {
+		var zero T
+		out = append(out, zero)
+		if elem(c, &out[len(out)-1]); c.err != nil {
+			return
+		}
+	}
+	*l = out
 }
-
-func (d *dec) str() string {
-	return string(d.bytes())
-}
-
-func (d *dec) done() bool { return d.err != nil || d.off >= len(d.buf) }
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))

@@ -170,52 +170,71 @@ const (
 	kindMax
 )
 
-var kindNames = [...]string{
-	kindInvalid:      "invalid",
-	KindInterval:     "interval",
-	KindNotify:       "notify",
-	KindServerSocket: "server-socket",
-	KindRead:         "read",
-	KindAvailable:    "available",
-	KindBind:         "bind",
-	KindNetErr:       "net-err",
-	KindDatagramRecv: "datagram-recv",
-	KindOpenConnect:  "open-connect",
-	KindOpenAccept:   "open-accept",
-	KindOpenRead:     "open-read",
-	KindOpenWrite:    "open-write",
-	KindOpenDatagram: "open-datagram",
-	KindEnv:          "env",
-	KindVMMeta:       "vm-meta",
-	KindCheckpoint:   "checkpoint",
-	KindTimedWait:    "timed-wait",
-	KindOpenInterval: "open-interval",
-	KindTimestamp:    "timestamp",
-	KindNetSpan:      "net-span",
-	KindOrderMode:    "order-mode",
-	KindObjRun:       "obj-run",
-	KindObjNotify:    "obj-notify",
-	KindObjTimedWait: "obj-timed-wait",
-	KindTruncation:   "truncation",
-	KindChaosPlan:    "chaos-plan",
-	KindGroupEpoch:   "group-epoch",
-
-	KindOpenWriteWide: "open-write-wide",
+// kindTable is the one table of what a kind is: its name, the log its
+// records belong in, and its zero record. The log is the one classification
+// behind the index builders' misplaced-record error and the WAL scan's
+// kind-versus-log check: records keyed by a network event id go to the
+// network log, datagram deliveries to the datagram log, and everything else
+// is schedule-log material. The zero record is what walk decodes a record of
+// the kind into; a kind without one is unknown.
+var kindTable = [kindMax]struct {
+	name string
+	log  uint8
+	zero func() Entry
+}{
+	kindInvalid:       {name: "invalid"},
+	KindInterval:      {"interval", logSchedule, func() Entry { return &Interval{} }},
+	KindNotify:        {"notify", logSchedule, func() Entry { return &Notify{} }},
+	KindServerSocket:  {"server-socket", logNetwork, func() Entry { return &ServerSocketEntry{} }},
+	KindRead:          {"read", logNetwork, func() Entry { return &ReadEntry{} }},
+	KindAvailable:     {"available", logNetwork, func() Entry { return &AvailableEntry{} }},
+	KindBind:          {"bind", logNetwork, func() Entry { return &BindEntry{} }},
+	KindNetErr:        {"net-err", logNetwork, func() Entry { return &NetErrEntry{} }},
+	KindDatagramRecv:  {"datagram-recv", logDatagram, func() Entry { return &DatagramRecvEntry{} }},
+	KindOpenConnect:   {"open-connect", logNetwork, func() Entry { return &OpenConnectEntry{} }},
+	KindOpenAccept:    {"open-accept", logNetwork, func() Entry { return &OpenAcceptEntry{} }},
+	KindOpenRead:      {"open-read", logNetwork, func() Entry { return &OpenReadEntry{} }},
+	KindOpenWrite:     {"open-write", logNetwork, func() Entry { return &OpenWriteEntry{FNV: true} }},
+	KindOpenDatagram:  {"open-datagram", logNetwork, func() Entry { return &OpenDatagramEntry{} }},
+	KindVMMeta:        {"vm-meta", logSchedule, func() Entry { return &VMMeta{} }},
+	KindCheckpoint:    {"checkpoint", logSchedule, func() Entry { return &CheckpointEntry{} }},
+	KindEnv:           {"env", logNetwork, func() Entry { return &EnvEntry{} }},
+	KindTimedWait:     {"timed-wait", logSchedule, func() Entry { return &TimedWaitEntry{} }},
+	KindOpenInterval:  {"open-interval", logSchedule, func() Entry { return &OpenInterval{} }},
+	KindTimestamp:     {"timestamp", logSchedule, func() Entry { return &TimestampEntry{} }},
+	KindNetSpan:       {"net-span", logNetwork, func() Entry { return &NetSpanEntry{} }},
+	KindOrderMode:     {"order-mode", logSchedule, func() Entry { return &OrderModeEntry{} }},
+	KindObjRun:        {"obj-run", logSchedule, func() Entry { return &ObjRun{} }},
+	KindObjNotify:     {"obj-notify", logSchedule, func() Entry { return &ObjNotify{} }},
+	KindObjTimedWait:  {"obj-timed-wait", logSchedule, func() Entry { return &ObjTimedWait{} }},
+	KindTruncation:    {"truncation", logSchedule, func() Entry { return &TruncationEntry{} }},
+	KindChaosPlan:     {"chaos-plan", logSchedule, func() Entry { return &ChaosPlanEntry{} }},
+	KindGroupEpoch:    {"group-epoch", logSchedule, func() Entry { return &GroupEpochEntry{} }},
+	KindOpenWriteWide: {"open-write-wide", logNetwork, func() Entry { return &OpenWriteEntry{} }},
 }
 
 func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
+	if k < kindMax && kindTable[k].name != "" {
+		return kindTable[k].name
 	}
 	return "kind(?)"
+}
+
+// newEntry allocates the zero Entry for a kind.
+func newEntry(k Kind) (Entry, error) {
+	if k < kindMax && kindTable[k].zero != nil {
+		return kindTable[k].zero(), nil
+	}
+	return nil, corruptf("unknown record kind %d", k)
 }
 
 // Entry is one decoded log record.
 type Entry interface {
 	// Kind reports the record type.
 	Kind() Kind
-	encode(e *enc)
-	decode(d *dec)
+	// code appends the record's fields to c, or reads them back from it:
+	// see codec.
+	code(c *codec)
 }
 
 // Interval is a logical schedule interval LSI_i = ⟨FirstCEvent_i, LastCEvent_i⟩
@@ -229,18 +248,10 @@ type Interval struct {
 
 func (iv *Interval) Kind() Kind { return KindInterval }
 
-func (iv *Interval) encode(e *enc) {
-	e.u32(uint32(iv.Thread))
-	e.u64(uint64(iv.First))
-	// Delta-encode Last against First: intervals are typically long but the
-	// delta is what varint compresses best.
-	e.u64(uint64(iv.Last - iv.First))
-}
-
-func (iv *Interval) decode(d *dec) {
-	iv.Thread = ids.ThreadNum(d.u32())
-	iv.First = ids.GCount(d.u64())
-	iv.Last = iv.First + ids.GCount(d.u64())
+func (iv *Interval) code(c *codec) {
+	uvarint(c, &iv.Thread)
+	uvarint(c, &iv.First)
+	delta(c, &iv.Last, iv.First)
 }
 
 // OpenInterval is a periodic snapshot of the global stream's still-open run,
@@ -249,26 +260,12 @@ func (iv *Interval) decode(d *dec) {
 // with a given (Thread, First) is always a prefix of the Interval eventually
 // flushed with the same First, so recovery dedups by (Thread, First) keeping
 // the largest Last. It carries no schedule semantics: BuildScheduleIndex and
-// replay skip it.
-type OpenInterval struct {
-	Thread ids.ThreadNum
-	First  ids.GCount
-	Last   ids.GCount
-}
+// replay skip it. It has Interval's fields and Interval's layout.
+type OpenInterval Interval
 
 func (iv *OpenInterval) Kind() Kind { return KindOpenInterval }
 
-func (iv *OpenInterval) encode(e *enc) {
-	e.u32(uint32(iv.Thread))
-	e.u64(uint64(iv.First))
-	e.u64(uint64(iv.Last - iv.First))
-}
-
-func (iv *OpenInterval) decode(d *dec) {
-	iv.Thread = ids.ThreadNum(d.u32())
-	iv.First = ids.GCount(d.u64())
-	iv.Last = iv.First + ids.GCount(d.u64())
-}
+func (iv *OpenInterval) code(c *codec) { (*Interval)(iv).code(c) }
 
 // Notify records the set of threads woken by the notify/notifyAll critical
 // event executed at global counter GC.
@@ -279,20 +276,9 @@ type Notify struct {
 
 func (n *Notify) Kind() Kind { return KindNotify }
 
-func (n *Notify) encode(e *enc) {
-	e.u64(uint64(n.GC))
-	e.u64(uint64(len(n.Woken)))
-	for _, t := range n.Woken {
-		e.u32(uint32(t))
-	}
-}
-
-// decodeThread decodes one element of a Woken list.
-func decodeThread(d *dec) ids.ThreadNum { return ids.ThreadNum(d.u32()) }
-
-func (n *Notify) decode(d *dec) {
-	n.GC = ids.GCount(d.u64())
-	n.Woken = decodeList(d, 1, decodeThread)
+func (n *Notify) code(c *codec) {
+	uvarint(c, &n.GC)
+	list(c, &n.Woken, 1, uvarint[ids.ThreadNum])
 }
 
 // ServerSocketEntry is the tuple ⟨serverId, clientId⟩ logged at each
@@ -306,20 +292,9 @@ type ServerSocketEntry struct {
 
 func (s *ServerSocketEntry) Kind() Kind { return KindServerSocket }
 
-func (s *ServerSocketEntry) encode(e *enc) {
-	e.u32(uint32(s.ServerID.Thread))
-	e.u32(uint32(s.ServerID.Event))
-	e.u32(uint32(s.ClientID.VM))
-	e.u32(uint32(s.ClientID.Thread))
-	e.u32(uint32(s.ClientID.Event))
-}
-
-func (s *ServerSocketEntry) decode(d *dec) {
-	s.ServerID.Thread = ids.ThreadNum(d.u32())
-	s.ServerID.Event = ids.EventNum(d.u32())
-	s.ClientID.VM = ids.DJVMID(d.u32())
-	s.ClientID.Thread = ids.ThreadNum(d.u32())
-	s.ClientID.Event = ids.EventNum(d.u32())
+func (s *ServerSocketEntry) code(c *codec) {
+	c.event(&s.ServerID)
+	c.connection(&s.ClientID)
 }
 
 // ReadEntry records, for the read network event EventID, the number of bytes
@@ -332,18 +307,10 @@ type ReadEntry struct {
 
 func (r *ReadEntry) Kind() Kind { return KindRead }
 
-func (r *ReadEntry) encode(e *enc) {
-	e.u32(uint32(r.EventID.Thread))
-	e.u32(uint32(r.EventID.Event))
-	e.u32(r.N)
-	e.bool(r.EOF)
-}
-
-func (r *ReadEntry) decode(d *dec) {
-	r.EventID.Thread = ids.ThreadNum(d.u32())
-	r.EventID.Event = ids.EventNum(d.u32())
-	r.N = d.u32()
-	r.EOF = d.bool()
+func (r *ReadEntry) code(c *codec) {
+	c.event(&r.EventID)
+	uvarint(c, &r.N)
+	c.flag(&r.EOF)
 }
 
 // AvailableEntry records the byte count returned by an available() network
@@ -355,16 +322,9 @@ type AvailableEntry struct {
 
 func (a *AvailableEntry) Kind() Kind { return KindAvailable }
 
-func (a *AvailableEntry) encode(e *enc) {
-	e.u32(uint32(a.EventID.Thread))
-	e.u32(uint32(a.EventID.Event))
-	e.u32(a.N)
-}
-
-func (a *AvailableEntry) decode(d *dec) {
-	a.EventID.Thread = ids.ThreadNum(d.u32())
-	a.EventID.Event = ids.EventNum(d.u32())
-	a.N = d.u32()
+func (a *AvailableEntry) code(c *codec) {
+	c.event(&a.EventID)
+	uvarint(c, &a.N)
 }
 
 // BindEntry records the local port a bind network event returned so replay can
@@ -376,16 +336,9 @@ type BindEntry struct {
 
 func (b *BindEntry) Kind() Kind { return KindBind }
 
-func (b *BindEntry) encode(e *enc) {
-	e.u32(uint32(b.EventID.Thread))
-	e.u32(uint32(b.EventID.Event))
-	e.u16(b.Port)
-}
-
-func (b *BindEntry) decode(d *dec) {
-	b.EventID.Thread = ids.ThreadNum(d.u32())
-	b.EventID.Event = ids.EventNum(d.u32())
-	b.Port = d.u16()
+func (b *BindEntry) code(c *codec) {
+	c.event(&b.EventID)
+	uvarint(c, &b.Port)
 }
 
 // NetErrEntry records an error thrown by the network event EventID during the
@@ -400,18 +353,10 @@ type NetErrEntry struct {
 
 func (n *NetErrEntry) Kind() Kind { return KindNetErr }
 
-func (n *NetErrEntry) encode(e *enc) {
-	e.u32(uint32(n.EventID.Thread))
-	e.u32(uint32(n.EventID.Event))
-	e.str(n.Op)
-	e.str(n.Msg)
-}
-
-func (n *NetErrEntry) decode(d *dec) {
-	n.EventID.Thread = ids.ThreadNum(d.u32())
-	n.EventID.Event = ids.EventNum(d.u32())
-	n.Op = d.str()
-	n.Msg = d.str()
+func (n *NetErrEntry) code(c *codec) {
+	c.event(&n.EventID)
+	blob(c, &n.Op)
+	blob(c, &n.Msg)
 }
 
 // DatagramRecvEntry is one RecordedDatagramLog tuple
@@ -425,20 +370,11 @@ type DatagramRecvEntry struct {
 
 func (g *DatagramRecvEntry) Kind() Kind { return KindDatagramRecv }
 
-func (g *DatagramRecvEntry) encode(e *enc) {
-	e.u32(uint32(g.EventID.Thread))
-	e.u32(uint32(g.EventID.Event))
-	e.u64(uint64(g.ReceiverGC))
-	e.u32(uint32(g.Datagram.VM))
-	e.u64(uint64(g.Datagram.GC))
-}
-
-func (g *DatagramRecvEntry) decode(d *dec) {
-	g.EventID.Thread = ids.ThreadNum(d.u32())
-	g.EventID.Event = ids.EventNum(d.u32())
-	g.ReceiverGC = ids.GCount(d.u64())
-	g.Datagram.VM = ids.DJVMID(d.u32())
-	g.Datagram.GC = ids.GCount(d.u64())
+func (g *DatagramRecvEntry) code(c *codec) {
+	c.event(&g.EventID)
+	uvarint(c, &g.ReceiverGC)
+	uvarint(c, &g.Datagram.VM)
+	uvarint(c, &g.Datagram.GC)
 }
 
 // OpenConnectEntry records what the application observed from a connect
@@ -454,20 +390,11 @@ type OpenConnectEntry struct {
 
 func (o *OpenConnectEntry) Kind() Kind { return KindOpenConnect }
 
-func (o *OpenConnectEntry) encode(e *enc) {
-	e.u32(uint32(o.EventID.Thread))
-	e.u32(uint32(o.EventID.Event))
-	e.u16(o.LocalPort)
-	e.str(o.RemoteHost)
-	e.u16(o.RemotePort)
-}
-
-func (o *OpenConnectEntry) decode(d *dec) {
-	o.EventID.Thread = ids.ThreadNum(d.u32())
-	o.EventID.Event = ids.EventNum(d.u32())
-	o.LocalPort = d.u16()
-	o.RemoteHost = d.str()
-	o.RemotePort = d.u16()
+func (o *OpenConnectEntry) code(c *codec) {
+	c.event(&o.EventID)
+	uvarint(c, &o.LocalPort)
+	blob(c, &o.RemoteHost)
+	uvarint(c, &o.RemotePort)
 }
 
 // OpenAcceptEntry records what the application observed from an accept of a
@@ -480,18 +407,10 @@ type OpenAcceptEntry struct {
 
 func (o *OpenAcceptEntry) Kind() Kind { return KindOpenAccept }
 
-func (o *OpenAcceptEntry) encode(e *enc) {
-	e.u32(uint32(o.EventID.Thread))
-	e.u32(uint32(o.EventID.Event))
-	e.str(o.RemoteHost)
-	e.u16(o.RemotePort)
-}
-
-func (o *OpenAcceptEntry) decode(d *dec) {
-	o.EventID.Thread = ids.ThreadNum(d.u32())
-	o.EventID.Event = ids.EventNum(d.u32())
-	o.RemoteHost = d.str()
-	o.RemotePort = d.u16()
+func (o *OpenAcceptEntry) code(c *codec) {
+	c.event(&o.EventID)
+	blob(c, &o.RemoteHost)
+	uvarint(c, &o.RemotePort)
 }
 
 // OpenReadEntry records the full data returned by a read from a non-DJVM peer
@@ -504,18 +423,10 @@ type OpenReadEntry struct {
 
 func (o *OpenReadEntry) Kind() Kind { return KindOpenRead }
 
-func (o *OpenReadEntry) encode(e *enc) {
-	e.u32(uint32(o.EventID.Thread))
-	e.u32(uint32(o.EventID.Event))
-	e.bytes(o.Data)
-	e.bool(o.EOF)
-}
-
-func (o *OpenReadEntry) decode(d *dec) {
-	o.EventID.Thread = ids.ThreadNum(d.u32())
-	o.EventID.Event = ids.EventNum(d.u32())
-	o.Data = d.bytes()
-	o.EOF = d.bool()
+func (o *OpenReadEntry) code(c *codec) {
+	c.event(&o.EventID)
+	blob(c, &o.Data)
+	c.flag(&o.EOF)
 }
 
 // OpenWriteEntry records the length and checksum of the data a write sent to
@@ -539,19 +450,11 @@ func (o *OpenWriteEntry) Kind() Kind {
 	return KindOpenWriteWide
 }
 
-func (o *OpenWriteEntry) encode(e *enc) {
-	e.u32(uint32(o.EventID.Thread))
-	e.u32(uint32(o.EventID.Event))
-	e.u32(o.Len)
-	e.u64(o.Sum)
-}
-
-// decode leaves FNV alone: newEntry set it from the record's kind.
-func (o *OpenWriteEntry) decode(d *dec) {
-	o.EventID.Thread = ids.ThreadNum(d.u32())
-	o.EventID.Event = ids.EventNum(d.u32())
-	o.Len = d.u32()
-	o.Sum = d.u64()
+// code leaves FNV alone: the kind table's zero record sets it from the kind.
+func (o *OpenWriteEntry) code(c *codec) {
+	c.event(&o.EventID)
+	uvarint(c, &o.Len)
+	uvarint(c, &o.Sum)
 }
 
 // Verify checks a replayed open-world write against its record: nil when p is
@@ -611,20 +514,11 @@ type OpenDatagramEntry struct {
 
 func (o *OpenDatagramEntry) Kind() Kind { return KindOpenDatagram }
 
-func (o *OpenDatagramEntry) encode(e *enc) {
-	e.u32(uint32(o.EventID.Thread))
-	e.u32(uint32(o.EventID.Event))
-	e.str(o.SourceHost)
-	e.u16(o.SourcePort)
-	e.bytes(o.Data)
-}
-
-func (o *OpenDatagramEntry) decode(d *dec) {
-	o.EventID.Thread = ids.ThreadNum(d.u32())
-	o.EventID.Event = ids.EventNum(d.u32())
-	o.SourceHost = d.str()
-	o.SourcePort = d.u16()
-	o.Data = d.bytes()
+func (o *OpenDatagramEntry) code(c *codec) {
+	c.event(&o.EventID)
+	blob(c, &o.SourceHost)
+	uvarint(c, &o.SourcePort)
+	blob(c, &o.Data)
 }
 
 // EnvEntry records the value returned by an environmental query — a clock
@@ -638,18 +532,10 @@ type EnvEntry struct {
 
 func (e *EnvEntry) Kind() Kind { return KindEnv }
 
-func (e *EnvEntry) encode(enc *enc) {
-	enc.u32(uint32(e.EventID.Thread))
-	enc.u32(uint32(e.EventID.Event))
-	enc.str(e.Op)
-	enc.u64(e.Value)
-}
-
-func (e *EnvEntry) decode(d *dec) {
-	e.EventID.Thread = ids.ThreadNum(d.u32())
-	e.EventID.Event = ids.EventNum(d.u32())
-	e.Op = d.str()
-	e.Value = d.u64()
+func (e *EnvEntry) code(c *codec) {
+	c.event(&e.EventID)
+	blob(c, &e.Op)
+	uvarint(c, &e.Value)
 }
 
 // VMMeta is the per-VM header record: the DJVM identity assigned during the
@@ -663,18 +549,11 @@ type VMMeta struct {
 
 func (m *VMMeta) Kind() Kind { return KindVMMeta }
 
-func (m *VMMeta) encode(e *enc) {
-	e.u32(uint32(m.VM))
-	e.u8(uint8(m.World))
-	e.u32(m.Threads)
-	e.u64(uint64(m.FinalGC))
-}
-
-func (m *VMMeta) decode(d *dec) {
-	m.VM = ids.DJVMID(d.u32())
-	m.World = ids.World(d.u8())
-	m.Threads = d.u32()
-	m.FinalGC = ids.GCount(d.u64())
+func (m *VMMeta) code(c *codec) {
+	uvarint(c, &m.VM)
+	raw(c, &m.World)
+	uvarint(c, &m.Threads)
+	uvarint(c, &m.FinalGC)
 }
 
 // CheckpointEntry marks a consistent local checkpoint: the global counter at
@@ -690,22 +569,14 @@ type CheckpointEntry struct {
 	State        []byte
 }
 
-func (c *CheckpointEntry) Kind() Kind { return KindCheckpoint }
+func (cp *CheckpointEntry) Kind() Kind { return KindCheckpoint }
 
-func (c *CheckpointEntry) encode(e *enc) {
-	e.u64(uint64(c.GC))
-	e.u32(c.NextThread)
-	e.u32(uint32(c.TakerThread))
-	e.u32(uint32(c.MainEventNum))
-	e.bytes(c.State)
-}
-
-func (c *CheckpointEntry) decode(d *dec) {
-	c.GC = ids.GCount(d.u64())
-	c.NextThread = d.u32()
-	c.TakerThread = ids.ThreadNum(d.u32())
-	c.MainEventNum = ids.EventNum(d.u32())
-	c.State = d.bytes()
+func (cp *CheckpointEntry) code(c *codec) {
+	uvarint(c, &cp.GC)
+	uvarint(c, &cp.NextThread)
+	uvarint(c, &cp.TakerThread)
+	uvarint(c, &cp.MainEventNum)
+	blob(c, &cp.State)
 }
 
 // TimedWaitEntry records the resolution of a timed wait whose wait-enter
@@ -721,80 +592,10 @@ type TimedWaitEntry struct {
 
 func (w *TimedWaitEntry) Kind() Kind { return KindTimedWait }
 
-func (w *TimedWaitEntry) encode(e *enc) {
-	e.u64(uint64(w.GC))
-	e.bool(w.Check)
-	e.bool(w.TimedOut)
-}
-
-func (w *TimedWaitEntry) decode(d *dec) {
-	w.GC = ids.GCount(d.u64())
-	w.Check = d.bool()
-	w.TimedOut = d.bool()
-}
-
-// newEntry allocates the zero Entry for a kind.
-func newEntry(k Kind) (Entry, error) {
-	switch k {
-	case KindInterval:
-		return &Interval{}, nil
-	case KindNotify:
-		return &Notify{}, nil
-	case KindServerSocket:
-		return &ServerSocketEntry{}, nil
-	case KindRead:
-		return &ReadEntry{}, nil
-	case KindAvailable:
-		return &AvailableEntry{}, nil
-	case KindBind:
-		return &BindEntry{}, nil
-	case KindNetErr:
-		return &NetErrEntry{}, nil
-	case KindDatagramRecv:
-		return &DatagramRecvEntry{}, nil
-	case KindOpenConnect:
-		return &OpenConnectEntry{}, nil
-	case KindOpenAccept:
-		return &OpenAcceptEntry{}, nil
-	case KindOpenRead:
-		return &OpenReadEntry{}, nil
-	case KindOpenWrite:
-		return &OpenWriteEntry{FNV: true}, nil
-	case KindOpenWriteWide:
-		return &OpenWriteEntry{}, nil
-	case KindOpenDatagram:
-		return &OpenDatagramEntry{}, nil
-	case KindEnv:
-		return &EnvEntry{}, nil
-	case KindTimedWait:
-		return &TimedWaitEntry{}, nil
-	case KindVMMeta:
-		return &VMMeta{}, nil
-	case KindCheckpoint:
-		return &CheckpointEntry{}, nil
-	case KindOpenInterval:
-		return &OpenInterval{}, nil
-	case KindTimestamp:
-		return &TimestampEntry{}, nil
-	case KindNetSpan:
-		return &NetSpanEntry{}, nil
-	case KindOrderMode:
-		return &OrderModeEntry{}, nil
-	case KindObjRun:
-		return &ObjRun{}, nil
-	case KindObjNotify:
-		return &ObjNotify{}, nil
-	case KindObjTimedWait:
-		return &ObjTimedWait{}, nil
-	case KindTruncation:
-		return &TruncationEntry{}, nil
-	case KindChaosPlan:
-		return &ChaosPlanEntry{}, nil
-	case KindGroupEpoch:
-		return &GroupEpochEntry{}, nil
-	default:
-		return nil, corruptf("unknown record kind %d", k)
-	}
+func (w *TimedWaitEntry) code(c *codec) {
+	uvarint(c, &w.GC)
+	c.flag(&w.Check)
+	c.flag(&w.TimedOut)
 }
 
 // TimestampEntry anchors a global-counter value to the recorder's wall clock:
@@ -809,14 +610,9 @@ type TimestampEntry struct {
 
 func (ts *TimestampEntry) Kind() Kind { return KindTimestamp }
 
-func (ts *TimestampEntry) encode(e *enc) {
-	e.u64(uint64(ts.GC))
-	e.u64(uint64(ts.Wall))
-}
-
-func (ts *TimestampEntry) decode(d *dec) {
-	ts.GC = ids.GCount(d.u64())
-	ts.Wall = int64(d.u64())
+func (ts *TimestampEntry) code(c *codec) {
+	uvarint(c, &ts.GC)
+	uvarint(c, &ts.Wall)
 }
 
 // Network span operations recorded by NetSpanEntry.
@@ -861,28 +657,13 @@ type NetSpanEntry struct {
 
 func (ns *NetSpanEntry) Kind() Kind { return KindNetSpan }
 
-func (ns *NetSpanEntry) encode(e *enc) {
-	e.u32(uint32(ns.EventID.Thread))
-	e.u32(uint32(ns.EventID.Event))
-	e.u64(uint64(ns.GC))
-	e.u8(ns.Op)
-	e.u32(uint32(ns.Conn.VM))
-	e.u32(uint32(ns.Conn.Thread))
-	e.u32(uint32(ns.Conn.Event))
-	e.u64(ns.Offset)
-	e.u32(ns.Len)
-}
-
-func (ns *NetSpanEntry) decode(d *dec) {
-	ns.EventID.Thread = ids.ThreadNum(d.u32())
-	ns.EventID.Event = ids.EventNum(d.u32())
-	ns.GC = ids.GCount(d.u64())
-	ns.Op = d.u8()
-	ns.Conn.VM = ids.DJVMID(d.u32())
-	ns.Conn.Thread = ids.ThreadNum(d.u32())
-	ns.Conn.Event = ids.EventNum(d.u32())
-	ns.Offset = d.u64()
-	ns.Len = d.u32()
+func (ns *NetSpanEntry) code(c *codec) {
+	c.event(&ns.EventID)
+	uvarint(c, &ns.GC)
+	raw(c, &ns.Op)
+	c.connection(&ns.Conn)
+	uvarint(c, &ns.Offset)
+	uvarint(c, &ns.Len)
 }
 
 // OrderModeEntry marks the order mode the schedule log was recorded under. A
@@ -895,9 +676,7 @@ type OrderModeEntry struct {
 
 func (o *OrderModeEntry) Kind() Kind { return KindOrderMode }
 
-func (o *OrderModeEntry) encode(e *enc) { e.u8(uint8(o.Mode)) }
-
-func (o *OrderModeEntry) decode(d *dec) { o.Mode = ids.OrderMode(d.u8()) }
+func (o *OrderModeEntry) code(c *codec) { raw(c, &o.Mode) }
 
 // ObjRun is one run of consecutive accesses to the registered shared object
 // Obj by thread Thread: the accesses with per-object sequence numbers First
@@ -913,19 +692,11 @@ type ObjRun struct {
 
 func (r *ObjRun) Kind() Kind { return KindObjRun }
 
-func (r *ObjRun) encode(e *enc) {
-	e.u64(uint64(r.Obj))
-	e.u32(uint32(r.Thread))
-	e.u64(uint64(r.First))
-	// Delta-encode Last against First, as Interval does.
-	e.u64(uint64(r.Last - r.First))
-}
-
-func (r *ObjRun) decode(d *dec) {
-	r.Obj = d.obj()
-	r.Thread = ids.ThreadNum(d.u32())
-	r.First = ids.AccessSeq(d.u64())
-	r.Last = r.First + ids.AccessSeq(d.u64())
+func (r *ObjRun) code(c *codec) {
+	c.object(&r.Obj)
+	uvarint(c, &r.Thread)
+	uvarint(c, &r.First)
+	delta(c, &r.Last, r.First)
 }
 
 // ObjNotify records the set of threads woken by a sharded-mode notify /
@@ -938,19 +709,10 @@ type ObjNotify struct {
 
 func (n *ObjNotify) Kind() Kind { return KindObjNotify }
 
-func (n *ObjNotify) encode(e *enc) {
-	e.u64(uint64(n.Obj))
-	e.u64(uint64(n.Seq))
-	e.u64(uint64(len(n.Woken)))
-	for _, t := range n.Woken {
-		e.u32(uint32(t))
-	}
-}
-
-func (n *ObjNotify) decode(d *dec) {
-	n.Obj = d.obj()
-	n.Seq = ids.AccessSeq(d.u64())
-	n.Woken = decodeList(d, 1, decodeThread)
+func (n *ObjNotify) code(c *codec) {
+	c.object(&n.Obj)
+	uvarint(c, &n.Seq)
+	list(c, &n.Woken, 1, uvarint[ids.ThreadNum])
 }
 
 // ObjTimedWait records the resolution of a sharded-mode timed wait whose
@@ -965,18 +727,11 @@ type ObjTimedWait struct {
 
 func (w *ObjTimedWait) Kind() Kind { return KindObjTimedWait }
 
-func (w *ObjTimedWait) encode(e *enc) {
-	e.u64(uint64(w.Obj))
-	e.u64(uint64(w.Seq))
-	e.bool(w.Check)
-	e.bool(w.TimedOut)
-}
-
-func (w *ObjTimedWait) decode(d *dec) {
-	w.Obj = d.obj()
-	w.Seq = ids.AccessSeq(d.u64())
-	w.Check = d.bool()
-	w.TimedOut = d.bool()
+func (w *ObjTimedWait) code(c *codec) {
+	c.object(&w.Obj)
+	uvarint(c, &w.Seq)
+	c.flag(&w.Check)
+	c.flag(&w.TimedOut)
 }
 
 // TruncationEntry marks a checkpoint-anchored WAL truncation: the stream it
@@ -992,9 +747,7 @@ type TruncationEntry struct {
 
 func (tr *TruncationEntry) Kind() Kind { return KindTruncation }
 
-func (tr *TruncationEntry) encode(e *enc) { e.u64(uint64(tr.BaseGC)) }
-
-func (tr *TruncationEntry) decode(d *dec) { tr.BaseGC = ids.GCount(d.u64()) }
+func (tr *TruncationEntry) code(c *codec) { uvarint(c, &tr.BaseGC) }
 
 // ChaosPlanEntry embeds a chaos run's seeded fault schedule in its own trace:
 // Seed is the generator seed and Spec is the chaos package's deterministic
@@ -1007,16 +760,11 @@ type ChaosPlanEntry struct {
 	Spec []byte
 }
 
-func (c *ChaosPlanEntry) Kind() Kind { return KindChaosPlan }
+func (cp *ChaosPlanEntry) Kind() Kind { return KindChaosPlan }
 
-func (c *ChaosPlanEntry) encode(e *enc) {
-	e.u64(c.Seed)
-	e.bytes(c.Spec)
-}
-
-func (c *ChaosPlanEntry) decode(d *dec) {
-	c.Seed = d.u64()
-	c.Spec = d.bytes()
+func (cp *ChaosPlanEntry) code(c *codec) {
+	uvarint(c, &cp.Seed)
+	blob(c, &cp.Spec)
 }
 
 // GroupMember is one participant of a coordinated group checkpoint: the
@@ -1040,20 +788,11 @@ type GroupEpochEntry struct {
 
 func (g *GroupEpochEntry) Kind() Kind { return KindGroupEpoch }
 
-func (g *GroupEpochEntry) encode(e *enc) {
-	e.u64(g.Epoch)
-	e.u64(uint64(g.GC))
-	e.u64(uint64(len(g.Members)))
-	for _, m := range g.Members {
-		e.u32(uint32(m.VM))
-		e.u64(uint64(m.AnchorGC))
-	}
-}
-
-func (g *GroupEpochEntry) decode(d *dec) {
-	g.Epoch = d.u64()
-	g.GC = ids.GCount(d.u64())
-	g.Members = decodeList(d, 2, func(d *dec) GroupMember {
-		return GroupMember{VM: ids.DJVMID(d.u32()), AnchorGC: ids.GCount(d.u64())}
+func (g *GroupEpochEntry) code(c *codec) {
+	uvarint(c, &g.Epoch)
+	uvarint(c, &g.GC)
+	list(c, &g.Members, 2, func(c *codec, m *GroupMember) {
+		uvarint(c, &m.VM)
+		uvarint(c, &m.AnchorGC)
 	})
 }

@@ -313,7 +313,7 @@ type dupError struct{ kind Kind }
 
 func (e dupError) Error() string {
 	event := "network event"
-	if logOf(e.kind) == logSchedule {
+	if kindTable[e.kind].log == logSchedule {
 		event = "critical event"
 	}
 	return fmt.Sprintf("tracelog: duplicate %v entry for one %s", e.kind, event)

@@ -79,7 +79,7 @@ func TestDuplicateNetworkRecordRejected(t *testing.T) {
 			l.Append(rec.first)
 			l.Append(netRecords(other)[i].first)
 			l.Append(rec.second)
-			err := buildIndex[logOf(k)](l)
+			err := buildIndex[kindTable[k].log](l)
 			want := dupError{rec.second.Kind()}
 			if !errors.Is(err, want) || err.Error() != want.Error() {
 				t.Errorf("two %v records for %v: %v, want %v", k, ev, err, want)
@@ -87,7 +87,7 @@ func TestDuplicateNetworkRecordRejected(t *testing.T) {
 			single := NewLog()
 			single.Append(rec.first)
 			single.Append(netRecords(other)[i].second)
-			if err := buildIndex[logOf(k)](single); err != nil {
+			if err := buildIndex[kindTable[k].log](single); err != nil {
 				t.Errorf("one %v record per event: %v", k, err)
 			}
 		})

@@ -40,7 +40,7 @@ type Log struct {
 	// enc is the log's reusable encoder: Append encodes straight into the
 	// open chunk under mu, so the hot record path allocates nothing but
 	// chunks.
-	enc enc
+	enc codec
 	// onAppend, when set, observes each append's encoded size — the hook the
 	// observability layer uses to count log volume without the log importing
 	// it. Called outside the log's lock.
@@ -85,9 +85,8 @@ func (l *Log) SetObserver(fn func(bytes int)) {
 // caller's own buffer.
 func (l *Log) Append(e Entry) {
 	l.mu.Lock()
-	l.enc.buf = l.spare()
-	l.enc.u8(uint8(e.Kind()))
-	e.encode(&l.enc)
+	l.enc.buf = append(l.spare(), byte(e.Kind()))
+	e.code(&l.enc)
 	rec := l.commit(l.enc.buf)
 	l.enc.buf = nil
 	if l.wal != nil {
@@ -275,10 +274,11 @@ func EachEntry(data []byte, fn func(Entry) error) error {
 // application's read buffer (NetworkIndex.Content), checkpoint.List into
 // Snapshot.Data. Strings and decoded lists (Woken, Members) are fresh.
 func walk(data []byte, base int, last bool, scratch *[kindMax]Entry, fn func(Entry, int, int) error) (int, error) {
-	d := &dec{buf: data}
-	for !d.done() {
-		start := d.off
-		k := Kind(d.u8())
+	c := &codec{reading: true, buf: data}
+	for !c.done() {
+		start := c.off
+		var k Kind
+		raw(c, &k)
 		var e Entry
 		if scratch != nil && k < kindMax {
 			e = scratch[k]
@@ -292,17 +292,17 @@ func walk(data []byte, base int, last bool, scratch *[kindMax]Entry, fn func(Ent
 				scratch[k] = e
 			}
 		}
-		e.decode(d)
-		if d.err != nil && !last {
+		e.code(c)
+		if c.err != nil && !last {
 			return start, nil
-		} else if d.err != nil {
-			return start, fmt.Errorf("%w: decoding %v record at offset %d", ErrCorrupt, k, base+d.off)
+		} else if c.err != nil {
+			return start, fmt.Errorf("%w: decoding %v record at offset %d", ErrCorrupt, k, base+c.off)
 		}
-		if err := fn(e, base+start, d.off-start); err != nil {
+		if err := fn(e, base+start, c.off-start); err != nil {
 			return start, err
 		}
 	}
-	return d.off, nil
+	return c.off, nil
 }
 
 // SaveFile writes the encoded log, straight from the log under its lock, to
@@ -376,18 +376,20 @@ func (l *Log) content(ev ids.NetworkEventID, row ContentRow, dst []byte) ([]byte
 		rec = l.wbuf[:n]
 	}
 	// Decoded by concrete type, so nothing escapes: a read allocates nothing.
-	d := &dec{buf: rec}
-	k, r, g := Kind(d.u8()), OpenReadEntry{}, OpenDatagramEntry{}
+	c := &codec{reading: true, buf: rec}
+	var k Kind
+	raw(c, &k)
+	r, g := OpenReadEntry{}, OpenDatagramEntry{}
 	switch {
 	case k == row.kind && k == KindOpenRead:
-		r.decode(d)
+		r.code(c)
 	case k == row.kind && k == KindOpenDatagram:
-		g.decode(d)
+		g.code(c)
 		r.EventID, r.Data = g.EventID, g.Data
 	default:
-		d.fail()
+		c.fail()
 	}
-	if d.err != nil || d.off != len(rec) || r.EventID != ev || len(r.Data) != int(row.N) {
+	if c.err != nil || c.off != len(rec) || r.EventID != ev || len(r.Data) != int(row.N) {
 		return fail(corruptf("the log holds a %v record of event %v there", k, r.EventID))
 	}
 	return append(dst, r.Data...), g.SourceHost, g.SourcePort, nil
@@ -409,23 +411,6 @@ const (
 
 // logNames names the three logs in errors, and (with ".log") on disk.
 var logNames = [logCount]string{"schedule", "network", "datagram"}
-
-// logOf reports which of the three logs records of kind k belong in — the one
-// classification behind the index builders' misplaced-record error and the
-// WAL scan's kind-versus-log check. Records keyed by a network event id go to
-// the network log, datagram deliveries to the datagram log, and everything
-// else is schedule-log material.
-func logOf(k Kind) uint8 {
-	switch k {
-	case KindServerSocket, KindRead, KindAvailable, KindBind, KindNetErr,
-		KindOpenConnect, KindOpenAccept, KindOpenRead, KindOpenWrite,
-		KindOpenWriteWide, KindOpenDatagram, KindEnv, KindNetSpan:
-		return logNetwork
-	case KindDatagramRecv:
-		return logDatagram
-	}
-	return logSchedule
-}
 
 // misplaced is the error for a known record found in a log it does not belong
 // in.

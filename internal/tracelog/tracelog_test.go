@@ -42,12 +42,40 @@ func allEntryKinds() []Entry {
 		&OpenDatagramEntry{EventID: ids.NetworkEventID{Thread: 5, Event: 5}, SourceHost: "src", SourcePort: 53, Data: []byte("dns")},
 		&VMMeta{VM: 12, World: ids.MixedWorld, Threads: 33, FinalGC: 1 << 50},
 		&CheckpointEntry{GC: 500, NextThread: 9, TakerThread: 0, MainEventNum: 17, State: []byte("snapshot")},
+		&EnvEntry{EventID: ids.NetworkEventID{Thread: 6, Event: 7}, Op: "now", Value: 1 << 62},
+		&TimedWaitEntry{GC: 300, Check: true, TimedOut: true},
+		&OpenInterval{Thread: 2, First: 50, Last: 60},
+		&TimestampEntry{GC: 1000, Wall: 1_700_000_000_123_456_789},
+		&NetSpanEntry{
+			EventID: ids.NetworkEventID{Thread: 1, Event: 8},
+			GC:      44,
+			Op:      NetOpWrite,
+			Conn:    ids.ConnectionID{VM: 3, Thread: 1, Event: 2},
+			Offset:  1 << 35,
+			Len:     1024,
+		},
+		&OrderModeEntry{Mode: ids.OrderSharded},
+		&ObjRun{Obj: 7, Thread: 2, First: 10, Last: 300},
+		&ObjNotify{Obj: 7, Seq: 12, Woken: []ids.ThreadNum{4, 5}},
+		&ObjTimedWait{Obj: 8, Seq: 3, Check: true},
+		&TruncationEntry{BaseGC: 120},
+		&ChaosPlanEntry{Seed: 42, Spec: []byte{9, 8, 7}},
+		&GroupEpochEntry{Epoch: 3, GC: 90, Members: []GroupMember{{VM: 1, AnchorGC: 90}, {VM: 2, AnchorGC: 84}}},
 	}
 }
 
 func TestEveryEntryKindRoundTrips(t *testing.T) {
 	l := NewLog()
 	want := allEntryKinds()
+	covered := map[Kind]bool{}
+	for _, e := range want {
+		covered[e.Kind()] = true
+	}
+	for k := kindInvalid + 1; k < kindMax; k++ {
+		if !covered[k] {
+			t.Errorf("allEntryKinds has no %v record (kind %d): add one", k, k)
+		}
+	}
 	for _, e := range want {
 		l.Append(e)
 	}
@@ -311,8 +339,8 @@ func TestEveryKindIsClassified(t *testing.T) {
 			t.Errorf("newEntry(%v) = %v, %v", k, e, err)
 			continue
 		}
-		if got := logOf(k); got != w.log {
-			t.Errorf("%v: logOf = %s, want %s", k, logNames[got], logNames[w.log])
+		if got := kindTable[k].log; got != w.log {
+			t.Errorf("%v: filed under the %s log, want %s", k, logNames[got], logNames[w.log])
 		}
 		if got := gcField(e) != nil; got != w.gcKey {
 			t.Errorf("%v: gcField finds a counter key: %v, want %v", k, got, w.gcKey)
@@ -340,6 +368,13 @@ func TestEveryKindIsClassified(t *testing.T) {
 				t.Errorf("%v in the %s index: %v, want %q", k, logNames[id], err, wantMsg)
 			}
 		}
+	}
+	// A kind past the table is unknown, not a panic.
+	if name := Kind(200).String(); name != "kind(?)" {
+		t.Errorf("Kind(200) is named %q", name)
+	}
+	if e, err := newEntry(200); e != nil || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("newEntry(200) = %v, %v; want ErrCorrupt", e, err)
 	}
 }
 

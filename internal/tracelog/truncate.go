@@ -252,14 +252,13 @@ func (w *WALWriter) replace(build func(emit func(logID uint8, e Entry)), kept *i
 		werr = err
 	}
 	n += int64(len(WALMagic))
-	var scratch enc
+	var scratch codec
 	emit := func(logID uint8, e Entry) {
 		if werr != nil {
 			return
 		}
-		scratch.buf = scratch.buf[:0]
-		scratch.u8(uint8(e.Kind()))
-		e.encode(&scratch)
+		scratch.buf = append(scratch.buf[:0], byte(e.Kind()))
+		e.code(&scratch)
 		if werr = writeFrame(bw, logID, scratch.buf); werr == nil {
 			n += int64(walFrameHdrLen + len(scratch.buf))
 			*kept++

@@ -13,7 +13,7 @@ import (
 // buildCheckpointedWAL records a single-thread run with two checkpoints and
 // an embedded chaos plan through a WAL-attached set, leaving the file without
 // a final vm-meta (as a live or crashed recording would).
-func buildCheckpointedWAL(t *testing.T, path string) *Set {
+func buildCheckpointedWAL(t testing.TB, path string) *Set {
 	t.Helper()
 	w, err := CreateWAL(path, WALOptions{SyncEvery: 1})
 	if err != nil {
@@ -249,4 +249,59 @@ func TestTruncateWALFramesMatchAppendedFrames(t *testing.T) {
 			t.Errorf("recovered %s logs differ", logNames[id])
 		}
 	}
+}
+
+// FuzzTruncateWAL compacts fuzzed sets. Two fuzzed streams are parsed and
+// their records appended, each to the log its kind belongs in, to a set with
+// a WAL attached; the set is then truncated keeping a fuzzed number of
+// checkpoints. Whatever the records, TruncateWAL never panics and fails only
+// with ErrNoAnchor or ErrCorrupt. The file a successful compaction writes
+// recovers with nothing discarded and the compaction's base, or its repair
+// fails with ErrCorrupt.
+func FuzzTruncateWAL(f *testing.F) {
+	rec := buildCheckpointedWAL(f, filepath.Join(f.TempDir(), "seed.wal"))
+	f.Add(rec.Schedule.Bytes(), append(rec.Network.Bytes(), rec.Datagram.Bytes()...), uint8(1))
+	f.Add(rec.Schedule.Bytes(), rec.Network.Bytes(), uint8(2))
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed, rec.Network.Bytes(), uint8(len(seed)))
+	}
+	f.Fuzz(func(t *testing.T, sched, network []byte, keep uint8) {
+		path := filepath.Join(t.TempDir(), "node.wal")
+		w, err := CreateWAL(path, WALOptions{SyncEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		s := NewSet()
+		if err := s.AttachWAL(w); err != nil {
+			t.Fatal(err)
+		}
+		for _, stream := range [][]byte{sched, network} {
+			entries, err := Parse(stream)
+			if err != nil {
+				return
+			}
+			for _, e := range entries {
+				s.logs()[kindTable[e.Kind()].log].Append(e)
+			}
+		}
+		st, err := s.TruncateWAL(int(keep % 4))
+		if err != nil {
+			if !errors.Is(err, ErrNoAnchor) && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("TruncateWAL(%d): %v, neither ErrNoAnchor nor ErrCorrupt", keep%4, err)
+			}
+			return
+		}
+		if err := s.SyncWAL(); err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := RecoverFile(path)
+		switch {
+		case err != nil && !errors.Is(err, ErrCorrupt):
+			t.Fatalf("recovering the compacted WAL: %v, not ErrCorrupt", err)
+		case err == nil && (rep.Truncated || rep.BaseGC != st.BaseGC):
+			t.Fatalf("the compacted WAL recovers from base %d discarding %d bytes (%s); the compaction's base is %d",
+				rep.BaseGC, rep.DiscardedBytes, rep.Reason, st.BaseGC)
+		}
+	})
 }

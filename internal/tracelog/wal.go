@@ -353,7 +353,7 @@ func readFrame(b []byte, scratch *[kindMax]Entry) (logID uint8, payload []byte, 
 		if records++; records > 1 {
 			return corruptf("frame holds more than one record")
 		}
-		if logOf(e.Kind()) != logID {
+		if kindTable[e.Kind()].log != logID {
 			return misplaced(e.Kind(), logID)
 		}
 		return nil
@@ -437,7 +437,7 @@ func repairSet(s *Set, rep *RecoveryReport) error {
 		case *Interval:
 			iv = *v
 		case *OpenInterval:
-			iv = Interval{Thread: v.Thread, First: v.First, Last: v.Last}
+			iv = Interval(*v)
 			rep.OpenNotes++
 		default:
 			continue
