@@ -387,14 +387,13 @@ func exportPerfetto(stdout, stderr io.Writer, path string, g *causal.Graph) erro
 	return nil
 }
 
-// makeFixture records a small two-client kvapp run with causal tracing and
-// timestamp sampling on, and saves one log directory per VM — the input the
-// CI trace-smoke job feeds to -perfetto.
+// makeFixture records a small two-client kvapp run with causal tracing on and
+// saves one log directory per VM: the input of CI's trace-smoke job.
 func makeFixture(stdout io.Writer, dir string) error {
 	_, logs, err := kvapp.Run(kvapp.Config{
 		Replicas: 1, Clients: 2, OpsPerClient: 5,
 		Mode: ids.Record, Seed: 42, Chaos: kvapp.DefaultChaos(),
-		CausalTrace: true, TimestampEvery: 8,
+		CausalTrace: true,
 	})
 	if err != nil {
 		return err

@@ -436,18 +436,14 @@ func (n *Node) SaveLogs(dir string) error {
 func LoadLogs(dir string) (*Logs, error) { return tracelog.LoadSet(dir) }
 
 // EnableCausalTrace makes a record-mode node annotate its network log with
-// byte-offset spans for connects, accepts, stream reads and writes, so
-// `djtrace -perfetto` and `-critpath` can correlate the saved logs' cross-VM
-// messages into happens-before edges. Call it before Start; replay ignores
-// the annotations. Off by default: without it
+// byte-offset spans for connects, accepts, stream reads and writes, and its
+// schedule log with a wall-clock anchor every 8 critical events (plus one at
+// the start and one at the end of the run), so `djtrace -perfetto` and
+// `-critpath` can correlate the saved logs' cross-VM messages into
+// happens-before edges and map counters onto wall time. Call it before
+// Start; replay ignores the annotations. Off by default: without it
 // recorded logs are byte-identical to previous releases.
 func (n *Node) EnableCausalTrace() error { return n.vm.EnableCausalTrace() }
-
-// EnableTimestamps makes a record-mode node log a wall-clock anchor every
-// `every` critical events (plus one at the start and one at the end of the
-// run), giving `djtrace -critpath` a counter→wall-time mapping. Call it before
-// Start; replay ignores the anchors. Off by default.
-func (n *Node) EnableTimestamps(every int) error { return n.vm.EnableTimestamps(every) }
 
 // CheckpointTake records a checkpoint as one critical event of t, capturing
 // the state returned by save (record mode; consumes its schedule slot during

@@ -123,14 +123,13 @@ func TestNodeSnapshotRecordReplayCounts(t *testing.T) {
 	}
 }
 
-// TestCausalHooksReachTheLog: nodes recorded with causal tracing and
-// timestamp sampling on log both kinds of annotation — the net spans and wall
-// anchors `djtrace -perfetto` and `-critpath` read back from saved logs — and
-// nodes recorded without them log neither.
+// TestCausalHooksReachTheLog: nodes recorded with the one causal-tracing
+// call log both kinds of annotation — the net spans and wall anchors
+// `djtrace -perfetto` and `-critpath` read back from saved logs — and nodes
+// recorded without it log neither.
 func TestCausalHooksReachTheLog(t *testing.T) {
 	srv, cli := obsEchoWorld(t, dejavu.Record, nil, nil,
-		func(n *dejavu.Node) error { return n.EnableCausalTrace() },
-		func(n *dejavu.Node) error { return n.EnableTimestamps(8) })
+		func(n *dejavu.Node) error { return n.EnableCausalTrace() })
 	for _, n := range []*dejavu.Node{srv, cli} {
 		if c := n.Snapshot().Causal; c.NetSpans == 0 || c.Timestamps == 0 {
 			t.Errorf("node %d traced: %d net spans, %d timestamps; want both > 0", n.ID(), c.NetSpans, c.Timestamps)

@@ -131,8 +131,7 @@ type VMInfo struct {
 	ID      ids.DJVMID
 	Threads uint32
 	FinalGC ids.GCount
-	// Timestamps are the VM's sampled wall-clock anchors in counter order
-	// (empty unless the run recorded with EnableTimestamps).
+	// Timestamps are the wall-clock anchors EnableCausalTrace logs, in order.
 	Timestamps []tracelog.TimestampEntry
 }
 

@@ -164,7 +164,7 @@ func recordedKV(t *testing.T) kvapp.RunLogs {
 		_, kvLogs, kvErr = kvapp.Run(kvapp.Config{
 			Replicas: 1, Clients: 2, OpsPerClient: 5,
 			Mode: ids.Record, Seed: 42, Chaos: kvapp.DefaultChaos(),
-			CausalTrace: true, TimestampEvery: 8,
+			CausalTrace: true,
 		})
 	})
 	if kvErr != nil {

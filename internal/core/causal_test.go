@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,22 +9,23 @@ import (
 	"repro/internal/tracelog"
 )
 
-// TestTimestampSampling records with timestamp sampling on and checks the
+// TestTimestampSampling records with causal tracing on and checks the
 // schedule log carries a consistent anchor sequence: nondecreasing counters
-// and wall clocks, an initial anchor, the configured cadence, and a final
-// anchor at FinalGC — and that replay of the annotated logs is unaffected.
+// and wall clocks, an initial anchor, one every 8 events (the cadence the
+// facade documents), and a final anchor at FinalGC — and that replay of the
+// annotated logs is unaffected.
 func TestTimestampSampling(t *testing.T) {
-	const every = 4
+	const every = 8
 	var x SharedInt
 	rec, err := NewVM(Config{ID: 80, Mode: ids.Record})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.EnableTimestamps(every); err != nil {
+	if err := rec.EnableCausalTrace(); err != nil {
 		t.Fatal(err)
 	}
 	rec.Start(func(main *Thread) {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 20; i++ {
 			x.Set(main, int64(i))
 		}
 	})
@@ -52,11 +54,15 @@ func TestTimestampSampling(t *testing.T) {
 			t.Errorf("anchor wall clocks decrease: %d after %d", ts[i].Wall, ts[i-1].Wall)
 		}
 	}
-	// Cadence anchors land exactly on multiples of the sampling period.
-	for _, a := range ts[1 : len(ts)-1] {
-		if a.GC%every != 0 {
-			t.Errorf("cadence anchor at counter %d, want a multiple of %d", a.GC, every)
+	// Cadence anchors land exactly on every multiple of the sampling period.
+	cadence := ts[1 : len(ts)-1]
+	for i, a := range cadence {
+		if want := ids.GCount(every * (i + 1)); a.GC != want {
+			t.Errorf("cadence anchor %d at counter %d, want %d", i, a.GC, want)
 		}
+	}
+	if want := int(sched.Meta.FinalGC / every); len(cadence) != want {
+		t.Errorf("%d cadence anchors over %d events, want %d", len(cadence), sched.Meta.FinalGC, want)
 	}
 	now := time.Now().UnixNano()
 	if ts[0].Wall <= 0 || ts[0].Wall > now {
@@ -69,7 +75,7 @@ func TestTimestampSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep.Start(func(main *Thread) {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 20; i++ {
 			x.Set(main, int64(i))
 		}
 	})
@@ -80,27 +86,25 @@ func TestTimestampSampling(t *testing.T) {
 	}
 }
 
-// TestTimestampModeErrors: the annotation switches are record-only and
-// validate their arguments.
+// TestTimestampModeErrors: the one switch that records wall-clock anchors
+// and net spans, EnableCausalTrace, is record-only and needs the global
+// counter the annotations are keyed by.
 func TestTimestampModeErrors(t *testing.T) {
 	rep, err := NewVM(Config{ID: 81, Mode: ids.Passthrough})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	if err := rep.EnableTimestamps(4); err == nil {
-		t.Error("EnableTimestamps accepted a non-record VM")
-	}
 	if err := rep.EnableCausalTrace(); err == nil {
 		t.Error("EnableCausalTrace accepted a non-record VM")
 	}
-	rec, err := NewVM(Config{ID: 82, Mode: ids.Record})
+	rec, err := NewVM(Config{ID: 82, Mode: ids.Record, OrderMode: ids.OrderSharded})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if err := rec.EnableTimestamps(0); err == nil {
-		t.Error("EnableTimestamps accepted period 0")
+	if err := rec.EnableCausalTrace(); err == nil || !strings.Contains(err.Error(), "OrderGlobal") {
+		t.Errorf("EnableCausalTrace under sharded: err = %v, want OrderGlobal requirement", err)
 	}
 }
 

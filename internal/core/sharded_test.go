@@ -417,12 +417,6 @@ func TestShardedConfigErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.EnableTimestamps(8); err == nil || !strings.Contains(err.Error(), "OrderGlobal") {
-		t.Errorf("EnableTimestamps under sharded: err = %v, want OrderGlobal requirement", err)
-	}
-	if err := vm.EnableCausalTrace(); err == nil || !strings.Contains(err.Error(), "OrderGlobal") {
-		t.Errorf("EnableCausalTrace under sharded: err = %v, want OrderGlobal requirement", err)
-	}
 	if err := vm.EnableWAL(t.TempDir(), tracelog.WALOptions{}); err == nil || !strings.Contains(err.Error(), "OrderGlobal") {
 		t.Errorf("EnableWAL under sharded: err = %v, want OrderGlobal requirement", err)
 	}

@@ -77,12 +77,12 @@ type stream struct {
 	// noteEvery is the open-run durability note cadence (events between notes)
 	// while a WAL is attached: each note snapshots the still-open run into the
 	// WAL so crash recovery can credit events no flushed interval covers yet.
-	// tsEvery is the sampled wall-clock stamp cadence of EnableTimestamps;
-	// stamps carry no schedule semantics.
+	// traced is EnableCausalTrace's switch: a wall-clock stamp every
+	// stampEvery events (stamps carry no schedule semantics) and net spans.
 	holdMask  uint64
 	observer  func(thread ids.ThreadNum, gc ids.GCount)
 	noteEvery uint64
-	tsEvery   uint64
+	traced    bool
 	// waiters is the replay turnstile's table: a parked thread registers under
 	// the counter value it awaits; each value belongs to at most one thread,
 	// so advancing the counter wakes exactly the successor (the stall
@@ -484,7 +484,7 @@ func (t *Thread) record(s *stream, kind obs.EventKind, op func(ids.GCount), p *i
 		// note claims only events whose records precede it in the WAL stream.
 		s.vm.appendOpenRunLocked(s.runThread, s.first, s.last)
 	}
-	if s.tsEvery != 0 && (uint64(n)+1)%s.tsEvery == 0 {
+	if s.traced && (uint64(n)+1)%stampEvery == 0 {
 		s.vm.appendTimestampLocked(n + 1)
 	}
 	s.mu.Unlock()

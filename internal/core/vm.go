@@ -123,9 +123,9 @@ type Config struct {
 	// checkpoints, unregistered objects — keep the global mechanism.
 	//
 	// Sharded mode gives up the single total order some extensions need:
-	// EventObserver, EnableTimestamps, EnableCausalTrace, EnableWAL, and
-	// checkpoint Resume all require OrderGlobal and fail with a clear error
-	// under OrderSharded. A replay VM's OrderMode must match the recording's.
+	// EventObserver, EnableCausalTrace, EnableWAL, and checkpoint Resume
+	// all require OrderGlobal and fail with a clear error under OrderSharded.
+	// A replay VM's OrderMode must match the recording's.
 	OrderMode ids.OrderMode
 	// ObsSampleRate controls 1-in-N sampling of the latency histograms:
 	// GC-hold, the record phase's critical-section hold (a replaying VM holds
@@ -198,13 +198,6 @@ type VM struct {
 	orderMode ids.OrderMode
 
 	logs *tracelog.Set // record mode
-
-	// causalTrace enables net-span emission in the socket layer (record mode
-	// only): closed-world socket events additionally log the connection id,
-	// counter value, and stream byte offsets that the causal analyzer needs
-	// to reconstruct cross-VM message edges. Read only under the global
-	// stream's lock.
-	causalTrace bool
 
 	// stopAtLogEnd makes threads that exhaust their recorded schedule stop
 	// cleanly (crash-recovery replay); logEndStops counts them.
@@ -428,53 +421,42 @@ func (vm *VM) EnableWAL(path string, opts tracelog.WALOptions) error {
 	return nil
 }
 
-// EnableTimestamps turns on sampled wall-clock timestamp records: every
-// `every` critical events the schedule log gains a ⟨GC, wall-nanos⟩ anchor,
-// plus one anchor immediately (at the current counter) and one at Close (at
-// the final counter). Record mode only; call before the first critical event
-// for full-run coverage. The stamps are advisory — replay ignores them, log
-// digests of the schedule's replay-relevant content are unaffected — and feed
-// the causal analyzer's critical-path and timeline reconstruction.
-func (vm *VM) EnableTimestamps(every int) error {
-	if vm.mode != ids.Record {
-		return fmt.Errorf("core: vm %d: EnableTimestamps in %v mode", vm.id, vm.mode)
-	}
-	if vm.orderMode == ids.OrderSharded {
-		return fmt.Errorf("core: vm %d: EnableTimestamps requires OrderGlobal — anchors map the global counter onto wall time", vm.id)
-	}
-	if every <= 0 {
-		return fmt.Errorf("core: vm %d: EnableTimestamps cadence %d, want > 0", vm.id, every)
-	}
-	vm.global.mu.Lock()
-	defer vm.global.mu.Unlock()
-	vm.global.tsEvery = uint64(every)
-	vm.appendTimestampLocked(vm.global.next)
-	return nil
-}
+// stampEvery is the cadence of causal tracing's wall-clock anchors: one every
+// stampEvery critical events.
+const stampEvery = 8
 
-// EnableCausalTrace turns on net-span annotations: closed-world socket events
-// additionally record the connection id they acted on, their global counter
-// value, and (for reads/writes) the application-stream byte range. These are
-// the correlation records the causal analyzer uses to build cross-VM message
-// edges; the base replay protocol neither needs nor reads them. Record mode
-// only; call before the first critical event.
+// EnableCausalTrace turns on the annotations the causal analyzer reads, both
+// advisory — replay neither needs nor reads them:
+//
+//   - net spans: closed-world socket events additionally record the
+//     connection id they acted on, their global counter value, and (for
+//     reads/writes) the application-stream byte range — the correlation
+//     records that become cross-VM message edges;
+//   - wall-clock anchors: the schedule log gains a ⟨GC, wall-nanos⟩ record
+//     now (at the current counter), every stampEvery critical events, and at
+//     Close (at the final counter) — the counter→wall-time mapping of the
+//     critical-path and timeline reconstruction.
+//
+// Record mode only; call before the first critical event for full-run
+// coverage.
 func (vm *VM) EnableCausalTrace() error {
 	if vm.mode != ids.Record {
 		return fmt.Errorf("core: vm %d: EnableCausalTrace in %v mode", vm.id, vm.mode)
 	}
 	if vm.orderMode == ids.OrderSharded {
-		return fmt.Errorf("core: vm %d: EnableCausalTrace requires OrderGlobal — net spans are keyed by global counter values", vm.id)
+		return fmt.Errorf("core: vm %d: EnableCausalTrace requires OrderGlobal — net spans and wall-clock anchors are keyed by global counter values", vm.id)
 	}
 	vm.global.mu.Lock()
 	defer vm.global.mu.Unlock()
-	vm.causalTrace = true
+	vm.global.traced = true
+	vm.appendTimestampLocked(vm.global.next)
 	return nil
 }
 
-// CausalTraceLocked reports whether net-span emission is on. Callers hold the
+// CausalTraceLocked reports whether causal tracing is on. Callers hold the
 // global stream's lock — every record-phase emission point runs inside the
 // GC-critical section, so the flag needs no atomics.
-func (vm *VM) CausalTraceLocked() bool { return vm.causalTrace }
+func (vm *VM) CausalTraceLocked() bool { return vm.global.traced }
 
 // appendTimestampLocked logs a wall-clock anchor for counter value gc.
 // Caller holds the global stream's lock.
@@ -811,7 +793,7 @@ func (vm *VM) Close() error {
 	if vm.mode == ids.Record {
 		final := vm.global.next
 		vm.global.publishLocked()
-		if vm.global.tsEvery != 0 {
+		if vm.global.traced {
 			// Final anchor: ties FinalGC to wall time so interpolation covers
 			// the whole run even when the cadence never fired near the end.
 			vm.appendTimestampLocked(final)

@@ -24,7 +24,6 @@ func newVM(t *testing.T, cfg core.Config) *core.VM {
 // lossyChaos injects heavy datagram chaos: loss, duplication, reordering.
 func lossyChaos() netsim.Chaos {
 	return netsim.Chaos{
-		DeliverDelayMin: 0,
 		DeliverDelayMax: 300 * time.Microsecond,
 		LossRate:        0.15,
 		DupRate:         0.15,

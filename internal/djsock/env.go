@@ -48,11 +48,6 @@ type Env struct {
 	// reads/writes on one socket from multiple threads are not replayable;
 	// the ablation workloads use disjoint sockets.
 	DisableFDLocks bool
-
-	// ConnectRetry bounds the redial loop Connect applies to transient
-	// failures (connection refused, timeout). The zero value disables
-	// retries. See RetryPolicy.
-	ConnectRetry RetryPolicy
 }
 
 // NewEnv creates the socket environment for vm on the named simulated host.

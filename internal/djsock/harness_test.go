@@ -14,9 +14,7 @@ import (
 // enough jitter to scramble connection order and fragment streams.
 func chaosProfile() netsim.Chaos {
 	return netsim.Chaos{
-		ConnectDelayMin: 0,
 		ConnectDelayMax: 2 * time.Millisecond,
-		DeliverDelayMin: 0,
 		DeliverDelayMax: 500 * time.Microsecond,
 		MaxSegment:      7,
 		RandomEphemeral: true,

@@ -53,19 +53,18 @@ type Config struct {
 	// PrimaryWALSync is the WAL fsync cadence (tracelog.WALOptions.SyncEvery):
 	// 0 selects the default, negative syncs only on close.
 	PrimaryWALSync int
-	// CausalTrace, in record mode, turns on net-span annotations on every
-	// VM so the causal analyzer can reconstruct cross-VM message edges.
+	// CausalTrace, in record mode, turns on causal tracing on every VM
+	// (core.VM.EnableCausalTrace): net-span annotations, from which the
+	// causal analyzer reconstructs cross-VM message edges, and a wall-clock
+	// anchor every 8 critical events.
 	CausalTrace bool
-	// TimestampEvery, when > 0 in record mode, samples a wall-clock
-	// timestamp record on every VM each N critical events.
-	TimestampEvery int
 	// OrderMode selects the event-ordering scheme on every VM (see
 	// core.Config.OrderMode). Under OrderSharded the primary's store monitor
 	// and served counter and each replica's store monitor are registered for
 	// per-object ordering; everything else (RPC sockets, datagrams, thread
 	// lifecycle) keeps the global mechanism. Sharded mode is incompatible
-	// with CausalTrace, TimestampEvery, and PrimaryWAL — the underlying VMs
-	// reject those combinations.
+	// with CausalTrace and PrimaryWAL — the underlying VMs reject those
+	// combinations.
 	OrderMode ids.OrderMode
 }
 
@@ -133,11 +132,6 @@ func Run(cfg Config) (Result, RunLogs, error) {
 		}
 		if cfg.CausalTrace {
 			if err := vm.EnableCausalTrace(); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.TimestampEvery > 0 {
-			if err := vm.EnableTimestamps(cfg.TimestampEvery); err != nil {
 				return nil, err
 			}
 		}

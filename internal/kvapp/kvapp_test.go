@@ -74,8 +74,7 @@ func TestKVStoreFreeRunsDiffer(t *testing.T) {
 // TestKVStoreShardedRecordReplay is the application-level property test for
 // the sharded order mode: across random seeds, a sharded recording of the
 // full primary/replica/client topology must replay to identical digests.
-// (CausalTrace, TimestampEvery, and PrimaryWAL stay off — they require
-// OrderGlobal.)
+// (CausalTrace and PrimaryWAL stay off — they require OrderGlobal.)
 func TestKVStoreShardedRecordReplay(t *testing.T) {
 	for _, seed := range []int64{3, 41, 977} {
 		cfg := smallConfig(ids.Record, seed, nil)
@@ -116,11 +115,6 @@ func TestKVStoreShardedRejectsGlobalFeatures(t *testing.T) {
 	cfg.CausalTrace = true
 	if _, _, err := Run(cfg); err == nil {
 		t.Error("sharded + CausalTrace accepted")
-	}
-	cfg.CausalTrace = false
-	cfg.TimestampEvery = 10
-	if _, _, err := Run(cfg); err == nil {
-		t.Error("sharded + TimestampEvery accepted")
 	}
 }
 

@@ -120,9 +120,9 @@ func (ds *DatagramSocket) launch(t *DatagramSocket, payload []byte) {
 		copies = 2
 	}
 	for i := 0; i < copies; i++ {
-		d := n.delay(n.chaos.DeliverDelayMin, n.chaos.DeliverDelayMax)
+		d := n.delay(n.chaos.DeliverDelayMax)
 		if n.chance(n.chaos.ReorderRate) {
-			d += n.delay(n.chaos.DeliverDelayMin, n.chaos.DeliverDelayMax)
+			d += n.delay(n.chaos.DeliverDelayMax)
 		}
 		n.after(d, func() {
 			// The partition check happens at arrival time, so a cut drops

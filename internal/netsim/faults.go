@@ -218,7 +218,7 @@ func (n *Network) releasableHeldLocked() []heldSegment {
 func (n *Network) redeliver(held []heldSegment) {
 	for _, hs := range held {
 		hs := hs
-		n.after(n.delay(n.chaos.DeliverDelayMin, n.chaos.DeliverDelayMax), func() {
+		n.after(n.delay(n.chaos.DeliverDelayMax), func() {
 			n.deliverSegment(hs.s, hs.seq, hs.data, hs.fin)
 		})
 	}

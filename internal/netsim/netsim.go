@@ -58,12 +58,12 @@ func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.Host, a.Port) }
 // is a perfectly calm network: zero delays, fully reliable delivery, and
 // sequential ephemeral ports.
 type Chaos struct {
-	// ConnectDelayMin/Max bound the random delay before a connection request
-	// reaches the server's backlog.
-	ConnectDelayMin, ConnectDelayMax time.Duration
-	// DeliverDelayMin/Max bound the random delay applied to each stream
-	// segment and each datagram.
-	DeliverDelayMin, DeliverDelayMax time.Duration
+	// ConnectDelayMax bounds the random delay, drawn from [0, max], before a
+	// connection request reaches the server's backlog.
+	ConnectDelayMax time.Duration
+	// DeliverDelayMax bounds the random delay, drawn from [0, max], applied
+	// to each stream segment and each datagram.
+	DeliverDelayMax time.Duration
 	// MaxSegment, when > 0, fragments stream writes into random segments of
 	// at most this many bytes, making partial reads likely.
 	MaxSegment int
@@ -202,16 +202,13 @@ func (n *Network) allocPortLocked(h *host, port uint16) (uint16, error) {
 	return 0, fmt.Errorf("%w: %s: ephemeral range exhausted", ErrPortInUse, h.name)
 }
 
-// delay draws a random duration in [min,max].
-func (n *Network) delay(min, max time.Duration) time.Duration {
-	if max <= 0 || max < min {
-		return min
-	}
-	if max == min {
-		return min
+// delay draws a random duration in [0,max].
+func (n *Network) delay(max time.Duration) time.Duration {
+	if max <= 0 {
+		return 0
 	}
 	n.mu.Lock()
-	d := min + time.Duration(n.rng.Int63n(int64(max-min)+1))
+	d := time.Duration(n.rng.Int63n(int64(max) + 1))
 	n.mu.Unlock()
 	return d
 }

@@ -443,3 +443,41 @@ func TestRandNBounds(t *testing.T) {
 		t.Error("randN lower bound broken")
 	}
 }
+
+// TestSeededDelaysArePinned: a seeded network draws the same chaos delays,
+// release to release — each of the first 64 connect and deliver delays for
+// one seed and bound, drawn in turn, is pinned here. A change to how delay
+// draws moves every seeded run's chaos decisions and shows up first here.
+func TestSeededDelaysArePinned(t *testing.T) {
+	const max = 500 * time.Microsecond
+	n := NewNetwork(Config{Chaos: Chaos{ConnectDelayMax: max, DeliverDelayMax: max}, Seed: 36})
+	connect := []time.Duration{
+		252503, 495521, 428104, 344957, 253309, 235635, 294018, 159291, 110573,
+		247508, 333063, 160843, 336110, 334620, 263224, 400747, 482638, 335160,
+		90206, 250509, 29530, 67428, 113946, 301363, 407208, 249058, 137587,
+		272454, 147633, 282830, 217983, 473721, 309813, 410055, 195789, 391804,
+		63372, 65314, 150545, 350177, 433399, 262483, 116912, 437391, 339084,
+		186685, 45070, 469641, 364624, 60223, 285621, 6866, 383022, 142527, 320940,
+		134986, 407110, 381803, 271248, 41272, 388825, 107899, 351458, 326598,
+	}
+	deliver := []time.Duration{
+		483884, 185520, 452660, 219316, 8068, 349873, 475662, 35866, 258186,
+		168291, 398511, 260214, 306633, 209291, 470701, 284864, 245056, 405106,
+		203654, 193864, 155567, 208104, 494794, 275244, 184900, 37609, 254411,
+		467196, 45710, 164454, 442232, 2608, 77055, 77255, 464638, 196232, 451940,
+		12173, 309317, 457096, 489258, 489341, 59557, 495040, 86564, 100179,
+		440741, 385138, 479743, 38370, 316333, 196814, 76327, 148877, 63541,
+		295514, 322372, 94341, 181739, 200473, 275151, 8653, 339895, 173727,
+	}
+	for i := range connect {
+		if got := n.delay(n.chaos.ConnectDelayMax); got != connect[i] {
+			t.Fatalf("connect delay %d = %d, want %d", i, got, connect[i])
+		}
+		if got := n.delay(n.chaos.DeliverDelayMax); got != deliver[i] {
+			t.Fatalf("deliver delay %d = %d, want %d", i, got, deliver[i])
+		}
+	}
+	if got := n.delay(0); got != 0 {
+		t.Errorf("delay with no bound = %v, want 0", got)
+	}
+}

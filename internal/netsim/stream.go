@@ -204,7 +204,7 @@ func (n *Network) Connect(hostName string, addr Addr) (*Stream, error) {
 	done := make(chan error, 1)
 	var client *Stream
 
-	n.after(n.delay(n.chaos.ConnectDelayMin, n.chaos.ConnectDelayMax), func() {
+	n.after(n.delay(n.chaos.ConnectDelayMax), func() {
 		n.mu.Lock()
 		// A SYN across a partition cut blackholes: the caller sees a
 		// timeout rather than a refusal, matching real TCP's behavior when
@@ -304,7 +304,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 
 	for _, sg := range segs {
 		sg := sg
-		s.net.after(s.net.delay(s.net.chaos.DeliverDelayMin, s.net.chaos.DeliverDelayMax), func() {
+		s.net.after(s.net.delay(s.net.chaos.DeliverDelayMax), func() {
 			s.net.deliverSegment(s, sg.seq, sg.data, false)
 		})
 	}
@@ -412,7 +412,7 @@ func (s *Stream) ShutdownWrite() error {
 	s.out.seq++
 	s.out.mu.Unlock()
 
-	s.net.after(s.net.delay(s.net.chaos.DeliverDelayMin, s.net.chaos.DeliverDelayMax), func() {
+	s.net.after(s.net.delay(s.net.chaos.DeliverDelayMax), func() {
 		s.net.deliverSegment(s, finSeq, nil, true)
 	})
 	return nil

@@ -53,13 +53,11 @@ type Metrics struct {
 	parked   atomic.Int64  // threads currently waiting for a replay turn
 	watchdog atomic.Uint32 // bit 0: armed, bit 1: stalled
 
-	// Fault-tolerance counters: WAL fsyncs performed for this VM's logs,
-	// connect attempts retried under a djsock ConnectRetry policy, rudp
+	// Fault-tolerance counters: WAL fsyncs performed for this VM's logs, rudp
 	// destinations declared unreachable after exhausting their retry budget,
 	// and replay threads that stopped at the end of a truncated (crash-
 	// recovered) schedule.
 	walSyncs        atomic.Uint64
-	connectRetries  atomic.Uint64
 	peerUnreachable atomic.Uint64
 	logEndStops     atomic.Uint64
 	// rudp delivery-layer counters: segment retransmissions and senders whose
@@ -86,7 +84,7 @@ type Metrics struct {
 
 	// Causal-tracing counters: sampled wall-clock timestamp records and
 	// net-span correlation records emitted into the logs (record mode with
-	// EnableTimestamps / EnableCausalTrace on).
+	// EnableCausalTrace on).
 	timestamps atomic.Uint64
 	netSpans   atomic.Uint64
 
@@ -226,9 +224,6 @@ func (m *Metrics) LogAppend(file LogFile, bytes int) {
 
 // IncWALSync counts one completed write-ahead-log fsync.
 func (m *Metrics) IncWALSync() { m.walSyncs.Add(1) }
-
-// IncConnectRetry counts one retried connect attempt.
-func (m *Metrics) IncConnectRetry() { m.connectRetries.Add(1) }
 
 // IncPeerUnreachable counts one rudp destination abandoned after its retry
 // budget was exhausted.

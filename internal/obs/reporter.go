@@ -40,11 +40,11 @@ func WriteReport(w io.Writer, s Snapshot) {
 			s.Shard.FastPath, s.Shard.Contended, s.Shard.ObjRuns)
 	}
 	f := s.Faults
-	if f.WALSyncs > 0 || f.ConnectRetries > 0 || f.PeerUnreachable > 0 ||
+	if f.WALSyncs > 0 || f.PeerUnreachable > 0 ||
 		f.LogEndStops > 0 || f.RudpRetransmits > 0 || f.RudpBackoffCapped > 0 ||
 		f.WALTruncates > 0 || f.WALErrors > 0 {
-		fmt.Fprintf(w, "faults   wal-syncs %d  wal-truncates %d  wal-errors %d  conn-retries %d  rudp-rexmit %d  backoff-capped %d  unreachable %d  log-end-stops %d\n",
-			f.WALSyncs, f.WALTruncates, f.WALErrors, f.ConnectRetries, f.RudpRetransmits,
+		fmt.Fprintf(w, "faults   wal-syncs %d  wal-truncates %d  wal-errors %d  rudp-rexmit %d  backoff-capped %d  unreachable %d  log-end-stops %d\n",
+			f.WALSyncs, f.WALTruncates, f.WALErrors, f.RudpRetransmits,
 			f.RudpBackoffCapped, f.PeerUnreachable, f.LogEndStops)
 	}
 	if s.Recovery.Recoveries > 0 || s.Recovery.Restarts > 0 || s.Recovery.Fallbacks > 0 {

@@ -72,13 +72,12 @@ func (r ReplayProgress) Percent() float64 {
 }
 
 // FaultCounts groups the fault-tolerance counters: durable-logging activity
-// and the retry/recovery outcomes of the bounded-retry socket stack.
+// and the retry/recovery outcomes of the bounded-retry datagram layer.
 type FaultCounts struct {
 	// WALSyncs is the number of write-ahead-log fsyncs performed.
 	WALSyncs uint64 `json:"wal_syncs"`
-	// ConnectRetries is connect attempts retried under a ConnectRetry policy.
-	ConnectRetries uint64 `json:"connect_retries"`
-	// PeerUnreachable is rudp destinations abandoned after MaxRetries.
+	// PeerUnreachable is rudp destinations abandoned after rudp's fixed
+	// retry budget.
 	PeerUnreachable uint64 `json:"peer_unreachable"`
 	// LogEndStops is replay threads that stopped at the end of a truncated
 	// crash-recovered schedule (the replayed crash point).
@@ -230,7 +229,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	s.Faults = FaultCounts{
 		WALSyncs:          m.walSyncs.Load(),
-		ConnectRetries:    m.connectRetries.Load(),
 		PeerUnreachable:   m.peerUnreachable.Load(),
 		LogEndStops:       m.logEndStops.Load(),
 		RudpRetransmits:   m.rudpRetransmits.Load(),

@@ -45,50 +45,43 @@ const (
 	headerLen = 1 + 8
 )
 
-// Config tunes the retransmission machinery.
+// The retransmission timing, fixed for every connection. An unacknowledged
+// datagram is resent after retransmitInterval; each resend multiplies its wait
+// by backoffFactor, up to maxBackoff times the base interval, plus up to a
+// quarter of jitter. After maxRetries resends its destination is declared
+// unreachable: the budget spans about 511 base intervals (one second at
+// 2 ms), generous against the simulator's sub-millisecond chaos delays and
+// finite against a crashed peer. The retransmitter scans every half interval.
+const (
+	retransmitInterval = 2 * time.Millisecond
+	maxRetries         = 12
+	backoffFactor      = 2
+	maxBackoff         = 64
+)
+
+// Config holds a connection's jitter seed and the hooks that feed the obs
+// fault counters.
 type Config struct {
-	// RetransmitInterval is how long an unacknowledged datagram waits before
-	// being resent. Zero means 2ms — generous against the simulator's
-	// sub-millisecond chaos delays.
-	RetransmitInterval time.Duration
-	// TickInterval is how often the retransmitter scans for overdue
-	// datagrams. Zero means RetransmitInterval/2.
-	TickInterval time.Duration
-	// MaxRetries bounds how many retransmissions one datagram may consume
-	// before its destination is declared unreachable and the datagram is
-	// abandoned (the paper's pseudo-reliable UDP must not retry forever once
-	// the peer DJVM has crashed). Zero means DefaultMaxRetries; a negative
-	// value retries without bound.
-	MaxRetries int
-	// BackoffFactor multiplies the retransmit interval after each failed
-	// attempt, so a dead peer costs exponentially less traffic than a slow
-	// one. Values <= 1 mean 2.
-	BackoffFactor float64
-	// MaxRetransmitInterval caps the backed-off interval. Zero means 64x
-	// RetransmitInterval.
-	MaxRetransmitInterval time.Duration
 	// JitterSeed seeds the per-connection jitter source that desynchronizes
 	// retransmission bursts from concurrent senders. Zero derives a seed from
 	// the clock.
 	JitterSeed int64
 	// OnUnreachable, when set, is called once for each datagram abandoned
-	// after MaxRetries, outside the connection's lock.
+	// after maxRetries, outside the connection's lock.
 	OnUnreachable func(dest netsim.Addr)
 	// OnRetransmit, when set, is called once per retransmission, outside the
 	// connection's lock.
 	OnRetransmit func()
 	// OnBackoffCap, when set, is called once for each datagram whose backed-off
-	// retransmit interval first reaches MaxRetransmitInterval — a persistent-
-	// loss signal one step before the destination is declared unreachable.
-	// Called outside the connection's lock.
+	// retransmit interval first reaches its cap — a persistent-loss signal
+	// one step before the destination is declared unreachable. Called outside
+	// the connection's lock.
 	OnBackoffCap func()
-}
 
-// DefaultMaxRetries is the retry budget used when Config.MaxRetries is zero.
-// With the default 2x backoff it spans roughly 8000x the base retransmit
-// interval before giving up — generous against jitter, finite against a
-// crashed peer.
-const DefaultMaxRetries = 12
+	// interval, when set, replaces retransmitInterval as the base interval
+	// the tick and the backoff cap derive from, so tests run in milliseconds.
+	interval time.Duration
+}
 
 type outstanding struct {
 	dest     netsim.Addr
@@ -96,7 +89,7 @@ type outstanding struct {
 	tries    int
 	interval time.Duration
 	nextTry  time.Time
-	capped   bool // backoff reached MaxRetransmitInterval (reported once)
+	capped   bool // backoff reached its cap (reported once)
 }
 
 type dedupKey struct {
@@ -135,27 +128,15 @@ type Stats struct {
 	AcksSent      uint64
 	DupsDiscarded uint64
 	Delivered     uint64
-	Abandoned     uint64 // datagrams given up after MaxRetries
+	Abandoned     uint64 // datagrams given up after maxRetries
 }
 
 // New wraps sock in a reliable connection and starts its receive and
 // retransmission loops. The Conn owns the socket from this point: closing the
 // Conn closes the socket.
 func New(sock *netsim.DatagramSocket, cfg Config) *Conn {
-	if cfg.RetransmitInterval <= 0 {
-		cfg.RetransmitInterval = 2 * time.Millisecond
-	}
-	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = cfg.RetransmitInterval / 2
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.BackoffFactor <= 1 {
-		cfg.BackoffFactor = 2
-	}
-	if cfg.MaxRetransmitInterval <= 0 {
-		cfg.MaxRetransmitInterval = 64 * cfg.RetransmitInterval
+	if cfg.interval <= 0 {
+		cfg.interval = retransmitInterval
 	}
 	seed := cfg.JitterSeed
 	if seed == 0 {
@@ -224,8 +205,8 @@ func (c *Conn) sendOne(dest netsim.Addr, data []byte) error {
 	c.unacked[seq] = &outstanding{
 		dest:     dest,
 		frame:    f,
-		interval: c.cfg.RetransmitInterval,
-		nextTry:  time.Now().Add(c.cfg.RetransmitInterval),
+		interval: c.cfg.interval,
+		nextTry:  time.Now().Add(c.cfg.interval),
 	}
 	c.stats.DataSent++
 	c.mu.Unlock()
@@ -283,7 +264,7 @@ func (c *Conn) Flush() error {
 	}
 	if c.stats.Abandoned > 0 {
 		return fmt.Errorf("rudp: %d datagram(s) abandoned after %d retries: %w",
-			c.stats.Abandoned, c.cfg.MaxRetries, ErrPeerUnreachable)
+			c.stats.Abandoned, maxRetries, ErrPeerUnreachable)
 	}
 	return nil
 }
@@ -348,7 +329,8 @@ func (c *Conn) receiveLoop() {
 
 func (c *Conn) retransmitLoop() {
 	defer c.done.Done()
-	ticker := time.NewTicker(c.cfg.TickInterval)
+	ticker := time.NewTicker(c.cfg.interval / 2)
+	maxInterval := maxBackoff * c.cfg.interval
 	defer ticker.Stop()
 	for {
 		select {
@@ -364,7 +346,7 @@ func (c *Conn) retransmitLoop() {
 			if now.Before(o.nextTry) {
 				continue
 			}
-			if c.cfg.MaxRetries >= 0 && o.tries >= c.cfg.MaxRetries {
+			if o.tries >= maxRetries {
 				// Retry budget exhausted: abandon the datagram and declare
 				// the destination unreachable so future sends fail fast.
 				delete(c.unacked, seq)
@@ -376,11 +358,9 @@ func (c *Conn) retransmitLoop() {
 			o.tries++
 			// Exponential backoff with jitter: a dead peer costs O(log) traffic
 			// in the budget window, and concurrent senders decorrelate.
-			o.interval = time.Duration(float64(o.interval) * c.cfg.BackoffFactor)
-			if o.interval >= c.cfg.MaxRetransmitInterval {
-				if o.interval > c.cfg.MaxRetransmitInterval {
-					o.interval = c.cfg.MaxRetransmitInterval
-				}
+			o.interval *= backoffFactor
+			if o.interval >= maxInterval {
+				o.interval = maxInterval
 				if !o.capped {
 					o.capped = true
 					capped++

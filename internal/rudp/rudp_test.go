@@ -22,7 +22,7 @@ func pair(t *testing.T, chaos netsim.Chaos, seed int64) (*netsim.Network, *Conn,
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{RetransmitInterval: 300 * time.Microsecond}
+	cfg := Config{interval: 300 * time.Microsecond}
 	return net, New(rxSock, cfg), New(txSock, cfg)
 }
 
@@ -108,13 +108,13 @@ func pairNoT(chaos netsim.Chaos, seed int64) (*netsim.Network, *Conn, *Conn) {
 	net := netsim.NewNetwork(netsim.Config{Chaos: chaos, Seed: seed})
 	rxSock, _ := net.DatagramBind("rx", 100)
 	txSock, _ := net.DatagramBind("tx", 200)
-	cfg := Config{RetransmitInterval: 300 * time.Microsecond}
+	cfg := Config{interval: 300 * time.Microsecond}
 	return net, New(rxSock, cfg), New(txSock, cfg)
 }
 
 func TestMulticastFanOut(t *testing.T) {
 	net := netsim.NewNetwork(netsim.Config{Chaos: lossy(), Seed: 23})
-	cfg := Config{RetransmitInterval: 300 * time.Microsecond}
+	cfg := Config{interval: 300 * time.Microsecond}
 	var members []*Conn
 	for i := 0; i < 3; i++ {
 		sock, err := net.DatagramBind(fmt.Sprintf("m%d", i), 700)
@@ -204,7 +204,8 @@ func TestNonRudpFramesIgnored(t *testing.T) {
 // TestSendToCrashedHostUnreachable is the regression test for the unbounded
 // retransmission bug: before the retry budget existed, a send to a crashed
 // host retransmitted every 2ms forever and Flush never returned. Now the
-// sender must give up within its budget and report ErrPeerUnreachable.
+// sender must give up after its fixed budget of maxRetries resends and report
+// ErrPeerUnreachable.
 func TestSendToCrashedHostUnreachable(t *testing.T) {
 	net := netsim.NewNetwork(netsim.Config{})
 	rxSock, err := net.DatagramBind("rx", 100)
@@ -219,8 +220,7 @@ func TestSendToCrashedHostUnreachable(t *testing.T) {
 	var unreachable []netsim.Addr
 	var mu sync.Mutex
 	tx := New(txSock, Config{
-		RetransmitInterval: 200 * time.Microsecond,
-		MaxRetries:         5,
+		interval: 200 * time.Microsecond,
 		OnUnreachable: func(dest netsim.Addr) {
 			mu.Lock()
 			unreachable = append(unreachable, dest)
@@ -235,8 +235,9 @@ func TestSendToCrashedHostUnreachable(t *testing.T) {
 		t.Fatalf("first send: %v (blackhole expected, not an error)", err)
 	}
 
-	// The budget: 5 retries with 2x backoff from 200us is ~12ms plus jitter.
-	// Anything near the old infinite loop trips this deadline.
+	// The budget: 12 retries with 2x backoff from 200us, capped at 64x, is
+	// ~102ms plus jitter. Anything near the old infinite loop trips this
+	// deadline.
 	flushed := make(chan error, 1)
 	go func() { flushed <- tx.Flush() }()
 	select {
@@ -264,30 +265,8 @@ func TestSendToCrashedHostUnreachable(t *testing.T) {
 	if len(unreachable) != 1 || unreachable[0] != dest {
 		t.Errorf("OnUnreachable calls = %v, want exactly [%v]", unreachable, dest)
 	}
-	if st := tx.Stats(); st.Abandoned != 1 || st.Retransmits != 5 {
-		t.Errorf("Stats = %+v, want Abandoned 1, Retransmits 5", tx.Stats())
-	}
-}
-
-func TestUnlimitedRetriesStillSupported(t *testing.T) {
-	// MaxRetries < 0 restores the old retry-forever contract for workloads
-	// that prefer it (the paper's replay against a live-but-slow peer).
-	net := netsim.NewNetwork(netsim.Config{Chaos: netsim.Chaos{LossRate: 0.9}, Seed: 41})
-	rxSock, _ := net.DatagramBind("rx", 100)
-	txSock, _ := net.DatagramBind("tx", 200)
-	cfg := Config{RetransmitInterval: 100 * time.Microsecond, MaxRetries: -1,
-		MaxRetransmitInterval: 200 * time.Microsecond}
-	rx, tx := New(rxSock, cfg), New(txSock, cfg)
-	defer rx.Close()
-	defer tx.Close()
-	if err := tx.SendTo(net, rxSock.Addr(), []byte("persist")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rx.Receive(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Flush(); err != nil {
-		t.Fatalf("Flush = %v, want nil under unlimited retries", err)
+	if st := tx.Stats(); st.Abandoned != 1 || st.Retransmits != maxRetries {
+		t.Errorf("Stats = %+v, want Abandoned 1, Retransmits %d", tx.Stats(), maxRetries)
 	}
 }
 
@@ -317,8 +296,8 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 // The retransmit/backoff-cap hooks feed the obs fault counters: every resend
-// fires OnRetransmit, and OnBackoffCap fires exactly once per outstanding
-// datagram when its interval first hits the ceiling.
+// of the fixed budget fires OnRetransmit, and OnBackoffCap fires exactly once
+// per outstanding datagram when its interval first hits the ceiling.
 func TestRetransmitAndBackoffCapHooks(t *testing.T) {
 	net := netsim.NewNetwork(netsim.Config{})
 	if _, err := net.DatagramBind("rx", 100); err != nil {
@@ -331,11 +310,9 @@ func TestRetransmitAndBackoffCapHooks(t *testing.T) {
 	var mu sync.Mutex
 	var retransmits, capped int
 	tx := New(txSock, Config{
-		RetransmitInterval:    100 * time.Microsecond,
-		MaxRetransmitInterval: 200 * time.Microsecond,
-		MaxRetries:            6,
-		OnRetransmit:          func() { mu.Lock(); retransmits++; mu.Unlock() },
-		OnBackoffCap:          func() { mu.Lock(); capped++; mu.Unlock() },
+		interval:     100 * time.Microsecond,
+		OnRetransmit: func() { mu.Lock(); retransmits++; mu.Unlock() },
+		OnBackoffCap: func() { mu.Lock(); capped++; mu.Unlock() },
 	})
 	defer tx.Close()
 
@@ -348,8 +325,8 @@ func TestRetransmitAndBackoffCapHooks(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if retransmits != 6 {
-		t.Errorf("OnRetransmit calls = %d, want 6 (MaxRetries)", retransmits)
+	if retransmits != maxRetries {
+		t.Errorf("OnRetransmit calls = %d, want %d (maxRetries)", retransmits, maxRetries)
 	}
 	if capped != 1 {
 		t.Errorf("OnBackoffCap calls = %d, want exactly 1", capped)

@@ -196,7 +196,28 @@ func BenchmarkOpenWriteSum(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoverFile salvages a WAL of two shapes: clean, a closed
+// recording's full set, which needs no repair; and crashed, crashedIntervals
+// intervals over four threads with no final meta, whose coverage recovery
+// must sort and sweep.
 func BenchmarkRecoverFile(b *testing.B) {
+	b.Run("clean", func(b *testing.B) {
+		benchRecover(b, true, 2*benchRecords, benchSet)
+	})
+	b.Run("crashed", func(b *testing.B) {
+		benchRecover(b, false, 2*crashedIntervals, func(s *Set) {
+			for i := 0; i < crashedIntervals; i++ {
+				s.Schedule.Append(&Interval{Thread: ids.ThreadNum(i % 4), First: ids.GCount(2 * i), Last: ids.GCount(2*i + 1)})
+			}
+		})
+	})
+}
+
+const crashedIntervals = 40_000
+
+// benchRecover writes a header meta and the records fill appends to a WAL,
+// then times its recovery, which must reach finalGC, and be clean or not.
+func benchRecover(b *testing.B, clean bool, finalGC ids.GCount, fill func(*Set)) {
 	path := filepath.Join(b.TempDir(), "node.wal")
 	w, err := CreateWAL(path, WALOptions{SyncEvery: -1})
 	if err != nil {
@@ -207,14 +228,14 @@ func BenchmarkRecoverFile(b *testing.B) {
 		b.Fatal(err)
 	}
 	s.Schedule.Append(&VMMeta{VM: 1, World: ids.OpenWorld})
-	benchSet(s)
+	fill(s)
 	if err := s.CloseWAL(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, rep, err := RecoverFile(path); err != nil || !rep.Clean {
+		if _, rep, err := RecoverFile(path); err != nil || rep.Clean != clean || rep.FinalGC != finalGC {
 			b.Fatalf("RecoverFile: %v, %+v", err, rep)
 		}
 	}

@@ -95,7 +95,7 @@ const (
 	// KindTimestamp is an optional wall-clock anchor in the schedule log:
 	// ⟨GC, Wall⟩ meaning "the global counter had value GC when the wall clock
 	// read Wall nanoseconds". Off by default; when enabled (core
-	// EnableTimestamps) one is emitted every N critical events, like the WAL's
+	// EnableCausalTrace) one is emitted every 8 critical events, like the WAL's
 	// open-interval notes. Replay ignores them; the causal analyzer uses them
 	// to map counter values onto wall time (critical-path attribution,
 	// Perfetto timelines).

@@ -2,12 +2,14 @@ package tracelog
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/ids"
@@ -464,7 +466,11 @@ func repairSet(s *Set, rep *RecoveryReport) error {
 	for _, iv := range merged {
 		ivs = append(ivs, iv)
 	}
-	sortIntervals(ivs)
+	// The map hands the claims over in random order: sort them by First (and
+	// by Thread, so a corrupt log's tie sorts the same every time).
+	slices.SortFunc(ivs, func(a, b Interval) int {
+		return cmp.Or(cmp.Compare(a.First, b.First), cmp.Compare(a.Thread, b.Thread))
+	})
 	k := base
 	for _, iv := range ivs {
 		if iv.First > k {
@@ -544,17 +550,6 @@ func repairSet(s *Set, rep *RecoveryReport) error {
 	}
 	s.Datagram = newDg
 	return nil
-}
-
-func sortIntervals(ivs []Interval) {
-	// Insertion sort: interval records arrive nearly sorted (append order
-	// tracks counter order closely), and this avoids pulling in sort for a
-	// recovery path that runs once.
-	for i := 1; i < len(ivs); i++ {
-		for j := i; j > 0 && ivs[j].First < ivs[j-1].First; j-- {
-			ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
-		}
-	}
 }
 
 // maxThreadRef raises maxT to the highest thread number any record of a
