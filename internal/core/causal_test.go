@@ -154,15 +154,15 @@ func TestDivergenceCarriesContext(t *testing.T) {
 		if !ok {
 			t.Fatalf("recovered %v (%T), want *DivergenceError", r, r)
 		}
-		if len(de.Waiting) == 0 {
-			t.Fatal("stall divergence carries no parked-thread map")
+		if len(de.Parked) == 0 {
+			t.Fatal("stall divergence carries no parked-thread list")
 		}
-		want, ok := de.Waiting[de.Thread]
+		want, ok := parkedByThread(de.Parked)[de.Thread]
 		if !ok {
-			t.Fatalf("Waiting %v does not include the diverged thread %d", de.Waiting, de.Thread)
+			t.Fatalf("Parked %v does not include the diverged thread %d", de.Parked, de.Thread)
 		}
-		if ids.GCount(want) <= de.GC {
-			t.Errorf("thread waited for counter %d, not after the stall point %d", want, de.GC)
+		if want.Stream != tracelog.GlobalStream || want.Next <= de.GC {
+			t.Errorf("thread waited for %s, not for a counter after the stall point %d", want.Awaited(), de.GC)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("watchdog did not fire")

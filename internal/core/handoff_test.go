@@ -250,6 +250,7 @@ func overlappingOverride(t *testing.T, rec *VM, parkFirst bool, stallTimeout tim
 	event := func(th *Thread) {
 		th.Critical(func(gc ids.GCount) { executed[gc].Add(1) })
 	}
+	childParked := ParkedThread{Thread: 1, Stream: tracelog.GlobalStream, Next: 3}
 	childErr := make(chan any, 1)
 	rep.Start(func(main *Thread) {
 		main.Spawn(func(child *Thread) { // counter 0
@@ -260,7 +261,7 @@ func overlappingOverride(t *testing.T, rec *VM, parkFirst bool, stallTimeout tim
 		})
 		// Let the child park on counter 3 before main runs through it.
 		for deadline := time.Now().Add(10 * time.Second); parkFirst; time.Sleep(time.Millisecond) {
-			if w, ok := rep.WaitingThreads()[1]; ok && w == 3 {
+			if parkedByThread(rep.parkedThreads())[1] == childParked {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -277,8 +278,8 @@ func overlappingOverride(t *testing.T, rec *VM, parkFirst bool, stallTimeout tim
 		de, ok := r.(*DivergenceError)
 		if !ok {
 			t.Errorf("child recovered %v (%T), want the watchdog's *DivergenceError", r, r)
-		} else if !strings.Contains(de.Msg, "stalled") || de.Thread != 1 || de.Waiting[1] != 3 {
-			t.Errorf("divergence %q (thread %d, waiting %v) does not name thread 1 parked on counter 3", de.Msg, de.Thread, de.Waiting)
+		} else if !strings.Contains(de.Msg, "stalled") || de.Thread != 1 || parkedByThread(de.Parked)[1] != childParked {
+			t.Errorf("divergence %q (thread %d, parked %v) does not name %v", de.Msg, de.Thread, de.Parked, childParked)
 		}
 	case <-time.After(20 * time.Second):
 		t.Error("watchdog did not fire for the parked child")

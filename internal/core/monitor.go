@@ -130,28 +130,33 @@ func (m *Monitor) Holder() (ids.ThreadNum, bool) {
 // and re-acquires the monitor before returning — Object.wait semantics
 // (minus timeouts and spurious wakeups).
 func (m *Monitor) Wait(t *Thread) {
-	var p *parked
-	enterWait := func() {
-		m.lock()
-		if !m.held || m.holder != t.num {
-			m.unlock()
-			panic(&MonitorStateError{Op: "wait", Thread: t.num})
-		}
-		p = &parked{t: t.num, ch: make(chan struct{})}
-		m.waiters = append(m.waiters, p)
-		m.unlock()
-		m.release(t, "wait")
-	}
 	s := t.streamFor(m.order)
+	var p *parked
 	// First critical event: move self to the wait set and release the
 	// monitor, atomically with the counter tick.
-	t.critical(s, obs.KindWait, func(ids.GCount) { enterWait() })
+	t.critical(s, obs.KindWait, func(ids.GCount) { p = m.park(t, "wait") })
 	// Block outside any critical section until a notify picks us.
 	t.awaitNotify(p)
 	// Second critical event: re-acquire the monitor. Counter assigned at
 	// completion in record mode, so replay finds the monitor free at this
 	// event's turn.
 	t.blocking(s, obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
+}
+
+// park is the first step of every wait: it checks that t holds the monitor,
+// puts t at the tail of the wait set and releases the monitor. op names the
+// operation in a MonitorStateError.
+func (m *Monitor) park(t *Thread, op string) *parked {
+	m.lock()
+	if !m.held || m.holder != t.num {
+		m.unlock()
+		panic(&MonitorStateError{Op: op, Thread: t.num})
+	}
+	p := &parked{t: t.num, ch: make(chan struct{})}
+	m.waiters = append(m.waiters, p)
+	m.unlock()
+	m.release(t, op)
+	return p
 }
 
 // TimedWait is Object.wait(timeout): it releases the monitor and blocks
@@ -164,78 +169,49 @@ func (m *Monitor) Wait(t *Thread) {
 // the wait set if (and only if) no notify picked it first. The record phase
 // logs a timed-wait record keyed by the wait-enter event's counter value on
 // the monitor's stream — whether the check event happened and how it
-// resolved — and the replay phase
-// re-drives exactly that path, with the real timer elided (like Sleep,
-// replay does not wait out the timeout).
+// resolved — and the replay phase re-drives exactly that path, with the real
+// timer elided (like Sleep, replay does not wait out the timeout).
+// Passthrough runs the record phase's race and logs nothing.
 func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
-	vm := t.vm
-	if vm.Mode() == ids.Passthrough {
-		return m.timedWaitPassthrough(t, d)
-	}
 	s := t.streamFor(m.order)
-
+	mode := t.vm.mode
 	var (
 		p  *parked
 		c0 ids.GCount
 	)
-	enter := func(n ids.GCount) {
-		c0 = n
-		m.lock()
-		if !m.held || m.holder != t.num {
-			m.unlock()
-			panic(&MonitorStateError{Op: "timed-wait", Thread: t.num})
+	t.critical(s, obs.KindWait, func(n ids.GCount) { c0, p = n, m.park(t, "timed-wait") })
+	check := false
+	if mode == ids.Replay {
+		var ok bool
+		if check, timedOut, ok = s.timedWait(c0); !ok {
+			t.diverge("timed wait entered at %s has no recorded resolution", s.id().At(c0))
 		}
-		p = &parked{t: t.num, ch: make(chan struct{})}
-		m.waiters = append(m.waiters, p)
-		m.unlock()
-		m.release(t, "timed-wait")
-	}
-
-	if vm.mode == ids.Record {
-		t.critical(s, obs.KindWait, enter)
+	} else {
 		timer := time.NewTimer(d)
-		check := false
 		select {
 		case <-p.ch:
 			timer.Stop()
 		case <-timer.C:
 			check = true
-			t.critical(s, obs.KindWait, func(ids.GCount) {
-				m.lock()
-				timedOut = m.removeParked(p)
-				m.unlock()
-			})
-			if !timedOut {
-				// A notify won the race and will signal (or already has).
-				<-p.ch
-			}
 		}
-		s.logTimedWait(c0, check, timedOut)
-		t.blocking(s, obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
-		return timedOut
-	}
-
-	// Replay.
-	t.critical(s, obs.KindWait, enter)
-	check, timedOut, ok := s.timedWait(c0)
-	if !ok {
-		t.diverge("timed wait entered at %s has no recorded resolution", s.id().At(c0))
 	}
 	if check {
 		t.critical(s, obs.KindWait, func(ids.GCount) {
-			if timedOut {
-				m.lock()
-				if !m.removeParked(p) {
-					m.unlock()
-					t.diverge("timed wait at %s recorded a timeout but the waiter was already woken", s.id().At(c0))
-				}
-				m.unlock()
+			m.lock()
+			removed := m.removeParked(p)
+			m.unlock()
+			if mode != ids.Replay {
+				timedOut = removed
+			} else if removed != timedOut {
+				t.diverge("timed wait at %s: the recorded check resolved timedOut=%v, the replayed one %v", s.id().At(c0), timedOut, removed)
 			}
-			// Recorded as notified-despite-timer: the check found nothing;
-			// the replayed notify (ordered by the schedule) signals p.ch.
 		})
 	}
+	if mode == ids.Record {
+		s.logTimedWait(c0, check, timedOut)
+	}
 	if !timedOut {
+		// Notified, or a notify won the race and signals (or already has).
 		t.awaitNotify(p)
 	}
 	t.blocking(s, obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
@@ -250,35 +226,6 @@ func (t *Thread) awaitNotify(p *parked) {
 		t.publishCounts(nil)
 	}
 	<-p.ch
-}
-
-// timedWaitPassthrough is the uninstrumented semantics.
-func (m *Monitor) timedWaitPassthrough(t *Thread, d time.Duration) bool {
-	m.lock()
-	if !m.held || m.holder != t.num {
-		m.unlock()
-		panic(&MonitorStateError{Op: "timed-wait", Thread: t.num})
-	}
-	p := &parked{t: t.num, ch: make(chan struct{})}
-	m.waiters = append(m.waiters, p)
-	m.unlock()
-	m.release(t, "timed-wait")
-
-	timedOut := false
-	timer := time.NewTimer(d)
-	select {
-	case <-p.ch:
-		timer.Stop()
-	case <-timer.C:
-		m.lock()
-		timedOut = m.removeParked(p)
-		m.unlock()
-		if !timedOut {
-			<-p.ch
-		}
-	}
-	m.acquire(t.num)
-	return timedOut
 }
 
 // removeParked removes the exact entry p from the wait set, reporting

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/logcheck"
 	"repro/internal/obs"
+	"repro/internal/tracelog"
 )
 
 // A recording VM counts under its lock and publishes the counter word per run
@@ -750,13 +751,15 @@ func TestHandoffOfTwoHeldTurns(t *testing.T) {
 			})
 			if replay {
 				// Let both successors park before the runs start.
-				for deadline := time.Now().Add(10 * time.Second); len(vm.WaitingThreads()) != 2; time.Sleep(time.Millisecond) {
+				for deadline := time.Now().Add(10 * time.Second); len(vm.parkedThreads()) != 2; time.Sleep(time.Millisecond) {
 					if time.Now().After(deadline) {
 						t.Error("successors never parked")
 						break
 					}
 				}
-				if w := vm.WaitingThreads(); w[1] != events || w[2] != events {
+				w := parkedByThread(vm.parkedThreads())
+				if w[1] != (ParkedThread{Thread: 1, Stream: tracelog.ObjectStream(0), Next: events}) ||
+					w[2] != (ParkedThread{Thread: 2, Stream: tracelog.ObjectStream(1), Next: events}) {
 					t.Errorf("successors parked on %v, want access %d of each object", w, events)
 				}
 			}

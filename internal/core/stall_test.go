@@ -68,8 +68,9 @@ func TestStallWatchdogDetectsTruncatedReplay(t *testing.T) {
 		}
 		// The text and the structured field name the same parked threads,
 		// the failing one (main, waiting for counter 3) included.
-		if de.Waiting[0] != 3 || !strings.Contains(de.Msg, fmt.Sprintf("parked threads: %v", de.Waiting)) {
-			t.Errorf("divergence message %q disagrees with Waiting %v", de.Msg, de.Waiting)
+		want := ParkedThread{Thread: 0, Stream: tracelog.GlobalStream, Next: 3}
+		if parkedByThread(de.Parked)[0] != want || !strings.Contains(de.Msg, fmt.Sprintf("parked threads: %v", de.Parked)) {
+			t.Errorf("divergence message %q disagrees with Parked %v, want %v listed", de.Msg, de.Parked, want)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("watchdog did not fire")
@@ -90,6 +91,15 @@ func TestStallWatchdogQuietOnHealthyReplay(t *testing.T) {
 	if got := repVM.Stats().CriticalEvents; got != recVM.Stats().CriticalEvents {
 		t.Errorf("healthy replay executed %d events, record %d", got, recVM.Stats().CriticalEvents)
 	}
+}
+
+// parkedByThread indexes a list of parked threads by thread number.
+func parkedByThread(ps []ParkedThread) map[ids.ThreadNum]ParkedThread {
+	m := make(map[ids.ThreadNum]ParkedThread, len(ps))
+	for _, p := range ps {
+		m[p.Thread] = p
+	}
+	return m
 }
 
 func TestWaitingThreadsDiagnostic(t *testing.T) {
@@ -122,7 +132,7 @@ func TestWaitingThreadsDiagnostic(t *testing.T) {
 		x.Set(main, 2)
 	})
 	<-entered
-	if w := rep.WaitingThreads(); len(w) != 0 {
+	if w := rep.parkedThreads(); len(w) != 0 {
 		t.Errorf("no thread should be parked yet: %v", w)
 	}
 	close(finish)
@@ -133,7 +143,7 @@ func TestWaitingThreadsDiagnostic(t *testing.T) {
 // TestWaitingThreadsDiagnosticAcrossStreams stalls a sharded replay with one
 // thread parked on each of two objects' streams and one on the global stream:
 // a skipper thread omits its recorded accesses to x, y and the unregistered z.
-// WaitingThreads must report all three while they are parked, and every stall
+// parkedThreads must report all three while they are parked, and every stall
 // error must list all three with the stream each waits on.
 func TestWaitingThreadsDiagnosticAcrossStreams(t *testing.T) {
 	run := func(cfg Config, skip bool, errs chan<- any) *VM {
@@ -183,12 +193,12 @@ func TestWaitingThreadsDiagnosticAcrossStreams(t *testing.T) {
 		{Thread: 2, Stream: tracelog.ObjectStream(1), Next: 1},
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		w := rep.WaitingThreads()
-		if len(w) == 3 && w[0] == 4 && w[1] == 1 && w[2] == 1 {
+		w := parkedByThread(rep.parkedThreads())
+		if len(w) == 3 && w[0] == want[0] && w[1] == want[1] && w[2] == want[2] {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("WaitingThreads() = %v, want main on counter 4 and threads 1, 2 on access 1 of their objects", w)
+			t.Fatalf("parkedThreads() = %v, want main on counter 4 and threads 1, 2 on access 1 of their objects", w)
 		}
 	}
 	rep.Wait()
@@ -208,8 +218,8 @@ func TestWaitingThreadsDiagnosticAcrossStreams(t *testing.T) {
 			t.Fatalf("thread %d: Parked = %v, want %v", de.Thread, de.Parked, want)
 		}
 		for j, p := range de.Parked {
-			if p != want[j] || de.Waiting[p.Thread] != p.Next || !strings.Contains(de.Msg, p.String()) {
-				t.Errorf("thread %d: Parked[%d] = %v (Waiting %v, Msg %q), want %v", de.Thread, j, p, de.Waiting, de.Msg, want[j])
+			if p != want[j] || !strings.Contains(de.Msg, p.String()) {
+				t.Errorf("thread %d: Parked[%d] = %v (Msg %q), want %v", de.Thread, j, p, de.Msg, want[j])
 			}
 		}
 	}
@@ -334,8 +344,9 @@ func TestStallInsideARunNamesTheExactCounter(t *testing.T) {
 		if !ok {
 			t.Fatalf("child recovered %v (%T), want the watchdog's *DivergenceError", r, r)
 		}
-		if de.GC != k || !strings.Contains(de.Msg, fmt.Sprintf("replay stalled at counter %d;", k)) || de.Waiting[1] != events+1 {
-			t.Errorf("stall diagnostic %q (GC %d, waiting %v): want the stall at counter %d with thread 1 parked on %d", de.Msg, de.GC, de.Waiting, k, events+1)
+		want := ParkedThread{Thread: 1, Stream: tracelog.GlobalStream, Next: events + 1}
+		if de.GC != k || !strings.Contains(de.Msg, fmt.Sprintf("replay stalled at counter %d;", k)) || parkedByThread(de.Parked)[1] != want {
+			t.Errorf("stall diagnostic %q (GC %d, parked %v): want the stall at counter %d with %v", de.Msg, de.GC, de.Parked, k, want)
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("watchdog did not fire")

@@ -666,19 +666,13 @@ func (vm *VM) stallError(t *Thread, s *stream, next ids.GCount) *DivergenceError
 		}
 	}
 	sort.Slice(parked, func(i, j int) bool { return parked[i].Thread < parked[j].Thread })
-	waiting := make(map[ids.ThreadNum]ids.GCount, len(parked))
-	for _, p := range parked {
-		waiting[p.Thread] = p.Next
-	}
 	gc := vm.Clock()
 	return &DivergenceError{
 		VM:     vm.id,
 		Thread: t.num,
-		Msg: fmt.Sprintf("replay stalled at counter %d; this thread waits for %s (parked threads: %v; each waits for: %v)",
-			gc, self.Awaited(), waiting, parked),
-		GC:      gc,
-		Waiting: waiting,
-		Parked:  parked,
+		Msg:    fmt.Sprintf("replay stalled at counter %d; this thread waits for %s (parked threads: %v)", gc, self.Awaited(), parked),
+		GC:     gc,
+		Parked: parked,
 	}
 }
 

@@ -204,12 +204,9 @@ type DivergenceError struct {
 	// GC is the global counter value at the moment divergence was detected —
 	// the anchor the causal analyzer's WhyDiverged walks backwards from.
 	GC ids.GCount
-	// Waiting maps each parked thread to the counter value it was waiting
-	// for — on whichever order stream it was parked — when the divergence was
-	// detected (nil when the failure was not a stall).
-	Waiting map[ids.ThreadNum]ids.GCount
-	// Parked lists the same threads by thread number, each with the stream it
-	// was parked on: in sharded mode a bare counter value does not say whose.
+	// Parked lists, by thread number, the threads parked when a stall was
+	// detected, each with the order stream it was parked on and the value it
+	// waited for there (nil when the failure was not a stall).
 	Parked []ParkedThread
 }
 
@@ -315,14 +312,11 @@ func (t *Thread) Join(other *Thread) {
 // the recorded ordering alone reproduces the behavior, so replay runs
 // "faster than real time" while remaining deterministic.
 func (t *Thread) Sleep(d time.Duration) {
-	switch t.vm.mode {
-	case ids.Passthrough:
-		time.Sleep(d)
-	case ids.Record:
-		t.BlockingKind(obs.KindThread, func() { time.Sleep(d) }, func(ids.GCount) {})
-	case ids.Replay:
-		t.BlockingKind(obs.KindThread, func() {}, func(ids.GCount) {})
-	}
+	t.BlockingKind(obs.KindThread, func() {
+		if t.vm.mode != ids.Replay {
+			time.Sleep(d)
+		}
+	}, func(ids.GCount) {})
 }
 
 // Spawn creates a child thread running fn. Thread creation is a critical

@@ -8,8 +8,8 @@ import (
 )
 
 func TestTimedWaitTimeoutPath(t *testing.T) {
-	// No notifier: the wait must time out, in record and in replay — and
-	// replay must elide the real delay.
+	// No notifier: the wait must time out, in record, replay and passthrough
+	// — and replay alone must elide the real delay.
 	run := func(cfg Config) (bool, time.Duration, *VM) {
 		vm := startVM(t, cfg)
 		mon := NewMonitor()
@@ -38,6 +38,13 @@ func TestTimedWaitTimeoutPath(t *testing.T) {
 	}
 	if repElapsed >= 50*time.Millisecond {
 		t.Errorf("replay took %v; the timeout was not elided", repElapsed)
+	}
+	passOut, passElapsed, passVM := run(Config{ID: 90, Mode: ids.Passthrough, RecordJitter: 1})
+	if !passOut || passElapsed < 50*time.Millisecond {
+		t.Errorf("passthrough timed wait: timedOut=%v after %v, want a timeout after at least 50ms", passOut, passElapsed)
+	}
+	if n := passVM.Stats().CriticalEvents; n != 0 {
+		t.Errorf("passthrough counted %d critical events", n)
 	}
 }
 
@@ -74,11 +81,17 @@ func TestTimedWaitNotifiedPath(t *testing.T) {
 	if repOut {
 		t.Error("replay-phase wait timed out despite notify")
 	}
+	if passOut, _ := run(Config{ID: 91, Mode: ids.Passthrough, RecordJitter: 1}); passOut {
+		t.Error("passthrough wait timed out despite notify")
+	}
 }
 
 // TestTimedWaitRaceReplaysConsistently races notifies against short
 // timeouts many times; whatever mix of outcomes the record phase produced,
-// replay must reproduce it exactly.
+// replay must reproduce it exactly. Main notifies every round, whether or
+// not the waiter is still in the wait set: a notify of an empty wait set is a
+// critical event that wakes nobody, whereas choosing to skip it would read
+// the wait set outside the schedule, and replay could choose differently.
 func TestTimedWaitRaceReplaysConsistently(t *testing.T) {
 	const rounds = 20
 	run := func(cfg Config) ([]bool, *VM) {
@@ -104,9 +117,7 @@ func TestTimedWaitRaceReplaysConsistently(t *testing.T) {
 					time.Sleep(time.Duration(r%5) * 150 * time.Microsecond)
 				}
 				mon.Enter(main)
-				if mon.WaiterCount() > 0 {
-					mon.Notify(main)
-				}
+				mon.Notify(main)
 				mon.Exit(main)
 				<-done
 			}
@@ -116,7 +127,8 @@ func TestTimedWaitRaceReplaysConsistently(t *testing.T) {
 		return outcomes, vm
 	}
 	recOutcomes, recVM := run(Config{ID: 92, Mode: ids.Record})
-	repOutcomes, _ := run(Config{ID: 92, Mode: ids.Replay, ReplayLogs: recVM.Logs()})
+	// A divergence fails within seconds instead of hanging the test.
+	repOutcomes, _ := run(Config{ID: 92, Mode: ids.Replay, ReplayLogs: recVM.Logs(), StallTimeout: 5 * time.Second})
 	for i := range recOutcomes {
 		if recOutcomes[i] != repOutcomes[i] {
 			t.Fatalf("round %d: record timedOut=%v, replay timedOut=%v (all: rec=%v rep=%v)",

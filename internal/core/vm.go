@@ -713,7 +713,7 @@ func (vm *VM) watchdog(timeout time.Duration) {
 			// so each fails with its own diagnostics. A thread that has not
 			// registered yet sees the flag under the same lock hold as its
 			// re-check. Registrations are left in place: each thread
-			// unregisters itself on the way to its panic, so WaitingThreads
+			// unregisters itself on the way to its panic, so parkedThreads
 			// stays accurate meanwhile.
 			for _, s := range vm.allStreams() {
 				s.mu.Lock()
@@ -736,22 +736,6 @@ func (vm *VM) replayProgress() (progress uint64, parked bool) {
 		parked = parked || s.parked.Load() > 0
 	}
 	return progress, parked
-}
-
-// WaitingThreads reports, for a replaying VM, which threads are parked
-// waiting for their next scheduled counter value, on the global stream or an
-// object's — the diagnostic a stalled replay prints. Nil when nothing is
-// parked, so idle probes allocate nothing.
-func (vm *VM) WaitingThreads() map[ids.ThreadNum]ids.GCount {
-	parked := vm.parkedThreads()
-	if len(parked) == 0 {
-		return nil
-	}
-	out := make(map[ids.ThreadNum]ids.GCount, len(parked))
-	for _, p := range parked {
-		out[p.Thread] = p.Next
-	}
-	return out
 }
 
 // ThreadCount reports how many threads have been created so far in this run.

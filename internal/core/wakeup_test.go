@@ -152,7 +152,7 @@ func TestStallWatchdogWakesAllParked(t *testing.T) {
 		t.Errorf("parked threads reported waits %v, want counters 3 and 4", waitsSeen)
 	}
 	rep.Wait()
-	if w := rep.WaitingThreads(); len(w) != 0 {
+	if w := rep.parkedThreads(); len(w) != 0 {
 		t.Errorf("threads still registered as waiting after stall panics: %v", w)
 	}
 	rep.Close()
@@ -246,7 +246,7 @@ func parkThenRun(t *testing.T, vm *VM, n int) {
 			}
 			x.Add(th, 1)
 		})
-		for deadline := time.Now().Add(10 * time.Second); vm.mode == ids.Replay && len(vm.WaitingThreads()) == 0; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(10 * time.Second); vm.mode == ids.Replay && len(vm.parkedThreads()) == 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Error("the child never parked")
 				break

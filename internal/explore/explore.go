@@ -51,7 +51,7 @@ const progVMID ids.DJVMID = 1
 type Options struct {
 	// Seed selects the generated program.
 	Seed int64
-	// Prog bounds program generation (progen.Opts).
+	// Prog is what progen.Generate is asked to build (progen.Opts).
 	Prog progen.Opts
 	// OrderMode selects the critical-event ordering scheme to explore under.
 	OrderMode ids.OrderMode
@@ -61,13 +61,6 @@ type Options struct {
 	// MaxDepth bounds the number of directives per random schedule (the
 	// delay/preemption bound). Default 3.
 	MaxDepth int
-	// ExploreSeed seeds the random directive generator; 0 derives it from
-	// Seed, so a campaign is reproducible end to end.
-	ExploreSeed int64
-	// StallTimeout arms the replay watchdog — a synthesized schedule should
-	// never stall (they are legal by construction), so a stall means an
-	// explorer bug and fails loudly rather than hanging. Default 10s.
-	StallTimeout time.Duration
 	// Stats, when non-nil, receives coverage counters.
 	Stats *obs.ExploreStats
 }
@@ -79,14 +72,13 @@ func (o Options) withDefaults() Options {
 	if o.MaxDepth <= 0 {
 		o.MaxDepth = 3
 	}
-	if o.ExploreSeed == 0 {
-		o.ExploreSeed = o.Seed + 1
-	}
-	if o.StallTimeout <= 0 {
-		o.StallTimeout = 10 * time.Second
-	}
 	return o
 }
+
+// stallTimeout arms each replay's watchdog: a synthesized schedule should
+// never stall (they are legal by construction), so a stall means an explorer
+// bug and fails loudly rather than hanging.
+const stallTimeout = 10 * time.Second
 
 // Finding kinds.
 const (
@@ -270,7 +262,7 @@ func (e *explorer) replayOnce(override *tracelog.Log) (uint64, []int64, error) {
 		World:        ids.ClosedWorld,
 		OrderMode:    e.opts.OrderMode,
 		ReplayLogs:   &tracelog.Set{Schedule: override, Network: e.recorded.Network, Datagram: e.recorded.Datagram},
-		StallTimeout: e.opts.StallTimeout,
+		StallTimeout: stallTimeout,
 	}
 	if e.opts.OrderMode == ids.OrderGlobal {
 		// Runs inside the GC-critical section: invocations are totally
@@ -360,10 +352,11 @@ func Run(opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	// Random bounded-depth directives fill the remaining budget. Attempts
-	// are capped so a tiny schedule space (fewer distinct schedules than the
-	// budget) terminates.
-	rng := rand.New(rand.NewSource(opts.ExploreSeed))
+	// Random bounded-depth directives fill the remaining budget, drawn from a
+	// source seeded with Seed+1, so a campaign is reproducible end to end.
+	// Attempts are capped so a tiny schedule space (fewer distinct schedules
+	// than the budget) terminates.
+	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	total := 0
 	for _, th := range e.atoms {
 		total += len(th)
@@ -406,7 +399,6 @@ func Campaign(opts Options, numSeeds int) (*CampaignResult, error) {
 	for i := 0; i < numSeeds; i++ {
 		o := opts
 		o.Seed = opts.Seed + int64(i)
-		o.ExploreSeed = 0 // re-derive per seed
 		r, err := Run(o)
 		if err != nil {
 			return nil, fmt.Errorf("explore: seed %d: %w", o.Seed, err)

@@ -44,10 +44,18 @@ func (r *Report) addf(vm ids.DJVMID, format string, args ...any) {
 // CheckSet validates the internal consistency of one VM's log set.
 func CheckSet(set *tracelog.Set) *Report {
 	rep := &Report{}
+	checkSet(rep, set)
+	return rep
+}
+
+// checkSet adds one set's findings to rep and returns the indexes it checked:
+// nil for a log that does not index, and all three nil when the schedule log
+// does not.
+func checkSet(rep *Report, set *tracelog.Set) (*tracelog.ScheduleIndex, *tracelog.NetworkIndex, *tracelog.DatagramIndex) {
 	sched, err := tracelog.BuildScheduleIndex(set.Schedule)
 	if err != nil {
 		rep.addf(0, "schedule log unusable: %v", err)
-		return rep
+		return nil, nil, nil
 	}
 	vm := sched.Meta.VM
 	checkSchedule(rep, vm, sched)
@@ -65,7 +73,7 @@ func CheckSet(set *tracelog.Set) *Report {
 	} else {
 		checkDatagram(rep, vm, sched, dgIdx)
 	}
-	return rep
+	return sched, netIdx, dgIdx
 }
 
 // checkSchedule verifies every order stream (checkStream) and the records
@@ -303,10 +311,8 @@ func CheckWorld(sets []*tracelog.Set) *Report {
 	epochs := map[ids.DJVMID][]tracelog.GroupEpochEntry{}
 
 	for _, set := range sets {
-		sub := CheckSet(set)
-		rep.Findings = append(rep.Findings, sub.Findings...)
-		sched, err := tracelog.BuildScheduleIndex(set.Schedule)
-		if err != nil {
+		sched, ni, di := checkSet(rep, set)
+		if sched == nil {
 			continue
 		}
 		if _, dup := metas[sched.Meta.VM]; dup {
@@ -315,10 +321,10 @@ func CheckWorld(sets []*tracelog.Set) *Report {
 		}
 		metas[sched.Meta.VM] = sched.Meta
 		epochs[sched.Meta.VM] = sched.GroupEpochs
-		if ni, err := tracelog.BuildNetworkIndex(set.Network); err == nil {
+		if ni != nil {
 			indexes[sched.Meta.VM] = ni
 		}
-		if di, err := tracelog.BuildDatagramIndex(set.Datagram); err == nil {
+		if di != nil {
 			dgIndexes[sched.Meta.VM] = di
 		}
 	}

@@ -430,13 +430,17 @@ func TestChaosSeedsAreDeterministicForDecisions(t *testing.T) {
 }
 
 func TestRandNBounds(t *testing.T) {
+	// randN draws from the network's seeded source: the same draws as a
+	// fresh source with the same seed.
 	n := NewNetwork(Config{Seed: 5})
 	rng := rand.New(rand.NewSource(5))
-	_ = rng
 	for i := 0; i < 1000; i++ {
 		v := n.randN(7)
 		if v < 1 || v > 7 {
 			t.Fatalf("randN(7) = %d", v)
+		}
+		if want := 1 + rng.Intn(7); v != want {
+			t.Fatalf("draw %d: randN(7) = %d, the reference source gives %d", i, v, want)
 		}
 	}
 	if n.randN(0) != 1 || n.randN(1) != 1 {

@@ -78,54 +78,36 @@ type Program struct {
 	Workers  [][]Op
 }
 
-// Opts bounds generation. The zero value selects defaults.
+// Opts selects what Generate builds.
 type Opts struct {
-	MaxWorkers int // maximum worker threads (min 2); default 3
-	MaxOps     int // maximum base ops per worker; default 3
-	MaxVars    int // maximum shared variables; default 3
-	MaxMons    int // maximum monitors; default 2
-	MaxChans   int // maximum channels; default 2
 	// PlantBug replaces generation with a fixed small program containing one
 	// OpRacy pair racing a plain OpAdd on the same variable — the known
 	// schedule-dependent bug the explorer and shrinker tests hunt.
 	PlantBug bool
 }
 
-func (o Opts) withDefaults() Opts {
-	if o.MaxWorkers < 2 {
-		o.MaxWorkers = 3
-	}
-	if o.MaxOps <= 0 {
-		o.MaxOps = 3
-	}
-	if o.MaxVars <= 0 {
-		o.MaxVars = 3
-	}
-	if o.MaxMons <= 0 {
-		o.MaxMons = 2
-	}
-	if o.MaxChans < 0 {
-		o.MaxChans = 0
-	} else if o.MaxChans == 0 {
-		o.MaxChans = 2
-	}
-	return o
-}
+// The bounds of a generated program.
+const (
+	maxWorkers = 3 // worker threads, at least 2
+	maxOps     = 3 // base ops per worker
+	maxVars    = 3 // shared variables
+	maxMons    = 2 // monitors
+	maxChans   = 2 // channels
+)
 
 // Generate produces the program for seed deterministically: the same seed and
 // opts always yield the identical Program, on any machine.
 func Generate(seed int64, opts Opts) *Program {
-	o := opts.withDefaults()
-	if o.PlantBug {
+	if opts.PlantBug {
 		return plantedProgram(seed)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	nw := 2 + rng.Intn(o.MaxWorkers-1)
-	nv := 1 + rng.Intn(o.MaxVars)
-	nm := 1 + rng.Intn(o.MaxMons)
+	nw := 2 + rng.Intn(maxWorkers-1)
+	nv := 1 + rng.Intn(maxVars)
+	nm := 1 + rng.Intn(maxMons)
 	p := &Program{Seed: seed, NumVars: nv, NumMons: nm, Workers: make([][]Op, nw)}
 	for w := range p.Workers {
-		n := 1 + rng.Intn(o.MaxOps)
+		n := 1 + rng.Intn(maxOps)
 		for i := 0; i < n; i++ {
 			delta := 1 + int64(rng.Intn(5))
 			if rng.Intn(2) == 0 {
@@ -135,7 +117,7 @@ func Generate(seed int64, opts Opts) *Program {
 			}
 		}
 	}
-	nch := rng.Intn(o.MaxChans + 1)
+	nch := rng.Intn(maxChans + 1)
 	for k := 0; k < nch; k++ {
 		s := rng.Intn(nw - 1)
 		r := s + 1 + rng.Intn(nw-s-1)
