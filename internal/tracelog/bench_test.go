@@ -297,24 +297,40 @@ func TestScheduleIndexAllocatesWhatItKeeps(t *testing.T) {
 // TestAppendNeverMovesALoggedByte: a log that holds its stream in one slice
 // grown by append reallocates and copies everything it has logged so far about
 // 45 times on the way to 34 MB — five times the log allocated, four times it
-// copied. Held as chunks the log allocates what it holds and the first byte it
-// logged is where it was put.
+// copied. Held as chunks the log allocates what it holds, and the first byte
+// it logged is where it was put until its chunk spills, and then the first
+// byte of the log's file.
 func TestAppendNeverMovesALoggedByte(t *testing.T) {
 	l := NewLog()
+	var first []byte
+	moved := false
+	l.SetObserver(func(int) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if first == nil {
+			first = l.chunks[0]
+		} else if l.fileLen == 0 && &l.chunks[0][0] != &first[0] {
+			moved = true
+		}
+	})
 	l.Append(&OpenReadEntry{})
-	first := &l.chunks[0][0]
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	appendContent(l)
 	runtime.ReadMemStats(&after)
 	allocated, size := after.TotalAlloc-before.TotalAlloc, uint64(l.Size())
-	t.Logf("%d KB log in %d chunks: allocated %d KB", size>>10, len(l.chunks), allocated>>10)
+	t.Logf("%d KB log in %d chunks and a %d KB file: allocated %d KB", size>>10, len(l.chunks), l.fileLen>>10, allocated>>10)
 	if size < contentRecords*contentPayload || allocated > size*115/100 {
 		t.Errorf("allocated %d bytes to log %d: want at most 1.15 times as much", allocated, size)
 	}
-	if &l.chunks[0][0] != first {
-		t.Error("the first record's first byte moved")
+	head := make([]byte, len(first))
+	if moved {
+		t.Error("the first record's first byte moved before its chunk spilled")
+	} else if l.fileLen == 0 {
+		t.Errorf("a %d-byte log never spilled", size)
+	} else if _, err := readAt(l.file, head, 0); err != nil || !bytes.Equal(head, first) {
+		t.Errorf("the log's file begins %x (%v), want the first record %x", head, err, first)
 	}
 	for i, c := range l.chunks {
 		if cap(c) > maxChunk {
@@ -480,6 +496,41 @@ func TestEachHoldsAWindow(t *testing.T) {
 	}
 }
 
+// TestRecordingLogHoldsAWindow: a recording log holds at most a window of
+// sealed chunks and the open one; the rest is in its file. Its chunks never
+// hold more than that at any append, and the heap in use grows by about that
+// over the 32 MB the log records.
+func TestRecordingLogHoldsAWindow(t *testing.T) {
+	l := NewLog()
+	resident := 0
+	l.SetObserver(func(int) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		n := 0
+		for _, c := range l.chunks {
+			n += cap(c)
+		}
+		resident = max(resident, n)
+	})
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapInuse
+	appendContent(l)
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	t.Logf("%d KB log: at most %d KB of chunks held, %d KB in the file; the heap in use grew by %d KB",
+		l.Size()>>10, resident>>10, l.fileLen>>10, (int(ms.HeapInuse)-int(base))>>10)
+	if resident > window+maxChunk {
+		t.Errorf("the log held %d bytes of chunks, want at most a window and the largest chunk (%d)", resident, window+maxChunk)
+	}
+	if ms.HeapInuse > base+window+maxChunk+256<<10 {
+		t.Errorf("recording a %d-byte log grew the heap in use by %d bytes, want at most %d",
+			l.Size(), ms.HeapInuse-base, window+maxChunk+256<<10)
+	}
+	runtime.KeepAlive(l)
+}
+
 // chunkProbe is one record of the chunk-boundary tests: an open-read whose
 // payload is n copies of a byte derived from its event id, so a reader can
 // tell a whole record from a torn or misplaced one.
@@ -534,18 +585,24 @@ func TestChunkBoundaries(t *testing.T) {
 			l := s.Network
 			var want []Entry
 			var records [][]byte
+			opened := 0
 			add := func(n int) {
 				e := chunkProbe(len(want)%5, len(want)/5, n)
 				rec := encoded(e)
-				nChunks := len(l.chunks)
-				var head *byte
-				if nChunks > 0 && len(l.chunks[0]) > 0 {
-					head = &l.chunks[0][0]
+				nChunks, spilled := len(l.chunks), l.fileLen
+				var head, open *byte
+				if nChunks > 0 {
+					head, open = &l.chunks[0][0], &l.chunks[nChunks-1][0]
 				}
 				l.Append(e)
 				want, records = append(want, e), append(records, rec)
-				if head != nil && &l.chunks[0][0] != head {
+				// Up to the first spill the log's first byte stays put; a spill
+				// moves whole chunks, in order, to the file.
+				if l.fileLen == 0 && head != nil && &l.chunks[0][0] != head {
 					t.Fatalf("record %d moved the log's first byte", len(want)-1)
+				}
+				if l.fileLen != spilled && !bytes.Equal(l.Bytes(), bytes.Join(records, nil)) {
+					t.Fatalf("record %d spilled the log to %d bytes of file: extent and chunks are not the records", len(want)-1, l.fileLen)
 				}
 				last := l.chunks[len(l.chunks)-1]
 				if !bytes.HasSuffix(last, rec) {
@@ -553,6 +610,9 @@ func TestChunkBoundaries(t *testing.T) {
 				}
 				if len(l.chunks) > nChunks+1 {
 					t.Fatalf("record %d opened %d chunks", len(want)-1, len(l.chunks)-nChunks)
+				}
+				if &last[0] != open {
+					opened++
 				}
 			}
 			// Walk the capacities: fill each open chunk to within delta bytes of
@@ -594,8 +654,8 @@ func TestChunkBoundaries(t *testing.T) {
 			if err := whole.countRecords(); err != nil || whole.Len() != l.Len() || whole.Size() != l.Size() || whole.Len() != len(want) || whole.kinds != l.kinds {
 				t.Fatalf("Len %d Size %d; the same records in one chunk: %d (%v) and %d", l.Len(), l.Size(), whole.Len(), err, whole.Size())
 			}
-			if len(l.chunks) < 12 {
-				t.Fatalf("the log has %d chunks: the test did not walk the capacities", len(l.chunks))
+			if opened < 12 || l.fileLen == 0 {
+				t.Fatalf("the log opened %d chunks and spilled %d bytes: the test did not walk the capacities", opened, l.fileLen)
 			}
 
 			if err := s.Save(dir); err != nil {
@@ -658,7 +718,8 @@ func TestChunkBoundaries(t *testing.T) {
 
 // TestEachSeesARecordAlignedPrefix: a reader racing appenders (run under
 // -race) walks whole records only, never fewer than the walk before, and each
-// appender's records in the order it appended them.
+// appender's records in the order it appended them — also when the chunks it
+// walks are spilled to the log's file and dropped from the log under it.
 func TestEachSeesARecordAlignedPrefix(t *testing.T) {
 	const appenders, perAppender = 8, 400
 	l := NewLog()
@@ -671,18 +732,44 @@ func TestEachSeesARecordAlignedPrefix(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(a)))
 			for i := 0; i < perAppender; i++ {
 				l.Append(chunkProbe(a, i, rng.Intn(3000)))
+				if i < 16 {
+					runtime.Gosched() // on one P too, a walk begins before the first spill
+				}
 			}
 		}()
 	}
 	done := make(chan struct{})
+	finished := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
 	go func() {
 		wg.Wait()
 		close(done)
 	}()
+	raced := 0 // walks a spill ran inside
+	spilled := func() int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.fileLen
+	}
 	walk := func(prev int) int {
 		var next [appenders]ids.EventNum
-		n := 0
+		n, began := 0, spilled()
+		defer func() {
+			if spilled() != began {
+				raced++
+			}
+		}()
 		if err := l.Each(func(e Entry) error {
+			// Until one has, a walk waits inside for the next spill.
+			for n == 0 && raced == 0 && spilled() == began && !finished() {
+				runtime.Gosched()
+			}
 			if err := checkProbe(e); err != nil {
 				return err
 			}
@@ -713,8 +800,16 @@ func TestEachSeesARecordAlignedPrefix(t *testing.T) {
 	if seen != appenders*perAppender || l.Len() != seen {
 		t.Errorf("the last walk saw %d records, Len %d, want %d", seen, l.Len(), appenders*perAppender)
 	}
-	if len(l.chunks) < 8 {
-		t.Errorf("the log has %d chunks: the appenders crossed too few boundaries", len(l.chunks))
+	// The spilled chunks, at least: the capacities, in the order the log
+	// opens them, that it takes to cover the file. A record here is smaller
+	// than the smallest chunk, so no chunk is larger than its capacity.
+	crossed := len(l.chunks) - 1
+	for c, n := minChunk, 0; n < l.fileLen; c = min(2*c, maxChunk) {
+		n += c
+		crossed++
+	}
+	if crossed < 8 || raced == 0 {
+		t.Errorf("the appenders crossed %d chunk boundaries and spilled inside %d walks: too few", crossed, raced)
 	}
 }
 

@@ -18,18 +18,24 @@ import (
 // stream and Parse/LoadSet reconstruct it for the replay phase.
 //
 // The stream is held as a list of chunks, and a byte that has been logged is
-// never moved or written again: Append encodes into the spare capacity of the
-// last chunk (the open one), and a record that does not fit there seals that
-// chunk and opens the next. A record is therefore always contiguous inside one
-// chunk. Chunk capacities double from minChunk to maxChunk, so a VM that logs
-// a few KB holds a few KB; a record larger than maxChunk gets a chunk of its
-// own. A loaded log (LoadSet) may begin with a file extent instead: the first
-// fileLen bytes of file, walked winSize bytes at a time, never held whole.
+// written once to memory and at most once to the log's own file, never
+// changed: Append encodes into the spare capacity of the last chunk (the open
+// one), and a record that does not fit there seals that chunk and opens the
+// next. A record is therefore always contiguous inside one chunk. Chunk
+// capacities double from minChunk to maxChunk, so a VM that logs a few KB
+// holds a few KB; a record larger than maxChunk gets a chunk of its own.
+//
+// A log may begin with a file extent: the first fileLen bytes of file, walked
+// winSize bytes at a time, never held whole. A loaded log's extent is the
+// file it was loaded from (LoadSet). A recording log makes its own once its
+// sealed chunks hold more than a window, and from then on moves its sealed
+// chunks there (spill): it holds at most a window and the open chunk.
 type Log struct {
 	mu      sync.Mutex
 	file    *os.File
 	fileLen int
 	winSize int
+	own     bool   // file is the log's own, made by spill
 	wbuf    []byte // content's window: the extent's bytes from woff on
 	woff    int
 	chunks  [][]byte
@@ -133,7 +139,40 @@ func (l *Log) commit(rec []byte) []byte {
 		rec = append(make([]byte, 0, next), rec...)
 	}
 	l.chunks = append(l.chunks, rec)
+	l.spill()
 	return rec
+}
+
+// spill writes the sealed chunks, once they hold more than a window, to the
+// end of the log's own file and drops them, first making the file, unlinked
+// at once so that it ends with the process. Each chunk's bytes are in the
+// file before fileLen covers them and fileLen before the chunk is dropped, so
+// a walk that noted either still reads whole records. A loaded log, whose
+// extent is not its own, and a log that cannot make or write its file keep
+// their chunks. Caller holds mu.
+func (l *Log) spill() {
+	sealed := l.sizeLocked() - l.fileLen - len(l.chunks[len(l.chunks)-1])
+	if sealed <= window || (l.file != nil && !l.own) {
+		return
+	}
+	if l.file == nil {
+		f, err := os.CreateTemp("", "djvu-log-*")
+		if err != nil {
+			return
+		} else if os.Remove(f.Name()) != nil {
+			f.Close()
+			return
+		}
+		l.file, l.winSize, l.own = f, window, true
+	}
+	for len(l.chunks) > 1 {
+		if _, err := l.file.WriteAt(l.chunks[0], int64(l.fileLen)); err != nil {
+			return
+		}
+		l.fileLen += len(l.chunks[0])
+		l.chunks[0] = nil
+		l.chunks = l.chunks[1:]
+	}
 }
 
 // appendRecord appends one already-encoded record — what RecoverFile salvages
@@ -206,9 +245,10 @@ func (l *Log) Each(fn func(Entry) error) error {
 
 // walk runs the package's walk over the records the log holds when it is
 // called, the file extent and then chunk after chunk; offsets, in its errors
-// and to fn, are offsets in the whole stream. The chunks are read without the
-// lock, which is sound because a logged byte is never written again: appends
-// racing the walk only write past the lengths noted here.
+// and to fn, are offsets in the whole stream. The extent and the chunks are
+// read without the lock, which is sound because a logged byte is never
+// changed: appends racing the walk only write past the lengths noted here,
+// and a spill only drops chunks from the log, not from the walk's copy.
 func (l *Log) walk(scratch *[kindMax]Entry, fn func(e Entry, off, n int) error) error {
 	l.mu.Lock()
 	f, base, win := l.file, l.fileLen, l.winSize
@@ -471,40 +511,46 @@ func (s *Set) Save(dir string) error {
 // removed or replaced by a Save, but one changed in place reads as corrupt.
 func LoadSet(dir string) (*Set, error) { return loadSet(dir, window) }
 
-// loadSet is LoadSet through a window of win bytes.
+// loadSet is LoadSet through a window of win bytes. A set that fails to load
+// closes the files it had opened.
 func loadSet(dir string, win int) (*Set, error) {
 	s := NewSet()
 	for id, l := range s.logs() {
 		name := logNames[id] + ".log"
 		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("tracelog: load set: %w", err)
+		if err == nil {
+			if err = l.load(f, win); err != nil {
+				err = fmt.Errorf("%s: %w", name, err)
+			}
 		}
-		if err := l.load(f, win); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("tracelog: load set: %s: %w", name, err)
+		if err != nil {
+			for _, l := range s.logs() {
+				if l.file != nil {
+					l.file.Close()
+				}
+			}
+			return nil, fmt.Errorf("tracelog: load set: %w", err)
 		}
 	}
 	return s, nil
 }
 
-// load makes l the log stored in f.
+// load makes l the log stored in f, keeping f as its extent or closing it.
 func (l *Log) load(f *os.File, win int) error {
 	fi, err := f.Stat()
+	if err == nil && fi.Size() > int64(win) {
+		l.file, l.fileLen, l.winSize = f, int(fi.Size()), win
+		return l.countRecords()
+	}
+	if err == nil {
+		buf := make([]byte, fi.Size())
+		_, err = readAt(f, buf, 0)
+		l.chunks = [][]byte{buf}
+	}
+	f.Close()
 	if err != nil {
 		return err
 	}
-	size := int(fi.Size())
-	if size > win {
-		l.file, l.fileLen, l.winSize = f, size, win
-		return l.countRecords()
-	}
-	buf := make([]byte, size)
-	if _, err := readAt(f, buf, 0); err != nil {
-		return err
-	}
-	l.chunks = [][]byte{buf}
-	f.Close()
 	return l.countRecords()
 }
 

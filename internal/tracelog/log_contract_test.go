@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -238,5 +239,158 @@ func TestContentChecksWhatItReads(t *testing.T) {
 				t.Fatal("no record was damaged")
 			}
 		})
+	}
+}
+
+// TestSpilledLogIsTheLogThatNeverSpilled: records of random sizes, some
+// larger than the largest chunk, through several spills read back as the same
+// records held in one piece: Bytes, Entries, the network index and what it
+// copies out, and the set saved and loaded again.
+func TestSpilledLogIsTheLogThatNeverSpilled(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewLog()
+		var stream []byte
+		spills := 0
+		for i := 0; l.Size() < 6*maxChunk; i++ {
+			n := rng.Intn(4 << 10)
+			if rng.Intn(40) == 0 {
+				n = maxChunk + rng.Intn(maxChunk)
+			}
+			ev := ids.NetworkEventID{Thread: ids.ThreadNum(i % 5), Event: ids.EventNum(i / 5)}
+			data := bytes.Repeat([]byte{byte(i)}, n)
+			var e Entry = &OpenReadEntry{EventID: ev, Data: data, EOF: i%7 == 0}
+			switch rng.Intn(4) {
+			case 0:
+				e = &OpenDatagramEntry{EventID: ev, SourceHost: fmt.Sprint("h", i), SourcePort: uint16(i), Data: data}
+			case 1:
+				e = &ReadEntry{EventID: ev, N: uint32(n)}
+			}
+			was := l.fileLen
+			l.Append(e)
+			stream = append(stream, encoded(e)...)
+			if l.fileLen != was {
+				spills++
+			}
+		}
+		whole := &Log{chunks: [][]byte{stream}}
+		if err := whole.countRecords(); err != nil {
+			t.Fatal(err)
+		}
+		sealed := 0
+		for _, c := range l.chunks[:len(l.chunks)-1] {
+			sealed += len(c)
+		}
+		if spills < 3 || sealed > window {
+			t.Fatalf("seed %d: %d spills leave %d sealed bytes in memory; the test wants several spills and at most a window held", seed, spills, sealed)
+		}
+
+		dir := t.TempDir()
+		if err := (&Set{Schedule: NewLog(), Network: l, Datagram: NewLog()}).Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadSet(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := whole.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIdx, err := BuildNetworkIndex(whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, lg := range map[string]*Log{"spilled": l, "loaded": loaded.Network} {
+			if !bytes.Equal(lg.Bytes(), stream) || lg.Len() != whole.Len() || lg.kinds != whole.kinds {
+				t.Fatalf("seed %d, %s log: %d bytes, %d records; in one piece %d, %d", seed, name, lg.Size(), lg.Len(), len(stream), whole.Len())
+			}
+			if got, err := lg.Entries(); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s log: Entries differ from the log in one piece (%v)", seed, name, err)
+			}
+			idx, err := BuildNetworkIndex(lg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(idx.Reads, wantIdx.Reads) || !reflect.DeepEqual(idx.OpenReads, wantIdx.OpenReads) || !reflect.DeepEqual(idx.OpenDatagrams, wantIdx.OpenDatagrams) {
+				t.Fatalf("seed %d, %s log: its index differs from the log in one piece's", seed, name)
+			}
+			for _, tab := range []Table[ContentRow]{idx.OpenReads, idx.OpenDatagrams} {
+				for ev, row := range tab.All() {
+					data, host, port, err := idx.Content(ev, row, nil)
+					wdata, whost, wport, werr := wantIdx.Content(ev, row, nil)
+					if err != nil || werr != nil || !bytes.Equal(data, wdata) || host != whost || port != wport {
+						t.Fatalf("seed %d, %s log: content of %v: %d bytes from %s:%d (%v), want %d from %s:%d (%v)",
+							seed, name, ev, len(data), host, port, err, len(wdata), whost, wport, werr)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSpillWithoutATempDirKeepsChunks: a log that cannot make its file keeps
+// its chunks in memory and reads the same as one that never had to spill.
+func TestSpillWithoutATempDirKeepsChunks(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	s := contentSet(4000, 1000, 0)
+	l := s.Network
+	if l.file != nil || l.fileLen != 0 || l.Size() < 4*window {
+		t.Fatalf("a %d-byte log made a file with no temporary directory: %d bytes of it", l.Size(), l.fileLen)
+	}
+	var stream []byte
+	for i := range 4000 {
+		stream = append(stream, encoded(&OpenReadEntry{
+			EventID: ids.NetworkEventID{Thread: 1, Event: ids.EventNum(i)},
+			Data:    bytes.Repeat([]byte{byte(i)}, 1000),
+		})...)
+	}
+	if !bytes.Equal(l.Bytes(), stream) || l.Len() != 4000 {
+		t.Fatalf("the log holds %d bytes in %d records; want the %d bytes of 4000", l.Size(), l.Len(), len(stream))
+	}
+	got := readBack(t, l)
+	for ev, data := range got {
+		if !bytes.Equal(data, bytes.Repeat([]byte{byte(ev.Event)}, 1000)) {
+			t.Fatalf("%v read back wrong", ev)
+		}
+	}
+	if len(got) != 4000 {
+		t.Fatalf("read back %d records, want 4000", len(got))
+	}
+}
+
+// TestLoadSetClosesWhatItOpened: a set that fails to load at its last log
+// closes the files it had kept open for the logs before it.
+func TestLoadSetClosesWhatItOpened(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count open files in")
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	s := contentSet(100, 40, 0)
+	s.Schedule.Append(&VMMeta{VM: 1, Threads: 1})
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	datagram := filepath.Join(dir, "datagram.log")
+	for _, damage := range []func() error{
+		func() error { return os.WriteFile(datagram, bytes.Repeat([]byte{0xFF}, 64), 0o644) },
+		func() error { return os.Remove(datagram) },
+	} {
+		if err := damage(); err != nil {
+			t.Fatal(err)
+		}
+		before := fds()
+		for range 10 {
+			if _, err := loadSet(dir, 4); err == nil {
+				t.Fatal("a set with a damaged datagram log loaded")
+			}
+		}
+		if after := fds(); after > before {
+			t.Errorf("ten failed loads left %d more files open", after-before)
+		}
 	}
 }
