@@ -497,12 +497,13 @@ func TestEachHoldsAWindow(t *testing.T) {
 }
 
 // TestRecordingLogHoldsAWindow: a recording log holds at most a window of
-// sealed chunks and the open one; the rest is in its file. Its chunks never
-// hold more than that at any append, and the heap in use grows by about that
-// over the 32 MB the log records.
+// sealed chunks and the open one up to its first spill, and from then on only
+// the open 1 MiB chunk, the array it spills and opens again; the rest is in
+// its file. Its chunks never hold more than that at any append, and the heap
+// in use grows by about one chunk over the 32 MB the log records.
 func TestRecordingLogHoldsAWindow(t *testing.T) {
 	l := NewLog()
-	resident := 0
+	resident, spilledResident := 0, 0
 	l.SetObserver(func(int) {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -510,7 +511,11 @@ func TestRecordingLogHoldsAWindow(t *testing.T) {
 		for _, c := range l.chunks {
 			n += cap(c)
 		}
-		resident = max(resident, n)
+		if l.fileLen == 0 {
+			resident = max(resident, n)
+		} else {
+			spilledResident = max(spilledResident, n)
+		}
 	})
 	var ms runtime.MemStats
 	runtime.GC()
@@ -519,16 +524,40 @@ func TestRecordingLogHoldsAWindow(t *testing.T) {
 	appendContent(l)
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
-	t.Logf("%d KB log: at most %d KB of chunks held, %d KB in the file; the heap in use grew by %d KB",
-		l.Size()>>10, resident>>10, l.fileLen>>10, (int(ms.HeapInuse)-int(base))>>10)
-	if resident > window+maxChunk {
-		t.Errorf("the log held %d bytes of chunks, want at most a window and the largest chunk (%d)", resident, window+maxChunk)
+	t.Logf("%d KB log: at most %d KB of chunks held before the first spill and %d KB after, %d KB in the file; the heap in use grew by %d KB",
+		l.Size()>>10, resident>>10, spilledResident>>10, l.fileLen>>10, (int(ms.HeapInuse)-int(base))>>10)
+	if resident > window+maxChunk || spilledResident > maxChunk || l.fileLen == 0 {
+		t.Errorf("the log held %d bytes of chunks, then %d once it spilled; want at most a window and the largest chunk (%d), then the largest chunk (%d)",
+			resident, spilledResident, window+maxChunk, maxChunk)
 	}
-	if ms.HeapInuse > base+window+maxChunk+256<<10 {
+	if ms.HeapInuse > base+maxChunk+256<<10 {
 		t.Errorf("recording a %d-byte log grew the heap in use by %d bytes, want at most %d",
-			l.Size(), ms.HeapInuse-base, window+maxChunk+256<<10)
+			l.Size(), ms.HeapInuse-base, maxChunk+256<<10)
 	}
 	runtime.KeepAlive(l)
+}
+
+// TestRecordingLogAllocatesOneChunk: after its first spill a recording log
+// writes through one chunk, reusing the array it has just spilled, so logging
+// 32 MB more allocates less than one more chunk — each chunk its own
+// allocation would be 32 of them.
+func TestRecordingLogAllocatesOneChunk(t *testing.T) {
+	l := NewLog()
+	for e := chunkProbe(1, 0, 1000); l.fileLen == 0; e.EventID.Event++ {
+		l.Append(e)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	spilled := l.fileLen
+	appendContent(l)
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("spilling %d KB more allocated %d KB", (l.fileLen-spilled)>>10, grew>>10)
+	if l.fileLen-spilled < contentRecords*contentPayload*9/10 || grew > maxChunk+256<<10 {
+		t.Errorf("logging %d bytes past the first spill allocated %d bytes, want at most one chunk (%d) and 256 KiB",
+			l.Size()-spilled, grew, maxChunk)
+	}
 }
 
 // chunkProbe is one record of the chunk-boundary tests: an open-read whose
@@ -590,9 +619,11 @@ func TestChunkBoundaries(t *testing.T) {
 				e := chunkProbe(len(want)%5, len(want)/5, n)
 				rec := encoded(e)
 				nChunks, spilled := len(l.chunks), l.fileLen
-				var head, open *byte
+				var head *byte
+				seals := nChunks == 0 // or the record opens the log's first chunk
 				if nChunks > 0 {
-					head, open = &l.chunks[0][0], &l.chunks[nChunks-1][0]
+					open := l.chunks[nChunks-1]
+					head, seals = &l.chunks[0][0], len(rec) > cap(open)-len(open)
 				}
 				l.Append(e)
 				want, records = append(want, e), append(records, rec)
@@ -611,7 +642,11 @@ func TestChunkBoundaries(t *testing.T) {
 				if len(l.chunks) > nChunks+1 {
 					t.Fatalf("record %d opened %d chunks", len(want)-1, len(l.chunks)-nChunks)
 				}
-				if &last[0] != open {
+				// A record that does not fit the open chunk seals it and
+				// begins the next, which may be the array it was in.
+				if seals != (len(last) == len(rec)) {
+					t.Fatalf("record %d (%d bytes): sealed the open chunk %v, begins a chunk %v", len(want)-1, len(rec), seals, len(last) == len(rec))
+				} else if seals {
 					opened++
 				}
 			}

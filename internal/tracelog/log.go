@@ -18,18 +18,21 @@ import (
 // stream and Parse/LoadSet reconstruct it for the replay phase.
 //
 // The stream is held as a list of chunks, and a byte that has been logged is
-// written once to memory and at most once to the log's own file, never
-// changed: Append encodes into the spare capacity of the last chunk (the open
-// one), and a record that does not fit there seals that chunk and opens the
-// next. A record is therefore always contiguous inside one chunk. Chunk
-// capacities double from minChunk to maxChunk, so a VM that logs a few KB
-// holds a few KB; a record larger than maxChunk gets a chunk of its own.
+// written once to its chunk and at most once to the log's own file, and never
+// changed while a walk may read it: Append encodes into the spare capacity of
+// the last chunk (the open one), and a record that does not fit there seals
+// that chunk and opens the next. A record is therefore always contiguous
+// inside one chunk. Chunk capacities double from minChunk to maxChunk, so a
+// VM that logs a few KB holds a few KB; a record larger than maxChunk gets a
+// chunk of its own.
 //
 // A log may begin with a file extent: the first fileLen bytes of file, walked
 // winSize bytes at a time, never held whole. A loaded log's extent is the
 // file it was loaded from (LoadSet). A recording log makes its own once its
-// sealed chunks hold more than a window, and from then on moves its sealed
-// chunks there (spill): it holds at most a window and the open chunk.
+// sealed chunks hold more than a window, and from then on moves each sealed
+// chunk there (spill) and opens the next in the array it has just written out,
+// unless a walk copied the chunk list while that chunk was open (the walk
+// rule): it holds one chunk, and a chunk a walk has seen is never rewritten.
 type Log struct {
 	mu      sync.Mutex
 	file    *os.File
@@ -40,6 +43,10 @@ type Log struct {
 	woff    int
 	chunks  [][]byte
 	entries int
+	// walks counts the walks that copied the chunk list, and openedAt is its
+	// count when the open chunk opened: commit reuses the array of a spilled
+	// chunk only if no walk can hold it.
+	walks, openedAt int
 	// kinds counts the records of each kind, for the indexes to size their
 	// tables by.
 	kinds [kindMax]int
@@ -119,14 +126,17 @@ func (l *Log) spare() []byte {
 
 // commit makes rec, one whole record appended to what spare returned, the
 // log's next record and returns its bytes in the log. If rec fit the open
-// chunk it is already in place. Otherwise that chunk is sealed as it stands
-// and rec opens the next one: a fresh chunk of the next capacity it is copied
-// to, or rec's own array when that is at least as large (a record that needs
-// a chunk of its own is not copied again). Caller holds mu.
+// chunk it is already in place. Otherwise that chunk is sealed as it stands,
+// the sealed chunks may spill, and rec opens the next chunk: rec's own array
+// when that is at least of the next capacity (a record that needs a chunk of
+// its own is not copied again), or else a chunk of that capacity it is copied
+// to — the array of the chunk just sealed if that spilled, has the capacity
+// and no walk has copied the chunk list since it opened, else a fresh one.
+// Caller holds mu.
 func (l *Log) commit(rec []byte) []byte {
 	l.entries++
 	l.kinds[rec[0]]++ // a record starts with its kind
-	next := minChunk
+	next, free := minChunk, []byte(nil)
 	if n := len(l.chunks); n > 0 {
 		open := l.chunks[n-1]
 		if len(rec) <= cap(open)-len(open) {
@@ -134,45 +144,50 @@ func (l *Log) commit(rec []byte) []byte {
 			return rec
 		}
 		next = min(max(2*cap(open), minChunk), maxChunk)
+		if l.spill() && cap(open) == next && l.openedAt == l.walks {
+			free = open[:0]
+		}
 	}
 	if cap(rec) < next {
-		rec = append(make([]byte, 0, next), rec...)
+		if free == nil {
+			free = make([]byte, 0, next)
+		}
+		rec = append(free, rec...)
 	}
-	l.chunks = append(l.chunks, rec)
-	l.spill()
+	l.chunks, l.openedAt = append(l.chunks, rec), l.walks
 	return rec
 }
 
 // spill writes the sealed chunks, once they hold more than a window, to the
 // end of the log's own file and drops them, first making the file, unlinked
-// at once so that it ends with the process. Each chunk's bytes are in the
-// file before fileLen covers them and fileLen before the chunk is dropped, so
-// a walk that noted either still reads whole records. A loaded log, whose
-// extent is not its own, and a log that cannot make or write its file keep
-// their chunks. Caller holds mu.
-func (l *Log) spill() {
-	sealed := l.sizeLocked() - l.fileLen - len(l.chunks[len(l.chunks)-1])
-	if sealed <= window || (l.file != nil && !l.own) {
-		return
+// at once so that it ends with the process; it reports whether it wrote them
+// all. Each chunk's bytes are in the file before fileLen covers them and
+// fileLen before the chunk is dropped, so a walk that noted either still
+// reads whole records. A loaded log, whose extent is not its own, and a log
+// that cannot make or write its file keep their chunks. Caller holds mu, and
+// every chunk is sealed.
+func (l *Log) spill() bool {
+	if l.sizeLocked()-l.fileLen <= window || (l.file != nil && !l.own) {
+		return false
 	}
 	if l.file == nil {
 		f, err := os.CreateTemp("", "djvu-log-*")
 		if err != nil {
-			return
+			return false
 		} else if os.Remove(f.Name()) != nil {
 			f.Close()
-			return
+			return false
 		}
 		l.file, l.winSize, l.own = f, window, true
 	}
-	for len(l.chunks) > 1 {
+	for len(l.chunks) > 0 {
 		if _, err := l.file.WriteAt(l.chunks[0], int64(l.fileLen)); err != nil {
-			return
+			return false
 		}
 		l.fileLen += len(l.chunks[0])
-		l.chunks[0] = nil
-		l.chunks = l.chunks[1:]
+		l.chunks = slices.Delete(l.chunks, 0, 1)
 	}
+	return true
 }
 
 // appendRecord appends one already-encoded record — what RecoverFile salvages
@@ -247,12 +262,14 @@ func (l *Log) Each(fn func(Entry) error) error {
 // called, the file extent and then chunk after chunk; offsets, in its errors
 // and to fn, are offsets in the whole stream. The extent and the chunks are
 // read without the lock, which is sound because a logged byte is never
-// changed: appends racing the walk only write past the lengths noted here,
-// and a spill only drops chunks from the log, not from the walk's copy.
+// changed: appends racing the walk only write past the lengths noted here, a
+// spill only drops chunks from the log, not from the walk's copy, and the
+// count of walks bumped here keeps commit from reusing a chunk copied here.
 func (l *Log) walk(scratch *[kindMax]Entry, fn func(e Entry, off, n int) error) error {
 	l.mu.Lock()
 	f, base, win := l.file, l.fileLen, l.winSize
 	chunks := append([][]byte(nil), l.chunks...)
+	l.walks++
 	l.mu.Unlock()
 	// A record a window cuts starts the next; one larger than it doubles it.
 	for pos, buf := 0, []byte(nil); pos < base; {
@@ -309,8 +326,9 @@ func EachEntry(data []byte, fn func(Entry) error) error {
 // entries alias the stream they were decoded from. A []byte field of an entry
 // is a sub-slice of data with its capacity cut to its length — never a copy —
 // so it is read-only, and it is valid for as long as data is left unchanged,
-// which for a Log's chunks is forever. Whoever hands such bytes to code that
-// may write to them copies at that boundary: djsock and djgram into the
+// which for a Log's chunks is forever: commit reuses only the array of a
+// chunk that no walk has copied. Whoever hands such bytes to code that may
+// write to them copies at that boundary: djsock and djgram into the
 // application's read buffer (NetworkIndex.Content), checkpoint.List into
 // Snapshot.Data. Strings and decoded lists (Woken, Members) are fresh.
 func walk(data []byte, base int, last bool, scratch *[kindMax]Entry, fn func(Entry, int, int) error) (int, error) {

@@ -8,8 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ids"
 )
@@ -330,13 +333,22 @@ func TestSpilledLogIsTheLogThatNeverSpilled(t *testing.T) {
 }
 
 // TestSpillWithoutATempDirKeepsChunks: a log that cannot make its file keeps
-// its chunks in memory and reads the same as one that never had to spill.
+// its chunks in memory, each in an array of its own — it never reuses one, as
+// a log that spilled it may — and reads the same as one that never had to
+// spill.
 func TestSpillWithoutATempDirKeepsChunks(t *testing.T) {
 	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
 	s := contentSet(4000, 1000, 0)
 	l := s.Network
-	if l.file != nil || l.fileLen != 0 || l.Size() < 4*window {
+	if l.file != nil || l.fileLen != 0 || l.Size() < 3<<20 {
 		t.Fatalf("a %d-byte log made a file with no temporary directory: %d bytes of it", l.Size(), l.fileLen)
+	}
+	arrays := map[*byte]bool{}
+	for _, c := range l.chunks {
+		arrays[&c[:1][0]] = true
+	}
+	if len(arrays) != len(l.chunks) {
+		t.Fatalf("the log's %d chunks share %d arrays", len(l.chunks), len(arrays))
 	}
 	var stream []byte
 	for i := range 4000 {
@@ -357,6 +369,208 @@ func TestSpillWithoutATempDirKeepsChunks(t *testing.T) {
 	if len(got) != 4000 {
 		t.Fatalf("read back %d records, want 4000", len(got))
 	}
+}
+
+// TestWalkedChunksAreNeverReused: once a recording log spills, it takes the
+// array of the chunk it has just written out for its next chunk — unless a
+// walk copied the chunk list while that chunk was open, since the entries a
+// walk decodes alias the chunks it copied (see walk). Entries retained from
+// a live log and a walk paused inside its open chunk keep their bytes over
+// 4 MiB of appends and spills, and chunks opened after the walks are reused
+// again: appending 4 MiB more allocates no chunk.
+func TestWalkedChunksAreNeverReused(t *testing.T) {
+	type kept struct {
+		e    *OpenReadEntry
+		data []byte
+	}
+	// keep checks a decoded probe and notes it with a copy of its payload.
+	keep := func(out *[]kept, e Entry) error {
+		if err := checkProbe(e); err != nil {
+			return err
+		}
+		r := e.(*OpenReadEntry)
+		*out = append(*out, kept{r, bytes.Clone(r.Data)})
+		return nil
+	}
+	intact := func(t *testing.T, what string, retained []kept) {
+		t.Helper()
+		for _, k := range retained {
+			if err := checkProbe(k.e); err != nil || !bytes.Equal(k.e.Data, k.data) {
+				t.Fatalf("%s: record %v changed under its entry (%v)", what, k.e.EventID, err)
+			}
+		}
+	}
+	openArray := func(l *Log) *byte {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return &l.chunks[len(l.chunks)-1][:1][0]
+	}
+
+	t.Run("paused", func(t *testing.T) {
+		l := NewLog()
+		probes := make([]*OpenReadEntry, 4500)
+		for i := range probes {
+			probes[i] = chunkProbe(i%5, i/5, 1000)
+		}
+		appended := 0
+		// add appends n bytes of probes, calling each after every append.
+		add := func(n int, each func()) {
+			for end := l.Size() + n; l.Size() < end; appended++ {
+				l.Append(probes[appended%len(probes)])
+				each()
+			}
+		}
+		add(3<<20, func() {})
+		for len(l.chunks[0]) < 8<<10 {
+			add(1, func() {})
+		}
+		if l.fileLen == 0 || len(l.chunks) != 1 {
+			t.Fatalf("%d bytes spilled, %d chunks: the log did not spill", l.fileLen, len(l.chunks))
+		}
+		var retained []kept
+		entries, err := l.Entries()
+		for _, e := range entries {
+			if err == nil {
+				err = keep(&retained, e)
+			}
+		}
+		if err != nil || len(retained) != l.Len() {
+			t.Fatalf("Entries: %d records (%v), want %d", len(retained), err, l.Len())
+		}
+		// An Each paused a few records before the end of the open chunk.
+		var walked []kept
+		total, paused, resume, done := l.Len(), make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		go func() {
+			done <- l.Each(func(e Entry) error {
+				if len(walked) == total-4 {
+					close(paused)
+					<-resume
+				}
+				return keep(&walked, e)
+			})
+		}()
+		<-paused
+		walkedOpen, spilled := openArray(l), l.fileLen
+		last, fresh, reopened := walkedOpen, 0, false
+		add(4<<20, func() {
+			a := openArray(l)
+			reopened = reopened || a == walkedOpen && l.fileLen != spilled
+			if a != last {
+				last, fresh = a, fresh+1
+			}
+		})
+		close(resume)
+		if err := <-done; err != nil || len(walked) != total {
+			t.Fatalf("the paused walk: %d records (%v), want %d", len(walked), err, total)
+		}
+		intact(t, "Entries", retained)
+		intact(t, "the paused walk", walked)
+		if reopened {
+			t.Error("the chunk the walks saw was reopened once it spilled")
+		}
+		if fresh != 1 {
+			t.Errorf("4 MiB of appends opened %d arrays after the walks, want 1", fresh)
+		}
+
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		spilled = l.fileLen
+		add(4<<20, func() {})
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; l.fileLen-spilled < 3<<20 || grew > 256<<10 {
+			t.Errorf("after the walks, spilling %d bytes allocated %d: want no chunk", l.fileLen-spilled, grew)
+		}
+		runtime.KeepAlive(retained)
+	})
+
+	t.Run("racing", func(t *testing.T) {
+		const appenders, walkers, size = 4, 2, 10 << 20
+		l := NewLog()
+		reused, spilled, last := 0, 0, (*byte)(nil)
+		l.SetObserver(func(int) {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			// By address: a fresh array at a recycled address counts too, so
+			// this only shows that the walks raced reuses.
+			if a := &l.chunks[len(l.chunks)-1][:1][0]; l.fileLen != spilled && a == last {
+				reused++
+			} else {
+				last = a
+			}
+			spilled = l.fileLen
+		})
+		var wg, walking sync.WaitGroup
+		done := make(chan struct{})
+		for a := range appenders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; l.Size() < size; i++ {
+					l.Append(chunkProbe(a, i, 1+i%2000))
+				}
+			}()
+		}
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		retained := make([][]kept, walkers)
+		for w := range walkers {
+			walking.Add(1)
+			go func() {
+				defer walking.Done()
+				for pass := 0; ; pass++ {
+					at, ended := l.Size(), false
+					select {
+					case <-done:
+						ended = true
+					default:
+					}
+					var seen []kept
+					var err error
+					if pass%2 == 0 {
+						var entries []Entry
+						entries, err = l.Entries()
+						for _, e := range entries {
+							if err == nil {
+								err = keep(&seen, e)
+							}
+						}
+					} else {
+						err = l.Each(func(e Entry) error {
+							runtime.Gosched()
+							return keep(&seen, e)
+						})
+					}
+					if err != nil {
+						t.Errorf("walker %d, pass %d: %v", w, pass, err)
+						return
+					}
+					// Of each walk, the last records: the ones in chunks.
+					retained[w] = append(retained[w], seen[max(0, len(seen)-64):]...)
+					if ended {
+						return
+					}
+					// Let chunks open and seal with no walk between.
+					for l.Size() < min(at+5<<19, size) && !ended {
+						select {
+						case <-done:
+							ended = true
+						case <-time.After(time.Millisecond):
+						}
+					}
+				}
+			}()
+		}
+		walking.Wait()
+		for w := range retained {
+			intact(t, fmt.Sprintf("walker %d", w), retained[w])
+		}
+		if reused == 0 {
+			t.Errorf("%d bytes appended, %d spilled: no chunk's array was reused", l.Size(), spilled)
+		}
+	})
 }
 
 // TestLoadSetClosesWhatItOpened: a set that fails to load at its last log
