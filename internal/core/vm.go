@@ -792,6 +792,9 @@ func (vm *VM) Close() error {
 		// record; syncing and closing here makes a graceful shutdown
 		// indistinguishable from a plain saved log set.
 		vm.noteWALErrLocked(vm.logs.CloseWAL())
+		// Nothing more is recorded: a log that spilled moves its open chunk
+		// to its file, so a retained recording holds no chunk array.
+		vm.logs.Finish()
 	}
 	return vm.walErr
 }

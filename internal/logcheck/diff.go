@@ -176,9 +176,9 @@ func diffNetwork(rep *DiffReport, na, nb *tracelog.NetworkIndex) error {
 	diffKeyed(rep, "open-connect", na.OpenConnects.All(), nb.OpenConnects.All(), byNetEvent, same[tracelog.OpenConnectEntry])
 	diffKeyed(rep, "open-accept", na.OpenAccepts.All(), nb.OpenAccepts.All(), byNetEvent, same[tracelog.OpenAcceptEntry])
 	var errA, errB error
-	diffKeyed(rep, "open-read", contents(na, &na.OpenReads, &errA), contents(nb, &nb.OpenReads, &errB), byNetEvent, sameContent)
+	diffKeyed(rep, "open-read", contents(na, na.OpenReads.All(), &errA), contents(nb, nb.OpenReads.All(), &errB), byNetEvent, sameContent)
 	diffKeyed(rep, "open-write", na.OpenWrites.All(), nb.OpenWrites.All(), byNetEvent, same[tracelog.OpenWriteEntry])
-	diffKeyed(rep, "open-datagram", contents(na, &na.OpenDatagrams, &errA), contents(nb, &nb.OpenDatagrams, &errB), byNetEvent, sameContent)
+	diffKeyed(rep, "open-datagram", contents(na, na.OpenDatagrams.All(), &errA), contents(nb, nb.OpenDatagrams.All(), &errB), byNetEvent, sameContent)
 	if errA != nil {
 		return fmt.Errorf("logcheck: diff: left network log: %w", errA)
 	}
@@ -201,12 +201,12 @@ func sameContent(x, y content) bool {
 	return x.eof == y.eof && x.host == y.host && x.port == y.port && bytes.Equal(x.data, y.data)
 }
 
-// contents yields the records of t, a content table of idx, each copied out
-// of the log through idx.Content. It stops at a record that cannot be read
-// back and leaves why in *err.
-func contents(idx *tracelog.NetworkIndex, t *tracelog.Table[tracelog.ContentRow], err *error) iter.Seq2[ids.NetworkEventID, content] {
+// contents yields the records of rows, a content table of idx, each copied
+// out of the log through idx.Content. It stops at a record that cannot be
+// read back and leaves why in *err.
+func contents(idx *tracelog.NetworkIndex, rows iter.Seq2[ids.NetworkEventID, tracelog.ContentRow], err *error) iter.Seq2[ids.NetworkEventID, content] {
 	return func(yield func(ids.NetworkEventID, content) bool) {
-		for ev, row := range t.All() {
+		for ev, row := range rows {
 			c := content{eof: row.EOF}
 			var cerr error
 			if c.data, c.host, c.port, cerr = idx.Content(ev, row, nil); cerr != nil {

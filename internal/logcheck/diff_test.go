@@ -131,6 +131,42 @@ func TestDiffOpenWorldValueAndPresence(t *testing.T) {
 	}
 }
 
+// Open accepts, connects and env queries are compared by the host or op
+// name they recorded, never by where the index keeps that name: two logs of
+// the same records in another order, whose indexes list their names in
+// another order, diff clean, and a really different host is still reported.
+func TestDiffComparesNamesNotTheirPlaces(t *testing.T) {
+	ev := func(e int) ids.NetworkEventID { return ids.NetworkEventID{Thread: 1, Event: ids.EventNum(e)} }
+	records := []tracelog.Entry{
+		&tracelog.OpenAcceptEntry{EventID: ev(0), RemoteHost: "alpha", RemotePort: 1000},
+		&tracelog.OpenConnectEntry{EventID: ev(1), LocalPort: 5, RemoteHost: "beta", RemotePort: 80},
+		&tracelog.EnvEntry{EventID: ev(2), Op: "clock", Value: 7},
+		&tracelog.OpenAcceptEntry{EventID: ev(3), RemoteHost: "beta", RemotePort: 1001},
+	}
+	a, b, c := simpleSet(10), simpleSet(10), simpleSet(10)
+	for i, e := range records {
+		a.Network.Append(e)
+		b.Network.Append(records[len(records)-1-i])
+		if i == 3 {
+			e = &tracelog.OpenAcceptEntry{EventID: ev(3), RemoteHost: "gamma", RemotePort: 1001}
+		}
+		c.Network.Append(e)
+	}
+	rep, err := Diff(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Same() {
+		t.Errorf("the same records logged in another order differ: %q", rep.Lines)
+	}
+	if rep, err = Diff(a, c); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"open-accept nev⟨t1,e3⟩: values differ"}; !slices.Equal(rep.Lines, want) {
+		t.Errorf("another host:\n got %q\nwant %q", rep.Lines, want)
+	}
+}
+
 func TestDiffMetaDifferences(t *testing.T) {
 	a := simpleSet(10)
 	b := tracelog.NewSet()

@@ -62,6 +62,22 @@ func appendContent(l *Log) {
 	}
 }
 
+// appendOpenServer appends an open-world server's log of conns connections
+// to l: per connection an accept from host "client", a read of
+// contentPayload bytes and a write, logged by openWorkers threads in turn,
+// as net-open's server logs them.
+func appendOpenServer(l *Log, conns int) {
+	data := make([]byte, contentPayload)
+	for c := range conns {
+		w, e := ids.ThreadNum(c%openWorkers), ids.EventNum(3*(c/openWorkers))
+		l.Append(&OpenAcceptEntry{EventID: ids.NetworkEventID{Thread: w, Event: e}, RemoteHost: "client", RemotePort: uint16(c)})
+		l.Append(&OpenReadEntry{EventID: ids.NetworkEventID{Thread: w, Event: e + 1}, Data: data})
+		l.Append(&OpenWriteEntry{EventID: ids.NetworkEventID{Thread: w, Event: e + 2}, Len: contentPayload, Sum: uint64(c)})
+	}
+}
+
+const openWorkers = 4
+
 func BenchmarkAppendContent(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(contentRecords * contentPayload)
@@ -73,8 +89,9 @@ func BenchmarkAppendContent(b *testing.B) {
 func BenchmarkBuildIndex(b *testing.B) {
 	s := NewSet()
 	benchSet(s)
-	content := NewLog()
+	content, server := NewLog(), NewLog()
 	appendContent(content)
+	appendOpenServer(server, contentRecords)
 	for _, bc := range []struct {
 		name  string
 		build func() error
@@ -82,6 +99,7 @@ func BenchmarkBuildIndex(b *testing.B) {
 		{"schedule", func() error { _, err := BuildScheduleIndex(s.Schedule); return err }},
 		{"network", func() error { _, err := BuildNetworkIndex(s.Network); return err }},
 		{"network-content", func() error { _, err := BuildNetworkIndex(content); return err }},
+		{"open-server", func() error { _, err := BuildNetworkIndex(server); return err }},
 		{"datagram", func() error { _, err := BuildDatagramIndex(s.Datagram); return err }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

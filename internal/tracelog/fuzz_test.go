@@ -86,6 +86,9 @@ func fuzzSeeds() [][]byte {
 	for conn := range ids.EventNum(2) {
 		nl.Append(&ServerSocketEntry{ServerID: ids.NetworkEventID{Thread: 2, Event: 30}, ClientID: ids.ConnectionID{VM: 4, Thread: 1, Event: conn}})
 	}
+	// Names shared across tables and repeated in one: the index keeps each once.
+	nl.Append(&OpenAcceptEntry{EventID: ids.NetworkEventID{Thread: 1, Event: 40}, RemoteHost: "alpha", RemotePort: 2})
+	nl.Append(&EnvEntry{EventID: ids.NetworkEventID{Thread: 1, Event: 41}, Op: "peer", Value: 3})
 	network := nl.Bytes()
 	add(network)
 	nl.Append(&ReadEntry{EventID: ids.NetworkEventID{Thread: 1, Event: 19}})
@@ -254,7 +257,7 @@ func FuzzLoadSet(f *testing.F) {
 		if !reflect.DeepEqual(tables, memTables) {
 			t.Fatalf("window %d: the index differs from the in-memory one", win)
 		}
-		for _, table := range []*Table[ContentRow]{&idx.OpenReads, &idx.OpenDatagrams} {
+		for _, table := range []*Table[ContentRow, ContentRow]{&idx.OpenReads, &idx.OpenDatagrams} {
 			for ev, row := range table.All() {
 				e, err := entryOf(idx, ev, row)
 				memE, memErr := entryOf(memIdx, ev, row)
@@ -287,7 +290,9 @@ type tableView struct {
 	get  func(ids.NetworkEventID) (any, bool)
 }
 
-func viewOf[V any](t *Table[V]) tableView {
+// viewOf sees a table as the entries it hands out, a row's host or op name
+// resolved from the index's names.
+func viewOf[V any, R row[V]](t *Table[V, R]) tableView {
 	v := tableView{len: t.Len(), get: func(ev ids.NetworkEventID) (any, bool) { return t.Get(ev) }}
 	for ev := range t.All() {
 		v.keys = append(v.keys, ev)
@@ -297,7 +302,7 @@ func viewOf[V any](t *Table[V]) tableView {
 
 // contentViewOf is viewOf for a content table of idx: a row is seen as the
 // record Content copies out.
-func contentViewOf(t *Table[ContentRow], idx *NetworkIndex) tableView {
+func contentViewOf(t *Table[ContentRow, ContentRow], idx *NetworkIndex) tableView {
 	v := viewOf(t)
 	v.get = func(ev ids.NetworkEventID) (any, bool) {
 		row, ok := t.Get(ev)

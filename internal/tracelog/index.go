@@ -126,24 +126,25 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 // NetworkIndex is the replay-side view of a NetworkLogFile. Closed-world
 // replay entries and open-world content entries are keyed by the network
 // event id ⟨threadNum, eventNum⟩, which the paper guarantees is identical
-// across record and replay (§4.1.3).
+// across record and replay (§4.1.3). Every table replay reads per event keeps
+// rows with no pointer, in which the event id lives only in the key.
 type NetworkIndex struct {
 	// ServerSockets maps an accept's networkEventId to the connectionId that
 	// the matching record-phase connection carried.
-	ServerSockets Table[ids.ConnectionID]
-	Reads         Table[ReadEntry]
-	Availables    Table[AvailableEntry]
-	Binds         Table[BindEntry]
-	Errs          Table[NetErrEntry]
-	OpenConnects  Table[OpenConnectEntry]
-	OpenAccepts   Table[OpenAcceptEntry]
-	OpenReads     Table[ContentRow]
-	OpenWrites    Table[OpenWriteEntry]
-	OpenDatagrams Table[ContentRow]
-	Envs          Table[EnvEntry]
+	ServerSockets Table[ids.ConnectionID, connRow]
+	Reads         Table[ReadEntry, readRow]
+	Availables    Table[AvailableEntry, availableRow]
+	Binds         Table[BindEntry, bindRow]
+	Errs          Table[NetErrEntry, NetErrEntry]
+	OpenConnects  Table[OpenConnectEntry, connectRow]
+	OpenAccepts   Table[OpenAcceptEntry, acceptRow]
+	OpenReads     Table[ContentRow, ContentRow]
+	OpenWrites    Table[OpenWriteEntry, writeRow]
+	OpenDatagrams Table[ContentRow, ContentRow]
+	Envs          Table[EnvEntry, envRow]
 	// NetSpans holds the optional causal-tracing annotations keyed by the
 	// annotated event's id. Replay never consults them.
-	NetSpans Table[NetSpanEntry]
+	NetSpans Table[NetSpanEntry, NetSpanEntry]
 	log      *Log // the indexed log, where content rows point
 }
 
@@ -171,9 +172,19 @@ func (r *ContentRow) Kind() Kind { return r.kind }
 // per key, held sorted by ⟨thread, event⟩ and found by binary search. The
 // key of every lookup is known in advance — replay asks for the event it is
 // at — so nothing is hashed. A table is read-only once its builder returns.
-type Table[V any] struct {
-	keys []uint64 // packed ⟨thread, event⟩, ascending
-	vals []V
+//
+// A table hands out entries V and keeps each as a row R: the entry itself,
+// or a packed form in which the event id lives only in the key and a host or
+// op name is its position in names, the index's list of each distinct name.
+type Table[V any, R row[V]] struct {
+	keys  []uint64 // packed ⟨thread, event⟩, ascending
+	vals  []R
+	names []string
+}
+
+// row is a table's stored form of its entries V.
+type row[V any] interface {
+	entry(ev ids.NetworkEventID, names []string) V
 }
 
 // packEvent packs an event id into one word that orders like ⟨thread, event⟩.
@@ -184,28 +195,28 @@ func unpackEvent(k uint64) ids.NetworkEventID {
 }
 
 // newTable returns an empty table with room for n rows.
-func newTable[V any](n int) Table[V] {
-	return Table[V]{keys: make([]uint64, 0, n), vals: make([]V, 0, n)}
+func newTable[V any, R row[V]](n int) Table[V, R] {
+	return Table[V, R]{keys: make([]uint64, 0, n), vals: make([]R, 0, n)}
 }
 
-// Get returns the row keyed ev and whether there is one.
-func (t *Table[V]) Get(ev ids.NetworkEventID) (V, bool) {
+// Get returns the entry keyed ev and whether there is one.
+func (t *Table[V, R]) Get(ev ids.NetworkEventID) (V, bool) {
 	i, ok := slices.BinarySearch(t.keys, packEvent(ev))
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	return t.vals[i], true
+	return t.vals[i].entry(ev, t.names), true
 }
 
 // Len reports the number of rows.
-func (t *Table[V]) Len() int { return len(t.keys) }
+func (t *Table[V, R]) Len() int { return len(t.keys) }
 
-// All yields every row in key order.
-func (t *Table[V]) All() iter.Seq2[ids.NetworkEventID, V] {
+// All yields every entry in key order.
+func (t *Table[V, R]) All() iter.Seq2[ids.NetworkEventID, V] {
 	return func(yield func(ids.NetworkEventID, V) bool) {
 		for i, k := range t.keys {
-			if !yield(unpackEvent(k), t.vals[i]) {
+			if ev := unpackEvent(k); !yield(ev, t.vals[i].entry(ev, t.names)) {
 				return
 			}
 		}
@@ -213,9 +224,9 @@ func (t *Table[V]) All() iter.Seq2[ids.NetworkEventID, V] {
 }
 
 // add appends a row during the build, in log order.
-func (t *Table[V]) add(ev ids.NetworkEventID, v V) {
+func (t *Table[V, R]) add(ev ids.NetworkEventID, r R) {
 	t.keys = append(t.keys, packEvent(ev))
-	t.vals = append(t.vals, v)
+	t.vals = append(t.vals, r)
 }
 
 // sortRows puts the rows in key order, rows that share a key in log order.
@@ -225,7 +236,7 @@ func (t *Table[V]) add(ev ids.NetworkEventID, v V) {
 // along the cycles of that permutation: the only scratch is eight bytes a
 // row. (A table cannot reach 2³² rows: their values alone would outgrow
 // memory.)
-func (t *Table[V]) sortRows() {
+func (t *Table[V, R]) sortRows() {
 	if slices.IsSorted(t.keys) {
 		return
 	}
@@ -276,16 +287,70 @@ func (t *Table[V]) sortRows() {
 	}
 }
 
+// The packed rows: no pointer, no event id, a name as its position in the
+// table's names. The content tables, Errs, NetSpans and the datagram index
+// keep their entries as they are.
+type (
+	connRow ids.ConnectionID
+	readRow struct {
+		n   uint32
+		eof bool
+	}
+	availableRow uint32
+	bindRow      uint16
+	connectRow   struct {
+		host          uint32
+		local, remote uint16
+	}
+	acceptRow struct {
+		host uint32
+		port uint16
+	}
+	writeRow struct {
+		sum uint64
+		n   uint32
+		fnv bool
+	}
+	envRow struct {
+		value uint64
+		op    uint32
+	}
+)
+
+func (r connRow) entry(ids.NetworkEventID, []string) ids.ConnectionID { return ids.ConnectionID(r) }
+func (r readRow) entry(ev ids.NetworkEventID, _ []string) ReadEntry   { return ReadEntry{ev, r.n, r.eof} }
+func (r availableRow) entry(ev ids.NetworkEventID, _ []string) AvailableEntry {
+	return AvailableEntry{ev, uint32(r)}
+}
+func (r bindRow) entry(ev ids.NetworkEventID, _ []string) BindEntry { return BindEntry{ev, uint16(r)} }
+func (r connectRow) entry(ev ids.NetworkEventID, names []string) OpenConnectEntry {
+	return OpenConnectEntry{ev, r.local, names[r.host], r.remote}
+}
+func (r acceptRow) entry(ev ids.NetworkEventID, names []string) OpenAcceptEntry {
+	return OpenAcceptEntry{ev, names[r.host], r.port}
+}
+func (r writeRow) entry(ev ids.NetworkEventID, _ []string) OpenWriteEntry {
+	return OpenWriteEntry{ev, r.n, r.sum, r.fnv}
+}
+func (r envRow) entry(ev ids.NetworkEventID, names []string) EnvEntry {
+	return EnvEntry{ev, names[r.op], r.value}
+}
+func (r ContentRow) entry(ids.NetworkEventID, []string) ContentRow               { return r }
+func (e NetErrEntry) entry(ids.NetworkEventID, []string) NetErrEntry             { return e }
+func (e NetSpanEntry) entry(ids.NetworkEventID, []string) NetSpanEntry           { return e }
+func (e DatagramRecvEntry) entry(ids.NetworkEventID, []string) DatagramRecvEntry { return e }
+
 // unique sorts t and fails with a dupError if two rows share a key, naming
 // the kind of the one logged later.
-func unique[V any, P interface {
+func unique[V any, R row[V], P interface {
 	*V
 	Kind() Kind
-}](t *Table[V]) error {
+}](t *Table[V, R]) error {
 	t.sortRows()
 	for i := 1; i < len(t.keys); i++ {
 		if t.keys[i] == t.keys[i-1] {
-			return dupError{P(&t.vals[i]).Kind()}
+			e := t.vals[i].entry(unpackEvent(t.keys[i]), t.names)
+			return dupError{P(&e).Kind()}
 		}
 	}
 	return nil
@@ -293,7 +358,7 @@ func unique[V any, P interface {
 
 // keepFirst sorts t and keeps, of the rows that share a key, the one logged
 // first.
-func (t *Table[V]) keepFirst() {
+func (t *Table[V, R]) keepFirst() {
 	t.sortRows()
 	n := 0
 	for i, k := range t.keys {
@@ -321,55 +386,66 @@ func (e dupError) Error() string {
 
 // BuildNetworkIndex decodes a NetworkLogFile and indexes it for replay.
 // Each table is sized from the log's count of its records and filled in one
-// walk. A duplicate key is a corruption error except for
-// ServerSocketEntries, whose lack of uniqueness the paper explicitly
-// tolerates ("this lack of unique entries is not a problem", §4.1.3) —
-// uniqueness of our extended connectionId makes duplicates impossible in
-// practice, but the first entry wins to mirror the paper's semantics.
+// walk, each distinct host or op name kept once. A duplicate key is a
+// corruption error except for ServerSocketEntries, whose lack of uniqueness
+// the paper explicitly tolerates ("this lack of unique entries is not a
+// problem", §4.1.3) — uniqueness of our extended connectionId makes
+// duplicates impossible in practice, but the first entry wins to mirror the
+// paper's semantics.
 func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
+	var names []string
+	seen := map[string]uint32{}
+	name := func(s string) uint32 {
+		id, ok := seen[s]
+		if !ok {
+			id = uint32(len(names))
+			seen[s], names = id, append(names, s)
+		}
+		return id
+	}
 	idx := &NetworkIndex{
-		ServerSockets: newTable[ids.ConnectionID](l.count(KindServerSocket)),
-		Reads:         newTable[ReadEntry](l.count(KindRead)),
-		Availables:    newTable[AvailableEntry](l.count(KindAvailable)),
-		Binds:         newTable[BindEntry](l.count(KindBind)),
-		Errs:          newTable[NetErrEntry](l.count(KindNetErr)),
-		OpenConnects:  newTable[OpenConnectEntry](l.count(KindOpenConnect)),
-		OpenAccepts:   newTable[OpenAcceptEntry](l.count(KindOpenAccept)),
-		OpenReads:     newTable[ContentRow](l.count(KindOpenRead)),
-		OpenWrites:    newTable[OpenWriteEntry](l.count(KindOpenWrite) + l.count(KindOpenWriteWide)),
-		OpenDatagrams: newTable[ContentRow](l.count(KindOpenDatagram)),
-		Envs:          newTable[EnvEntry](l.count(KindEnv)),
-		NetSpans:      newTable[NetSpanEntry](l.count(KindNetSpan)),
+		ServerSockets: newTable[ids.ConnectionID, connRow](l.count(KindServerSocket)),
+		Reads:         newTable[ReadEntry, readRow](l.count(KindRead)),
+		Availables:    newTable[AvailableEntry, availableRow](l.count(KindAvailable)),
+		Binds:         newTable[BindEntry, bindRow](l.count(KindBind)),
+		Errs:          newTable[NetErrEntry, NetErrEntry](l.count(KindNetErr)),
+		OpenConnects:  newTable[OpenConnectEntry, connectRow](l.count(KindOpenConnect)),
+		OpenAccepts:   newTable[OpenAcceptEntry, acceptRow](l.count(KindOpenAccept)),
+		OpenReads:     newTable[ContentRow, ContentRow](l.count(KindOpenRead)),
+		OpenWrites:    newTable[OpenWriteEntry, writeRow](l.count(KindOpenWrite) + l.count(KindOpenWriteWide)),
+		OpenDatagrams: newTable[ContentRow, ContentRow](l.count(KindOpenDatagram)),
+		Envs:          newTable[EnvEntry, envRow](l.count(KindEnv)),
+		NetSpans:      newTable[NetSpanEntry, NetSpanEntry](l.count(KindNetSpan)),
 		log:           l,
 	}
 	var scratch [kindMax]Entry
 	err := l.walk(&scratch, func(e Entry, off, n int) error {
 		switch v := e.(type) {
 		case *ServerSocketEntry:
-			idx.ServerSockets.add(v.ServerID, v.ClientID)
+			idx.ServerSockets.add(v.ServerID, connRow(v.ClientID))
 		case *ReadEntry:
-			idx.Reads.add(v.EventID, *v)
+			idx.Reads.add(v.EventID, readRow{v.N, v.EOF})
 		case *AvailableEntry:
-			idx.Availables.add(v.EventID, *v)
+			idx.Availables.add(v.EventID, availableRow(v.N))
 		case *BindEntry:
-			idx.Binds.add(v.EventID, *v)
+			idx.Binds.add(v.EventID, bindRow(v.Port))
 		case *NetErrEntry:
 			idx.Errs.add(v.EventID, *v)
 		case *OpenConnectEntry:
-			idx.OpenConnects.add(v.EventID, *v)
+			idx.OpenConnects.add(v.EventID, connectRow{name(v.RemoteHost), v.LocalPort, v.RemotePort})
 		case *OpenAcceptEntry:
-			idx.OpenAccepts.add(v.EventID, *v)
+			idx.OpenAccepts.add(v.EventID, acceptRow{name(v.RemoteHost), v.RemotePort})
 		case *OpenReadEntry:
 			idx.OpenReads.add(v.EventID, ContentRow{int64(off), uint32(n), uint32(len(v.Data)), v.EOF, KindOpenRead})
 		case *OpenWriteEntry:
 			// Both open-write kinds share the one table: which of two
 			// records verifies an event's payload must never be a matter of
 			// order.
-			idx.OpenWrites.add(v.EventID, *v)
+			idx.OpenWrites.add(v.EventID, writeRow{v.Sum, v.Len, v.FNV})
 		case *OpenDatagramEntry:
 			idx.OpenDatagrams.add(v.EventID, ContentRow{int64(off), uint32(n), uint32(len(v.Data)), false, KindOpenDatagram})
 		case *EnvEntry:
-			idx.Envs.add(v.EventID, *v)
+			idx.Envs.add(v.EventID, envRow{v.Value, name(v.Op)})
 		case *NetSpanEntry:
 			idx.NetSpans.add(v.EventID, *v)
 		default:
@@ -380,6 +456,7 @@ func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 	if err != nil {
 		return nil, err
 	}
+	idx.OpenConnects.names, idx.OpenAccepts.names, idx.Envs.names = names, names, names
 	idx.ServerSockets.keepFirst()
 	for _, err := range []error{
 		unique(&idx.Reads),
@@ -408,14 +485,14 @@ func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 // duplication is kept in the buffer until it is delivered to the same number
 // of read requests as in the record phase" (§4.2.3).
 type DatagramIndex struct {
-	ByEvent    Table[DatagramRecvEntry]
+	ByEvent    Table[DatagramRecvEntry, DatagramRecvEntry]
 	Deliveries map[ids.DGNetworkEventID]int
 }
 
 // BuildDatagramIndex indexes the datagram log for replay.
 func BuildDatagramIndex(l *Log) (*DatagramIndex, error) {
 	idx := &DatagramIndex{
-		ByEvent:    newTable[DatagramRecvEntry](l.count(KindDatagramRecv)),
+		ByEvent:    newTable[DatagramRecvEntry, DatagramRecvEntry](l.count(KindDatagramRecv)),
 		Deliveries: make(map[ids.DGNetworkEventID]int),
 	}
 	var scratch [kindMax]Entry

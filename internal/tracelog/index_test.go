@@ -3,6 +3,7 @@ package tracelog
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -184,6 +185,93 @@ func TestNetworkIndexAllocatesItsRows(t *testing.T) {
 		if idx.OpenReads.Len() != contentRecords || perRecord > 64 {
 			t.Errorf("%s log: indexed %d records allocating %d bytes each, want at most 64", name, idx.OpenReads.Len(), perRecord)
 		}
+	}
+}
+
+// TestNetworkIndexRowsHoldNoPointer pins the row shape of every table replay
+// reads per event: no pointer, so the collector never scans the index, and
+// at most 16 bytes (a content row 24) besides the 8-byte key.
+func TestNetworkIndexRowsHoldNoPointer(t *testing.T) {
+	var pointers func(reflect.Type) bool
+	pointers = func(rt reflect.Type) bool {
+		switch rt.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			return true
+		case reflect.Array:
+			return rt.Len() > 0 && pointers(rt.Elem())
+		case reflect.Struct:
+			for i := range rt.NumField() {
+				if pointers(rt.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	it := reflect.TypeOf(NetworkIndex{})
+	tables := 0
+	for i := range it.NumField() {
+		f := it.Field(i)
+		if !f.IsExported() || f.Name == "Errs" || f.Name == "NetSpans" {
+			continue // the failures and the analysis annotations keep their strings
+		}
+		vals, ok := f.Type.FieldByName("vals")
+		if !ok {
+			t.Fatalf("%s is not a table", f.Name)
+		}
+		tables++
+		rt, limit := vals.Type.Elem(), uintptr(16)
+		if rt == reflect.TypeOf(ContentRow{}) {
+			limit = 24
+		}
+		if pointers(rt) || rt.Size() > limit {
+			t.Errorf("%s keeps %v rows of %d bytes, pointer: %v; want no pointer and at most %d bytes", f.Name, rt, rt.Size(), pointers(rt), limit)
+		}
+	}
+	if tables != 10 {
+		t.Errorf("checked %d tables, want 10", tables)
+	}
+}
+
+// TestNetworkIndexKeepsAConnectionInRows: the index of an open-world server's
+// log (appendOpenServer) keeps at most 80 bytes a connection — a 16-byte
+// accept row, a 32-byte content row and a 24-byte write row with their keys,
+// and the peer's host once for the whole log — recorded or loaded. What it
+// keeps is the live heap it adds; the sort scratch, the decoded host strings
+// and a loaded log's window are garbage once the build returns.
+func TestNetworkIndexKeepsAConnectionInRows(t *testing.T) {
+	const conns = 8000
+	s := NewSet()
+	appendOpenServer(s.Network, conns)
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, l := range map[string]*Log{"recorded": s.Network, "loaded": loaded.Network} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		idx, err := BuildNetworkIndex(l)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := int64(after.HeapAlloc-before.HeapAlloc) / conns
+		allocated := (after.TotalAlloc - before.TotalAlloc) / conns
+		t.Logf("%s log: %d bytes kept and %d allocated a connection", name, kept, allocated)
+		if peer, ok := idx.OpenAccepts.Get(ids.NetworkEventID{Thread: 1, Event: 3}); !ok || peer.RemoteHost != "client" || peer.RemotePort != openWorkers+1 {
+			t.Errorf("%s log: accept of connection %d reads %+v, %v", name, openWorkers+1, peer, ok)
+		}
+		if idx.OpenAccepts.Len()+idx.OpenReads.Len()+idx.OpenWrites.Len() != 3*conns || kept > 80 {
+			t.Errorf("%s log: %d rows kept in %d bytes a connection, want %d rows in at most 80", name,
+				idx.OpenAccepts.Len()+idx.OpenReads.Len()+idx.OpenWrites.Len(), kept, 3*conns)
+		}
+		runtime.KeepAlive(idx)
 	}
 }
 

@@ -144,7 +144,7 @@ func (l *Log) commit(rec []byte) []byte {
 			return rec
 		}
 		next = min(max(2*cap(open), minChunk), maxChunk)
-		if l.spill() && cap(open) == next && l.openedAt == l.walks {
+		if l.spill(window) && cap(open) == next && l.openedAt == l.walks {
 			free = open[:0]
 		}
 	}
@@ -158,16 +158,16 @@ func (l *Log) commit(rec []byte) []byte {
 	return rec
 }
 
-// spill writes the sealed chunks, once they hold more than a window, to the
-// end of the log's own file and drops them, first making the file, unlinked
-// at once so that it ends with the process; it reports whether it wrote them
+// spill writes the chunks, once they hold more than over bytes, to the end
+// of the log's own file and drops them, first making the file, unlinked at
+// once so that it ends with the process; it reports whether it wrote them
 // all. Each chunk's bytes are in the file before fileLen covers them and
 // fileLen before the chunk is dropped, so a walk that noted either still
 // reads whole records. A loaded log, whose extent is not its own, and a log
 // that cannot make or write its file keep their chunks. Caller holds mu, and
-// every chunk is sealed.
-func (l *Log) spill() bool {
-	if l.sizeLocked()-l.fileLen <= window || (l.file != nil && !l.own) {
+// every chunk is sealed: commit's, or the open one too once it is dropped.
+func (l *Log) spill(over int) bool {
+	if l.sizeLocked()-l.fileLen <= over || (l.file != nil && !l.own) {
 		return false
 	}
 	if l.file == nil {
@@ -522,6 +522,19 @@ func (s *Set) Save(dir string) error {
 		}
 	}
 	return nil
+}
+
+// Finish ends a recording: a log that has spilled writes its open chunk to
+// its file too and holds no chunk; one that never spilled, or whose file
+// fails the write, keeps its chunks.
+func (s *Set) Finish() {
+	for _, l := range s.logs() {
+		l.mu.Lock()
+		if l.own {
+			l.spill(0)
+		}
+		l.mu.Unlock()
+	}
 }
 
 // LoadSet opens the three logs saved by Save for replay. A file of more than

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -318,7 +319,7 @@ func TestSpilledLogIsTheLogThatNeverSpilled(t *testing.T) {
 			if !reflect.DeepEqual(idx.Reads, wantIdx.Reads) || !reflect.DeepEqual(idx.OpenReads, wantIdx.OpenReads) || !reflect.DeepEqual(idx.OpenDatagrams, wantIdx.OpenDatagrams) {
 				t.Fatalf("seed %d, %s log: its index differs from the log in one piece's", seed, name)
 			}
-			for _, tab := range []Table[ContentRow]{idx.OpenReads, idx.OpenDatagrams} {
+			for _, tab := range []Table[ContentRow, ContentRow]{idx.OpenReads, idx.OpenDatagrams} {
 				for ev, row := range tab.All() {
 					data, host, port, err := idx.Content(ev, row, nil)
 					wdata, whost, wport, werr := wantIdx.Content(ev, row, nil)
@@ -329,6 +330,64 @@ func TestSpilledLogIsTheLogThatNeverSpilled(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFinishedRecordingHoldsNoChunk: once its recording is over, a log that
+// has spilled — the 32 MB content log — writes its open chunk to its file as
+// well and holds no chunk byte, while one that never spilled keeps its
+// chunks as they were; both read, save and walk as the same bytes as before,
+// a walk racing Finish included, and a record appended afterwards opens a
+// chunk of its own.
+func TestFinishedRecordingHoldsNoChunk(t *testing.T) {
+	s := NewSet()
+	s.Schedule.Append(&VMMeta{VM: 1, Threads: 8, FinalGC: 9})
+	appendContent(s.Network)
+	network, schedule := s.Network.Bytes(), s.Schedule.Bytes()
+	if s.Network.file == nil || len(s.Network.chunks) == 0 || s.Schedule.file != nil {
+		t.Fatalf("the test needs a spilled content log with an open chunk and a schedule log that never spilled")
+	}
+	before := readBack(t, s.Network)
+	schedChunks := slices.Clone(s.Schedule.chunks)
+
+	walked := make(chan int)
+	go func() {
+		n := 0
+		s.Network.Each(func(Entry) error { n++; return nil })
+		walked <- n
+	}()
+	s.Finish()
+	if n := <-walked; n != contentRecords {
+		t.Errorf("a walk racing Finish saw %d records, want %d", n, contentRecords)
+	}
+
+	held := 0
+	for _, c := range s.Network.chunks {
+		held += len(c)
+	}
+	if held != 0 || len(s.Network.chunks) != 0 || s.Network.fileLen != len(network) {
+		t.Errorf("the finished content log holds %d chunk bytes in %d chunks and %d of %d bytes in its file", held, len(s.Network.chunks), s.Network.fileLen, len(network))
+	}
+	if len(s.Schedule.chunks) != len(schedChunks) || &s.Schedule.chunks[0][0] != &schedChunks[0][0] || s.Schedule.file != nil {
+		t.Error("Finish moved the chunks of a log that never spilled")
+	}
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]byte{"network": network, "schedule": schedule} {
+		if saved, err := os.ReadFile(filepath.Join(dir, name+".log")); err != nil || !bytes.Equal(saved, want) {
+			t.Errorf("the finished %s log saved %d bytes (%v) that differ from the %d it held before", name, len(saved), err, len(want))
+		}
+	}
+	if !bytes.Equal(s.Network.Bytes(), network) || !reflect.DeepEqual(readBack(t, s.Network), before) {
+		t.Error("the finished content log reads other bytes than before")
+	}
+
+	late := &ReadEntry{EventID: ids.NetworkEventID{Thread: 9}, N: 1}
+	s.Network.Append(late)
+	if len(s.Network.chunks) != 1 || !bytes.Equal(s.Network.Bytes(), append(network, encoded(late)...)) {
+		t.Errorf("a record appended after Finish: %d chunks, %d bytes", len(s.Network.chunks), s.Network.Size())
 	}
 }
 
