@@ -63,8 +63,8 @@ func TestAccessors(t *testing.T) {
 	}
 
 	bar := NewBarrier(3)
-	if bar.Parties() != 3 {
-		t.Error("Barrier.Parties")
+	if bar.parties != 3 {
+		t.Error("Barrier parties")
 	}
 
 	// Error strings.
@@ -120,3 +120,19 @@ func TestTimedWaitPassthroughPaths(t *testing.T) {
 		t.Error("passthrough notified wait reported timeout")
 	}
 }
+
+// waiterCount, holder and objectCount read state a program must not branch
+// on, since the log records none of these reads; tests read it here.
+func waiterCount(m *Monitor) int {
+	m.lock()
+	defer m.unlock()
+	return len(m.waiters)
+}
+
+func holder(m *Monitor) (ids.ThreadNum, bool) {
+	m.lock()
+	defer m.unlock()
+	return m.holder, m.held
+}
+
+func objectCount(vm *VM) int { return len(vm.allStreams()) - 1 }

@@ -40,6 +40,3 @@ func (b *Barrier) Await(t *Thread) (tripped bool) {
 	b.mon.Exit(t)
 	return tripped
 }
-
-// Parties reports the barrier's party count.
-func (b *Barrier) Parties() int { return int(b.parties) }

@@ -59,7 +59,7 @@ func goldenGlobal(vm *VM) string {
 				mon.Exit(th)
 			}))
 		}
-		for mon.WaiterCount() < 3 {
+		for waiterCount(mon) < 3 {
 			runtime.Gosched()
 		}
 		mon.Enter(main)
@@ -101,7 +101,7 @@ func goldenSharded(vm *VM) string {
 				mon.Exit(th)
 			}))
 		}
-		for mon.WaiterCount() < 3 {
+		for waiterCount(mon) < 3 {
 			runtime.Gosched()
 		}
 		mon.Enter(main)

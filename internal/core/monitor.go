@@ -119,13 +119,6 @@ func (m *Monitor) release(t *Thread, op string) {
 	m.unlock()
 }
 
-// Holder reports whether the monitor is held and by which thread.
-func (m *Monitor) Holder() (ids.ThreadNum, bool) {
-	m.lock()
-	defer m.unlock()
-	return m.holder, m.held
-}
-
 // Wait releases the monitor, blocks until another thread notifies this one,
 // and re-acquires the monitor before returning — Object.wait semantics
 // (minus timeouts and spurious wakeups).
@@ -306,11 +299,4 @@ func (m *Monitor) takeWaiter(tn ids.ThreadNum) *parked {
 		}
 	}
 	return nil
-}
-
-// WaiterCount reports the size of the wait set.
-func (m *Monitor) WaiterCount() int {
-	m.lock()
-	defer m.unlock()
-	return len(m.waiters)
 }

@@ -130,7 +130,7 @@ func TestNotifyAllWakesEveryWaiter(t *testing.T) {
 			for {
 				mon.Enter(main)
 				n := ready.Get(main)
-				w := mon.WaiterCount()
+				w := waiterCount(mon)
 				if n == int64(waiters) && w == waiters {
 					mon.NotifyAll(main)
 					mon.Exit(main)
@@ -160,15 +160,15 @@ func TestMonitorHolderQuery(t *testing.T) {
 	vm := startVM(t, Config{ID: 7, Mode: ids.Passthrough})
 	mon := NewMonitor()
 	vm.Start(func(main *Thread) {
-		if _, held := mon.Holder(); held {
+		if _, held := holder(mon); held {
 			panic("fresh monitor held")
 		}
 		mon.Enter(main)
-		if h, held := mon.Holder(); !held || h != main.Num() {
+		if h, held := holder(mon); !held || h != main.Num() {
 			panic("holder query wrong while held")
 		}
 		mon.Exit(main)
-		if _, held := mon.Holder(); held {
+		if _, held := holder(mon); held {
 			panic("monitor still held after exit")
 		}
 	})

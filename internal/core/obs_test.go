@@ -33,7 +33,7 @@ func mixedWorkload(t *testing.T, cfg Config) *VM {
 			// workload deterministically produces wait and notify events.
 			for {
 				mon.Enter(th)
-				if mon.WaiterCount() == 1 {
+				if waiterCount(mon) == 1 {
 					released.Set(th, 1)
 					mon.Notify(th)
 					mon.Exit(th)

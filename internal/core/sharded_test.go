@@ -88,7 +88,7 @@ func TestShardedRandomProgramsReplayIdentically(t *testing.T) {
 			t.Logf("replay: %v", err)
 			return false
 		}
-		if recVM.ObjectCount() != repVM.ObjectCount() {
+		if objectCount(recVM) != objectCount(repVM) {
 			return false
 		}
 		return tracesEqual(recTraces, repTraces)
@@ -164,7 +164,7 @@ func TestShardedDisjointMatchesGlobal(t *testing.T) {
 					seed, i, shardRec[i], shardRep[i], globRec[i], globRep[i])
 			}
 		}
-		if n := shardVM.ObjectCount(); n != nThreads {
+		if n := objectCount(shardVM); n != nThreads {
 			t.Errorf("sharded VM registered %d objects, want %d", n, nThreads)
 		}
 		shard := shardVM.Metrics().Snapshot().Shard
@@ -472,7 +472,7 @@ func TestShardedRegistrationRules(t *testing.T) {
 	}
 	var y SharedInt
 	y.Register(glob) // global mode: no-op
-	if n := glob.ObjectCount(); n != 0 {
+	if n := objectCount(glob); n != 0 {
 		t.Errorf("global-mode registration consumed %d object ids, want 0", n)
 	}
 	glob.Start(func(main *Thread) {

@@ -164,14 +164,6 @@ func (vm *VM) allStreams() []*stream {
 	return append([]*stream(nil), vm.streams...)
 }
 
-// ObjectCount reports how many objects have been registered for sharded
-// ordering (0 outside sharded mode).
-func (vm *VM) ObjectCount() int {
-	vm.streamsMu.Lock()
-	defer vm.streamsMu.Unlock()
-	return len(vm.streams) - 1
-}
-
 // streamFor resolves a primitive's stream: the object's own when it was
 // registered on this thread's VM, the VM's global stream otherwise.
 func (t *Thread) streamFor(s *stream) *stream {

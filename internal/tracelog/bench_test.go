@@ -259,6 +259,69 @@ func benchRecover(b *testing.B, clean bool, finalGC ids.GCount, fill func(*Set))
 	}
 }
 
+// BenchmarkTruncateWAL compacts the WAL of a live recording: truncIntervals
+// intervals over four threads, a closed-world read for each, and
+// truncCheckpoints checkpoints of main, thread 0, spread evenly; it keeps two
+// of them, so the anchor's base is where the last 1/truncCheckpoints of the
+// run begins. Each compaction rewrites the WAL from the whole in-memory set.
+func BenchmarkTruncateWAL(b *testing.B) {
+	s := truncateSet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		truncate(b, s)
+	}
+}
+
+// TestTruncateWALAllocatesPerRunNotPerRecord: a compaction walks the set
+// with scratch records, so what it allocates grows with the runs it keeps
+// and the log chunks it walks, not with the records it reads — decoding the
+// logs whole allocated about two objects a record.
+func TestTruncateWALAllocatesPerRunNotPerRecord(t *testing.T) {
+	s := truncateSet(t)
+	if n := testing.AllocsPerRun(2, func() { truncate(t, s) }); n >= 5000 {
+		t.Fatalf("TruncateWAL of %d intervals, %d reads and %d checkpoints allocates %.0f times, want under 5000",
+			truncIntervals, truncIntervals, truncCheckpoints, n)
+	}
+}
+
+const truncIntervals, truncCheckpoints = 40_000, 40
+
+// truncateSet records BenchmarkTruncateWAL's run through a WAL that syncs
+// only when it closes.
+func truncateSet(tb testing.TB) *Set {
+	w, err := CreateWAL(filepath.Join(tb.TempDir(), "node.wal"), WALOptions{SyncEvery: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := NewSet()
+	if err := s.AttachWAL(w); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.CloseWAL() })
+	s.Schedule.Append(&VMMeta{VM: 1, World: ids.ClosedWorld})
+	for i := 0; i < truncIntervals; i++ {
+		ev := ids.NetworkEventID{Thread: ids.ThreadNum(i % 4), Event: ids.EventNum(i / 4)}
+		s.Network.Append(&ReadEntry{EventID: ev, N: 64})
+		s.Schedule.Append(&Interval{Thread: ev.Thread, First: ids.GCount(2 * i), Last: ids.GCount(2*i + 1)})
+		if (i+1)%(truncIntervals/truncCheckpoints) == 0 {
+			s.Schedule.Append(&CheckpointEntry{GC: ids.GCount(2*i + 2), NextThread: 4, MainEventNum: ids.EventNum(i/4 + 1), State: []byte("state")})
+		}
+	}
+	return s
+}
+
+// truncate compacts s keeping two checkpoints and checks what it kept: the
+// header and base, the last 1/truncCheckpoints of the intervals, both
+// checkpoints, and thread 0's reads from the anchor on.
+func truncate(tb testing.TB, s *Set) {
+	const runs = truncIntervals / truncCheckpoints
+	st, err := s.TruncateWAL(2)
+	if err != nil || st.BaseGC != 2*(truncIntervals-runs) || st.KeptRecords != 2+runs+2+runs/4 {
+		tb.Fatalf("TruncateWAL: %v, %+v", err, st)
+	}
+}
+
 // TestScheduleIndexAllocatesWhatItKeeps: at real parallelism a schedule log is
 // one interval (or obj-run) per lock hand-off, tens of thousands of them, and
 // the process's high-water mark follows what building the index allocates. An

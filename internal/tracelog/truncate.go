@@ -2,39 +2,53 @@ package tracelog
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 
 	"repro/internal/ids"
 )
 
-// Checkpoint-anchored WAL truncation.
+// Checkpoint-anchored WAL truncation and crash repair: one cut.
 //
-// A long-running recorded service grows its WAL without bound; but once a
-// checkpoint at counter C is durable, every record below C is redundant — a
-// resumed replay restores the checkpoint state and fast-forwards past the
-// prefix. TruncateWAL rewrites the durable file to exactly the live suffix:
+// Once a checkpoint at counter C is durable, every record below C is
+// redundant — a resumed replay restores the checkpoint state and
+// fast-forwards past the prefix; and a crashed WAL holds records past the
+// last counter its intervals cover, which no replay reaches. Both paths keep
+// one consistent cut of the recorded set: a counter window [base, end) and a
+// liveness test for network events. TruncateWAL cuts at a retained
+// checkpoint's counter with no end, keeping the network records a resumed
+// replay can still ask for; RecoverFile's repair cuts at the truncation base
+// and K, the first counter its runs leave uncovered, and keeps the network
+// log whole.
 //
-//	magic, vm-meta header, chaos-plan (if any), truncation{BaseGC},
-//	clipped schedule records ≥ BaseGC, live network records, datagram
-//	records ≥ BaseGC
+// A cut walks the schedule log twice and each other log once, one scratch
+// record at a time, never decoding a log whole. The survey walk finds the
+// identity header, whether the log closed, the base, the checkpoints, and
+// the global runs — flushed intervals, each open-interval note folded into
+// the run it snapshots. reduce then emits the runs in the window, clipped at
+// base and sorted by First, before every other record, in log order, whose
+// counter key lies in the window (a timestamp's may also equal end) or that,
+// keyed by a network event only, is live. So a compacted WAL reads: magic,
+// identity header, truncation{base}, the runs, the other schedule records,
+// the live network records, the datagram deliveries at or past base.
 //
-// anchored at a retained checkpoint (BaseGC equals that checkpoint's counter,
-// and the checkpoint record itself is kept). The rewrite is atomic — the
-// compacted image is built in a temp file, fsynced, and renamed over the WAL —
-// so a crash at any moment leaves either the old complete log or the new
-// compacted one, never a blend. The in-memory log set is left untouched: it
-// still holds the full run and still replays from zero.
+// The rewrite is atomic — built in a temp file, fsynced, and renamed over the
+// WAL — so a crash leaves the old log or the compacted one, never a blend.
+// The in-memory set is untouched: it still holds the full run.
 //
-// Contract: call at the same thread-quiescent point a checkpoint requires,
-// with every open schedule interval flushed first (core.VM.TruncateWAL does
-// both). Quiescence is what makes the anchor checkpoint's thread bookkeeping
-// (NextThread, TakerThread, MainEventNum) a complete liveness description:
-// the only network records a post-anchor replay can request belong to the
-// taker at or past its checkpointed event number, or to threads spawned
-// after the anchor.
+// Contract: call TruncateWAL at the same thread-quiescent point a checkpoint
+// requires, with every open schedule interval flushed first
+// (core.VM.TruncateWAL does both). Quiescence is what makes the anchor
+// checkpoint's thread bookkeeping (NextThread, TakerThread, MainEventNum) a
+// complete liveness description: the only network records a post-anchor
+// replay can request belong to the taker at or past its checkpointed event
+// number, or to threads spawned after the anchor. It also keeps appends out
+// of the rewrite, which would miss them.
 
 // ErrNoAnchor reports that a truncation found fewer recorded checkpoints than
 // its retention policy keeps, so there is nothing safe to anchor at yet.
@@ -67,115 +81,170 @@ func (s *Set) TruncateWAL(keep int) (*TruncateStats, error) {
 	if s.wal == nil {
 		return nil, fmt.Errorf("tracelog: TruncateWAL without an attached WAL")
 	}
-	if keep < 1 {
-		keep = 1
-	}
-	sched, err := s.Schedule.Entries()
-	if err != nil {
+	keep = max(keep, 1)
+	sv, err := surveySchedule(s.Schedule)
+	switch {
+	case err != nil:
 		return nil, fmt.Errorf("tracelog: truncate: schedule: %w", err)
-	}
-	var header *VMMeta
-	var anchors []*CheckpointEntry
-	for _, e := range sched {
-		switch v := e.(type) {
-		case *VMMeta:
-			if header == nil {
-				header = v
-			}
-		case *CheckpointEntry:
-			anchors = append(anchors, v)
-		}
-	}
-	if header == nil {
+	case sv.header == nil:
 		return nil, corruptf("truncate: no vm-meta header (was the WAL enabled before recording started?)")
+	case len(sv.anchors) < keep:
+		return nil, fmt.Errorf("%w: have %d, retaining %d", ErrNoAnchor, len(sv.anchors), keep)
 	}
-	if len(anchors) < keep {
-		return nil, fmt.Errorf("%w: have %d, retaining %d", ErrNoAnchor, len(anchors), keep)
-	}
-	anchor := anchors[len(anchors)-keep]
+	anchor := sv.anchors[len(sv.anchors)-keep]
 	st := &TruncateStats{BaseGC: anchor.GC, KeptCheckpoints: keep}
-	base := anchor.GC
-
 	// A replay resumed at or after the anchor runs only the taker thread
 	// (from its checkpointed event number onward) and threads spawned after
 	// the anchor; every other thread had finished by the anchor's quiescent
 	// point and its per-event records are dead.
-	liveNet := func(id ids.NetworkEventID) bool {
+	c := cut{base: anchor.GC, end: math.MaxUint64, live: func(id ids.NetworkEventID) bool {
 		return uint32(id.Thread) >= anchor.NextThread ||
 			(id.Thread == anchor.TakerThread && id.Event >= anchor.MainEventNum)
-	}
-
-	network, err := s.Network.Entries()
-	if err != nil {
-		return nil, fmt.Errorf("tracelog: truncate: network: %w", err)
-	}
-	datagram, err := s.Datagram.Entries()
-	if err != nil {
-		return nil, fmt.Errorf("tracelog: truncate: datagram: %w", err)
-	}
-
-	n, err := s.wal.replace(func(emit func(logID uint8, e Entry)) {
-		emit(logSchedule, &VMMeta{VM: header.VM, World: header.World})
-		emit(logSchedule, &TruncationEntry{BaseGC: base})
-		for _, e := range sched {
-			switch v := e.(type) {
-			case *VMMeta, *TruncationEntry:
-				// Header re-emitted above; any earlier truncation marker is
-				// superseded by the new one.
-				continue
-			case *Interval:
-				if v.Last < base {
-					st.DroppedSchedule++
-					continue
-				}
-				if v.First < base {
-					iv := *v
-					iv.First = base
-					e = &iv
-				}
-			case *OpenInterval:
-				// Open-interval notes' coverage is subsumed by the flushed
-				// intervals the caller's pre-truncation flush produced.
-				st.DroppedSchedule++
-				continue
-			}
-			// A record keyed by a counter below the base belongs to an event
-			// the anchor checkpoint supersedes. An epoch stamp anchored below
-			// the new base names a checkpoint this compaction drops, so the
-			// stamp goes with it.
-			if gc := gcField(e); gc != nil && *gc < base {
-				st.DroppedSchedule++
-				continue
-			}
-			emit(logSchedule, e)
-		}
-		for _, e := range network {
-			if id, ok := netEventID(e); ok && !liveNet(id) {
-				st.DroppedNetwork++
-				continue
-			}
-			emit(logNetwork, e)
-		}
-		for _, e := range datagram {
-			if gc := gcField(e); gc != nil && *gc < base {
-				st.DroppedDatagram++
-				continue
-			}
-			emit(logDatagram, e)
-		}
+	}}
+	var runs int
+	var dropped [logCount]int
+	n, err := s.wal.replace(func(emit func(logID uint8, e Entry)) (err error) {
+		emit(logSchedule, &VMMeta{VM: sv.header.VM, World: sv.header.World})
+		emit(logSchedule, &TruncationEntry{BaseGC: c.base})
+		runs, dropped, err = c.reduce(s, sv.runs, emit)
+		return err
 	}, &st.KeptRecords)
 	if err != nil {
 		return nil, fmt.Errorf("tracelog: truncate: %w", err)
 	}
+	st.DroppedSchedule = sv.claims - runs + dropped[logSchedule]
+	st.DroppedNetwork, st.DroppedDatagram = dropped[logNetwork], dropped[logDatagram]
 	st.Bytes = n
 	return st, nil
 }
 
+// survey is what one walk of a schedule log tells a cut.
+type survey struct {
+	header  *VMMeta // the first vm-meta: the recording's identity
+	final   VMMeta  // the last vm-meta, which closed the log if closed
+	closed  bool    // the log ends in a vm-meta with its thread count: a graceful Close
+	base    ids.GCount
+	anchors []CheckpointEntry // every checkpoint, in log order, without its state
+	// runs holds the global runs that reach base, clipped at it, sorted by
+	// First and then Thread, one per ⟨Thread, First⟩: a note and the interval
+	// it snapshots, or several notes of one interval, fold into the longest.
+	runs    []Interval
+	claims  int           // interval and open-interval records walked
+	notes   int           // open-interval records among them
+	threads ids.ThreadNum // the highest thread any of them names
+}
+
+// surveySchedule walks l once with scratch records.
+func surveySchedule(l *Log) (*survey, error) {
+	sv := &survey{}
+	var scratch [kindMax]Entry
+	err := l.walk(&scratch, func(e Entry, _, _ int) error {
+		sv.closed = false
+		switch v := e.(type) {
+		case *VMMeta:
+			if sv.header == nil {
+				h := *v
+				sv.header = &h
+			}
+			sv.final, sv.closed = *v, v.Threads > 0
+		case *TruncationEntry:
+			sv.base = max(sv.base, v.BaseGC)
+		case *CheckpointEntry:
+			sv.anchors = append(sv.anchors, *v)
+			sv.anchors[len(sv.anchors)-1].State = nil
+		case *OpenInterval:
+			sv.notes++
+			sv.runs = append(sv.runs, Interval(*v))
+		case *Interval:
+			sv.runs = append(sv.runs, *v)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Coverage below the base is the anchor checkpoint's, but a straggler
+	// there (a note written while an earlier truncation ran, say) is
+	// tolerated and clipped. Sorted with the longer of a tie first, a run
+	// folds every later claim of its ⟨Thread, First⟩ away.
+	sv.claims = len(sv.runs)
+	runs := sv.runs[:0]
+	for _, r := range sv.runs {
+		sv.threads = max(sv.threads, r.Thread)
+		if r.Last >= sv.base {
+			r.First = max(r.First, sv.base)
+			runs = append(runs, r)
+		}
+	}
+	slices.SortFunc(runs, func(a, b Interval) int {
+		return cmp.Or(cmp.Compare(a.First, b.First), cmp.Compare(a.Thread, b.Thread), cmp.Compare(b.Last, a.Last))
+	})
+	sv.runs = slices.CompactFunc(runs, func(a, b Interval) bool { return a.Thread == b.Thread && a.First == b.First })
+	return sv, nil
+}
+
+// cut is a consistent cut of a recorded set: the counter window [base, end)
+// and the network events still live, nil for all of them.
+type cut struct {
+	base, end ids.GCount
+	live      func(ids.NetworkEventID) bool
+}
+
+// reduce emits what survives c (see the package comment above) and reports
+// how many runs it emitted and how many other records of each log it
+// dropped. Vm-meta and truncation records are the caller's to emit; with live
+// nil the network log survives whole and is not walked. A record keyed by a
+// counter outside the window belongs to an event the cut supersedes or lost:
+// for a group-epoch stamp, that is how a torn write demotes the group's
+// recovery line, and how a compaction drops a stamp with its anchor.
+func (c cut) reduce(s *Set, runs []Interval, emit func(logID uint8, e Entry)) (kept int, dropped [logCount]int, err error) {
+	var iv Interval // one record for every run: emit keeps nothing of it
+	for _, r := range runs {
+		if r.Last >= c.base && r.First < c.end {
+			iv, iv.First = r, max(r.First, c.base)
+			emit(logSchedule, &iv)
+			kept++
+		}
+	}
+	var scratch [kindMax]Entry
+	for id, l := range s.logs() {
+		if id == logNetwork && c.live == nil {
+			continue
+		}
+		err := l.walk(&scratch, func(e Entry, _, _ int) error {
+			switch e.(type) {
+			case *VMMeta, *TruncationEntry, *Interval, *OpenInterval:
+				return nil
+			}
+			if c.keeps(e) {
+				emit(uint8(id), e)
+			} else {
+				dropped[id]++
+			}
+			return nil
+		})
+		if err != nil {
+			return 0, dropped, fmt.Errorf("%s: %w", logNames[id], err)
+		}
+	}
+	return kept, dropped, nil
+}
+
+// keeps reports whether a record other than a run survives c.
+func (c cut) keeps(e Entry) bool {
+	if gc := gcField(e); gc != nil {
+		_, stamp := e.(*TimestampEntry)
+		return *gc >= c.base && (*gc < c.end || stamp && *gc == c.end)
+	}
+	if id, ok := netEventID(e); ok && c.live != nil {
+		return c.live(id)
+	}
+	return true
+}
+
 // gcField returns the global counter value a record is keyed by — the counter
 // of the critical event that logged it — or nil for a kind that carries none.
-// With netEventID it is all that prefix repair and truncation need to know
-// about record types: a record whose key falls outside the surviving counter
-// window, or whose network event can no longer be replayed, is dropped.
+// With netEventID it is all that a cut needs to know about record types.
 func gcField(e Entry) *ids.GCount {
 	switch v := e.(type) {
 	case *Notify:
@@ -229,16 +298,14 @@ func netEventID(e Entry) (ids.NetworkEventID, bool) {
 }
 
 // replace atomically rewrites the WAL file with the frames build emits,
-// then swaps the writer onto the new file. Build runs with the writer locked,
-// so concurrent appends serialize against the rewrite; frames build emits go
-// through writeFrame like appended ones. On failure the original
-// file and writer are left untouched (truncation failure must not poison
-// recording durability).
-func (w *WALWriter) replace(build func(emit func(logID uint8, e Entry)), kept *int) (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return 0, w.err
+// then swaps the writer onto the new file. Build runs without the writer's
+// lock, which an append takes inside its log's: build walks the logs, and a
+// walk takes the log's lock. Frames build emits go through writeFrame like
+// appended ones. On failure the original file and writer are left untouched
+// (truncation failure must not poison recording durability).
+func (w *WALWriter) replace(build func(emit func(logID uint8, e Entry)) error, kept *int) (int64, error) {
+	if err := w.Err(); err != nil {
+		return 0, err
 	}
 	tmp := w.path + ".compact"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -246,12 +313,8 @@ func (w *WALWriter) replace(build func(emit func(logID uint8, e Entry)), kept *i
 		return 0, err
 	}
 	bw := bufio.NewWriter(f)
-	var werr error
-	var n int64
-	if _, err := bw.WriteString(WALMagic); err != nil {
-		werr = err
-	}
-	n += int64(len(WALMagic))
+	_, werr := bw.WriteString(WALMagic)
+	n := int64(len(WALMagic))
 	var scratch codec
 	emit := func(logID uint8, e Entry) {
 		if werr != nil {
@@ -264,12 +327,19 @@ func (w *WALWriter) replace(build func(emit func(logID uint8, e Entry)), kept *i
 			*kept++
 		}
 	}
-	build(emit)
+	if err := build(emit); werr == nil {
+		werr = err
+	}
 	if werr == nil {
 		werr = bw.Flush()
 	}
 	if werr == nil {
 		werr = f.Sync()
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if werr == nil {
+		werr = w.err
 	}
 	if werr == nil {
 		werr = os.Rename(tmp, w.path)

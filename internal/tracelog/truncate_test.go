@@ -3,8 +3,12 @@ package tracelog
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ids"
@@ -304,4 +308,168 @@ func FuzzTruncateWAL(f *testing.F) {
 				rep.BaseGC, rep.DiscardedBytes, rep.Reason, st.BaseGC)
 		}
 	})
+}
+
+// Truncation must be invisible to a replay resumed at its anchor: two sets
+// record the same run, one WAL is compacted at the anchor, and both take the
+// same tail of appends. Cut at every frame boundary of that tail, the two
+// files recover to the same prefix end and to the same records of everything
+// such a replay reads — the runs from the anchor on, the checkpoints,
+// notifies, timed waits and datagram deliveries at or past it, and the
+// network records of the events still live there.
+func TestTruncateWALInvisibleToResumedReplay(t *testing.T) {
+	ev := func(th, e int) ids.NetworkEventID {
+		return ids.NetworkEventID{Thread: ids.ThreadNum(th), Event: ids.EventNum(e)}
+	}
+	type record struct {
+		log uint8
+		e   Entry
+	}
+	prefix := []record{
+		{logSchedule, &VMMeta{VM: 5, World: ids.ClosedWorld}},
+		{logNetwork, &ReadEntry{EventID: ev(0, 0), N: 8}},
+		{logSchedule, &Interval{Thread: 0, First: 0, Last: 2}},
+		{logNetwork, &ReadEntry{EventID: ev(1, 0), N: 16}},
+		{logSchedule, &Notify{GC: 4, Woken: []ids.ThreadNum{0}}},
+		{logDatagram, &DatagramRecvEntry{EventID: ev(1, 1), ReceiverGC: 4, Datagram: ids.DGNetworkEventID{VM: 3, GC: 1}}},
+		{logSchedule, &Interval{Thread: 1, First: 3, Last: 4}},
+		{logSchedule, &OpenInterval{Thread: 0, First: 5, Last: 5}},
+		{logSchedule, &Interval{Thread: 0, First: 5, Last: 6}},
+		{logSchedule, &CheckpointEntry{GC: 6, NextThread: 2, TakerThread: 0, MainEventNum: 1, State: []byte("a")}},
+		{logNetwork, &ReadEntry{EventID: ev(0, 1), N: 32}},
+		{logSchedule, &TimedWaitEntry{GC: 8, Check: true}},
+		{logSchedule, &OpenInterval{Thread: 0, First: 7, Last: 8}},
+		{logSchedule, &Interval{Thread: 0, First: 7, Last: 9}},
+		{logSchedule, &CheckpointEntry{GC: 9, NextThread: 2, TakerThread: 0, MainEventNum: 2, State: []byte("b")}},
+		{logNetwork, &ReadEntry{EventID: ev(0, 2), N: 64}},
+	}
+	tail := []record{
+		{logNetwork, &ReadEntry{EventID: ev(2, 0), N: 1}},
+		{logSchedule, &Interval{Thread: 2, First: 10, Last: 11}},
+		{logSchedule, &Notify{GC: 11, Woken: []ids.ThreadNum{2}}},
+		{logDatagram, &DatagramRecvEntry{EventID: ev(2, 1), ReceiverGC: 11, Datagram: ids.DGNetworkEventID{VM: 3, GC: 2}}},
+		{logSchedule, &OpenInterval{Thread: 0, First: 12, Last: 12}},
+		{logNetwork, &ReadEntry{EventID: ev(0, 3), N: 2}},
+		{logSchedule, &OpenInterval{Thread: 0, First: 12, Last: 14}},
+		{logSchedule, &TimestampEntry{GC: 15, Wall: 99}},
+		{logSchedule, &Interval{Thread: 0, First: 12, Last: 15}},
+		{logSchedule, &CheckpointEntry{GC: 15, NextThread: 3, TakerThread: 0, MainEventNum: 4, State: []byte("c")}},
+		{logSchedule, &Interval{Thread: 2, First: 16, Last: 17}},
+	}
+	for keep, anchor := range map[int]*CheckpointEntry{1: prefix[14].e.(*CheckpointEntry), 2: prefix[9].e.(*CheckpointEntry)} {
+		dir := t.TempDir()
+		var files [2][]byte
+		var tails [2]int
+		for i := range files {
+			path := filepath.Join(dir, fmt.Sprintf("node%d.wal", i))
+			w, err := CreateWAL(path, WALOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewSet()
+			if err := s.AttachWAL(w); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range prefix {
+				s.logs()[r.log].Append(r.e)
+			}
+			if i == 1 {
+				if st, err := s.TruncateWAL(keep); err != nil || st.BaseGC != anchor.GC {
+					t.Fatalf("keep %d: TruncateWAL = %+v, %v; want base %d", keep, st, err, anchor.GC)
+				}
+			}
+			size, err := s.WAL().Size()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range tail {
+				s.logs()[r.log].Append(r.e)
+			}
+			if err := s.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+			if files[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+			tails[i] = int(size)
+		}
+		if !bytes.Equal(files[0][tails[0]:], files[1][tails[1]:]) {
+			t.Fatalf("keep %d: the tail's frames differ between the two files", keep)
+		}
+		offs := append(frameOffsets(t, files[0][tails[0]-len(WALMagic):]), len(files[0])-tails[0]+len(WALMagic))
+		if len(offs) != len(tail)+1 {
+			t.Fatalf("keep %d: %d tail frames, want %d", keep, len(offs)-1, len(tail))
+		}
+		for _, off := range offs {
+			n := off - len(WALMagic)
+			var views [2]string
+			for i, data := range files {
+				cut := filepath.Join(dir, "cut.wal")
+				if err := os.WriteFile(cut, data[:tails[i]+n], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				s, rep, err := RecoverFile(cut)
+				if err != nil {
+					t.Fatalf("keep %d, tail cut at %d: file %d: RecoverFile: %v", keep, n, i, err)
+				}
+				views[i] = resumedView(t, s, rep, anchor)
+			}
+			if views[0] != views[1] {
+				t.Errorf("keep %d, tail cut at %d: a replay resumed at %d reads\n%s\nfrom the whole WAL, but\n%s\nfrom the compacted one", keep, n, anchor.GC, views[0], views[1])
+			}
+		}
+	}
+}
+
+// resumedView describes what a replay resumed at anchor reads of a recovered
+// set.
+func resumedView(t *testing.T, s *Set, rep *RecoveryReport, anchor *CheckpointEntry) string {
+	t.Helper()
+	base := anchor.GC
+	idx, err := BuildScheduleIndex(s.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := BuildDatagramIndex(s.Datagram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	network, err := s.Network.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "final %d\n", rep.FinalGC)
+	for _, iv := range idx.Streams[0].Ordered() {
+		if iv.Last >= base {
+			fmt.Fprintf(&b, "run %d [%d,%d]\n", iv.Thread, max(iv.First, base), iv.Last)
+		}
+	}
+	for _, cp := range idx.Checkpoints {
+		if cp.GC >= base {
+			fmt.Fprintf(&b, "checkpoint %+v\n", cp)
+		}
+	}
+	for _, gc := range slices.Sorted(maps.Keys(idx.Streams[0].Notifies)) {
+		if gc >= base {
+			fmt.Fprintf(&b, "notify %d %v\n", gc, idx.Streams[0].Notifies[gc])
+		}
+	}
+	for _, gc := range slices.Sorted(maps.Keys(idx.Streams[0].TimedWaits)) {
+		if gc >= base {
+			fmt.Fprintf(&b, "timed wait %+v\n", idx.Streams[0].TimedWaits[gc])
+		}
+	}
+	for _, d := range dg.ByEvent.All() {
+		if d.ReceiverGC >= base {
+			fmt.Fprintf(&b, "datagram %+v\n", d)
+		}
+	}
+	for _, e := range network {
+		id, _ := netEventID(e)
+		if uint32(id.Thread) >= anchor.NextThread || id.Thread == anchor.TakerThread && id.Event >= anchor.MainEventNum {
+			fmt.Fprintf(&b, "network %+v\n", e)
+		}
+	}
+	return b.String()
 }

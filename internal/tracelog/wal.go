@@ -2,14 +2,12 @@ package tracelog
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"repro/internal/ids"
@@ -25,7 +23,8 @@ import (
 // append order — so truncating a damaged WAL at the first torn frame yields a
 // CONSISTENT cut: if a schedule interval covering counter gc survives, every
 // network/datagram/notify record logged for an event at or before gc was
-// appended earlier in the file and therefore also survives.
+// appended earlier in the file and therefore also survives. Repair then keeps
+// the cut [base, K) of what survived, the cut truncation makes (truncate.go).
 //
 // File layout:
 //
@@ -276,7 +275,7 @@ type RecoveryReport struct {
 // cleanly and the set is returned as-is. Otherwise the node crashed
 // mid-record: open schedule intervals and the final meta never reached the
 // log, so RecoverFile computes the largest contiguously covered counter
-// prefix [0, K), drops records beyond it, and synthesizes a vm-meta with
+// prefix [base, K), cuts the set to it, and synthesizes a vm-meta with
 // FinalGC = K. Replaying the recovered set with StopAtLogEnd reproduces the
 // recorded execution deterministically up to the crash point.
 func RecoverFile(path string) (*Set, *RecoveryReport, error) {
@@ -295,6 +294,7 @@ func RecoverFile(path string) (*Set, *RecoveryReport, error) {
 	s := NewSet()
 	logs := s.logs()
 	var scratch [kindMax]Entry
+	var threads ids.ThreadNum
 	off := len(WALMagic)
 	for off < len(data) {
 		logID, payload, reason := readFrame(data[off:], &scratch)
@@ -305,6 +305,9 @@ func RecoverFile(path string) (*Set, *RecoveryReport, error) {
 			break
 		}
 		logs[logID].appendRecord(payload)
+		if id, ok := netEventID(scratch[payload[0]]); ok {
+			threads = max(threads, id.Thread)
+		}
 		rep.Frames++
 		off += walFrameHdrLen + len(payload)
 	}
@@ -313,7 +316,7 @@ func RecoverFile(path string) (*Set, *RecoveryReport, error) {
 	rep.NetworkRecords = s.Network.Len()
 	rep.DatagramRecords = s.Datagram.Len()
 
-	if err := repairSet(s, rep); err != nil {
+	if err := repairSet(s, rep, threads); err != nil {
 		return nil, rep, err
 	}
 	return s, rep, nil
@@ -369,199 +372,73 @@ func readFrame(b []byte, scratch *[kindMax]Entry) (logID uint8, payload []byte, 
 	return logID, payload, ""
 }
 
-// repairSet trims a recovered set to its largest replayable prefix and
-// synthesizes the final vm-meta when the recording VM never closed.
-func repairSet(s *Set, rep *RecoveryReport) error {
-	sched, err := s.Schedule.Entries()
+// repairSet cuts a recovered set to its largest replayable prefix and
+// synthesizes the final vm-meta when the recording VM never closed; threads
+// is the highest thread a network or datagram record names.
+func repairSet(s *Set, rep *RecoveryReport, threads ids.ThreadNum) error {
+	sv, err := surveySchedule(s.Schedule)
 	if err != nil {
 		return fmt.Errorf("tracelog: recover %s: schedule: %w", rep.Path, err)
 	}
-
 	// A checkpoint-anchored truncation rewrites the durable stream to start at
 	// a checkpoint's counter; the replayable range then begins at that base,
 	// not zero, and the coverage sweep below must start there too.
-	base := ids.GCount(0)
-	for _, e := range sched {
-		if tr, ok := e.(*TruncationEntry); ok && tr.BaseGC > base {
-			base = tr.BaseGC
-		}
-	}
-	rep.BaseGC = base
-
+	rep.BaseGC = sv.base
 	// A graceful Close appends the final vm-meta as the very last schedule
 	// record, with the thread count filled in; the durable identity header
 	// written at EnableWAL time carries Threads == 0. Distinguish the two so
 	// a full WAL of a cleanly closed run needs no repair.
-	if n := len(sched); n > 0 {
-		if m, ok := sched[n-1].(*VMMeta); ok && m.Threads > 0 {
-			rep.Clean = true
-			rep.VM, rep.World, rep.FinalGC = m.VM, m.World, m.FinalGC
-			return nil
-		}
+	if sv.closed {
+		rep.Clean = true
+		rep.VM, rep.World, rep.FinalGC = sv.final.VM, sv.final.World, sv.final.FinalGC
+		return nil
 	}
-
 	// Crashed mid-record: identity comes from the header meta.
-	var header *VMMeta
-	for _, e := range sched {
-		if m, ok := e.(*VMMeta); ok {
-			header = m
-			break
-		}
-	}
-	if header == nil {
+	if sv.header == nil {
 		return corruptf("recover %s: no vm-meta identity record in salvaged prefix (was the WAL enabled before recording started?)", rep.Path)
 	}
 	rep.Synthesized = true
-	rep.VM, rep.World = header.VM, header.World
+	rep.VM, rep.World = sv.header.VM, sv.header.World
+	rep.OpenNotes = sv.notes
 
-	// The replayable prefix [0, K): K is the first global counter not covered
-	// by any salvaged coverage evidence. Evidence comes in two forms: flushed
-	// Interval records, and OpenInterval durability notes snapshotting a
-	// thread's still-open interval (without them, a thread parked in a long
-	// blocking event — main in Join, say — would hold the whole prefix
-	// hostage behind its unflushed interval). A note with a given
-	// (Thread, First) is always a prefix of the interval eventually flushed
-	// with that First, so dedup by (Thread, First) keeping the largest Last;
-	// the deduped claims are then disjoint and a sort-and-sweep finds the
-	// first gap. Everything below K is fully scheduled; per-event records
-	// (notify, datagram deliveries, network entries) for events below K are
-	// guaranteed present because they were appended to the WAL at event time,
-	// before the coverage claiming them.
-	type ivKey struct {
-		t ids.ThreadNum
-		f ids.GCount
-	}
-	merged := make(map[ivKey]Interval)
-	maxThread := ids.ThreadNum(0)
-	for _, e := range sched {
-		var iv Interval
-		switch v := e.(type) {
-		case *Interval:
-			iv = *v
-		case *OpenInterval:
-			iv = Interval(*v)
-			rep.OpenNotes++
-		default:
-			continue
-		}
-		if iv.Thread > maxThread {
-			maxThread = iv.Thread
-		}
-		// A truncated stream's intervals are clipped to start at the base, but
-		// tolerate stragglers below it (e.g. a note written concurrently with
-		// an earlier truncation): coverage below the base is already captured
-		// by the anchor checkpoint.
-		if iv.Last < base {
-			continue
-		}
-		if iv.First < base {
-			iv.First = base
-		}
-		key := ivKey{iv.Thread, iv.First}
-		if cur, ok := merged[key]; !ok || iv.Last > cur.Last {
-			merged[key] = iv
-		}
-	}
-	ivs := make([]Interval, 0, len(merged))
-	for _, iv := range merged {
-		ivs = append(ivs, iv)
-	}
-	// The map hands the claims over in random order: sort them by First (and
-	// by Thread, so a corrupt log's tie sorts the same every time).
-	slices.SortFunc(ivs, func(a, b Interval) int {
-		return cmp.Or(cmp.Compare(a.First, b.First), cmp.Compare(a.Thread, b.Thread))
-	})
-	k := base
-	for _, iv := range ivs {
-		if iv.First > k {
+	// The replayable prefix [base, K): K is the first global counter no
+	// salvaged run covers. The runs are flushed intervals and open-interval
+	// notes, which snapshot a thread's still-open interval (without them, a
+	// thread parked in a long blocking event — main in Join, say — would
+	// hold the whole prefix hostage behind its unflushed interval); sorted
+	// by First, a sweep finds the first gap. A run that starts below K ends
+	// below it, since the sweep passed it. Everything below K is fully
+	// scheduled; per-event records (notify, datagram deliveries, network
+	// entries) for events below K are present because they were appended to
+	// the WAL at event time, before the coverage claiming them.
+	k := sv.base
+	for _, r := range sv.runs {
+		if r.First > k {
 			break
 		}
-		if iv.Last+1 > k {
-			k = iv.Last + 1
-		}
+		k = max(k, r.Last+1)
 	}
 	rep.FinalGC = k
 
-	// Rebuild the schedule log: identity header, then the deduped coverage
-	// as ordinary Interval records (sorted by First, which also preserves
-	// per-thread execution order), then surviving per-event records. Note
-	// records are not carried over — their information now lives in the
-	// rebuilt intervals.
-	newSched := NewLog()
-	newSched.Append(header)
-	for i := range ivs {
-		iv := ivs[i]
-		if iv.First >= k {
-			rep.DroppedIntervals++
-			continue
-		}
-		if iv.Last >= k {
-			// Deduped claims are disjoint, so a claim overlapping K can
-			// only mean the coverage sweep and the log disagree.
-			return corruptf("recover %s: interval [%d,%d] straddles recovered prefix %d", rep.Path, iv.First, iv.Last, k)
-		}
-		newSched.Append(&iv)
+	// The cut [base, K) rebuilds the schedule and datagram logs: the identity
+	// header and base, the runs as ordinary intervals, the records keyed
+	// inside the prefix, and the synthesized meta, which wins in
+	// BuildScheduleIndex (last meta wins). Notes are not carried over: their
+	// information now lives in the runs. Threads whose intervals were lost
+	// can still be named by salvaged network and datagram records, and
+	// logcheck validates those against the meta's thread count.
+	out := [logCount]*Log{logSchedule: NewLog(), logDatagram: NewLog()}
+	out[logSchedule].Append(sv.header)
+	if sv.base > 0 {
+		out[logSchedule].Append(&TruncationEntry{BaseGC: sv.base})
 	}
-	for _, e := range sched {
-		switch e.(type) {
-		case *Interval, *OpenInterval, *VMMeta:
-			// Coverage was rebuilt above. The header is already appended, and
-			// the synthesized final meta appended below wins in
-			// BuildScheduleIndex (last meta wins).
-			continue
-		}
-		// A record keyed by a counter at or past the recovered prefix belongs
-		// to an event this salvage dropped. For a group-epoch stamp that is
-		// exactly how a torn write demotes the group's recovery line: the
-		// stamp anchors on a checkpoint that is gone, so the epoch can no
-		// longer be complete for this member. The one exception: timestamp
-		// GCs range over [0, FinalGC] (the stamp records the counter value
-		// after the stamped event), so a stamp at exactly k is still
-		// consistent with the recovered prefix.
-		if gc := gcField(e); gc != nil && *gc >= k {
-			if _, stamp := e.(*TimestampEntry); !stamp || *gc > k {
-				rep.DroppedSchedule++
-				continue
-			}
-		}
-		newSched.Append(e)
-	}
-
-	// Thread count for the synthesized meta: threads whose intervals were
-	// lost can still be referenced by salvaged network/datagram records, and
-	// logcheck validates those references against the meta.
-	maxThread = maxThreadRef(s.Datagram, maxThreadRef(s.Network, maxThread))
-	newSched.Append(&VMMeta{VM: header.VM, World: header.World, Threads: uint32(maxThread) + 1, FinalGC: k})
-	s.Schedule = newSched
-
-	// Datagram deliveries at counters beyond the prefix will never be asked
-	// for by replay and would fail validation against the synthesized meta.
-	oldDatagrams, err := s.Datagram.Entries()
+	runs, dropped, err := cut{base: sv.base, end: k}.reduce(s, sv.runs, func(id uint8, e Entry) { out[id].Append(e) })
 	if err != nil {
-		return fmt.Errorf("tracelog: recover %s: datagram: %w", rep.Path, err)
+		return fmt.Errorf("tracelog: recover %s: %w", rep.Path, err)
 	}
-	newDg := NewLog()
-	for _, e := range oldDatagrams {
-		if gc := gcField(e); gc != nil && *gc >= k {
-			rep.DroppedDatagrams++
-			continue
-		}
-		newDg.Append(e)
-	}
-	s.Datagram = newDg
+	rep.DroppedIntervals = len(sv.runs) - runs
+	rep.DroppedSchedule, rep.DroppedDatagrams = dropped[logSchedule], dropped[logDatagram]
+	out[logSchedule].Append(&VMMeta{VM: sv.header.VM, World: sv.header.World, Threads: uint32(max(threads, sv.threads)) + 1, FinalGC: k})
+	s.Schedule, s.Datagram = out[logSchedule], out[logDatagram]
 	return nil
-}
-
-// maxThreadRef raises maxT to the highest thread number any record of a
-// network or datagram log names in its event id.
-func maxThreadRef(l *Log, maxT ids.ThreadNum) ids.ThreadNum {
-	var scratch [kindMax]Entry
-	// The scan validated every record of l, so the walk cannot fail.
-	_ = l.walk(&scratch, func(e Entry, _, _ int) error {
-		if id, ok := netEventID(e); ok && id.Thread > maxT {
-			maxT = id.Thread
-		}
-		return nil
-	})
-	return maxT
 }
