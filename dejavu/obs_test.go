@@ -2,13 +2,16 @@ package dejavu_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/dejavu"
+	"repro/internal/tracelog"
 )
 
 // obsEchoWorld runs a two-node echo application and returns both nodes; each
@@ -139,6 +142,40 @@ func TestCausalHooksReachTheLog(t *testing.T) {
 	for _, n := range []*dejavu.Node{srv, cli} {
 		if c := n.Snapshot().Causal; c.NetSpans != 0 || c.Timestamps != 0 {
 			t.Errorf("node %d untraced: %d net spans, %d timestamps; want none", n.ID(), c.NetSpans, c.Timestamps)
+		}
+	}
+}
+
+// TestNodeSnapshotReadsItsLogs: what a node's snapshot reports of its logs —
+// bytes and records per log, intervals, wall anchors, net spans, WAL fsyncs —
+// is what the logs and the WAL writer hold, in a traced, durable record run
+// of the echo world.
+func TestNodeSnapshotReadsItsLogs(t *testing.T) {
+	dir := t.TempDir()
+	srv, cli := obsEchoWorld(t, dejavu.Record, nil, nil,
+		func(n *dejavu.Node) error {
+			return n.EnableWAL(filepath.Join(dir, fmt.Sprintf("%d.wal", n.ID())), dejavu.WALOptions{SyncEvery: 4})
+		},
+		func(n *dejavu.Node) error { return n.EnableCausalTrace() })
+	for _, n := range []*dejavu.Node{srv, cli} {
+		s, logs := n.Snapshot(), n.Logs()
+		kinds := map[tracelog.Kind]uint64{}
+		for _, l := range []*tracelog.Log{logs.Schedule, logs.Network, logs.Datagram} {
+			if err := l.Each(func(e tracelog.Entry) error {
+				kinds[e.Kind()]++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, syncs := logs.WAL().Stats()
+		want := []uint64{uint64(logs.Schedule.Size()), uint64(logs.Network.Len()), kinds[tracelog.KindInterval],
+			kinds[tracelog.KindTimestamp], kinds[tracelog.KindNetSpan], syncs}
+		got := []uint64{s.Logs.Schedule.Bytes, s.Logs.Network.Appends, s.Intervals,
+			s.Causal.Timestamps, s.Causal.NetSpans, s.Faults.WALSyncs}
+		if fmt.Sprint(got) != fmt.Sprint(want) || s.Causal.NetSpans == 0 || s.Faults.WALSyncs == 0 {
+			t.Errorf("node %d: schedule bytes, network records, intervals, timestamps, net spans, fsyncs: snapshot %v, logs %v",
+				n.ID(), got, want)
 		}
 	}
 }

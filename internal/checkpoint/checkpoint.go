@@ -18,7 +18,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -83,9 +82,9 @@ func List(logs *tracelog.Set) ([]*Snapshot, error) {
 				MainThread:   cp.TakerThread,
 				MainEventNum: cp.MainEventNum,
 			},
-			// The index aliases the log's bytes, which are read-only; the
-			// application restores from (and may scribble on) its own copy.
-			Data: bytes.Clone(cp.State),
+			// The index copied the state out of the log, and this call
+			// built its own index: Data is the caller's to write.
+			Data: cp.State,
 		}
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -161,5 +162,36 @@ func TestTakeIsNoOpOutsideRecord(t *testing.T) {
 	vm.Close()
 	if called {
 		t.Error("Take captured state outside record mode")
+	}
+}
+
+// TestListDataIsTheCallers: List hands out the copy its index made of each
+// state, so writing into one Snapshot's Data changes neither what a second
+// List returns nor the log's bytes.
+func TestListDataIsTheCallers(t *testing.T) {
+	vm, err := core.NewVM(core.Config{ID: 76, Mode: ids.Record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace []int64
+	phasedApp(vm, 2, 0, 0, &trace)
+	logged := vm.Logs().Schedule.Bytes()
+	first, err := List(vm.Logs())
+	if err != nil || len(first) != 2 {
+		t.Fatalf("List: %d checkpoints, %v; want 2", len(first), err)
+	}
+	want := string(first[0].Data)
+	for i := range first[0].Data {
+		first[0].Data[i] ^= 0xff
+	}
+	second, err := List(vm.Logs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(second[0].Data); got != want {
+		t.Errorf("a second List returned state %x after the first's was overwritten, want %x", got, want)
+	}
+	if !bytes.Equal(vm.Logs().Schedule.Bytes(), logged) {
+		t.Error("writing into a listed checkpoint's Data changed the schedule log")
 	}
 }

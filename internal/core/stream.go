@@ -106,26 +106,24 @@ type stream struct {
 
 	// What the thread whose turn it is writes: replaying, an object stream's
 	// counter word; recording, the counter itself — next, the value the next
-	// event receives — and the open run, all guarded by mu, and countRun, the
-	// obs counter of the stream's flushed runs. sched is the stream's recorded
-	// schedule while replaying, read-only: each thread's runs, its notifies
-	// and timed waits (the global stream's runs are handed to each thread at
-	// creation, VM.newThreadLocked).
+	// event receives — and the open run, all guarded by mu. sched is the
+	// stream's recorded schedule while replaying, read-only: each thread's
+	// runs, its notifies and timed waits (the global stream's runs are handed
+	// to each thread at creation, VM.newThreadLocked).
 	own       atomic.Uint64
 	next      ids.GCount
 	open      bool
 	runThread ids.ThreadNum
 	first     ids.GCount
 	last      ids.GCount
-	countRun  func()
 	sched     *tracelog.StreamSchedule
-	_         [8]byte
+	_         [16]byte
 }
 
 // newStream allocates the VM's next stream. Caller holds streamsMu (or is
 // NewVM).
 func (vm *VM) newStream() *stream {
-	s := &stream{vm: vm, slot: len(vm.streams), holdMask: ^uint64(0), countRun: vm.metrics.IncObjRun}
+	s := &stream{vm: vm, slot: len(vm.streams), holdMask: ^uint64(0)}
 	s.clock = &s.own
 	if vm.mode == ids.Replay {
 		s.waiters = make(map[ids.GCount]*Thread)
@@ -592,11 +590,9 @@ func (s *stream) await(t *Thread, next ids.GCount) {
 	// advancer that misses it must have stored the new value first, which the
 	// loop's re-check then sees (pairing in replayEvent).
 	s.parked.Add(1)
-	vm.metrics.IncParked()
 	for ids.GCount(s.clock.Load()) != next {
 		if vm.stalled.Load() {
 			s.parked.Add(-1)
-			vm.metrics.DecParked()
 			s.mu.Unlock()
 			panic(vm.stallError(t, s, next))
 		}
@@ -607,7 +603,6 @@ func (s *stream) await(t *Thread, next ids.GCount) {
 		delete(s.waiters, next)
 	}
 	s.parked.Add(-1)
-	vm.metrics.DecParked()
 	s.mu.Unlock()
 	if sampled {
 		vm.metrics.ObserveTurnWait(time.Since(vm.epoch) - start)
@@ -668,8 +663,8 @@ func (vm *VM) stallError(t *Thread, s *stream, next ids.GCount) *DivergenceError
 	}
 }
 
-// The methods below are where a stream's numbering meets the schedule log
-// and the obs counters: tracelog maps a stream's runs, notifies and timed
+// The methods below are where a stream's numbering meets the schedule log and
+// the sharded-order counters: tracelog maps a stream's runs, notifies and timed
 // waits onto its record kinds, and the stream's recorded schedule (sched)
 // holds them while replaying. Nothing on the event path — record, replay,
 // await, wake, cursor — asks which stream it is on.
@@ -701,7 +696,6 @@ func (s *stream) flushLocked() {
 	}
 	s.open = false
 	s.vm.logs.Schedule.AppendRun(s.id(), s.runThread, s.first, s.last)
-	s.countRun()
 }
 
 // logNotify records which threads the notify event at n woke.

@@ -215,9 +215,9 @@ type VM struct {
 	activeWork sync.WaitGroup
 
 	// metrics is the VM's always-on observability layer (internal/obs): the
-	// counter word, per-kind event counters (published by threads in batches),
-	// log-volume counters, replay-progress gauges, and latency histograms.
-	// Never nil.
+	// counter word, per-kind event counters (published by threads in batches)
+	// and latency histograms; what the VM and its logs hold themselves it
+	// reads through fillSnapshot. Never nil.
 	metrics *obs.Metrics
 
 	closed bool
@@ -250,7 +250,7 @@ func NewVM(cfg Config) (*VM, error) {
 	}
 	vm.global = vm.newStream()
 	vm.global.clock = vm.metrics.Clock()
-	vm.global.countRun = vm.metrics.IncInterval
+	vm.metrics.SetOwner(vm.fillSnapshot)
 	vm.global.observer = cfg.EventObserver
 	if cfg.RecordJitter > 0 {
 		vm.jitter = uint64(cfg.RecordJitter)
@@ -265,7 +265,6 @@ func NewVM(cfg Config) (*VM, error) {
 	}
 	vm.sampleMask = pow - 1
 	vm.global.holdMask = vm.sampleMask
-	vm.metrics.SetHistSampleRate(pow)
 	vm.orderMode = cfg.OrderMode
 	if cfg.OrderMode != ids.OrderGlobal && cfg.OrderMode != ids.OrderSharded {
 		return nil, fmt.Errorf("core: vm %d: unknown order mode %v", cfg.ID, cfg.OrderMode)
@@ -279,22 +278,18 @@ func NewVM(cfg Config) (*VM, error) {
 	switch cfg.Mode {
 	case ids.Record:
 		vm.logs = tracelog.NewSet()
-		m := vm.metrics
 		// A recording VM publishes its counter into the metrics' word per run,
 		// not per event; a reader brings the word up to date itself whenever
 		// no event is in flight. Try, never Lock: a supervisor polls the total
 		// to detect a member frozen inside its critical section for good, and
 		// must read the last published value then, not join the freeze.
 		g := vm.global
-		m.SetClockRefresh(func() {
+		vm.metrics.SetClockRefresh(func() {
 			if g.mu.TryLock() {
 				g.publishLocked()
 				g.mu.Unlock()
 			}
 		})
-		vm.logs.Schedule.SetObserver(func(n int) { m.LogAppend(obs.LogSchedule, n) })
-		vm.logs.Network.SetObserver(func(n int) { m.LogAppend(obs.LogNetwork, n) })
-		vm.logs.Datagram.SetObserver(func(n int) { m.LogAppend(obs.LogDatagram, n) })
 		if cfg.OrderMode == ids.OrderSharded {
 			// Mark the log so the index, logcheck, and the causal analyzer
 			// know a per-object order follows; global-mode logs omit the
@@ -326,7 +321,6 @@ func NewVM(cfg Config) (*VM, error) {
 		vm.global.sched = sched.Stream(tracelog.GlobalStream)
 		vm.unpublished.Store(publishBatch - 1)
 		vm.stopAtLogEnd = cfg.StopAtLogEnd
-		vm.metrics.SetFinalGC(uint64(sched.Meta.FinalGC))
 		if cfg.Resume != nil {
 			vm.resume = cfg.Resume
 			vm.metrics.SetClockBase(uint64(cfg.Resume.GC))
@@ -394,14 +388,6 @@ func (vm *VM) EnableWAL(path string, opts tracelog.WALOptions) error {
 	if vm.orderMode == ids.OrderSharded {
 		return fmt.Errorf("core: vm %d: EnableWAL requires OrderGlobal — torn-write recovery repairs a global-schedule prefix", vm.id)
 	}
-	m := vm.metrics
-	userSync := opts.OnSync
-	opts.OnSync = func() {
-		m.IncWALSync()
-		if userSync != nil {
-			userSync()
-		}
-	}
 	w, err := tracelog.CreateWAL(path, opts)
 	if err != nil {
 		return err
@@ -462,7 +448,6 @@ func (vm *VM) CausalTraceLocked() bool { return vm.global.traced }
 // Caller holds the global stream's lock.
 func (vm *VM) appendTimestampLocked(gc ids.GCount) {
 	vm.logs.Schedule.Append(&tracelog.TimestampEntry{GC: gc, Wall: time.Now().UnixNano()})
-	vm.metrics.IncTimestamp()
 }
 
 // appendOpenRunLocked logs a durability note for the global stream's open
@@ -565,6 +550,41 @@ func (vm *VM) Stats() Stats {
 // consistent point-in-time views.
 func (vm *VM) Metrics() *obs.Metrics { return vm.metrics }
 
+// fillSnapshot is the VM's owner hook (obs.Metrics.SetOwner): it fills the
+// snapshot fields whose numbers the VM and its logs already hold. It takes
+// each log's lock for a read and streamsMu to list the streams, never a
+// stream's lock, which a member frozen inside its critical section holds.
+func (vm *VM) fillSnapshot(s *obs.Snapshot) {
+	s.HistSampleRate = vm.sampleMask + 1
+	s.Replay.Stalled = vm.stalled.Load()
+	if vm.schedIdx != nil {
+		s.Replay.FinalGC = uint64(vm.schedIdx.Meta.FinalGC)
+	}
+	vm.streamsMu.Lock()
+	for _, st := range vm.streams {
+		s.Replay.ParkedThreads += st.parked.Load()
+	}
+	vm.streamsMu.Unlock()
+	s.Faults.LogEndStops = vm.logEndStops.Load()
+	if vm.logs == nil {
+		return
+	}
+	sched, net, dg := vm.logs.Schedule, vm.logs.Network, vm.logs.Datagram
+	s.Logs = obs.LogStats{Schedule: logStats(sched), Network: logStats(net), Datagram: logStats(dg)}
+	s.Intervals = uint64(sched.Count(tracelog.KindInterval))
+	s.Shard.ObjRuns = uint64(sched.Count(tracelog.KindObjRun))
+	s.Causal.Timestamps = uint64(sched.Count(tracelog.KindTimestamp))
+	s.Causal.NetSpans = uint64(net.Count(tracelog.KindNetSpan))
+	s.Recovery.GroupEpochs = uint64(sched.Count(tracelog.KindGroupEpoch))
+	if w := vm.logs.WAL(); w != nil {
+		_, s.Faults.WALSyncs = w.Stats()
+	}
+}
+
+func logStats(l *tracelog.Log) obs.LogFileStats {
+	return obs.LogFileStats{Appends: uint64(l.Len()), Bytes: uint64(l.Size())}
+}
+
 // Start creates the VM's initial thread (threadNum 0) running fn and returns
 // immediately. Exactly one Start call is allowed per VM.
 func (vm *VM) Start(fn func(t *Thread)) *Thread {
@@ -644,7 +664,6 @@ func (vm *VM) launch(t *Thread, fn func(t *Thread)) {
 			if r := recover(); r != nil {
 				if _, ok := r.(replayLogEnd); ok && vm.stopAtLogEnd {
 					vm.logEndStops.Add(1)
-					vm.metrics.IncLogEndStop()
 					return
 				}
 				panic(r)
@@ -708,7 +727,6 @@ func (vm *VM) watchdog(timeout time.Duration) {
 		case time.Since(lastChange) >= timeout:
 			vm.stallParked = vm.parkedThreads()
 			vm.stalled.Store(true)
-			vm.metrics.SetStalled()
 			// The stall is the one case that must wake *every* parked thread,
 			// so each fails with its own diagnostics. A thread that has not
 			// registered yet sees the flag under the same lock hold as its

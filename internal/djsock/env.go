@@ -122,7 +122,6 @@ func (e *Env) logNetSpan(eventID ids.NetworkEventID, gc ids.GCount, op uint8, co
 		Offset:  off,
 		Len:     uint32(n),
 	})
-	e.vm.Metrics().IncNetSpan()
 }
 
 // fdLock is one per-socket, per-direction FD-critical section (Figure 3).

@@ -401,6 +401,8 @@ func replaySalvaged(coord *recline.Coordinator, id ids.DJVMID, logs *tracelog.Se
 	if err != nil {
 		return 0, err
 	}
+	// Close stops the stall watchdog, which would outlive the replay.
+	defer vm.Close()
 	// Open-world replay: all socket traffic is served from the log, so the
 	// network is never dialed — a fresh empty one satisfies the env plumbing
 	// — and the coordinator is never consulted in replay.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,7 +87,25 @@ func TestSupervisedRun(t *testing.T) {
 			if n > 1 && crashed >= n {
 				t.Fatalf("no member survived (%d/%d crashed)", crashed, n)
 			}
+			// Every VM the run made, the restart and baseline replays too, is
+			// closed by the time it returns: no stall watchdog outlives it.
+			noWatchdogLeft(t)
 		})
+	}
+}
+
+// noWatchdogLeft fails unless, within a second, no goroutine runs a VM's
+// stall watchdog: a closed VM's watchdog returns at its next wakeup.
+func noWatchdogLeft(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "core.(*VM).watchdog") {
+			return
+		} else if time.Now().After(deadline) {
+			t.Fatalf("a VM's stall watchdog outlived the run:\n%s", stacks)
+		}
 	}
 }
 
@@ -222,6 +242,7 @@ func TestRoundLoopBoundReplaysExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer rep.Close()
 		rounds := 0
 		runSupervisedWorkload(rep, netsim.NewNetwork(netsim.Config{}), coord, "replay", map[string]string{}, 0, bound, func(int) { rounds++ }, nil)
 		rep.Wait()

@@ -1,8 +1,20 @@
-// Package obs is the DJVM's always-on observability layer: atomic per-VM
-// counters, gauges, and lock-free streaming histograms for the quantities the
-// paper's evaluation reports (critical-event rates, log volume, record
+// Package obs is the DJVM's always-on observability layer: the per-VM
+// counters, gauges and lock-free streaming histograms behind the quantities
+// the paper's evaluation reports (critical-event rates, log volume, record
 // overhead, §6) and the ones replay operators need live (progress against the
 // recorded schedule, parked threads, turn-wait latency).
+//
+// Every number has one holder. obs keeps an atomic only where it is the sole
+// lock-free holder of a number: per-kind critical events, network events,
+// sharded fast and contended acquisitions, fast-forward skips, WAL
+// truncations and errors, the rudp and supervisor counters, the
+// watchdog-armed flag, the global counter word, and the histograms. Every
+// other Snapshot field is read at snapshot time, through the owner hook
+// core.NewVM installs (Metrics.SetOwner), from where the VM already counts
+// it: log volumes and per-kind record counts (intervals, access runs,
+// timestamps, net spans, group epochs) from the logs, fsyncs from the WAL
+// writer, log-end stops, parked threads, the stall latch, the recorded
+// schedule length and the sampling rate from the VM.
 //
 // The layer stays off the critical-event hot path: the global counter word
 // doubles as the clock gauge and the event total — a replaying VM runs its
@@ -10,9 +22,10 @@
 // schedule interval and readers refresh it on demand (Metrics.TotalEvents);
 // threads count their events by kind locally and publish a batch per schedule
 // interval (one atomic add per kind); histograms are fed by 1-in-N sampling.
-// Everything else is a single atomic RMW on a path that runs once per
-// interval, log append or fault. Snapshot assembles a view from atomic loads
-// without stopping writers.
+// Nothing on the record or replay path writes an obs word for a number the
+// VM holds. Snapshot assembles a view without stopping writers: it takes each
+// log's lock briefly, never a stream lock, and never waits behind an fsync,
+// so a member frozen inside its critical section can still be snapshotted.
 //
 // One Metrics value belongs to one VM. It is exposed three ways: the typed
 // Snapshot struct (re-exported by the dejavu facade), the same snapshot as
@@ -65,29 +78,4 @@ func (k EventKind) String() string {
 		return kindNames[k]
 	}
 	return "other"
-}
-
-// LogFile names one of the three per-VM record-phase logs.
-type LogFile uint8
-
-const (
-	// LogSchedule is the logical-thread-schedule log (§2.2).
-	LogSchedule LogFile = iota
-	// LogNetwork is the NetworkLogFile (§4.1.3).
-	LogNetwork
-	// LogDatagram is the RecordedDatagramLog (§4.2.2).
-	LogDatagram
-
-	numLogFiles = int(LogDatagram) + 1
-)
-
-func (f LogFile) String() string {
-	switch f {
-	case LogSchedule:
-		return "schedule"
-	case LogNetwork:
-		return "network"
-	default:
-		return "datagram"
-	}
 }

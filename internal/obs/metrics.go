@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// Metrics is the per-VM metric set. All fields are updated with single atomic
-// operations; there is no lock anywhere in the layer. The zero value is ready
-// to use (core.NewVM allocates one per VM unconditionally — the layer is
-// always on).
+// Metrics is the per-VM metric set. It holds only the numbers nothing else
+// holds, each updated with single atomic operations; every number the VM's
+// logs and streams already hold, the owner hook reads from them at snapshot
+// time (SetOwner). The zero value is ready to use (core.NewVM allocates one
+// per VM unconditionally — the layer is always on).
 type Metrics struct {
 	// clock is the VM's global counter word (core.VM writes it through Clock).
 	// A replaying VM runs on it: every event stores it once, and the clock
@@ -38,28 +39,19 @@ type Metrics struct {
 	// A network event is one socket/datagram operation; it usually costs one
 	// critical event but is counted independently (§6).
 	networkEvents atomic.Uint64
-	// intervals counts logical schedule intervals flushed to the schedule log.
-	intervals atomic.Uint64
 	// ffSkips counts recorded critical events skipped by checkpoint-resume
 	// fast-forward (events before the resume counter, per thread).
 	ffSkips atomic.Uint64
+	// owner, when set, fills the snapshot fields whose numbers the owner
+	// holds itself (see SetOwner). Written once, before the Metrics is shared.
+	owner func(*Snapshot)
 
-	// Per-log-file append counts and byte volumes.
-	logAppends [numLogFiles]atomic.Uint64
-	logBytes   [numLogFiles]atomic.Uint64
+	// watchdogArmed reports whether the stall watchdog is running.
+	watchdogArmed atomic.Bool
 
-	// Gauges.
-	finalGC  atomic.Uint64 // recorded schedule length (replay mode; else 0)
-	parked   atomic.Int64  // threads currently waiting for a replay turn
-	watchdog atomic.Uint32 // bit 0: armed, bit 1: stalled
-
-	// Fault-tolerance counters: WAL fsyncs performed for this VM's logs, rudp
-	// destinations declared unreachable after exhausting their retry budget,
-	// and replay threads that stopped at the end of a truncated (crash-
-	// recovered) schedule.
-	walSyncs        atomic.Uint64
+	// peerUnreachable counts rudp destinations declared unreachable after
+	// exhausting their retry budget.
 	peerUnreachable atomic.Uint64
-	logEndStops     atomic.Uint64
 	// rudp delivery-layer counters: segment retransmissions and senders whose
 	// exponential backoff hit its cap (still retrying, but at max interval).
 	rudpRetransmits   atomic.Uint64
@@ -67,7 +59,9 @@ type Metrics struct {
 	// walTruncates counts checkpoint-anchored WAL compactions performed.
 	walTruncates atomic.Uint64
 	// walErrors counts WALs lost to a write or sync failure (at most one per
-	// VM: the writer's first error is final).
+	// VM: the writer's first error is final). The VM's own record of the
+	// failure sits under its stream lock, which a frozen member holds for
+	// good, so the count lives here.
 	walErrors atomic.Uint64
 
 	// Supervisor counters: fail-stop recoveries completed, VM restarts
@@ -76,31 +70,17 @@ type Metrics struct {
 	recoveries atomic.Uint64
 	restarts   atomic.Uint64
 	fallbacks  atomic.Uint64
-	// Group-recovery counters: coordinated checkpoint epochs this VM stamped,
-	// and recovery-line demotions (a candidate epoch rejected because a
-	// member's anchor was lost or a message would be orphaned).
-	groupEpochs   atomic.Uint64
+	// lineFallbacks counts recovery-line demotions (a candidate epoch
+	// rejected because a member's anchor was lost or a message would be
+	// orphaned).
 	lineFallbacks atomic.Uint64
-
-	// Causal-tracing counters: sampled wall-clock timestamp records and
-	// net-span correlation records emitted into the logs (record mode with
-	// EnableCausalTrace on).
-	timestamps atomic.Uint64
-	netSpans   atomic.Uint64
 
 	// Sharded-order counters (Config.OrderMode == OrderSharded): per-object
 	// acquisitions that completed on the fast path (record: uncontended
 	// TryLock; replay: turnstile already open) vs. ones that contended
-	// (record: lock wait; replay: parked on the turnstile), plus access runs
-	// flushed to the log (the sharded analogue of intervals).
+	// (record: lock wait; replay: parked on the turnstile).
 	shardFast      atomic.Uint64
 	shardContended atomic.Uint64
-	objRuns        atomic.Uint64
-
-	// histSampleRate is the 1-in-N latency sampling rate the VM applies to
-	// the two histograms below (see core.Config.ObsSampleRate). Event counts
-	// stay exact; only latency observation is sampled.
-	histSampleRate atomic.Uint64
 
 	// TurnWait observes how long replaying threads wait for their scheduled
 	// turns (the replay serialization cost).
@@ -114,14 +94,9 @@ type Metrics struct {
 	MTTR Histogram
 }
 
-const (
-	watchdogArmedBit   = 1 << 0
-	watchdogStalledBit = 1 << 1
-
-	// cacheLine is the padding unit around the counter word: two 64-byte
-	// lines, because adjacent lines are prefetched in pairs.
-	cacheLine = 128
-)
+// cacheLine is the padding unit around the counter word: two 64-byte lines,
+// because adjacent lines are prefetched in pairs.
+const cacheLine = 128
 
 // Clock exposes the global counter word. The owning VM is its only writer,
 // and it publishes the counter into it per run, not per event: a raw load
@@ -137,6 +112,13 @@ func (m *Metrics) Clock() *atomic.Uint64 { return &m.clock }
 // the total precisely to notice an owner that has stopped for good — and must
 // be installed before the Metrics is shared.
 func (m *Metrics) SetClockRefresh(refresh func()) { m.refresh = refresh }
+
+// SetOwner installs the hook Snapshot calls last, to fill the fields whose
+// numbers the owner already holds: a VM's log volumes and record counts, its
+// WAL's fsyncs, its replay gauges. Like the clock refresh it must never
+// block — it may take a lock only for as long as a read — and must be
+// installed before the Metrics is shared.
+func (m *Metrics) SetOwner(fill func(*Snapshot)) { m.owner = fill }
 
 // refreshClock runs the owner's hook, if any.
 func (m *Metrics) refreshClock() {
@@ -198,40 +180,18 @@ func (m *Metrics) AddShardEvents(fast, contended uint64) {
 	}
 }
 
-// IncObjRun counts one per-object access run flushed to the schedule log.
-func (m *Metrics) IncObjRun() { m.objRuns.Add(1) }
-
 // IncNetworkEvent counts one network event.
 func (m *Metrics) IncNetworkEvent() { m.networkEvents.Add(1) }
 
 // NetworkEvents reports the running network-event count.
 func (m *Metrics) NetworkEvents() uint64 { return m.networkEvents.Load() }
 
-// IncInterval counts one logical schedule interval flushed to the log.
-func (m *Metrics) IncInterval() { m.intervals.Add(1) }
-
 // AddFastForwardSkips counts recorded events skipped by checkpoint resume.
 func (m *Metrics) AddFastForwardSkips(n uint64) { m.ffSkips.Add(n) }
-
-// LogAppend counts one appended log entry of the given encoded size.
-func (m *Metrics) LogAppend(file LogFile, bytes int) {
-	if int(file) >= numLogFiles {
-		return
-	}
-	m.logAppends[file].Add(1)
-	m.logBytes[file].Add(uint64(bytes))
-}
-
-// IncWALSync counts one completed write-ahead-log fsync.
-func (m *Metrics) IncWALSync() { m.walSyncs.Add(1) }
 
 // IncPeerUnreachable counts one rudp destination abandoned after its retry
 // budget was exhausted.
 func (m *Metrics) IncPeerUnreachable() { m.peerUnreachable.Add(1) }
-
-// IncLogEndStop counts one replay thread stopping at the end of a truncated
-// recovered schedule.
-func (m *Metrics) IncLogEndStop() { m.logEndStops.Add(1) }
 
 // IncRudpRetransmit counts one rudp segment retransmission.
 func (m *Metrics) IncRudpRetransmit() { m.rudpRetransmits.Add(1) }
@@ -256,9 +216,6 @@ func (m *Metrics) IncRestart() { m.restarts.Add(1) }
 // checkpoint was salvageable from the repaired WAL.
 func (m *Metrics) IncFallback() { m.fallbacks.Add(1) }
 
-// IncGroupEpoch counts one coordinated checkpoint epoch stamped by this VM.
-func (m *Metrics) IncGroupEpoch() { m.groupEpochs.Add(1) }
-
 // IncLineFallback counts one recovery-line demotion: a candidate epoch the
 // solver rejected, falling back to an older complete line.
 func (m *Metrics) IncLineFallback() { m.lineFallbacks.Add(1) }
@@ -266,49 +223,8 @@ func (m *Metrics) IncLineFallback() { m.lineFallbacks.Add(1) }
 // ObserveMTTR records one crash-to-rejoin recovery latency.
 func (m *Metrics) ObserveMTTR(d time.Duration) { m.MTTR.Observe(d) }
 
-// IncTimestamp counts one sampled wall-clock timestamp record.
-func (m *Metrics) IncTimestamp() { m.timestamps.Add(1) }
-
-// IncNetSpan counts one causal-tracing net-span record.
-func (m *Metrics) IncNetSpan() { m.netSpans.Add(1) }
-
-// SetHistSampleRate publishes the 1-in-N latency sampling rate the owning VM
-// applies to the TurnWait/GCHold histograms, so snapshot consumers can scale
-// histogram counts back to event populations.
-func (m *Metrics) SetHistSampleRate(n uint64) { m.histSampleRate.Store(n) }
-
-// SetFinalGC publishes the recorded schedule length a replay runs against.
-func (m *Metrics) SetFinalGC(gc uint64) { m.finalGC.Store(gc) }
-
 // SetWatchdogArmed flips the stall-watchdog arm gauge.
-func (m *Metrics) SetWatchdogArmed(armed bool) {
-	for {
-		cur := m.watchdog.Load()
-		next := cur &^ watchdogArmedBit
-		if armed {
-			next = cur | watchdogArmedBit
-		}
-		if cur == next || m.watchdog.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-// SetStalled latches the stall gauge (set by the watchdog on detection).
-func (m *Metrics) SetStalled() {
-	for {
-		cur := m.watchdog.Load()
-		if cur&watchdogStalledBit != 0 || m.watchdog.CompareAndSwap(cur, cur|watchdogStalledBit) {
-			return
-		}
-	}
-}
-
-// IncParked / DecParked track threads parked on replay turns.
-func (m *Metrics) IncParked() { m.parked.Add(1) }
-
-// DecParked is IncParked's inverse.
-func (m *Metrics) DecParked() { m.parked.Add(-1) }
+func (m *Metrics) SetWatchdogArmed(armed bool) { m.watchdogArmed.Store(armed) }
 
 // ObserveTurnWait records one replay turn-wait latency.
 func (m *Metrics) ObserveTurnWait(d time.Duration) { m.TurnWait.Observe(d) }

@@ -100,9 +100,7 @@ func TestReportCausalLine(t *testing.T) {
 	if strings.Contains(buf.String(), "causal") {
 		t.Errorf("causal line present with zero counters:\n%s", buf.String())
 	}
-	m.IncTimestamp()
-	m.IncNetSpan()
-	m.IncNetSpan()
+	m.SetOwner(func(s *Snapshot) { s.Causal = CausalCounts{Timestamps: 1, NetSpans: 2} })
 	buf.Reset()
 	WriteReport(&buf, m.Snapshot())
 	if !strings.Contains(buf.String(), "causal   timestamps 1  net-spans 2") {

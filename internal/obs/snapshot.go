@@ -184,8 +184,9 @@ type Snapshot struct {
 	MTTR HistogramSnapshot `json:"mttr"`
 }
 
-// Snapshot assembles the current view. It is safe to call concurrently with
-// every update path.
+// Snapshot assembles the current view: the layer's own counters by atomic
+// loads, then the owner's numbers through its hook. It is safe to call
+// concurrently with every update path.
 func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot
 	m.refreshClock()
@@ -207,30 +208,14 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.Shard = ShardCounts{
 		FastPath:  m.shardFast.Load(),
 		Contended: m.shardContended.Load(),
-		ObjRuns:   m.objRuns.Load(),
 	}
 	gc := m.clock.Load()
 	s.TotalEvents = gc - m.clockBase.Load() + s.Shard.FastPath + s.Shard.Contended
 	s.NetworkEvents = m.networkEvents.Load()
-	s.Intervals = m.intervals.Load()
 	s.FastForwardSkips = m.ffSkips.Load()
-	s.Logs = LogStats{
-		Schedule: LogFileStats{Appends: m.logAppends[LogSchedule].Load(), Bytes: m.logBytes[LogSchedule].Load()},
-		Network:  LogFileStats{Appends: m.logAppends[LogNetwork].Load(), Bytes: m.logBytes[LogNetwork].Load()},
-		Datagram: LogFileStats{Appends: m.logAppends[LogDatagram].Load(), Bytes: m.logBytes[LogDatagram].Load()},
-	}
-	wd := m.watchdog.Load()
-	s.Replay = ReplayProgress{
-		CurrentGC:     gc,
-		FinalGC:       m.finalGC.Load(),
-		ParkedThreads: m.parked.Load(),
-		WatchdogArmed: wd&watchdogArmedBit != 0,
-		Stalled:       wd&watchdogStalledBit != 0,
-	}
+	s.Replay = ReplayProgress{CurrentGC: gc, WatchdogArmed: m.watchdogArmed.Load()}
 	s.Faults = FaultCounts{
-		WALSyncs:          m.walSyncs.Load(),
 		PeerUnreachable:   m.peerUnreachable.Load(),
-		LogEndStops:       m.logEndStops.Load(),
 		RudpRetransmits:   m.rudpRetransmits.Load(),
 		RudpBackoffCapped: m.rudpBackoffCapped.Load(),
 		WALTruncates:      m.walTruncates.Load(),
@@ -240,16 +225,13 @@ func (m *Metrics) Snapshot() Snapshot {
 		Recoveries:    m.recoveries.Load(),
 		Restarts:      m.restarts.Load(),
 		Fallbacks:     m.fallbacks.Load(),
-		GroupEpochs:   m.groupEpochs.Load(),
 		LineFallbacks: m.lineFallbacks.Load(),
 	}
-	s.Causal = CausalCounts{
-		Timestamps: m.timestamps.Load(),
-		NetSpans:   m.netSpans.Load(),
-	}
-	s.HistSampleRate = m.histSampleRate.Load()
 	s.TurnWait = m.TurnWait.Snapshot()
 	s.GCHold = m.GCHold.Snapshot()
 	s.MTTR = m.MTTR.Snapshot()
+	if m.owner != nil {
+		m.owner(&s)
+	}
 	return s
 }

@@ -111,7 +111,6 @@ func (c *Coordinator) Checkpoint(t *core.Thread, save func() []byte) {
 			// The stamp follows its anchor in the WAL, so a salvaged stamp
 			// implies a salvaged anchor on the same member.
 			logs.Schedule.Append(&tracelog.GroupEpochEntry{Epoch: epoch, GC: gc, Members: line})
-			vm.Metrics().IncGroupEpoch()
 		}
 		// Durability point: once every member passes here, the epoch is a
 		// complete recovery line no later crash can lose.

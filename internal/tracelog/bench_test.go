@@ -52,13 +52,17 @@ const (
 // appendContent appends the content log's records to l, all from one buffer
 // of seeded bytes, so the only memory a caller's measurement sees is the
 // log's own.
-func appendContent(l *Log) {
+func appendContent(l *Log) { appendContentThen(l, func() {}) }
+
+// appendContentThen is appendContent, calling after once each record is in.
+func appendContentThen(l *Log, after func()) {
 	data := make([]byte, contentPayload)
 	rand.New(rand.NewSource(1)).Read(data)
 	e := &OpenReadEntry{Data: data}
 	for i := 0; i < contentRecords; i++ {
 		e.EventID = ids.NetworkEventID{Thread: ids.ThreadNum(i % 8), Event: ids.EventNum(i / 8)}
 		l.Append(e)
+		after()
 	}
 }
 
@@ -383,22 +387,16 @@ func TestScheduleIndexAllocatesWhatItKeeps(t *testing.T) {
 // byte of the log's file.
 func TestAppendNeverMovesALoggedByte(t *testing.T) {
 	l := NewLog()
-	var first []byte
-	moved := false
-	l.SetObserver(func(int) {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if first == nil {
-			first = l.chunks[0]
-		} else if l.fileLen == 0 && &l.chunks[0][0] != &first[0] {
-			moved = true
-		}
-	})
 	l.Append(&OpenReadEntry{})
+	first, moved := l.chunks[0], false
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	appendContent(l)
+	appendContentThen(l, func() {
+		if l.fileLen == 0 && &l.chunks[0][0] != &first[0] {
+			moved = true
+		}
+	})
 	runtime.ReadMemStats(&after)
 	allocated, size := after.TotalAlloc-before.TotalAlloc, uint64(l.Size())
 	t.Logf("%d KB log in %d chunks and a %d KB file: allocated %d KB", size>>10, len(l.chunks), l.fileLen>>10, allocated>>10)
@@ -585,9 +583,11 @@ func TestEachHoldsAWindow(t *testing.T) {
 func TestRecordingLogHoldsAWindow(t *testing.T) {
 	l := NewLog()
 	resident, spilledResident := 0, 0
-	l.SetObserver(func(int) {
-		l.mu.Lock()
-		defer l.mu.Unlock()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapInuse
+	appendContentThen(l, func() {
 		n := 0
 		for _, c := range l.chunks {
 			n += cap(c)
@@ -598,11 +598,6 @@ func TestRecordingLogHoldsAWindow(t *testing.T) {
 			spilledResident = max(spilledResident, n)
 		}
 	})
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	base := ms.HeapInuse
-	appendContent(l)
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	t.Logf("%d KB log: at most %d KB of chunks held before the first spill and %d KB after, %d KB in the file; the heap in use grew by %d KB",
@@ -799,14 +794,14 @@ func TestChunkBoundaries(t *testing.T) {
 				}
 			}
 
-			wal, err := os.ReadFile(w.Path())
+			wal, err := os.ReadFile(w.path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var scratch [kindMax]Entry
+			var sc scratch
 			frames := 0
 			for _, off := range frameOffsets(t, wal) {
-				logID, payload, _ := readFrame(wal[off:], &scratch)
+				logID, payload, _ := readFrame(wal[off:], &sc)
 				if logID != logNetwork {
 					continue
 				}
@@ -819,7 +814,7 @@ func TestChunkBoundaries(t *testing.T) {
 				t.Fatalf("WAL holds %d network frames, want %d", frames, len(records))
 			}
 			// A recovered log is filled through the same chunk append.
-			recovered, rep, err := RecoverFile(w.Path())
+			recovered, rep, err := RecoverFile(w.path)
 			if err != nil || !rep.Clean {
 				t.Fatalf("RecoverFile: %v, %+v", err, rep)
 			}

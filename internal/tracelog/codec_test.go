@@ -97,8 +97,8 @@ func TestCodecAllocatesNothingPerField(t *testing.T) {
 	for i := range n {
 		l.Append(&Notify{GC: ids.GCount(i), Woken: []ids.ThreadNum{1, 2, ids.ThreadNum(i)}})
 	}
-	var scratch [kindMax]Entry
-	walk := func() error { return l.walk(&scratch, func(Entry, int, int) error { return nil }) }
+	var sc scratch
+	walk := func() error { return l.walk(&sc, func(Entry, int, int) error { return nil }) }
 	if err := walk(); err != nil {
 		t.Fatal(err)
 	}

@@ -67,10 +67,10 @@ func BuildScheduleIndex(l *Log) (*ScheduleIndex, error) {
 	idx := &ScheduleIndex{}
 	b := streamIndex{streams: make(map[Stream]*StreamSchedule), last: make(map[Stream]Interval)}
 	b.stream(GlobalStream)
-	var scratch [kindMax]Entry
-	b.sizeRuns(l, &scratch)
+	sc := new(scratch)
+	b.sizeRuns(l, sc)
 	sawMeta := false
-	err := l.walk(&scratch, func(e Entry, _, _ int) error {
+	err := l.walk(sc, func(e Entry, _, _ int) error {
 		if ok, err := b.add(e); ok {
 			return err
 		}
@@ -404,22 +404,21 @@ func BuildNetworkIndex(l *Log) (*NetworkIndex, error) {
 		return id
 	}
 	idx := &NetworkIndex{
-		ServerSockets: newTable[ids.ConnectionID, connRow](l.count(KindServerSocket)),
-		Reads:         newTable[ReadEntry, readRow](l.count(KindRead)),
-		Availables:    newTable[AvailableEntry, availableRow](l.count(KindAvailable)),
-		Binds:         newTable[BindEntry, bindRow](l.count(KindBind)),
-		Errs:          newTable[NetErrEntry, NetErrEntry](l.count(KindNetErr)),
-		OpenConnects:  newTable[OpenConnectEntry, connectRow](l.count(KindOpenConnect)),
-		OpenAccepts:   newTable[OpenAcceptEntry, acceptRow](l.count(KindOpenAccept)),
-		OpenReads:     newTable[ContentRow, ContentRow](l.count(KindOpenRead)),
-		OpenWrites:    newTable[OpenWriteEntry, writeRow](l.count(KindOpenWrite) + l.count(KindOpenWriteWide)),
-		OpenDatagrams: newTable[ContentRow, ContentRow](l.count(KindOpenDatagram)),
-		Envs:          newTable[EnvEntry, envRow](l.count(KindEnv)),
-		NetSpans:      newTable[NetSpanEntry, NetSpanEntry](l.count(KindNetSpan)),
+		ServerSockets: newTable[ids.ConnectionID, connRow](l.Count(KindServerSocket)),
+		Reads:         newTable[ReadEntry, readRow](l.Count(KindRead)),
+		Availables:    newTable[AvailableEntry, availableRow](l.Count(KindAvailable)),
+		Binds:         newTable[BindEntry, bindRow](l.Count(KindBind)),
+		Errs:          newTable[NetErrEntry, NetErrEntry](l.Count(KindNetErr)),
+		OpenConnects:  newTable[OpenConnectEntry, connectRow](l.Count(KindOpenConnect)),
+		OpenAccepts:   newTable[OpenAcceptEntry, acceptRow](l.Count(KindOpenAccept)),
+		OpenReads:     newTable[ContentRow, ContentRow](l.Count(KindOpenRead)),
+		OpenWrites:    newTable[OpenWriteEntry, writeRow](l.Count(KindOpenWrite) + l.Count(KindOpenWriteWide)),
+		OpenDatagrams: newTable[ContentRow, ContentRow](l.Count(KindOpenDatagram)),
+		Envs:          newTable[EnvEntry, envRow](l.Count(KindEnv)),
+		NetSpans:      newTable[NetSpanEntry, NetSpanEntry](l.Count(KindNetSpan)),
 		log:           l,
 	}
-	var scratch [kindMax]Entry
-	err := l.walk(&scratch, func(e Entry, off, n int) error {
+	err := l.walk(new(scratch), func(e Entry, off, n int) error {
 		switch v := e.(type) {
 		case *ServerSocketEntry:
 			idx.ServerSockets.add(v.ServerID, connRow(v.ClientID))
@@ -492,11 +491,10 @@ type DatagramIndex struct {
 // BuildDatagramIndex indexes the datagram log for replay.
 func BuildDatagramIndex(l *Log) (*DatagramIndex, error) {
 	idx := &DatagramIndex{
-		ByEvent:    newTable[DatagramRecvEntry, DatagramRecvEntry](l.count(KindDatagramRecv)),
+		ByEvent:    newTable[DatagramRecvEntry, DatagramRecvEntry](l.Count(KindDatagramRecv)),
 		Deliveries: make(map[ids.DGNetworkEventID]int),
 	}
-	var scratch [kindMax]Entry
-	err := l.walk(&scratch, func(e Entry, _, _ int) error {
+	err := l.walk(new(scratch), func(e Entry, _, _ int) error {
 		v, ok := e.(*DatagramRecvEntry)
 		if !ok {
 			return misplaced(e.Kind(), logDatagram)

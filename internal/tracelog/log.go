@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ids"
 )
@@ -54,10 +55,6 @@ type Log struct {
 	// open chunk under mu, so the hot record path allocates nothing but
 	// chunks.
 	enc codec
-	// onAppend, when set, observes each append's encoded size — the hook the
-	// observability layer uses to count log volume without the log importing
-	// it. Called outside the log's lock.
-	onAppend func(bytes int)
 	// wal, when set, receives a framed copy of every appended record tagged
 	// with walID. Written under mu so the durable stream preserves append
 	// order exactly.
@@ -76,23 +73,6 @@ const (
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{} }
 
-// SetObserver registers fn to observe each subsequent Append's encoded size —
-// the hook the observability layer uses to count log volume without the log
-// importing it. fn runs outside the log's lock, after the append is visible.
-//
-// Contract: install the observer while the log is still empty (a VM wires it
-// at construction, before any thread can append). Installing one later would
-// silently under-count bytes already in the log, so SetObserver panics if the
-// log already holds records. Passing nil removes the hook.
-func (l *Log) SetObserver(fn func(bytes int)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if fn != nil && l.entries > 0 {
-		panic("tracelog: SetObserver on a log that already holds records")
-	}
-	l.onAppend = fn
-}
-
 // Append encodes and appends one entry. The record is complete when Append
 // returns and the log keeps nothing of e: a []byte field of e may be the
 // caller's own buffer.
@@ -102,13 +82,10 @@ func (l *Log) Append(e Entry) {
 	e.code(&l.enc)
 	rec := l.commit(l.enc.buf)
 	l.enc.buf = nil
-	if l.wal != nil {
-		l.wal.append(l.walID, rec)
-	}
-	fn := l.onAppend
+	syncDue := l.wal != nil && l.wal.append(l.walID, rec)
 	l.mu.Unlock()
-	if fn != nil {
-		fn(len(rec))
+	if syncDue {
+		l.wal.Sync()
 	}
 }
 
@@ -221,8 +198,8 @@ func (l *Log) Len() int {
 	return l.entries
 }
 
-// count reports how many records of kind k the log holds.
-func (l *Log) count(k Kind) int {
+// Count reports how many records of kind k the log holds.
+func (l *Log) Count(k Kind) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.kinds[k]
@@ -265,7 +242,7 @@ func (l *Log) Each(fn func(Entry) error) error {
 // changed: appends racing the walk only write past the lengths noted here, a
 // spill only drops chunks from the log, not from the walk's copy, and the
 // count of walks bumped here keeps commit from reusing a chunk copied here.
-func (l *Log) walk(scratch *[kindMax]Entry, fn func(e Entry, off, n int) error) error {
+func (l *Log) walk(sc *scratch, fn func(e Entry, off, n int) error) error {
 	l.mu.Lock()
 	f, base, win := l.file, l.fileLen, l.winSize
 	chunks := append([][]byte(nil), l.chunks...)
@@ -274,12 +251,12 @@ func (l *Log) walk(scratch *[kindMax]Entry, fn func(e Entry, off, n int) error) 
 	// A record a window cuts starts the next; one larger than it doubles it.
 	for pos, buf := 0, []byte(nil); pos < base; {
 		n := min(win, base-pos)
-		if scratch == nil || cap(buf) < n {
+		if sc == nil || cap(buf) < n {
 			buf = make([]byte, n)
 		}
 		used, err := readAt(f, buf[:n], pos)
 		if err == nil {
-			used, err = walk(buf[:n], pos, pos+n == base, scratch, fn)
+			used, err = walk(buf[:n], pos, pos+n == base, sc, fn)
 		}
 		if err != nil {
 			return err
@@ -289,7 +266,7 @@ func (l *Log) walk(scratch *[kindMax]Entry, fn func(e Entry, off, n int) error) 
 		pos += used
 	}
 	for _, c := range chunks {
-		if _, err := walk(c, base, true, scratch, fn); err != nil {
+		if _, err := walk(c, base, true, sc, fn); err != nil {
 			return err
 		}
 		base += len(c)
@@ -311,15 +288,24 @@ func EachEntry(data []byte, fn func(Entry) error) error {
 	return (&Log{chunks: [][]byte{data}}).Each(fn)
 }
 
+// scratch is what a walk reuses: one record per kind, decoded into again and
+// again, and the codec that decodes them. One scratch serves any number of
+// walks, so a scan that walks once per frame allocates nothing per frame.
+type scratch struct {
+	recs [kindMax]Entry
+	c    codec
+}
+
 // walk is the package's one decode loop: it decodes data one record at a time
 // in append order and hands each to fn with its offset, counted from base
-// (where data starts in its stream), and length. With scratch nil every record
-// is freshly allocated and fn may retain it. Otherwise scratch holds one
-// record per kind, decoded into again and again, so a walk allocates at most
-// one record per kind; fn must copy what it keeps, bytes too. An error from fn
-// stops the walk as-is; a record that does not decode fails with ErrCorrupt,
-// naming its kind and the offset reached — or, unless data is last in its
-// stream, ends the walk before it. walk returns how many bytes it consumed.
+// (where data starts in its stream), and length. With sc nil every record,
+// and the codec, is freshly allocated and fn may retain it. Otherwise the
+// walk decodes with sc's codec into sc's records, so it allocates at most one
+// record per kind, once per scratch; fn must copy what it keeps, bytes too.
+// An error from fn stops the walk as-is; a record that does not decode fails
+// with ErrCorrupt, naming its kind and the offset reached — or, unless data is
+// last in its stream, ends the walk before it. walk returns how many bytes it
+// consumed.
 //
 // Aliasing contract, for this and every function built on it (Parse,
 // EachEntry, Log.Entries, Log.Each, the Build*Index functions): decoded
@@ -329,25 +315,31 @@ func EachEntry(data []byte, fn func(Entry) error) error {
 // which for a Log's chunks is forever: commit reuses only the array of a
 // chunk that no walk has copied. Whoever hands such bytes to code that may
 // write to them copies at that boundary: djsock and djgram into the
-// application's read buffer (NetworkIndex.Content), checkpoint.List into
-// Snapshot.Data. Strings and decoded lists (Woken, Members) are fresh.
-func walk(data []byte, base int, last bool, scratch *[kindMax]Entry, fn func(Entry, int, int) error) (int, error) {
-	c := &codec{reading: true, buf: data}
+// application's read buffer (NetworkIndex.Content), BuildScheduleIndex into a
+// checkpoint's State. Strings and decoded lists (Woken, Members) are fresh.
+func walk(data []byte, base int, last bool, sc *scratch, fn func(Entry, int, int) error) (int, error) {
+	var c *codec
+	if sc != nil {
+		c = &sc.c
+		*c = codec{reading: true, buf: data}
+	} else {
+		c = &codec{reading: true, buf: data}
+	}
 	for !c.done() {
 		start := c.off
 		var k Kind
 		raw(c, &k)
 		var e Entry
-		if scratch != nil && k < kindMax {
-			e = scratch[k]
+		if sc != nil && k < kindMax {
+			e = sc.recs[k]
 		}
 		if e == nil {
 			var err error
 			if e, err = newEntry(k); err != nil {
 				return start, err
 			}
-			if scratch != nil {
-				scratch[k] = e
+			if sc != nil {
+				sc.recs[k] = e
 			}
 		}
 		e.code(c)
@@ -488,8 +480,8 @@ type Set struct {
 	// Datagram is the RecordedDatagramLog.
 	Datagram *Log
 
-	// wal is the writer attached with AttachWAL, if any.
-	wal *WALWriter
+	// wal is the writer attached with AttachWAL, if any; snapshots read it.
+	wal atomic.Pointer[WALWriter]
 }
 
 // NewSet returns an empty log set.
@@ -589,8 +581,7 @@ func (l *Log) load(f *os.File, win int) error {
 // records in all and per kind, so it reports the same Len() the recording
 // Log did and its indexes are sized as the recording's would be.
 func (l *Log) countRecords() error {
-	var scratch [kindMax]Entry
-	return l.walk(&scratch, func(e Entry, _, _ int) error {
+	return l.walk(new(scratch), func(e Entry, _, _ int) error {
 		l.entries++
 		l.kinds[e.Kind()]++
 		return nil

@@ -79,32 +79,6 @@ func TestLoadSetRejectsCorruptStream(t *testing.T) {
 	}
 }
 
-// TestSetObserverContract pins the observer installation rules: installing on
-// an empty log is allowed, removing (nil) is always allowed, and installing
-// once records exist panics instead of silently under-counting.
-func TestSetObserverContract(t *testing.T) {
-	l := NewLog()
-	var seen int
-	l.SetObserver(func(n int) { seen += n })
-	l.Append(&Interval{Thread: 1, First: 0, Last: 0})
-	if seen != l.Size() {
-		t.Errorf("observer saw %d bytes, log holds %d", seen, l.Size())
-	}
-
-	l.SetObserver(nil) // removal is always fine
-	l.Append(&Interval{Thread: 1, First: 1, Last: 1})
-	if seen == l.Size() {
-		t.Error("removed observer still invoked")
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("SetObserver on a non-empty log did not panic")
-		}
-	}()
-	l.SetObserver(func(int) {})
-}
-
 // contentSet is a set whose network log holds records open-reads of
 // payloadLen bytes, event i's payload filled with byte i+fill.
 func contentSet(records, payloadLen int, fill byte) *Set {
@@ -547,7 +521,9 @@ func TestWalkedChunksAreNeverReused(t *testing.T) {
 		const appenders, walkers, size = 4, 2, 10 << 20
 		l := NewLog()
 		reused, spilled, last := 0, 0, (*byte)(nil)
-		l.SetObserver(func(int) {
+		// probe runs after each append, under the log's lock, as nothing
+		// else guards its counts.
+		probe := func() {
 			l.mu.Lock()
 			defer l.mu.Unlock()
 			// By address: a fresh array at a recycled address counts too, so
@@ -558,7 +534,7 @@ func TestWalkedChunksAreNeverReused(t *testing.T) {
 				last = a
 			}
 			spilled = l.fileLen
-		})
+		}
 		var wg, walking sync.WaitGroup
 		done := make(chan struct{})
 		for a := range appenders {
@@ -567,6 +543,7 @@ func TestWalkedChunksAreNeverReused(t *testing.T) {
 				defer wg.Done()
 				for i := 0; l.Size() < size; i++ {
 					l.Append(chunkProbe(a, i, 1+i%2000))
+					probe()
 				}
 			}()
 		}

@@ -195,14 +195,14 @@ func put[V any](m map[ids.GCount]V, k Kind, n ids.GCount, v V) error {
 // index allocate more than a small multiple of its own size — and a damaged
 // stream sizes what precedes the damage: the filling walk is the one that
 // reports it.
-func (b *streamIndex) sizeRuns(l *Log, scratch *[kindMax]Entry) {
+func (b *streamIndex) sizeRuns(l *Log, sc *scratch) {
 	type key struct {
 		s Stream
 		t ids.ThreadNum
 	}
 	counts := make(map[key]int)
 	total := 0
-	_ = l.walk(scratch, func(e Entry, _, _ int) error {
+	_ = l.walk(sc, func(e Entry, _, _ int) error {
 		switch v := e.(type) {
 		case *Interval:
 			counts[key{GlobalStream, v.Thread}]++

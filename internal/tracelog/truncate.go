@@ -78,7 +78,8 @@ type TruncateStats struct {
 // until `keep` checkpoints have been recorded. See the package comment above
 // for the quiescence contract; use core.VM.TruncateWAL from application code.
 func (s *Set) TruncateWAL(keep int) (*TruncateStats, error) {
-	if s.wal == nil {
+	w := s.WAL()
+	if w == nil {
 		return nil, fmt.Errorf("tracelog: TruncateWAL without an attached WAL")
 	}
 	keep = max(keep, 1)
@@ -103,7 +104,7 @@ func (s *Set) TruncateWAL(keep int) (*TruncateStats, error) {
 	}}
 	var runs int
 	var dropped [logCount]int
-	n, err := s.wal.replace(func(emit func(logID uint8, e Entry)) (err error) {
+	n, err := w.replace(func(emit func(logID uint8, e Entry)) (err error) {
 		emit(logSchedule, &VMMeta{VM: sv.header.VM, World: sv.header.World})
 		emit(logSchedule, &TruncationEntry{BaseGC: c.base})
 		runs, dropped, err = c.reduce(s, sv.runs, emit)
@@ -137,8 +138,7 @@ type survey struct {
 // surveySchedule walks l once with scratch records.
 func surveySchedule(l *Log) (*survey, error) {
 	sv := &survey{}
-	var scratch [kindMax]Entry
-	err := l.walk(&scratch, func(e Entry, _, _ int) error {
+	err := l.walk(new(scratch), func(e Entry, _, _ int) error {
 		sv.closed = false
 		switch v := e.(type) {
 		case *VMMeta:
@@ -206,12 +206,12 @@ func (c cut) reduce(s *Set, runs []Interval, emit func(logID uint8, e Entry)) (k
 			kept++
 		}
 	}
-	var scratch [kindMax]Entry
+	sc := new(scratch)
 	for id, l := range s.logs() {
 		if id == logNetwork && c.live == nil {
 			continue
 		}
-		err := l.walk(&scratch, func(e Entry, _, _ int) error {
+		err := l.walk(sc, func(e Entry, _, _ int) error {
 			switch e.(type) {
 			case *VMMeta, *TruncationEntry, *Interval, *OpenInterval:
 				return nil
@@ -315,15 +315,15 @@ func (w *WALWriter) replace(build func(emit func(logID uint8, e Entry)) error, k
 	bw := bufio.NewWriter(f)
 	_, werr := bw.WriteString(WALMagic)
 	n := int64(len(WALMagic))
-	var scratch codec
+	var enc codec
 	emit := func(logID uint8, e Entry) {
 		if werr != nil {
 			return
 		}
-		scratch.buf = append(scratch.buf[:0], byte(e.Kind()))
-		e.code(&scratch)
-		if werr = writeFrame(bw, logID, scratch.buf); werr == nil {
-			n += int64(walFrameHdrLen + len(scratch.buf))
+		enc.buf = append(enc.buf[:0], byte(e.Kind()))
+		e.code(&enc)
+		if werr = writeFrame(bw, logID, enc.buf); werr == nil {
+			n += int64(walFrameHdrLen + len(enc.buf))
 			*kept++
 		}
 	}

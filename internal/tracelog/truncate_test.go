@@ -220,9 +220,9 @@ func TestTruncateWALFramesMatchAppendedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scratch [kindMax]Entry
+	var sc scratch
 	for _, off := range frameOffsets(t, compacted) {
-		logID, payload, _ := readFrame(compacted[off:], &scratch)
+		logID, payload, _ := readFrame(compacted[off:], &sc)
 		w.append(logID, payload)
 	}
 	if err := w.Close(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ids"
 )
@@ -58,8 +59,8 @@ type WALOptions struct {
 	// appended records. 0 means DefaultSyncEvery; negative means never sync
 	// automatically (only on Sync/Close).
 	SyncEvery int
-	// OnSync, when set, observes each completed fsync — the hook the
-	// observability layer uses to count WAL syncs.
+	// OnSync, when set, is called after each completed fsync, under the
+	// writer's lock. Stats counts the fsyncs either way.
 	OnSync func()
 }
 
@@ -76,8 +77,9 @@ type WALWriter struct {
 	pending int
 	opts    WALOptions
 	err     error
-	syncs   uint64
-	records uint64
+	// records and syncs are written under mu and read without it, so Stats
+	// never waits behind an fsync.
+	records, syncs atomic.Uint64
 }
 
 // CreateWAL creates (truncating) the WAL file at path and writes its header.
@@ -100,9 +102,6 @@ func CreateWAL(path string, opts WALOptions) (*WALWriter, error) {
 	return w, nil
 }
 
-// Path reports the WAL file's path.
-func (w *WALWriter) Path() string { return w.path }
-
 // Err reports the sticky write error, if any.
 func (w *WALWriter) Err() error {
 	w.mu.Lock()
@@ -112,9 +111,7 @@ func (w *WALWriter) Err() error {
 
 // Stats reports the number of records appended and fsyncs performed.
 func (w *WALWriter) Stats() (records, syncs uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records, w.syncs
+	return w.records.Load(), w.syncs.Load()
 }
 
 // writeFrame is the only code that lays out a WAL frame —
@@ -132,23 +129,22 @@ func writeFrame(bw *bufio.Writer, logID uint8, rec []byte) error {
 	return err
 }
 
-// append frames one encoded record. rec is copied into the writer's buffer
-// before return, so callers may pass a slice into a live log buffer.
-func (w *WALWriter) append(logID uint8, rec []byte) {
+// append frames a copy of one encoded record and reports whether the fsync
+// cadence is due: the caller syncs after releasing its log's lock, so that
+// the log's readers never wait for an fsync.
+func (w *WALWriter) append(logID uint8, rec []byte) (syncDue bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
-		return
+		return false
 	}
 	if err := writeFrame(w.w, logID, rec); err != nil {
 		w.err = err
-		return
+		return false
 	}
-	w.records++
+	w.records.Add(1)
 	w.pending++
-	if w.opts.SyncEvery > 0 && w.pending >= w.opts.SyncEvery {
-		w.syncLocked()
-	}
+	return w.opts.SyncEvery > 0 && w.pending >= w.opts.SyncEvery
 }
 
 func (w *WALWriter) syncLocked() {
@@ -164,7 +160,7 @@ func (w *WALWriter) syncLocked() {
 		return
 	}
 	w.pending = 0
-	w.syncs++
+	w.syncs.Add(1)
 	if w.opts.OnSync != nil {
 		w.opts.OnSync()
 	}
@@ -191,8 +187,8 @@ func (w *WALWriter) Close() error {
 }
 
 // attachWAL tees every subsequent append of this log into w, tagged with
-// logID. Same contract as SetObserver: the log must still be empty, or
-// records already appended would be missing from the durable stream.
+// logID. The log must still be empty, or records already appended would be
+// missing from the durable stream.
 func (l *Log) attachWAL(w *WALWriter, logID uint8) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -213,27 +209,27 @@ func (s *Set) AttachWAL(w *WALWriter) error {
 			return err
 		}
 	}
-	s.wal = w
+	s.wal.Store(w)
 	return nil
 }
 
 // WAL returns the writer attached with AttachWAL, or nil.
-func (s *Set) WAL() *WALWriter { return s.wal }
+func (s *Set) WAL() *WALWriter { return s.wal.Load() }
 
 // SyncWAL flushes and fsyncs the attached WAL. No-op without one.
 func (s *Set) SyncWAL() error {
-	if s.wal == nil {
-		return nil
+	if w := s.WAL(); w != nil {
+		return w.Sync()
 	}
-	return s.wal.Sync()
+	return nil
 }
 
 // CloseWAL syncs and closes the attached WAL. No-op without one.
 func (s *Set) CloseWAL() error {
-	if s.wal == nil {
-		return nil
+	if w := s.WAL(); w != nil {
+		return w.Close()
 	}
-	return s.wal.Close()
+	return nil
 }
 
 // RecoveryReport describes what RecoverFile salvaged from a WAL.
@@ -293,11 +289,11 @@ func RecoverFile(path string) (*Set, *RecoveryReport, error) {
 	// chunks over again.
 	s := NewSet()
 	logs := s.logs()
-	var scratch [kindMax]Entry
+	sc := new(scratch)
 	var threads ids.ThreadNum
 	off := len(WALMagic)
 	for off < len(data) {
-		logID, payload, reason := readFrame(data[off:], &scratch)
+		logID, payload, reason := readFrame(data[off:], sc)
 		if reason != "" {
 			rep.Truncated = true
 			rep.Reason = reason
@@ -305,7 +301,7 @@ func RecoverFile(path string) (*Set, *RecoveryReport, error) {
 			break
 		}
 		logs[logID].appendRecord(payload)
-		if id, ok := netEventID(scratch[payload[0]]); ok {
+		if id, ok := netEventID(sc.recs[payload[0]]); ok {
 			threads = max(threads, id.Thread)
 		}
 		rep.Frames++
@@ -333,7 +329,7 @@ func RecoverFile(path string) (*Set, *RecoveryReport, error) {
 // only the payload, so without it one flipped id bit files an intact record
 // into the wrong log, where it makes the whole salvage unusable instead of
 // costing only the tail.
-func readFrame(b []byte, scratch *[kindMax]Entry) (logID uint8, payload []byte, reason string) {
+func readFrame(b []byte, sc *scratch) (logID uint8, payload []byte, reason string) {
 	if len(b) < walFrameHdrLen {
 		return 0, nil, "torn frame header"
 	}
@@ -354,7 +350,7 @@ func readFrame(b []byte, scratch *[kindMax]Entry) (logID uint8, payload []byte, 
 		return 0, nil, "frame checksum mismatch"
 	}
 	records := 0
-	_, err := walk(payload, 0, true, scratch, func(e Entry, _, _ int) error {
+	_, err := walk(payload, 0, true, sc, func(e Entry, _, _ int) error {
 		if records++; records > 1 {
 			return corruptf("frame holds more than one record")
 		}

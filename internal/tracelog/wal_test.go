@@ -194,9 +194,9 @@ func TestWALCorruptFrameTruncatesScan(t *testing.T) {
 func frameOffsets(t *testing.T, data []byte) []int {
 	t.Helper()
 	var offs []int
-	var scratch [kindMax]Entry
+	var sc scratch
 	for off := len(WALMagic); off < len(data); {
-		_, payload, reason := readFrame(data[off:], &scratch)
+		_, payload, reason := readFrame(data[off:], &sc)
 		if reason != "" {
 			t.Fatalf("frame at %d: %s", off, reason)
 		}
@@ -288,6 +288,39 @@ func TestWALSyncCadence(t *testing.T) {
 	}
 	if _, syncs = w.Stats(); syncs != 3 {
 		t.Fatalf("Close did not perform the final sync: %d", syncs)
+	}
+}
+
+// TestRecoverFileAllocatesPerFileNotPerFrame: the scan decodes every frame
+// with one scratch, records and codec alike, so recovering a clean WAL of
+// 40 002 frames allocates the recovered logs' chunks and a record or two per
+// kind, not a codec per frame.
+func TestRecoverFileAllocatesPerFileNotPerFrame(t *testing.T) {
+	const n = 40_000
+	path := filepath.Join(t.TempDir(), "node.wal")
+	w, err := CreateWAL(path, WALOptions{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSet()
+	if err := s.AttachWAL(w); err != nil {
+		t.Fatal(err)
+	}
+	s.Schedule.Append(&VMMeta{VM: 1, World: ids.OpenWorld})
+	for i := range n {
+		s.Schedule.Append(&Interval{Thread: ids.ThreadNum(i % 4), First: ids.GCount(2 * i), Last: ids.GCount(2*i + 1)})
+	}
+	s.Schedule.Append(&VMMeta{VM: 1, World: ids.OpenWorld, Threads: 4, FinalGC: 2 * n})
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, rep, err := RecoverFile(path); err != nil || !rep.Clean || rep.Frames != n+2 {
+			t.Fatalf("RecoverFile: %v, %+v", err, rep)
+		}
+	})
+	if allocs >= 1000 {
+		t.Errorf("recovering %d frames allocated %.0f times, want fewer than 1 000", n+2, allocs)
 	}
 }
 
