@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -280,7 +281,7 @@ func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 		op(0)
 		t.maybeYield()
 	case ids.Record:
-		t.recordEvent(s, kind, op)
+		t.record(s, kind, op, nil, false, 0)
 	case ids.Replay:
 		if t.run.s != s {
 			t.run = t.cursor(s)
@@ -331,7 +332,7 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 	case ids.Record:
 		t.publishCounts(nil)
 		op()
-		t.recordEvent(s, kind, mark)
+		t.record(s, kind, mark, nil, false, 0)
 	case ids.Replay:
 		c := t.cursor(s)
 		// Take the turn first, without executing anything: every event op
@@ -406,11 +407,6 @@ func (s *stream) publishLocked() {
 	s.clock.Store(uint64(s.next))
 }
 
-// recordEvent records op as one critical event of s.
-func (t *Thread) recordEvent(s *stream, kind obs.EventKind, op func(ids.GCount)) {
-	t.record(s, kind, op, nil, false, 0)
-}
-
 // recordInt records a SharedInt access — a load of *p, or with set a store of
 // v — and returns its value. Inlined into SharedInt.Get and Set, it is their
 // one call while recording.
@@ -443,7 +439,7 @@ func (t *Thread) record(s *stream, kind obs.EventKind, op func(ids.GCount), p *i
 	}
 	fast := s.mu.TryLock()
 	if !fast {
-		s.mu.Lock()
+		s.stepAside()
 	}
 	n := s.next
 	if op == nil && uint64(n)&s.holdMask != 0 && s.observer == nil {
@@ -480,6 +476,22 @@ func (t *Thread) record(s *stream, kind obs.EventKind, op func(ids.GCount), p *i
 	s.mu.Unlock()
 	t.maybeYield()
 	return v
+}
+
+// stepAside takes mu after a failed TryLock without racing the holder for the
+// lock word: a yield, a few TryLocks each after the shortest sleep, then Lock,
+// whose starvation mode hands over within 1 ms and parks the contenders of a
+// frozen holder. DESIGN "A contender steps aside" has why, and the bound's sweep.
+func (s *stream) stepAside() {
+	const sleeps = 16
+	runtime.Gosched()
+	for i := 0; !s.mu.TryLock(); i++ {
+		if i == sleeps {
+			s.mu.Lock()
+			return
+		}
+		time.Sleep(time.Microsecond)
+	}
 }
 
 // takeTurn waits, without executing anything, until the thread may execute
@@ -623,9 +635,7 @@ type ParkedThread struct {
 // "access 7 of obj2" on an object's.
 func (p ParkedThread) Awaited() string { return p.Stream.At(p.Next) }
 
-func (p ParkedThread) String() string {
-	return fmt.Sprintf("thread %d: %s", p.Thread, p.Awaited())
-}
+func (p ParkedThread) String() string { return fmt.Sprintf("thread %d: %s", p.Thread, p.Awaited()) }
 
 // parkedThreads lists the threads parked on any stream, in no particular order.
 func (vm *VM) parkedThreads() []ParkedThread {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -209,9 +210,11 @@ func RunSupervised(cfg SupervisedConfig) (*SupervisedResult, error) {
 		},
 	})
 	for _, p := range peers {
-		if err := startEchoPeer(net, p, echoPort); err != nil {
+		stop, err := startEchoPeer(net, p, echoPort)
+		if err != nil {
 			return nil, err
 		}
+		defer stop()
 	}
 	engine, err := chaos.NewEngine(plan, net, nil)
 	if err != nil {
@@ -513,19 +516,28 @@ func echoRoundTrip(t *core.Thread, env *djsock.Env, peer, payload string) string
 
 // startEchoPeer runs a plain, uninstrumented echo server on the simulated
 // host: accepted connections echo bytes until EOF or reset. Peers are not
-// DJVMs — the open-world primary records everything it reads from them.
-func startEchoPeer(net *netsim.Network, host string, port uint16) error {
+// DJVMs — the open-world primary records everything it reads from them. stop
+// closes the listener and every stream it accepted, and returns once the
+// peer's goroutines have.
+func startEchoPeer(net *netsim.Network, host string, port uint16) (stop func(), err error) {
 	l, err := net.Listen(host, port)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var streams []*netsim.Stream
+	var echoes sync.WaitGroup
+	accepting := make(chan struct{})
 	go func() {
+		defer close(accepting)
 		for {
 			s, err := l.Accept()
 			if err != nil {
 				return
 			}
+			streams = append(streams, s)
+			echoes.Add(1)
 			go func() {
+				defer echoes.Done()
 				defer s.Close()
 				buf := make([]byte, 512)
 				for {
@@ -542,7 +554,14 @@ func startEchoPeer(net *netsim.Network, host string, port uint16) error {
 			}()
 		}
 	}()
-	return nil
+	return func() {
+		l.Close()
+		<-accepting // the accept loop has returned: streams is final
+		for _, s := range streams {
+			s.Close()
+		}
+		echoes.Wait()
+	}, nil
 }
 
 // encodeSupState serializes the resumable workload state: the next round

@@ -88,23 +88,25 @@ func TestSupervisedRun(t *testing.T) {
 				t.Fatalf("no member survived (%d/%d crashed)", crashed, n)
 			}
 			// Every VM the run made, the restart and baseline replays too, is
-			// closed by the time it returns: no stall watchdog outlives it.
-			noWatchdogLeft(t)
+			// closed by the time it returns, and so are the echo peers: no
+			// stall watchdog, accept loop or echo reader outlives it.
+			nothingOutlivesTheRun(t)
 		})
 	}
 }
 
-// noWatchdogLeft fails unless, within a second, no goroutine runs a VM's
-// stall watchdog: a closed VM's watchdog returns at its next wakeup.
-func noWatchdogLeft(t *testing.T) {
+// nothingOutlivesTheRun fails unless, within a second, no goroutine runs a
+// VM's stall watchdog (a closed VM's returns at its next wakeup) or an echo
+// peer's accept loop or reader.
+func nothingOutlivesTheRun(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
 		stacks := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(stacks, "core.(*VM).watchdog") {
+		if !strings.Contains(stacks, "core.(*VM).watchdog") && !strings.Contains(stacks, "kvapp.startEchoPeer") {
 			return
 		} else if time.Now().After(deadline) {
-			t.Fatalf("a VM's stall watchdog outlived the run:\n%s", stacks)
+			t.Fatalf("a VM's stall watchdog or an echo peer outlived the run:\n%s", stacks)
 		}
 	}
 }
@@ -216,9 +218,11 @@ func TestSupervisedRunSurfacesTruncateErrors(t *testing.T) {
 func TestRoundLoopBoundReplaysExactly(t *testing.T) {
 	net := netsim.NewNetwork(netsim.Config{Seed: 7})
 	for _, p := range []string{"p1", "p2"} {
-		if err := startEchoPeer(net, p, echoPort); err != nil {
+		stop, err := startEchoPeer(net, p, echoPort)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer stop()
 	}
 	rec, err := core.NewVM(core.Config{ID: 1, Mode: ids.Record, World: ids.OpenWorld})
 	if err != nil {

@@ -117,6 +117,22 @@ func BenchmarkBuildIndex(b *testing.B) {
 	}
 }
 
+// TestOpenServerIndexAllocatesPerIndexNotPerRecord: BuildNetworkIndex walks
+// net-open's shape with scratch records, and a host name decoded into one
+// that already holds it is kept, not copied — so what the build allocates
+// does not grow with its 32 000 accepts.
+func TestOpenServerIndexAllocatesPerIndexNotPerRecord(t *testing.T) {
+	server := NewLog()
+	appendOpenServer(server, contentRecords)
+	if n := testing.AllocsPerRun(2, func() {
+		if _, err := BuildNetworkIndex(server); err != nil {
+			t.Fatal(err)
+		}
+	}); n >= 100 {
+		t.Fatalf("BuildNetworkIndex of %d open accepts, reads and writes allocates %.0f times, want under 100", contentRecords, n)
+	}
+}
+
 func BenchmarkLoadSet(b *testing.B) {
 	s := NewSet()
 	benchSet(s)

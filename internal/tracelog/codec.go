@@ -43,7 +43,7 @@ var ErrCorrupt = errors.New("tracelog: corrupt log")
 //
 // A failure is sticky: once err is set no later field is read, and the
 // half-decoded record is walk's to discard. A decoded []byte aliases buf
-// (see walk); strings and lists are fresh.
+// (see walk); strings never do, and lists are fresh.
 type codec struct {
 	reading bool
 	buf     []byte
@@ -51,11 +51,7 @@ type codec struct {
 	err     error
 }
 
-func (c *codec) fail() {
-	if c.err == nil {
-		c.err = ErrCorrupt
-	}
-}
+func (c *codec) fail() { c.err = ErrCorrupt }
 
 func (c *codec) done() bool { return c.err != nil || c.off >= len(c.buf) }
 
@@ -119,7 +115,7 @@ func delta[T ~uint64](c *codec, v *T, base T) {
 // blob codes a length-prefixed byte field or string. A []byte read is a
 // sub-slice of buf, capacity cut to its length: the codec never copies a
 // payload (see walk for the aliasing contract this puts on every decoded
-// entry).
+// entry), and a string read keeps the string a scratch record already holds.
 func blob[T []byte | string](c *codec, v *T) {
 	n := uint64(len(*v))
 	uvarint(c, &n)
@@ -132,7 +128,9 @@ func blob[T []byte | string](c *codec, v *T) {
 		return
 	}
 	end := c.off + int(n)
-	*v = T(c.buf[c.off:end:end])
+	if s, ok := any(v).(*string); !ok || *s != string(c.buf[c.off:end]) {
+		*v = T(c.buf[c.off:end:end])
+	}
 	c.off = end
 }
 
