@@ -32,7 +32,7 @@ func salvagedFixture(t *testing.T) string {
 	s.Schedule.Append(&tracelog.Interval{Thread: 0, First: 0, Last: 4})
 	s.Schedule.Append(&tracelog.CheckpointEntry{GC: 4, NextThread: 1, State: []byte("state")})
 	s.Schedule.Append(&tracelog.GroupEpochEntry{Epoch: 1, GC: 4, Members: []tracelog.GroupMember{{VM: 3, AnchorGC: 4}, {VM: 5, AnchorGC: 9}}})
-	if _, err := s.TruncateWAL(1); err != nil {
+	if _, err := s.WAL().TruncateWAL(1); err != nil {
 		t.Fatal(err)
 	}
 	s.Network.Append(&tracelog.OpenReadEntry{EventID: ids.NetworkEventID{Thread: 0, Event: 1}, Data: []byte("request")})

@@ -52,6 +52,7 @@ import (
 	"repro/internal/netevent"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/rudp"
 	"repro/internal/tracelog"
 )
 
@@ -145,6 +146,18 @@ var (
 	// the recorded one — an operation the record phase never performed, a
 	// buffer too small for the recorded bytes, a different message sent.
 	ErrDiverged = netevent.ErrDiverged
+	// ErrReset is wrapped by the error a recorded stream read or write
+	// returns once the peer's host crashed (Network.CrashHost), like a TCP
+	// RST. The replay of that operation touches no network: it re-throws
+	// the recorded failure as a *ReplayedError carrying its message, which
+	// matches neither ErrReset nor ErrDiverged under errors.Is.
+	ErrReset = netsim.ErrReset
+	// ErrPeerUnreachable is wrapped, together with ErrDiverged, by the error
+	// a closed-world replay's datagram send returns once the reliable-UDP
+	// layer has spent its retry budget on the peer (a crashed or partitioned
+	// host) and given it up. A recording sends datagrams unacknowledged and
+	// never returns it.
+	ErrPeerUnreachable = rudp.ErrPeerUnreachable
 )
 
 // Execution modes.

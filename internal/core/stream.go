@@ -402,7 +402,8 @@ func (s *stream) lockedTick(t *Thread, c *cursor, op func(ids.GCount)) {
 // for the readers that hold no lock (the clock gauge, the event total, a
 // supervisor's progress poll). Caller holds mu. The word is only ever written
 // here, from next, so it never decreases and is never ahead of the counter;
-// see Thread.publishCounts for when.
+// see Thread.publishCounts for when, and record, which also publishes before
+// a WAL durability note.
 func (s *stream) publishLocked() {
 	s.clock.Store(uint64(s.next))
 }
@@ -467,8 +468,11 @@ func (t *Thread) record(s *stream, kind obs.EventKind, op func(ids.GCount), p *i
 	}
 	if s.noteEvery != 0 && (uint64(n)+1)%s.noteEvery == 0 {
 		// The open run contains n, so it has grown since any earlier note; the
-		// note claims only events whose records precede it in the WAL stream.
-		s.vm.appendOpenRunLocked(s.runThread, s.first, s.last)
+		// note claims only events whose records precede it in the WAL stream,
+		// which crash recovery credits. The word goes first: the note's fsync
+		// may hold the section past a supervisor's fail window.
+		s.publishLocked()
+		s.vm.logs.Schedule.Append(&tracelog.OpenInterval{Thread: s.runThread, First: s.first, Last: s.last})
 	}
 	if s.traced && (uint64(n)+1)%stampEvery == 0 {
 		s.vm.appendTimestampLocked(n + 1)

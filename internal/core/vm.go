@@ -450,13 +450,6 @@ func (vm *VM) appendTimestampLocked(gc ids.GCount) {
 	vm.logs.Schedule.Append(&tracelog.TimestampEntry{GC: gc, Wall: time.Now().UnixNano()})
 }
 
-// appendOpenRunLocked logs a durability note for the global stream's open
-// run, which crash recovery credits when no flushed interval covers it yet.
-// Caller holds the global stream's lock.
-func (vm *VM) appendOpenRunLocked(thread ids.ThreadNum, first, last ids.GCount) {
-	vm.logs.Schedule.Append(&tracelog.OpenInterval{Thread: thread, First: first, Last: last})
-}
-
 // TruncateWAL compacts the attached WAL so it starts at a retained
 // checkpoint, dropping records a checkpoint-resumed replay can no longer
 // request: keep=1 anchors at the latest checkpoint, keep=N retains the N
@@ -482,7 +475,7 @@ func (vm *VM) TruncateWAL(keep int) (*tracelog.TruncateStats, error) {
 	// same-thread intervals replay identically to one merged interval.
 	vm.global.flushLocked()
 	vm.global.publishLocked()
-	st, err := vm.logs.TruncateWAL(keep)
+	st, err := vm.logs.WAL().TruncateWAL(keep)
 	if err != nil {
 		// ErrNoAnchor and a failed compaction leave the WAL healthy; only
 		// the writer's own sticky error means durability is gone.

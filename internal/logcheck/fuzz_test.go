@@ -130,7 +130,7 @@ func healthyWAL(t testing.TB, path string) []byte {
 	s.Schedule.Append(&tracelog.Interval{Thread: 0, First: 0, Last: 4})
 	s.Schedule.Append(&tracelog.CheckpointEntry{GC: 4, NextThread: 1, TakerThread: 0, MainEventNum: 1, State: []byte("s1")})
 	s.Schedule.Append(epoch(1, 4))
-	if _, err := s.TruncateWAL(1); err != nil {
+	if _, err := s.WAL().TruncateWAL(1); err != nil {
 		t.Fatal(err)
 	}
 	s.Schedule.Append(&tracelog.Interval{Thread: 1, First: 5, Last: 5})

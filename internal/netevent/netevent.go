@@ -127,7 +127,9 @@ func consume(ids.GCount) {}
 // happened in the record phase, so it owns no slot and consumes none: if the
 // thread has no scheduled event left it has run off the end of its recording
 // — the crash point, under StopAtLogEnd — and goes where any event beyond the
-// schedule goes; a thread that still owns schedule is told it diverged.
+// schedule goes; a thread that still owns schedule is told it diverged. A
+// re-executed event that fails is a divergence too, and its error wraps both
+// ErrDiverged and the failure itself.
 func (ev Event) Replay(recorded, fromLog bool, block func() error, mark func(gc ids.GCount) error) error {
 	t := ev.t
 	if e, failed := t.VM().NetworkIndex().Errs.Get(ev.ID); failed {
@@ -157,7 +159,7 @@ func (ev Event) Replay(recorded, fromLog bool, block func() error, mark func(gc 
 		})
 	}
 	if err != nil && !errors.Is(err, ErrDiverged) {
-		err = Divergef("%s event %v failed during replay: %v", ev.op, ev.ID, err)
+		err = fmt.Errorf("%w: %s event %v failed during replay: %w", ErrDiverged, ev.op, ev.ID, err)
 	}
 	return err
 }

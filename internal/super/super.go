@@ -15,9 +15,10 @@
 // catches both a killed process (total frozen) and the chaos engine's in-situ
 // crash (a thread blocked forever inside the GC-critical section freezes every
 // other thread too, so the total freezes the same way). A recording VM
-// publishes its counter per schedule interval, not per event; the poll itself
-// brings the total up to date whenever no event is in flight, and it never
-// waits for the critical section — a member frozen inside it reads as frozen
+// publishes its counter per schedule interval, not per event, and before each
+// WAL durability note, whose fsync may hold its critical section; the poll
+// itself brings the total up to date whenever no event is in flight, and it
+// never waits for the critical section — a member frozen inside it reads as frozen
 // (at its last published value; exactly, under an EventObserver such as the
 // chaos engine's) and cannot freeze the supervisor with it.
 //

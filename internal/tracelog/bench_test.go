@@ -279,37 +279,53 @@ func benchRecover(b *testing.B, clean bool, finalGC ids.GCount, fill func(*Set))
 	}
 }
 
-// BenchmarkTruncateWAL compacts the WAL of a live recording: truncIntervals
-// intervals over four threads, a closed-world read for each, and
-// truncCheckpoints checkpoints of main, thread 0, spread evenly; it keeps two
-// of them, so the anchor's base is where the last 1/truncCheckpoints of the
-// run begins. Each compaction rewrites the WAL from the whole in-memory set.
+// BenchmarkTruncateWAL compacts the WAL of a live recording that has been
+// compacted at every checkpoint, as kvapp's durable loop does: four threads
+// take turns logging an interval and a closed-world read, main (thread 0)
+// checkpoints every truncSpan intervals, and each compaction keeps two
+// checkpoints, so the WAL holds the last two spans and the anchor's base is
+// where the last span begins. short records truncCheckpoints spans; long ten
+// times the history before the retained anchors, which a compaction reads
+// no more of than short's: the two must time the same.
 func BenchmarkTruncateWAL(b *testing.B) {
-	s := truncateSet(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		truncate(b, s)
+	for i, name := range []string{"short", "long"} {
+		checkpoints := truncCheckpoints * (1 + 9*i)
+		b.Run(name, func(b *testing.B) {
+			s := truncateSet(b, checkpoints, true)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				truncate(b, s, checkpoints)
+			}
+		})
 	}
 }
 
-// TestTruncateWALAllocatesPerRunNotPerRecord: a compaction walks the set
-// with scratch records, so what it allocates grows with the runs it keeps
-// and the log chunks it walks, not with the records it reads — decoding the
-// logs whole allocated about two objects a record.
+// TestTruncateWALAllocatesPerRunNotPerRecord: a compaction reads the WAL
+// into logs and walks them with scratch records, so what it allocates grows
+// with the runs it keeps and the chunks it reads, not with the records —
+// decoding the logs whole allocated about two objects a record. The WAL
+// here holds the whole run: it was never compacted before.
 func TestTruncateWALAllocatesPerRunNotPerRecord(t *testing.T) {
-	s := truncateSet(t)
-	if n := testing.AllocsPerRun(2, func() { truncate(t, s) }); n >= 5000 {
-		t.Fatalf("TruncateWAL of %d intervals, %d reads and %d checkpoints allocates %.0f times, want under 5000",
-			truncIntervals, truncIntervals, truncCheckpoints, n)
+	s := truncateSet(t, truncCheckpoints, false)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	truncate(t, s, truncCheckpoints)
+	runtime.ReadMemStats(&after)
+	n := after.Mallocs - before.Mallocs
+	t.Logf("compacting a WAL of %d intervals, %d reads and %d checkpoints allocated %d times", truncCheckpoints*truncSpan, truncCheckpoints*truncSpan, truncCheckpoints, n)
+	if n >= 5000 {
+		t.Fatalf("TruncateWAL of %d intervals, %d reads and %d checkpoints allocates %d times, want under 5000",
+			truncCheckpoints*truncSpan, truncCheckpoints*truncSpan, truncCheckpoints, n)
 	}
 }
 
-const truncIntervals, truncCheckpoints = 40_000, 40
+const truncSpan, truncCheckpoints = 1000, 40
 
-// truncateSet records BenchmarkTruncateWAL's run through a WAL that syncs
-// only when it closes.
-func truncateSet(tb testing.TB) *Set {
+// truncateSet records BenchmarkTruncateWAL's run of the given number of
+// checkpoints through a WAL that syncs only when it closes, compacting it
+// at each checkpoint or never.
+func truncateSet(tb testing.TB, checkpoints int, compact bool) *Set {
 	w, err := CreateWAL(filepath.Join(tb.TempDir(), "node.wal"), WALOptions{SyncEvery: -1})
 	if err != nil {
 		tb.Fatal(err)
@@ -320,24 +336,26 @@ func truncateSet(tb testing.TB) *Set {
 	}
 	tb.Cleanup(func() { s.CloseWAL() })
 	s.Schedule.Append(&VMMeta{VM: 1, World: ids.ClosedWorld})
-	for i := 0; i < truncIntervals; i++ {
+	for i := 0; i < checkpoints*truncSpan; i++ {
 		ev := ids.NetworkEventID{Thread: ids.ThreadNum(i % 4), Event: ids.EventNum(i / 4)}
 		s.Network.Append(&ReadEntry{EventID: ev, N: 64})
 		s.Schedule.Append(&Interval{Thread: ev.Thread, First: ids.GCount(2 * i), Last: ids.GCount(2*i + 1)})
-		if (i+1)%(truncIntervals/truncCheckpoints) == 0 {
+		if (i+1)%truncSpan == 0 {
 			s.Schedule.Append(&CheckpointEntry{GC: ids.GCount(2*i + 2), NextThread: 4, MainEventNum: ids.EventNum(i/4 + 1), State: []byte("state")})
+			if compact && i+1 > truncSpan {
+				truncate(tb, s, (i+1)/truncSpan)
+			}
 		}
 	}
 	return s
 }
 
-// truncate compacts s keeping two checkpoints and checks what it kept: the
-// header and base, the last 1/truncCheckpoints of the intervals, both
-// checkpoints, and thread 0's reads from the anchor on.
-func truncate(tb testing.TB, s *Set) {
-	const runs = truncIntervals / truncCheckpoints
-	st, err := s.TruncateWAL(2)
-	if err != nil || st.BaseGC != 2*(truncIntervals-runs) || st.KeptRecords != 2+runs+2+runs/4 {
+// truncate compacts s, which has recorded the given number of checkpoints,
+// keeping two and checks what it kept: the header and base, the last span
+// of intervals, both checkpoints, and thread 0's reads from the anchor on.
+func truncate(tb testing.TB, s *Set, checkpoints int) {
+	st, err := s.WAL().TruncateWAL(2)
+	if err != nil || st.BaseGC != ids.GCount(2*(checkpoints-1)*truncSpan) || st.KeptRecords != 2+truncSpan+2+truncSpan/4 {
 		tb.Fatalf("TruncateWAL: %v, %+v", err, st)
 	}
 }
@@ -817,7 +835,7 @@ func TestChunkBoundaries(t *testing.T) {
 			var sc scratch
 			frames := 0
 			for _, off := range frameOffsets(t, wal) {
-				logID, payload, _ := readFrame(wal[off:], &sc)
+				logID, payload, _ := frameAt(wal[off:], &sc)
 				if logID != logNetwork {
 					continue
 				}

@@ -188,13 +188,13 @@ func put[V any](m map[ids.GCount]V, k Kind, n ids.GCount, v V) error {
 }
 
 // sizeRuns gives every thread's runs on every stream their final capacity
-// before the index is filled. Under real parallelism a log is mostly runs,
-// one per lock hand-off, and a slice grown by append has allocated about five
-// times what it ends up holding. The counts come from the records decoded in
-// a walk of their own — never from a length field, so a log cannot make the
-// index allocate more than a small multiple of its own size — and a damaged
-// stream sizes what precedes the damage: the filling walk is the one that
-// reports it.
+// before the index is filled, counted in a walk of their own — never from a
+// length field, so a log cannot make the index allocate more than a small
+// multiple of its own size; a damaged stream sizes what precedes the damage,
+// and the filling walk reports it. The walk trades time for memory: over
+// 120 000 runs (BenchmarkBuildIndex/schedule, 2 vCPUs, go1.24) the build
+// takes 14–19 ms and allocates 2.9 MB with it, 11–15 ms and 11.8 MB without;
+// kv-durable's tracelog.index.schedule_ms reads the same either way.
 func (b *streamIndex) sizeRuns(l *Log, sc *scratch) {
 	type key struct {
 		s Stream

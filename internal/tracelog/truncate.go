@@ -1,7 +1,6 @@
 package tracelog
 
 import (
-	"bufio"
 	"cmp"
 	"errors"
 	"fmt"
@@ -26,16 +25,19 @@ import (
 // and K, the first counter its runs leave uncovered, and keeps the network
 // log whole.
 //
-// A cut walks the schedule log twice and each other log once, one scratch
-// record at a time, never decoding a log whole. The survey walk finds the
-// identity header, whether the log closed, the base, the checkpoints, and
-// the global runs — flushed intervals, each open-interval note folded into
-// the run it snapshots. reduce then emits the runs in the window, clipped at
-// base and sorted by First, before every other record, in log order, whose
-// counter key lies in the window (a timestamp's may also equal end) or that,
-// keyed by a network event only, is live. So a compacted WAL reads: magic,
-// identity header, truncation{base}, the runs, the other schedule records,
-// the live network records, the datagram deliveries at or past base.
+// Both cut what readWAL reads from the WAL file, never the recording's
+// in-memory logs: a compaction costs what the WAL holds, the last image and
+// the appends since, not the whole run. A cut walks the schedule log twice
+// and each other log once, one scratch record at a time, never decoding a
+// log whole. The survey walk finds the identity header, whether the log
+// closed, the base, the checkpoints, and the global runs — flushed
+// intervals, each open-interval note folded into the run it snapshots.
+// reduce then emits the runs in the window, clipped at base and sorted by
+// First, before every other record, in log order, whose counter key lies in
+// the window (a timestamp's may also equal end) or that, keyed by a network
+// event only, is live. So a compacted WAL reads: magic, identity header,
+// truncation{base}, the runs, the other schedule records, the live network
+// records, the datagram deliveries at or past base.
 //
 // The rewrite is atomic — built in a temp file, fsynced, and renamed over the
 // WAL — so a crash leaves the old log or the compacted one, never a blend.
@@ -47,11 +49,13 @@ import (
 // checkpoint's thread bookkeeping (NextThread, TakerThread, MainEventNum) a
 // complete liveness description: the only network records a post-anchor
 // replay can request belong to the taker at or past its checkpointed event
-// number, or to threads spawned after the anchor. It also keeps appends out
-// of the rewrite, which would miss them.
+// number, or to threads spawned after the anchor. It also makes cutting the
+// WAL the same as cutting the whole run: a later anchor's base is no lower
+// and its taker is the earlier one's or a thread spawned since, so a record
+// an earlier compaction dropped is dead at every later anchor too.
 
-// ErrNoAnchor reports that a truncation found fewer recorded checkpoints than
-// its retention policy keeps, so there is nothing safe to anchor at yet.
+// ErrNoAnchor reports that a truncation found fewer checkpoints in the WAL
+// than its retention policy keeps, so there is nothing safe to anchor at yet.
 var ErrNoAnchor = errors.New("tracelog: not enough checkpoints to anchor a WAL truncation")
 
 // TruncateStats reports what a WAL truncation kept and dropped.
@@ -61,7 +65,8 @@ type TruncateStats struct {
 	BaseGC ids.GCount
 	// KeptCheckpoints is the retention policy that chose the anchor.
 	KeptCheckpoints int
-	// Per-log record drop counts (records compacted away).
+	// Per-log counts of the records this truncation dropped from the WAL,
+	// not counting those an earlier truncation already dropped.
 	DroppedSchedule int
 	DroppedNetwork  int
 	DroppedDatagram int
@@ -71,16 +76,28 @@ type TruncateStats struct {
 	Bytes int64
 }
 
-// TruncateWAL compacts the attached WAL to the records a replay resumed from
-// a retained checkpoint can still need, anchored `keep` checkpoints back
+// TruncateWAL compacts the WAL to the records a replay resumed from a
+// retained checkpoint can still need, anchored `keep` checkpoints back
 // (keep=1 anchors at the latest checkpoint; keep=2 retains one older anchor
-// so a recovered log still offers two resume points). Returns ErrNoAnchor
-// until `keep` checkpoints have been recorded. See the package comment above
-// for the quiescence contract; use core.VM.TruncateWAL from application code.
-func (s *Set) TruncateWAL(keep int) (*TruncateStats, error) {
-	w := s.WAL()
-	if w == nil {
-		return nil, fmt.Errorf("tracelog: TruncateWAL without an attached WAL")
+// so a recovered log still offers two resume points). It flushes the
+// writer's buffer, reads its own file and writes the cut of what it read, all
+// under the writer's lock, which appends wait for; it takes no log's lock.
+// Returns ErrNoAnchor while the WAL holds fewer than `keep` checkpoints. A
+// failure other than the writer's sticky error leaves the file and the
+// writer as they were. See the package comment above for the quiescence
+// contract; use core.VM.TruncateWAL from application code.
+func (w *WALWriter) TruncateWAL(keep int) (*TruncateStats, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.flushLocked(); err != nil {
+		return nil, fmt.Errorf("tracelog: truncate: %w", err)
+	}
+	var rep RecoveryReport
+	s, _, err := readWAL(w.path, &rep)
+	if err != nil {
+		return nil, fmt.Errorf("tracelog: truncate: %w", err)
+	} else if rep.Truncated {
+		return nil, corruptf("truncate: the WAL's frame at offset %d is bad: %s", rep.GoodBytes, rep.Reason)
 	}
 	keep = max(keep, 1)
 	sv, err := surveySchedule(s.Schedule)
@@ -93,7 +110,6 @@ func (s *Set) TruncateWAL(keep int) (*TruncateStats, error) {
 		return nil, fmt.Errorf("%w: have %d, retaining %d", ErrNoAnchor, len(sv.anchors), keep)
 	}
 	anchor := sv.anchors[len(sv.anchors)-keep]
-	st := &TruncateStats{BaseGC: anchor.GC, KeptCheckpoints: keep}
 	// A replay resumed at or after the anchor runs only the taker thread
 	// (from its checkpointed event number onward) and threads spawned after
 	// the anchor; every other thread had finished by the anchor's quiescent
@@ -102,20 +118,40 @@ func (s *Set) TruncateWAL(keep int) (*TruncateStats, error) {
 		return uint32(id.Thread) >= anchor.NextThread ||
 			(id.Thread == anchor.TakerThread && id.Event >= anchor.MainEventNum)
 	}}
-	var runs int
-	var dropped [logCount]int
-	n, err := w.replace(func(emit func(logID uint8, e Entry)) (err error) {
-		emit(logSchedule, &VMMeta{VM: sv.header.VM, World: sv.header.World})
-		emit(logSchedule, &TruncationEntry{BaseGC: c.base})
-		runs, dropped, err = c.reduce(s, sv.runs, emit)
-		return err
-	}, &st.KeptRecords)
+	// A writer of its own frames the image as appends are framed; once it is
+	// renamed over the WAL, this writer goes on at its end.
+	st := &TruncateStats{BaseGC: anchor.GC, KeptCheckpoints: keep, Bytes: int64(len(WALMagic))}
+	tmp := w.path + ".compact"
+	img, err := CreateWAL(tmp, WALOptions{SyncEvery: -1})
 	if err != nil {
 		return nil, fmt.Errorf("tracelog: truncate: %w", err)
 	}
+	var enc codec
+	emit := func(logID uint8, e Entry) {
+		enc.buf = append(enc.buf[:0], byte(e.Kind()))
+		e.code(&enc)
+		img.append(logID, enc.buf)
+		st.Bytes += int64(walFrameHdrLen + len(enc.buf))
+		st.KeptRecords++
+	}
+	emit(logSchedule, &VMMeta{VM: sv.header.VM, World: sv.header.World})
+	emit(logSchedule, &TruncationEntry{BaseGC: c.base})
+	runs, dropped, err := c.reduce(s, sv.runs, emit)
+	if err == nil {
+		err = img.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, w.path)
+	}
+	if err != nil {
+		img.f.Close()
+		os.Remove(tmp)
+		return nil, fmt.Errorf("tracelog: truncate: %w", err)
+	}
+	w.f.Close()
+	w.f, w.w, w.pending = img.f, img.w, 0
 	st.DroppedSchedule = sv.claims - runs + dropped[logSchedule]
 	st.DroppedNetwork, st.DroppedDatagram = dropped[logNetwork], dropped[logDatagram]
-	st.Bytes = n
 	return st, nil
 }
 
@@ -297,76 +333,12 @@ func netEventID(e Entry) (ids.NetworkEventID, bool) {
 	return ids.NetworkEventID{}, false
 }
 
-// replace atomically rewrites the WAL file with the frames build emits,
-// then swaps the writer onto the new file. Build runs without the writer's
-// lock, which an append takes inside its log's: build walks the logs, and a
-// walk takes the log's lock. Frames build emits go through writeFrame like
-// appended ones. On failure the original file and writer are left untouched
-// (truncation failure must not poison recording durability).
-func (w *WALWriter) replace(build func(emit func(logID uint8, e Entry)) error, kept *int) (int64, error) {
-	if err := w.Err(); err != nil {
-		return 0, err
-	}
-	tmp := w.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriter(f)
-	_, werr := bw.WriteString(WALMagic)
-	n := int64(len(WALMagic))
-	var enc codec
-	emit := func(logID uint8, e Entry) {
-		if werr != nil {
-			return
-		}
-		enc.buf = append(enc.buf[:0], byte(e.Kind()))
-		e.code(&enc)
-		if werr = writeFrame(bw, logID, enc.buf); werr == nil {
-			n += int64(walFrameHdrLen + len(enc.buf))
-			*kept++
-		}
-	}
-	if err := build(emit); werr == nil {
-		werr = err
-	}
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if werr == nil {
-		werr = w.err
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, w.path)
-	}
-	if werr != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, werr
-	}
-	// The temp fd now owns the renamed file, positioned at its end; subsequent
-	// appends continue there. The replaced file's fd is all that is closed.
-	old := w.f
-	w.f, w.w, w.pending = f, bufio.NewWriter(f), 0
-	old.Close()
-	return n, nil
-}
-
 // Size reports the current on-disk size of the WAL file, flushing buffered
 // frames first so the figure matches what recovery would see.
 func (w *WALWriter) Size() (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return 0, w.err
-	}
-	if err := w.w.Flush(); err != nil {
-		w.err = err
+	if err := w.flushLocked(); err != nil {
 		return 0, err
 	}
 	return w.f.Seek(0, io.SeekCurrent)

@@ -1,10 +1,13 @@
 package tracelog
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"maps"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -58,7 +61,7 @@ func TestTruncateWALAnchorsLatestCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.TruncateWAL(1)
+	st, err := s.WAL().TruncateWAL(1)
 	if err != nil {
 		t.Fatalf("TruncateWAL: %v", err)
 	}
@@ -123,7 +126,7 @@ func TestTruncateWALKeepRetainsOlderAnchors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node.wal")
 	s := buildCheckpointedWAL(t, path)
 
-	st, err := s.TruncateWAL(2)
+	st, err := s.WAL().TruncateWAL(2)
 	if err != nil {
 		t.Fatalf("TruncateWAL(2): %v", err)
 	}
@@ -154,7 +157,7 @@ func TestTruncateWALNoAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TruncateWAL(3); !errors.Is(err, ErrNoAnchor) {
+	if _, err := s.WAL().TruncateWAL(3); !errors.Is(err, ErrNoAnchor) {
 		t.Fatalf("TruncateWAL(3) = %v, want ErrNoAnchor", err)
 	}
 	// A refused truncation must leave the file untouched and the writer usable.
@@ -172,7 +175,7 @@ func TestTruncateWALNoAnchor(t *testing.T) {
 func TestTruncateWALAppendsContinue(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node.wal")
 	s := buildCheckpointedWAL(t, path)
-	if _, err := s.TruncateWAL(1); err != nil {
+	if _, err := s.WAL().TruncateWAL(1); err != nil {
 		t.Fatal(err)
 	}
 	s.Schedule.Append(&Interval{Thread: 0, First: 10, Last: 12})
@@ -203,7 +206,7 @@ func TestTruncateWALFramesMatchAppendedFrames(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "node.wal")
 	s := buildCheckpointedWAL(t, path)
-	if _, err := s.TruncateWAL(1); err != nil {
+	if _, err := s.WAL().TruncateWAL(1); err != nil {
 		t.Fatal(err)
 	}
 	s.Schedule.Append(&Interval{Thread: 0, First: 10, Last: 12})
@@ -222,7 +225,7 @@ func TestTruncateWALFramesMatchAppendedFrames(t *testing.T) {
 	}
 	var sc scratch
 	for _, off := range frameOffsets(t, compacted) {
-		logID, payload, _ := readFrame(compacted[off:], &sc)
+		logID, payload, _ := frameAt(compacted[off:], &sc)
 		w.append(logID, payload)
 	}
 	if err := w.Close(); err != nil {
@@ -289,7 +292,7 @@ func FuzzTruncateWAL(f *testing.F) {
 				s.logs()[kindTable[e.Kind()].log].Append(e)
 			}
 		}
-		st, err := s.TruncateWAL(int(keep % 4))
+		st, err := s.WAL().TruncateWAL(int(keep % 4))
 		if err != nil {
 			if !errors.Is(err, ErrNoAnchor) && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("TruncateWAL(%d): %v, neither ErrNoAnchor nor ErrCorrupt", keep%4, err)
@@ -374,7 +377,7 @@ func TestTruncateWALInvisibleToResumedReplay(t *testing.T) {
 				s.logs()[r.log].Append(r.e)
 			}
 			if i == 1 {
-				if st, err := s.TruncateWAL(keep); err != nil || st.BaseGC != anchor.GC {
+				if st, err := s.WAL().TruncateWAL(keep); err != nil || st.BaseGC != anchor.GC {
 					t.Fatalf("keep %d: TruncateWAL = %+v, %v; want base %d", keep, st, err, anchor.GC)
 				}
 			}
@@ -472,4 +475,198 @@ func resumedView(t *testing.T, s *Set, rep *RecoveryReport, anchor *CheckpointEn
 		}
 	}
 	return b.String()
+}
+
+// TestTruncateWALEqualsCutOfWholeRun: a compaction reads only the WAL, which
+// an earlier compaction has already cut, yet under the quiescence contract
+// it must write what a cut of the whole recorded run would. A run of rounds
+// is compacted at every checkpoint, and each compacted file must equal, byte
+// for byte, the cut of every record the in-memory set holds at the same
+// anchor, with the same records and bytes reported.
+func TestTruncateWALEqualsCutOfWholeRun(t *testing.T) {
+	const rounds = 12
+	for keep := 1; keep <= 3; keep++ {
+		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "node.wal")
+			compactions := 0
+			recordRounds(t, path, rounds, func(s *Set, round int) {
+				want, frames, wantErr := wholeRunCut(s, keep)
+				st, err := s.WAL().TruncateWAL(keep)
+				if wantErr != nil || err != nil {
+					if !errors.Is(wantErr, ErrNoAnchor) || !errors.Is(err, ErrNoAnchor) {
+						t.Fatalf("round %d: TruncateWAL: %v; the whole run's cut: %v", round, err, wantErr)
+					}
+					return
+				}
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("round %d: the compacted WAL (%d bytes) differs from the cut of the whole run (%d bytes)", round, len(got), len(want))
+				}
+				if st.KeptRecords != frames || st.Bytes != int64(len(want)) {
+					t.Fatalf("round %d: stats %+v, want %d records in %d bytes", round, st, frames, len(want))
+				}
+				compactions++
+			})
+			if compactions != rounds-keep+1 {
+				t.Fatalf("%d compactions, want %d", compactions, rounds-keep+1)
+			}
+		})
+	}
+}
+
+// TestTruncateWALWalksNoInMemoryLog: a compaction reads the WAL file, so it
+// walks none of the recording's logs, which hold the whole run.
+func TestTruncateWALWalksNoInMemoryLog(t *testing.T) {
+	walks := func(s *Set) (n [logCount]int) {
+		for id, l := range s.logs() {
+			l.mu.Lock()
+			n[id] = l.walks
+			l.mu.Unlock()
+		}
+		return n
+	}
+	recordRounds(t, filepath.Join(t.TempDir(), "node.wal"), 6, func(s *Set, round int) {
+		before := walks(s)
+		if _, err := s.WAL().TruncateWAL(1); err != nil {
+			t.Fatal(err)
+		}
+		if after := walks(s); after != before {
+			t.Fatalf("round %d: the logs' walk counts went from %v to %v across a compaction", round, before, after)
+		}
+	})
+}
+
+// TestTruncateWALKeepPastTheWALsCheckpoints: a compaction anchors among the
+// checkpoints the WAL still holds. Once one has kept a single checkpoint, a
+// compaction keeping two finds no anchor and leaves the file and the writer
+// as they were.
+func TestTruncateWALKeepPastTheWALsCheckpoints(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	s := buildCheckpointedWAL(t, path)
+	if st, err := s.WAL().TruncateWAL(1); err != nil || st.BaseGC != 6 {
+		t.Fatalf("TruncateWAL(1) = %+v, %v; want base 6", st, err)
+	}
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WAL().TruncateWAL(2); !errors.Is(err, ErrNoAnchor) {
+		t.Fatalf("TruncateWAL(2) after keeping one checkpoint = %v, want ErrNoAnchor", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, compacted) {
+		t.Fatalf("a refused compaction changed the file (%v)", err)
+	}
+	if st, err := s.WAL().TruncateWAL(1); err != nil || st.BaseGC != 6 || st.Bytes != int64(len(compacted)) {
+		t.Fatalf("TruncateWAL(1) again = %+v, %v; want base 6 in %d bytes", st, err, len(compacted))
+	}
+}
+
+// recordRounds records rounds of a run through a WAL-attached set, in the
+// shape core gives a checkpointed recording: in each round main (thread 0)
+// spawns workers, and the threads take the global counter in runs of a few
+// events each — network reads and environment calls, datagram deliveries,
+// notifies, timed waits, wall-clock stamps — noting an open run now and
+// then. Once every worker has finished, main's run is flushed, main
+// checkpoints at that quiescent point and atCheckpoint runs.
+func recordRounds(t testing.TB, path string, rounds int, atCheckpoint func(s *Set, round int)) *Set {
+	t.Helper()
+	w, err := CreateWAL(path, WALOptions{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSet()
+	if err := s.AttachWAL(w); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.CloseWAL() })
+	s.Schedule.Append(&VMMeta{VM: 3, World: ids.OpenWorld})
+	s.Schedule.Append(&ChaosPlanEntry{Seed: 45, Spec: []byte("plan")})
+	rng := rand.New(rand.NewSource(45))
+	var gc ids.GCount
+	events := []ids.EventNum{0} // each thread's next event number
+	for round := 0; round < rounds; round++ {
+		live := []ids.ThreadNum{0}
+		for range 1 + rng.Intn(3) {
+			live = append(live, ids.ThreadNum(len(events)))
+			events = append(events, 0)
+		}
+		for len(live) > 1 {
+			i := rng.Intn(len(live))
+			th, first := live[i], gc
+			n := 1 + rng.Intn(8)
+			for j := 0; j < n; j++ {
+				ev := ids.NetworkEventID{Thread: th, Event: events[th]}
+				switch rng.Intn(7) {
+				case 0:
+					s.Network.Append(&ReadEntry{EventID: ev, N: uint32(rng.Intn(64))})
+				case 1:
+					s.Network.Append(&EnvEntry{EventID: ev, Op: "clock", Value: uint64(gc)})
+				case 2:
+					s.Datagram.Append(&DatagramRecvEntry{EventID: ev, ReceiverGC: gc, Datagram: ids.DGNetworkEventID{VM: 9, GC: gc}})
+				case 3:
+					s.Schedule.Append(&Notify{GC: gc, Woken: []ids.ThreadNum{th}})
+				case 4:
+					s.Schedule.Append(&TimedWaitEntry{GC: gc, Check: true, TimedOut: rng.Intn(2) == 0})
+				case 5:
+					s.Schedule.Append(&TimestampEntry{GC: gc, Wall: int64(gc) * 1000})
+				}
+				events[th]++
+				gc++
+				if j == n/2 && rng.Intn(3) == 0 {
+					s.Schedule.Append(&OpenInterval{Thread: th, First: first, Last: gc - 1})
+				}
+			}
+			s.Schedule.Append(&Interval{Thread: th, First: first, Last: gc - 1})
+			if th != 0 && rng.Intn(3) == 0 {
+				live = slices.Delete(live, i, i+1)
+			}
+		}
+		s.Schedule.Append(&Interval{Thread: 0, First: gc, Last: gc})
+		gc++
+		events[0]++
+		s.Schedule.Append(&CheckpointEntry{GC: gc, NextThread: uint32(len(events)), MainEventNum: events[0], State: []byte{byte(round)}})
+		atCheckpoint(s, round)
+	}
+	return s
+}
+
+// wholeRunCut is the compaction of the whole recorded run rather than of
+// the WAL: the cut of every record s holds at the anchor keep checkpoints
+// back, framed as a compacted WAL, and the number of records it frames.
+func wholeRunCut(s *Set, keep int) ([]byte, int, error) {
+	sv, err := surveySchedule(s.Schedule)
+	if err != nil {
+		return nil, 0, err
+	} else if len(sv.anchors) < keep {
+		return nil, 0, ErrNoAnchor
+	}
+	anchor := sv.anchors[len(sv.anchors)-keep]
+	c := cut{base: anchor.GC, end: math.MaxUint64, live: func(id ids.NetworkEventID) bool {
+		return uint32(id.Thread) >= anchor.NextThread || id.Thread == anchor.TakerThread && id.Event >= anchor.MainEventNum
+	}}
+	var b bytes.Buffer
+	bw := bufio.NewWriter(&b)
+	bw.WriteString(WALMagic)
+	frames := 0
+	emit := func(logID uint8, e Entry) {
+		writeFrame(bw, logID, encodeRecord(e))
+		frames++
+	}
+	emit(logSchedule, &VMMeta{VM: sv.header.VM, World: sv.header.World})
+	emit(logSchedule, &TruncationEntry{BaseGC: c.base})
+	if _, _, err := c.reduce(s, sv.runs, emit); err != nil {
+		return nil, 0, err
+	}
+	err = bw.Flush()
+	return b.Bytes(), frames, err
+}
+
+// encodeRecord encodes one record, kind byte first: a WAL frame's payload.
+func encodeRecord(e Entry) []byte {
+	enc := codec{buf: []byte{byte(e.Kind())}}
+	e.code(&enc)
+	return enc.buf
 }

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,8 +26,10 @@ import (
 // append order — so truncating a damaged WAL at the first torn frame yields a
 // CONSISTENT cut: if a schedule interval covering counter gc survives, every
 // network/datagram/notify record logged for an event at or before gc was
-// appended earlier in the file and therefore also survives. Repair then keeps
-// the cut [base, K) of what survived, the cut truncation makes (truncate.go).
+// appended earlier in the file and therefore also survives. Recovery and
+// compaction read the file with one frame scan (readWAL), a frame at a time:
+// repair keeps the cut [base, K) of what survived, a compaction the cut at
+// its anchor (truncate.go).
 //
 // File layout:
 //
@@ -147,12 +151,16 @@ func (w *WALWriter) append(logID uint8, rec []byte) (syncDue bool) {
 	return w.opts.SyncEvery > 0 && w.pending >= w.opts.SyncEvery
 }
 
-func (w *WALWriter) syncLocked() {
-	if w.err != nil {
-		return
+// flushLocked writes the buffered frames to the file; a failure is sticky.
+func (w *WALWriter) flushLocked() error {
+	if w.err == nil {
+		w.err = w.w.Flush()
 	}
-	if err := w.w.Flush(); err != nil {
-		w.err = err
+	return w.err
+}
+
+func (w *WALWriter) syncLocked() {
+	if w.flushLocked() != nil {
 		return
 	}
 	if err := w.f.Sync(); err != nil {
@@ -275,82 +283,101 @@ type RecoveryReport struct {
 // FinalGC = K. Replaying the recovered set with StopAtLogEnd reproduces the
 // recorded execution deterministically up to the crash point.
 func RecoverFile(path string) (*Set, *RecoveryReport, error) {
-	data, err := os.ReadFile(path)
+	rep := &RecoveryReport{Path: path}
+	s, threads, err := readWAL(path, rep)
 	if err != nil {
 		return nil, nil, fmt.Errorf("tracelog: recover %s: %w", path, err)
 	}
-	rep := &RecoveryReport{Path: path}
-	if len(data) < len(WALMagic) || string(data[:len(WALMagic)]) != WALMagic {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotWAL, path)
-	}
-
-	// Each good frame's payload is one record: it goes into its log the way
-	// Append would have put it there, so a recovered log is a recorded log's
-	// chunks over again.
-	s := NewSet()
-	logs := s.logs()
-	sc := new(scratch)
-	var threads ids.ThreadNum
-	off := len(WALMagic)
-	for off < len(data) {
-		logID, payload, reason := readFrame(data[off:], sc)
-		if reason != "" {
-			rep.Truncated = true
-			rep.Reason = reason
-			rep.DiscardedBytes = int64(len(data) - off)
-			break
-		}
-		logs[logID].appendRecord(payload)
-		if id, ok := netEventID(sc.recs[payload[0]]); ok {
-			threads = max(threads, id.Thread)
-		}
-		rep.Frames++
-		off += walFrameHdrLen + len(payload)
-	}
-	rep.GoodBytes = int64(off)
-	rep.ScheduleRecords = s.Schedule.Len()
-	rep.NetworkRecords = s.Network.Len()
-	rep.DatagramRecords = s.Datagram.Len()
-
 	if err := repairSet(s, rep, threads); err != nil {
 		return nil, rep, err
 	}
 	return s, rep, nil
 }
 
+// readWAL is the one WAL reader, for recovery and truncation alike. It reads
+// the file at path a frame at a time into logs filled the way Append fills
+// them, so that they spill as a recording's do, up to the first frame that is
+// not good, and notes in rep's frame-scan fields where and why it stopped;
+// threads is the highest thread a network or datagram record names.
+func readWAL(path string, rep *RecoveryReport) (*Set, ids.ThreadNum, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	r := bufio.NewReader(f)
+	var magic []byte
+	if err == nil {
+		magic, err = r.Peek(len(WALMagic))
+	}
+	switch {
+	case err != nil && err != io.EOF:
+		return nil, 0, err
+	case string(magic) != WALMagic:
+		return nil, 0, ErrNotWAL
+	}
+	s, sc, size := NewSet(), new(scratch), info.Size()
+	var threads ids.ThreadNum
+	var payload []byte
+	off, _ := r.Discard(len(WALMagic)) // the magic Peek buffered: it cannot fail
+	for ; int64(off) < size; off += walFrameHdrLen + len(payload) {
+		var logID uint8
+		var reason string
+		if logID, payload, reason, err = readFrame(r, size-int64(off), payload, sc); err != nil {
+			return nil, 0, fmt.Errorf("frame at offset %d: %w", off, err)
+		} else if reason != "" {
+			rep.Truncated, rep.Reason, rep.DiscardedBytes = true, reason, size-int64(off)
+			break
+		}
+		s.logs()[logID].appendRecord(payload)
+		if id, ok := netEventID(sc.recs[payload[0]]); ok {
+			threads = max(threads, id.Thread)
+		}
+		rep.Frames++
+	}
+	rep.GoodBytes = int64(off)
+	rep.ScheduleRecords, rep.NetworkRecords, rep.DatagramRecords = s.Schedule.Len(), s.Network.Len(), s.Datagram.Len()
+	return s, threads, nil
+}
+
 // readFrame is the scan-side inverse of writeFrame, and the only code that
-// reads a frame: it checks the frame at the head of b and returns its log id
-// and payload, or the reason the scan must stop here. A frame is good when
-// its header is whole, its log id and length are plausible, its payload is
-// whole and matches the checksum, and the payload decodes as exactly one
-// record of a kind that belongs in the named log — so a frame whose checksum
-// survived a crash but whose body is garbage still truncates the scan. The
-// kind-versus-log check is what covers the log-id byte: the checksum spans
-// only the payload, so without it one flipped id bit files an intact record
-// into the wrong log, where it makes the whole salvage unusable instead of
-// costing only the tail.
-func readFrame(b []byte, sc *scratch) (logID uint8, payload []byte, reason string) {
-	if len(b) < walFrameHdrLen {
-		return 0, nil, "torn frame header"
+// reads a frame: it reads the frame at the head of r, with left bytes of the
+// file from there on, into buf's array and returns its log id and payload, or
+// the reason the scan must stop here; err is a failed read. A frame is good
+// when its header is whole, its log id and length plausible (the length
+// checked against left before anything is read for it), its payload matches
+// the checksum and decodes as exactly one record of a kind that belongs in
+// the named log — so a frame whose checksum survived a crash but whose body
+// is garbage still truncates the scan. The kind-versus-log check covers the
+// log-id byte, which the checksum does not: without it one flipped id bit
+// files an intact record into the wrong log, where it makes the whole salvage
+// unusable instead of costing only the tail.
+func readFrame(r io.Reader, left int64, buf []byte, sc *scratch) (logID uint8, payload []byte, reason string, err error) {
+	if left < walFrameHdrLen {
+		return 0, buf, "torn frame header", nil
 	}
-	logID = b[0]
-	plen := int(binary.LittleEndian.Uint32(b[1:5]))
-	sum := binary.LittleEndian.Uint32(b[5:9])
-	if logID >= logCount {
-		return 0, nil, fmt.Sprintf("invalid log id %d", logID)
+	hdr := slices.Grow(buf[:0], walFrameHdrLen)[:walFrameHdrLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, hdr, "", err
 	}
-	if plen > maxWALPayload {
-		return 0, nil, fmt.Sprintf("implausible frame length %d", plen)
+	logID, plen, sum := hdr[0], int64(binary.LittleEndian.Uint32(hdr[1:5])), binary.LittleEndian.Uint32(hdr[5:9])
+	switch {
+	case logID >= logCount:
+		return 0, hdr, fmt.Sprintf("invalid log id %d", logID), nil
+	case plen > maxWALPayload:
+		return 0, hdr, fmt.Sprintf("implausible frame length %d", plen), nil
+	case plen > left-walFrameHdrLen:
+		return 0, hdr, "torn frame payload", nil
 	}
-	if len(b) < walFrameHdrLen+plen {
-		return 0, nil, "torn frame payload"
-	}
-	payload = b[walFrameHdrLen : walFrameHdrLen+plen]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, "frame checksum mismatch"
+	payload = slices.Grow(hdr[:0], int(plen))[:plen]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, payload, "", err
+	} else if crc32.ChecksumIEEE(payload) != sum {
+		return 0, payload, "frame checksum mismatch", nil
 	}
 	records := 0
-	_, err := walk(payload, 0, true, sc, func(e Entry, _, _ int) error {
+	_, err = walk(payload, 0, true, sc, func(e Entry, _, _ int) error {
 		if records++; records > 1 {
 			return corruptf("frame holds more than one record")
 		}
@@ -361,11 +388,11 @@ func readFrame(b []byte, sc *scratch) (logID uint8, payload []byte, reason strin
 	})
 	switch {
 	case err != nil:
-		return 0, nil, err.Error()
+		return 0, payload, err.Error(), nil
 	case records == 0:
-		return 0, nil, "empty frame payload"
+		return 0, payload, "empty frame payload", nil
 	}
-	return logID, payload, ""
+	return logID, payload, "", nil
 }
 
 // repairSet cuts a recovered set to its largest replayable prefix and

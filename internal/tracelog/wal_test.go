@@ -1,9 +1,11 @@
 package tracelog
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/ids"
@@ -191,12 +193,21 @@ func TestWALCorruptFrameTruncatesScan(t *testing.T) {
 }
 
 // frameOffsets returns the file offset of every frame of a healthy WAL image.
+// frameAt is readFrame over the bytes of a file from a frame on.
+func frameAt(data []byte, sc *scratch) (logID uint8, payload []byte, reason string) {
+	logID, payload, reason, err := readFrame(bytes.NewReader(data), int64(len(data)), nil, sc)
+	if err != nil {
+		reason = err.Error()
+	}
+	return logID, payload, reason
+}
+
 func frameOffsets(t *testing.T, data []byte) []int {
 	t.Helper()
 	var offs []int
 	var sc scratch
 	for off := len(WALMagic); off < len(data); {
-		_, payload, reason := readFrame(data[off:], &sc)
+		_, payload, reason := frameAt(data[off:], &sc)
 		if reason != "" {
 			t.Fatalf("frame at %d: %s", off, reason)
 		}
@@ -322,6 +333,47 @@ func TestRecoverFileAllocatesPerFileNotPerFrame(t *testing.T) {
 	if allocs >= 1000 {
 		t.Errorf("recovering %d frames allocated %.0f times, want fewer than 1 000", n+2, allocs)
 	}
+}
+
+// TestRecoverFileHoldsAFrameNotTheFile: recovery reads a WAL a frame at a
+// time into logs that spill as a recording's do, so salvaging 32 MiB of
+// content allocates a few of the logs' chunks, not the file.
+func TestRecoverFileHoldsAFrameNotTheFile(t *testing.T) {
+	const frames, size = 8 << 10, 4 << 10
+	path := filepath.Join(t.TempDir(), "node.wal")
+	w, err := CreateWAL(path, WALOptions{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.append(logSchedule, encodeRecord(&VMMeta{VM: 1, World: ids.OpenWorld}))
+	data := make([]byte, size)
+	for i := range frames {
+		data[i%size]++
+		w.append(logNetwork, encodeRecord(&OpenReadEntry{EventID: ids.NetworkEventID{Event: ids.EventNum(i)}, Data: data}))
+	}
+	w.append(logSchedule, encodeRecord(&VMMeta{VM: 1, World: ids.OpenWorld, Threads: 1, FinalGC: frames}))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil || info.Size() < frames*size {
+		t.Fatalf("the WAL is %v bytes (%v), want at least %d", info.Size(), err, frames*size)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, rep, err := RecoverFile(path)
+	runtime.ReadMemStats(&after)
+	if err != nil || !rep.Clean || rep.Frames != frames+2 || s.Network.Len() != frames {
+		t.Fatalf("RecoverFile: %v, %+v", err, rep)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("recovering a %d-byte WAL allocated %d bytes; heap in use grew by %d bytes",
+		info.Size(), allocated, int64(after.HeapInuse)-int64(before.HeapInuse))
+	if allocated > uint64(info.Size())/8 {
+		t.Errorf("recovering a %d-byte WAL allocated %d bytes, want at most an eighth of it", info.Size(), allocated)
+	}
+	runtime.KeepAlive(s)
 }
 
 func TestWALAttachRejectsNonEmptyLog(t *testing.T) {
