@@ -204,22 +204,25 @@ func runOne(seed uint64, dir string, horizon ids.GCount, keep, members, kills in
 	r.Converged = res.Converged
 	r.Recovered = fmt.Sprintf("%016x", res.ClusterDigest)
 	r.Baseline = fmt.Sprintf("%016x", res.BaselineClusterDigest)
-	r.Recoveries = res.Metrics.Recovery.Recoveries
-	if res.Metrics.MTTR.Count > 0 {
-		r.MTTRms = float64(res.Metrics.MTTR.Mean()) / float64(time.Millisecond)
-	}
 	// The executed plan must be the seed's plan, and the copy salvaged from
-	// every crashed member's trace must round-trip identically.
+	// every crashed member's trace must round-trip identically. The
+	// supervisor's outcome is the record of each recovery and its latency.
 	if string(res.Plan.Encode()) != string(p1.Encode()) {
 		r.PlanStable = false
 	}
+	var mttr time.Duration
 	for _, ep := range res.Outcome.Episodes {
+		mttr += ep.RecoverLatency
+		r.Recoveries += uint64(len(ep.Recoveries))
 		for _, rec := range ep.Recoveries {
 			got, ok, err := chaos.PlanFromSet(rec.Logs)
 			if err != nil || !ok || string(got.Encode()) != string(p1.Encode()) {
 				r.PlanStable = false
 			}
 		}
+	}
+	if n := len(res.Outcome.Episodes); n > 0 {
+		r.MTTRms = float64(mttr) / float64(n) / float64(time.Millisecond)
 	}
 	// WAL boundedness, member by member: past the warmup the post-truncation
 	// size must oscillate in a narrow band, not trend upward. Require ≥3

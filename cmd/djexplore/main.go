@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/ids"
-	"repro/internal/obs"
 	"repro/internal/progen"
 
 	"flag"
@@ -42,7 +41,6 @@ type report struct {
 type modeReport struct {
 	Order    string                  `json:"order"`
 	Campaign *explore.CampaignResult `json:"campaign"`
-	Stats    obs.ExploreSnapshot     `json:"stats"`
 	Shrunk   []explore.Finding       `json:"shrunk,omitempty"`
 }
 
@@ -91,14 +89,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var rep report
 	for _, mode := range modes {
-		stats := &obs.ExploreStats{}
 		opts := explore.Options{
 			Seed:      *seed,
 			Prog:      progen.Opts{PlantBug: *plant},
 			OrderMode: mode,
 			Budget:    *budget,
 			MaxDepth:  *depth,
-			Stats:     stats,
 		}
 		res, err := explore.Campaign(opts, *campaign)
 		if err != nil {
@@ -118,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				mr.Shrunk = append(mr.Shrunk, min)
 			}
 		}
-		mr.Stats = stats.Snapshot()
 		rep.Reports = append(rep.Reports, mr)
 		rep.Findings += len(res.Findings)
 	}

@@ -71,10 +71,7 @@ func TestRunJSONSchema(t *testing.T) {
 				Attempts    int            `json:"attempts"`
 				Preemptions map[string]int `json:"preemption_hist"`
 			} `json:"campaign"`
-			Stats struct {
-				Schedules uint64 `json:"schedules"`
-				Replays   uint64 `json:"replays"`
-			} `json:"stats"`
+			Stats *struct{} `json:"stats"`
 		} `json:"reports"`
 		Findings int `json:"findings"`
 	}
@@ -88,8 +85,8 @@ func TestRunJSONSchema(t *testing.T) {
 	if r.Campaign.Seeds != 1 || r.Campaign.Schedules == 0 || r.Campaign.Attempts < r.Campaign.Schedules {
 		t.Fatalf("campaign block: %+v", r.Campaign)
 	}
-	if r.Stats.Replays != 2*r.Stats.Schedules {
-		t.Fatalf("stats block: %+v", r.Stats)
+	if r.Stats != nil {
+		t.Fatal("the report repeats the campaign block as a stats block")
 	}
 	if len(r.Campaign.Preemptions) == 0 {
 		t.Fatal("empty preemption histogram")

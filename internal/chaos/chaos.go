@@ -11,7 +11,7 @@
 // A plan names the member VMs of a coordinated-checkpoint group — one member
 // is the lone-VM case, not a separate mechanism — fail-stops a seeded subset
 // of them, each at a counter on that member's own clock, and layers network
-// actions on top, keyed to the group's high-water counter.
+// actions on top, each fired by the first member whose counter reaches it.
 //
 // Keying actions to the global counter rather than wall time is what makes a
 // campaign reproducible enough to assert on: the counter is the record
@@ -31,7 +31,9 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/tracelog"
@@ -70,7 +72,7 @@ func (k ActionKind) String() string {
 // reads From/To/Rate/Until.
 type Action struct {
 	Kind     ActionKind
-	At       ids.GCount // group high-water counter the action fires at
+	At       ids.GCount // counter the action fires at, on the first member to reach it
 	Until    ids.GCount // window end (exclusive) for partition / link-loss
 	Hosts    []string   // crash target (one) or partition side A
 	HostsB   []string   // partition side B
@@ -79,7 +81,7 @@ type Action struct {
 }
 
 // Kill fail-stops one member: the member's index in the plan's member list
-// and the value of that member's own global counter to freeze it at.
+// and the value of that member's own global counter to crash it at.
 type Kill struct {
 	Member int
 	At     ids.GCount
@@ -91,7 +93,7 @@ type Plan struct {
 	Seed    uint64
 	Members []string // member host names; index order is the member slot order
 	Kills   []Kill   // members to fail-stop, sorted by member index
-	Actions []Action // network actions, fired as the group high-water counter advances
+	Actions []Action // network actions, each fired at its counter
 }
 
 // Validate checks the plan up front: at least one member, kills referencing
@@ -441,7 +443,7 @@ func PlanFromSet(set *tracelog.Set) (Plan, bool, error) {
 }
 
 // firePoint is one edge of the expanded timeline: a network mutation to apply
-// once the group high-water counter reaches gc.
+// once some member's counter reaches gc.
 type firePoint struct {
 	gc ids.GCount
 	fn func()
@@ -452,35 +454,30 @@ type firePoint struct {
 // the observer fires every due network action inline (inside the member's
 // GC-critical section, so an action lands between two recorded events — a
 // deterministic point of the schedule) and, at the member's kill counter,
-// never returns — freezing the VM mid-section exactly the way a fail-stop
-// freezes a process between instructions.
+// panics core.Crash, which fail-stops the member's VM at that event.
 //
-// The network actions are driven by the group's high-water clock — the
-// maximum counter any member has reached. No single member's clock may gate
-// them: a member parked in the checkpoint barrier (or already killed) would
-// strand a pending partition heal forever, freezing survivors blocked on the
-// partitioned link into false-positive fail-stop detections.
+// Firing is monotone: the first member whose counter reaches a point fires
+// it. No single member's clock may gate the network actions: a member parked
+// in the checkpoint barrier (or already killed) would strand a pending
+// partition heal, freezing survivors blocked on the partitioned link into
+// false-positive fail-stop detections.
 type Engine struct {
 	kills []ids.GCount // per member; 0 spares it
-	kill  func()
+	// due is points[next].gc: an event below it takes no lock.
+	due atomic.Uint64
 
 	mu     sync.Mutex
-	points []firePoint // network fire points in counter order
+	points []firePoint // network fire points in counter order, then one no counter reaches
 	next   int
-	high   ids.GCount // group high-water counter
 }
 
-// NewEngine expands the plan's actions into counter-ordered fire points.
-// kill is invoked at a member's kill counter and must not return (pass nil
-// for the default block-forever); netsim faults target net.
-func NewEngine(p Plan, net *netsim.Network, kill func()) (*Engine, error) {
+// NewEngine expands the plan's actions into counter-ordered fire points whose
+// netsim faults target net.
+func NewEngine(p Plan, net *netsim.Network) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if kill == nil {
-		kill = func() { select {} }
-	}
-	e := &Engine{kills: make([]ids.GCount, len(p.Members)), kill: kill}
+	e := &Engine{kills: make([]ids.GCount, len(p.Members))}
 	for _, k := range p.Kills {
 		e.kills[k.Member] = k.At
 	}
@@ -503,27 +500,28 @@ func NewEngine(p Plan, net *netsim.Network, kill func()) (*Engine, error) {
 		}
 	}
 	sort.SliceStable(e.points, func(i, j int) bool { return e.points[i].gc < e.points[j].gc })
+	e.points = append(e.points, firePoint{gc: math.MaxUint64})
+	e.due.Store(uint64(e.points[0].gc))
 	return e, nil
 }
 
 // Observer returns member i's event-observer closure. Each VM calls its own
 // observer under its scheduler lock with strictly increasing counter values;
-// mu serializes the members against each other, so every member advances the
-// shared network actions before checking its own kill point.
+// a member fires the points due at its counter, under mu and in counter
+// order, before it checks its own kill point.
 func (e *Engine) Observer(member int) func(ids.ThreadNum, ids.GCount) {
 	killAt := e.kills[member]
 	return func(_ ids.ThreadNum, gc ids.GCount) {
-		e.mu.Lock()
-		if gc > e.high {
-			e.high = gc
+		if uint64(gc) >= e.due.Load() {
+			e.mu.Lock()
+			for ; e.points[e.next].gc <= gc; e.next++ {
+				e.points[e.next].fn()
+			}
+			e.due.Store(uint64(e.points[e.next].gc))
+			e.mu.Unlock()
 		}
-		for e.next < len(e.points) && e.points[e.next].gc <= e.high {
-			e.points[e.next].fn()
-			e.next++
-		}
-		e.mu.Unlock()
 		if killAt > 0 && gc >= killAt {
-			e.kill() // never returns
+			panic(core.Crash{})
 		}
 	}
 }

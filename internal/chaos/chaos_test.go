@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -366,7 +368,7 @@ func TestOverlappingPartitionWindows(t *testing.T) {
 	}
 
 	net := netsim.NewNetwork(netsim.Config{Seed: 1})
-	eng, err := NewEngine(p, net, nil)
+	eng, err := NewEngine(p, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,8 +471,23 @@ func TestRecordedPlanSurvivesTruncation(t *testing.T) {
 	}
 }
 
-// The engine must fire each action at its counter, in order, and invoke kill
-// exactly once when the member's counter reaches its kill point.
+// observe reports one event to a member's observer and tells whether the
+// observer killed the member: panicked core.Crash.
+func observe(obs func(ids.ThreadNum, ids.GCount), gc ids.GCount) (killed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(core.Crash); !ok {
+				panic(r)
+			}
+			killed = true
+		}
+	}()
+	obs(0, gc)
+	return false
+}
+
+// The engine must fire each action at its counter, in order, and crash the
+// member once its counter reaches its kill point.
 func TestEngineFiresInCounterOrder(t *testing.T) {
 	net := netsim.NewNetwork(netsim.Config{Seed: 1})
 	plan := Plan{
@@ -483,38 +500,35 @@ func TestEngineFiresInCounterOrder(t *testing.T) {
 			{Kind: ActCrash, At: 120, Hosts: []string{"p1"}},
 		},
 	}
-	killed := false
-	eng, err := NewEngine(plan, net, func() { killed = true })
+	eng, err := NewEngine(plan, net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obs := eng.Observer(0)
 
-	obs(0, 5)
+	observe(obs, 5)
 	if got := net.FaultStats(); got.PartitionedPairs != 0 {
 		t.Fatal("partition fired early")
 	}
-	obs(0, 10)
+	observe(obs, 10)
 	if got := net.FaultStats(); got.PartitionedPairs != 1 {
 		t.Fatal("partition did not fire at its counter")
 	}
-	obs(0, 25) // heal point (20) passed while no event landed exactly on it
+	observe(obs, 25) // heal point (20) passed while no event landed exactly on it
 	if got := net.FaultStats(); got.PartitionedPairs != 0 {
 		t.Fatal("heal did not catch up after its counter passed")
 	}
-	obs(0, 99)
-	if killed {
+	if observe(obs, 99) {
 		t.Fatal("killed before the kill point")
 	}
-	obs(0, 100)
-	if !killed {
+	if !observe(obs, 100) {
 		t.Fatal("kill did not fire at the kill point")
 	}
 }
 
-// With several members the network actions follow the group's high-water
-// counter — a member stuck at a low counter must not strand a heal — while
-// each kill stays on its own member's clock.
+// With several members the first member whose counter reaches a network
+// action fires it — a member stuck at a low counter must not strand a heal —
+// while each kill stays on its own member's clock.
 func TestEngineHighWaterAcrossMembers(t *testing.T) {
 	net := netsim.NewNetwork(netsim.Config{Seed: 1})
 	plan := Plan{
@@ -524,33 +538,102 @@ func TestEngineHighWaterAcrossMembers(t *testing.T) {
 			{Kind: ActPartition, At: 10, Until: 30, Hosts: []string{"m1"}, HostsB: []string{"m2"}},
 		},
 	}
-	kills := 0
-	eng, err := NewEngine(plan, net, func() { kills++ })
+	eng, err := NewEngine(plan, net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m1, m2 := eng.Observer(0), eng.Observer(1)
-	m1(0, 12)
+	observe(m1, 12)
 	if !net.Partitioned("m1", "m2") {
 		t.Fatal("partition did not fire off m1's clock")
 	}
-	m2(0, 60) // m1 is stuck at 12; m2 carries the high-water mark past the heal
+	if observe(m2, 60) { // m1 is stuck at 12; m2 passes the heal
+		t.Fatal("m2 passing counter 50 fired m1's kill")
+	}
 	if net.Partitioned("m1", "m2") {
 		t.Fatal("heal stranded behind the slower member's clock")
 	}
-	if kills != 0 {
-		t.Fatal("m2 passing counter 50 fired m1's kill")
+	if !observe(m1, 50) {
+		t.Fatal("m1's kill did not fire at its own counter")
 	}
-	m1(0, 50)
-	if kills != 1 {
-		t.Fatalf("m1's kill fired %d times at its own counter, want 1", kills)
+}
+
+// Three members' observers race through a plan's points (run it under
+// -race): each point fires exactly once, in counter order, so every
+// partition is installed before its heal and none is left standing.
+func TestEngineRacingMembersFireEachPointOnce(t *testing.T) {
+	net := netsim.NewNetwork(netsim.Config{Seed: 1})
+	members := []string{"m1", "m2", "m3"}
+	plan := Plan{Members: members}
+	for at := ids.GCount(10); at < 2000; at += 40 {
+		plan.Actions = append(plan.Actions,
+			Action{Kind: ActPartition, At: at, Until: at + 25, Hosts: members[:1], HostsB: members[1:]},
+			Action{Kind: ActLinkLoss, At: at + 5, Until: at + 60, From: "m2", To: "m3", Rate: 0.5})
 	}
+	eng, err := NewEngine(plan, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Record the point indexes in firing order (points fire under eng.mu);
+	// the last point is never due.
+	var fired []int
+	for i := range eng.points[:len(eng.points)-1] {
+		i, fn := i, eng.points[i].fn
+		eng.points[i].fn = func() {
+			fired = append(fired, i)
+			fn()
+		}
+	}
+	var wg sync.WaitGroup
+	for m := range members {
+		obs := eng.Observer(m)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for gc := ids.GCount(0); gc < 2100; gc++ {
+				obs(0, gc)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(fired) != len(eng.points)-1 {
+		t.Fatalf("%d points fired, want each of %d once", len(fired), len(eng.points)-1)
+	}
+	for i, p := range fired {
+		if p != i {
+			t.Fatalf("points fired in order %v, want counter order", fired)
+		}
+	}
+	if st := net.FaultStats(); st.PartitionedPairs != 0 {
+		t.Fatalf("%d pairs still partitioned after every heal", st.PartitionedPairs)
+	}
+}
+
+// BenchmarkEngineObserver is the engine's cost on an event no point is due
+// at: three members report events in parallel, far below the plan's only
+// point.
+func BenchmarkEngineObserver(b *testing.B) {
+	net := netsim.NewNetwork(netsim.Config{Seed: 1})
+	plan := Plan{Members: []string{"m1", "m2", "m3"}, Actions: []Action{
+		{Kind: ActLinkLoss, At: 1 << 60, Until: 1<<60 + 1, From: "m1", To: "m2", Rate: 0.5},
+	}}
+	eng, err := NewEngine(plan, net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var member atomic.Int32
+	b.RunParallel(func(pb *testing.PB) {
+		obs := eng.Observer(int(member.Add(1)-1) % 3)
+		for gc := ids.GCount(0); pb.Next(); gc++ {
+			obs(0, gc)
+		}
+	})
 }
 
 func TestEngineRejectsInvalidPlan(t *testing.T) {
 	net := netsim.NewNetwork(netsim.Config{Seed: 1})
 	bad := Plan{Members: []string{"prim"}, Actions: []Action{{Kind: ActCrash, At: 1, Hosts: []string{"prim"}}}}
-	if _, err := NewEngine(bad, net, nil); err == nil {
+	if _, err := NewEngine(bad, net); err == nil {
 		t.Fatal("invalid plan accepted")
 	}
 }

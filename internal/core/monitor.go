@@ -61,6 +61,16 @@ func NewMonitor() *Monitor {
 func (m *Monitor) lock()   { <-m.lk }
 func (m *Monitor) unlock() { m.lk <- struct{}{} }
 
+// lockHeld takes the state lock when t holds the monitor, and otherwise
+// panics with a MonitorStateError naming op.
+func (m *Monitor) lockHeld(t *Thread, op string) {
+	m.lock()
+	if !m.held || m.holder != t.num {
+		m.unlock()
+		panic(&MonitorStateError{Op: op, Thread: t.num})
+	}
+}
+
 // Register enrolls the monitor for sharded order recording on vm: its
 // critical events are then ordered by the monitor's own access counter
 // instead of the global clock. See SharedInt.Register for the determinism
@@ -75,24 +85,24 @@ func (m *Monitor) Register(vm *VM) {
 
 // Enter acquires the monitor (monitorenter).
 func (m *Monitor) Enter(t *Thread) {
-	t.blocking(t.streamFor(m.order), obs.KindMonitorEnter, func() { m.acquire(t.num) }, func(ids.GCount) {})
+	t.blocking(t.streamFor(m.order), obs.KindMonitorEnter, func() { m.acquire(t) }, func(ids.GCount) {})
 }
 
 // acquire blocks until the monitor is free and takes it. FIFO handoff keeps
 // record-phase acquisition order a pure race between the queue arrivals —
 // which is itself scheduler-dependent, i.e. genuinely nondeterministic.
-func (m *Monitor) acquire(tn ids.ThreadNum) {
+func (m *Monitor) acquire(t *Thread) {
 	m.lock()
 	if !m.held {
 		m.held = true
-		m.holder = tn
+		m.holder = t.num
 		m.unlock()
 		return
 	}
-	p := &parked{t: tn, ch: make(chan struct{})}
+	p := &parked{t: t.num, ch: make(chan struct{})}
 	m.queue = append(m.queue, p)
 	m.unlock()
-	<-p.ch
+	t.wait(p.ch)
 	// The releaser handed the monitor to us directly.
 }
 
@@ -103,11 +113,7 @@ func (m *Monitor) Exit(t *Thread) {
 
 // release hands the monitor to the next queued enterer, or frees it.
 func (m *Monitor) release(t *Thread, op string) {
-	m.lock()
-	if !m.held || m.holder != t.num {
-		m.unlock()
-		panic(&MonitorStateError{Op: op, Thread: t.num})
-	}
+	m.lockHeld(t, op)
 	if len(m.queue) > 0 {
 		next := m.queue[0]
 		m.queue = m.queue[1:]
@@ -133,18 +139,14 @@ func (m *Monitor) Wait(t *Thread) {
 	// Second critical event: re-acquire the monitor. Counter assigned at
 	// completion in record mode, so replay finds the monitor free at this
 	// event's turn.
-	t.blocking(s, obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
+	t.blocking(s, obs.KindWait, func() { m.acquire(t) }, func(ids.GCount) {})
 }
 
 // park is the first step of every wait: it checks that t holds the monitor,
 // puts t at the tail of the wait set and releases the monitor. op names the
 // operation in a MonitorStateError.
 func (m *Monitor) park(t *Thread, op string) *parked {
-	m.lock()
-	if !m.held || m.holder != t.num {
-		m.unlock()
-		panic(&MonitorStateError{Op: op, Thread: t.num})
-	}
+	m.lockHeld(t, op)
 	p := &parked{t: t.num, ch: make(chan struct{})}
 	m.waiters = append(m.waiters, p)
 	m.unlock()
@@ -207,7 +209,7 @@ func (m *Monitor) TimedWait(t *Thread, d time.Duration) (timedOut bool) {
 		// Notified, or a notify won the race and signals (or already has).
 		t.awaitNotify(p)
 	}
-	t.blocking(s, obs.KindWait, func() { m.acquire(t.num) }, func(ids.GCount) {})
+	t.blocking(s, obs.KindWait, func() { m.acquire(t) }, func(ids.GCount) {})
 	return timedOut
 }
 
@@ -218,7 +220,7 @@ func (t *Thread) awaitNotify(p *parked) {
 	if t.vm.mode == ids.Replay {
 		t.publishCounts(nil)
 	}
-	<-p.ch
+	t.wait(p.ch)
 }
 
 // removeParked removes the exact entry p from the wait set, reporting
@@ -246,11 +248,7 @@ func (m *Monitor) notify(t *Thread, all bool) {
 	vm := t.vm
 	s := t.streamFor(m.order)
 	t.critical(s, obs.KindNotify, func(n ids.GCount) {
-		m.lock()
-		if !m.held || m.holder != t.num {
-			m.unlock()
-			panic(&MonitorStateError{Op: "notify", Thread: t.num})
-		}
+		m.lockHeld(t, "notify")
 		var woken []ids.ThreadNum
 		if vm.mode == ids.Replay {
 			for _, tn := range s.notified(n) {

@@ -114,6 +114,7 @@ type stream struct {
 	own       atomic.Uint64
 	next      ids.GCount
 	open      bool
+	dead      bool // an observer panicked (exec)
 	runThread ids.ThreadNum
 	first     ids.GCount
 	last      ids.GCount
@@ -354,13 +355,22 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 // it into the GC-hold histogram when n is sampled and reporting it to the
 // observer when there is one. It is the path of every event that runs code
 // which may panic (a MonitorStateError the application recovers from, say, or
-// an observer's kill): the deferred unlock then releases the section before
-// the counter ticks, as if the event never happened. Replay holds no section
-// (its turn is the mutual exclusion): GC-hold is a record-phase histogram.
+// an observer's Crash): the deferred unlock then releases the section before
+// the counter ticks, as if the event never happened. An observer's panic
+// first leaves the stream dead: no later event of the VM runs (VM.crashed).
+// Replay holds no section (its turn is the mutual exclusion): GC-hold is a
+// record-phase histogram.
 func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount), p *int64, set bool, v int64) int64 {
+	if s.dead {
+		s.mu.Unlock()
+		panic(Crash{})
+	}
 	done := false
 	defer func() {
 		if !done {
+			if s.dead {
+				close(s.vm.crashed)
+			}
 			s.mu.Unlock()
 		}
 	}()
@@ -375,7 +385,9 @@ func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount), p *int64, se
 		v = accessInt(p, set, v)
 	}
 	if s.observer != nil {
+		s.dead = true // until the observer returns
 		s.observer(t.num, n)
+		s.dead = false
 	}
 	if sampled {
 		s.vm.metrics.ObserveGCHold(time.Since(s.vm.epoch) - start)
@@ -463,7 +475,7 @@ func (t *Thread) record(s *stream, kind obs.EventKind, op func(ids.GCount), p *i
 		t.publishCounts(s)
 	} else if s.observer != nil {
 		// An observer may park inside the section for good (a breakpoint, a
-		// chaos kill): the word stays exact, event by event.
+		// hang): the word stays exact, event by event.
 		s.publishLocked()
 	}
 	if s.noteEvery != 0 && (uint64(n)+1)%s.noteEvery == 0 {

@@ -223,6 +223,22 @@ func (t *Thread) diverge(format string, args ...any) {
 	})
 }
 
+// Crash is the value an EventObserver panics with to fail-stop its recording
+// VM at the observed event, as a kill stops a process between two
+// instructions: the event is not logged, no later event of the VM runs, and
+// each of its threads — queued on the section, waiting in a monitor, or
+// joining a crashed one — ends as if returned (VM.launch absorbs the value).
+type Crash struct{}
+
+// wait blocks until ch is closed, or unwinds the thread once its VM crashes.
+func (t *Thread) wait(ch chan struct{}) {
+	select {
+	case <-ch:
+	case <-t.vm.crashed:
+		panic(Crash{})
+	}
+}
+
 // replayLogEnd is the private panic signal a thread raises to abandon its
 // function when it runs out of recorded schedule under Config.StopAtLogEnd;
 // VM.launch absorbs it and winds the thread down as a normal return.

@@ -27,6 +27,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,7 +93,8 @@ type Config struct {
 	// events pause until it returns, and the stall watchdog does not fire a
 	// spurious stall while it blocks (the watchdog's progress check itself
 	// serializes behind the GC-critical section). The callback must not
-	// itself execute critical events.
+	// itself execute critical events. Recording, it may panic Crash to
+	// fail-stop the VM at the observed event.
 	EventObserver func(thread ids.ThreadNum, gc ids.GCount)
 	// RecordJitter, when > 0, makes each thread yield the processor with
 	// probability 1/RecordJitter after executing a critical event in record
@@ -133,9 +135,8 @@ type Config struct {
 	// Events whose counter value is a multiple of N are timed; every other
 	// event skips the clock reads entirely, so the common-case GC-critical
 	// section reads no clock. Event *counts* stay exact — only latency
-	// observation is sampled. Zero selects
-	// ObsSampleDefault; 1 times every event (the exhaustive pre-sampling
-	// behavior); other values round up to the next power of two. Because
+	// observation is sampled. Zero selects ObsSampleDefault; 1 times every
+	// event; other values round up to the next power of two. Because
 	// sampling keys off the counter value, a workload whose latency varies
 	// with a period equal to the rounded rate can alias; pick a different
 	// power of two if that matters.
@@ -220,7 +221,8 @@ type VM struct {
 	// reads through fillSnapshot. Never nil.
 	metrics *obs.Metrics
 
-	closed bool
+	crashed chan struct{} // closed when an observer panics (stream.exec; Thread.wait)
+	closed  bool
 	// walErr is the attached WAL's first write or sync failure, as Close or
 	// TruncateWAL first saw it. Guarded by the global stream's lock.
 	walErr error
@@ -247,6 +249,7 @@ func NewVM(cfg Config) (*VM, error) {
 		peers:   cfg.DJVMPeers,
 		metrics: &obs.Metrics{},
 		epoch:   time.Now(),
+		crashed: make(chan struct{}),
 	}
 	vm.global = vm.newStream()
 	vm.global.clock = vm.metrics.Clock()
@@ -259,11 +262,7 @@ func NewVM(cfg Config) (*VM, error) {
 	if rate <= 0 {
 		rate = ObsSampleDefault
 	}
-	pow := uint64(1)
-	for pow < uint64(rate) {
-		pow <<= 1
-	}
-	vm.sampleMask = pow - 1
+	vm.sampleMask = 1<<bits.Len64(uint64(rate-1)) - 1
 	vm.global.holdMask = vm.sampleMask
 	vm.orderMode = cfg.OrderMode
 	if cfg.OrderMode != ids.OrderGlobal && cfg.OrderMode != ids.OrderSharded {
@@ -650,15 +649,15 @@ func (vm *VM) launch(t *Thread, fn func(t *Thread)) {
 		// the thread's counted events are published before Wait can return.
 		defer t.publishCounts(nil)
 		defer func() {
-			// Under StopAtLogEnd a thread abandons its function by panicking
-			// the private end-of-schedule signal; absorb it here so the
-			// thread winds down like a normal return (joiners release, the
-			// VM's wait group drains). Everything else keeps propagating.
-			if r := recover(); r != nil {
-				if _, ok := r.(replayLogEnd); ok && vm.stopAtLogEnd {
-					vm.logEndStops.Add(1)
-					return
-				}
+			// A crashed VM's threads abandon their functions by panicking
+			// Crash, and under StopAtLogEnd a thread panics the private
+			// end-of-schedule signal: absorb both so the thread winds down like
+			// a normal return (joiners release, the VM's wait group drains).
+			switch r := recover(); r.(type) {
+			case nil, Crash:
+			case replayLogEnd:
+				vm.logEndStops.Add(1)
+			default:
 				panic(r)
 			}
 		}()

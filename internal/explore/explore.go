@@ -39,7 +39,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/logcheck"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/progen"
 	"repro/internal/tracelog"
 )
@@ -61,8 +60,6 @@ type Options struct {
 	// MaxDepth bounds the number of directives per random schedule (the
 	// delay/preemption bound). Default 3.
 	MaxDepth int
-	// Stats, when non-nil, receives coverage counters.
-	Stats *obs.ExploreStats
 }
 
 func (o Options) withDefaults() Options {
@@ -281,9 +278,6 @@ func (e *explorer) replayOnce(override *tracelog.Log) (uint64, []int64, error) {
 	vm.Start(run.Main(env))
 	vm.Wait()
 	vm.Close()
-	if e.opts.Stats != nil {
-		e.opts.Stats.Replays.Add(1)
-	}
 	finals := run.Finals()
 	for _, v := range finals {
 		h.u64(uint64(v))
@@ -309,9 +303,6 @@ func Run(opts Options) (*Result, error) {
 			return nil, nil
 		}
 		res.Attempts++
-		if opts.Stats != nil {
-			opts.Stats.Attempts.Add(1)
-		}
 		sch, err := simulate(e.p, e.atoms, dirs)
 		if err != nil {
 			return nil, err
@@ -326,14 +317,8 @@ func Run(opts Options) (*Result, error) {
 		}
 		res.Schedules++
 		res.Preemptions[sch.preemptions]++
-		if opts.Stats != nil {
-			opts.Stats.NoteSchedule(sch.preemptions)
-		}
 		if f != nil {
 			res.Findings = append(res.Findings, *f)
-			if opts.Stats != nil {
-				opts.Stats.Findings.Add(1)
-			}
 		}
 		return sch, nil
 	}

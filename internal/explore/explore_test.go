@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ids"
-	"repro/internal/obs"
 )
 
 // Exploring a handful of generated programs in global mode: every synthesized
@@ -89,25 +88,23 @@ func TestExploreDeterministic(t *testing.T) {
 	}
 }
 
-// Stats counters reflect the work done.
+// The result's counters reflect the work done: each distinct schedule is
+// counted once, in the preemption histogram too, and no more schedules than
+// directive lists tried.
 func TestExploreStats(t *testing.T) {
-	var stats obs.ExploreStats
-	res, err := Run(Options{Seed: 1, OrderMode: ids.OrderGlobal, Budget: 5, Stats: &stats})
+	res, err := Run(Options{Seed: 1, OrderMode: ids.OrderGlobal, Budget: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := stats.Snapshot()
-	if snap.Schedules != uint64(res.Schedules) {
-		t.Fatalf("stats schedules %d, result %d", snap.Schedules, res.Schedules)
+	hist := 0
+	for _, n := range res.Preemptions {
+		hist += n
 	}
-	if snap.Replays != 2*snap.Schedules {
-		t.Fatalf("replays %d, want 2x schedules (%d)", snap.Replays, snap.Schedules)
+	if res.Schedules == 0 || hist != res.Schedules {
+		t.Fatalf("%d schedules, %d in the preemption histogram", res.Schedules, hist)
 	}
-	if snap.Attempts < snap.Schedules {
-		t.Fatalf("attempts %d < schedules %d", snap.Attempts, snap.Schedules)
-	}
-	if len(snap.DepthHist) == 0 {
-		t.Fatal("empty preemption-depth histogram")
+	if res.Attempts < res.Schedules {
+		t.Fatalf("attempts %d < schedules %d", res.Attempts, res.Schedules)
 	}
 }
 

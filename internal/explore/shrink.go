@@ -32,9 +32,6 @@ func Shrink(opts Options, f Finding) (Finding, int, error) {
 			return nil, err
 		}
 		attempts++
-		if e.opts.Stats != nil {
-			e.opts.Stats.Attempts.Add(1)
-		}
 		got, err := e.check(sch)
 		if err != nil {
 			return nil, err

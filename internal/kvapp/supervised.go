@@ -17,7 +17,6 @@ import (
 	"repro/internal/djsock"
 	"repro/internal/ids"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/recline"
 	"repro/internal/super"
 	"repro/internal/tracelog"
@@ -31,13 +30,14 @@ import (
 // recline.Coordinator, which stamps a GroupEpochEntry — a complete recovery
 // line — into every member's trace, followed by a checkpoint-anchored WAL
 // truncation. A seeded chaos plan fail-stops a subset of the members, each
-// frozen mid-critical-section at a counter on its own clock (the in-situ
-// analogue of kill -9), and layers partitions, link loss and peer crashes on
-// top. The supervisor detects the fail-stopped subset (telling barrier-parked
-// survivors from the dead), salvages the crashed WALs, solves the set's
-// latest complete recovery line, and restarts each crashed member as a replay
-// resumed from its line anchor and run to the end of its salvaged log (the
-// crash point) while the survivors keep running with reduced membership. The
+// crashed at a counter on its own clock (the in-situ analogue of kill -9:
+// core.Crash ends every thread of the member's VM at that event), and layers
+// partitions, link loss and peer crashes on top. The supervisor detects the
+// fail-stopped subset (telling barrier-parked survivors from the dead),
+// salvages the crashed WALs, solves the set's latest complete recovery line,
+// and restarts each crashed member as a replay resumed from its line anchor
+// and run to the end of its salvaged log (the crash point) while the
+// survivors keep running with reduced membership. The
 // run then verifies convergence member by member: each crashed member's
 // recovered replay must equal the undisturbed baseline replay of the same
 // salvaged log from its oldest retained anchor, and each survivor's live
@@ -156,9 +156,6 @@ type SupervisedResult struct {
 	// OnLine reports every plan-killed member crashed and was restarted from
 	// its recovery-line anchor.
 	OnLine bool
-	// Metrics is the supervisor's metric snapshot (recoveries, restarts,
-	// fallbacks, MTTR).
-	Metrics obs.Snapshot
 }
 
 // RunSupervised executes one seeded chaos-supervision run.
@@ -216,7 +213,7 @@ func RunSupervised(cfg SupervisedConfig) (*SupervisedResult, error) {
 		}
 		defer stop()
 	}
-	engine, err := chaos.NewEngine(plan, net, nil)
+	engine, err := chaos.NewEngine(plan, net)
 	if err != nil {
 		return nil, err
 	}
@@ -249,12 +246,10 @@ func RunSupervised(cfg SupervisedConfig) (*SupervisedResult, error) {
 	// deterministic counter value, comfortably past every kill point.
 	limit := 2 * cfg.Horizon
 
-	supMetrics := &obs.Metrics{}
 	recovered := make(map[int]uint64, len(plan.Kills)) // restart-replay digests by member
 	sup := super.Watch(members, super.Config{
 		Heartbeat:   cfg.Heartbeat,
 		FailAfter:   cfg.FailAfter,
-		Metrics:     supMetrics,
 		Coordinator: coord,
 		Restart: func(rec *super.Recovery) error {
 			digest, err := replaySalvaged(coord, vmIDs[rec.Member], rec.Logs, rec.Checkpoint, limit)
@@ -268,8 +263,8 @@ func RunSupervised(cfg SupervisedConfig) (*SupervisedResult, error) {
 
 	// Start every member's recorded workload. A member that reaches the bound
 	// leaves the coordinator (releasing any barrier-parked peers) and tells
-	// the supervisor it finished cleanly; a killed member simply freezes and
-	// leaks, which is what fail-stop means here.
+	// the supervisor it finished cleanly; a killed member's threads end at
+	// its kill point without a word, which is what fail-stop means here.
 	for i := range vms {
 		i := i
 		vm, mr := vms[i], &res.Members[i]
@@ -357,7 +352,6 @@ func RunSupervised(cfg SupervisedConfig) (*SupervisedResult, error) {
 	if res.ClusterDigest != res.BaselineClusterDigest {
 		res.Converged = false
 	}
-	res.Metrics = supMetrics.Snapshot()
 	return res, nil
 }
 
@@ -440,7 +434,7 @@ func replayBaseline(coord *recline.Coordinator, id ids.DJVMID, logs *tracelog.Se
 // WAL-size sampling — no critical events, so record and replay schedules stay
 // aligned). The loop exits once the member's own counter passes limit, a
 // bound that replays deterministically; in record mode a victim never gets
-// there (the chaos engine freezes it first), and in replay StopAtLogEnd stops
+// there (the chaos engine crashes it first), and in replay StopAtLogEnd stops
 // it at the crash point. onDone fires after the loop so a finishing member
 // can leave the group cleanly.
 func runSupervisedWorkload(vm *core.VM, net *netsim.Network, coord *recline.Coordinator, host string, store map[string]string, startRound int, limit ids.GCount, afterCkpt func(round int), onDone func()) {

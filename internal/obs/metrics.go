@@ -64,17 +64,6 @@ type Metrics struct {
 	// good, so the count lives here.
 	walErrors atomic.Uint64
 
-	// Supervisor counters: fail-stop recoveries completed, VM restarts
-	// launched, and recoveries that fell back to replay-from-zero because no
-	// checkpoint was salvageable.
-	recoveries atomic.Uint64
-	restarts   atomic.Uint64
-	fallbacks  atomic.Uint64
-	// lineFallbacks counts recovery-line demotions (a candidate epoch
-	// rejected because a member's anchor was lost or a message would be
-	// orphaned).
-	lineFallbacks atomic.Uint64
-
 	// Sharded-order counters (Config.OrderMode == OrderSharded): per-object
 	// acquisitions that completed on the fast path (record: uncontended
 	// TryLock; replay: turnstile already open) vs. ones that contended
@@ -89,9 +78,6 @@ type Metrics struct {
 	// per critical event (op + observer). A replaying VM holds no section —
 	// the recorded schedule is its mutual exclusion — and observes none.
 	GCHold Histogram
-	// MTTR observes supervisor mean-time-to-recover: crash detection to the
-	// recovered VM rejoining (every recovery is observed — no sampling).
-	MTTR Histogram
 }
 
 // cacheLine is the padding unit around the counter word: two 64-byte lines,
@@ -205,23 +191,6 @@ func (m *Metrics) IncWALTruncate() { m.walTruncates.Add(1) }
 
 // IncWALError counts one WAL lost to a write or sync failure.
 func (m *Metrics) IncWALError() { m.walErrors.Add(1) }
-
-// IncRecovery counts one completed supervisor recovery.
-func (m *Metrics) IncRecovery() { m.recoveries.Add(1) }
-
-// IncRestart counts one supervisor-launched VM restart.
-func (m *Metrics) IncRestart() { m.restarts.Add(1) }
-
-// IncFallback counts one recovery that replayed from zero because no
-// checkpoint was salvageable from the repaired WAL.
-func (m *Metrics) IncFallback() { m.fallbacks.Add(1) }
-
-// IncLineFallback counts one recovery-line demotion: a candidate epoch the
-// solver rejected, falling back to an older complete line.
-func (m *Metrics) IncLineFallback() { m.lineFallbacks.Add(1) }
-
-// ObserveMTTR records one crash-to-rejoin recovery latency.
-func (m *Metrics) ObserveMTTR(d time.Duration) { m.MTTR.Observe(d) }
 
 // SetWatchdogArmed flips the stall-watchdog arm gauge.
 func (m *Metrics) SetWatchdogArmed(armed bool) { m.watchdogArmed.Store(armed) }

@@ -47,13 +47,8 @@ func WriteReport(w io.Writer, s Snapshot) {
 			f.WALSyncs, f.WALTruncates, f.WALErrors, f.RudpRetransmits,
 			f.RudpBackoffCapped, f.PeerUnreachable, f.LogEndStops)
 	}
-	if s.Recovery.Recoveries > 0 || s.Recovery.Restarts > 0 || s.Recovery.Fallbacks > 0 {
-		fmt.Fprintf(w, "recover  recoveries %d  restarts %d  fallbacks %d\n",
-			s.Recovery.Recoveries, s.Recovery.Restarts, s.Recovery.Fallbacks)
-	}
 	writeHistLine(w, "turnwait", s.TurnWait)
 	writeHistLine(w, "gc-hold ", s.GCHold)
-	writeHistLine(w, "mttr    ", s.MTTR)
 }
 
 func writeHistLine(w io.Writer, name string, h HistogramSnapshot) {

@@ -94,20 +94,11 @@ type FaultCounts struct {
 	WALErrors uint64 `json:"wal_errors"`
 }
 
-// RecoveryCounts groups the supervisor's recovery outcomes.
+// RecoveryCounts groups what a VM's log holds of the group's recovery lines.
+// A supervisor's recoveries are not a VM's to count: they are its Outcome.
 type RecoveryCounts struct {
-	// Recoveries is completed fail-stop recoveries.
-	Recoveries uint64 `json:"recoveries"`
-	// Restarts is supervisor-launched VM restarts.
-	Restarts uint64 `json:"restarts"`
-	// Fallbacks is recoveries that replayed from zero because the repaired
-	// WAL held no usable checkpoint.
-	Fallbacks uint64 `json:"fallbacks"`
 	// GroupEpochs is coordinated checkpoint epochs this VM stamped.
 	GroupEpochs uint64 `json:"group_epochs"`
-	// LineFallbacks is recovery-line demotions: candidate epochs rejected
-	// for a lost anchor or an orphaned message.
-	LineFallbacks uint64 `json:"line_fallbacks"`
 }
 
 // CausalCounts groups the causal-tracing counters: the optional correlation
@@ -160,7 +151,7 @@ type Snapshot struct {
 	Replay ReplayProgress `json:"replay"`
 	// Faults is the fault-tolerance counter set (WAL, retries, recovery).
 	Faults FaultCounts `json:"faults"`
-	// Recovery is the supervisor's recovery-outcome counter set.
+	// Recovery is the VM's recovery-line counter set.
 	Recovery RecoveryCounts `json:"recovery"`
 	// Causal is the causal-tracing counter set (timestamp + net-span
 	// records emitted).
@@ -179,9 +170,6 @@ type Snapshot struct {
 	// GCHold is the record phase's GC-critical-section hold-time
 	// distribution; a replaying VM holds no section and its count is 0.
 	GCHold HistogramSnapshot `json:"gc_hold"`
-	// MTTR is the supervisor's crash-to-rejoin latency distribution
-	// (unsampled, unlike TurnWait/GCHold).
-	MTTR HistogramSnapshot `json:"mttr"`
 }
 
 // Snapshot assembles the current view: the layer's own counters by atomic
@@ -221,15 +209,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		WALTruncates:      m.walTruncates.Load(),
 		WALErrors:         m.walErrors.Load(),
 	}
-	s.Recovery = RecoveryCounts{
-		Recoveries:    m.recoveries.Load(),
-		Restarts:      m.restarts.Load(),
-		Fallbacks:     m.fallbacks.Load(),
-		LineFallbacks: m.lineFallbacks.Load(),
-	}
 	s.TurnWait = m.TurnWait.Snapshot()
 	s.GCHold = m.GCHold.Snapshot()
-	s.MTTR = m.MTTR.Snapshot()
 	if m.owner != nil {
 		m.owner(&s)
 	}

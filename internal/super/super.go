@@ -12,15 +12,15 @@
 // executes critical events. The supervisor polls every member's total
 // (obs.Metrics.TotalEvents) and declares fail-stop of any subset whose totals
 // freeze outside the coordinator's barrier for a configurable window — which
-// catches both a killed process (total frozen) and the chaos engine's in-situ
-// crash (a thread blocked forever inside the GC-critical section freezes every
-// other thread too, so the total freezes the same way). A recording VM
-// publishes its counter per schedule interval, not per event, and before each
-// WAL durability note, whose fsync may hold its critical section; the poll
-// itself brings the total up to date whenever no event is in flight, and it
-// never waits for the critical section — a member frozen inside it reads as frozen
-// (at its last published value; exactly, under an EventObserver such as the
-// chaos engine's) and cannot freeze the supervisor with it.
+// catches a crashed VM (the chaos engine's kill: an EventObserver that panics
+// core.Crash stops every thread of the VM at that event) and a hung one (a
+// thread blocked for good inside the GC-critical section freezes every other
+// thread too) alike. A recording VM publishes its counter per schedule
+// interval, not per event, and before each WAL durability note, whose fsync
+// may hold its critical section; the poll itself brings the total up to date
+// whenever no event is in flight, and it never waits for the critical section
+// — a member hung inside it reads as frozen (at its last published value;
+// exactly, under an EventObserver) and cannot freeze the supervisor with it.
 //
 // Recovery then runs tracelog.RecoverFile on each victim's WAL, solves the
 // recovery line over the whole set, anchors each victim on its line
@@ -31,8 +31,8 @@
 // fast-forwards to the crash point — while the surviving members, released
 // from the barrier by the victim's removal, keep running and keep stamping
 // epochs with the reduced membership. Later crashes open further episodes
-// against the updated set. Outcomes surface through obs: recoveries,
-// restarts, fallbacks, line fallbacks, and a mean-time-to-recover histogram.
+// against the updated set. The Outcome is the one record of what happened:
+// its episodes carry each recovery, fallback, solved line and latency.
 package super
 
 import (
@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/recline"
 	"repro/internal/tracelog"
 )
@@ -69,10 +68,6 @@ type Config struct {
 	// Members parked in the coordinator's barrier are frozen but alive and
 	// are never declared failed.
 	FailAfter time.Duration
-	// Metrics receives the supervisor's recovery counters and MTTR
-	// observations. Nil means don't report. This is the supervisor's own
-	// metric set — a supervised VM's metrics die with it.
-	Metrics *obs.Metrics
 	// Coordinator is the members' checkpoint coordinator (one member: a
 	// coordinator of one). The supervisor consults it to tell barrier-parked
 	// members from crashed ones and removes crashed members from it so
@@ -300,25 +295,13 @@ func (s *Supervisor) episode(crashed []int, frozen time.Duration, states []membe
 		if err := s.anchor(ep.Line, rec); err != nil {
 			return ep, err
 		}
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.IncRecovery()
-			if rec.FallbackZero {
-				s.cfg.Metrics.IncFallback()
-			}
-		}
 		if s.cfg.Restart != nil {
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.IncRestart()
-			}
 			if err := s.cfg.Restart(rec); err != nil {
 				return ep, fmt.Errorf("super: member %s: restart: %w", rec.Name, err)
 			}
 		}
 	}
 	ep.RecoverLatency = time.Since(t0)
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.ObserveMTTR(ep.RecoverLatency)
-	}
 	return ep, nil
 }
 
@@ -349,11 +332,6 @@ func (s *Supervisor) salvageAndSolve(ep *Episode, states []memberState) error {
 		return fmt.Errorf("super: recovery line: %w", err)
 	}
 	ep.Solution, ep.Line = sol, sol.Line
-	if s.cfg.Metrics != nil {
-		for n := sol.Fallbacks(); n > 0; n-- {
-			s.cfg.Metrics.IncLineFallback()
-		}
-	}
 	return nil
 }
 
