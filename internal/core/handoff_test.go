@@ -52,9 +52,8 @@ func TestHandoffEveryEventAndNever(t *testing.T) {
 }
 
 // TestHeldRunServesOnlyItsStream: a thread holds the turn of every stream it
-// is inside a run of, but Thread.run, where heldCursor looks for the cursor
-// an in-place event counts down, is one — the cursor of the stream of the
-// thread's previous event. Here threads cycle through three registered shared
+// is inside a run of, but Thread.run, the one cursor an in-place event may
+// move, is the cursor of the stream of the thread's previous event. Here threads cycle through three registered shared
 // integers — x, y and one of their own — and the global stream (an
 // unregistered variable g): twice in a row on x through critical (Add), then
 // y, then a Get and a Set of their own integer through the accessors' inline

@@ -78,12 +78,12 @@ func TestEventObserverSeesIdenticalSequences(t *testing.T) {
 }
 
 // TestObservedReplayTicksEveryAccessLocked: with an EventObserver a replayed
-// run has no in-place events — quiet stays 0, so neither SharedInt.Get and Set
-// inline nor critical replays one in place — and every access goes through
-// lockedTick: the callback runs under the global stream's lock, after the
-// access, with the counter word exact at the access's own value. One thread's
-// one long run of Get, Set and Add is the case the in-place path would
-// otherwise serve.
+// run has no in-place events — replayEvent never arms a stretch, so neither
+// SharedInt.Get and Set inline nor critical replays one in place — and every
+// access goes through lockedTick: the callback runs under the global stream's
+// lock, after the access, with the counter word exact at the access's own
+// value. One thread's one long run of Get, Set and Add is the case the
+// in-place path would otherwise serve.
 func TestObservedReplayTicksEveryAccessLocked(t *testing.T) {
 	const iters = 300
 	program := func(vm *VM, x *SharedInt) {

@@ -685,9 +685,11 @@ func TestResumeIntoTheMiddleOfARun(t *testing.T) {
 		vm.Start(func(main *Thread) {
 			for i := from; i < events; i++ {
 				if c := main.cursors; vm.mode == ids.Replay && i > from {
-					if main.run != c[0] || c[0].quiet != uint64(events-i) {
-						t.Errorf("before the resumed run's event %d: Thread.run is the global cursor: %v, with %d events before its Last; want %d",
-							i, main.run == c[0], c[0].quiet, events-i)
+					r := c[0]
+					full := main.pendingN+uint32(r.pos-r.from) == publishBatch-1
+					if main.run != r || r.last-r.pos != ids.GCount(events-i) || r.stop > r.last || (r.pos < r.stop) == full {
+						t.Errorf("before the resumed run's event %d: Thread.run is the global cursor: %v, with %d events before its Last and its stretch armed up to %d at %d, batch full: %v; want %d left, armed unless the batch is full",
+							i, main.run == r, r.last-r.pos, r.stop, r.pos, full, events-i)
 						return
 					}
 				}
@@ -791,7 +793,7 @@ func TestHandoffOfTwoHeldTurns(t *testing.T) {
 // TestPanickingEventKeepsTheTurn: an op that panics in the middle of a run the
 // thread holds the turn of — replayed in place by critical, through
 // Thread.Critical or a SharedVar.Update whose fn panics — leaves the position
-// and the countdown where they were and the turn held: the retry is the same
+// where it was, the stretch armed and the turn held: the retry is the same
 // event, and it runs without looking at the word.
 func TestPanickingEventKeepsTheTurn(t *testing.T) {
 	const events, bad = 40, 17
@@ -833,9 +835,9 @@ func TestPanickingEventKeepsTheTurn(t *testing.T) {
 							case nil:
 							case "injected":
 								c := main.cursors[0]
-								if !c.held || c.pos != bad || c.quiet != events-1-bad || main.run != c {
-									t.Errorf("after the panic: held %v, position %d, %d quiet events left, Thread.run is the global cursor: %v; want the turn held at %d with %d left",
-										c.held, c.pos, c.quiet, main.run == c, bad, events-1-bad)
+								if !c.held || c.pos != bad || c.last-c.pos != events-1-bad || c.pos >= c.stop || main.run != c {
+									t.Errorf("after the panic: held %v, position %d, %d events before the Last, stretch armed up to %d, Thread.run is the global cursor: %v; want the turn held at %d with %d left, armed",
+										c.held, c.pos, c.last-c.pos, c.stop, main.run == c, bad, events-1-bad)
 								}
 								i-- // retry
 							default:

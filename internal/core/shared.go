@@ -14,9 +14,9 @@ import (
 // atomic but sequences of them race at application level — as racy Java field
 // accesses do. In passthrough mode accesses compile down to plain atomics,
 // modeling the unmodified JVM. Get and Set carry the workloads' racy idiom: a
-// replayed one inside a held run is the access plus thread-local counts
-// (Thread.heldCursor), a recorded one the access under the stream's lock
-// (Thread.recordInt). Every other access goes through critical.
+// replayed one inside an armed stretch is the access and one store of the
+// thread's position (Thread.inPlace), a recorded one the access under the
+// stream's lock (Thread.recordInt). Every other access goes through critical.
 type SharedInt struct {
 	v     int64
 	order *stream // the variable's own order stream after Register on a sharded VM; nil: the VM's global one
@@ -43,12 +43,11 @@ func (s *SharedInt) Get(t *Thread) int64 {
 		t.maybeYield()
 		return v
 	}
-	st := t.streamFor(s.order)
-	if c := t.heldCursor(st); c != nil {
-		v := s.v
-		t.advance(c, obs.KindShared)
-		return v
+	if c := t.run; c != nil && c.obj == s.order && t.inPlace(c, obs.KindShared) {
+		c.pos++
+		return s.v
 	}
+	st := t.streamFor(s.order)
 	if t.vm.mode == ids.Record {
 		return t.recordInt(st, &s.v, false, 0)
 	}
@@ -64,12 +63,12 @@ func (s *SharedInt) Set(t *Thread, v int64) {
 		t.maybeYield()
 		return
 	}
-	st := t.streamFor(s.order)
-	if c := t.heldCursor(st); c != nil {
+	if c := t.run; c != nil && c.obj == s.order && t.inPlace(c, obs.KindShared) {
 		s.v = v
-		t.advance(c, obs.KindShared)
+		c.pos++
 		return
 	}
+	st := t.streamFor(s.order)
 	if t.vm.mode == ids.Record {
 		t.recordInt(st, &s.v, true, v)
 		return

@@ -175,31 +175,35 @@ func (t *Thread) streamFor(s *stream) *stream {
 
 // cursor walks one thread's recorded runs of one stream. Only the owning
 // thread touches it. While ri < len(runs), pos is the thread's next recorded
-// counter value on the stream and last the Last of the run it lies in.
+// counter value on the stream and last the Last of the run it lies in; obj is
+// the stream as a primitive names it (nil for the global one: SharedInt.order).
 //
 // held says the thread has the stream's turn: its wait for the word to reach
 // the First of the run (or the resume counter, inside one) has passed, and
 // until it stores the run's Last+1 no other thread can be admitted, whatever
 // the word reads in between. pub is what the word reads while held — this
-// thread last wrote it — and quiet counts down the events left before the
-// run's Last, which execute without a load or a store of the word; the run's
-// first event sets it (replayEvent), and it stays 0 while the turn is not held
-// and throughout with an EventObserver, whose word is exact per event;
-// Thread.advance counts it down.
+// thread last wrote it. On Thread.run's cursor, the stretch from from to stop
+// runs in place — events of kind, no load or store of the word, no count —
+// and Thread.settle counts it. replayEvent arms it with stop short of the
+// run's Last and of the room left in the thread's batch, never on an
+// observed stream.
 type cursor struct {
-	s         *stream
-	runs      []tracelog.Interval
-	ri        int
-	pos, last ids.GCount
-	held      bool
-	pub       ids.GCount
-	quiet     uint64
+	pos, stop, from ids.GCount
+	s, obj          *stream
+	kind            obs.EventKind
+	runs            []tracelog.Interval
+	ri              int
+	last, pub       ids.GCount
+	held            bool
 }
 
 func newCursor(s *stream, runs []tracelog.Interval) *cursor {
 	c := &cursor{s: s, runs: runs}
+	if !s.isGlobal() {
+		c.obj = s
+	}
 	if len(runs) > 0 {
-		c.pos, c.last = runs[0].First, runs[0].Last
+		c.pos, c.from, c.last = runs[0].First, runs[0].First, runs[0].Last
 	}
 	return c
 }
@@ -226,7 +230,8 @@ func (c *cursor) publish() {
 // nextRun moves past the run whose Last event just executed.
 func (c *cursor) nextRun() {
 	if c.ri++; c.ri < len(c.runs) {
-		c.pos, c.last = c.runs[c.ri].First, c.runs[c.ri].Last
+		r := c.runs[c.ri]
+		c.pos, c.from, c.last = r.First, r.First, r.Last
 	}
 }
 
@@ -272,10 +277,9 @@ func (t *Thread) endOfSchedule(s *stream, what string) {
 // critical executes op as one non-blocking critical event of stream s; see
 // Thread.Critical for the per-mode discipline.
 //
-// The Replay arm finds the thread's cursor over s in t.run — looking it up
-// when the thread's previous event was on another stream — and replays the
-// event in place when heldCursor (whose nil and stream tests always pass here)
-// allows it: op, then advance. Every other event is replayEvent's.
+// The Replay arm replays the event in place when t.run is s's cursor and
+// inPlace allows it: op, then the position. Every other event is
+// replayEvent's.
 func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 	switch t.vm.mode {
 	case ids.Passthrough:
@@ -284,42 +288,36 @@ func (t *Thread) critical(s *stream, kind obs.EventKind, op func(ids.GCount)) {
 	case ids.Record:
 		t.record(s, kind, op, nil, false, 0)
 	case ids.Replay:
-		if t.run.s != s {
-			t.run = t.cursor(s)
-		}
-		if c := t.heldCursor(s); c != nil {
+		if c := t.run; c.s != s {
+			t.replayEvent(s, t.cursor(s), kind, op)
+		} else if t.inPlace(c, kind) {
 			op(c.pos)
-			t.advance(c, kind)
-			return
+			c.pos++
+		} else {
+			t.replayEvent(s, c, kind, op)
 		}
-		t.replayEvent(s, t.run, kind, op)
 	}
 }
 
-// heldCursor returns the thread's cursor over s when its next event on s may
-// be replayed in place, nil otherwise: the cursor is t.run's, the thread holds
-// the run with events left before its Last (quiet, which stays 0 with an
-// observer), and its local count is under the batch bound (zero while the
-// stall watchdog asks). Such an event needs nothing but itself and advance —
-// no load or store of the word, no write to anything shared (replayEvent has
-// why) — so critical, and SharedInt.Get and Set without a call to it, run its
-// body and then call advance. The body goes first: if it panics the position has
-// not moved and the turn stays held. Nil in every mode but Replay, where t.run
-// is never nil.
-func (t *Thread) heldCursor(s *stream) *cursor {
-	if c := t.run; c != nil && c.s == s && c.quiet != 0 && t.pendingN < t.vm.unpublished.Load() {
-		return c
-	}
-	return nil
+// inPlace reports whether the thread's next event, of kind on the stream of
+// c = t.run, is in c's armed stretch while the stall watchdog is not asking
+// (then every event publishes). Such an event is its body and then c.pos++,
+// in critical or inline in SharedInt.Get and Set: if the body panics, the
+// position has not moved and the turn stays held.
+func (t *Thread) inPlace(c *cursor, kind obs.EventKind) bool {
+	return c.kind == kind && c.pos < c.stop && t.vm.unpublished.Load() != 0
 }
 
-// advance accounts an event heldCursor let the thread replay in place, after
-// its body ran: the position, the countdown and the thread's local counts.
-func (t *Thread) advance(c *cursor, kind obs.EventKind) {
-	c.pos++
-	c.quiet--
-	c.s.countAcquire(t, true)
-	t.countEvent(kind)
+// settle counts t.run's stretch so far: in replayEvent, and in publishCounts,
+// which every block, park, exit, Clock and full batch passes.
+func (t *Thread) settle() {
+	if c := t.run; c != nil && c.pos != c.from {
+		t.countEvents(c.kind, uint32(c.pos-c.from))
+		if c.obj != nil {
+			t.pendingFast += uint32(c.pos - c.from)
+		}
+		c.from = c.pos
+	}
 }
 
 // blocking executes a blocking critical event of stream s: op runs outside
@@ -462,7 +460,7 @@ func (t *Thread) record(s *stream, kind obs.EventKind, op func(ids.GCount), p *i
 	}
 	s.next = n + 1
 	s.countAcquire(t, fast)
-	t.countEvent(kind)
+	t.countEvents(kind, 1)
 	newRun := !s.open || s.runThread != t.num
 	if newRun {
 		// Another thread's event broke consecutiveness: its run is complete,
@@ -538,16 +536,18 @@ func (t *Thread) takeTurn(s *stream, c *cursor, what string) (fast bool) {
 // Last the thread neither loads nor stores the word and writes nothing shared:
 // position, per-kind counts and program order are its own, and the one shared
 // word an event inside the run reads, VM.unpublished, nobody writes while
-// replay moves. Those events are replayed in place (heldCursor, advance);
-// this function is every other case — a run's first or Last event, a full
-// batch, an observed stream, the watchdog asking, a Blocking mark — and it is
-// what arms the in-place path: quiet is set here. The Last event stores Last+1,
-// which is what admits the successor; only it looks for one parked, and that
-// is also where the thread publishes its event counts. Everything the thread
-// wrote inside the run precedes that store, which the successor's load
-// observes before its first event. If op panics the position has not moved
-// and the turn stays held: a retry runs without waiting.
+// replay moves. Those events are replayed in place (inPlace); this function
+// is every other case — a run's first or Last event, a change of stream or
+// kind, a full batch, an observed stream, the watchdog asking, a Blocking
+// mark — and, settling t.run first, makes c t.run and arms its stretch. The
+// Last event stores Last+1, which admits the successor; only it looks for one
+// parked and publishes the thread's counts. Everything the thread wrote inside
+// the run precedes that store, which the successor's load observes before its
+// first event. If op panics the position has not moved and the turn stays
+// held: a retry runs without waiting.
 func (t *Thread) replayEvent(s *stream, c *cursor, kind obs.EventKind, op func(ids.GCount)) {
+	t.settle()
+	t.run, c.stop = c, c.pos
 	fast := t.takeTurn(s, c, "critical event")
 	n := c.pos
 	if s.observer == nil {
@@ -556,14 +556,16 @@ func (t *Thread) replayEvent(s *stream, c *cursor, kind obs.EventKind, op func(i
 	} else {
 		s.lockedTick(t, c, op)
 	}
+	c.from = c.pos
 	s.countAcquire(t, fast)
-	t.countEvent(kind)
+	t.countEvents(kind, 1)
 	if n != c.last {
-		if s.observer == nil {
-			c.quiet = uint64(c.last - c.pos)
-		}
-		if t.pendingN > t.vm.unpublished.Load() {
+		u := t.vm.unpublished.Load()
+		if t.pendingN > u {
 			t.publishCounts(nil)
+		}
+		if s.observer == nil && t.pendingN < u {
+			c.kind, c.stop = kind, c.pos+min(c.last-c.pos, ids.GCount(u-t.pendingN))
 		}
 		return
 	}

@@ -28,10 +28,8 @@ type Thread struct {
 	// stream's is built at thread creation, an object's on first access.
 	// Only the owning goroutine touches them.
 	cursors []*cursor
-	// run is the cursor of the stream the thread's last non-blocking event
-	// was on (the global stream's at first): critical finds an event's cursor
-	// there with one compare when the stream has not changed, and looks it up
-	// in cursors when it has.
+	// run is the cursor of the stream of the thread's last replayed event (the
+	// global stream's at first), the one that may hold an armed stretch.
 	run *cursor
 
 	// turnCh delivers this thread's wake token when its awaited counter
@@ -93,15 +91,15 @@ func (t *Thread) maybeYield() {
 // watchdog lowers to zero while it needs every word exact.
 const publishBatch = 1024
 
-// countEvent counts one executed critical event of the thread locally; the
-// caller publishes when an unbroken run fills a batch. Callers tick the
-// event's stream counter first.
-func (t *Thread) countEvent(kind obs.EventKind) {
+// countEvents counts n executed critical events of kind locally; the caller
+// publishes when an unbroken run fills a batch. Callers tick the events'
+// stream counter first.
+func (t *Thread) countEvents(kind obs.EventKind, n uint32) {
 	if int(kind) >= obs.NumEventKinds {
 		kind = obs.KindOther
 	}
-	t.pending[kind]++
-	t.pendingN++
+	t.pending[kind] += n
+	t.pendingN += n
 }
 
 // publishCounts moves the thread's locally counted events into the VM's
@@ -122,6 +120,7 @@ func (t *Thread) countEvent(kind obs.EventKind) {
 // word trails its holder by no more than the holder's unpublished counts, and
 // a thread with nothing counted locally has every word it holds exact.
 func (t *Thread) publishCounts(held *stream) {
+	t.settle()
 	if t.pendingN == 0 {
 		return
 	}

@@ -280,17 +280,21 @@ func TestFailedEpisodeReleasesParkedSurvivors(t *testing.T) {
 	if err := survivor.EnableWAL(survivorWAL, tracelog.WALOptions{SyncEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
+	release := make(chan struct{})
 	victim, err := core.NewVM(core.Config{
 		ID: 2, Mode: ids.Record,
 		EventObserver: func(_ ids.ThreadNum, gc ids.GCount) {
 			if gc >= 10 {
-				select {} // fail-stop before ever reaching the barrier
+				<-release // fail-stop before ever reaching the barrier
+				panic(core.Crash{})
 			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Once the test is over the victim's thread unwinds instead of leaking.
+	t.Cleanup(func() { close(release); victim.Wait() })
 	if err := victim.EnableWAL(filepath.Join(dir, "victim.wal"), tracelog.WALOptions{SyncEvery: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -290,10 +290,13 @@ func EachEntry(data []byte, fn func(Entry) error) error {
 
 // scratch is what a walk reuses: one record per kind, decoded into again and
 // again, and the codec that decodes them. One scratch serves any number of
-// walks, so a scan that walks once per frame allocates nothing per frame.
+// walks, so a scan that walks once per frame allocates nothing per frame;
+// frame is where such a scan reads a frame too large to read in place
+// (readFrame).
 type scratch struct {
-	recs [kindMax]Entry
-	c    codec
+	recs  [kindMax]Entry
+	c     codec
+	frame []byte
 }
 
 // walk is the package's one decode loop: it decodes data one record at a time

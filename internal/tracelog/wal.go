@@ -324,7 +324,7 @@ func readWAL(path string, rep *RecoveryReport) (*Set, ids.ThreadNum, error) {
 	for ; int64(off) < size; off += walFrameHdrLen + len(payload) {
 		var logID uint8
 		var reason string
-		if logID, payload, reason, err = readFrame(r, size-int64(off), payload, sc); err != nil {
+		if logID, payload, reason, err = readFrame(r, size-int64(off), sc); err != nil {
 			return nil, 0, fmt.Errorf("frame at offset %d: %w", off, err)
 		} else if reason != "" {
 			rep.Truncated, rep.Reason, rep.DiscardedBytes = true, reason, size-int64(off)
@@ -343,8 +343,11 @@ func readWAL(path string, rep *RecoveryReport) (*Set, ids.ThreadNum, error) {
 
 // readFrame is the scan-side inverse of writeFrame, and the only code that
 // reads a frame: it reads the frame at the head of r, with left bytes of the
-// file from there on, into buf's array and returns its log id and payload, or
-// the reason the scan must stop here; err is a failed read. A frame is good
+// file from there on, and returns its log id and payload, or the reason the
+// scan must stop here; err is a failed read. A frame that fits r's buffer is
+// read in place (Peek, Discard): its payload is r's own bytes, valid until r
+// is next read, so the frame's one copy is the one into its log; a larger
+// payload is read into sc.frame. A frame is good
 // when its header is whole, its log id and length plausible (the length
 // checked against left before anything is read for it), its payload matches
 // the checksum and decodes as exactly one record of a kind that belongs in
@@ -353,25 +356,34 @@ func readWAL(path string, rep *RecoveryReport) (*Set, ids.ThreadNum, error) {
 // log-id byte, which the checksum does not: without it one flipped id bit
 // files an intact record into the wrong log, where it makes the whole salvage
 // unusable instead of costing only the tail.
-func readFrame(r io.Reader, left int64, buf []byte, sc *scratch) (logID uint8, payload []byte, reason string, err error) {
+func readFrame(r *bufio.Reader, left int64, sc *scratch) (logID uint8, payload []byte, reason string, err error) {
 	if left < walFrameHdrLen {
-		return 0, buf, "torn frame header", nil
+		return 0, nil, "torn frame header", nil
 	}
-	hdr := slices.Grow(buf[:0], walFrameHdrLen)[:walFrameHdrLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, hdr, "", err
+	hdr, err := r.Peek(walFrameHdrLen)
+	if err != nil {
+		return 0, nil, "", err
 	}
 	logID, plen, sum := hdr[0], int64(binary.LittleEndian.Uint32(hdr[1:5])), binary.LittleEndian.Uint32(hdr[5:9])
 	switch {
 	case logID >= logCount:
-		return 0, hdr, fmt.Sprintf("invalid log id %d", logID), nil
+		return 0, nil, fmt.Sprintf("invalid log id %d", logID), nil
 	case plen > maxWALPayload:
-		return 0, hdr, fmt.Sprintf("implausible frame length %d", plen), nil
+		return 0, nil, fmt.Sprintf("implausible frame length %d", plen), nil
 	case plen > left-walFrameHdrLen:
-		return 0, hdr, "torn frame payload", nil
+		return 0, nil, "torn frame payload", nil
 	}
-	payload = slices.Grow(hdr[:0], int(plen))[:plen]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if n := walFrameHdrLen + int(plen); n <= r.Size() {
+		if payload, err = r.Peek(n); err == nil {
+			payload = payload[walFrameHdrLen:]
+			_, err = r.Discard(n)
+		}
+	} else if _, err = r.Discard(walFrameHdrLen); err == nil {
+		sc.frame = slices.Grow(sc.frame[:0], int(plen))[:plen]
+		payload = sc.frame
+		_, err = io.ReadFull(r, payload)
+	}
+	if err != nil {
 		return 0, payload, "", err
 	} else if crc32.ChecksumIEEE(payload) != sum {
 		return 0, payload, "frame checksum mismatch", nil

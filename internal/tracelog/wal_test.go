@@ -1,6 +1,7 @@
 package tracelog
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"os"
@@ -195,7 +196,7 @@ func TestWALCorruptFrameTruncatesScan(t *testing.T) {
 // frameOffsets returns the file offset of every frame of a healthy WAL image.
 // frameAt is readFrame over the bytes of a file from a frame on.
 func frameAt(data []byte, sc *scratch) (logID uint8, payload []byte, reason string) {
-	logID, payload, reason, err := readFrame(bytes.NewReader(data), int64(len(data)), nil, sc)
+	logID, payload, reason, err := readFrame(bufio.NewReader(bytes.NewReader(data)), int64(len(data)), sc)
 	if err != nil {
 		reason = err.Error()
 	}
