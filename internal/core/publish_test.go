@@ -416,6 +416,7 @@ func TestObjectSectionNeverWaitsForGlobalLock(t *testing.T) {
 			var onGlobal, x SharedInt // onGlobal stays unregistered
 			x.Register(vm)
 			counted, frozen, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+			spawned := make(chan struct{}) // main's last Spawn, a global event, is done
 			vm.Start(func(main *Thread) {
 				main.Spawn(func(th *Thread) {
 					for i := 0; i < 5; i++ {
@@ -427,6 +428,7 @@ func TestObjectSectionNeverWaitsForGlobalLock(t *testing.T) {
 				})
 				main.Spawn(func(th *Thread) {
 					<-counted
+					<-spawned
 					th.Critical(func(ids.GCount) {
 						close(frozen)
 						<-release
@@ -438,6 +440,7 @@ func TestObjectSectionNeverWaitsForGlobalLock(t *testing.T) {
 					access.do(&x, th)
 					close(done)
 				})
+				close(spawned)
 			})
 			select {
 			case <-done:

@@ -69,9 +69,9 @@ type stream struct {
 	clock *atomic.Uint64
 	// Cadences of the global stream; nil/0 (holdMask: all ones) on every other.
 	//
-	// holdMask selects the recorded events whose execution time is sampled
-	// into the GC-hold histogram — those with n&holdMask == 0. The histogram
-	// describes the record phase's global critical section, so an object's
+	// holdMask selects the recorded closure events (never a bare SharedInt
+	// access) timed into the GC-hold histogram: those with n&holdMask == 0.
+	// It describes the record phase's global critical section, so an object's
 	// stream contributes nothing past its first event, threads on disjoint
 	// objects never meet on the histogram's words, and replay, which holds no
 	// section, never reads the mask. observer is Config.EventObserver.
@@ -349,15 +349,15 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 }
 
 // exec executes the recorded event with counter value n under mu — the
-// critical section: op, or with op nil recordInt's SharedInt access — timing
-// it into the GC-hold histogram when n is sampled and reporting it to the
-// observer when there is one. It is the path of every event that runs code
-// which may panic (a MonitorStateError the application recovers from, say, or
-// an observer's Crash): the deferred unlock then releases the section before
-// the counter ticks, as if the event never happened. An observer's panic
-// first leaves the stream dead: no later event of the VM runs (VM.crashed).
-// Replay holds no section (its turn is the mutual exclusion): GC-hold is a
-// record-phase histogram.
+// critical section: op, or with op nil recordInt's access, which only an
+// observer sends here — timing op, never the access, into the GC-hold
+// histogram when n is sampled, and reports it to the observer if any. It is
+// the path of every event that runs code which may panic (a MonitorStateError
+// the application recovers from, or an observer's Crash): the deferred unlock
+// then releases the section before the counter ticks, as if the event never
+// happened. An observer's panic first leaves the stream dead: no later event
+// of the VM runs (VM.crashed). Replay holds no section (its turn is the
+// mutual exclusion): GC-hold is a record-phase histogram.
 func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount), p *int64, set bool, v int64) int64 {
 	if s.dead {
 		s.mu.Unlock()
@@ -372,7 +372,7 @@ func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount), p *int64, se
 			s.mu.Unlock()
 		}
 	}()
-	sampled := uint64(n)&s.holdMask == 0
+	sampled := op != nil && uint64(n)&s.holdMask == 0
 	var start time.Duration
 	if sampled {
 		start = time.Since(s.vm.epoch)
@@ -440,8 +440,8 @@ func accessInt(p *int64, set bool, v int64) int64 {
 // recorded event's entry (publish, lock, read next) and tail (tick, counts,
 // run flush and open, publication, WAL note, timestamp); the event between
 // them is op, or with op nil the access recordInt asked for. That access
-// cannot panic: unless it is sampled or observed it runs in place, with no
-// closure and no defer. Everything that can runs in exec.
+// cannot panic and is never timed: unless it is observed it runs in place,
+// with no closure, no defer and no clock read. Everything that can runs in exec.
 func (t *Thread) record(s *stream, kind obs.EventKind, op func(ids.GCount), p *int64, set bool, v int64) int64 {
 	if !s.isGlobal() && t.pendingN != t.pendingFast+t.pendingContended {
 		// Global events still counted locally: publish them on the way in,
@@ -453,7 +453,7 @@ func (t *Thread) record(s *stream, kind obs.EventKind, op func(ids.GCount), p *i
 		s.stepAside()
 	}
 	n := s.next
-	if op == nil && uint64(n)&s.holdMask != 0 && s.observer == nil {
+	if op == nil && s.observer == nil {
 		v = accessInt(p, set, v)
 	} else {
 		v = s.exec(t, n, op, p, set, v)

@@ -38,7 +38,7 @@ import (
 )
 
 // ObsSampleDefault is the default 1-in-N latency sampling rate applied to the
-// GC-hold and turn-wait histograms (see Config.ObsSampleRate).
+// GC-hold histogram's closure events and to turn waits (Config.ObsSampleRate).
 const ObsSampleDefault = 64
 
 // Config configures one DJVM instance.
@@ -130,13 +130,13 @@ type Config struct {
 	// A replay VM's OrderMode must match the recording's.
 	OrderMode ids.OrderMode
 	// ObsSampleRate controls 1-in-N sampling of the latency histograms:
-	// GC-hold, the record phase's critical-section hold (a replaying VM holds
-	// no section and reports none), and turn-wait, replay's wait for a turn.
-	// Events whose counter value is a multiple of N are timed; every other
-	// event skips the clock reads entirely, so the common-case GC-critical
-	// section reads no clock. Event *counts* stay exact — only latency
-	// observation is sampled. Zero selects ObsSampleDefault; 1 times every
-	// event; other values round up to the next power of two. Because
+	// GC-hold, the record phase's critical-section hold while it runs code (a
+	// bare SharedInt Get or Set is never timed, and a replaying VM reports
+	// none), and turn-wait, replay's wait for a turn. Events whose counter
+	// value is a multiple of N are timed; every other event reads no clock.
+	// Event *counts* stay exact — only latency observation is sampled. Zero
+	// selects ObsSampleDefault; 1 times every timed kind of event; other
+	// values round up to the next power of two. Because
 	// sampling keys off the counter value, a workload whose latency varies
 	// with a period equal to the rounded rate can alias; pick a different
 	// power of two if that matters.

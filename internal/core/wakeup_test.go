@@ -160,30 +160,33 @@ func TestStallWatchdogWakesAllParked(t *testing.T) {
 
 // TestHistogramSamplingPreservesCounts checks the ObsSampleRate knob: with
 // the default 1-in-64 sampling the event counters stay exact while the
-// latency histograms see only the sampled subset; with rate 1 every event is
-// timed. GC-hold is the record phase's critical section: a recording VM times
-// exactly the sampled events (record runs a SharedInt access in place, and
-// exec times only the sampled ones), and a replaying VM, which holds no section, times none at any rate —
-// its timed interval is the wait for a turn, sampled by the awaited counter
-// value.
+// latency histograms see only the sampled subset; with rate 1 every sampled
+// kind of event is timed. GC-hold is the record phase's critical section
+// while it runs code: a recording VM times exactly the sampled events that
+// run a closure (Add here), and never a bare SharedInt Get or Set, which
+// record runs in place at any rate and under an observer. A replaying VM,
+// which holds no section, times none at any rate — its timed interval is the
+// wait for a turn, sampled by the awaited counter value.
 func TestHistogramSamplingPreservesCounts(t *testing.T) {
+	add := func(x *SharedInt, th *Thread, _ int) { x.Add(th, 1) }
+	set := func(x *SharedInt, th *Thread, i int) { x.Set(th, int64(i)) }
 	for _, mode := range []ids.Mode{ids.Record, ids.Replay} {
 		t.Run(mode.String(), func(t *testing.T) {
-			run := func(rate int) (total, holds uint64, sampleRate uint64) {
-				cfg := Config{ID: 92, Mode: ids.Record, ObsSampleRate: rate}
+			run := func(cfg Config, do func(*SharedInt, *Thread, int)) (total, holds uint64, sampleRate uint64) {
+				cfg.ID, cfg.Mode = 92, ids.Record
 				if mode == ids.Replay {
 					rec, err := NewVM(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					setThousand(rec)
+					thousand(rec, do)
 					cfg.Mode, cfg.ReplayLogs = ids.Replay, rec.Logs()
 				}
 				vm, err := NewVM(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				setThousand(vm)
+				thousand(vm, do)
 				s := vm.Metrics().Snapshot()
 				return s.TotalEvents, s.GCHold.Count, s.HistSampleRate
 			}
@@ -194,7 +197,7 @@ func TestHistogramSamplingPreservesCounts(t *testing.T) {
 				return (total + rate - 1) / rate
 			}
 
-			total, holds, rate := run(0) // default sampling
+			total, holds, rate := run(Config{}, add) // default sampling
 			if total != 1000 {
 				t.Fatalf("%d events, want 1000", total)
 			}
@@ -205,12 +208,25 @@ func TestHistogramSamplingPreservesCounts(t *testing.T) {
 				t.Errorf("sampled GCHold observed %d holds for %d events, want %d", holds, total, want)
 			}
 
-			total, holds, rate = run(1) // exhaustive
+			total, holds, rate = run(Config{ObsSampleRate: 1}, add) // exhaustive
 			if rate != 1 {
 				t.Errorf("snapshot reports sample rate %d, want 1", rate)
 			}
 			if want := wantHolds(total, 1); holds != want {
 				t.Errorf("exhaustive GCHold observed %d holds for %d events, want %d", holds, total, want)
+			}
+
+			for _, c := range []struct {
+				name string
+				cfg  Config
+			}{
+				{"default rate", Config{}},
+				{"rate 1", Config{ObsSampleRate: 1}},
+				{"an observer", Config{EventObserver: func(ids.ThreadNum, ids.GCount) {}}},
+			} {
+				if total, holds, _ := run(c.cfg, set); total != 1000 || holds != 0 {
+					t.Errorf("bare Sets at %s: %d holds timed over %d events, want 0 over 1000", c.name, holds, total)
+				}
 			}
 		})
 	}
@@ -261,13 +277,13 @@ func parkThenRun(t *testing.T, vm *VM, n int) {
 	vm.Close()
 }
 
-// setThousand runs one thread setting a variable 1 000 times — one run of
+// thousand runs one thread doing 1 000 accesses to a variable — one run of
 // counters 0..999 — and closes the VM.
-func setThousand(vm *VM) {
+func thousand(vm *VM, do func(x *SharedInt, th *Thread, i int)) {
 	var x SharedInt
 	vm.Start(func(main *Thread) {
 		for i := 0; i < 1000; i++ {
-			x.Set(main, int64(i))
+			do(&x, main, i)
 		}
 	})
 	vm.Wait()

@@ -75,8 +75,9 @@ type Metrics struct {
 	// turns (the replay serialization cost).
 	TurnWait Histogram
 	// GCHold observes how long the record phase's GC-critical section is held
-	// per critical event (op + observer). A replaying VM holds no section —
-	// the recorded schedule is its mutual exclusion — and observes none.
+	// per critical event that runs code in it (op + observer); a bare shared
+	// access, one load or store, is not timed. A replaying VM holds no
+	// section — the recorded schedule is its mutual exclusion — and observes none.
 	GCHold Histogram
 }
 

@@ -160,15 +160,16 @@ type Snapshot struct {
 	// per-object acquisitions, access runs logged).
 	Shard ShardCounts `json:"shard"`
 	// HistSampleRate is the 1-in-N latency sampling rate behind TurnWait and
-	// GCHold: only a turn wait for, or (recording) a section hold of, a
-	// counter value that is a multiple of N contributed a latency observation
-	// (counts elsewhere in the snapshot stay exact). 1 means every one was
-	// timed.
+	// GCHold: only a turn wait for, or (recording) a closure event's section
+	// hold at, a counter value that is a multiple of N contributed a latency
+	// observation (counts elsewhere in the snapshot stay exact). 1 means every
+	// one was timed.
 	HistSampleRate uint64 `json:"hist_sample_rate,omitempty"`
 	// TurnWait is the replay turn-wait latency distribution.
 	TurnWait HistogramSnapshot `json:"turn_wait"`
-	// GCHold is the record phase's GC-critical-section hold-time
-	// distribution; a replaying VM holds no section and its count is 0.
+	// GCHold is the record phase's GC-critical-section hold-time distribution
+	// over events that run code in the section (never a bare shared access);
+	// a replaying VM holds no section and its count is 0.
 	GCHold HistogramSnapshot `json:"gc_hold"`
 }
 
