@@ -2,18 +2,21 @@
 // BENCH_benchmark.json, the measured trajectory:
 //
 //	djbenchrows -pr N -side parent|change -source 'EXPERIMENTS.md: <heading>'
-//	    [-metrics m,...] [-append BENCH_benchmark.json] result.json...
+//	    [-append BENCH_benchmark.json] result.json...
 //
 // The files are one side's runs of `benchmark -workload W -seed S -result F`.
 // They are grouped by workload and seed, and each group gives one row per
-// metric: the median, quartiles and count over the group's runs of each
-// run's own figure (the median its result file reports), with the CPU count
-// of this host and the Go version this tool was built with. The quartiles
-// are the benchmark's own (Python's statistics.quantiles, exclusive method).
+// metric of rowMetrics: the median, quartiles and count over the group's
+// runs of each run's own figure (the median its result file reports). A
+// group's runs must be untraced and of one scale. A result file names no host
+// or toolchain, so a row carries the CPU count of the host this tool runs on
+// and the Go version it was built with: run it, with `go run`, where the
+// benchmark ran and with the toolchain that built it. The quartiles are the
+// benchmark's own (Python's statistics.quantiles, exclusive method).
 // Without -append the rows are printed, one JSON object a line, in the
 // trajectory file's format; with it they are added to that file's rows.
-// Exits 0 on success, 1 when a file cannot be read or lacks a metric, 2 on a
-// usage error.
+// Exits 0 on success, 1 when a file cannot be read, lacks a metric or does
+// not fit its group, 2 on a usage error.
 package main
 
 import (
@@ -28,65 +31,50 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+
+	"repro/internal/benchrow"
 )
 
-// defaultMetrics are the end-to-end metrics and the event rates behind the
-// slowdowns: what a change's rows have carried so far.
-const defaultMetrics = "setup_s,peak_rss_mb,record_slowdown,replay_slowdown,record_events_per_s,replay_events_per_s,fail_share"
+// rowMetrics are the end-to-end metrics, the event rates behind the
+// slowdowns and the failed share: what a change's rows have carried so far.
+var rowMetrics = []string{"setup_s", "peak_rss_mb", "record_slowdown", "replay_slowdown", "record_events_per_s", "replay_events_per_s", "fail_share"}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// row is one line of BENCH_benchmark.json, its fields in the file's order.
-type row struct {
-	PR       int     `json:"pr"`
-	Side     string  `json:"side"`
-	Workload string  `json:"workload"`
-	Seed     int     `json:"seed"`
-	Metric   string  `json:"metric"`
-	Median   float64 `json:"median"`
-	Q1       float64 `json:"q1"`
-	Q3       float64 `json:"q3"`
-	N        int     `json:"n"`
-	NProc    int     `json:"nproc"`
-	Go       string  `json:"go"`
-	Source   string  `json:"source"`
 }
 
 // result is what a row needs of a benchmark -result file.
 type result struct {
 	Workload string                               `json:"workload"`
 	Seed     int                                  `json:"seed"`
+	Scale    float64                              `json:"scale"`
+	Traced   bool                                 `json:"traced"`
 	Metrics  map[string]struct{ Median *float64 } `json:"metrics"`
 }
 
 type options struct {
-	pr      int
-	side    string
-	source  string
-	metrics []string
-	nproc   int
-	goVer   string
+	pr     int
+	side   string
+	source string
+	nproc  int
+	goVer  string
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("djbenchrows", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var opt options
-	var metrics, appendTo string
+	var appendTo string
 	fs.IntVar(&opt.pr, "pr", 0, "the change the rows belong to")
 	fs.StringVar(&opt.side, "side", "", "parent or change")
 	fs.StringVar(&opt.source, "source", "", "the EXPERIMENTS section of the table: 'EXPERIMENTS.md: <heading>'")
-	fs.StringVar(&metrics, "metrics", defaultMetrics, "comma-separated metric names")
 	fs.StringVar(&appendTo, "append", "", "add the rows to this trajectory file instead of printing them")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	opt.metrics = strings.Split(metrics, ",")
 	opt.nproc, opt.goVer = runtime.NumCPU(), runtime.Version()
 	if opt.pr <= 0 || (opt.side != "parent" && opt.side != "change") || !strings.Contains(opt.source, ": ") || fs.NArg() == 0 {
-		fmt.Fprintln(stderr, "usage: djbenchrows -pr N -side parent|change -source 'EXPERIMENTS.md: <heading>' [-metrics m,...] [-append file] result.json...")
+		fmt.Fprintln(stderr, "usage: djbenchrows -pr N -side parent|change -source 'EXPERIMENTS.md: <heading>' [-append file] result.json...")
 		return 2
 	}
 	var results []result
@@ -123,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // buildRows groups one side's runs by workload and seed, in the order the
 // groups first appear, and summarizes each metric over a group's runs.
-func buildRows(opt options, results []result) ([]row, error) {
+func buildRows(opt options, results []result) ([]benchrow.Row, error) {
 	type group struct {
 		workload string
 		seed     int
@@ -131,18 +119,22 @@ func buildRows(opt options, results []result) ([]row, error) {
 	var order []group
 	runs := map[group][]result{}
 	for _, r := range results {
-		if r.Workload == "" {
-			return nil, errors.New("a result file names no workload")
-		}
 		g := group{r.Workload, r.Seed}
-		if runs[g] == nil {
+		switch {
+		case r.Workload == "":
+			return nil, errors.New("a result file names no workload")
+		case r.Traced:
+			return nil, fmt.Errorf("a %s run (seed %d) is traced: its timings carry the tracer's cost", g.workload, g.seed)
+		case runs[g] == nil:
 			order = append(order, g)
+		case runs[g][0].Scale != r.Scale:
+			return nil, fmt.Errorf("%s runs (seed %d) of scales %v and %v", g.workload, g.seed, runs[g][0].Scale, r.Scale)
 		}
 		runs[g] = append(runs[g], r)
 	}
-	var rows []row
+	var rows []benchrow.Row
 	for _, g := range order {
-		for _, m := range opt.metrics {
+		for _, m := range rowMetrics {
 			var values []float64
 			for _, r := range runs[g] {
 				v := r.Metrics[m].Median
@@ -152,7 +144,7 @@ func buildRows(opt options, results []result) ([]row, error) {
 				values = append(values, *v)
 			}
 			sort.Float64s(values)
-			rows = append(rows, row{
+			rows = append(rows, benchrow.Row{
 				PR: opt.pr, Side: opt.side, Workload: g.workload, Seed: g.seed, Metric: m,
 				Median: quantile(values, 0.5), Q1: quantile(values, 0.25), Q3: quantile(values, 0.75),
 				N: len(values), NProc: opt.nproc, Go: opt.goVer, Source: opt.source,
@@ -179,7 +171,7 @@ func quantile(sorted []float64, p float64) float64 {
 
 // format writes a row as the trajectory file does: one line, ", " and ": "
 // between fields.
-func format(r row) string {
+func format(r benchrow.Row) string {
 	fields := []struct {
 		key string
 		val any
@@ -207,7 +199,7 @@ func marshal(v any) string {
 
 // appendRows adds rows to the trajectory file at path, keeping its
 // description and every earlier row byte for byte.
-func appendRows(path string, rows []row) error {
+func appendRows(path string, rows []benchrow.Row) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/benchrow"
 )
 
 // writeResult writes a benchmark -result file holding only what rows are
@@ -29,67 +31,51 @@ func writeResult(t *testing.T, dir, name, workload string, seed int, medians map
 }
 
 // TestRowsFromTwoResultFiles feeds two runs of one side and checks the rows
-// by the rules TestBenchTrajectory holds BENCH_benchmark.json to — a change,
-// a seed, runs and a host; a side; BENCHMARK.json's workload and metric
-// names; the median within its quartiles; a source naming an EXPERIMENTS
-// section — and their figures: the median and quartiles over the runs.
+// by the rules every row of BENCH_benchmark.json keeps (benchrow.Row.Check)
+// and their figures: the median and quartiles over the runs.
 func TestRowsFromTwoResultFiles(t *testing.T) {
 	dir := t.TempDir()
-	a := writeResult(t, dir, "a.json", "shared-mem", 947, map[string]float64{"record_slowdown": 3.0, "fail_share": 0})
-	b := writeResult(t, dir, "b.json", "shared-mem", 947, map[string]float64{"record_slowdown": 2.0, "fail_share": 0})
+	medians := func(slowdown float64) map[string]float64 {
+		m := map[string]float64{}
+		for i, name := range rowMetrics {
+			m[name] = float64(i)
+		}
+		m["record_slowdown"] = slowdown
+		return m
+	}
+	a := writeResult(t, dir, "a.json", "shared-mem", 947, medians(3.0))
+	b := writeResult(t, dir, "b.json", "shared-mem", 947, medians(2.0))
 	var out, errs bytes.Buffer
-	args := []string{"-pr", "48", "-side", "change", "-source", "EXPERIMENTS.md: Some section", "-metrics", "record_slowdown,fail_share", a, b}
+	args := []string{"-pr", "48", "-side", "change", "-source", "EXPERIMENTS.md: Some section", a, b}
 	if code := run(args, &out, &errs); code != 0 {
 		t.Fatalf("exit %d: %s", code, errs.String())
 	}
 
-	var spec struct {
-		Workloads []struct{ Name string } `json:"workloads"`
-		EndToEnd  []struct{ Name string } `json:"end_to_end"`
-		PerLayer  []struct{ Name string } `json:"per_layer"`
-	}
-	data, err := os.ReadFile("../../BENCHMARK.json")
+	declared, err := benchrow.ReadDeclared("../../BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &spec); err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, w := range spec.Workloads {
-		names[w.Name] = true
-	}
-	for _, m := range append(spec.EndToEnd, spec.PerLayer...) {
-		names[m.Name] = true
-	}
 
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d rows, want 2:\n%s", len(lines), out.String())
+	if len(lines) != len(rowMetrics) {
+		t.Fatalf("%d rows, want %d:\n%s", len(lines), len(rowMetrics), out.String())
 	}
-	want := []row{
-		{Metric: "record_slowdown", Median: 2.5, Q1: 2.0, Q3: 3.0},
-		{Metric: "fail_share"},
+	var want []benchrow.Row
+	for i, m := range rowMetrics {
+		want = append(want, benchrow.Row{Metric: m, Median: float64(i), Q1: float64(i), Q3: float64(i)})
+		if m == "record_slowdown" {
+			want[i].Median, want[i].Q1, want[i].Q3 = 2.5, 2.0, 3.0
+		}
 	}
 	for i, line := range lines {
-		var r row
+		var r benchrow.Row
 		dec := json.NewDecoder(strings.NewReader(line))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&r); err != nil {
 			t.Fatalf("row %d: %v: %s", i, err, line)
 		}
-		file, _, ok := strings.Cut(r.Source, ": ")
-		switch {
-		case r.PR <= 0 || r.Seed < 0 || r.N < 1 || r.NProc < 1 || !strings.HasPrefix(r.Go, "go"):
-			t.Errorf("row %d: pr %d, seed %d, n %d, nproc %d, go %q", i, r.PR, r.Seed, r.N, r.NProc, r.Go)
-		case r.Side != "parent" && r.Side != "change":
-			t.Errorf("row %d: side %q", i, r.Side)
-		case !names[r.Workload] || !names[r.Metric]:
-			t.Errorf("row %d: workload %q or metric %q is not in BENCHMARK.json", i, r.Workload, r.Metric)
-		case !(r.Q1 <= r.Median && r.Median <= r.Q3):
-			t.Errorf("row %d: median %v outside [%v, %v]", i, r.Median, r.Q1, r.Q3)
-		case !ok || (file != "EXPERIMENTS.md" && file != "EXPERIMENTS-archive.md"):
-			t.Errorf("row %d: source %q", i, r.Source)
+		if err := r.Check(declared); err != nil {
+			t.Errorf("row %d: %v", i, err)
 		}
 		w := want[i]
 		if r.PR != 48 || r.Side != "change" || r.Workload != "shared-mem" || r.Seed != 947 || r.N != 2 ||
@@ -99,8 +85,27 @@ func TestRowsFromTwoResultFiles(t *testing.T) {
 	}
 
 	// A metric a run lacks is an error, not a row.
-	if code := run([]string{"-pr", "48", "-side", "change", "-source", "EXPERIMENTS.md: S", "-metrics", "setup_s", a}, &out, &errs); code != 1 {
+	c := writeResult(t, dir, "c.json", "net-open", 1, map[string]float64{"setup_s": 1})
+	if code := run([]string{"-pr", "48", "-side", "change", "-source", "EXPERIMENTS.md: S", c}, &out, &errs); code != 1 {
 		t.Errorf("a missing metric exits %d, want 1", code)
+	}
+	// So is a traced run, and a group whose runs differ in length: a copy of
+	// b that says so.
+	for field, v := range map[string]any{"traced": true, "scale": 2} {
+		var res map[string]any
+		data, _ := os.ReadFile(b)
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatal(err)
+		}
+		res[field] = v
+		data, _ = json.Marshal(res)
+		bad := filepath.Join(dir, field+".json")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code := run([]string{"-pr", "48", "-side", "change", "-source", "EXPERIMENTS.md: S", a, bad}, &out, &errs); code != 1 {
+			t.Errorf("a run with %s %v exits %d, want 1", field, v, code)
+		}
 	}
 	if code := run([]string{"-pr", "48", "-side", "both", "-source", "EXPERIMENTS.md: S", a}, &out, &errs); code != 2 {
 		t.Errorf("side both exits %d, want 2", code)
@@ -125,8 +130,8 @@ func TestAppendKeepsTheFile(t *testing.T) {
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, orig) {
 		t.Fatal("appending no rows rewrote the file")
 	}
-	r := row{PR: 48, Side: "parent", Workload: "net-open", Seed: 1, Metric: "setup_s", Median: 0.5, Q1: 0.5, Q3: 0.5, N: 1, NProc: 2, Go: "go1", Source: "EXPERIMENTS.md: S"}
-	if err := appendRows(path, []row{r}); err != nil {
+	r := benchrow.Row{PR: 48, Side: "parent", Workload: "net-open", Seed: 1, Metric: "setup_s", Median: 0.5, Q1: 0.5, Q3: 0.5, N: 1, NProc: 2, Go: "go1", Source: "EXPERIMENTS.md: S"}
+	if err := appendRows(path, []benchrow.Row{r}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(path)

@@ -348,16 +348,16 @@ func (t *Thread) blocking(s *stream, kind obs.EventKind, op func(), mark func(id
 	}
 }
 
-// exec executes the recorded event with counter value n under mu — the
-// critical section: op, or with op nil recordInt's access, which only an
-// observer sends here — timing op, never the access, into the GC-hold
-// histogram when n is sampled, and reports it to the observer if any. It is
-// the path of every event that runs code which may panic (a MonitorStateError
-// the application recovers from, or an observer's Crash): the deferred unlock
-// then releases the section before the counter ticks, as if the event never
-// happened. An observer's panic first leaves the stream dead: no later event
-// of the VM runs (VM.crashed). Replay holds no section (its turn is the
-// mutual exclusion): GC-hold is a record-phase histogram.
+// exec executes the recorded event with counter value n under mu (the
+// critical section): op, timed into the GC-hold histogram when n is sampled,
+// or with op nil recordInt's access, untimed, which only an observer sends
+// here; then the observer, if any. It is the path of every event that runs
+// code which may panic (a MonitorStateError the application recovers from, or
+// an observer's Crash): the deferred unlock then releases the section before
+// the counter ticks, as if the event never happened. An observer's panic
+// first leaves the stream dead: no later event of the VM runs (VM.crashed).
+// Replay holds no section (its turn is the mutual exclusion): GC-hold is a
+// record-phase histogram.
 func (s *stream) exec(t *Thread, n ids.GCount, op func(ids.GCount), p *int64, set bool, v int64) int64 {
 	if s.dead {
 		s.mu.Unlock()
