@@ -38,8 +38,11 @@
 package dejavu
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -350,7 +353,18 @@ func (n *Node) Snapshot() Snapshot { return n.vm.Metrics().Snapshot() }
 // as JSON. It returns the bound address — point `djstat -watch
 // http://<addr>` at it — and a stop function closing the listener.
 func (n *Node) ServeMetrics(addr string) (boundAddr string, stop func(), err error) {
-	return obs.Serve(addr, n.vm.Metrics())
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, err
+	}
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(n.Snapshot())
+	})}
+	go srv.Serve(ln)
+	return ln.Addr().String(), func() { srv.Close() }, nil
 }
 
 // StartReporter periodically writes a human-readable metrics report to w

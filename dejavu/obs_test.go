@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -195,6 +196,9 @@ func TestNodeServeMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
+		t.Errorf("Content-Type = %q", ct)
+	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +210,9 @@ func TestNodeServeMetrics(t *testing.T) {
 	want := srv.Snapshot()
 	if got.Events != want.Events || got.TotalEvents != want.TotalEvents || got.Logs != want.Logs {
 		t.Errorf("served snapshot differs:\ngot  %+v\nwant %+v", got.Events, want.Events)
+	}
+	if want.GCHold.Count == 0 || !reflect.DeepEqual(got.GCHold, want.GCHold) {
+		t.Errorf("GC-hold histogram round trip: served %+v, snapshot %+v", got.GCHold, want.GCHold)
 	}
 
 	var report strings.Builder

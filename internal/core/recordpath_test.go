@@ -15,18 +15,23 @@ import (
 
 // TestRecordPathsWriteTheSameLog: a recorded event is the same event whichever
 // way it is recorded. A SharedInt.Get or Set runs in place inside record's
-// section, with no closure and no exec, unless the event is sampled or
-// observed, when it goes through exec like every closure event; all of them
-// end in the one run tail. A seeded program whose threads run one at a time
-// is recorded three ways — at the default ObsSampleRate (1 event in 64 of the
-// global stream through exec), at rate 1
-// (every event through exec) and with an EventObserver (every event through
-// exec, the word published per event) — and every way must write the same
-// schedule log, the same WAL and the same per-kind counts. The program's
-// spawn and join hand the streams over between threads, so new runs open and
-// finished ones are flushed on the closure-free path too. EnableWAL and
-// EventObserver are rejected under OrderSharded, so that order mode has no
-// WAL and no observer arm.
+// section, with no closure and no exec, unless the stream is observed; a
+// closure event (Add, SharedVar.Update, a monitor, spawn and join) always
+// goes through exec; all of them end in the one run tail. A seeded program
+// whose threads run one at a time is recorded three ways, and every way must
+// write the same schedule log, the same WAL and the same per-kind counts:
+//   - default: bare accesses in place, 1 closure event in 64 of the global
+//     stream timed into the GC-hold histogram;
+//   - sample1 (ObsSampleRate 1): the same paths with every closure event of
+//     the global stream timed, so it must time more holds than default —
+//     the clock reads move no byte;
+//   - observer (an EventObserver): every event, bare accesses included,
+//     through exec, the word published per event.
+//
+// The program's spawn and join hand the streams over between threads, so new
+// runs open and finished ones are flushed on the closure-free path too.
+// EnableWAL and EventObserver are rejected under OrderSharded, so that order
+// mode has no WAL and no observer arm.
 func TestRecordPathsWriteTheSameLog(t *testing.T) {
 	for _, tc := range []struct {
 		order ids.OrderMode
@@ -55,6 +60,7 @@ func TestRecordPathsWriteTheSameLog(t *testing.T) {
 				wantFinal          int64
 				wantEvents         obs.EventCounts
 				wantTotal          uint64
+				defaultHolds       uint64
 			)
 			for i, way := range ways {
 				cfg := way.cfg
@@ -83,7 +89,7 @@ func TestRecordPathsWriteTheSameLog(t *testing.T) {
 				snap := vm.Metrics().Snapshot()
 				if i == 0 {
 					wantSched, wantWAL, wantFinal = sched, wal, *final
-					wantEvents, wantTotal = snap.Events, snap.TotalEvents
+					wantEvents, wantTotal, defaultHolds = snap.Events, snap.TotalEvents, snap.GCHold.Count
 					if snap.Events.Shared == 0 || snap.Events.MonitorEnter == 0 || snap.Events.Total() != snap.TotalEvents {
 						t.Fatalf("%s: events %+v, total %d", way.name, snap.Events, snap.TotalEvents)
 					}
@@ -101,6 +107,9 @@ func TestRecordPathsWriteTheSameLog(t *testing.T) {
 				if snap.Events != wantEvents || snap.TotalEvents != wantTotal {
 					t.Errorf("%s: counts %+v (total %d), %s's %+v (total %d)",
 						way.name, snap.Events, snap.TotalEvents, ways[0].name, wantEvents, wantTotal)
+				}
+				if way.name == "sample1" && snap.GCHold.Count <= defaultHolds {
+					t.Errorf("sample1 timed %d holds, default %d: rate 1 must time every closure event", snap.GCHold.Count, defaultHolds)
 				}
 			}
 		})

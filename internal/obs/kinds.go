@@ -27,10 +27,10 @@
 // log's lock briefly, never a stream lock, and never waits behind an fsync,
 // so a member frozen inside its critical section can still be snapshotted.
 //
-// One Metrics value belongs to one VM. It is exposed three ways: the typed
-// Snapshot struct (re-exported by the dejavu facade), the same snapshot as
-// JSON over HTTP (Handler/Serve, for cmd/djstat), and a periodic
-// human-readable reporter.
+// One Metrics value belongs to one VM. It is exposed two ways here: the typed
+// Snapshot struct (re-exported by the dejavu facade, whose Node.ServeMetrics
+// serves it as JSON over HTTP for cmd/djstat, so no layer links a network
+// stack) and a periodic human-readable reporter.
 package obs
 
 // EventKind classifies a critical event by the subsystem that issued it. The
